@@ -53,7 +53,7 @@ fn eprime_skip<'a>(
     filter: &'a dyn Fn(EntityId) -> bool,
 ) -> impl FnMut(u32) -> bool + 'a {
     let known = snap.known_neighbors(entity, relation, direction);
-    move |id: u32| id == entity.0 || known.contains(&id) || !filter(EntityId(id))
+    move |id: u32| id == entity.0 || known.binary_search(&id).is_ok() || !filter(EntityId(id))
 }
 
 /// The **no-index** baseline (§VI-B): exact brute-force top-k by

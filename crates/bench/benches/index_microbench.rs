@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the index building blocks: JL projection,
-//! sort-order construction, best-binary-split enumeration, cracking, and
-//! region search. These isolate the costs the figure-level benches
-//! aggregate.
+//! sort-order construction, best-binary-split enumeration, cracking,
+//! region search and the best-first ball traversal. These isolate the
+//! costs the figure-level benches aggregate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -64,6 +64,19 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| {
             let mut count = 0usize;
             idx.search_region(&region, |_| count += 1);
+            black_box(count)
+        })
+    });
+
+    // The same ball nearest-first at a fixed radius: what the ordered
+    // traversal costs over the plain region search above.
+    group.bench_function("nearest_first_50k_converged", |b| {
+        b.iter(|| {
+            let mut count = 0usize;
+            idx.nearest_first(&[0.0, 0.0, 0.0], 1.0, |_, _| {
+                count += 1;
+                1.0
+            });
             black_box(count)
         })
     });

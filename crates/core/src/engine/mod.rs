@@ -204,7 +204,7 @@ pub trait QueryEngine: Send {
         let known = snap.known_neighbors(entity, relation, direction);
         let embeddings = snap.embeddings();
         let mut scored: Vec<(f64, u32)> = (0..embeddings.num_entities() as u32)
-            .filter(|&id| id != entity.0 && !known.contains(&id))
+            .filter(|&id| id != entity.0 && known.binary_search(&id).is_err())
             .map(|id| (embeddings.distance_to_entity(&q_s1, EntityId(id)), id))
             .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));

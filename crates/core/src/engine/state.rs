@@ -112,7 +112,7 @@ impl IndexState {
             cfg.alpha,
             warm,
             |_, id| embeddings.distance_to_entity(&q_s1, EntityId(id)),
-            |id| id == entity.0 || known.contains(&id) || !filter(EntityId(id)),
+            |id| id == entity.0 || known.binary_search(&id).is_ok() || !filter(EntityId(id)),
         )
     }
 
@@ -157,7 +157,7 @@ impl QueryEngine for IndexState {
             cfg.epsilon,
             cfg.alpha,
             |_, id| embeddings.distance_to_entity(&q_s1, EntityId(id)),
-            |id| id == entity.0 || known.contains(&id) || !filter(EntityId(id)),
+            |id| id == entity.0 || known.binary_search(&id).is_ok() || !filter(EntityId(id)),
         )
     }
 
@@ -263,7 +263,7 @@ impl QueryEngine for IndexState {
         // metadata, not a record access.
         let attributes = snap.attributes();
         let keep = |id: u32| {
-            if id == entity.0 || known.contains(&id) {
+            if id == entity.0 || known.binary_search(&id).is_ok() {
                 return false;
             }
             match &attr {

@@ -6,9 +6,42 @@
 //! the result region stabilizes). They do update access statistics,
 //! which is why the methods take `&mut self`.
 
-use crate::geometry::{kernels, Mbr};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+use crate::geometry::{kernels, Mbr, PointSet};
 
 use super::{CrackingIndex, NodeId, NodeKind};
+
+/// Queue entry of [`CrackingIndex::nearest_first`]: a tree node keyed by
+/// its region's lower bound, or a point keyed by its own distance.
+#[derive(PartialEq)]
+struct Nearest {
+    key: f64,
+    point: bool,
+    id: u32,
+}
+
+impl Eq for Nearest {}
+
+impl Ord for Nearest {
+    /// Reversed, so the max-heap pops the smallest key. At equal keys a
+    /// node pops before a point (it may hold an equally near point with
+    /// a smaller id) and points pop in id order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .key
+            .total_cmp(&self.key)
+            .then(other.point.cmp(&self.point))
+            .then(other.id.cmp(&self.id))
+    }
+}
+
+impl PartialOrd for Nearest {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Summary statistics of one contour element's in-region members, handed
 /// to the [`CrackingIndex::search_region_elements`] visitor. Per §V-B the
@@ -60,6 +93,74 @@ impl CrackingIndex {
                 }
             }
         }
+    }
+
+    /// Visits the points of the ball `B(q, √r_sq)` nearest first — in
+    /// ascending `(squared S₂ distance, id)` order — while the ball
+    /// shrinks: `visit` returns the squared radius to continue with, and
+    /// the traversal stops at the first queue key beyond it (the
+    /// "increasing distance from q" loop of Algorithm 3, lines 5–8).
+    /// Returns the number of points whose distance was computed.
+    ///
+    /// One best-first descent: tree nodes are keyed by
+    /// [`Mbr::min_distance_sq`], points by the same per-point distance
+    /// [`kernels::distances_sq`] gives a whole batch, evaluated one
+    /// contour element at a time (so a width-1 pool stays on the exact
+    /// scalar path). Children and points beyond the current radius are
+    /// never queued. Like [`CrackingIndex::search_region`] this is a pure
+    /// read that counts each expanded element in the access statistics.
+    pub fn nearest_first(
+        &mut self,
+        q: &[f64],
+        mut r_sq: f64,
+        mut visit: impl FnMut(&PointSet, u32) -> f64,
+    ) -> u64 {
+        let mut queue = BinaryHeap::from([Nearest {
+            key: self.nodes[self.root as usize].mbr.min_distance_sq(q),
+            point: false,
+            id: self.root,
+        }]);
+        let mut dists: Vec<f64> = Vec::new();
+        let mut computed = 0u64;
+        while let Some(Nearest { key, point, id }) = queue.pop() {
+            if key > r_sq {
+                break;
+            }
+            if point {
+                r_sq = visit(&self.points, id);
+                continue;
+            }
+            let ids: &[u32] = match &self.nodes[id as usize].kind {
+                NodeKind::Internal(children) => {
+                    queue.extend(children.iter().filter_map(|&id| {
+                        let key = self.nodes[id as usize].mbr.min_distance_sq(q);
+                        (key <= r_sq).then_some(Nearest {
+                            key,
+                            point: false,
+                            id,
+                        })
+                    }));
+                    continue;
+                }
+                NodeKind::Leaf(ids) => ids,
+                NodeKind::Unsplit(orders) => orders.ids(0),
+            };
+            self.stats.elements_accessed += 1;
+            self.stats.points_examined += ids.len() as u64;
+            computed += ids.len() as u64;
+            dists.resize(ids.len(), 0.0);
+            kernels::distances_sq(&self.pool, &self.points, ids, q, &mut dists);
+            // One `extend` per element: a large batch (an unsplit root)
+            // is heapified in O(n), not pushed point by point.
+            queue.extend(ids.iter().zip(&dists).filter(|&(_, &key)| key <= r_sq).map(
+                |(&id, &key)| Nearest {
+                    key,
+                    point: true,
+                    id,
+                },
+            ));
+        }
+        computed
     }
 
     /// Like [`CrackingIndex::search_region`], but also hands the visitor

@@ -187,11 +187,6 @@ impl CrackingIndex {
         index
     }
 
-    /// The pool the index's build layers run on.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
-    }
-
     /// Turns on crack journaling: every [`CrackingIndex::crack`] also
     /// records its query region so a sharded engine can replay the same
     /// crack sequence on sibling trees. Idempotent.

@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::error::{VkgError, VkgResult};
-use crate::geometry::{kernels, Mbr, PointSet};
+use crate::geometry::{Mbr, PointSet};
 use crate::index::CrackingIndex;
 
 use super::guarantees::{topk_guarantee, TopKGuarantee};
@@ -44,7 +44,9 @@ pub struct TopKResult {
     pub guarantee: TopKGuarantee,
     /// Number of candidate points whose S₁ distance was evaluated.
     pub s1_evals: u64,
-    /// Number of points examined in S₂ (the cheap filter).
+    /// Number of points whose S₂ distance was computed (the cheap
+    /// filter): the members of every contour element the shrinking ball
+    /// reached.
     pub candidates_examined: u64,
     /// The region the index was cracked for (Algorithm 3 line 9), kept so
     /// a result cache replaying this answer can reproduce the crack and
@@ -142,9 +144,9 @@ pub fn find_top_k_warm(
     // The warm set already holds exact distances for its ids; skipping
     // them here both saves oracle calls and keeps the heap duplicate-free
     // (`push_candidate` does not deduplicate).
-    let warm_ids: std::collections::HashSet<u32> = warm.iter().map(|&(id, _)| id).collect();
+    let warm_ids = sorted_ids(warm.iter().map(|&(id, _)| id));
     for id in seeds {
-        if warm_ids.contains(&id) || skip(id) {
+        if warm_ids.binary_search(&id).is_ok() || skip(id) {
             continue;
         }
         let d = s1_distance(index.points(), id);
@@ -152,63 +154,28 @@ pub fn find_top_k_warm(
         push_candidate(&mut heap, k, id, d);
     }
 
-    // Lines 3–4: initial region. If seeding found fewer than k usable
-    // entities the radius is unknown; fall back to the whole data region
-    // (correct, just slower — happens only on degenerate inputs).
-    let initial_region = match heap.peek() {
-        Some(worst) if heap.len() >= k => Mbr::of_ball(q_s2, worst.distance * (1.0 + epsilon)),
-        _ => index.points().mbr_of(&index.points().all_ids()),
-    };
-
-    // Gather the candidate ids in the initial region and consume them
-    // nearest-in-S₂ first so the ball shrinks as early as possible (the
-    // "increasing distance from q" traversal of lines 5–8). A lazy
-    // min-heap beats a full sort: as soon as the nearest unexamined
-    // candidate falls outside the shrunken ball, everything else does
-    // too and the loop ends.
-    let mut ids: Vec<u32> = Vec::new();
-    index.search_region(&initial_region, |id| ids.push(id));
-    let candidates_examined = ids.len() as u64;
-    let mut d_s2 = vec![0.0f64; ids.len()];
-    kernels::distances_sq(index.pool(), index.points(), &ids, q_s2, &mut d_s2);
-
-    // The ball only shrinks, so candidates already outside the current
-    // radius can never be examined — drop them before heapifying instead
-    // of popping them one by one at the end of the loop.
-    let mut current_r_sq = current_ball_radius_sq(&heap, k, epsilon);
-    let mut frontier: BinaryHeap<std::cmp::Reverse<HeapEntry>> = ids
-        .iter()
-        .zip(&d_s2)
-        .filter(|&(_, &d)| d <= current_r_sq)
-        .map(|(&id, &d)| std::cmp::Reverse(HeapEntry { distance: d, id }))
-        .collect();
-
-    let mut seen: std::collections::HashSet<u32> = heap.iter().map(|e| e.id).collect();
-    while let Some(std::cmp::Reverse(HeapEntry {
-        distance: d_s2_sq,
-        id,
-    })) = frontier.pop()
-    {
-        // Line 5's loop condition: the region Q only shrinks, so once the
-        // nearest remaining candidate is outside the current ball, all
-        // data points in Q have been examined.
-        if d_s2_sq > current_r_sq {
-            break;
+    // Lines 3–8: visit the points of the ball nearest-in-S₂ first, so it
+    // shrinks as early as possible and the traversal ends at the first
+    // point outside it. With fewer than k usable seeds (selective
+    // filters) the radius is unknown and stays infinite until the k-set
+    // fills. Ball points are distinct, so only the ids the k-set already
+    // held — their distances are known — need rejecting.
+    let seeded = sorted_ids(heap.iter().map(|e| e.id));
+    let r_sq = current_ball_radius_sq(&heap, k, epsilon);
+    let candidates_examined = index.nearest_first(q_s2, r_sq, |points, id| {
+        if seeded.binary_search(&id).is_err() && !skip(id) {
+            let d = s1_distance(points, id);
+            s1_evals += 1;
+            push_candidate(&mut heap, k, id, d);
         }
-        if !seen.insert(id) || skip(id) {
-            continue;
-        }
-        let d = s1_distance(index.points(), id);
-        s1_evals += 1;
-        if push_candidate(&mut heap, k, id, d) {
-            current_r_sq = current_ball_radius_sq(&heap, k, epsilon);
-        }
-    }
+        current_ball_radius_sq(&heap, k, epsilon)
+    });
 
-    // Line 9: crack the index for the final (stabilized) region.
+    // Line 9: crack the index for the final (stabilized) region — the
+    // whole data region when nothing at all was usable.
     let final_region = match heap.peek() {
-        None => initial_region,
         Some(worst) => Mbr::of_ball(q_s2, worst.distance * (1.0 + epsilon)),
+        None => index.points().mbr_of(&index.points().all_ids()),
     };
     index.crack(&final_region);
     index.stats_mut().s1_distance_evals += s1_evals;
@@ -238,21 +205,24 @@ pub fn find_top_k_warm(
     })
 }
 
-/// Pushes a candidate into the bounded max-heap; returns whether the k-th
-/// distance changed (the ball can shrink).
-fn push_candidate(heap: &mut BinaryHeap<HeapEntry>, k: usize, id: u32, distance: f64) -> bool {
+/// Pushes a candidate into the bounded max-heap, evicting the k-th
+/// (worst) entry when the candidate beats it.
+fn push_candidate(heap: &mut BinaryHeap<HeapEntry>, k: usize, id: u32, distance: f64) {
     if heap.len() < k {
         heap.push(HeapEntry { distance, id });
-        return true;
-    }
-    match heap.peek().map(|worst| worst.distance) {
-        Some(kth) if distance < kth => {
-            heap.pop();
-            heap.push(HeapEntry { distance, id });
-            true
+    } else if let Some(mut worst) = heap.peek_mut() {
+        if distance < worst.distance {
+            *worst = HeapEntry { distance, id };
         }
-        _ => false,
     }
+}
+
+/// The ids as a sorted slice for `binary_search` membership tests (at
+/// most k of them — hashing each candidate costs more than the probe).
+fn sorted_ids(ids: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Squared S₂ ball radius for the current k-set (infinite until k found).

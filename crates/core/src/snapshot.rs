@@ -16,7 +16,6 @@
 //! clones the graph and embeddings but shares the attribute store with
 //! every earlier epoch; an attribute write clones nothing else.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use vkg_embed::EmbeddingStore;
@@ -187,17 +186,21 @@ impl VkgSnapshot {
 
     /// The entity's known neighbors under `relation` in `direction` —
     /// the edges already in `E`, which the paper's E′-only semantics
-    /// exclude from every answer.
+    /// exclude from every answer. Sorted ascending (the graph stores
+    /// each edge once), so the per-candidate skip test is a
+    /// `binary_search` rather than a hash of every candidate id.
     pub fn known_neighbors(
         &self,
         entity: EntityId,
         relation: RelationId,
         direction: Direction,
-    ) -> HashSet<u32> {
-        match direction {
+    ) -> Vec<u32> {
+        let mut known: Vec<u32> = match direction {
             Direction::Tails => self.graph.tails(entity, relation).map(|e| e.0).collect(),
             Direction::Heads => self.graph.heads(entity, relation).map(|e| e.0).collect(),
-        }
+        };
+        known.sort_unstable();
+        known
     }
 
     // Copy-on-write mutators, used only by the facade's dynamic-update

@@ -1,6 +1,7 @@
 //! Property-based tests for the index core: MBR algebra, sort-order
 //! splits, the cracking invariants (Lemma 1), search exactness against
-//! brute force, and the aggregate estimators.
+//! brute force, the best-first traversal and Algorithm 3 against a
+//! sort-everything oracle, and the aggregate estimators.
 
 use proptest::prelude::*;
 
@@ -8,6 +9,7 @@ use vkg_core::config::SplitStrategy;
 use vkg_core::geometry::{kernels, Mbr, PointSet};
 use vkg_core::index::CrackingIndex;
 use vkg_core::query::aggregate;
+use vkg_core::query::topk::{find_top_k_warm, TopKResult};
 use vkg_core::rtree::SortOrders;
 use vkg_sync::pool::Pool;
 
@@ -24,8 +26,235 @@ fn brute_force(ps: &PointSet, q: &Mbr) -> Vec<u32> {
         .collect()
 }
 
+type Xyz = (f64, f64, f64);
+
+fn arb_xyz(range: f64) -> impl Strategy<Value = Xyz> {
+    (-range..range, -range..range, -range..range)
+}
+
+/// Rounds to a multiple of ten when `on_grid`: grid points and grid
+/// queries make duplicate points and equal distances common, which
+/// random reals never do.
+fn snap(on_grid: bool, (x, y, z): Xyz) -> [f64; 3] {
+    let round = |c: f64| {
+        if on_grid {
+            (c / 10.0).round() * 10.0
+        } else {
+            c
+        }
+    };
+    [round(x), round(y), round(z)]
+}
+
+/// A tree in one of the shapes Algorithm 3 meets: root-only (0), partly
+/// cracked (1), bulk-loaded (2), or cracked and then edited by
+/// `insert_point` / `update_point` / `remove_point` (3).
+fn shaped_index(
+    ps: PointSet,
+    on_grid: bool,
+    shape: usize,
+    cracks: &[(Xyz, f64)],
+    edits: &[(usize, Xyz, u32)],
+) -> CrackingIndex {
+    let rows = (0..ps.len() as u32).flat_map(|id| {
+        let p = ps.point(id);
+        snap(on_grid, (p[0], p[1], p[2]))
+    });
+    let ps = PointSet::from_rows(3, rows.collect());
+    if shape == 2 {
+        return CrackingIndex::bulk_load(ps, 4, 3, 2.0);
+    }
+    let mut idx = CrackingIndex::new(ps, 4, 3, 2.0, SplitStrategy::Greedy);
+    if shape >= 1 {
+        for &((x, y, z), r) in cracks {
+            idx.crack(&Mbr::of_ball(&[x, y, z], r));
+        }
+    }
+    if shape == 3 {
+        for &(op, to, pick) in edits {
+            let id = pick % idx.points().len() as u32;
+            match op {
+                0 => drop(idx.insert_point(&snap(on_grid, to))),
+                // Updating a tombstoned id is refused; nothing to undo.
+                1 => drop(idx.update_point(id, &snap(on_grid, to))),
+                _ => drop(idx.remove_point(id)),
+            }
+        }
+    }
+    idx.check_invariants();
+    idx
+}
+
+/// Every live point as `(d², id)`, ascending — the order the traversal
+/// must emit.
+fn live_by_distance(idx: &CrackingIndex, q: &[f64]) -> Vec<(f64, u32)> {
+    let mut all: Vec<(f64, u32)> = (0..idx.points().len() as u32)
+        .filter(|&id| !idx.is_removed(id))
+        .map(|id| (idx.points().distance_sq(id, q), id))
+        .collect();
+    all.sort_by(by_distance_then_id);
+    all
+}
+
+fn by_distance_then_id(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// What `find_top_k_warm` answers, compared bit for bit.
+type Answer = (Vec<(u32, u64)>, u64, Option<Mbr>);
+
+fn answer_of(r: &TopKResult) -> Answer {
+    let predictions = r.predictions.iter().map(|p| (p.id, p.distance.to_bits()));
+    (predictions.collect(), r.s1_evals, r.crack_region)
+}
+
+/// Test-only oracle for Algorithm 3: the same seeding and the same
+/// shrinking-ball loop, but over *all* live points sorted by
+/// `(d_S₂², id)` instead of a traversal of the tree.
+#[allow(clippy::too_many_arguments)]
+fn oracle_top_k(
+    idx: &mut CrackingIndex,
+    q: &[f64],
+    k: usize,
+    eps: f64,
+    warm: &[(u32, f64)],
+    s1: &dyn Fn(&PointSet, u32) -> f64,
+    skip: &dyn Fn(u32) -> bool,
+) -> Answer {
+    // The k-set, ascending by (distance, id); a newcomer must beat the worst.
+    fn offer(set: &mut Vec<(f64, u32)>, k: usize, entry: (f64, u32)) {
+        if set.len() == k && set.last().is_some_and(|worst| entry.0 < worst.0) {
+            set.pop();
+        }
+        if set.len() < k {
+            set.push(entry);
+            set.sort_by(by_distance_then_id);
+        }
+    }
+    let (mut set, mut evals) = (Vec::new(), 0u64);
+    for &(id, d) in warm {
+        offer(&mut set, k, (d, id));
+    }
+    let element = idx.smallest_element_containing(q);
+    for id in idx.seed_scan(element, q, (k * 4).max(16)) {
+        if warm.iter().all(|w| w.0 != id) && !skip(id) {
+            evals += 1;
+            offer(&mut set, k, (s1(idx.points(), id), id));
+        }
+    }
+    let held: Vec<u32> = set.iter().map(|e| e.1).collect();
+    let radius = |set: &[(f64, u32)]| match set.last() {
+        Some(worst) if set.len() >= k => worst.0 * (1.0 + eps),
+        _ => f64::INFINITY,
+    };
+    for (d_sq, id) in live_by_distance(idx, q) {
+        let r = radius(&set);
+        if d_sq > r * r {
+            break;
+        }
+        if !held.contains(&id) && !skip(id) {
+            evals += 1;
+            offer(&mut set, k, (s1(idx.points(), id), id));
+        }
+    }
+    let region = match set.last() {
+        Some(worst) => Mbr::of_ball(q, worst.0 * (1.0 + eps)),
+        None => idx.points().mbr_of(&idx.points().all_ids()),
+    };
+    let predictions = set.iter().map(|e| (e.1, e.0.to_bits()));
+    (predictions.collect(), evals, Some(region))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The best-first traversal with a fixed radius emits exactly the
+    /// brute-force ball `{id : d² ≤ r²}` in `(d², id)` order — tombstoned
+    /// ids never — and with a shrinking radius exactly the prefix the
+    /// radius still admits, on every tree shape.
+    #[test]
+    fn nearest_first_is_the_sorted_ball(
+        ps in arb_points(120, 3),
+        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
+        q in arb_xyz(60.0),
+        (r, shrink) in (0.0f64..80.0, 0.5f64..1.0),
+    ) {
+        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        let q = snap(on_grid, q);
+        let r_sq = if on_grid { (r / 10.0).round() * 100.0 } else { r * r };
+        let sorted = live_by_distance(&idx, &q);
+        let ball: Vec<u32> =
+            sorted.iter().take_while(|e| e.0 <= r_sq).map(|e| e.1).collect();
+
+        let mut got = Vec::new();
+        let computed = idx.nearest_first(&q, r_sq, |_, id| {
+            got.push(id);
+            r_sq
+        });
+        prop_assert_eq!(&got, &ball);
+        prop_assert!(computed >= ball.len() as u64);
+
+        let mut want = Vec::new();
+        let mut bound = r_sq;
+        for &(d_sq, id) in &sorted {
+            if d_sq > bound {
+                break;
+            }
+            want.push(id);
+            bound *= shrink;
+        }
+        let (mut got, mut bound) = (Vec::new(), r_sq);
+        idx.nearest_first(&q, r_sq, |_, id| {
+            got.push(id);
+            bound *= shrink;
+            bound
+        });
+        // `want` is a prefix of `ball` by construction.
+        prop_assert_eq!(got, want);
+    }
+
+    /// `find_top_k` against the sort-everything oracle: ids, distance
+    /// bits, `s1_evals` and `crack_region` agree with and without `skip`,
+    /// under a filter rejecting ≥ 95 % of ids (the unknown-radius path),
+    /// with `warm` pairs, and with k beyond the live points.
+    #[test]
+    fn find_top_k_matches_oracle(
+        ps in arb_points(120, 3),
+        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
+        queries in prop::collection::vec((arb_xyz(60.0), 1usize..12, 0usize..4), 1..6),
+        eps in 0.1f64..2.0,
+    ) {
+        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        for (q, k, mode) in queries {
+            let q = snap(on_grid, q);
+            // S₁ is S₂ stretched per id, so the two rankings disagree.
+            let s1 = |points: &PointSet, id: u32| {
+                points.distance_sq(id, &q).sqrt() * (1.0 + f64::from(id % 2) * 0.25)
+            };
+            let skip = |id: u32| match mode {
+                0 => false,
+                1 => id % 3 == 0,
+                _ => id % 32 != 5,
+            };
+            // mode 3 also asks for more than the live points can give.
+            let k = if mode == 3 { k + idx.live_points() } else { k };
+            // A genuine warm set: the same query answered for k′ < k.
+            let warm: Vec<(u32, f64)> = if k > 1 && mode < 2 {
+                let half = find_top_k_warm(&mut idx, &q, k / 2, eps, 3, &[], s1, skip).unwrap();
+                half.predictions.iter().map(|p| (p.id, p.distance)).collect()
+            } else {
+                Vec::new()
+            };
+            let want = oracle_top_k(&mut idx, &q, k, eps, &warm, &s1, &skip);
+            let got = find_top_k_warm(&mut idx, &q, k, eps, 3, &warm, s1, skip).unwrap();
+            prop_assert_eq!(answer_of(&got), want);
+            idx.check_invariants();
+        }
+    }
 
     /// MBR union covers both inputs; intersection volume is bounded by
     /// both volumes; containment is transitive through union.
