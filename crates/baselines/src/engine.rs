@@ -111,7 +111,7 @@ impl PhTreeEngine {
     pub fn build(snap: &VkgSnapshot) -> Self {
         let embeddings = snap.embeddings();
         Self {
-            tree: PhTree::build(embeddings.entity_matrix().to_vec(), embeddings.dim()),
+            tree: PhTree::build(embeddings.entity_rows().to_vec(), embeddings.dim()),
         }
     }
 

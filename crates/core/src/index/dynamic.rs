@@ -36,6 +36,21 @@ impl CrackingIndex {
     /// Typed [`VkgError`]s for an unknown or tombstoned id or a shape
     /// mismatch — served dynamic updates reach this, so no panics.
     pub fn update_point(&mut self, id: u32, coords: &[f64]) -> VkgResult<()> {
+        // Validate *before* detaching so a failed update leaves the
+        // index untouched.
+        self.check_update(id, coords.len())?;
+        let detached = self.detach_point(id);
+        debug_assert!(detached, "live point must sit in some element");
+        self.points.try_set(id, coords)?;
+        self.attach_point(id);
+        Ok(())
+    }
+
+    /// Everything [`CrackingIndex::update_point`] can refuse, checked
+    /// without touching the tree: `id` must name a live point and `dim`
+    /// must be the index's dimensionality. A write that moves several
+    /// points in several trees asks this of all of them first.
+    pub fn check_update(&self, id: u32, dim: usize) -> VkgResult<()> {
         if (id as usize) >= self.points.len() {
             return Err(VkgError::InvalidParameter(format!("unknown point id {id}")));
         }
@@ -44,19 +59,13 @@ impl CrackingIndex {
                 "point {id} was removed"
             )));
         }
-        // Validate the shape *before* detaching so a failed update
-        // leaves the index untouched.
-        if coords.len() != self.points.dim() {
+        if dim != self.points.dim() {
             return Err(VkgError::Mismatch {
                 what: "point dimensionality",
                 expected: self.points.dim(),
-                found: coords.len(),
+                found: dim,
             });
         }
-        let detached = self.detach_point(id);
-        debug_assert!(detached, "live point must sit in some element");
-        self.points.try_set(id, coords)?;
-        self.attach_point(id);
         Ok(())
     }
 

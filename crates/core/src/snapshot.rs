@@ -9,18 +9,24 @@
 //! concurrently while a single writer cracks the index (which lives in
 //! [`crate::engine::IndexState`], behind its own lock).
 //!
-//! Components are **structurally shared**: each store sits behind its
-//! own `Arc`, so cloning a snapshot is a handful of reference-count
-//! bumps, and the copy-on-write mutators ([`Arc::make_mut`]) copy only
-//! the component a dynamic update actually touches. A fact append
-//! clones the graph and embeddings but shares the attribute store with
-//! every earlier epoch; an attribute write clones nothing else.
+//! Components are **structurally shared** between epochs. The graph's
+//! adjacency and triple log and the embedding rows live in
+//! [`vkg_kg::ChunkVec`]s — spines of `Arc`'d chunks of
+//! [`CHUNK_LEN`] = 2^[`vkg_kg::CHUNK_BITS`] rows — and the interners' tables, the
+//! attribute store and the transform each sit behind an `Arc`. Cloning a
+//! snapshot copies the spines (one pointer per chunk) and nothing else; a
+//! fact append to the clone then copies the chunks its rows live in: at
+//! most two embedding-row chunks (head and tail), one chunk of outgoing
+//! and one of incoming adjacency, and the log's tail chunk. Every other
+//! chunk, and the whole attribute store, is the same memory in both
+//! epochs. An attribute write copies the attribute store and nothing else.
 
 use std::sync::Arc;
 
 use vkg_embed::EmbeddingStore;
-use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
+use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId, CHUNK_LEN};
 use vkg_sync::pool::Pool;
+use vkg_sync::Mutex;
 use vkg_transform::JlTransform;
 
 use crate::config::VkgConfig;
@@ -71,9 +77,9 @@ pub enum Direction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VkgSnapshot {
-    graph: Arc<KnowledgeGraph>,
+    graph: KnowledgeGraph,
     attributes: Arc<AttributeStore>,
-    embeddings: Arc<EmbeddingStore>,
+    embeddings: EmbeddingStore,
     transform: Arc<JlTransform>,
     config: VkgConfig,
 }
@@ -104,9 +110,9 @@ impl VkgSnapshot {
         }
         let transform = JlTransform::new(embeddings.dim(), config.alpha, config.transform_seed);
         Ok(Self {
-            graph: Arc::new(graph),
+            graph,
             attributes: Arc::new(attributes),
-            embeddings: Arc::new(embeddings),
+            embeddings,
             transform: Arc::new(transform),
             config,
         })
@@ -143,14 +149,34 @@ impl VkgSnapshot {
         self.project_points_pooled(&Pool::serial())
     }
 
-    /// [`VkgSnapshot::project_points`] over a thread pool: the n × d
-    /// entity matrix is chunked row-wise across the pool's workers.
-    /// Bit-identical at every width (each row's matvec is untouched).
+    /// [`VkgSnapshot::project_points`] over a thread pool: the pool's
+    /// workers take the store's row chunks one at a time. Bit-identical
+    /// at every width (each row's matvec is untouched). Inputs smaller
+    /// than [`JlTransform::PAR_WORK_THRESHOLD`] run serially.
     pub fn project_points_pooled(&self, pool: &Pool) -> PointSet {
-        let projected = self
-            .transform
-            .apply_matrix_pooled(pool, self.embeddings.entity_matrix());
-        PointSet::from_rows(self.config.alpha, projected)
+        let (dim, alpha) = (self.embeddings.dim(), self.config.alpha);
+        let n = self.embeddings.num_entities();
+        let serial = Pool::serial();
+        let pool = if n * dim < JlTransform::PAR_WORK_THRESHOLD {
+            &serial
+        } else {
+            pool
+        };
+        let chunks: Vec<&[f64]> = self.embeddings.entity_rows().chunks().collect();
+        let mut projected = vec![0.0; n * alpha];
+        {
+            // One output window per chunk behind an uncontended mutex, so
+            // workers write without aliasing or unsafe.
+            let windows: Vec<Mutex<&mut [f64]>> = projected
+                .chunks_mut(CHUNK_LEN * alpha)
+                .map(Mutex::new)
+                .collect();
+            pool.run(chunks.len(), |c| {
+                let projected = self.transform.apply_matrix(chunks[c]);
+                windows[c].lock().copy_from_slice(&projected);
+            });
+        }
+        PointSet::from_rows(alpha, projected)
     }
 
     /// Projects one S₁ vector into S₂.
@@ -203,13 +229,14 @@ impl VkgSnapshot {
         known
     }
 
-    // Copy-on-write mutators, used only by the facade's dynamic-update
-    // path. Each one copies just its own component (and only while the
-    // previous epoch still shares it); the others stay shared across
-    // epochs, so a write's cost is proportional to what it touches.
+    // Mutators, used only by the facade's dynamic-update path on its
+    // private clone of the published snapshot. The graph and the
+    // embedding store copy on write chunk by chunk inside their own
+    // mutators; the attribute store is copied whole, and only while the
+    // previous epoch still shares it.
 
     pub(crate) fn graph_mut(&mut self) -> &mut KnowledgeGraph {
-        Arc::make_mut(&mut self.graph)
+        &mut self.graph
     }
 
     pub(crate) fn attributes_mut(&mut self) -> &mut AttributeStore {
@@ -217,7 +244,7 @@ impl VkgSnapshot {
     }
 
     pub(crate) fn embeddings_mut(&mut self) -> &mut EmbeddingStore {
-        Arc::make_mut(&mut self.embeddings)
+        &mut self.embeddings
     }
 }
 
@@ -289,15 +316,18 @@ mod tests {
         let (g, store) = tiny();
         let snap = VkgSnapshot::new(g, AttributeStore::new(), store, cfg()).unwrap();
         let mut next = snap.clone();
-        assert!(Arc::ptr_eq(&snap.graph, &next.graph));
+        let unshared = |a: &VkgSnapshot, b: &VkgSnapshot| {
+            let rows = a.embeddings.entity_rows();
+            let [out, inc, log] = a.graph.unshared_chunks(&b.graph);
+            rows.unshared_chunks(b.embeddings.entity_rows()) + out + inc + log
+        };
         assert!(Arc::ptr_eq(&snap.attributes, &next.attributes));
-        assert!(Arc::ptr_eq(&snap.embeddings, &next.embeddings));
         assert!(Arc::ptr_eq(&snap.transform, &next.transform));
+        assert_eq!(unshared(&snap, &next), 0);
         // Mutating one component copies it — and only it.
         next.attributes_mut().set("year", EntityId(0), 1999.0);
         assert!(!Arc::ptr_eq(&snap.attributes, &next.attributes));
-        assert!(Arc::ptr_eq(&snap.graph, &next.graph));
-        assert!(Arc::ptr_eq(&snap.embeddings, &next.embeddings));
+        assert_eq!(unshared(&snap, &next), 0);
         // The original epoch's view is untouched (the column never
         // existed there).
         assert!(snap.attributes().get("year", EntityId(0)).is_err());
@@ -305,6 +335,33 @@ mod tests {
             next.attributes().get("year", EntityId(0)).unwrap(),
             Some(1999.0)
         );
+    }
+
+    /// Projecting the chunked rows gives, bit for bit, what projecting
+    /// the flat row-major matrix gives — serially and across a pool.
+    #[test]
+    fn chunked_projection_matches_the_flat_matrix() {
+        let (n, d) = (5 * CHUNK_LEN + 17, 32);
+        assert!(n * d >= JlTransform::PAR_WORK_THRESHOLD);
+        let mut g = KnowledgeGraph::new();
+        g.add_relation("r");
+        for i in 0..n {
+            g.add_entity(&format!("e{i}"));
+        }
+        let flat: Vec<f64> = (0..n * d)
+            .map(|i| ((i * 37) % 1013) as f64 / 7.0 - 70.0)
+            .collect();
+        let store = EmbeddingStore::from_raw(d, flat.clone(), vec![0.0; d]);
+        let snap = VkgSnapshot::new(g, AttributeStore::new(), store, cfg()).unwrap();
+        let want = PointSet::from_rows(2, snap.transform().apply_matrix(&flat));
+        let bits = |p: &PointSet| -> Vec<u64> {
+            let all = p.coords().iter().chain(p.norms_sq());
+            all.map(|v| v.to_bits()).collect()
+        };
+        for width in [1, 4] {
+            let got = snap.project_points_pooled(&Pool::new(width));
+            assert_eq!(bits(&got), bits(&want), "pool width {width}");
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! holding any one shard lock sees both the global epoch and its
 //! shard's epoch pinned. This is the concurrency contract the serving
 //! layer (`vkg-server`) extends across the process boundary. Snapshots
-//! share components structurally ([`VkgSnapshot`] holds each store
-//! behind its own `Arc`), so per-write cost is proportional to the
-//! component the write mutates — not to the whole dataset.
+//! share their stores chunk by chunk ([`vkg_kg::ChunkVec`],
+//! [`vkg_kg::CHUNK_LEN`] rows to a chunk), so a fact write copies the
+//! few chunks its two entities live in — not the graph, not the
+//! embedding matrix.
 //!
 //! Queries follow the paper's default E′-only semantics: results never
 //! include edges already in `E`, nor the query entity itself.
@@ -906,11 +907,14 @@ impl VirtualKnowledgeGraph {
     // Updates take `&self` and act as a single writer: they serialize on
     // *all* shard locks (ascending — an update must splice the new point
     // into every shard's tree), build the next snapshot off to the side
-    // (cloning is cheap — components are Arc-shared, and the CoW
-    // mutators copy only the stores a write touches), and publish it
-    // with an epoch bump. Index-mutating writes also bump every shard's
-    // epoch. Concurrent readers holding an older snapshot clone keep a
-    // consistent (pre-update) view.
+    // and publish it with an epoch bump. Building it costs what the
+    // write touches: the clone copies chunk spines (one pointer per
+    // `vkg_kg::CHUNK_LEN` = 2^`CHUNK_BITS` rows), and a fact then copies
+    // at most two embedding-row chunks, one chunk of each adjacency
+    // direction and the triple log's tail chunk; every other chunk stays
+    // shared with the epochs readers still pin. Index-mutating writes
+    // also bump every shard's epoch. Concurrent readers holding an
+    // older snapshot clone keep a consistent (pre-update) view.
     // ------------------------------------------------------------------
 
     /// Publishes `next` as the new snapshot epoch. Callers must hold
@@ -972,8 +976,13 @@ impl VirtualKnowledgeGraph {
     /// `refine_steps` gradient steps pull `h + r` toward `t` (the TransE
     /// positive-pair objective, no negative sampling — a *local* change,
     /// per the paper's intuition that local graph updates should move
-    /// embeddings locally). Both endpoints' S₂ points are updated in the
-    /// partial index in place.
+    /// embeddings locally). Each endpoint steps at
+    /// `learning_rate / (1 + degree)`, its degree taken before the fact:
+    /// the new residual is one among the `degree` that already hold the
+    /// entity in place, so a fresh entity takes the whole step and a hub
+    /// with 300 edges a 301st of it — what one fact says about a hub
+    /// does not re-rank every other query through it. Both endpoints' S₂
+    /// points are updated in the partial index in place.
     ///
     /// Returns `(added, epoch)`: whether the edge was new, and the exact
     /// epoch this write published (for a duplicate, the epoch current
@@ -994,7 +1003,9 @@ impl VirtualKnowledgeGraph {
     /// order, all under every shard lock:
     ///
     /// 1. a tokened retry of a remembered write is answered from the
-    ///    idempotency map without touching the graph;
+    ///    idempotency map without touching the graph; a duplicate fact
+    ///    or a write some shard's index would refuse returns before
+    ///    anything is copied, logged or moved;
     /// 2. with a WAL attached, the record is appended **and flushed**
     ///    before any reader-visible mutation — a failure here returns
     ///    [`VkgError::Durability`] with the published state untouched;
@@ -1022,17 +1033,31 @@ impl VirtualKnowledgeGraph {
         let cur = self.snapshot();
         cur.check_ids(h, r)?;
         cur.check_ids(t, r)?;
-        let mut next = (*cur).clone();
-        let added = next.graph_mut().add_triple(h, r, t)?;
-        if !added {
-            // All shard locks are still held, so no concurrent writer can
-            // publish between the duplicate check and this epoch read.
+        if cur.graph().has_edge(h, r, t) {
+            // A duplicate copies, logs and publishes nothing. All shard
+            // locks are still held, so no concurrent writer can publish
+            // between the duplicate check and this epoch read.
             let epoch = self.epoch();
             if token != 0 {
                 self.durability.lock().dedup.insert(token, (false, epoch));
             }
             return Ok((false, epoch));
         }
+        // Validate, then log, then mutate: whatever `update_point` could
+        // refuse (a tombstoned id, a shape mismatch) is refused here, in
+        // every shard, before the record exists and before any point moves.
+        let alpha = cur.config().alpha;
+        for state in shards.iter_mut() {
+            let index = state.index_mut();
+            index.check_update(h.0, alpha)?;
+            index.check_update(t.0, alpha)?;
+        }
+        // One new residual among the `degree` an endpoint already has:
+        // it steps by its share (see `add_fact_dynamic`).
+        let lr_h = learning_rate / (1 + cur.graph().degree(h)) as f64;
+        let lr_t = learning_rate / (1 + cur.graph().degree(t)) as f64;
+        let mut next = (*cur).clone();
+        next.graph_mut().add_triple(h, r, t)?;
         let d = next.embeddings().dim();
         for _ in 0..refine_steps {
             let mut grad = vec![0.0; d];
@@ -1050,10 +1075,10 @@ impl VirtualKnowledgeGraph {
             }
             let embeddings = next.embeddings_mut();
             for (e, &g) in embeddings.entity_mut(h).iter_mut().zip(&grad).take(d) {
-                *e -= learning_rate * g;
+                *e -= lr_h * g;
             }
             for (e, &g) in embeddings.entity_mut(t).iter_mut().zip(&grad).take(d) {
-                *e += learning_rate * g;
+                *e += lr_t * g;
             }
         }
         let h_s2 = next.transform().apply(next.embeddings().entity(h));

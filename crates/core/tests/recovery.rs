@@ -9,7 +9,9 @@
 //!   hold exactly the acked prefix: no acked write lost, none applied
 //!   twice, no panic on a torn tail;
 //! * WAL-off equivalence — attaching a WAL changes nothing observable
-//!   about the write path's results.
+//!   about the write path's results;
+//! * refusal before the log — a write an index would refuse leaves no
+//!   record and moves no point.
 
 use std::path::PathBuf;
 
@@ -418,4 +420,47 @@ fn logged_but_unacked_write_replays_once() {
         .expect("dedup answer");
     assert!(added, "replayed outcome echoed");
     assert_eq!(recovered.epoch(), epoch, "retry must not publish");
+}
+
+/// A write that some shard's index would refuse (here: the tail's point
+/// tombstoned in shard 0 only) is refused *before* the log and before
+/// any point moves: the WAL keeps its length, both trees keep the head
+/// where it was, and a restart replays the acked write alone.
+#[test]
+fn refused_write_leaves_log_and_index_untouched() {
+    let wal_file = TempWal::new("refused");
+    let (vkg, likes) = tiny_vkg(2, 0);
+    vkg.attach_wal(&wal_file.0, FaultPlane::none())
+        .expect("attach");
+    let u1 = vkg.graph().entity_id("u1").expect("u1");
+    let m1 = vkg.graph().entity_id("m1").expect("m1");
+    let m2 = vkg.graph().entity_id("m2").expect("m2");
+    vkg.add_fact_durable(7, u1, likes, m1, 2, 0.01)
+        .expect("first write acked");
+    assert!(vkg.index_mut().remove_point(m2.0));
+
+    let log_len = || std::fs::metadata(&wal_file.0).expect("log").len();
+    let heads = || {
+        vkg.with_published_engine(|_, _, shards| {
+            let all = shards.iter_mut();
+            all.map(|s| s.index().points().point(u1.0).to_vec())
+                .collect::<Vec<_>>()
+        })
+    };
+    let (len, epoch, before) = (log_len(), vkg.epoch(), heads());
+    let refused = vkg.add_fact_durable(8, u1, likes, m2, 2, 0.01);
+    assert!(refused.is_err(), "a tombstoned endpoint must be refused");
+    assert_eq!(log_len(), len, "a refused write must not be logged");
+    assert_eq!(vkg.epoch(), epoch, "a refused write must not publish");
+    assert_eq!(heads(), before, "a refused write must not move the head");
+    assert!(!vkg.graph().has_edge(u1, likes, m2));
+    drop(vkg);
+
+    let (recovered, likes) = tiny_vkg(2, 0);
+    let report = recovered
+        .attach_wal(&wal_file.0, FaultPlane::none())
+        .expect("recover");
+    assert_eq!((report.replayed, report.truncated_bytes), (1, 0));
+    assert!(recovered.graph().has_edge(u1, likes, m1));
+    assert!(!recovered.graph().has_edge(u1, likes, m2));
 }

@@ -59,11 +59,11 @@ impl From<std::io::Error> for IoError {
 pub fn write_tsv<W: Write>(store: &EmbeddingStore, writer: W) -> Result<(), IoError> {
     let mut out = BufWriter::new(writer);
     let d = store.dim();
-    for (kind, matrix) in [
-        ("entity", store.entity_matrix()),
-        ("relation", store.relation_matrix()),
+    for (kind, rows) in [
+        ("entity", store.entity_rows()),
+        ("relation", store.relation_rows()),
     ] {
-        for (i, row) in matrix.chunks_exact(d).enumerate() {
+        for (i, row) in rows.chunks().flat_map(|c| c.chunks_exact(d)).enumerate() {
             write!(out, "{kind}\t{i}\t")?;
             for (j, v) in row.iter().enumerate() {
                 if j > 0 {
@@ -161,14 +161,14 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
 /// Serializes `store` into the compact binary format.
 pub fn to_binary(store: &EmbeddingStore) -> Bytes {
     let d = store.dim();
-    let ents = store.entity_matrix();
-    let rels = store.relation_matrix();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 4 * 3 + (ents.len() + rels.len()) * 8);
+    let ents = store.entity_rows();
+    let rels = store.relation_rows();
+    let mut buf = BytesMut::with_capacity(4 + 1 + 4 * 3 + (ents.len() + rels.len()) * d * 8);
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u32_le(d as u32);
-    buf.put_u32_le((ents.len() / d) as u32);
-    buf.put_u32_le((rels.len() / d) as u32);
+    buf.put_u32_le(ents.len() as u32);
+    buf.put_u32_le(rels.len() as u32);
     for &v in ents.iter().chain(rels) {
         buf.put_f64_le(v);
     }
@@ -230,12 +230,45 @@ mod tests {
         assert_eq!(back, store);
     }
 
+    /// A store spanning several chunks writes the bytes the flat
+    /// row-major matrix spells out, in both formats, and reads back equal.
+    #[test]
+    fn chunked_store_writes_the_flat_matrix_bytes() {
+        let (n, m, d) = (2 * vkg_kg::CHUNK_LEN + 5, 3, 3);
+        let ents: Vec<f64> = (0..n * d).map(|i| i as f64 * 0.37 - 11.0).collect();
+        let rels: Vec<f64> = (0..m * d).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let store = EmbeddingStore::from_raw(d, ents.clone(), rels.clone());
+
+        let mut binary = b"VKGE\x01".to_vec();
+        for shape in [d, n, m] {
+            binary.extend_from_slice(&(shape as u32).to_le_bytes());
+        }
+        for v in ents.iter().chain(&rels) {
+            binary.extend_from_slice(&v.to_le_bytes());
+        }
+        let bytes = to_binary(&store);
+        assert_eq!(&bytes[..], &binary[..]);
+        assert_eq!(from_binary(&bytes).unwrap(), store);
+
+        let mut tsv = String::new();
+        for (kind, flat) in [("entity", &ents), ("relation", &rels)] {
+            for (i, row) in flat.chunks_exact(d).enumerate() {
+                let cells: Vec<String> = row.iter().map(f64::to_string).collect();
+                tsv += &format!("{kind}\t{i}\t{}\n", cells.join(" "));
+            }
+        }
+        let mut written = Vec::new();
+        write_tsv(&store, &mut written).unwrap();
+        assert_eq!(written, tsv.as_bytes());
+        assert_eq!(read_tsv(written.as_slice()).unwrap(), store);
+    }
+
     #[test]
     fn tsv_rows_in_any_order() {
         let text = "relation\t0\t0.1 0.2\nentity\t1\t3 4\nentity\t0\t1 2\n";
         let store = read_tsv(text.as_bytes()).unwrap();
         assert_eq!(store.dim(), 2);
-        assert_eq!(store.entity_matrix(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(store.entity_rows().to_vec(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! This is the artifact the index layer consumes. It does not care *how*
 //! the vectors were produced — our own TransE/TransA trainers, or an
 //! external tool via [`crate::io`] — only that entity `e`'s vector lives
-//! at row `e` and relation `r`'s at row `r`.
+//! at row `e` and relation `r`'s at row `r`. Rows are kept in
+//! [`ChunkVec`]s: a clone shares every chunk of [`vkg_kg::CHUNK_LEN`]
+//! rows, and moving one vector in a clone copies that vector's chunk.
 
-use vkg_kg::{EntityId, RelationId};
+use vkg_kg::{ChunkVec, EntityId, RelationId};
 
 use crate::vector::{add, l2_distance, sub};
 
@@ -13,8 +15,8 @@ use crate::vector::{add, l2_distance, sub};
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingStore {
     dim: usize,
-    entities: Vec<f64>,
-    relations: Vec<f64>,
+    entities: ChunkVec<f64>,
+    relations: ChunkVec<f64>,
 }
 
 impl EmbeddingStore {
@@ -24,12 +26,7 @@ impl EmbeddingStore {
     /// # Panics
     /// Panics if `dim == 0`.
     pub fn zeros(n: usize, m: usize, dim: usize) -> Self {
-        assert!(dim > 0, "embedding dimensionality must be positive");
-        Self {
-            dim,
-            entities: vec![0.0; n * dim],
-            relations: vec![0.0; m * dim],
-        }
+        Self::from_raw(dim, vec![0.0; n * dim], vec![0.0; m * dim])
     }
 
     /// Builds a store from raw row-major matrices.
@@ -42,8 +39,8 @@ impl EmbeddingStore {
         assert_eq!(relations.len() % dim, 0, "relation matrix shape mismatch");
         Self {
             dim,
-            entities,
-            relations,
+            entities: ChunkVec::from_flat(dim, &entities),
+            relations: ChunkVec::from_flat(dim, &relations),
         }
     }
 
@@ -55,12 +52,12 @@ impl EmbeddingStore {
 
     /// Number of entity rows.
     pub fn num_entities(&self) -> usize {
-        self.entities.len() / self.dim
+        self.entities.len()
     }
 
     /// Number of relation rows.
     pub fn num_relations(&self) -> usize {
-        self.relations.len() / self.dim
+        self.relations.len()
     }
 
     /// Entity `e`'s vector.
@@ -69,29 +66,25 @@ impl EmbeddingStore {
     /// Panics if `e` is out of range.
     #[inline]
     pub fn entity(&self, e: EntityId) -> &[f64] {
-        let i = e.index() * self.dim;
-        &self.entities[i..i + self.dim]
+        self.entities.row(e.index())
     }
 
-    /// Mutable entity vector.
+    /// Mutable entity vector (copies the row's chunk if a clone shares it).
     #[inline]
     pub fn entity_mut(&mut self, e: EntityId) -> &mut [f64] {
-        let i = e.index() * self.dim;
-        &mut self.entities[i..i + self.dim]
+        self.entities.row_mut(e.index())
     }
 
     /// Relation `r`'s vector.
     #[inline]
     pub fn relation(&self, r: RelationId) -> &[f64] {
-        let i = r.index() * self.dim;
-        &self.relations[i..i + self.dim]
+        self.relations.row(r.index())
     }
 
     /// Mutable relation vector.
     #[inline]
     pub fn relation_mut(&mut self, r: RelationId) -> &mut [f64] {
-        let i = r.index() * self.dim;
-        &mut self.relations[i..i + self.dim]
+        self.relations.row_mut(r.index())
     }
 
     /// The tail-query point `h + r`: tails `t` of plausible `(h, r, t)`
@@ -127,17 +120,17 @@ impl EmbeddingStore {
         assert_eq!(row.len(), self.dim, "entity row dimensionality mismatch");
         // lint: allow(no-unwrap, documented # Panics contract; 2^32 rows would exhaust memory first)
         let id = u32::try_from(self.num_entities()).expect("entity id overflow");
-        self.entities.extend_from_slice(row);
+        self.entities.push_row(row);
         EntityId(id)
     }
 
-    /// Raw row-major entity matrix (for the transform layer).
-    pub fn entity_matrix(&self) -> &[f64] {
+    /// The entity rows (chunk-wise for the transform layer and I/O).
+    pub fn entity_rows(&self) -> &ChunkVec<f64> {
         &self.entities
     }
 
-    /// Raw row-major relation matrix.
-    pub fn relation_matrix(&self) -> &[f64] {
+    /// The relation rows.
+    pub fn relation_rows(&self) -> &ChunkVec<f64> {
         &self.relations
     }
 }

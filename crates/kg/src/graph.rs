@@ -8,10 +8,12 @@
 //!
 //! The store maintains per-entity adjacency lists (needed to *skip* known
 //! edges when answering queries over `E'`, per the paper's default
-//! semantics) and an exact membership set for `O(1)` `has_edge` checks.
+//! semantics), which also answer `has_edge`. Adjacency and the triple log
+//! are [`ChunkVec`]s and the interners share their tables, so a clone
+//! shares everything and adding a fact to a clone copies one chunk of
+//! each adjacency direction and the log's tail chunk.
 
-use std::collections::HashSet;
-
+use crate::chunked::ChunkVec;
 use crate::error::{KgError, Result};
 use crate::ids::{EntityId, Interner, RelationId};
 use crate::stats::GraphStats;
@@ -34,10 +36,9 @@ pub struct Triple {
 pub struct KnowledgeGraph {
     entities: Interner,
     relations: Interner,
-    triples: Vec<Triple>,
-    out: Vec<Vec<(RelationId, EntityId)>>,
-    inc: Vec<Vec<(RelationId, EntityId)>>,
-    edge_set: HashSet<(u32, u32, u32)>,
+    triples: ChunkVec<Triple>,
+    out: ChunkVec<Vec<(RelationId, EntityId)>>,
+    inc: ChunkVec<Vec<(RelationId, EntityId)>>,
 }
 
 impl KnowledgeGraph {
@@ -68,16 +69,18 @@ impl KnowledgeGraph {
         self.check_entity(h)?;
         self.check_entity(t)?;
         self.check_relation(r)?;
-        if !self.edge_set.insert((h.0, r.0, t.0)) {
+        if self.has_edge(h, r, t) {
             return Ok(false);
         }
+        let out = self.out.get_mut(h.index());
+        out.ok_or(KgError::UnknownEntity(h.0))?.push((r, t));
+        let inc = self.inc.get_mut(t.index());
+        inc.ok_or(KgError::UnknownEntity(t.0))?.push((r, h));
         self.triples.push(Triple {
             head: h,
             relation: r,
             tail: t,
         });
-        self.out[h.index()].push((r, t));
-        self.inc[t.index()].push((r, h));
         Ok(true)
     }
 
@@ -89,10 +92,15 @@ impl KnowledgeGraph {
         self.add_triple(h, r, t)
     }
 
-    /// Whether `(h, r, t)` is a known (materialized) edge in `E`.
-    #[inline]
+    /// Whether `(h, r, t)` is a known (materialized) edge in `E`: a scan
+    /// of the shorter of `h`'s outgoing and `t`'s incoming list.
     pub fn has_edge(&self, h: EntityId, r: RelationId, t: EntityId) -> bool {
-        self.edge_set.contains(&(h.0, r.0, t.0))
+        let (out, inc) = (self.out_edges(h), self.in_edges(t));
+        if out.len() <= inc.len() {
+            out.contains(&(r, t))
+        } else {
+            inc.contains(&(r, h))
+        }
     }
 
     /// Removes `(h, r, t)` from `E` if present, returning whether it existed.
@@ -100,13 +108,25 @@ impl KnowledgeGraph {
     /// Used to mask edges for link-prediction style evaluation (paper §VI-B:
     /// "we randomly mask 5 edges from our datasets").
     pub fn remove_triple(&mut self, h: EntityId, r: RelationId, t: EntityId) -> bool {
-        if !self.edge_set.remove(&(h.0, r.0, t.0)) {
+        if !self.has_edge(h, r, t) {
             return false;
         }
-        self.triples
-            .retain(|tr| !(tr.head == h && tr.relation == r && tr.tail == t));
-        self.out[h.index()].retain(|&(rr, tt)| !(rr == r && tt == t));
-        self.inc[t.index()].retain(|&(rr, hh)| !(rr == r && hh == h));
+        let gone = Triple {
+            head: h,
+            relation: r,
+            tail: t,
+        };
+        let mut kept = ChunkVec::new();
+        for tr in self.triples.iter().filter(|&&tr| tr != gone) {
+            kept.push(*tr);
+        }
+        self.triples = kept;
+        if let Some(out) = self.out.get_mut(h.index()) {
+            out.retain(|&e| e != (r, t));
+        }
+        if let Some(inc) = self.inc.get_mut(t.index()) {
+            inc.retain(|&e| e != (r, h));
+        }
         true
     }
 
@@ -147,8 +167,18 @@ impl KnowledgeGraph {
     }
 
     /// All triples in insertion order.
-    pub fn triples(&self) -> &[Triple] {
+    pub fn triples(&self) -> &ChunkVec<Triple> {
         &self.triples
+    }
+
+    /// How many chunks of the outgoing adjacency, the incoming adjacency
+    /// and the triple log this graph does not share with `other`.
+    pub fn unshared_chunks(&self, other: &Self) -> [usize; 3] {
+        [
+            self.out.unshared_chunks(&other.out),
+            self.inc.unshared_chunks(&other.inc),
+            self.triples.unshared_chunks(&other.triples),
+        ]
     }
 
     /// Number of entities.

@@ -6,6 +6,7 @@
 //! attribute columns, adjacency offsets).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense identifier of an entity (vertex).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,11 +46,13 @@ impl std::fmt::Display for RelationId {
 
 /// A string interner assigning dense `u32` ids in insertion order.
 ///
-/// Used for both entity names and relation names.
+/// Used for both entity names and relation names. A clone shares both
+/// tables; interning a *new* name into a clone copies them, a lookup or
+/// a known name does not.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    names: Arc<Vec<String>>,
+    index: Arc<HashMap<String, u32>>,
 }
 
 impl Interner {
@@ -65,8 +68,8 @@ impl Interner {
         }
         // lint: allow(no-unwrap, 2^32 interned names would exhaust memory long before the id space)
         let id = u32::try_from(self.names.len()).expect("more than u32::MAX interned names");
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), id);
+        Arc::make_mut(&mut self.names).push(name.to_owned());
+        Arc::make_mut(&mut self.index).insert(name.to_owned(), id);
         id
     }
 

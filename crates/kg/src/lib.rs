@@ -6,6 +6,9 @@
 //! * interned entities and relationship types ([`ids`]),
 //! * a triple store with adjacency lists ([`graph::KnowledgeGraph`]) used to
 //!   implement the paper's "skip edges already in `E`" query semantics,
+//! * the chunk-shared vector ([`chunked::ChunkVec`]) the triple store and
+//!   the embedding store keep their rows in, so that a clone shares every
+//!   chunk and a write copies one,
 //! * per-entity numeric attributes ([`attributes::AttributeStore`]) that the
 //!   aggregate queries (SUM/AVG/MAX/MIN over `age`, `year`, `quality`,
 //!   `popularity`, ...) read,
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod attributes;
+pub mod chunked;
 pub mod datasets;
 pub mod error;
 pub mod graph;
@@ -30,6 +34,7 @@ pub mod stats;
 pub mod zipf;
 
 pub use attributes::AttributeStore;
+pub use chunked::{ChunkVec, CHUNK_BITS, CHUNK_LEN};
 pub use error::{KgError, Result};
 pub use graph::KnowledgeGraph;
 pub use ids::{EntityId, Interner, RelationId};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vkg_kg::zipf::Zipf;
-use vkg_kg::{EntityId, Interner, KnowledgeGraph, RelationId};
+use vkg_kg::{ChunkVec, EntityId, Interner, KnowledgeGraph, RelationId, CHUNK_LEN};
 
 /// Arbitrary triple script over small id spaces.
 fn triple_script() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
@@ -10,6 +10,44 @@ fn triple_script() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 }
 
 proptest! {
+    /// `ChunkVec` against a `Vec` model under interleaved push / get_mut /
+    /// clone / drop, starting two and a half chunks long: every held
+    /// clone keeps the values it was taken with, and one write makes
+    /// exactly one chunk differ from a clone taken just before it.
+    #[test]
+    fn chunk_vec_is_a_persistent_vec(
+        script in prop::collection::vec((0u8..4, any::<u16>(), any::<u32>()), 1..48),
+    ) {
+        let mut model: Vec<u32> = (0..(CHUNK_LEN * 5 / 2) as u32).collect();
+        let mut live = ChunkVec::from_flat(1, &model);
+        let mut held: Vec<(ChunkVec<u32>, Vec<u32>)> = Vec::new();
+        for &(op, at, value) in &script {
+            let before = live.clone();
+            match op {
+                0 => {
+                    live.push(value);
+                    model.push(value);
+                    prop_assert_eq!(live.unshared_chunks(&before), 1);
+                }
+                1 => {
+                    let i = at as usize % model.len();
+                    *live.get_mut(i).unwrap() = value;
+                    model[i] = value;
+                    prop_assert_eq!(live.unshared_chunks(&before), 1);
+                }
+                2 => held.push((before, model.clone())),
+                _ if !held.is_empty() => drop(held.swap_remove(at as usize % held.len())),
+                _ => {}
+            }
+            prop_assert_eq!(live.len(), model.len());
+            prop_assert!(live.iter().eq(&model));
+            prop_assert_eq!(live.get(model.len()), None);
+            for (clone, then) in &held {
+                prop_assert!(clone.iter().eq(then), "a held clone changed");
+            }
+        }
+    }
+
     /// Adjacency lists, membership set, and degree stay mutually
     /// consistent under arbitrary insertion sequences with duplicates.
     #[test]

@@ -18,7 +18,7 @@ fn trained_movie() -> (Dataset, EmbeddingStore) {
 #[test]
 fn phtree_matches_linear_scan_on_embeddings() {
     let (ds, store) = trained_movie();
-    let tree = PhTree::build(store.entity_matrix().to_vec(), store.dim());
+    let tree = PhTree::build(store.entity_rows().to_vec(), store.dim());
     let scan = LinearScan::new(&store);
     let mut agree = 0usize;
     let mut total = 0usize;
@@ -226,7 +226,7 @@ fn engines_satisfy_their_accuracy_contracts() {
 #[test]
 fn phtree_and_h2alsh_handle_skip_consistently() {
     let (ds, store) = trained_movie();
-    let tree = PhTree::build(store.entity_matrix().to_vec(), store.dim());
+    let tree = PhTree::build(store.entity_rows().to_vec(), store.dim());
     let t = ds.graph.triples()[0];
     let q = store.tail_query_point(t.head, t.relation);
     let banned = tree.top_k(&q, 1, |_| false)[0].0;

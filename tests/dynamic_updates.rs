@@ -85,6 +85,37 @@ fn refinement_pulls_endpoints_together() {
     vkg.index().check_invariants();
 }
 
+/// One step moves an endpoint by `learning_rate / (1 + degree)` of the
+/// gradient: a fresh entity takes the whole step, a connected one its
+/// share.
+#[test]
+fn a_fact_moves_an_endpoint_by_its_share() {
+    let (_ds, vkg) = world();
+    let likes = vkg.graph().relation_id("likes").unwrap();
+    let user = vkg.graph().entity_id("user_3").unwrap();
+    let degree = vkg.graph().degree(user);
+    assert!(degree > 0, "the user must already carry edges");
+    let fresh = vkg
+        .add_entity_dynamic("movie_fresh", &[0.5; 16])
+        .expect("well-shaped dynamic entity");
+    assert_eq!(vkg.graph().degree(fresh), 0);
+
+    let before = vkg.snapshot();
+    vkg.add_fact_dynamic(user, likes, fresh, 1, 0.05).unwrap();
+    let after = vkg.snapshot();
+    let moved = |e: EntityId| -> f64 {
+        let (a, b) = (before.embeddings().entity(e), after.embeddings().entity(e));
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).powi(2))
+            .sum::<f64>()
+            .sqrt()
+    };
+    let gradient = 2.0 * before.embeddings().triple_distance(user, likes, fresh);
+    assert!((moved(fresh) - 0.05 * gradient).abs() < 1e-12);
+    assert!((moved(user) * (1 + degree) as f64 - 0.05 * gradient).abs() < 1e-12);
+}
+
 #[test]
 fn duplicate_fact_is_noop() {
     let (ds, vkg) = world();
@@ -97,16 +128,75 @@ fn duplicate_fact_is_noop() {
         .copied()
         .unwrap();
     let h_before = vkg.embeddings().entity(t.head).to_vec();
+    let published = vkg.published();
     let (added, epoch) = vkg
         .add_fact_dynamic(t.head, likes, t.tail, 5, 0.05)
         .unwrap();
     assert!(!added);
     assert_eq!(epoch, vkg.epoch(), "duplicates report the current epoch");
+    assert_eq!(epoch, published.0, "duplicates publish no epoch");
+    assert!(
+        std::sync::Arc::ptr_eq(&published.1, &vkg.snapshot()),
+        "duplicates leave the published snapshot in place"
+    );
     assert_eq!(
         vkg.embeddings().entity(t.head),
         h_before.as_slice(),
         "duplicate facts must not move embeddings"
     );
+}
+
+/// Epochs N and N+1 of a twelve-chunk store differ in the chunks the
+/// fact's two entities live in and share every other one, and a reader
+/// pinned to N keeps reading N.
+#[test]
+fn fact_write_copies_its_chunks_and_shares_the_rest() {
+    use vkg::kg::CHUNK_LEN;
+
+    let (n, dim) = (12 * CHUNK_LEN, 8);
+    let mut graph = KnowledgeGraph::new();
+    let r = graph.add_relation("r");
+    for i in 0..n {
+        graph.add_entity(&format!("e{i}"));
+    }
+    for i in (0..n - 1).step_by(97) {
+        let (h, t) = (EntityId(i as u32), EntityId(i as u32 + 1));
+        graph.add_triple(h, r, t).unwrap();
+    }
+    let flat: Vec<f64> = (0..n * dim)
+        .map(|i| ((i * 31) % 997) as f64 / 9.0)
+        .collect();
+    let store = EmbeddingStore::from_raw(dim, flat, vec![0.25; dim]);
+    let vkg =
+        VirtualKnowledgeGraph::assemble(graph, AttributeStore::new(), store, VkgConfig::default());
+
+    let h = EntityId((3 * CHUNK_LEN + 5) as u32);
+    let t = EntityId((9 * CHUNK_LEN + 1) as u32);
+    let row_bits = |s: &VkgSnapshot| -> Vec<u64> {
+        s.embeddings()
+            .entity_rows()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    let pinned = vkg.snapshot();
+    let rows_then = row_bits(&pinned);
+    let edges_then = pinned.graph().num_edges();
+
+    assert_eq!(vkg.add_fact_dynamic(h, r, t, 3, 0.05).unwrap(), (true, 1));
+    let next = vkg.snapshot();
+    let rows = next.embeddings().entity_rows();
+    assert_eq!(rows.unshared_chunks(pinned.embeddings().entity_rows()), 2);
+    // One chunk of outgoing adjacency (h's), one of incoming (t's) and
+    // the log's tail — of 12, 12 and 1.
+    assert_eq!(next.graph().unshared_chunks(pinned.graph()), [1, 1, 1]);
+    assert!(next.graph().has_edge(h, r, t));
+    assert_ne!(next.embeddings().entity(h), pinned.embeddings().entity(h));
+
+    assert_eq!(row_bits(&pinned), rows_then, "epoch N's rows moved");
+    assert_eq!(pinned.graph().num_edges(), edges_then);
+    assert!(!pinned.graph().has_edge(h, r, t));
+    assert!(pinned.graph().out_edges(h).is_empty() && pinned.graph().in_edges(t).is_empty());
 }
 
 #[test]

@@ -123,7 +123,7 @@ fn embedding_binary_roundtrip_is_bit_exact() {
 fn binary_format_is_compact() {
     let (_ds, store) = world();
     let bytes = embed_io::to_binary(&store);
-    let expected = 17 + 8 * (store.entity_matrix().len() + store.relation_matrix().len());
+    let expected = 17 + 8 * store.dim() * (store.num_entities() + store.num_relations());
     assert_eq!(bytes.len(), expected, "17-byte header + raw f64 payload");
 
     let mut tsv = Vec::new();
