@@ -23,12 +23,12 @@
 //! the `vkg-obs` text exposition format as a run artifact.
 //!
 //! The serve path's result cache and same-shard batching are load-tested
-//! through three more knobs. `--cache on|off` forces the engine's
-//! epoch-keyed result cache (default: the `VKG_CACHE` env override, else
-//! off); `--batch N` lets each worker drain up to N queued requests per
-//! round, executing same-shard groups under one lock acquisition;
-//! `--zipf S` skews the workload so a hot head of queries repeats
-//! (`S = 0`, the default, keeps the historical uniform stream). Under
+//! through four more knobs. `--cache on|off` switches the engine's
+//! epoch-keyed result cache (default off); `--shards N` sets the engine
+//! shard count (default 1); `--batch N` lets each worker drain up to N
+//! queued requests per round, executing same-shard groups under one
+//! lock acquisition; `--zipf S` skews the workload so a hot head of
+//! queries repeats (`S = 0`, the default, keeps the uniform stream). Under
 //! `--check`, a quiescent sample of the workload is then asked once over
 //! the wire — the cached, batched path — and recomputed cache-free
 //! against the same pinned engine state: any bit of divergence fails the
@@ -36,23 +36,21 @@
 //! non-zero hit count.
 //!
 //! The crash → restart → parity loop is scriptable through three more
-//! flags. `--wal PATH` (default: the `VKG_WAL` env override, else off)
-//! attaches the write-ahead log: the server logs + flushes every
-//! dynamic write before acking it, every connection self-heals with a
-//! per-connection deterministically-seeded [`RetryPolicy`], and writes
-//! carry idempotency tokens so a retry after an ambiguous failure
-//! applies at most once. `--kill-after N` aborts the whole process the
-//! moment the Nth write is acked — destructors do not run, exactly like
-//! a SIGKILL — leaving the acked prefix on disk (exit code
-//! [`KILLED_EXIT`] tells the harness the kill fired as planned).
-//! `--recover` runs the other phase: rebuild the engine, replay the
-//! WAL, and merge `"recovery": {...}` (attach wall time, replayed-record
-//! count, truncated bytes; schema in EXPERIMENTS.md) into the JSON at
-//! `--bench-out` (default `BENCH_core.json`). With `--wal`, `--check`
-//! additionally reconciles the durability counters: exported
-//! `server.wal.appended` must equal the client-observed applied writes,
-//! every `server.wal.dedup_hits` must be explained by a recorded client
-//! write retry, and the final epoch must equal replayed + appended.
+//! flags. `--wal PATH` (default off) attaches the write-ahead log: the
+//! server logs + flushes every dynamic write before acking it, every
+//! connection self-heals with a per-connection deterministically-seeded
+//! [`RetryPolicy`], and writes carry idempotency tokens so a retry after
+//! an ambiguous failure applies at most once. `--kill-after N` aborts
+//! the whole process the moment the Nth write is acked — destructors do
+//! not run, exactly like a SIGKILL — leaving the acked prefix on disk
+//! (exit code [`KILLED_EXIT`] tells the harness the kill fired as
+//! planned). `--recover` runs the other phase: rebuild the engine,
+//! replay the WAL, and print the attach wall time, replayed-record count
+//! and truncated bytes. With `--wal`, `--check` additionally reconciles
+//! the durability counters: exported `server.wal.appended` must equal
+//! the client-observed applied writes, every `server.wal.dedup_hits`
+//! must be explained by a recorded client write retry, and the final
+//! epoch must equal replayed + appended.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,6 +59,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use vkg::sync::{AtomicU64, Ordering};
 
+use vkg::core::config::DEFAULT_CACHE_CAPACITY;
 use vkg::core::metrics::names as core_names;
 use vkg::core::FaultPlane;
 use vkg::obs::expo;
@@ -83,26 +82,25 @@ struct Args {
     write_ratio: f64,
     workers: usize,
     queue_capacity: usize,
-    /// `Some(true)`/`Some(false)` from `--cache on|off`; `None` defers
-    /// to the `VKG_CACHE` env override (default off).
-    cache: Option<bool>,
+    /// Result-cache entry capacity: `--cache on` selects
+    /// [`DEFAULT_CACHE_CAPACITY`], `off` (the default) 0.
+    cache_capacity: usize,
+    /// Engine shard count (`--shards`).
+    shards: usize,
     /// Max requests a worker drains per round (`--batch`); 1 is the
     /// unbatched serve loop.
     batch: usize,
     /// Zipf exponent of the workload (`--zipf`); 0 is uniform.
     zipf: f64,
-    /// Write-ahead-log path (`--wal`, default the `VKG_WAL` env
-    /// override); `None` keeps the in-memory write path bit-identical.
+    /// Write-ahead-log path (`--wal`); `None` keeps the in-memory write
+    /// path bit-identical.
     wal: Option<PathBuf>,
     /// Abort the process (as a SIGKILL would) once this many writes
     /// have been acked (`--kill-after`); requires `--wal`.
     kill_after: Option<u64>,
     /// Run the recovery phase instead of the load phase (`--recover`):
-    /// replay the WAL into a fresh engine and record `recovery{...}`.
+    /// replay the WAL into a fresh engine and report what it found.
     recover: bool,
-    /// Where `--recover` merges its `recovery{...}` block
-    /// (`--bench-out`, default `BENCH_core.json`).
-    bench_out: String,
     check: bool,
     metrics_out: Option<String>,
 }
@@ -117,13 +115,13 @@ impl Default for Args {
             write_ratio: 0.02,
             workers: 4,
             queue_capacity: 128,
-            cache: None,
+            cache_capacity: 0,
+            shards: 1,
             batch: 1,
             zipf: 0.0,
-            wal: vkg::core::config::wal_from_env(),
+            wal: None,
             kill_after: None,
             recover: false,
-            bench_out: "BENCH_core.json".to_owned(),
             check: false,
             metrics_out: None,
         }
@@ -134,9 +132,9 @@ fn usage() {
     eprintln!(
         "usage: serve_load [--qps N] [--seconds N] [--connections N] [--seed N]\n\
          \x20                 [--write-ratio F] [--workers N] [--queue N]\n\
-         \x20                 [--cache on|off] [--batch N] [--zipf S] [--check]\n\
+         \x20                 [--cache on|off] [--shards N] [--batch N] [--zipf S]\n\
          \x20                 [--wal PATH] [--kill-after N] [--recover]\n\
-         \x20                 [--bench-out PATH] [--metrics-out PATH]"
+         \x20                 [--check] [--metrics-out PATH]"
     );
 }
 
@@ -162,13 +160,14 @@ fn parse_args() -> Option<Args> {
             "--workers" => a.workers = num("--workers")? as usize,
             "--queue" => a.queue_capacity = num("--queue")? as usize,
             "--cache" => match args.next().as_deref() {
-                Some("on") => a.cache = Some(true),
-                Some("off") => a.cache = Some(false),
+                Some("on") => a.cache_capacity = DEFAULT_CACHE_CAPACITY,
+                Some("off") => a.cache_capacity = 0,
                 _ => {
                     eprintln!("serve_load: --cache wants `on` or `off`");
                     return None;
                 }
             },
+            "--shards" => a.shards = num("--shards")? as usize,
             "--batch" => a.batch = num("--batch")? as usize,
             "--zipf" => a.zipf = num("--zipf")?,
             "--wal" => match args.next() {
@@ -180,13 +179,6 @@ fn parse_args() -> Option<Args> {
             },
             "--kill-after" => a.kill_after = Some(num("--kill-after")? as u64),
             "--recover" => a.recover = true,
-            "--bench-out" => match args.next() {
-                Some(path) => a.bench_out = path,
-                None => {
-                    eprintln!("serve_load: --bench-out wants a path");
-                    return None;
-                }
-            },
             "--check" => a.check = true,
             "--metrics-out" => match args.next() {
                 Some(path) => a.metrics_out = Some(path),
@@ -314,52 +306,18 @@ fn check_cache_parity(
     Ok(checked)
 }
 
-/// Merges a `"recovery": {...}` block into the benchmark JSON at
-/// `path`, preserving whatever `microbench` wrote there. Both writers
-/// emit the stable hand-rolled layout, and `recovery` is always the
-/// last key, so the merge is textual: drop any previous `recovery`
-/// block, reopen the object, append, close.
-fn merge_recovery_json(path: &str, block: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut doc = existing.trim_end().to_owned();
-    if let Some(at) = doc.find("\"recovery\"") {
-        let head = doc[..at].trim_end().trim_end_matches(',').trim_end();
-        doc = head.to_owned();
-        if doc == "{" {
-            doc.push('\n');
-        } else {
-            doc.push_str(",\n");
-        }
-    } else if doc.ends_with('}') {
-        doc.pop();
-        let head = doc.trim_end().to_owned();
-        doc = head;
-        doc.push_str(",\n");
-    } else {
-        doc = "{\n".to_owned();
-    }
-    doc.push_str(block);
-    doc.push_str("\n}\n");
-    std::fs::write(path, doc)
-}
-
 /// The `--recover` phase: rebuild the engine the load phase served,
 /// replay the WAL into it (timing the attach — replay runs every record
 /// through the normal dynamic-write path), bring a server up on the
-/// recovered state so the `server.wal.*` mirrors export, and merge the
-/// measurements into the benchmark JSON. Under `--check` the phase also
-/// gates parity: every replayed record must have published exactly one
-/// epoch, and the wire-exported mirror must agree with the facade.
+/// recovered state so the `server.wal.*` mirrors export. Under `--check`
+/// the phase also gates parity: every replayed record must have
+/// published exactly one epoch, and the wire-exported mirror must agree
+/// with the facade.
 fn run_recover(args: &Args, wal_path: &std::path::Path) -> ExitCode {
-    let shards = vkg::core::config::shards_from_env(1);
-    let cache_capacity = match args.cache {
-        Some(true) => vkg::core::config::DEFAULT_CACHE_CAPACITY,
-        Some(false) => 0,
-        None => vkg::core::config::cache_from_env(0),
-    };
     eprintln!(
         "serve_load: recovery phase — rebuilding the smoke-scale engine \
-         ({shards} shard(s), cache {cache_capacity} entries)..."
+         ({} shard(s), cache {} entries)...",
+        args.shards, args.cache_capacity
     );
     let prepared = setup::movie(Scale::Smoke, 16);
     let vkg = Arc::new(VirtualKnowledgeGraph::assemble(
@@ -367,8 +325,8 @@ fn run_recover(args: &Args, wal_path: &std::path::Path) -> ExitCode {
         prepared.dataset.attributes,
         prepared.embeddings,
         VkgConfig {
-            shards,
-            cache_capacity,
+            shards: args.shards,
+            cache_capacity: args.cache_capacity,
             ..setup::bench_config()
         },
     ));
@@ -418,18 +376,6 @@ fn run_recover(args: &Args, wal_path: &std::path::Path) -> ExitCode {
     }
     handle.shutdown();
 
-    let block = format!(
-        "  \"recovery\": {{\n    \"wal_bytes\": {wal_bytes},\n    \"replayed\": {},\n    \
-         \"truncated_bytes\": {},\n    \"attach_ms\": {attach_ms:.3},\n    \
-         \"epoch_after_replay\": {}\n  }}",
-        report.replayed, report.truncated_bytes, report.epoch
-    );
-    if let Err(e) = merge_recovery_json(&args.bench_out, &block) {
-        eprintln!("serve_load: cannot write {}: {e}", args.bench_out);
-        return ExitCode::FAILURE;
-    }
-    println!("  recovery block merged into {}", args.bench_out);
-
     if args.check {
         // Replayed records were all fresh (`added = true`) when they
         // were logged, so replaying them into an identically-built
@@ -471,16 +417,11 @@ fn main() -> ExitCode {
         return run_recover(&args, &wal_path);
     }
 
-    let shards = vkg::core::config::shards_from_env(1);
-    let cache_capacity = match args.cache {
-        Some(true) => vkg::core::config::DEFAULT_CACHE_CAPACITY,
-        Some(false) => 0,
-        None => vkg::core::config::cache_from_env(0),
-    };
     eprintln!(
         "serve_load: preparing smoke-scale movie dataset + embeddings \
-         ({shards} shard(s), cache {} entries, batch {}, wal {})...",
-        cache_capacity,
+         ({} shard(s), cache {} entries, batch {}, wal {})...",
+        args.shards,
+        args.cache_capacity,
         args.batch,
         args.wal
             .as_deref()
@@ -493,8 +434,8 @@ fn main() -> ExitCode {
         prepared.dataset.attributes,
         prepared.embeddings,
         VkgConfig {
-            shards,
-            cache_capacity,
+            shards: args.shards,
+            cache_capacity: args.cache_capacity,
             ..setup::bench_config()
         },
     ));
@@ -869,13 +810,13 @@ fn main() -> ExitCode {
             None => {}
         }
         let hits = m.snapshot.counter(core_names::CACHE_HIT).unwrap_or(0);
-        if cache_capacity == 0 && hits > 0 {
+        if args.cache_capacity == 0 && hits > 0 {
             eprintln!(
                 "serve_load: CHECK FAILED — {hits} cache hits reported with the cache disabled"
             );
             return ExitCode::FAILURE;
         }
-        if cache_capacity > 0 && args.zipf > 0.0 && hits == 0 {
+        if args.cache_capacity > 0 && args.zipf > 0.0 && hits == 0 {
             eprintln!(
                 "serve_load: CHECK FAILED — cache enabled on a skewed workload but never hit"
             );

@@ -739,9 +739,7 @@ fn ablation_shards(scale: Scale, out: &Path) {
     // Sharding is answer-preserving (the crack log replays every crack
     // on every shard), so this axis measures only what the replication
     // costs a single-threaded query stream: journal appends plus
-    // sibling replay, paid once per shard the workload touches. The
-    // environment's VKG_SHARDS is deliberately ignored — the sweep IS
-    // the shard axis.
+    // sibling replay, paid once per shard the workload touches.
     let p = setup::movie(scale, dim(scale));
     let queries = workload::generate(&p.dataset.graph, 220, 0x5AAD);
     let mut runs = Vec::new();

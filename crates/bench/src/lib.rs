@@ -1,8 +1,8 @@
 //! Shared harness code for regenerating the paper's tables and figures.
 //!
-//! The `run_experiments` binary drives [`experiments`]; the Criterion
-//! benches reuse [`setup`] and [`workload`] so both timing paths measure
-//! the same configurations.
+//! The `run_experiments` binary drives [`experiments`]; `serve_load`
+//! and `probe_stats` reuse [`setup`] and [`workload`] so every binary
+//! runs the same configurations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Dataset/embedding preparation shared by the harness and the benches.
+//! Dataset/embedding preparation shared by the harness binaries.
 //!
 //! The experiments run at three scales ([`Scale`]) so CI can exercise the
 //! full matrix quickly while a workstation regenerates the figures at a
@@ -119,26 +119,6 @@ impl Prepared {
             Err(e) => panic!("prepared data is internally consistent: {e}"),
         }
     }
-
-    /// Assembles a fresh online-cracking engine over this data.
-    pub fn engine(&self, cfg: VkgConfig) -> VirtualKnowledgeGraph {
-        VirtualKnowledgeGraph::assemble(
-            self.dataset.graph.clone(),
-            self.dataset.attributes.clone(),
-            self.embeddings.clone(),
-            cfg,
-        )
-    }
-
-    /// Assembles a fresh bulk-loaded engine over this data.
-    pub fn engine_bulk(&self, cfg: VkgConfig) -> VirtualKnowledgeGraph {
-        VirtualKnowledgeGraph::assemble_bulk_loaded(
-            self.dataset.graph.clone(),
-            self.dataset.attributes.clone(),
-            self.embeddings.clone(),
-            cfg,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +138,13 @@ mod tests {
         let p = movie(Scale::Smoke, 16);
         assert!(p.dataset.graph.num_edges() > 0);
         assert_eq!(p.embeddings.num_entities(), p.dataset.graph.num_entities());
-        let engine = p.engine(VkgConfig::default());
-        let likes = engine.graph().relation_id("likes").unwrap();
-        let user = engine.graph().entity_id("user_0").unwrap();
-        let r = engine.top_k(user, likes, Direction::Tails, 3).unwrap();
+        let snap = p.snapshot(VkgConfig::default());
+        let likes = snap.graph().relation_id("likes").unwrap();
+        let user = snap.graph().entity_id("user_0").unwrap();
+        let mut engine = IndexState::cracking(&snap);
+        let r = engine
+            .top_k(&snap, user, likes, Direction::Tails, 3)
+            .unwrap();
         assert!(r.predictions.len() <= 3);
     }
 }

@@ -51,8 +51,7 @@ pub struct VkgConfig {
     /// projection, bulk build, and batched distance kernels. Width 1
     /// (the default) takes the exact serial code paths, so results are
     /// bit-identical to a build without the pool and model tests stay
-    /// deterministic. See [`threads_from_env`] for the `VKG_THREADS`
-    /// override.
+    /// deterministic.
     pub threads: usize,
     /// Number of relation-partitioned engine shards. Each shard owns its
     /// own cracking R-tree, lock, and epoch counter; a query ⟨e, r⟩
@@ -60,16 +59,14 @@ pub struct VkgConfig {
     /// stalls queries on another. Shard count 1 (the default) is the
     /// single-lock engine, bit-identical to the pre-sharding layout —
     /// and *any* shard count returns identical answers (shards differ
-    /// only in which queries crack which tree). See [`shards_from_env`]
-    /// for the `VKG_SHARDS` override.
+    /// only in which queries crack which tree).
     pub shards: usize,
     /// Capacity (entries) of the epoch-keyed result cache on the facade's
     /// read path; `0` (the default) disables caching entirely, taking the
     /// exact pre-cache code paths. A hit is only served when the global
     /// and shard epochs still match the entry, and the entry's recorded
     /// crack regions are replayed, so cached answers stay bit-identical
-    /// to recomputation. See [`cache_from_env`] for the `VKG_CACHE`
-    /// override.
+    /// to recomputation.
     pub cache_capacity: usize,
 }
 
@@ -91,75 +88,10 @@ impl Default for VkgConfig {
     }
 }
 
-/// Reads the pool width from the `VKG_THREADS` environment variable.
-///
-/// `0` or an unset/unparsable value falls back to `default_width`
-/// (clamped to ≥ 1), so deployments opt into parallelism explicitly
-/// and tests stay serial unless asked otherwise.
-pub fn threads_from_env(default_width: usize) -> usize {
-    match std::env::var("VKG_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_width.max(1),
-        },
-        Err(_) => default_width.max(1),
-    }
-}
-
-/// Reads the engine shard count from the `VKG_SHARDS` environment
-/// variable.
-///
-/// `0` or an unset/unparsable value falls back to `default_shards`
-/// (clamped to ≥ 1), mirroring [`threads_from_env`]: deployments opt
-/// into sharding explicitly and tests run single-shard unless asked
-/// otherwise.
-pub fn shards_from_env(default_shards: usize) -> usize {
-    match std::env::var("VKG_SHARDS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_shards.max(1),
-        },
-        Err(_) => default_shards.max(1),
-    }
-}
-
-/// Entry capacity selected by `VKG_CACHE=on` when no explicit size is
-/// given: enough for the hot set of a Zipf-skewed query stream at the
-/// harness's scales without holding a large snapshot's worth of results.
+/// Entry capacity the harnesses use when they turn the cache on: enough
+/// for the hot set of a Zipf-skewed query stream at their scales without
+/// holding a large snapshot's worth of results.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
-
-/// Reads the result-cache capacity from the `VKG_CACHE` environment
-/// variable.
-///
-/// Accepts `on` (= [`DEFAULT_CACHE_CAPACITY`]), `off` (= 0, disabled)
-/// or an explicit entry count; an unset or unparsable value falls back
-/// to `default_capacity`, mirroring [`threads_from_env`]: deployments
-/// opt into caching explicitly and tests run uncached unless asked
-/// otherwise.
-pub fn cache_from_env(default_capacity: usize) -> usize {
-    match std::env::var("VKG_CACHE") {
-        Ok(v) => match v.trim() {
-            "on" => DEFAULT_CACHE_CAPACITY,
-            "off" => 0,
-            other => other.parse::<usize>().unwrap_or(default_capacity),
-        },
-        Err(_) => default_capacity,
-    }
-}
-
-/// Reads the write-ahead-log path from the `VKG_WAL` environment
-/// variable.
-///
-/// Unset or empty means no WAL: the engine keeps today's purely
-/// in-memory dynamic-write path, bit-identical to the pre-durability
-/// behavior. Deployments opt into durability explicitly, mirroring
-/// [`threads_from_env`].
-pub fn wal_from_env() -> Option<std::path::PathBuf> {
-    match std::env::var("VKG_WAL") {
-        Ok(v) if !v.trim().is_empty() => Some(std::path::PathBuf::from(v.trim())),
-        _ => None,
-    }
-}
 
 impl VkgConfig {
     /// Validates invariants the index relies on, reporting violations as
@@ -274,38 +206,5 @@ mod tests {
             ..VkgConfig::default()
         };
         cfg.validate();
-    }
-
-    #[test]
-    fn env_width_falls_back_to_default() {
-        // The suite never sets VKG_THREADS, so the fallback applies
-        // (reading an env var other tests might set would be racy).
-        assert_eq!(threads_from_env(0), 1);
-        assert_eq!(threads_from_env(4), 4);
-    }
-
-    #[test]
-    fn env_shards_fall_back_to_default() {
-        // The suite never sets VKG_SHARDS (CI sets it only for the
-        // dedicated shard-parity job, which runs microbench, not tests).
-        assert_eq!(shards_from_env(0), 1);
-        assert_eq!(shards_from_env(7), 7);
-    }
-
-    #[test]
-    fn env_cache_falls_back_to_default() {
-        // The suite never sets VKG_CACHE (CI sets it only for the
-        // dedicated cache-parity job, which runs serve_load, not tests),
-        // so the fallback applies — including 0 = disabled.
-        assert_eq!(cache_from_env(0), 0);
-        assert_eq!(cache_from_env(256), 256);
-    }
-
-    #[test]
-    fn env_wal_defaults_to_disabled() {
-        // The suite never sets VKG_WAL (CI sets it only for the
-        // crash-recovery job, which runs serve_load, not tests), so the
-        // engine stays on the in-memory write path by default.
-        assert_eq!(wal_from_env(), None);
     }
 }

@@ -1,23 +1,15 @@
-//! Blocked distance kernels over contiguous [`PointSet`] rows.
+//! Batched distance kernels over contiguous [`PointSet`] rows.
 //!
 //! The hot loops of the paper — candidate evaluation inside top-k
 //! refinement (§V, Algorithm 3), contour sweeps, and MBR construction —
 //! all reduce to "squared Euclidean distance from many stored points to
-//! one query point". This module provides three tiers:
+//! one query point". This module provides two tiers:
 //!
-//! * a **scalar reference** ([`scalar_distances_sq`]) that evaluates
-//!   the textbook `Σ (aᵢ − bᵢ)²` per point — the exact pre-kernel
-//!   formula, kept both for testing and as the bit-identical serial
-//!   path;
-//! * a **blocked kernel** ([`blocked_distances_sq`]) using the
-//!   `|p|² − 2·p·q + |q|²` decomposition with the per-point norms
-//!   cached in [`PointSet`] and a 4-wide manually unrolled dot
-//!   product, trading exact bit-identity (≤ 1e-9 relative error,
-//!   property-tested) for roughly half the arithmetic and much better
-//!   instruction-level parallelism;
+//! * the **scalar kernel** ([`scalar_distances_sq`]) that evaluates the
+//!   textbook `Σ (aᵢ − bᵢ)²` per point;
 //! * **pooled dispatchers** ([`distances_sq`], [`par_mbr_of`]) that
-//!   split the id list over a [`Pool`] — a serial pool (width 1)
-//!   always takes the scalar path, so serial results never change.
+//!   split the id list over a [`Pool`] and run the scalar kernel on
+//!   each chunk, so every pool width returns the same bits.
 //!
 //! This file is under the `no-alloc-in-kernel` lint (DESIGN.md §3.4):
 //! kernels must not allocate per call, save for the explicitly waived
@@ -33,8 +25,7 @@ use super::points::PointSet;
 /// to the pool. Gating on total floating-point work rather than point
 /// count keeps low-dimensional batches — where each point is cheap —
 /// from paying thread-coordination overhead that the arithmetic cannot
-/// amortise (the `BENCH_core.json` jl regression was exactly this
-/// mistake: dispatch decided by row count alone).
+/// amortise.
 pub const DISTANCES_PAR_THRESHOLD: usize = 1 << 13;
 
 /// Smallest `points × dim` work size worth dispatching an MBR sweep to
@@ -46,11 +37,8 @@ pub const MBR_PAR_THRESHOLD: usize = 1 << 13;
 /// Minimum points per parallel chunk, so chunk bookkeeping stays noise.
 const MIN_CHUNK: usize = 512;
 
-/// Scalar reference: `out[i] = Σ (points[ids[i]][c] − q[c])²`.
-///
-/// This is byte-for-byte the evaluation order of
-/// [`PointSet::distance_sq`], the pre-kernel serial code — width-1
-/// pools route here so serial results stay bit-identical.
+/// `out[i] = Σ (points[ids[i]][c] − q[c])²`, in the evaluation order of
+/// [`PointSet::distance_sq`].
 pub fn scalar_distances_sq(points: &PointSet, ids: &[u32], q: &[f64], out: &mut [f64]) {
     debug_assert_eq!(ids.len(), out.len());
     for (o, &id) in out.iter_mut().zip(ids) {
@@ -58,37 +46,16 @@ pub fn scalar_distances_sq(points: &PointSet, ids: &[u32], q: &[f64], out: &mut 
     }
 }
 
-/// Blocked kernel: `out[i] = |p|² − 2·p·q + |q|²` with cached norms
-/// and a 4-wide unrolled dot product. Clamped at zero (the
-/// decomposition can round a tiny distance negative).
-pub fn blocked_distances_sq(points: &PointSet, ids: &[u32], q: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(ids.len(), out.len());
-    let q_norm_sq: f64 = dot4(q, q);
-    let dim = points.dim();
-    let coords = points.coords();
-    let norms = points.norms_sq();
-    for (o, &id) in out.iter_mut().zip(ids) {
-        let i = id as usize * dim;
-        let row = &coords[i..i + dim];
-        let d = norms[id as usize] - 2.0 * dot4(row, q) + q_norm_sq;
-        *o = d.max(0.0);
-    }
-}
-
 /// Batched squared distances for `ids`, written id-aligned into `out`.
 ///
-/// Serial pools take the exact scalar path; wider pools split the id
-/// list into chunks and evaluate them with the blocked kernel on the
-/// pool's workers. `ids` and `out` must be the same length.
+/// Large batches on a wide pool are split into chunks that the pool's
+/// workers evaluate with [`scalar_distances_sq`]; everything else runs
+/// it inline. `ids` and `out` must be the same length.
 pub fn distances_sq(pool: &Pool, points: &PointSet, ids: &[u32], q: &[f64], out: &mut [f64]) {
     assert_eq!(ids.len(), out.len(), "ids/out length mismatch");
-    if pool.is_serial() {
-        scalar_distances_sq(points, ids, q, out);
-        return;
-    }
     let n = ids.len();
-    if n * points.dim() < DISTANCES_PAR_THRESHOLD {
-        blocked_distances_sq(points, ids, q, out);
+    if pool.is_serial() || n * points.dim() < DISTANCES_PAR_THRESHOLD {
+        scalar_distances_sq(points, ids, q, out);
         return;
     }
     let chunks = (pool.width() * 4).min(n / MIN_CHUNK).max(1);
@@ -101,7 +68,7 @@ pub fn distances_sq(pool: &Pool, points: &PointSet, ids: &[u32], q: &[f64], out:
         let start = c * per;
         let mut window = slots[c].lock();
         let len = window.len();
-        blocked_distances_sq(points, &ids[start..start + len], q, &mut window);
+        scalar_distances_sq(points, &ids[start..start + len], q, &mut window);
     });
 }
 
@@ -126,29 +93,6 @@ pub fn par_mbr_of(pool: &Pool, points: &PointSet, ids: &[u32]) -> Mbr {
     out
 }
 
-/// 4-wide unrolled dot product. Four independent accumulators let the
-/// CPU overlap the multiply-adds; the pairwise reduction at the end
-/// keeps the summation tree fixed so results are deterministic.
-#[inline]
-fn dot4(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    let mut i = 0;
-    while i + 4 <= n {
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        tail += a[i] * b[i];
-        i += 1;
-    }
-    (s0 + s2) + (s1 + s3) + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,22 +109,6 @@ mod tests {
         let coords: Vec<f64> = (0..n * dim).map(|_| next()).collect();
         let q: Vec<f64> = (0..dim).map(|_| next()).collect();
         (PointSet::from_rows(dim, coords), q)
-    }
-
-    #[test]
-    fn blocked_matches_scalar_within_tolerance() {
-        for dim in [1, 2, 3, 4, 5, 6, 7, 8] {
-            let (ps, q) = sample(dim, 64);
-            let ids: Vec<u32> = (0..64).collect();
-            let mut scalar = vec![0.0; 64];
-            let mut blocked = vec![0.0; 64];
-            scalar_distances_sq(&ps, &ids, &q, &mut scalar);
-            blocked_distances_sq(&ps, &ids, &q, &mut blocked);
-            for (s, b) in scalar.iter().zip(&blocked) {
-                let tol = 1e-9 * s.abs().max(1.0);
-                assert!((s - b).abs() <= tol, "dim {dim}: {s} vs {b}");
-            }
-        }
     }
 
     #[test]
@@ -206,15 +134,15 @@ mod tests {
         scalar_distances_sq(&ps, &ids, &q, &mut serial);
         let mut pooled = vec![0.0; n];
         distances_sq(&Pool::new(4), &ps, &ids, &q, &mut pooled);
-        for (s, b) in serial.iter().zip(&pooled) {
-            assert!((s - b).abs() <= 1e-9 * s.abs().max(1.0));
-        }
+        assert_eq!(
+            pooled, serial,
+            "every pooled chunk must use the scalar kernel"
+        );
     }
 
     #[test]
     fn small_work_skips_pool_dispatch() {
-        // Below the work threshold a wide pool still answers (via the
-        // inline blocked kernel) — and within the blocked tolerance.
+        // Below the work threshold a wide pool answers inline.
         let n = 256;
         let dim = 4;
         assert!(n * dim < DISTANCES_PAR_THRESHOLD);
@@ -224,9 +152,7 @@ mod tests {
         scalar_distances_sq(&ps, &ids, &q, &mut serial);
         let mut pooled = vec![0.0; n];
         distances_sq(&Pool::new(4), &ps, &ids, &q, &mut pooled);
-        for (s, b) in serial.iter().zip(&pooled) {
-            assert!((s - b).abs() <= 1e-9 * s.abs().max(1.0));
-        }
+        assert_eq!(pooled, serial);
     }
 
     #[test]
@@ -240,16 +166,6 @@ mod tests {
         for axis in 0..3 {
             assert_eq!(serial.min(axis), pooled.min(axis));
             assert_eq!(serial.max(axis), pooled.max(axis));
-        }
-    }
-
-    #[test]
-    fn dot4_handles_every_tail_length() {
-        for n in 0..9 {
-            let a: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
-            let b: Vec<f64> = (0..n).map(|i| 2.0 * i as f64 - 1.0).collect();
-            let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot4(&a, &b) - naive).abs() < 1e-12, "n={n}");
         }
     }
 }

@@ -6,9 +6,9 @@
 
 /// Maximum supported dimensionality of the index space S₂.
 ///
-/// The paper uses α = 3 or 6; 16 covers the wider projections the
-/// microbenchmarks exercise while keeping the struct a small `Copy`
-/// value (264 bytes).
+/// The paper uses α = 3 or 6; 16 covers the wider projections of the
+/// `abl_alpha` ablation and the kernel property tests while keeping the
+/// struct a small `Copy` value (264 bytes).
 pub const MAX_DIM: usize = 16;
 
 /// An axis-aligned minimum bounding region.

@@ -11,9 +11,8 @@ use crate::error::{VkgError, VkgResult};
 /// An immutable set of `α`-dimensional points, indexed by dense `u32` ids.
 ///
 /// Alongside the coordinates the set stores each point's squared norm
-/// `|p|²`, maintained on every mutation, so the blocked distance
-/// kernels (see [`crate::geometry::kernels`]) can use the
-/// `|p|² − 2p·q + |q|²` decomposition without a per-query norm pass.
+/// `|p|²`, maintained on every mutation, so contour element summaries
+/// (centroid spread) need no per-sweep norm pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSet {
     dim: usize,
@@ -85,18 +84,6 @@ impl PointSet {
     #[inline]
     pub fn norm_sq(&self, id: u32) -> f64 {
         self.norms_sq[id as usize]
-    }
-
-    /// The whole row-major coordinate matrix (stride [`PointSet::dim`]).
-    #[inline]
-    pub fn coords(&self) -> &[f64] {
-        &self.coords
-    }
-
-    /// All precomputed squared norms, id-aligned.
-    #[inline]
-    pub fn norms_sq(&self) -> &[f64] {
-        &self.norms_sq
     }
 
     /// Squared Euclidean distance from point `id` to `target`.
@@ -253,7 +240,7 @@ mod tests {
         assert_eq!(ps.norm_sq(4), 25.0);
         ps.try_set(0, &[2.0, 0.0]).expect("well-shaped set");
         assert_eq!(ps.norm_sq(0), 4.0);
-        assert_eq!(ps.norms_sq().len(), ps.len());
+        assert_eq!(ps.norms_sq.len(), ps.len());
     }
 
     #[test]

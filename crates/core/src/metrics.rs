@@ -92,9 +92,7 @@ pub struct VkgMetrics {
 }
 
 impl VkgMetrics {
-    /// Resolves every handle against `registry`. With a
-    /// [`Registry::noop`] registry every handle is a no-op too — the
-    /// configuration the overhead microbench compares against.
+    /// Resolves every handle against `registry`.
     pub fn new(registry: Registry, clock: Clock) -> Self {
         Self {
             queries: registry.counter(names::QUERIES),
@@ -195,19 +193,17 @@ impl VkgMetrics {
     /// Takes each shard's read lock briefly (a consistent-per-shard
     /// sum, like [`ShardedEngine::merged_stats`]).
     pub fn snapshot_with_engine(&self, engine: &ShardedEngine) -> MetricsSnapshot {
-        if !self.registry.is_noop() {
-            let stats = engine.merged_stats();
-            self.index_splits.set(stats.counters.splits_performed);
-            self.index_nodes.set(stats.nodes as u64);
-            self.index_bytes.set(stats.bytes as u64);
-            self.index_s1_evals.set(stats.counters.s1_distance_evals);
-            self.cracks_published.set(engine.cracks_published());
-            self.cracks_replayed.set(engine.cracks_replayed());
-            let pool = engine.pool_stats();
-            self.pool_serial.set(pool.serial_runs());
-            self.pool_parallel.set(pool.parallel_runs());
-            self.pool_chunks.set(pool.chunks_claimed());
-        }
+        let stats = engine.merged_stats();
+        self.index_splits.set(stats.counters.splits_performed);
+        self.index_nodes.set(stats.nodes as u64);
+        self.index_bytes.set(stats.bytes as u64);
+        self.index_s1_evals.set(stats.counters.s1_distance_evals);
+        self.cracks_published.set(engine.cracks_published());
+        self.cracks_replayed.set(engine.cracks_replayed());
+        let pool = engine.pool_stats();
+        self.pool_serial.set(pool.serial_runs());
+        self.pool_parallel.set(pool.parallel_runs());
+        self.pool_chunks.set(pool.chunks_claimed());
         self.registry.snapshot()
     }
 }

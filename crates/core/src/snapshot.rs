@@ -355,8 +355,10 @@ mod tests {
         let snap = VkgSnapshot::new(g, AttributeStore::new(), store, cfg()).unwrap();
         let want = PointSet::from_rows(2, snap.transform().apply_matrix(&flat));
         let bits = |p: &PointSet| -> Vec<u64> {
-            let all = p.coords().iter().chain(p.norms_sq());
-            all.map(|v| v.to_bits()).collect()
+            (0..p.len() as u32)
+                .flat_map(|id| p.point(id).iter().copied().chain([p.norm_sq(id)]))
+                .map(f64::to_bits)
+                .collect()
         };
         for width in [1, 4] {
             let got = snap.project_points_pooled(&Pool::new(width));

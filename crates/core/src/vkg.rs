@@ -256,49 +256,20 @@ impl VirtualKnowledgeGraph {
         }
     }
 
-    /// Fallible form of [`VirtualKnowledgeGraph::assemble`]. Metrics
-    /// record into a live per-facade registry on a real clock; use
-    /// [`VirtualKnowledgeGraph::try_assemble_with_metrics`] to supply a
-    /// no-op registry (overhead baselines) or a mock clock.
+    /// Fallible form of [`VirtualKnowledgeGraph::assemble`].
     pub fn try_assemble(
         graph: KnowledgeGraph,
         attributes: AttributeStore,
         embeddings: EmbeddingStore,
         config: VkgConfig,
     ) -> VkgResult<Self> {
-        Self::try_assemble_with_metrics(
-            graph,
-            attributes,
-            embeddings,
-            config,
-            Registry::active(),
-            Clock::real(),
-        )
-    }
-
-    /// [`VirtualKnowledgeGraph::try_assemble`] with an explicit metrics
-    /// registry and clock. A [`Registry::noop`] registry turns every
-    /// per-query record into a single branch — the configuration the
-    /// overhead microbench compares against.
-    pub fn try_assemble_with_metrics(
-        graph: KnowledgeGraph,
-        attributes: AttributeStore,
-        embeddings: EmbeddingStore,
-        config: VkgConfig,
-        registry: Registry,
-        clock: Clock,
-    ) -> VkgResult<Self> {
         let snapshot = Arc::new(VkgSnapshot::new(graph, attributes, embeddings, config)?);
         let engine = ShardedEngine::cracking(&snapshot);
-        Ok(Self::from_parts(snapshot, engine, registry, clock))
+        Ok(Self::from_parts(snapshot, engine))
     }
 
-    fn from_parts(
-        snapshot: Arc<VkgSnapshot>,
-        engine: ShardedEngine,
-        registry: Registry,
-        clock: Clock,
-    ) -> Self {
+    /// Metrics record into a live per-facade registry on a real clock.
+    fn from_parts(snapshot: Arc<VkgSnapshot>, engine: ShardedEngine) -> Self {
         let cache = match snapshot.config().cache_capacity {
             0 => None,
             capacity => Some(ResultCache::new(capacity)),
@@ -312,7 +283,7 @@ impl VirtualKnowledgeGraph {
                 "vkg.published",
             ),
             engine,
-            metrics: VkgMetrics::new(registry, clock),
+            metrics: VkgMetrics::new(Registry::active(), Clock::real()),
             cache,
             durability: Mutex::with_name(
                 Durability {
@@ -352,12 +323,7 @@ impl VirtualKnowledgeGraph {
     ) -> VkgResult<Self> {
         let snapshot = Arc::new(VkgSnapshot::new(graph, attributes, embeddings, config)?);
         let engine = ShardedEngine::bulk_loaded(&snapshot);
-        Ok(Self::from_parts(
-            snapshot,
-            engine,
-            Registry::active(),
-            Clock::real(),
-        ))
+        Ok(Self::from_parts(snapshot, engine))
     }
 
     /// The immutable read side, shareable across threads. Clones of this
@@ -427,8 +393,7 @@ impl VirtualKnowledgeGraph {
     /// A full metrics snapshot: the per-query counters and latency
     /// histogram recorded on the hot path, plus engine-side statistics
     /// (index size, crack-log traffic, pool dispatch) sampled into
-    /// gauges at the moment of the call. Empty if the facade was
-    /// assembled with a [`Registry::noop`] registry.
+    /// gauges at the moment of the call.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot_with_engine(&self.engine)
     }
@@ -1703,26 +1668,6 @@ mod tests {
         assert!(snap.gauge(names::INDEX_S1_EVALS).unwrap() > 0);
         assert_eq!(snap.gauge(names::CRACKS_PUBLISHED), Some(0));
         assert!(snap.gauge(names::POOL_SERIAL_RUNS).is_some());
-    }
-
-    #[test]
-    fn noop_registry_snapshots_empty() {
-        let (g, attrs, emb) = tiny_world(8);
-        let vkg = VirtualKnowledgeGraph::try_assemble_with_metrics(
-            g,
-            attrs,
-            emb,
-            config(),
-            Registry::noop(),
-            Clock::real(),
-        )
-        .unwrap();
-        let u0 = vkg.graph().entity_id("u0").unwrap();
-        let likes = vkg.graph().relation_id("likes").unwrap();
-        let _ = vkg.top_k(u0, likes, Direction::Tails, 2).unwrap();
-        let snap = vkg.metrics_snapshot();
-        assert_eq!(snap, vkg_obs::MetricsSnapshot::default());
-        assert!(vkg.metrics().registry().is_noop());
     }
 
     #[test]

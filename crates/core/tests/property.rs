@@ -11,6 +11,9 @@ use vkg_core::index::CrackingIndex;
 use vkg_core::query::aggregate;
 use vkg_core::query::topk::{find_top_k_warm, TopKResult};
 use vkg_core::rtree::SortOrders;
+use vkg_core::{Direction, VirtualKnowledgeGraph, VkgConfig};
+use vkg_embed::EmbeddingStore;
+use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_sync::pool::Pool;
 
 fn arb_points(max_n: usize, dim: usize) -> impl Strategy<Value = PointSet> {
@@ -415,16 +418,16 @@ proptest! {
         prop_assert!(max_certain >= lo - 1e-9, "certain max {max_certain} < lo {lo}");
     }
 
-    /// The blocked `|p|² − 2p·q + |q|²` kernel agrees with the scalar
-    /// reference within 1e-9 relative error at every dimension up to
-    /// MAX_DIM and over strided (non-contiguous) id lists.
+    /// The pooled dispatcher returns the scalar kernel's bits at every
+    /// pool width, at every dimension up to MAX_DIM, over strided
+    /// (non-contiguous) id lists on both sides of the dispatch threshold.
     #[test]
-    fn blocked_kernel_matches_scalar(
+    fn pooled_kernel_is_bit_identical_to_scalar(
         dim in 1usize..=16,
         stride in 1usize..=4,
+        n in prop_oneof![Just(257usize), Just(4_099usize)],
         seed in any::<u64>(),
     ) {
-        let n = 257usize;
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -437,20 +440,11 @@ proptest! {
         let q: Vec<f64> = (0..dim).map(|_| next()).collect();
         let ids: Vec<u32> = (0..n as u32).step_by(stride).collect();
         let mut scalar = vec![0.0; ids.len()];
-        let mut blocked = vec![0.0; ids.len()];
         kernels::scalar_distances_sq(&ps, &ids, &q, &mut scalar);
-        kernels::blocked_distances_sq(&ps, &ids, &q, &mut blocked);
-        for (s, b) in scalar.iter().zip(&blocked) {
-            let tol = 1e-9 * s.abs().max(1.0);
-            prop_assert!((s - b).abs() <= tol, "dim {dim} stride {stride}: {s} vs {b}");
-        }
-        // The pooled dispatcher covers the same ids at any width.
         for width in [1usize, 4] {
             let mut pooled = vec![0.0; ids.len()];
             kernels::distances_sq(&Pool::new(width), &ps, &ids, &q, &mut pooled);
-            for (s, p) in scalar.iter().zip(&pooled) {
-                prop_assert!((s - p).abs() <= 1e-9 * s.abs().max(1.0));
-            }
+            prop_assert_eq!(&pooled, &scalar, "dim {} stride {} width {}", dim, stride, width);
         }
     }
 
@@ -526,4 +520,81 @@ proptest! {
             prop_assert_eq!(&pooled_order, &serial_order, "width {}", width);
         }
     }
+}
+
+/// The facade answers the same seeded query stream identically at pool
+/// widths 1 and 4: same ids, same S₁ distance bits, same oracle
+/// evaluations and S₂ candidates per query, same tree at the end.
+///
+/// α = 16 with 4 096-point leaves keeps every leaf's distance batch
+/// above `DISTANCES_PAR_THRESHOLD`, so the pool splits batches for the
+/// whole stream, not only on the unsplit root. Every embedding has 200
+/// exact twins, spread over the ids: the twins tie in S₁ and in S₂, so
+/// which ten make the answer is decided by `(S₂ distance, id)` visit
+/// order — and a twin group cut by a chunk boundary keeps that order
+/// only if both chunks compute the same bits. (Seeded mutant: chunk 1
+/// of `kernels::distances_sq` evaluating `|p|² − 2p·q + |q|²` changes
+/// 12 of the 240 answers.)
+#[test]
+fn pooled_top_k_matches_serial() {
+    let (n, d, groups) = (12_000usize, 16usize, 60usize);
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 2_000) as f64 / 100.0 - 10.0
+    };
+    let distinct: Vec<f64> = (0..groups * d).map(|_| next()).collect();
+    let mut graph = KnowledgeGraph::new();
+    graph.add_relation("r0");
+    graph.add_relation("r1");
+    let mut entities = Vec::with_capacity(n * d);
+    for i in 0..n {
+        graph.add_entity(&format!("e{i}"));
+        let g = i % groups;
+        entities.extend_from_slice(&distinct[g * d..(g + 1) * d]);
+    }
+    let relations: Vec<f64> = (0..2 * d).map(|_| next() / 4.0).collect();
+    let store = EmbeddingStore::from_raw(d, entities, relations);
+    let run = |threads: usize| {
+        let vkg = VirtualKnowledgeGraph::assemble(
+            graph.clone(),
+            AttributeStore::new(),
+            store.clone(),
+            VkgConfig {
+                alpha: 16,
+                leaf_capacity: 4_096,
+                threads,
+                ..VkgConfig::default()
+            },
+        );
+        // Every group once per relation and direction.
+        let answers: Vec<(Answer, u64)> = (0..4 * groups as u32)
+            .map(|i| {
+                let round = i / groups as u32;
+                let direction = [Direction::Tails, Direction::Heads][round as usize % 2];
+                let r = vkg
+                    .top_k(
+                        EntityId(i * 61 % n as u32),
+                        RelationId(round / 2),
+                        direction,
+                        10,
+                    )
+                    .expect("valid ids");
+                (answer_of(&r), r.candidates_examined)
+            })
+            .collect();
+        let pooled_runs = vkg
+            .metrics_snapshot()
+            .gauge(vkg_core::metrics::names::POOL_PARALLEL_RUNS);
+        (answers, vkg.index_node_count(), pooled_runs)
+    };
+    let (serial, serial_nodes, _) = run(1);
+    let (pooled, pooled_nodes, pooled_runs) = run(4);
+    assert!(pooled_runs > Some(0), "width 4 must dispatch to the pool");
+    for (i, (p, s)) in pooled.iter().zip(&serial).enumerate() {
+        assert_eq!(p, s, "query {i}");
+    }
+    assert_eq!(pooled_nodes, serial_nodes);
 }

@@ -7,12 +7,9 @@
 //!   reference implementations, so embeddings trained externally (the
 //!   paper uses the original authors' code) import directly.
 //! * **Binary** — a compact little-endian format (`VKGE` magic, version,
-//!   shapes, raw `f64` rows) via the `bytes` crate, for fast reload of
-//!   large stores.
+//!   shapes, raw `f64` rows), for fast reload of large stores.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::store::EmbeddingStore;
 
@@ -20,6 +17,8 @@ use crate::store::EmbeddingStore;
 const MAGIC: &[u8; 4] = b"VKGE";
 /// Current binary format version.
 const VERSION: u8 = 1;
+/// Magic, version, and the three `u32` shapes (dim, entities, relations).
+const HEADER_LEN: usize = 4 + 1 + 4 * 3;
 
 /// Errors raised by embedding import.
 #[derive(Debug)]
@@ -159,58 +158,66 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
 }
 
 /// Serializes `store` into the compact binary format.
-pub fn to_binary(store: &EmbeddingStore) -> Bytes {
+pub fn to_binary(store: &EmbeddingStore) -> Vec<u8> {
     let d = store.dim();
     let ents = store.entity_rows();
     let rels = store.relation_rows();
-    let mut buf = BytesMut::with_capacity(4 + 1 + 4 * 3 + (ents.len() + rels.len()) * d * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u32_le(d as u32);
-    buf.put_u32_le(ents.len() as u32);
-    buf.put_u32_le(rels.len() as u32);
-    for &v in ents.iter().chain(rels) {
-        buf.put_f64_le(v);
+    let mut buf = Vec::with_capacity(HEADER_LEN + (ents.len() + rels.len()) * d * 8);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    for shape in [d, ents.len(), rels.len()] {
+        buf.extend_from_slice(&(shape as u32).to_le_bytes());
     }
-    buf.freeze()
+    for v in ents.iter().chain(rels) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    buf
 }
 
 /// Deserializes a store from the binary format.
-pub fn from_binary(mut data: &[u8]) -> Result<EmbeddingStore, IoError> {
-    if data.remaining() < 4 + 1 + 12 {
+pub fn from_binary(data: &[u8]) -> Result<EmbeddingStore, IoError> {
+    if data.len() < HEADER_LEN {
         return Err(IoError::Format("truncated header".into()));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::Format(format!("bad magic {magic:?}")));
+    let (header, payload) = data.split_at(HEADER_LEN);
+    if &header[..4] != MAGIC {
+        return Err(IoError::Format(format!("bad magic {:?}", &header[..4])));
     }
-    let version = data.get_u8();
+    let version = header[4];
     if version != VERSION {
         return Err(IoError::Format(format!("unsupported version {version}")));
     }
-    let dim = data.get_u32_le() as usize;
-    let n = data.get_u32_le() as usize;
-    let m = data.get_u32_le() as usize;
+    let shape = |i: usize| {
+        let at = 5 + 4 * i;
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]) as usize
+    };
+    let (dim, n, m) = (shape(0), shape(1), shape(2));
     if dim == 0 {
         return Err(IoError::Format("zero dimensionality".into()));
     }
-    let need = (n + m) * dim * 8;
-    if data.remaining() != need {
+    // The shapes come from the file: a product that overflows matches no
+    // payload, and nothing is allocated before the length agrees.
+    let need = n
+        .checked_add(m)
+        .and_then(|rows| rows.checked_mul(dim))
+        .and_then(|values| values.checked_mul(8));
+    if need != Some(payload.len()) {
         return Err(IoError::Format(format!(
-            "payload size mismatch: expected {need} bytes, found {}",
-            data.remaining()
+            "payload size mismatch: {n}+{m} rows of {dim} declared, found {} bytes",
+            payload.len()
         )));
     }
-    let mut entities = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        entities.push(data.get_f64_le());
-    }
-    let mut relations = Vec::with_capacity(m * dim);
-    for _ in 0..m * dim {
-        relations.push(data.get_f64_le());
-    }
-    Ok(EmbeddingStore::from_raw(dim, entities, relations))
+    let decode = |rows: &[u8]| -> Vec<f64> {
+        rows.chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect()
+    };
+    let (entities, relations) = payload.split_at(n * dim * 8);
+    Ok(EmbeddingStore::from_raw(
+        dim,
+        decode(entities),
+        decode(relations),
+    ))
 }
 
 #[cfg(test)]
@@ -298,6 +305,27 @@ mod tests {
         assert_eq!(back, store);
     }
 
+    /// The `VKGE` v1 layout, byte for byte: magic, version, then dim,
+    /// entity and relation counts as little-endian `u32`s, then every
+    /// entity row and every relation row as little-endian `f64`s.
+    #[test]
+    fn binary_format_golden_bytes() {
+        let store = EmbeddingStore::from_raw(2, vec![1.0, -2.0, 0.5, 0.0], vec![3.0, -0.25]);
+        #[rustfmt::skip]
+        let golden: [u8; 65] = [
+            b'V', b'K', b'G', b'E', 1,
+            2, 0, 0, 0,  2, 0, 0, 0,  1, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1.0
+            0, 0, 0, 0, 0, 0, 0x00, 0xc0, // -2.0
+            0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // 0.5
+            0, 0, 0, 0, 0, 0, 0x00, 0x00, // 0.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40, // 3.0
+            0, 0, 0, 0, 0, 0, 0xd0, 0xbf, // -0.25
+        ];
+        assert_eq!(to_binary(&store), golden);
+        assert_eq!(from_binary(&golden).unwrap(), store);
+    }
+
     #[test]
     fn binary_rejects_bad_magic() {
         let store = sample_store();
@@ -312,6 +340,13 @@ mod tests {
         let bytes = to_binary(&store);
         assert!(from_binary(&bytes[..bytes.len() - 3]).is_err());
         assert!(from_binary(&bytes[..4]).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_shapes_whose_product_overflows() {
+        let mut bytes = b"VKGE\x01".to_vec();
+        bytes.extend_from_slice(&[0xff; 12]);
+        assert!(from_binary(&bytes).is_err());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   `Vkg` / per `Server` and handed out as cheap cloneable handles
 //!   ([`Counter`], [`Gauge`], [`HistogramCell`]). A [`Registry::noop`]
 //!   registry hands out dead handles whose recording methods are
-//!   branch-predictable no-ops — the microbench overhead gate compares
-//!   the two.
+//!   branch-predictable no-ops.
 //! * [`Span`] / [`SpanRing`] — one record per served request, following
 //!   it through admission → queue wait → shard lock → crack/refine →
 //!   encode, written into a fixed-size lock-free ring with exact

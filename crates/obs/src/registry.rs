@@ -9,9 +9,7 @@
 //!
 //! [`Registry::noop`] produces a registry whose handles carry no
 //! storage at all: every recording method is one branch on an
-//! always-taken pattern. The microbench overhead gate times the same
-//! query loop against an active and a no-op registry and requires the
-//! difference to stay within 5%.
+//! always-taken pattern.
 
 use std::time::Duration;
 

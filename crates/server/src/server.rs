@@ -480,7 +480,10 @@ fn metrics_export(shared: &Shared, last_spans: usize) -> MetricsWire {
             .gauge(&format!("server.shard{i}.answered"))
             .set(answered);
     }
-    let epoch = shared.vkg.with_published_engine(|pin, _, _| pin.epoch);
+    // One integer under the published read lock: a scrape must neither
+    // stop queries behind every shard lock nor make lagging shards
+    // replay the crack log.
+    let epoch = shared.vkg.epoch();
     let mut snap = shared.vkg.metrics_snapshot();
     // Mirror the facade's durability counters into `server.wal.*` gauges
     // (before the server registry snapshot below, so one export is

@@ -28,6 +28,10 @@ const USERS: u32 = 60;
 const MOVIES: u32 = 120;
 
 fn build_vkg() -> Arc<VirtualKnowledgeGraph> {
+    build_vkg_with(VkgConfig::default())
+}
+
+fn build_vkg_with(config: VkgConfig) -> Arc<VirtualKnowledgeGraph> {
     let ds = movie_like(&MovieConfig::tiny());
     let (embeddings, _) = TransE::new(TransEConfig {
         dim: 16,
@@ -39,7 +43,7 @@ fn build_vkg() -> Arc<VirtualKnowledgeGraph> {
         ds.graph,
         ds.attributes,
         embeddings,
-        VkgConfig::default(),
+        config,
     ))
 }
 
@@ -753,22 +757,10 @@ fn stats_reports_epoch_accuracy_and_ledger() {
 /// admission counters confirm traffic really landed on two shards.
 #[test]
 fn writers_on_two_relations_do_not_block_each_others_readers() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let (embeddings, _) = TransE::new(TransEConfig {
-        dim: 16,
-        epochs: 6,
-        ..TransEConfig::default()
-    })
-    .train(&ds.graph);
-    let vkg = Arc::new(VirtualKnowledgeGraph::assemble(
-        ds.graph,
-        ds.attributes,
-        embeddings,
-        VkgConfig {
-            shards: 2,
-            ..VkgConfig::default()
-        },
-    ));
+    let vkg = build_vkg_with(VkgConfig {
+        shards: 2,
+        ..VkgConfig::default()
+    });
     let handle = start(
         &vkg,
         ServerConfig {
@@ -943,6 +935,44 @@ fn metrics_opcode_exports_reconciling_telemetry() {
     drop(client);
     let counters = handle.shutdown();
     assert_eq!(counters.admitted, counters.answered, "drain invariant");
+}
+
+/// A `Metrics` scrape observes the engine without touching it: on a
+/// two-shard engine whose traffic all lands on one shard, the other
+/// shard lags the crack log, and scraping must not make it catch up
+/// (that would take every shard's write lock) nor move the epoch.
+#[test]
+fn metrics_scrape_does_not_replay_the_crack_log() {
+    let vkg = build_vkg_with(VkgConfig {
+        shards: 2,
+        ..VkgConfig::default()
+    });
+    let handle = start(&vkg, ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+
+    let mut epoch = 0;
+    for i in 0..8u32 {
+        epoch = client
+            .top_k(EntityId(i), RelationId(0), Direction::Tails, 5)
+            .expect("top-k is answered")
+            .epoch;
+    }
+    for scrape in 0..2 {
+        let m = client.metrics(0).expect("metrics is answered");
+        assert!(
+            m.snapshot.gauge("core.cracklog.published") > Some(0),
+            "the served shard cracked, so its sibling has a log to lag behind"
+        );
+        assert_eq!(
+            m.snapshot.gauge("core.cracklog.replayed"),
+            Some(0),
+            "scrape {scrape} made the idle shard replay"
+        );
+        assert_eq!(m.epoch, epoch, "scrape {scrape} reports the served epoch");
+    }
+
+    drop(client);
+    handle.shutdown();
 }
 
 /// With an injected mock clock the server still serves correctly, and
