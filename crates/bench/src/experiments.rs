@@ -258,9 +258,12 @@ fn run_h2alsh(p: &Prepared, snap: &VkgSnapshot, k: usize, scale: Scale, label: &
         .map(EntityId)
         .filter(|&e| graph.entity_name(e).is_some_and(|n| n.starts_with("user_")))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "harness precondition: callers pass movie/amazon datasets, which define \"likes\""
+    )]
     let likes = graph
         .relation_id("likes")
-        // lint: allow(no-unwrap, harness precondition: callers pass movie/amazon datasets, which define "likes")
         .expect("movie/amazon datasets define a likes relation");
     let queries: Vec<Query> = (0..steady_queries(scale) + 20)
         .map(|i| Query {
@@ -278,7 +281,10 @@ fn run_h2alsh(p: &Prepared, snap: &VkgSnapshot, k: usize, scale: Scale, label: &
         true,
         || match H2AlshEngine::build(snap, items, H2AlshConfig::default()) {
             Ok(e) => Box::new(e),
-            // lint: allow(no-unwrap, harness invariant: the item filter above yields a non-empty in-range corpus)
+            #[expect(
+                clippy::panic,
+                reason = "harness invariant: the item filter above yields a non-empty in-range corpus"
+            )]
             Err(e) => panic!("item corpus is non-empty and in range: {e}"),
         },
     )
@@ -530,7 +536,10 @@ fn aggregate_sweep(
             .take(8)
             .collect()
     } else {
-        // lint: allow(no-unwrap, harness precondition: the non-freebase branch only sees movie/amazon datasets)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "harness precondition: the non-freebase branch only sees movie/amazon datasets"
+        )]
         let likes = p.dataset.graph.relation_id("likes").unwrap();
         p.dataset
             .graph

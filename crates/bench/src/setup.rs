@@ -115,7 +115,10 @@ impl Prepared {
             cfg,
         ) {
             Ok(s) => s,
-            // lint: allow(no-unwrap, Prepared constructors validate the dataset/embedding pairing)
+            #[expect(
+                clippy::panic,
+                reason = "Prepared constructors validate the dataset/embedding pairing"
+            )]
             Err(e) => panic!("prepared data is internally consistent: {e}"),
         }
     }

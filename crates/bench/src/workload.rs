@@ -95,7 +95,10 @@ pub fn generate_zipf(graph: &KnowledgeGraph, n: usize, seed: u64, s: f64) -> Vec
 pub fn run(engine: &mut dyn QueryEngine, snap: &VkgSnapshot, q: &Query, k: usize) -> TopKResult {
     match engine.top_k(snap, q.entity, q.relation, q.direction, k) {
         Ok(r) => r,
-        // lint: allow(no-unwrap, harness invariant: queries come from generate() over this graph)
+        #[expect(
+            clippy::panic,
+            reason = "harness invariant: queries come from generate() over this graph"
+        )]
         Err(e) => panic!("generated queries use valid ids: {e}"),
     }
 }
@@ -112,7 +115,10 @@ pub fn precision_vs_reference(
 ) -> f64 {
     let truth = match engine.reference_top_k(snap, q.entity, q.relation, q.direction, k) {
         Ok(t) => t,
-        // lint: allow(no-unwrap, harness invariant: queries come from generate() over this graph)
+        #[expect(
+            clippy::panic,
+            reason = "harness invariant: queries come from generate() over this graph"
+        )]
         Err(e) => panic!("generated queries use valid ids: {e}"),
     };
     if truth.is_empty() {

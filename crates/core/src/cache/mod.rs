@@ -145,9 +145,10 @@ impl CacheKey {
 }
 
 /// Outcome of a top-k probe.
-// Hit dwarfs Miss/Stale by design; boxing it would put an allocation on
-// the hit path this cache exists to make cheap.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "Hit dwarfs Miss/Stale by design; boxing it would put an allocation on the hit path this cache exists to make cheap"
+)]
 #[derive(Debug)]
 pub enum TopKLookup {
     /// A complete answer. The caller must replay `result.crack_region`
@@ -183,8 +184,10 @@ pub enum AggregateLookup {
     Miss,
 }
 
-// Same tradeoff as TopKLookup: values are stored once, read hot.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "same tradeoff as TopKLookup: values are stored once, read hot"
+)]
 #[derive(Debug, Clone)]
 enum CachedValue {
     TopK(TopKResult),

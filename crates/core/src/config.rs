@@ -136,6 +136,10 @@ impl VkgConfig {
     /// # Panics
     /// Panics on invalid parameter combinations.
     pub fn validate(&self) {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract; try_validate is the fallible form"
+        )]
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }

@@ -96,6 +96,10 @@ static SHARD_LOCK_NAMES: [&str; 32] = [
 ];
 
 fn shard_lock_name(i: usize) -> &'static str {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the index is clamped to len() - 1 of a non-empty constant table"
+    )]
     SHARD_LOCK_NAMES[i.min(SHARD_LOCK_NAMES.len() - 1)]
 }
 
@@ -253,6 +257,10 @@ impl ShardedEngine {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, IndexState> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i comes from shard_of/the router, bounded by shard count; the # Panics contract is the API"
+        )]
         self.shards[i].state.read()
     }
 
@@ -263,7 +271,10 @@ impl ShardedEngine {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, IndexState> {
-        // lint: allow(no-panic-on-request-path, i comes from shard_of/the router, bounded by shard count; the # Panics contract is the API)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i comes from shard_of/the router, bounded by shard count; the # Panics contract is the API"
+        )]
         self.shards[i].state.write()
     }
 
@@ -274,7 +285,10 @@ impl ShardedEngine {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_epoch(&self, i: usize) -> u64 {
-        // lint: allow(no-panic-on-request-path, i comes from shard_of/the router, bounded by shard count; the # Panics contract is the API)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i comes from shard_of/the router, bounded by shard count; the # Panics contract is the API"
+        )]
         self.shards[i].epoch.load(Ordering::Acquire)
     }
 
@@ -303,12 +317,14 @@ impl ShardedEngine {
         if self.shards.len() == 1 {
             return;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "applied has one cursor per shard, i is a valid shard index from the caller, and each cursor is <= entries.len() by construction"
+        )]
         let pending: Vec<Mbr> = {
             let mut log = self.crack_log.lock();
-            // lint: allow(no-panic-on-request-path, applied has one cursor per shard and each cursor is <= entries.len() by construction)
             let from = log.applied[i];
             let pending = log.entries[from..].to_vec();
-            // lint: allow(no-panic-on-request-path, applied has one cursor per shard; i is a valid shard index from the caller)
             log.applied[i] = log.entries.len();
             log.compact_if_converged();
             pending
@@ -327,6 +343,10 @@ impl ShardedEngine {
     /// shards replay the same cracks before they next serve. The caller
     /// must hold shard `i`'s write lock; call after any operation that
     /// may have cracked the tree (every query can).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "applied has one cursor per shard; i is a valid shard index from the caller"
+    )]
     pub fn publish_cracks(&self, i: usize, state: &mut IndexState) {
         if self.shards.len() == 1 {
             return;
@@ -339,14 +359,12 @@ impl ShardedEngine {
         self.cracks_published
             .fetch_add(fresh.len() as u64, Ordering::Relaxed);
         let mut log = self.crack_log.lock();
-        // lint: allow(no-panic-on-request-path, applied has one cursor per shard; i is a valid shard index from the caller)
         let at_tail = log.applied[i] == log.entries.len();
         log.entries.extend(fresh);
         if at_tail {
             // Nothing foreign arrived since this shard synced, so its
             // own cracks are the log tail and are already applied to
             // its tree — advance past them.
-            // lint: allow(no-panic-on-request-path, applied has one cursor per shard; i is a valid shard index from the caller)
             log.applied[i] = log.entries.len();
             log.compact_if_converged();
         }
@@ -486,6 +504,10 @@ impl<'a> ShardSetGuard<'a> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard(&self, i: usize) -> &IndexState {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lock_all holds one guard per shard and i is a shard index from shard_of/the router; the # Panics contract is the API"
+        )]
         &self.guards[i]
     }
 
@@ -494,6 +516,10 @@ impl<'a> ShardSetGuard<'a> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_mut(&mut self, i: usize) -> &mut IndexState {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lock_all holds one guard per shard and i is a shard index from shard_of/the router; the # Panics contract is the API"
+        )]
         &mut self.guards[i]
     }
 

@@ -88,7 +88,10 @@ impl IndexState {
     /// (a cached top-k′ answer for the *same* query at the *same*
     /// epochs seeds Algorithm 3's shrinking ball). With `warm` empty
     /// this is exactly `top_k_filtered`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the query field by field, plus the warm pairs and the filter"
+    )]
     pub fn top_k_warm(
         &mut self,
         snap: &VkgSnapshot,
@@ -287,7 +290,10 @@ impl QueryEngine for IndexState {
                 // √(‖q − centroid‖² + spread²), de-biased by E[√α/χ_α] for
                 // the S₂ → S₁ inverse-distance projection bias.
                 let center = summary.mbr.center();
-                // lint: allow(no-panic-on-request-path, MBR centers have the index dimensionality, which q_s2 never exceeds)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "MBR centers have the index dimensionality, which q_s2 never exceeds"
+                )]
                 let d_center: f64 = center[..q_s2.len()]
                     .iter()
                     .zip(&q_s2)
@@ -354,11 +360,14 @@ impl QueryEngine for IndexState {
         let b = probs.len();
 
         // Step 4: estimate + Theorem 4 bound, then crack for the region.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a = accessed.len() <= probs.len(): probs holds accessed then unaccessed"
+        )]
         let estimate = match spec.kind {
             AggregateKind::Count => aggregate::estimate_count(&probs),
             AggregateKind::Sum => aggregate::estimate_sum(&values, &probs),
             AggregateKind::Avg => aggregate::estimate_avg(&values, &probs),
-            // lint: allow(no-panic-on-request-path, a = accessed.len() <= probs.len(): probs holds accessed then unaccessed)
             AggregateKind::Max => aggregate::estimate_max(&values, &probs[..a]),
             AggregateKind::Min => aggregate::estimate_min(&values, &probs[..a]),
         };
@@ -370,10 +379,16 @@ impl QueryEngine for IndexState {
         let bound = if spec.kind == AggregateKind::Avg {
             let count = aggregate::estimate_count(&probs).max(1.0);
             let scaled: Vec<f64> = values.iter().map(|v| v / count).collect();
-            // lint: allow(no-panic-on-request-path, a = accessed.len() <= probs.len(): probs holds accessed then unaccessed)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a = accessed.len() <= probs.len(): probs holds accessed then unaccessed"
+            )]
             aggregate::deviation_bound(estimate, &scaled, &probs[a..], v_max / count)
         } else {
-            // lint: allow(no-panic-on-request-path, a = accessed.len() <= probs.len(): probs holds accessed then unaccessed)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a = accessed.len() <= probs.len(): probs holds accessed then unaccessed"
+            )]
             aggregate::deviation_bound(estimate, &values, &probs[a..], v_max)
         };
 

@@ -109,7 +109,10 @@ impl CrackingIndex {
     }
 
     pub(super) fn alloc(&mut self) -> NodeId {
-        // lint: allow(no-unwrap, node ids are u32 by design; 2^32 nodes would exceed addressable memory long before this fires)
+        #[expect(
+            clippy::expect_used,
+            reason = "node ids are u32 by design; 2^32 nodes would exceed addressable memory long before this fires"
+        )]
         let id = NodeId::try_from(self.nodes.len())
             .expect("invariant: node arena holds fewer than u32::MAX nodes");
         self.nodes.push(Node {

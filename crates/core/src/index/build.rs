@@ -257,7 +257,10 @@ pub fn build_element(
 /// element-level stop conditions were already evaluated by the caller, so
 /// the first split is mandatory (otherwise a stopped element would
 /// recurse forever).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "recursion state threaded explicitly: context, chooser, cost and output accumulators"
+)]
 fn partition(
     ctx: &SplitContext<'_>,
     stop_query: Option<&Mbr>,

@@ -74,7 +74,10 @@ impl CrackingIndex {
         let orders = match kind {
             NodeKind::Unsplit(_) => match std::mem::replace(kind, NodeKind::Internal(Vec::new())) {
                 NodeKind::Unsplit(orders) => orders,
-                // lint: allow(no-unwrap, replace returns the value matched Unsplit on the previous line)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "replace returns the value matched Unsplit on the previous line"
+                )]
                 _ => unreachable!("just matched Unsplit"),
             },
             _ => return cost,

@@ -101,6 +101,10 @@ impl CrackingIndex {
             // Expand the node's region on the way down.
             self.nodes[cur as usize].mbr.include_point(&point);
             let next = match &self.nodes[cur as usize].kind {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "split never installs a childless Internal; guarded by the debug_assert above"
+                )]
                 NodeKind::Internal(children) => {
                     debug_assert!(!children.is_empty());
                     children
@@ -116,7 +120,6 @@ impl CrackingIndex {
                                     .total_cmp(&self.nodes[b as usize].mbr.volume())
                             })
                         })
-                        // lint: allow(no-unwrap, split never installs a childless Internal; guarded by the debug_assert above)
                         .expect("internal node has children")
                 }
                 NodeKind::Leaf(_) | NodeKind::Unsplit(_) => break,
@@ -144,7 +147,10 @@ impl CrackingIndex {
                 orders.insert(points, id);
                 node.height = height_for(orders.len(), leaf_capacity, fanout);
             }
-            // lint: allow(no-unwrap, the descent loop above only breaks on Leaf or Unsplit)
+            #[expect(
+                clippy::unreachable,
+                reason = "the descent loop above only breaks on Leaf or Unsplit"
+            )]
             NodeKind::Internal(_) => unreachable!("descent ends at a contour element"),
         }
     }

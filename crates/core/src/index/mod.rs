@@ -164,11 +164,14 @@ impl CrackingIndex {
         // unsplit root is taken apart (swapping the kind out first would
         // destroy a leaf root's payload).
         if matches!(index.nodes[root as usize].kind, NodeKind::Unsplit(_)) {
+            #[expect(
+                clippy::unreachable,
+                reason = "replace returns the value the matches! above proved Unsplit"
+            )]
             let NodeKind::Unsplit(orders) = std::mem::replace(
                 &mut index.nodes[root as usize].kind,
                 NodeKind::Internal(Vec::new()),
             ) else {
-                // lint: allow(no-unwrap, replace returns the value the matches! above proved Unsplit)
                 unreachable!("kind matched Unsplit above");
             };
             let mut cost = RunCost::default();

@@ -132,7 +132,10 @@ pub(crate) fn crack_topk(index: &mut CrackingIndex, q: &Mbr, k: usize) {
         }
     }
 
-    // lint: allow(no-unwrap, the queue is seeded with one candidate and every non-terminal pop pushes at least one more; the loop can only exit via break with winner set)
+    #[expect(
+        clippy::expect_used,
+        reason = "the queue is seeded with one candidate and every non-terminal pop pushes at least one more; the loop can only exit via break with winner set"
+    )]
     let winner = winner.expect("queue seeded with one candidate");
     let mut chooser = ScriptChooser::new(winner.script, k);
     for &id in &elements {

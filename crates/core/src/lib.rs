@@ -46,9 +46,27 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-free outside written invariants (DESIGN.md §3.7): a site that
+// cannot fire says why in `#[expect(clippy::…, reason = "…")]`, which
+// clippy reports once it goes stale. `#[cfg(test)]` code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod cache;
 pub mod config;
+// The request path (the server calls into `engine` and `vkg` per
+// request): indexing must carry its bounds argument too.
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod engine;
 pub mod error;
 pub mod geometry;
@@ -58,7 +76,13 @@ pub mod query;
 pub mod rtree;
 pub mod snapshot;
 pub mod stats;
+#[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod vkg;
+// The durability path: a discarded IO result is an acked-but-lost write.
+#[cfg_attr(
+    not(test),
+    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 pub mod wal;
 
 pub use cache::ResultCache;

@@ -113,7 +113,10 @@ pub fn find_top_k(
 /// query at an identical snapshot epoch (their distances and skip status
 /// are trusted verbatim); they are not counted as oracle evaluations.
 /// With `warm` empty this **is** `find_top_k`, byte for byte.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "Algorithm 3's inputs (index, q, k, ε, α) plus the warm pairs and the two oracles"
+)]
 pub fn find_top_k_warm(
     index: &mut CrackingIndex,
     q_s2: &[f64],

@@ -21,6 +21,10 @@ const POOLED_MIN: usize = 4096;
 /// id). Shared by the serial and pooled builders so both produce the
 /// identical permutation.
 fn sort_axis(points: &PointSet, axis: usize, order: &mut [u32]) {
+    #[expect(
+        clippy::expect_used,
+        reason = "can fire: a NaN coordinate has no order to sort by, and nothing upstream rejects non-finite embeddings yet (ROADMAP aim 3); the message names the cause"
+    )]
     order.sort_unstable_by(|&a, &b| {
         points
             .coord(a, axis)
@@ -118,6 +122,10 @@ impl SortOrders {
         }
         // The first/last entries of each order give that axis's extremes;
         // include both endpoint *points* so every axis of the MBR is set.
+        #[expect(
+            clippy::expect_used,
+            reason = "every order holds the same len() points, and the empty case returned above"
+        )]
         for order in &self.orders {
             mbr.include_point(points.point(order[0]));
             mbr.include_point(points.point(*order.last().expect("non-empty order")));

@@ -251,7 +251,10 @@ impl VirtualKnowledgeGraph {
     ) -> Self {
         match Self::try_assemble(graph, attributes, embeddings, config) {
             Ok(vkg) => vkg,
-            // lint: allow(no-unwrap, documented `# Panics` contract; try_assemble is the fallible form)
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract; try_assemble is the fallible form"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -309,7 +312,10 @@ impl VirtualKnowledgeGraph {
     ) -> Self {
         match Self::try_assemble_bulk_loaded(graph, attributes, embeddings, config) {
             Ok(vkg) => vkg,
-            // lint: allow(no-unwrap, documented `# Panics` contract; try_assemble_bulk_loaded is the fallible form)
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract; try_assemble_bulk_loaded is the fallible form"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -583,7 +589,10 @@ impl VirtualKnowledgeGraph {
     /// request while holding one shard lock for the whole group; the
     /// facade's own [`VirtualKnowledgeGraph::top_k`] wraps it. It does
     /// **not** record query latency metrics — callers own that.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the query field by field, plus the pin, snapshot and state the caller holds"
+    )]
     pub fn top_k_pinned(
         &self,
         pin: ShardPin,
@@ -612,7 +621,10 @@ impl VirtualKnowledgeGraph {
     /// (equal bytes ⇒ equal predicate — the wire protocol's filter
     /// encoding qualifies); with `None` the call bypasses the cache,
     /// because a bare closure cannot be keyed.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the query field by field, plus the pin, snapshot and state the caller holds"
+    )]
     pub fn top_k_filtered_pinned(
         &self,
         pin: ShardPin,
@@ -644,7 +656,10 @@ impl VirtualKnowledgeGraph {
     /// Shared cacheable top-k path. `key_filter` is the key's filter
     /// fingerprint (`None` = the unfiltered query), distinct from the
     /// executable `filter` closure, which always runs on misses.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the query field by field, plus the pin, snapshot and state the caller holds"
+    )]
     fn top_k_cached(
         &self,
         pin: ShardPin,
@@ -702,7 +717,10 @@ impl VirtualKnowledgeGraph {
     /// (`sample_size.is_some()`) always bypass the cache: their access
     /// order depends on tree shape, so their answers are not
     /// reproducible across differently-cracked trees.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the query field by field, plus the pin, snapshot and state the caller holds"
+    )]
     pub fn aggregate_pinned(
         &self,
         pin: ShardPin,
@@ -808,6 +826,10 @@ impl VirtualKnowledgeGraph {
         let shard_count = self.engine.shard_count();
         let mut by_shard: Vec<Vec<(usize, RelationId)>> = vec![Vec::new(); shard_count];
         for (slot, &r) in relations.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "by_shard has shard_count rows and shard_of returns an index below shard_count, which config validation keeps >= 1"
+            )]
             by_shard[self.engine.shard_of(r)].push((slot, r));
         }
         let groups: Vec<(usize, Vec<(usize, RelationId)>)> = by_shard
@@ -822,6 +844,10 @@ impl VirtualKnowledgeGraph {
         // the serial-vs-parallel gauges cover multi-relation queries too.
         let pool = Pool::new(width).with_stats(self.engine.pool_stats().clone());
         pool.run(groups.len(), |gi| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Pool::run(n, f) calls f only with indices below n = groups.len()"
+            )]
             let (shard, group) = &groups[gi];
             let mut state = self.engine.write_shard(*shard);
             self.engine.sync_shard(*shard, &mut state);
@@ -836,6 +862,10 @@ impl VirtualKnowledgeGraph {
                 shard: *shard,
                 shard_epoch: self.engine.shard_epoch(*shard),
             };
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "slot enumerates `relations`, and `slots` holds one cell per relation"
+            )]
             for &(slot, relation) in group {
                 let answer = self
                     .aggregate_pinned(pin, &snap, &mut state, entity, relation, direction, spec)
@@ -902,11 +932,18 @@ impl VirtualKnowledgeGraph {
     /// A typed [`VkgError`] if the embedding's dimensionality does not
     /// match the store or the dense id space is exhausted; the failed
     /// write publishes nothing.
-    ///
-    /// # Panics
-    /// Panics if the S₁ embedding length disagrees with the embedding
-    /// store (caught before any index mutation).
     pub fn add_entity_dynamic(&self, name: &str, s1_embedding: &[f64]) -> VkgResult<EntityId> {
+        // The dimensionality is fixed at assembly, so any snapshot
+        // answers; checked before the shard locks, under which a
+        // mismatched row would panic in the store.
+        let dim = self.snapshot().embeddings().dim();
+        if s1_embedding.len() != dim {
+            return Err(VkgError::Mismatch {
+                what: "entity embedding dimensionality",
+                expected: dim,
+                found: s1_embedding.len(),
+            });
+        }
         let mut shards = self.engine.lock_all();
         let mut next = (*self.snapshot()).clone();
         let id = next.graph_mut().add_entity(name);
@@ -1128,11 +1165,6 @@ impl VirtualKnowledgeGraph {
             truncated_bytes: recovered.stats.truncated_bytes,
             epoch: self.epoch(),
         })
-    }
-
-    /// Whether a WAL is attached (writes are durable before they ack).
-    pub fn wal_attached(&self) -> bool {
-        self.durability.lock().writer.is_some()
     }
 
     /// Sets (or updates) an attribute of an entity — aggregate queries

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{Direction, SplitStrategy, VkgConfig};
+use vkg_core::{AggregateSpec, Direction, FaultPlane, SplitStrategy, VkgConfig};
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, KnowledgeGraph, RelationId};
 use vkg_sync::{model, thread};
@@ -418,4 +418,66 @@ fn cached_reads_race_writer_without_stale_answers() {
         vkg.index().check_invariants();
     })
     .unwrap_or_else(|v| panic!("cache-race model failed: {v}"));
+}
+
+/// The lock-order check (DESIGN.md §3.7): every lock nesting the facade
+/// has, executed once per schedule — two shards, the cache on (stripe
+/// under shard), a WAL attached (durability under all shards), every
+/// read entry point, a fan-out over both shards, every kind of writer.
+/// The checker's acquired-while-holding graph is per run, so executing a
+/// nesting once is enough for it to report two locks taken in both
+/// orders; a nesting that can block forever shows up as a deadlock.
+#[test]
+fn every_lock_nesting_on_the_facade_is_walked() {
+    let log = std::env::temp_dir().join(format!("vkg_model_{}.wal", std::process::id()));
+    model::sweep(SEEDS, || {
+        let (vkg, likes) = tiny_vkg_config(2, 64);
+        let also = vkg.graph().relation_id("also").expect("also");
+        assert_ne!(vkg.shard_of(likes), vkg.shard_of(also), "one per shard");
+        let _ = std::fs::remove_file(&log);
+        vkg.attach_wal(&log, FaultPlane::none()).expect("fresh log");
+        let vkg = Arc::new(vkg);
+        let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
+        let (u0, u1, m1, m4) = (id("u0"), id("u1"), id("m1"), id("m4"));
+        let dim = vkg.embeddings().dim();
+
+        let reader = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                let tails = Direction::Tails;
+                let count = AggregateSpec::count(0.05);
+                vkg.top_k(u0, likes, tails, 2).expect("top-k");
+                vkg.top_k_filtered(u0, likes, tails, 2, |e| e != m1)
+                    .expect("filtered top-k");
+                vkg.aggregate(u0, likes, tails, &count).expect("aggregate");
+                let multi = vkg
+                    .aggregate_multi(u0, &[likes, also], tails, &count)
+                    .expect("fan-out aggregate");
+                assert_eq!(multi.parts.len(), 2);
+                vkg.with_published_engine(|pin, _snap, shards| {
+                    assert_eq!(pin.shard_epochs.len(), shards.len());
+                });
+                vkg.metrics_snapshot();
+            })
+        };
+        let writer = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                let (added, _) = vkg
+                    .add_fact_durable(7, u1, likes, m4, 2, 0.01)
+                    .expect("logged write");
+                assert!(added, "fresh edge");
+                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
+                    .expect("well-shaped embedding");
+                vkg.set_attribute_dynamic("year", m1, 1999.0);
+                vkg.quiesce();
+            })
+        };
+        reader.join().expect("reader");
+        writer.join().expect("writer");
+        assert_eq!(vkg.epoch(), 3, "one publication per write");
+        vkg.index().check_invariants();
+    })
+    .unwrap_or_else(|v| panic!("lock-nesting model failed: {v}"));
+    let _ = std::fs::remove_file(&log);
 }

@@ -19,6 +19,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-free outside written invariants (DESIGN.md §3.7): a site that
+// cannot fire says why in `#[expect(clippy::…, reason = "…")]`, which
+// clippy reports once it goes stale. `#[cfg(test)]` code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod io;
 pub mod least_squares;

@@ -118,7 +118,10 @@ impl EmbeddingStore {
     /// Panics if the row's dimensionality does not match the store's.
     pub fn push_entity(&mut self, row: &[f64]) -> EntityId {
         assert_eq!(row.len(), self.dim, "entity row dimensionality mismatch");
-        // lint: allow(no-unwrap, documented # Panics contract; 2^32 rows would exhaust memory first)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented # Panics contract; 2^32 rows would exhaust memory first"
+        )]
         let id = u32::try_from(self.num_entities()).expect("entity id overflow");
         self.entities.push_row(row);
         EntityId(id)

@@ -176,7 +176,10 @@ impl TransA {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one SGD step: the store, the weights, and the positive and corrupted triple ids"
+    )]
     fn step(
         &self,
         store: &mut EmbeddingStore,

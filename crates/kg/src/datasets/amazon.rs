@@ -130,14 +130,20 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
             rating_sum[pi] += stars;
             rating_cnt[pi] += 1;
             if stars >= 4.0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(u, likes, products[pi])
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             } else if stars <= 2.0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(u, dislikes, products[pi])
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             }
         }
@@ -166,7 +172,7 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
                     continue;
                 }
                 let sim = dot(&prod_latent[pi], &prod_latent[qi]);
-                if best.map_or(true, |(_, s)| sim > s) {
+                if best.is_none_or(|(_, s)| sim > s) {
                     best = Some((qi, sim));
                 }
             }
@@ -176,9 +182,12 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
                 } else {
                     also_bought
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(p, rel, products[qi])
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             }
         }

@@ -118,6 +118,10 @@ pub fn freebase_like(cfg: &FreebaseConfig) -> Dataset {
     let mut added = 0usize;
     let mut attempts = 0usize;
     let max_attempts = cfg.edges * 4;
+    #[expect(
+        clippy::expect_used,
+        reason = "both endpoints were just added to this graph by the generator"
+    )]
     while added < cfg.edges && attempts < max_attempts {
         attempts += 1;
         let ri = rel_zipf.sample(&mut rng);
@@ -129,7 +133,6 @@ pub fn freebase_like(cfg: &FreebaseConfig) -> Dataset {
         }
         if graph
             .add_triple(entities[h], relations[ri], entities[t])
-            // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
             .expect("generated ids are valid")
         {
             added += 1;

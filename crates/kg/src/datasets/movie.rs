@@ -140,28 +140,37 @@ pub fn movie_like(cfg: &MovieConfig) -> Dataset {
         .collect();
     let tag_zipf = Zipf::new(cfg.tags.max(1), 1.0);
     for (mi, &m) in movies.iter().enumerate() {
+        #[expect(
+            clippy::expect_used,
+            reason = "dot products of finite latent vectors are never NaN"
+        )]
         let best = genre_anchor
             .iter()
             .enumerate()
             .max_by(|(_, a), (_, b)| {
                 dot(a, &movie_latent[mi])
                     .partial_cmp(&dot(b, &movie_latent[mi]))
-                    // lint: allow(no-unwrap, dot products of finite latent vectors are never NaN)
                     .expect("finite dot products")
             })
             .map(|(gi, _)| gi)
             .unwrap_or(0);
+        #[expect(
+            clippy::expect_used,
+            reason = "both endpoints were just added to this graph by the generator"
+        )]
         graph
             .add_triple(m, has_genre, genres[best])
-            // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
             .expect("generated ids are valid");
         if !tags.is_empty() {
             let ntags = rng.gen_range(0..3);
             for _ in 0..ntags {
                 let t = tags[tag_zipf.sample(&mut rng)];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(m, has_tag, t)
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             }
         }
@@ -176,14 +185,20 @@ pub fn movie_like(cfg: &MovieConfig) -> Dataset {
             let score = dot(&user_latent[ui], &movie_latent[mi]) + rng.gen_range(-0.25..0.25);
             let stars = to_star_rating(score);
             if stars >= 4.0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(u, likes, movies[mi])
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             } else if stars <= 2.0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "both endpoints were just added to this graph by the generator"
+                )]
                 graph
                     .add_triple(u, dislikes, movies[mi])
-                    // lint: allow(no-unwrap, both endpoints were just added to this graph by the generator)
                     .expect("generated ids are valid");
             }
         }

@@ -66,7 +66,10 @@ impl Interner {
         if let Some(&id) = self.index.get(name) {
             return id;
         }
-        // lint: allow(no-unwrap, 2^32 interned names would exhaust memory long before the id space)
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 interned names would exhaust memory long before the id space"
+        )]
         let id = u32::try_from(self.names.len()).expect("more than u32::MAX interned names");
         Arc::make_mut(&mut self.names).push(name.to_owned());
         Arc::make_mut(&mut self.index).insert(name.to_owned(), id);

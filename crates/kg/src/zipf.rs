@@ -58,9 +58,12 @@ impl Zipf {
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
+        #[expect(
+            clippy::expect_used,
+            reason = "the CDF is built from finite positive masses; no entry is NaN"
+        )]
         match self
             .cdf
-            // lint: allow(no-unwrap, the CDF is built from finite positive masses; no entry is NaN)
             .binary_search_by(|p| p.partial_cmp(&u).expect("NaN in CDF"))
         {
             Ok(i) => i,

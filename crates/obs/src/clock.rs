@@ -4,9 +4,9 @@
 //! clock's origin). The real clock is a thin wrapper over
 //! [`std::time::Instant`]; the mock clock is an atomic counter that
 //! tests advance by hand, so span timings and deadline logic are
-//! deterministic under test. The xtask `no-raw-timing` lint keeps
-//! `Instant::now()` out of every crate except this one and the bench
-//! binaries, which forces all timing through this seam.
+//! deterministic under test. Clippy's `disallowed-methods` (the root
+//! `clippy.toml`) keeps `Instant::now()` out of every crate except this
+//! one and the bench harness, which forces all timing through this seam.
 
 use std::time::{Duration, Instant};
 
@@ -116,7 +116,7 @@ impl Clock {
 
 /// A started timer: a [`Clock`] plus its start tick — the drop-in
 /// replacement for the `let t = Instant::now(); … t.elapsed()` idiom in
-/// code the `no-raw-timing` lint covers.
+/// code where `clippy.toml` disallows `Instant::now`.
 #[derive(Debug, Clone)]
 pub struct Stopwatch {
     clock: Clock,

@@ -11,9 +11,7 @@
 //!   increments cheap), gauges, and geometric-bucket [`Histogram`]s.
 //!   There are no globals: a registry is instantiated per
 //!   `Vkg` / per `Server` and handed out as cheap cloneable handles
-//!   ([`Counter`], [`Gauge`], [`HistogramCell`]). A [`Registry::noop`]
-//!   registry hands out dead handles whose recording methods are
-//!   branch-predictable no-ops.
+//!   ([`Counter`], [`Gauge`], [`HistogramCell`]).
 //! * [`Span`] / [`SpanRing`] — one record per served request, following
 //!   it through admission → queue wait → shard lock → crack/refine →
 //!   encode, written into a fixed-size lock-free ring with exact
@@ -21,7 +19,7 @@
 //!   protocol).
 //! * [`Clock`] / [`Tick`] — the one place the workspace reads time.
 //!   Everything outside this crate and the bench binaries goes through
-//!   a `Clock` (the xtask `no-raw-timing` lint enforces it), so tests
+//!   a `Clock` (clippy's `disallowed-methods` enforces it), so tests
 //!   can substitute [`Clock::mock`] and advance time deterministically.
 //! * [`MetricsSnapshot`] — a point-in-time, wire-encodable dump of the
 //!   registry plus the last-N spans; [`expo`] renders it as a text

@@ -6,10 +6,6 @@
 //! as they like without cross-talk. Handles are cheap `Arc` clones and
 //! record lock-free (counters/gauges) or under a short mutex
 //! (histograms, which are only touched once per served request).
-//!
-//! [`Registry::noop`] produces a registry whose handles carry no
-//! storage at all: every recording method is one branch on an
-//! always-taken pattern.
 
 use std::time::Duration;
 
@@ -63,19 +59,17 @@ impl Stripes {
 }
 
 /// A monotonically increasing counter handle. Cloning shares the
-/// underlying cells; a handle from [`Registry::noop`] records nothing.
-#[derive(Debug, Clone, Default)]
+/// underlying cells.
+#[derive(Debug, Clone)]
 pub struct Counter {
-    cells: Option<Arc<Stripes>>,
+    cells: Arc<Stripes>,
 }
 
 impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(cells) = &self.cells {
-            cells.add(n);
-        }
+        self.cells.add(n);
     }
 
     /// Adds one to the counter.
@@ -86,68 +80,60 @@ impl Counter {
 
     /// Current value (sum over stripes).
     pub fn get(&self) -> u64 {
-        self.cells.as_ref().map_or(0, |c| c.sum())
+        self.cells.sum()
     }
 }
 
 /// A last-value-wins gauge handle (queue depth, epoch, pool width).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Gauge {
-    cell: Option<Arc<AtomicU64>>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Gauge {
     /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: u64) {
-        if let Some(cell) = &self.cell {
-            // relaxed: pure statistic; last-value-wins with no ordering
-            // obligation to other state.
-            cell.store(v, Ordering::Relaxed);
-        }
+        // relaxed: pure statistic; last-value-wins with no ordering
+        // obligation to other state.
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
         // relaxed: pure statistic (see `set`).
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A histogram handle. Recording takes a short mutex — histograms are
 /// touched once per served request, not per point, so contention is
 /// bounded by request rate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HistogramCell {
-    inner: Option<Arc<Mutex<Histogram>>>,
+    inner: Arc<Mutex<Histogram>>,
 }
 
 impl HistogramCell {
     /// Records one duration sample.
     #[inline]
     pub fn record(&self, d: Duration) {
-        if let Some(h) = &self.inner {
-            h.lock().record(d);
-        }
+        self.inner.lock().record(d);
     }
 
     /// Records one sample in microseconds.
     #[inline]
     pub fn record_us(&self, us: u64) {
-        if let Some(h) = &self.inner {
-            h.lock().record_us(us);
-        }
+        self.inner.lock().record_us(us);
     }
 
-    /// A copy of the current histogram (empty for no-op handles).
+    /// A copy of the current histogram.
     pub fn read(&self) -> Histogram {
-        self.inner
-            .as_ref()
-            .map_or_else(Histogram::new, |h| h.lock().clone())
+        self.inner.lock().clone()
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     counters: Mutex<Vec<(String, Arc<Stripes>)>>,
     gauges: Mutex<Vec<(String, Arc<AtomicU64>)>>,
@@ -160,40 +146,26 @@ struct Inner {
 /// name and intended for setup time; the returned handles are what hot
 /// paths touch. [`Registry::snapshot`] dumps every metric, sorted by
 /// name, into a [`MetricsSnapshot`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl Registry {
     /// A live registry.
     pub fn active() -> Self {
         Registry {
-            inner: Some(Arc::new(Inner {
+            inner: Arc::new(Inner {
                 counters: Mutex::with_name(Vec::new(), "obs.counters"),
                 gauges: Mutex::with_name(Vec::new(), "obs.gauges"),
                 hists: Mutex::with_name(Vec::new(), "obs.hists"),
-            })),
+            }),
         }
-    }
-
-    /// A registry that records nothing and snapshots empty. Handles it
-    /// hands out are storage-free.
-    pub fn noop() -> Self {
-        Registry { inner: None }
-    }
-
-    /// Whether this registry discards everything.
-    pub fn is_noop(&self) -> bool {
-        self.inner.is_none()
     }
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let Some(inner) = &self.inner else {
-            return Counter::default();
-        };
-        let mut list = inner.counters.lock();
+        let mut list = self.inner.counters.lock();
         let cells = match list.iter().find(|(n, _)| n == name) {
             Some((_, c)) => c.clone(),
             None => {
@@ -202,15 +174,12 @@ impl Registry {
                 c
             }
         };
-        Counter { cells: Some(cells) }
+        Counter { cells }
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::default();
-        };
-        let mut list = inner.gauges.lock();
+        let mut list = self.inner.gauges.lock();
         let cell = match list.iter().find(|(n, _)| n == name) {
             Some((_, c)) => c.clone(),
             None => {
@@ -219,15 +188,12 @@ impl Registry {
                 c
             }
         };
-        Gauge { cell: Some(cell) }
+        Gauge { cell }
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> HistogramCell {
-        let Some(inner) = &self.inner else {
-            return HistogramCell::default();
-        };
-        let mut list = inner.hists.lock();
+        let mut list = self.inner.hists.lock();
         let cell = match list.iter().find(|(n, _)| n == name) {
             Some((_, h)) => h.clone(),
             None => {
@@ -236,7 +202,7 @@ impl Registry {
                 h
             }
         };
-        HistogramCell { inner: Some(cell) }
+        HistogramCell { inner: cell }
     }
 
     /// A point-in-time dump of every registered metric, sorted by name.
@@ -244,9 +210,7 @@ impl Registry {
     /// them in (see [`MetricsSnapshot`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let Some(inner) = &self.inner else {
-            return snap;
-        };
+        let inner = &self.inner;
         snap.counters = inner
             .counters
             .lock()
@@ -300,22 +264,6 @@ mod tests {
         let read = r.histogram("latency_us").read();
         assert_eq!(read.len(), 2);
         assert_eq!(read.max(), Duration::from_micros(700));
-    }
-
-    #[test]
-    fn noop_registry_discards_everything() {
-        let r = Registry::noop();
-        assert!(r.is_noop());
-        let c = r.counter("x");
-        c.add(100);
-        assert_eq!(c.get(), 0);
-        let g = r.gauge("y");
-        g.set(9);
-        assert_eq!(g.get(), 0);
-        let h = r.histogram("z");
-        h.record_us(123);
-        assert!(h.read().is_empty());
-        assert_eq!(r.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -332,7 +332,7 @@ impl Client {
 
     /// Aggregate over the probability ball around `(entity, relation)`.
     /// Mirrors the wire message field-for-field, hence the arity.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per wire field")]
     pub fn aggregate(
         &mut self,
         entity: EntityId,

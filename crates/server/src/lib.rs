@@ -57,11 +57,31 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-free outside written invariants (DESIGN.md §3.7), indexing
+// included: every line here runs per request. A site that cannot fire
+// says why in `#[expect(clippy::…, reason = "…")]`, which clippy reports
+// once it goes stale. `#[cfg(test)]` code is exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod client;
+// The codec: a narrowing `as` states the bound that makes it lossless.
+#[cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 pub mod protocol;
 pub mod queue;
 pub mod server;
+#[cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 pub mod wire;
 
 pub use client::{Client, ClientError, ClientResult, RetryPolicy, RetryStats};

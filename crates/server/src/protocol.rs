@@ -618,7 +618,10 @@ const BUCKET_PAIR_BYTES: usize = 12;
 const SPAN_WIRE_BYTES: usize = 62;
 
 fn encode_named_u64s(e: &mut Enc, rows: &[(String, u64)]) {
-    // lint: allow(no-truncating-cast, encode side; registries hold tens of metrics, nowhere near 2^32)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "encode side; registries hold tens of metrics, nowhere near 2^32"
+    )]
     e.u32(rows.len() as u32);
     for (name, value) in rows {
         e.str(name);
@@ -641,13 +644,19 @@ impl MetricsWire {
         e.u64(self.epoch);
         encode_named_u64s(e, &self.snapshot.counters);
         encode_named_u64s(e, &self.snapshot.gauges);
-        // lint: allow(no-truncating-cast, encode side; registries hold tens of histograms, nowhere near 2^32)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode side; registries hold tens of histograms, nowhere near 2^32"
+        )]
         e.u32(self.snapshot.hists.len() as u32);
         for (name, h) in &self.snapshot.hists {
             e.str(name);
             e.u64(h.total);
             e.u64(h.max_us);
-            // lint: allow(no-truncating-cast, encode side; bucket count is bounded by the histogram's fixed resolution)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "encode side; bucket count is bounded by the histogram's fixed resolution"
+            )]
             e.u32(h.buckets.len() as u32);
             for &(bucket, count) in &h.buckets {
                 e.u32(bucket);
@@ -656,13 +665,15 @@ impl MetricsWire {
         }
         e.u64(self.snapshot.spans_recorded);
         e.u64(self.snapshot.spans_dropped);
-        // lint: allow(no-truncating-cast, encode side; span count is bounded by the ring capacity)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode side; span count is bounded by the ring capacity"
+        )]
         e.u32(self.snapshot.spans.len() as u32);
         for s in &self.snapshot.spans {
             e.u64(s.id);
             e.u8(s.op);
             e.u32(s.shard);
-            // lint: allow(no-truncating-cast, encode side; SpanOutcome is a fieldless u8-ranged enum)
             e.u8(s.outcome as u8);
             e.u64(s.queue_ns);
             e.u64(s.lock_ns);
@@ -836,7 +847,10 @@ impl Response {
             Response::TopK(t) => {
                 e.u8(op::R_TOP_K);
                 e.u64(t.epoch);
-                // lint: allow(no-truncating-cast, encode side; k is capped at MAX_K well below 2^32)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "encode side; k is capped at MAX_K well below 2^32"
+                )]
                 e.u32(t.predictions.len() as u32);
                 for p in &t.predictions {
                     e.u32(p.id);
@@ -883,7 +897,10 @@ impl Response {
                 e.u64(s.server.shed);
                 e.u64(s.server.deadline_expired);
                 e.u64(s.server.drained);
-                // lint: allow(no-truncating-cast, encode side; shard counts are configuration-bounded, nowhere near 2^32)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "encode side; shard counts are configuration-bounded, nowhere near 2^32"
+                )]
                 e.u32(s.shards.len() as u32);
                 for sh in &s.shards {
                     e.u64(sh.epoch);

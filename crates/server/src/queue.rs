@@ -250,7 +250,10 @@ impl ShardCounters {
     pub fn record_admitted(&self, shard: usize) {
         // Release: pairs with the Acquire load in `snapshot`, mirroring
         // the global counters' drain-invariant ordering.
-        // lint: allow(no-panic-on-request-path, shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API"
+        )]
         self.slots[shard].admitted.fetch_add(1, Ordering::Release);
     }
 
@@ -261,7 +264,10 @@ impl ShardCounters {
     pub fn record_answered(&self, shard: usize) {
         // Release: pairs with the Acquire load in `snapshot`, mirroring
         // the global counters' drain-invariant ordering.
-        // lint: allow(no-panic-on-request-path, shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API"
+        )]
         self.slots[shard].answered.fetch_add(1, Ordering::Release);
     }
 

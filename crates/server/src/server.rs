@@ -353,14 +353,6 @@ impl ServerHandle {
         metrics_export(&self.shared, last_spans)
     }
 
-    /// Whether a drain has been triggered (locally or by a client's
-    /// `Shutdown` request).
-    pub fn is_draining(&self) -> bool {
-        // seqcst: drain flag; all threads must agree on one global
-        // order of drain vs. admit (see shutdown()).
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Triggers a graceful drain and blocks until every thread exits:
     /// stop accepting, answer all admitted work, join workers.
     pub fn shutdown(mut self) -> ServerCounters {
@@ -412,10 +404,10 @@ const fn max_k_per_frame() -> u32 {
 /// Validates and clamps a decoded request's parameters before it is
 /// admitted (see the module docs). Returns the typed refusal to send
 /// instead of queueing when a parameter is rejected outright.
-// The Err IS the payload here (a full refusal Response, now carrying
-// per-shard stats rows); it is built once per rejected request on the
-// cold path, so boxing would only add an allocation.
-#[allow(clippy::result_large_err)]
+#[allow(
+    clippy::result_large_err,
+    reason = "the Err is the payload: a full refusal Response, built once per rejected request on the cold path, so boxing would only add an allocation"
+)]
 fn sanitize(shared: &Shared, request: &mut Request) -> Result<(), Response> {
     match &mut request.op {
         RequestOp::TopK { k, .. } | RequestOp::TopKFiltered { k, .. } => {
@@ -601,7 +593,10 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // request; either way the conversation is over.
                 return;
             }
-            // lint: allow(no-panic-on-request-path, read() returns n <= chunk.len() by the io::Read contract)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "read() returns n <= chunk.len() by the io::Read contract"
+            )]
             Ok(n) => buf.feed(&chunk[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {

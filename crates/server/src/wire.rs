@@ -113,6 +113,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop runs only while filled < 4 = len_buf.len(), and read() returns n <= the slice it was handed, so filled never passes 4"
+    )]
     while filled < 4 {
         match r.read(&mut len_buf[filled..]) {
             Ok(0) => {
@@ -231,7 +235,10 @@ impl Enc {
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        // lint: allow(no-truncating-cast, encode side; strings are bounded by MAX_FRAME = 1 MiB < 2^32)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode side; strings are bounded by MAX_FRAME = 1 MiB < 2^32"
+        )]
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }

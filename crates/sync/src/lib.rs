@@ -3,7 +3,8 @@
 //! Every crate in the workspace takes its concurrency primitives —
 //! [`Mutex`], [`RwLock`], [`Condvar`], [`AtomicU64`], [`AtomicBool`],
 //! [`thread::spawn`] — from this crate instead of `std::sync` or
-//! `parking_lot` (the `xtask` lint enforces that). The crate has two
+//! `parking_lot` (clippy's `disallowed-types` / `disallowed-methods` in
+//! the root `clippy.toml` enforce that). The crate has two
 //! personalities selected by the `model` cargo feature:
 //!
 //! * **Passthrough (default).** Thin `#[inline]` newtypes over

@@ -118,58 +118,6 @@ pub fn inverse_projected_distance_bias(alpha: usize) -> f64 {
     (alpha as f64 / 2.0).sqrt() * gamma_half(alpha - 1) / gamma_half(alpha)
 }
 
-/// `E[1/‖Z‖]` for `Z ~ N(μ, σ²·I_α)` with `‖μ‖ = delta` and total variance
-/// `spread_sq = α·σ²` — the mean inverse distance from a query to a point
-/// cloud summarized by its centroid offset and spread.
-///
-/// Closed form (noncentral χ moment of order −1):
-/// `E[1/‖Z‖] = Γ((α−1)/2)/(√2·Γ(α/2)) · ₁F₁(1/2; α/2; −λ²/2) / σ` with
-/// `λ = delta/σ`. Evaluated through the Kummer transformation
-/// `₁F₁(a; b; −x) = e^{−x}·₁F₁(b−a; b; x)`, whose series has all-positive
-/// terms (numerically stable), with the asymptote `1/delta` for `λ² > 80`.
-///
-/// Compared with the naive `1/√(E‖Z‖²) = 1/√(delta² + spread_sq)`, this
-/// keeps the Jensen gap that matters when the query sits *inside* the
-/// cloud: at `delta = 0`, `E[1/‖Z‖]` exceeds the naive value by the same
-/// `√(α/2)·Γ((α−1)/2)/Γ(α/2)` factor returned by
-/// [`inverse_projected_distance_bias`].
-///
-/// # Panics
-/// Panics if `α < 2` (the expectation diverges at α = 1) or if both
-/// `delta` and `spread_sq` are zero.
-pub fn mean_inverse_distance(delta: f64, spread_sq: f64, alpha: usize) -> f64 {
-    assert!(alpha >= 2, "E[1/‖Z‖] diverges for α < 2, got α = {alpha}");
-    assert!(
-        delta > 0.0 || spread_sq > 0.0,
-        "mean inverse distance of a degenerate cloud at the query point"
-    );
-    if spread_sq <= 0.0 {
-        return 1.0 / delta;
-    }
-    let sigma = (spread_sq / alpha as f64).sqrt();
-    let lambda_sq = (delta / sigma).powi(2);
-    if lambda_sq > 80.0 {
-        // ₁F₁ asymptote: the cloud is far away, distance ≈ delta.
-        return 1.0 / delta;
-    }
-    // ₁F₁(1/2; α/2; −λ²/2) = e^{−λ²/2}·₁F₁((α−1)/2; α/2; λ²/2).
-    let a = (alpha as f64 - 1.0) / 2.0;
-    let b = alpha as f64 / 2.0;
-    let x = lambda_sq / 2.0;
-    let mut term = 1.0;
-    let mut series = 1.0;
-    for k in 0..500 {
-        let kf = k as f64;
-        term *= (a + kf) * x / ((b + kf) * (kf + 1.0));
-        series += term;
-        if term < series * 1e-14 {
-            break;
-        }
-    }
-    let kummer = (-x).exp() * series;
-    gamma_half(alpha - 1) / (std::f64::consts::SQRT_2 * gamma_half(alpha)) * kummer / sigma
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

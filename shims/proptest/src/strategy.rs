@@ -138,7 +138,7 @@ impl<V> Strategy for Union<V> {
             }
             draw -= *weight;
         }
-        // lint: allow(no-unwrap, the draw is < the sum of weights, so the loop above always returns)
+        // The draw is < the sum of weights, so the loop above always returns.
         unreachable!("weighted draw exceeded total weight")
     }
 }

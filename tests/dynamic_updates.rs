@@ -49,6 +49,29 @@ fn cold_start_entity_becomes_queryable() {
 }
 
 #[test]
+fn wrong_length_embedding_is_a_typed_error_on_both_branches() {
+    let (_ds, vkg) = world();
+    let epoch = vkg.epoch();
+    // Fresh name → the append branch; known name → the re-embed branch.
+    for name in ["movie_bad", "movie_1"] {
+        let refused = vkg.add_entity_dynamic(name, &[0.5; 3]);
+        let shape = VkgError::Mismatch {
+            what: "entity embedding dimensionality",
+            expected: 16,
+            found: 3,
+        };
+        assert_eq!(refused, Err(shape), "{name}: 3-long row, d = 16 store");
+        assert_eq!(vkg.epoch(), epoch, "{name}: a refused write published");
+    }
+    assert!(vkg.graph().entity_id("movie_bad").is_none());
+    // No lock was left held and no store half-written.
+    vkg.add_entity_dynamic("movie_good", &[0.5; 16])
+        .expect("a well-shaped add after the refusals");
+    assert_eq!(vkg.epoch(), epoch + 1);
+    vkg.index().check_invariants();
+}
+
+#[test]
 fn new_fact_is_excluded_from_predictions() {
     let (_ds, vkg) = world();
     let likes = vkg.graph().relation_id("likes").unwrap();
