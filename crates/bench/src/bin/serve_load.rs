@@ -22,12 +22,11 @@
 //! tier-2 gate. `--metrics-out PATH` writes the full server snapshot in
 //! the `vkg-obs` text exposition format as a run artifact.
 //!
-//! The serve path's result cache and same-shard batching are load-tested
-//! through four more knobs. `--cache on|off` switches the engine's
-//! epoch-keyed result cache (default off); `--shards N` sets the engine
-//! shard count (default 1); `--batch N` lets each worker drain up to N
-//! queued requests per round, executing same-shard groups under one
-//! lock acquisition; `--zipf S` skews the workload so a hot head of
+//! The serve path's result cache and batching are load-tested through
+//! three more knobs. `--cache on|off` switches the engine's epoch-keyed
+//! result cache (default off); `--batch N` lets each worker drain up to
+//! N queued requests per round, executing the reads among them under
+//! one lock acquisition; `--zipf S` skews the workload so a hot head of
 //! queries repeats (`S = 0`, the default, keeps the uniform stream). Under
 //! `--check`, a quiescent sample of the workload is then asked once over
 //! the wire — the cached, batched path — and recomputed cache-free
@@ -85,8 +84,6 @@ struct Args {
     /// Result-cache entry capacity: `--cache on` selects
     /// [`DEFAULT_CACHE_CAPACITY`], `off` (the default) 0.
     cache_capacity: usize,
-    /// Engine shard count (`--shards`).
-    shards: usize,
     /// Max requests a worker drains per round (`--batch`); 1 is the
     /// unbatched serve loop.
     batch: usize,
@@ -116,7 +113,6 @@ impl Default for Args {
             workers: 4,
             queue_capacity: 128,
             cache_capacity: 0,
-            shards: 1,
             batch: 1,
             zipf: 0.0,
             wal: None,
@@ -132,7 +128,7 @@ fn usage() {
     eprintln!(
         "usage: serve_load [--qps N] [--seconds N] [--connections N] [--seed N]\n\
          \x20                 [--write-ratio F] [--workers N] [--queue N]\n\
-         \x20                 [--cache on|off] [--shards N] [--batch N] [--zipf S]\n\
+         \x20                 [--cache on|off] [--batch N] [--zipf S]\n\
          \x20                 [--wal PATH] [--kill-after N] [--recover]\n\
          \x20                 [--check] [--metrics-out PATH]"
     );
@@ -167,7 +163,6 @@ fn parse_args() -> Option<Args> {
                     return None;
                 }
             },
-            "--shards" => a.shards = num("--shards")? as usize,
             "--batch" => a.batch = num("--batch")? as usize,
             "--zipf" => a.zipf = num("--zipf")?,
             "--wal" => match args.next() {
@@ -247,7 +242,7 @@ fn check_cache_parity(
             .top_k(q.entity, q.relation, q.direction, 10)
             .map_err(|e| format!("remote top-k: {e}"))?;
         let local = vkg
-            .with_published_shard(q.relation, |_pin, snap, state| {
+            .with_published_index(|_pin, snap, state| {
                 state.top_k(snap, q.entity, q.relation, q.direction, 10)
             })
             .map_err(|e| format!("local recompute: {e}"))?;
@@ -283,7 +278,7 @@ fn check_cache_parity(
                 .map_err(|e| format!("remote aggregate: {e}"))?;
             let spec = AggregateSpec::count(0.05);
             let local_agg = vkg
-                .with_published_shard(q.relation, |_pin, snap, state| {
+                .with_published_index(|_pin, snap, state| {
                     state.aggregate(snap, q.entity, q.relation, q.direction, &spec)
                 })
                 .map_err(|e| format!("local aggregate recompute: {e}"))?;
@@ -316,8 +311,8 @@ fn check_cache_parity(
 fn run_recover(args: &Args, wal_path: &std::path::Path) -> ExitCode {
     eprintln!(
         "serve_load: recovery phase — rebuilding the smoke-scale engine \
-         ({} shard(s), cache {} entries)...",
-        args.shards, args.cache_capacity
+         (cache {} entries)...",
+        args.cache_capacity
     );
     let prepared = setup::movie(Scale::Smoke, 16);
     let vkg = Arc::new(VirtualKnowledgeGraph::assemble(
@@ -325,7 +320,6 @@ fn run_recover(args: &Args, wal_path: &std::path::Path) -> ExitCode {
         prepared.dataset.attributes,
         prepared.embeddings,
         VkgConfig {
-            shards: args.shards,
             cache_capacity: args.cache_capacity,
             ..setup::bench_config()
         },
@@ -419,8 +413,7 @@ fn main() -> ExitCode {
 
     eprintln!(
         "serve_load: preparing smoke-scale movie dataset + embeddings \
-         ({} shard(s), cache {} entries, batch {}, wal {})...",
-        args.shards,
+         (cache {} entries, batch {}, wal {})...",
         args.cache_capacity,
         args.batch,
         args.wal
@@ -434,7 +427,6 @@ fn main() -> ExitCode {
         prepared.dataset.attributes,
         prepared.embeddings,
         VkgConfig {
-            shards: args.shards,
             cache_capacity: args.cache_capacity,
             ..setup::bench_config()
         },

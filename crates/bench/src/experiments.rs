@@ -86,7 +86,6 @@ pub fn run(exp: &str, scale: Scale, out: &Path) -> bool {
         "abl_eps" => ablation_epsilon(scale, out),
         "abl_beta" => ablation_beta(scale, out),
         "abl_cost" => ablation_cost(scale, out),
-        "abl_shards" => ablation_shards(scale, out),
         _ => return false,
     }
     true
@@ -110,7 +109,6 @@ pub const ALL: &[&str] = &[
     "abl_eps",
     "abl_beta",
     "abl_cost",
-    "abl_shards",
 ];
 
 // ---------------------------------------------------------------------
@@ -742,37 +740,6 @@ fn ablation_beta(scale: Scale, out: &Path) {
         ]);
     }
     t.emit(out, "abl_beta");
-}
-
-fn ablation_shards(scale: Scale, out: &Path) {
-    // Sharding is answer-preserving (the crack log replays every crack
-    // on every shard), so this axis measures only what the replication
-    // costs a single-threaded query stream: journal appends plus
-    // sibling replay, paid once per shard the workload touches.
-    let p = setup::movie(scale, dim(scale));
-    let queries = workload::generate(&p.dataset.graph, 220, 0x5AAD);
-    let mut runs = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = VkgConfig {
-            shards,
-            ..setup::bench_config()
-        };
-        let snap = p.snapshot(cfg);
-        runs.push(run_method(
-            &format!("cracking R-tree, {shards} shard(s)"),
-            &snap,
-            &queries,
-            10,
-            scale,
-            false,
-            || Box::new(ShardedEngine::cracking(&snap)),
-        ));
-    }
-    time_table(
-        "Ablation: engine shard count (crack-log replication overhead)",
-        &runs,
-    )
-    .emit(out, "abl_shards");
 }
 
 fn ablation_cost(scale: Scale, out: &Path) {

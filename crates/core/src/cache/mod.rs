@@ -5,15 +5,15 @@
 //! k⟩ arrives again and again while nothing was published in between.
 //! This cache memoizes complete [`TopKResult`]s and [`AggregateResult`]s
 //! keyed by the query's semantic identity, and validates every hit
-//! against the **exact** epoch pair the engine pins for the serving
-//! shard ([`crate::vkg::ShardPin`]): a hit is served only when both the
-//! global snapshot epoch and the owning shard's epoch equal the values
-//! the entry was computed at. Publication bumps those counters under
-//! every shard lock, so a matching pair proves the snapshot — graph,
-//! embeddings, attributes, and the shard's point set — is byte-identical
-//! to fill time, which makes a hit *provably* identical to
-//! recomputation. Stale entries are invalidated lazily on touch; no
-//! writer ever scans the cache.
+//! against the **exact** epoch pair the facade pins under the index
+//! lock ([`crate::vkg::IndexPin`]): a hit is served only when both the
+//! global snapshot epoch and the index epoch equal the values the entry
+//! was computed at. Publication bumps those counters under the index
+//! lock, so a matching pair proves the snapshot — graph, embeddings,
+//! attributes, and the index's point set — is byte-identical to fill
+//! time, which makes a hit *provably* identical to recomputation. Stale
+//! entries are invalidated lazily on touch; no writer ever scans the
+//! cache.
 //!
 //! Two deliberate asymmetries keep hits honest:
 //!
@@ -21,10 +21,11 @@
 //!   line 9 cracks for the final ball) without bumping any epoch —
 //!   cracking is answer-neutral, so entries stay valid across it. But a
 //!   served hit that skipped the engine would also skip the crack, and
-//!   a cached deployment's tree (and its crack-log traffic to sibling
-//!   shards) would drift from an uncached one's. Every cached value
-//!   therefore carries the crack regions its computation performed, and
-//!   the facade replays them (idempotently) on each hit.
+//!   a cached deployment's tree would drift from an uncached one's
+//!   (Algorithm 3 seeds from the contour, so tree shape is not purely
+//!   a performance property). Every cached value therefore carries the
+//!   crack regions its computation performed, and the facade replays
+//!   them (idempotently) on each hit.
 //! * **Containment answers smaller k.** A cached top-k′ answers any
 //!   k ≤ k′ by prefix — the top-k of a fixed candidate set is a prefix
 //!   of its top-k′ — with probabilities and the Theorem 2 guarantee
@@ -35,10 +36,9 @@
 //!
 //! Locking: entries live in `stripes` (hash-partitioned mutexes, lock
 //! class `vkg.cache`). A stripe lock is only taken while the caller
-//! holds the serving shard's lock, and **nothing** is acquired while a
-//! stripe lock is held — `vkg.cache` sits after the shard classes and
-//! before `vkg.published` in the lock order, and is never held across
-//! another acquisition.
+//! holds the index lock, and **nothing** is acquired while a stripe
+//! lock is held — `vkg.cache` sits after `vkg.index` in the lock order
+//! and is never held across another acquisition.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -198,8 +198,8 @@ enum CachedValue {
 struct Entry {
     /// Global snapshot epoch at fill time.
     epoch: u64,
-    /// Owning shard's epoch at fill time.
-    shard_epoch: u64,
+    /// Index epoch at fill time.
+    index_epoch: u64,
     /// The k the value was computed for (0 for aggregates).
     k: usize,
     value: CachedValue,
@@ -245,7 +245,7 @@ struct Stripe {
     tick: u64,
 }
 
-/// The sharded (striped) cache. See the module docs for the validity
+/// The striped cache. See the module docs for the validity
 /// and locking story.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -254,8 +254,8 @@ pub struct ResultCache {
     stripe_capacity: usize,
 }
 
-/// Stripe count: enough to keep same-shard batch workers from
-/// serializing on one mutex, small enough that a capacity-1024 cache
+/// Stripe count: enough to keep concurrent probes from serializing on
+/// one mutex, small enough that a capacity-1024 cache
 /// still gives each stripe a useful working set.
 const STRIPES: usize = 8;
 
@@ -314,7 +314,7 @@ impl ResultCache {
         key: &CacheKey,
         k: usize,
         epoch: u64,
-        shard_epoch: u64,
+        index_epoch: u64,
         epsilon: f64,
         alpha: usize,
     ) -> TopKLookup {
@@ -324,7 +324,7 @@ impl ResultCache {
         let Some(entry) = stripe.map.get_mut(key) else {
             return TopKLookup::Miss;
         };
-        if entry.epoch != epoch || entry.shard_epoch != shard_epoch {
+        if entry.epoch != epoch || entry.index_epoch != index_epoch {
             stripe.map.remove(key);
             return TopKLookup::Stale;
         }
@@ -366,14 +366,14 @@ impl ResultCache {
         key: CacheKey,
         k: usize,
         epoch: u64,
-        shard_epoch: u64,
+        index_epoch: u64,
         result: &TopKResult,
     ) {
         self.insert(
             key,
             k,
             epoch,
-            shard_epoch,
+            index_epoch,
             CachedValue::TopK(result.clone()),
         );
     }
@@ -383,7 +383,7 @@ impl ResultCache {
         &self,
         key: &CacheKey,
         epoch: u64,
-        shard_epoch: u64,
+        index_epoch: u64,
     ) -> AggregateLookup {
         let mut stripe = self.stripe(key).lock();
         stripe.tick += 1;
@@ -391,7 +391,7 @@ impl ResultCache {
         let Some(entry) = stripe.map.get_mut(key) else {
             return AggregateLookup::Miss;
         };
-        if entry.epoch != epoch || entry.shard_epoch != shard_epoch {
+        if entry.epoch != epoch || entry.index_epoch != index_epoch {
             stripe.map.remove(key);
             return AggregateLookup::Stale;
         }
@@ -407,19 +407,19 @@ impl ResultCache {
         &self,
         key: CacheKey,
         epoch: u64,
-        shard_epoch: u64,
+        index_epoch: u64,
         result: &AggregateResult,
     ) {
         self.insert(
             key,
             0,
             epoch,
-            shard_epoch,
+            index_epoch,
             CachedValue::Aggregate(result.clone()),
         );
     }
 
-    fn insert(&self, key: CacheKey, k: usize, epoch: u64, shard_epoch: u64, value: CachedValue) {
+    fn insert(&self, key: CacheKey, k: usize, epoch: u64, index_epoch: u64, value: CachedValue) {
         let mut stripe = self.stripe(&key).lock();
         stripe.tick += 1;
         let tick = stripe.tick;
@@ -440,7 +440,7 @@ impl ResultCache {
             key,
             Entry {
                 epoch,
-                shard_epoch,
+                index_epoch,
                 k,
                 value,
                 stamp: tick,
@@ -538,7 +538,7 @@ mod tests {
             cache.lookup_top_k(&key(), 3, 6, 2, 3.0, 3),
             TopKLookup::Miss
         ));
-        // Shard epoch mismatch invalidates too.
+        // Index epoch mismatch invalidates too.
         cache.insert_top_k(key(), 3, 5, 2, &top_k_result(3));
         assert!(matches!(
             cache.lookup_top_k(&key(), 3, 5, 3, 3.0, 3),

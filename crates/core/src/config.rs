@@ -53,18 +53,10 @@ pub struct VkgConfig {
     /// bit-identical to a build without the pool and model tests stay
     /// deterministic.
     pub threads: usize,
-    /// Number of relation-partitioned engine shards. Each shard owns its
-    /// own cracking R-tree, lock, and epoch counter; a query ⟨e, r⟩
-    /// takes only r's shard lock, so traffic on one hot relation never
-    /// stalls queries on another. Shard count 1 (the default) is the
-    /// single-lock engine, bit-identical to the pre-sharding layout —
-    /// and *any* shard count returns identical answers (shards differ
-    /// only in which queries crack which tree).
-    pub shards: usize,
     /// Capacity (entries) of the epoch-keyed result cache on the facade's
     /// read path; `0` (the default) disables caching entirely, taking the
     /// exact pre-cache code paths. A hit is only served when the global
-    /// and shard epochs still match the entry, and the entry's recorded
+    /// and index epochs still match the entry, and the entry's recorded
     /// crack regions are replayed, so cached answers stay bit-identical
     /// to recomputation.
     pub cache_capacity: usize,
@@ -82,7 +74,6 @@ impl Default for VkgConfig {
             query_aware_cost: true,
             transform_seed: 0x4a4c_5452, // "JLTR"
             threads: 1,
-            shards: 1,
             cache_capacity: 0,
         }
     }
@@ -122,9 +113,6 @@ impl VkgConfig {
         }
         if self.threads < 1 {
             return fail("thread pool width must be ≥ 1".into());
-        }
-        if self.shards < 1 {
-            return fail("shard count must be ≥ 1".into());
         }
         Ok(())
     }
@@ -197,16 +185,6 @@ mod tests {
     fn zero_threads_rejected() {
         let cfg = VkgConfig {
             threads: 0,
-            ..VkgConfig::default()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be ≥ 1")]
-    fn zero_shards_rejected() {
-        let cfg = VkgConfig {
-            shards: 0,
             ..VkgConfig::default()
         };
         cfg.validate();

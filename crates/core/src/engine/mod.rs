@@ -11,10 +11,8 @@
 //! on every query) needs `&mut self` and, in concurrent settings, a
 //! lock.
 
-pub mod shard;
 pub mod state;
 
-pub use shard::{shard_of_relation, ShardSetGuard, ShardedEngine};
 pub use state::IndexState;
 
 use vkg_kg::{EntityId, RelationId};

@@ -36,10 +36,33 @@ impl IndexState {
     /// `threads` width drives the JL projection, the root sort orders
     /// and every later crack/search through one shared [`Pool`].
     pub fn cracking(snap: &VkgSnapshot) -> Self {
+        Self::build(snap, Pool::new(snap.config().threads), false)
+    }
+
+    /// A fully **bulk-loaded** offline index (the BULKLOADCHUNK baseline
+    /// of §VI). Like [`IndexState::cracking`], the configured `threads`
+    /// width parallelizes the projection and the offline build.
+    pub fn bulk_loaded(snap: &VkgSnapshot) -> Self {
+        Self::build(snap, Pool::new(snap.config().threads), true)
+    }
+
+    /// Both constructors, on the caller's pool: the facade passes one
+    /// that reports into its `PoolStats`.
+    pub(crate) fn build(snap: &VkgSnapshot, pool: Pool, bulk: bool) -> Self {
         let cfg = snap.config();
-        let pool = Pool::new(cfg.threads);
+        let points = snap.project_points_pooled(&pool);
+        if bulk {
+            let index = CrackingIndex::bulk_load_with_pool(
+                points,
+                cfg.leaf_capacity,
+                cfg.fanout,
+                cfg.beta,
+                pool,
+            );
+            return Self::from_index(index, "bulk-load R-tree");
+        }
         let mut index = CrackingIndex::with_pool(
-            snap.project_points_pooled(&pool),
+            points,
             cfg.leaf_capacity,
             cfg.fanout,
             cfg.beta,
@@ -47,31 +70,7 @@ impl IndexState {
             pool,
         );
         index.set_query_aware_cost(cfg.query_aware_cost);
-        Self {
-            index,
-            name: "cracking",
-            accuracy: Accuracy::Approximate { min_overlap: 0.5 },
-        }
-    }
-
-    /// A fully **bulk-loaded** offline index (the BULKLOADCHUNK baseline
-    /// of §VI). Like [`IndexState::cracking`], the configured `threads`
-    /// width parallelizes the projection and the offline build.
-    pub fn bulk_loaded(snap: &VkgSnapshot) -> Self {
-        let cfg = snap.config();
-        let pool = Pool::new(cfg.threads);
-        let index = CrackingIndex::bulk_load_with_pool(
-            snap.project_points_pooled(&pool),
-            cfg.leaf_capacity,
-            cfg.fanout,
-            cfg.beta,
-            pool,
-        );
-        Self {
-            index,
-            name: "bulk-load R-tree",
-            accuracy: Accuracy::Approximate { min_overlap: 0.5 },
-        }
+        Self::from_index(index, "cracking")
     }
 
     /// Wraps an already-built index (ablations that tweak the build).

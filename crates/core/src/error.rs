@@ -99,6 +99,18 @@ impl From<KgError> for VkgError {
     }
 }
 
+/// Refuses a value that is not finite: NaN and ±∞ must not reach an
+/// embedding row, an index point or an attribute column (a NaN
+/// coordinate turns into a NaN ball radius at the next query over it).
+pub(crate) fn check_finite(what: &'static str, values: &[f64]) -> VkgResult<()> {
+    match values.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(VkgError::InvalidParameter(format!(
+            "{what} must be finite, found {v}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

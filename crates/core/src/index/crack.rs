@@ -19,15 +19,6 @@ impl CrackingIndex {
     /// Cracks the index for query region `q`: the online incremental
     /// partial build of §IV-C (strategy-dependent: greedy or Algorithm 2).
     pub fn crack(&mut self, q: &Mbr) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(*q);
-        }
-        self.crack_unjournaled(q);
-    }
-
-    /// The crack proper, shared by [`CrackingIndex::crack`] and the
-    /// sibling-replay path ([`CrackingIndex::replay_crack`]).
-    pub(crate) fn crack_unjournaled(&mut self, q: &Mbr) {
         match self.strategy {
             SplitStrategy::Greedy => self.crack_greedy(q),
             SplitStrategy::TopK { choices } => topk::crack_topk(self, q, choices.max(1)),

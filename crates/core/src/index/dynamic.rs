@@ -10,7 +10,7 @@
 //! element MBRs stay conservative (they may over-cover after removals,
 //! which affects pruning quality, never correctness).
 
-use crate::error::{VkgError, VkgResult};
+use crate::error::{check_finite, VkgError, VkgResult};
 use crate::rtree::{height_for, SortOrders};
 
 use super::{CrackingIndex, NodeId, NodeKind};
@@ -20,10 +20,11 @@ impl CrackingIndex {
     /// id). O(height + S·|element|).
     ///
     /// # Errors
-    /// Typed [`VkgError`]s for a shape mismatch or id-space overflow —
-    /// this path is reachable from served dynamic updates
-    /// (`AddFactDynamic`), so it must not panic.
+    /// Typed [`VkgError`]s for a shape mismatch, a non-finite
+    /// coordinate or id-space overflow — this path is reachable from
+    /// served dynamic updates (`AddFactDynamic`), so it must not panic.
     pub fn insert_point(&mut self, coords: &[f64]) -> VkgResult<u32> {
+        check_finite("point coordinate", coords)?;
         let id = self.points.try_push(coords)?;
         self.attach_point(id);
         Ok(id)
@@ -33,12 +34,13 @@ impl CrackingIndex {
     /// after local graph changes). The id is stable.
     ///
     /// # Errors
-    /// Typed [`VkgError`]s for an unknown or tombstoned id or a shape
-    /// mismatch — served dynamic updates reach this, so no panics.
+    /// Typed [`VkgError`]s for an unknown or tombstoned id, a shape
+    /// mismatch or a non-finite coordinate — served dynamic updates
+    /// reach this, so no panics.
     pub fn update_point(&mut self, id: u32, coords: &[f64]) -> VkgResult<()> {
         // Validate *before* detaching so a failed update leaves the
         // index untouched.
-        self.check_update(id, coords.len())?;
+        self.check_update(id, coords)?;
         let detached = self.detach_point(id);
         debug_assert!(detached, "live point must sit in some element");
         self.points.try_set(id, coords)?;
@@ -47,10 +49,11 @@ impl CrackingIndex {
     }
 
     /// Everything [`CrackingIndex::update_point`] can refuse, checked
-    /// without touching the tree: `id` must name a live point and `dim`
-    /// must be the index's dimensionality. A write that moves several
-    /// points in several trees asks this of all of them first.
-    pub fn check_update(&self, id: u32, dim: usize) -> VkgResult<()> {
+    /// without touching the tree: `id` must name a live point and
+    /// `coords` must be finite and of the index's dimensionality. A
+    /// write that moves several points asks this of all of them first,
+    /// before it logs anything.
+    pub fn check_update(&self, id: u32, coords: &[f64]) -> VkgResult<()> {
         if (id as usize) >= self.points.len() {
             return Err(VkgError::InvalidParameter(format!("unknown point id {id}")));
         }
@@ -59,14 +62,14 @@ impl CrackingIndex {
                 "point {id} was removed"
             )));
         }
-        if dim != self.points.dim() {
+        if coords.len() != self.points.dim() {
             return Err(VkgError::Mismatch {
                 what: "point dimensionality",
                 expected: self.points.dim(),
-                found: dim,
+                found: coords.len(),
             });
         }
-        Ok(())
+        check_finite("point coordinate", coords)
     }
 
     /// Removes a point from the index (tombstoned; ids are never reused).

@@ -57,13 +57,6 @@ pub struct CrackingIndex {
     /// Data-parallel pool the build layers fan out over. Width 1 (the
     /// default) takes the exact serial code paths.
     pool: Pool,
-    /// Crack regions recorded since the last drain, when journaling is
-    /// on (`Some`). A sharded engine replays these on sibling trees so
-    /// every shard's contour passes through the same crack sequence —
-    /// Algorithm 3 seeds from the contour, so answers would otherwise
-    /// depend on which relation's queries shaped which tree. Off
-    /// (`None`, the default) for single-tree engines.
-    journal: Option<Vec<crate::geometry::Mbr>>,
 }
 
 impl CrackingIndex {
@@ -127,7 +120,6 @@ impl CrackingIndex {
             stats: IndexStats::default(),
             removed: std::collections::HashSet::new(),
             pool,
-            journal: None,
         };
         index.stats.nodes_created = 1;
         index
@@ -188,31 +180,6 @@ impl CrackingIndex {
             index.install(root, built);
         }
         index
-    }
-
-    /// Turns on crack journaling: every [`CrackingIndex::crack`] also
-    /// records its query region so a sharded engine can replay the same
-    /// crack sequence on sibling trees. Idempotent.
-    pub fn enable_crack_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// Takes the crack regions journaled since the last drain. Always
-    /// empty when journaling is off.
-    pub fn drain_crack_journal(&mut self) -> Vec<crate::geometry::Mbr> {
-        match &mut self.journal {
-            Some(journal) => std::mem::take(journal),
-            None => Vec::new(),
-        }
-    }
-
-    /// Applies a crack recorded on a sibling tree *without* journaling
-    /// it again — the region is already in the shared log, and
-    /// re-recording it would echo forever between shards.
-    pub fn replay_crack(&mut self, q: &crate::geometry::Mbr) {
-        self.crack_unjournaled(q);
     }
 
     /// Disables (or re-enables) the query-aware `c_Q` component of the

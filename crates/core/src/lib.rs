@@ -22,9 +22,7 @@
 //! * [`engine`] — the [`engine::QueryEngine`] trait every query-capable
 //!   structure implements (the cracking index, the bulk-loaded R-tree,
 //!   and the baselines in `vkg-baselines`), plus [`engine::IndexState`],
-//!   the mutable index half, and [`engine::ShardedEngine`], which
-//!   partitions it by query relationship — per-shard cracking locks and
-//!   epochs, routed by hashing relation ids.
+//!   the mutable index half.
 //! * [`error`] — the workspace [`VkgError`] type threaded through every
 //!   fallible engine entry point.
 //! * [`metrics`] — the per-facade `vkg-obs` registry and the typed
@@ -41,8 +39,8 @@
 //!   deterministic [`wal::fault::FaultPlane`] injection seam every
 //!   durability touchpoint routes through.
 //! * [`vkg`] — the `VirtualKnowledgeGraph` facade assembling an
-//!   `Arc<VkgSnapshot>` + locked [`engine::IndexState`] into one
-//!   queryable object (Definition 1).
+//!   `Arc<VkgSnapshot>` + one locked [`engine::IndexState`] (lock
+//!   class `vkg.index`) into one queryable object (Definition 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,10 +85,7 @@ pub mod wal;
 
 pub use cache::ResultCache;
 pub use config::{SplitStrategy, VkgConfig};
-pub use engine::{
-    shard_of_relation, Accuracy, EngineStats, IndexState, Neighbor, QueryEngine, ShardSetGuard,
-    ShardedEngine,
-};
+pub use engine::{Accuracy, EngineStats, IndexState, Neighbor, QueryEngine};
 pub use error::{VkgError, VkgResult};
 pub use index::CrackingIndex;
 pub use metrics::VkgMetrics;
@@ -98,6 +93,8 @@ pub use query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
 pub use query::topk::TopKResult;
 pub use snapshot::{Direction, VkgSnapshot};
 pub use stats::IndexStats;
-pub use vkg::{SnapRef, VirtualKnowledgeGraph, WalRecoveryReport};
+pub use vkg::{
+    check_refine_params, SnapRef, VirtualKnowledgeGraph, WalRecoveryReport, MAX_REFINE_STEPS,
+};
 pub use wal::fault::{FaultPlane, FaultSpec};
 pub use wal::{WalError, WalRecord};

@@ -6,12 +6,13 @@
 //! path pays one atomic add per counter and one short mutex hold for
 //! the latency histogram — never a name lookup. Engine-side statistics
 //! that already exist as plain counters ([`crate::IndexStats`], pool
-//! dispatch counts, crack-log traffic) are *sampled* into gauges when a
-//! snapshot is taken rather than double-counted on the hot path.
+//! dispatch counts) are *sampled* into gauges when a snapshot is taken
+//! rather than double-counted on the hot path.
 
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, MetricsSnapshot, Registry, Tick};
+use vkg_sync::pool::PoolStats;
 
-use crate::engine::ShardedEngine;
+use crate::engine::EngineStats;
 
 /// Metric names exported by the facade (`core.*` namespace). Kept as
 /// constants so exporters and cross-checks reference one spelling.
@@ -24,17 +25,16 @@ pub mod names {
     pub const REFINE_STEPS: &str = "core.refine_steps";
     /// End-to-end facade query latency, microseconds.
     pub const QUERY_LATENCY_US: &str = "core.query_latency_us";
-    /// Sampled: binary splits performed across shards.
+    /// Sampled: binary splits performed.
     pub const INDEX_SPLITS: &str = "core.index.splits";
-    /// Sampled: tree nodes across shards.
+    /// Sampled: tree nodes.
     pub const INDEX_NODES: &str = "core.index.nodes";
-    /// Sampled: approximate index bytes across shards.
+    /// Sampled: approximate index bytes.
     pub const INDEX_BYTES: &str = "core.index.bytes";
-    /// Sampled: cumulative S₁ distance evaluations across shards.
+    /// Sampled: cumulative S₁ distance evaluations.
     pub const INDEX_S1_EVALS: &str = "core.index.s1_evals";
-    /// Sampled: crack regions appended to the shared crack log.
-    pub const CRACKS_PUBLISHED: &str = "core.cracklog.published";
-    /// Sampled: crack-log entries replayed onto lagging shards.
+    /// Held for the benchmark (DESIGN.md §3.5): the ledger reads this
+    /// name and takes an absent gauge as 0. Nothing records under it.
     pub const CRACKS_REPLAYED: &str = "core.cracklog.replayed";
     /// Sampled: kernel pool jobs that ran on the exact serial path.
     pub const POOL_SERIAL_RUNS: &str = "core.pool.serial_runs";
@@ -76,8 +76,6 @@ pub struct VkgMetrics {
     index_nodes: Gauge,
     index_bytes: Gauge,
     index_s1_evals: Gauge,
-    cracks_published: Gauge,
-    cracks_replayed: Gauge,
     pool_serial: Gauge,
     pool_parallel: Gauge,
     pool_chunks: Gauge,
@@ -103,8 +101,6 @@ impl VkgMetrics {
             index_nodes: registry.gauge(names::INDEX_NODES),
             index_bytes: registry.gauge(names::INDEX_BYTES),
             index_s1_evals: registry.gauge(names::INDEX_S1_EVALS),
-            cracks_published: registry.gauge(names::CRACKS_PUBLISHED),
-            cracks_replayed: registry.gauge(names::CRACKS_REPLAYED),
             pool_serial: registry.gauge(names::POOL_SERIAL_RUNS),
             pool_parallel: registry.gauge(names::POOL_PARALLEL_RUNS),
             pool_chunks: registry.gauge(names::POOL_CHUNKS_CLAIMED),
@@ -138,7 +134,7 @@ impl VkgMetrics {
     }
 
     /// Records one served query whose latency was measured externally —
-    /// the server path executes reads inside shard closures and times
+    /// the server path executes reads inside index-lock closures and times
     /// them on its own clock, so ticks from that clock cannot be
     /// compared against this one.
     pub fn record_query_timed(&self, latency: std::time::Duration, refine_steps: u64, ok: bool) {
@@ -188,19 +184,14 @@ impl VkgMetrics {
         self.wal_dedup_hits.incr();
     }
 
-    /// Samples the engine-side counters (index statistics, crack-log
-    /// traffic, pool dispatch) into gauges and returns a full snapshot.
-    /// Takes each shard's read lock briefly (a consistent-per-shard
-    /// sum, like [`ShardedEngine::merged_stats`]).
-    pub fn snapshot_with_engine(&self, engine: &ShardedEngine) -> MetricsSnapshot {
-        let stats = engine.merged_stats();
+    /// Samples the engine-side counters (the index's statistics, read
+    /// by the caller under the index lock's shared side, and pool
+    /// dispatch) into gauges and returns a full snapshot.
+    pub fn snapshot_with_engine(&self, stats: &EngineStats, pool: &PoolStats) -> MetricsSnapshot {
         self.index_splits.set(stats.counters.splits_performed);
         self.index_nodes.set(stats.nodes as u64);
         self.index_bytes.set(stats.bytes as u64);
         self.index_s1_evals.set(stats.counters.s1_distance_evals);
-        self.cracks_published.set(engine.cracks_published());
-        self.cracks_replayed.set(engine.cracks_replayed());
-        let pool = engine.pool_stats();
         self.pool_serial.set(pool.serial_runs());
         self.pool_parallel.set(pool.parallel_runs());
         self.pool_chunks.set(pool.chunks_claimed());

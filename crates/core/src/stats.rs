@@ -30,8 +30,7 @@ impl IndexStats {
         self.s1_distance_evals = 0;
     }
 
-    /// Adds `other`'s counters into `self` — merging per-shard counters
-    /// into one engine-wide report.
+    /// Adds `other`'s counters into `self`.
     pub fn absorb(&mut self, other: &IndexStats) {
         self.splits_performed += other.splits_performed;
         self.nodes_created += other.nodes_created;

@@ -21,24 +21,18 @@ const SEEDS: u64 = 64;
 /// A hand-built world (no training): users u0..u3 at x = i, items
 /// m0..m5 at x = 10 + i, "likes" translates by +10, so uᵢ + likes ≈ mᵢ.
 fn tiny_vkg() -> (VirtualKnowledgeGraph, RelationId) {
-    tiny_vkg_sharded(1)
+    tiny_vkg_cached(0)
 }
 
-/// [`tiny_vkg`] with an explicit engine shard count, for scenarios that
-/// exercise per-shard locks and epochs.
-fn tiny_vkg_sharded(shards: usize) -> (VirtualKnowledgeGraph, RelationId) {
-    tiny_vkg_config(shards, 0)
-}
-
-/// [`tiny_vkg_sharded`] plus an enabled result cache, for scenarios
-/// that race cached readers against epoch-bumping writers.
-fn tiny_vkg_config(shards: usize, cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId) {
+/// [`tiny_vkg`] with a result cache of `cache_capacity` entries (0 =
+/// off), for scenarios that race cached readers against epoch-bumping
+/// writers.
+fn tiny_vkg_cached(cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId) {
     let dim = 8;
     let mut g = KnowledgeGraph::new();
     let likes = g.add_relation("likes");
-    // A second relation the Fibonacci router places on the other shard
-    // at shard count 2 (relation 1 hashes odd), so cross-shard
-    // scenarios can drive both shards from one fixture.
+    // A second relation, so scenarios can query the one index from two
+    // query points at once.
     let also = g.add_relation("also");
     let users: Vec<_> = (0..4).map(|i| g.add_entity(&format!("u{i}"))).collect();
     let items: Vec<_> = (0..6).map(|i| g.add_entity(&format!("m{i}"))).collect();
@@ -74,11 +68,9 @@ fn tiny_vkg_config(shards: usize, cache_capacity: usize) -> (VirtualKnowledgeGra
         query_aware_cost: true,
         transform_seed: 7,
         threads: 1,
-        shards,
         cache_capacity,
     };
     let vkg = VirtualKnowledgeGraph::try_assemble(g, attrs, store, cfg).expect("tiny world");
-    let _ = also;
     (vkg, likes)
 }
 
@@ -105,7 +97,10 @@ fn epoch_monotonic_across_concurrent_writers() {
         };
         let w2 = {
             let vkg = Arc::clone(&vkg);
-            thread::spawn(move || vkg.set_attribute_dynamic("year", m1, 1999.0))
+            thread::spawn(move || {
+                vkg.set_attribute_dynamic("year", m1, 1999.0)
+                    .expect("known entity");
+            })
         };
         let reader = {
             let vkg = Arc::clone(&vkg);
@@ -138,7 +133,10 @@ fn no_torn_snapshot_visibility() {
 
         let writer = {
             let vkg = Arc::clone(&vkg);
-            thread::spawn(move || vkg.set_attribute_dynamic("year", u0, 1987.0))
+            thread::spawn(move || {
+                vkg.set_attribute_dynamic("year", u0, 1987.0)
+                    .expect("known entity");
+            })
         };
         let reader = {
             let vkg = Arc::clone(&vkg);
@@ -164,13 +162,13 @@ fn no_torn_snapshot_visibility() {
     .unwrap_or_else(|v| panic!("torn-snapshot model failed: {v}"));
 }
 
-/// `with_published_engine` pins one epoch for its whole closure: while
+/// `with_published_index` pins both epochs for its whole closure: while
 /// it runs, a concurrent writer cannot publish (writers serialize on
-/// the engine lock), so the epoch handed in stays exact. Queries and
-/// writes also contend on the engine lock here, which lets the checker
-/// watch the engine→published acquisition order from both sides.
+/// the index lock), so the pin handed in stays exact. Queries and
+/// writes also contend on the index lock here, which lets the checker
+/// watch the index→published acquisition order from both sides.
 #[test]
-fn with_published_engine_pins_epoch_against_writer() {
+fn with_published_index_pins_epochs_against_writer() {
     model::sweep(SEEDS, || {
         let (vkg, likes) = tiny_vkg();
         let vkg = Arc::new(vkg);
@@ -179,7 +177,10 @@ fn with_published_engine_pins_epoch_against_writer() {
 
         let writer = {
             let vkg = Arc::clone(&vkg);
-            thread::spawn(move || vkg.set_attribute_dynamic("year", m5, 2024.0))
+            thread::spawn(move || {
+                vkg.set_attribute_dynamic("year", m5, 2024.0)
+                    .expect("known entity");
+            })
         };
         let querier = {
             let vkg = Arc::clone(&vkg);
@@ -191,18 +192,14 @@ fn with_published_engine_pins_epoch_against_writer() {
                 assert!(r.predictions.iter().all(|p| p.id != u0.0), "skip self");
             })
         };
-        let (pin, epoch_reread, shard_epochs_reread) =
-            vkg.with_published_engine(|pin, snap, _shards| {
-                assert!(snap.graph().num_entities() >= 10);
-                (pin.clone(), vkg.epoch(), vkg.shard_epochs())
-            });
+        let (pin, reread) = vkg.with_published_index(|pin, snap, _state| {
+            assert!(snap.graph().num_entities() >= 10);
+            (pin, (vkg.epoch(), vkg.index_epoch()))
+        });
         assert_eq!(
-            pin.epoch, epoch_reread,
-            "no publication can land while the shard locks are held"
-        );
-        assert_eq!(
-            pin.shard_epochs, shard_epochs_reread,
-            "shard epochs are pinned with the global epoch"
+            (pin.epoch, pin.index_epoch),
+            reread,
+            "no publication can land while the index lock is held"
         );
         writer.join().expect("writer");
         querier.join().expect("querier");
@@ -245,71 +242,75 @@ fn pinned_snapshot_stays_frozen_during_publication() {
     .unwrap_or_else(|v| panic!("frozen-snapshot model failed: {v}"));
 }
 
-/// Per-shard epochs are monotone under concurrent writers, and a
-/// publication bumps the global epoch and shard epochs together —
-/// every explored schedule sees the composite epoch vector only move
-/// forward, component by component.
+/// The index epoch is monotone under concurrent writers and counts
+/// exactly the publications that moved a point: a fact and an entity
+/// write bump it with the global epoch, an attribute write bumps the
+/// global epoch alone.
 #[test]
-fn shard_epochs_monotonic_across_concurrent_writers() {
+fn index_epoch_monotonic_across_concurrent_writers() {
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg_sharded(2);
-        let also = vkg.graph().relation_id("also").expect("also");
+        let (vkg, likes) = tiny_vkg();
         let vkg = Arc::new(vkg);
         let u2 = vkg.graph().entity_id("u2").expect("u2");
         let m4 = vkg.graph().entity_id("m4").expect("m4");
         let m5 = vkg.graph().entity_id("m5").expect("m5");
-        assert_eq!(vkg.shard_epochs().len(), 2, "one epoch per shard");
+        let dim = vkg.embeddings().dim();
 
-        let w1 = {
+        let fact = {
             let vkg = Arc::clone(&vkg);
             thread::spawn(move || {
                 vkg.add_fact_dynamic(u2, likes, m4, 2, 0.01)
                     .expect("valid ids");
             })
         };
-        let w2 = {
+        let entity = {
             let vkg = Arc::clone(&vkg);
             thread::spawn(move || {
-                vkg.add_fact_dynamic(u2, also, m5, 2, 0.01)
-                    .expect("valid ids");
+                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
+                    .expect("well-shaped embedding");
+            })
+        };
+        let attribute = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                vkg.set_attribute_dynamic("year", m5, 2024.0)
+                    .expect("known entity");
             })
         };
         let reader = {
             let vkg = Arc::clone(&vkg);
             thread::spawn(move || {
-                let mut last = vkg.shard_epochs();
+                let mut last = vkg.index_epoch();
                 for _ in 0..3 {
-                    let now = vkg.shard_epochs();
-                    for (s, (&before, &after)) in last.iter().zip(&now).enumerate() {
-                        assert!(
-                            after >= before,
-                            "shard {s} epoch went backwards: {before} -> {after}"
-                        );
-                    }
+                    let now = vkg.index_epoch();
+                    assert!(now >= last, "index epoch went backwards: {last} -> {now}");
                     last = now;
                 }
             })
         };
-        w1.join().expect("writer 1");
-        w2.join().expect("writer 2");
+        fact.join().expect("fact writer");
+        entity.join().expect("entity writer");
+        attribute.join().expect("attribute writer");
         reader.join().expect("reader");
-        assert_eq!(vkg.epoch(), 2, "one publication per write");
+        assert_eq!(vkg.epoch(), 3, "one publication per write");
+        assert_eq!(vkg.index_epoch(), 2, "the attribute write moved no point");
     })
-    .unwrap_or_else(|v| panic!("shard-epoch monotonicity model failed: {v}"));
+    .unwrap_or_else(|v| panic!("index-epoch monotonicity model failed: {v}"));
 }
 
-/// Queries on different relations take different shard locks, a
-/// full-engine quiesce takes all of them in ascending order, and the
-/// crack log is a leaf lock — the checker verifies every explored
-/// interleaving is free of deadlocks and lock-order inversions.
+/// Queries from two relations' query points, a writer and a drain
+/// barrier all contend on the one index lock, each nesting its leaves
+/// under it — the checker verifies every explored interleaving is free
+/// of deadlocks and lock-order inversions.
 #[test]
-fn cross_shard_queries_and_quiesce_are_deadlock_free() {
+fn queries_writer_and_quiesce_are_deadlock_free() {
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg_sharded(2);
+        let (vkg, likes) = tiny_vkg();
         let also = vkg.graph().relation_id("also").expect("also");
         let vkg = Arc::new(vkg);
         let u0 = vkg.graph().entity_id("u0").expect("u0");
         let u1 = vkg.graph().entity_id("u1").expect("u1");
+        let m4 = vkg.graph().entity_id("m4").expect("m4");
 
         let q_likes = {
             let vkg = Arc::clone(&vkg);
@@ -329,16 +330,24 @@ fn cross_shard_queries_and_quiesce_are_deadlock_free() {
                 assert!(!r.predictions.is_empty());
             })
         };
+        let writer = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                vkg.add_fact_dynamic(u1, likes, m4, 2, 0.01)
+                    .expect("valid ids");
+            })
+        };
         let drainer = {
             let vkg = Arc::clone(&vkg);
             thread::spawn(move || vkg.quiesce())
         };
         q_likes.join().expect("likes querier");
         q_also.join().expect("also querier");
+        writer.join().expect("writer");
         drainer.join().expect("drainer");
         vkg.index().check_invariants();
     })
-    .unwrap_or_else(|v| panic!("cross-shard deadlock-freedom model failed: {v}"));
+    .unwrap_or_else(|v| panic!("deadlock-freedom model failed: {v}"));
 }
 
 /// The result cache's epoch validation raced against a writer: when no
@@ -347,12 +356,12 @@ fn cross_shard_queries_and_quiesce_are_deadlock_free() {
 /// the world quiesces, the cached engine's answer must equal a
 /// cache-disabled twin that applied the same write — a stale entry is
 /// invalidated, never served. The checker also watches the cache
-/// stripe lock (acquired under the shard lock) for order inversions,
+/// stripe lock (acquired under the index lock) for order inversions,
 /// lost updates, and data races on every explored schedule.
 #[test]
 fn cached_reads_race_writer_without_stale_answers() {
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg_config(2, 64);
+        let (vkg, likes) = tiny_vkg_cached(64);
         let vkg = Arc::new(vkg);
         let u0 = vkg.graph().entity_id("u0").expect("u0");
         let u1 = vkg.graph().entity_id("u1").expect("u1");
@@ -397,7 +406,7 @@ fn cached_reads_race_writer_without_stale_answers() {
 
         // Quiescent cross-check: the hand-built world is deterministic,
         // so a cache-off twin given the same write is the ground truth.
-        let (plain, likes_p) = tiny_vkg_sharded(2);
+        let (plain, likes_p) = tiny_vkg();
         plain
             .add_fact_dynamic(u1, likes_p, m4, 2, 0.01)
             .expect("valid ids");
@@ -421,9 +430,10 @@ fn cached_reads_race_writer_without_stale_answers() {
 }
 
 /// The lock-order check (DESIGN.md §3.7): every lock nesting the facade
-/// has, executed once per schedule — two shards, the cache on (stripe
-/// under shard), a WAL attached (durability under all shards), every
-/// read entry point, a fan-out over both shards, every kind of writer.
+/// has — `vkg.index < { vkg.published, vkg.cache, vkg.wal }` — executed
+/// once per schedule: the cache on (stripe under the index lock), a WAL
+/// attached (durability under it too), every read entry point, every
+/// shared-side inspector, every kind of writer.
 /// The checker's acquired-while-holding graph is per run, so executing a
 /// nesting once is enough for it to report two locks taken in both
 /// orders; a nesting that can block forever shows up as a deadlock.
@@ -431,9 +441,8 @@ fn cached_reads_race_writer_without_stale_answers() {
 fn every_lock_nesting_on_the_facade_is_walked() {
     let log = std::env::temp_dir().join(format!("vkg_model_{}.wal", std::process::id()));
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg_config(2, 64);
+        let (vkg, likes) = tiny_vkg_cached(64);
         let also = vkg.graph().relation_id("also").expect("also");
-        assert_ne!(vkg.shard_of(likes), vkg.shard_of(also), "one per shard");
         let _ = std::fs::remove_file(&log);
         vkg.attach_wal(&log, FaultPlane::none()).expect("fresh log");
         let vkg = Arc::new(vkg);
@@ -452,12 +461,14 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                 vkg.aggregate(u0, likes, tails, &count).expect("aggregate");
                 let multi = vkg
                     .aggregate_multi(u0, &[likes, also], tails, &count)
-                    .expect("fan-out aggregate");
+                    .expect("multi-relation aggregate");
                 assert_eq!(multi.parts.len(), 2);
-                vkg.with_published_engine(|pin, _snap, shards| {
-                    assert_eq!(pin.shard_epochs.len(), shards.len());
+                vkg.with_published_index(|pin, _snap, _state| {
+                    assert!(pin.index_epoch <= pin.epoch);
                 });
                 vkg.metrics_snapshot();
+                vkg.index_stats();
+                assert!(vkg.index_node_count() > 0 && vkg.index_bytes() > 0);
             })
         };
         let writer = {
@@ -469,7 +480,9 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                 assert!(added, "fresh edge");
                 vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
                     .expect("well-shaped embedding");
-                vkg.set_attribute_dynamic("year", m1, 1999.0);
+                vkg.set_attribute_dynamic("year", m1, 1999.0)
+                    .expect("known entity");
+                vkg.reset_access_counters();
                 vkg.quiesce();
             })
         };

@@ -4,14 +4,15 @@
 //!   bit-identically, and [`vkg_core::wal::decode_log`] never panics on
 //!   arbitrarily truncated or corrupted images;
 //! * the fault matrix — a seeded [`FaultPlane`] kills the durability
-//!   path at every byte offset × {1, 4} engine shards × {cache off,
-//!   on}; after each crash a fresh engine recovers the log and must
-//!   hold exactly the acked prefix: no acked write lost, none applied
-//!   twice, no panic on a torn tail;
+//!   path at every byte offset × {cache off, on}; after each crash a
+//!   fresh engine recovers the log and must hold exactly the acked
+//!   prefix: no acked write lost, none applied twice, no panic on a
+//!   torn tail;
 //! * WAL-off equivalence — attaching a WAL changes nothing observable
 //!   about the write path's results;
-//! * refusal before the log — a write an index would refuse leaves no
-//!   record and moves no point.
+//! * refusal before the log — a write the index would refuse leaves no
+//!   record and moves no point, and a logged record whose parameters
+//!   the write path refuses fails recovery with a typed error.
 
 use std::path::PathBuf;
 
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 use vkg_core::vkg::VirtualKnowledgeGraph;
 use vkg_core::wal::fault::FaultPlane;
 use vkg_core::wal::{self, WalRecord, RECORD_BYTES, WAL_MAGIC};
-use vkg_core::{Direction, SplitStrategy, VkgConfig};
+use vkg_core::{Direction, SplitStrategy, VkgConfig, VkgError};
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 
@@ -45,7 +46,7 @@ impl Drop for TempWal {
 /// The model-test fixture: users u0..u3 at x = i, items m0..m5 at
 /// x = 10 + i, "likes" translating by +10, so uᵢ + likes ≈ mᵢ. One
 /// pre-existing edge (u0, likes, m0).
-fn tiny_vkg(shards: usize, cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId) {
+fn tiny_vkg(cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId) {
     let dim = 8;
     let mut g = KnowledgeGraph::new();
     let likes = g.add_relation("likes");
@@ -80,7 +81,6 @@ fn tiny_vkg(shards: usize, cache_capacity: usize) -> (VirtualKnowledgeGraph, Rel
         query_aware_cost: true,
         transform_seed: 7,
         threads: 1,
-        shards,
         cache_capacity,
     };
     let vkg = VirtualKnowledgeGraph::try_assemble(g, attrs, store, cfg).expect("tiny world");
@@ -225,23 +225,21 @@ proptest! {
 #[test]
 fn fault_matrix_recovery_holds_acked_prefix() {
     for seed in 0..64u64 {
-        for &shards in &[1usize, 4] {
-            for &cache in &[0usize, 64] {
-                fault_matrix_cell(seed, shards, cache);
-            }
+        for &cache in &[0usize, 64] {
+            fault_matrix_cell(seed, cache);
         }
     }
 }
 
-fn fault_matrix_cell(seed: u64, shards: usize, cache: usize) {
-    let wal_file = TempWal::new(&format!("matrix_{seed}_{shards}_{cache}"));
-    let ctx = format!("seed {seed}, {shards} shard(s), cache {cache}");
+fn fault_matrix_cell(seed: u64, cache: usize) {
+    let wal_file = TempWal::new(&format!("matrix_{seed}_{cache}"));
+    let ctx = format!("seed {seed}, cache {cache}");
 
     // Phase 1: live process, faults armed. `acked` collects exactly the
     // writes whose Ok the "client" observed before the crash.
     let mut acked: Vec<(u64, EntityId, EntityId, bool)> = Vec::new();
     {
-        let (vkg, likes) = tiny_vkg(shards, cache);
+        let (vkg, likes) = tiny_vkg(cache);
         let plan = write_plan(&vkg);
         let fault = FaultPlane::seeded(seed, plan.len() as u64 + 1);
         if vkg.attach_wal(&wal_file.0, fault).is_ok() {
@@ -261,7 +259,7 @@ fn fault_matrix_cell(seed: u64, shards: usize, cache: usize) {
 
     // Phase 2: restart. Recovery over the torn file must never fail or
     // panic, and must reconstruct at least the acked prefix.
-    let (recovered, likes) = tiny_vkg(shards, cache);
+    let (recovered, likes) = tiny_vkg(cache);
     let report = recovered
         .attach_wal(&wal_file.0, FaultPlane::none())
         .unwrap_or_else(|e| panic!("recovery failed ({ctx}): {e}"));
@@ -298,7 +296,7 @@ fn fault_matrix_cell(seed: u64, shards: usize, cache: usize) {
     // Parity: an independent in-process replay of the repaired log
     // reaches the same state (same epoch, identical predictions).
     let (records, _stats) = wal::replay(&wal_file.0).expect("repaired log readable");
-    let (oracle, oracle_likes) = tiny_vkg(shards, cache);
+    let (oracle, oracle_likes) = tiny_vkg(cache);
     for rec in &records {
         oracle
             .add_fact_dynamic(
@@ -339,11 +337,11 @@ fn fault_matrix_cell(seed: u64, shards: usize, cache: usize) {
 #[test]
 fn wal_on_is_bit_identical_to_in_memory() {
     let wal_file = TempWal::new("equivalence");
-    let (durable, likes_d) = tiny_vkg(2, 16);
+    let (durable, likes_d) = tiny_vkg(16);
     durable
         .attach_wal(&wal_file.0, FaultPlane::none())
         .expect("fresh WAL");
-    let (memory, likes_m) = tiny_vkg(2, 16);
+    let (memory, likes_m) = tiny_vkg(16);
 
     let plan = write_plan(&durable);
     for (i, &(h, t)) in plan.iter().enumerate() {
@@ -382,7 +380,7 @@ fn logged_but_unacked_write_replays_once() {
     use vkg_core::wal::fault::FaultSpec;
 
     let wal_file = TempWal::new("unacked");
-    let (vkg, likes) = tiny_vkg(1, 0);
+    let (vkg, likes) = tiny_vkg(0);
     // Flush 0 opens the log (magic); flush 2 is the second append.
     let fault = FaultPlane::with_spec(FaultSpec {
         kill_after_bytes: None,
@@ -407,7 +405,7 @@ fn logged_but_unacked_write_replays_once() {
     drop(vkg);
 
     // Restart: the logged-but-unacked record replays exactly once…
-    let (recovered, likes) = tiny_vkg(1, 0);
+    let (recovered, likes) = tiny_vkg(0);
     let report = recovered
         .attach_wal(&wal_file.0, FaultPlane::none())
         .expect("recover");
@@ -422,14 +420,14 @@ fn logged_but_unacked_write_replays_once() {
     assert_eq!(recovered.epoch(), epoch, "retry must not publish");
 }
 
-/// A write that some shard's index would refuse (here: the tail's point
-/// tombstoned in shard 0 only) is refused *before* the log and before
-/// any point moves: the WAL keeps its length, both trees keep the head
-/// where it was, and a restart replays the acked write alone.
+/// A write the index would refuse (here: the tail's point tombstoned)
+/// is refused *before* the log and before any point moves: the WAL
+/// keeps its length, the tree keeps the head where it was, and a
+/// restart replays the acked write alone.
 #[test]
 fn refused_write_leaves_log_and_index_untouched() {
     let wal_file = TempWal::new("refused");
-    let (vkg, likes) = tiny_vkg(2, 0);
+    let (vkg, likes) = tiny_vkg(0);
     vkg.attach_wal(&wal_file.0, FaultPlane::none())
         .expect("attach");
     let u1 = vkg.graph().entity_id("u1").expect("u1");
@@ -440,27 +438,58 @@ fn refused_write_leaves_log_and_index_untouched() {
     assert!(vkg.index_mut().remove_point(m2.0));
 
     let log_len = || std::fs::metadata(&wal_file.0).expect("log").len();
-    let heads = || {
-        vkg.with_published_engine(|_, _, shards| {
-            let all = shards.iter_mut();
-            all.map(|s| s.index().points().point(u1.0).to_vec())
-                .collect::<Vec<_>>()
-        })
-    };
-    let (len, epoch, before) = (log_len(), vkg.epoch(), heads());
+    let head = || vkg.index().points().point(u1.0).to_vec();
+    let (len, epoch, before) = (log_len(), vkg.epoch(), head());
     let refused = vkg.add_fact_durable(8, u1, likes, m2, 2, 0.01);
     assert!(refused.is_err(), "a tombstoned endpoint must be refused");
     assert_eq!(log_len(), len, "a refused write must not be logged");
     assert_eq!(vkg.epoch(), epoch, "a refused write must not publish");
-    assert_eq!(heads(), before, "a refused write must not move the head");
+    assert_eq!(head(), before, "a refused write must not move the head");
     assert!(!vkg.graph().has_edge(u1, likes, m2));
     drop(vkg);
 
-    let (recovered, likes) = tiny_vkg(2, 0);
+    let (recovered, likes) = tiny_vkg(0);
     let report = recovered
         .attach_wal(&wal_file.0, FaultPlane::none())
         .expect("recover");
     assert_eq!((report.replayed, report.truncated_bytes), (1, 0));
     assert!(recovered.graph().has_edge(u1, likes, m1));
     assert!(!recovered.graph().has_edge(u1, likes, m2));
+}
+
+/// A correctly checksummed record carrying parameters the write path
+/// refuses (a hand-edited or foreign log: the facade never appends one)
+/// fails recovery with the typed error — it does not replay a NaN rate
+/// into an embedding row (the next query over it would panic on a NaN
+/// ball radius, after every restart) or spin `refine_steps` iterations
+/// under the index lock.
+#[test]
+fn replayed_record_with_refused_parameters_is_a_typed_error() {
+    let cases = [(2, f64::NAN), (2, 1.5), (u32::MAX, 0.01)];
+    for (i, &(refine_steps, learning_rate)) in cases.iter().enumerate() {
+        let wal_file = TempWal::new(&format!("bad_params_{i}"));
+        let record = WalRecord {
+            epoch: 1,
+            token: 9,
+            h: 1, // u1
+            r: 0, // likes
+            t: 5, // m1
+            refine_steps,
+            learning_rate,
+        };
+        let mut image = WAL_MAGIC.to_vec();
+        image.extend_from_slice(&record.encode());
+        std::fs::write(&wal_file.0, &image).expect("write log image");
+
+        let (vkg, likes) = tiny_vkg(0);
+        let refused = vkg.attach_wal(&wal_file.0, FaultPlane::none());
+        assert!(
+            matches!(refused, Err(VkgError::InvalidParameter(_))),
+            "case {i}: {refused:?}"
+        );
+        assert_eq!(vkg.epoch(), 0, "case {i}: nothing replayed");
+        let u1 = vkg.graph().entity_id("u1").expect("u1");
+        vkg.top_k(u1, likes, Direction::Tails, 3)
+            .expect("the engine still answers");
+    }
 }

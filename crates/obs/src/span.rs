@@ -2,8 +2,8 @@
 //!
 //! One [`Span`] is produced per served request and follows it through
 //! the serving pipeline's phases: admission → queue wait → batch wait
-//! (same-shard group draining) → shard lock (including crack-log
-//! replay) → crack/refine execution → response encode. Spans are
+//! (group draining) → index lock → crack/refine execution → response
+//! encode. Spans are
 //! fixed-size and encode into a constant number of
 //! `u64` words ([`SPAN_WORDS`]) so the lock-free [`crate::SpanRing`]
 //! can store them in per-slot atomic arrays without allocation.
@@ -38,29 +38,28 @@ impl SpanOutcome {
 /// One request's trip through the serving pipeline.
 ///
 /// Durations are nanoseconds measured on the server's [`crate::Clock`].
-/// `lock_ns` deliberately includes crack-log replay: acquiring a shard
-/// means syncing it with siblings' pending cracks, and that replay cost
-/// is exactly what the span is there to expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Server-assigned query id, monotonically increasing.
     pub id: u64,
     /// Wire opcode of the request.
     pub op: u8,
-    /// Shard the request routed to, or `u32::MAX` for unrouted ops.
+    /// A word the record format keeps from the engine's sharded days:
+    /// 0 for a request that reached the index, `u32::MAX` for one that
+    /// routed nowhere.
     pub shard: u32,
     /// How the request ended.
     pub outcome: SpanOutcome,
     /// Admission (successful `try_push`) → worker pop.
     pub queue_ns: u64,
-    /// Worker pop → shard lock acquired (includes crack-log replay).
+    /// Worker pop → index lock acquired.
     pub lock_ns: u64,
-    /// Shard lock acquired → result ready (crack/refine work).
+    /// Index lock acquired → result ready (crack/refine work).
     pub exec_ns: u64,
     /// Response encode on the connection thread.
     pub encode_ns: u64,
-    /// Time spent waiting for same-shard batch siblings: worker pop →
-    /// this request's shard lock acquisition, when the worker drained it
+    /// Time spent waiting for batch siblings: worker pop → this
+    /// request's turn under the index lock, when the worker drained it
     /// as part of a multi-request group. Zero on the single-request
     /// path.
     pub batch_ns: u64,

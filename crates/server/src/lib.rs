@@ -21,8 +21,9 @@
 //!   load explicitly; admitted work is always answered (the
 //!   `admitted == answered` invariant); well-formed requests are
 //!   sanitized before admission (`k` clamped to the entity count and
-//!   frame budget, write refinement capped at
-//!   [`server::MAX_REFINE_STEPS`], non-finite learning rates refused);
+//!   frame budget, write refinement parameters held to
+//!   [`vkg_core::check_refine_params`]: at most
+//!   [`server::MAX_REFINE_STEPS`] steps, a finite rate in [0, 1]);
 //!   and reads pin one snapshot epoch end-to-end via the facade's
 //!   epoch-swap publication.
 //! * [`client`] — a synchronous [`client::Client`] speaking the same
@@ -35,7 +36,7 @@
 //!   applies at most once even across a server crash + WAL recovery.
 //!
 //! The server is **observable end-to-end**: every admitted request is
-//! traced into a `vkg-obs` span (queue wait → shard lock → execute →
+//! traced into a `vkg-obs` span (queue wait → index lock → execute →
 //! encode), admission counters and a server-side latency histogram live
 //! in a per-server metrics registry, and the `Metrics` opcode exports
 //! all of it (merged with the engine facade's `core.*` registry) over

@@ -524,28 +524,31 @@ pub struct ServerCounters {
     pub drained: u64,
 }
 
-/// One engine shard's slice of a stats report: its epoch (publications
-/// that mutated its index) and the admission traffic routed to it.
+/// One row of a stats report's `shards` sequence. The wire format
+/// keeps the sequence from the engine's sharded days (v2 clients decode
+/// it); the server fills exactly one row: the index epoch
+/// (publications that mutated the index) and the whole admission
+/// ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStatsWire {
-    /// The shard's epoch at the time of the answer.
+    /// The index epoch at the time of the answer.
     pub epoch: u64,
-    /// Requests admitted that routed to this shard.
+    /// Requests admitted.
     pub admitted: u64,
-    /// Routed requests answered.
+    /// Requests answered.
     pub answered: u64,
 }
 
 /// Engine + server statistics at one epoch — the remote view of
-/// [`EngineStats`] (crack-depth, probe counters, summed across shards)
-/// and [`Accuracy`], plus a per-shard breakdown.
+/// [`EngineStats`] (crack-depth, probe counters) and [`Accuracy`], plus
+/// the one-row `shards` sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsWire {
     /// Snapshot epoch at the time of the answer.
     pub epoch: u64,
-    /// Index nodes currently allocated (all shards).
+    /// Index nodes currently allocated.
     pub nodes: u64,
-    /// Approximate index size in bytes (all shards).
+    /// Approximate index size in bytes.
     pub bytes: u64,
     /// Binary splits performed (crack depth proxy).
     pub splits_performed: u64,
@@ -561,13 +564,14 @@ pub struct StatsWire {
     pub accuracy: AccuracyWire,
     /// Admission-control counters.
     pub server: ServerCounters,
-    /// Per-shard epochs and admission traffic, in shard order.
+    /// The index epoch and admission ledger, as a one-row sequence
+    /// (see [`ShardStatsWire`]).
     pub shards: Vec<ShardStatsWire>,
 }
 
 impl StatsWire {
     /// Assembles from the engine's uniform stats report plus the
-    /// per-shard breakdown.
+    /// `shards` rows.
     pub fn from_stats(
         epoch: u64,
         stats: &EngineStats,
@@ -899,7 +903,7 @@ impl Response {
                 e.u64(s.server.drained);
                 #[expect(
                     clippy::cast_possible_truncation,
-                    reason = "encode side; shard counts are configuration-bounded, nowhere near 2^32"
+                    reason = "encode side; the server fills one row, nowhere near 2^32"
                 )]
                 e.u32(s.shards.len() as u32);
                 for sh in &s.shards {

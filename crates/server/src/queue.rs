@@ -95,7 +95,7 @@ impl<T> JobQueue<T> {
     /// Blocks for the next item like [`JobQueue::pop`], then greedily
     /// drains up to `max - 1` more already-queued items **without
     /// waiting** — the group a batching consumer executes under one
-    /// shard-lock round. `None` has exactly `pop`'s meaning (closed and
+    /// lock round. `None` has exactly `pop`'s meaning (closed and
     /// drained), so `while let Some(batch) = queue.pop_batch(n)` also
     /// answers every admitted job before exiting. `max` is clamped to at
     /// least 1; the returned vector is never empty.
@@ -206,85 +206,6 @@ impl Counters {
     }
 }
 
-/// Per-shard admitted/answered counters, sized at server start to the
-/// engine's shard count. A request that routes to a shard (any query or
-/// write carrying a relation) is counted against it at admission and
-/// again when answered, so operators can see *which* shard a hot
-/// relation's traffic lands on. The same drain invariant as
-/// [`Counters`] holds per shard: after a graceful drain,
-/// `admitted == answered` in every slot.
-pub struct ShardCounters {
-    slots: Vec<ShardSlot>,
-}
-
-#[derive(Default)]
-struct ShardSlot {
-    admitted: AtomicU64,
-    answered: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Counters for `shard_count` shards, all zero.
-    pub fn new(shard_count: usize) -> Self {
-        ShardCounters {
-            slots: (0..shard_count.max(1))
-                .map(|_| ShardSlot::default())
-                .collect(),
-        }
-    }
-
-    /// Number of shards tracked.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no shards are tracked (never, for a live server).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Records one admission routed to `shard`.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn record_admitted(&self, shard: usize) {
-        // Release: pairs with the Acquire load in `snapshot`, mirroring
-        // the global counters' drain-invariant ordering.
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API"
-        )]
-        self.slots[shard].admitted.fetch_add(1, Ordering::Release);
-    }
-
-    /// Records one answer for a job routed to `shard`.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn record_answered(&self, shard: usize) {
-        // Release: pairs with the Acquire load in `snapshot`, mirroring
-        // the global counters' drain-invariant ordering.
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard comes from request_shard which bounds it by shard_count; the # Panics contract is the API"
-        )]
-        self.slots[shard].answered.fetch_add(1, Ordering::Release);
-    }
-
-    /// A point-in-time `(admitted, answered)` pair per shard.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.slots
-            .iter()
-            .map(|s| {
-                (
-                    s.admitted.load(Ordering::Acquire),
-                    s.answered.load(Ordering::Acquire),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -363,19 +284,5 @@ mod tests {
             ),
             (2, 1, 1, 1, 1)
         );
-    }
-
-    #[test]
-    fn shard_counters_track_per_shard() {
-        let c = ShardCounters::new(3);
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
-        c.record_admitted(0);
-        c.record_admitted(2);
-        c.record_admitted(2);
-        c.record_answered(2);
-        assert_eq!(c.snapshot(), vec![(1, 0), (0, 0), (2, 1)]);
-        // Zero shards clamp to one slot (a live engine has ≥ 1 shard).
-        assert_eq!(ShardCounters::new(0).len(), 1);
     }
 }

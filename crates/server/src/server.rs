@@ -16,34 +16,32 @@
 //! is not enough, because a *well-formed* frame can still carry
 //! resource-exhaustion values. Before a request is queued, `k` is
 //! clamped to the entity count and to the largest answer that fits in a
-//! response frame, the dynamic write's gradient-step budget is capped at
-//! [`MAX_REFINE_STEPS`] (the refinement loop runs under the engine write
-//! lock), and a non-finite or out-of-range learning rate is refused with
-//! a typed [`ErrorCode::Query`] error before it can poison the shared
-//! embeddings.
+//! response frame, and a dynamic write whose gradient-step budget or
+//! learning rate [`vkg_core::check_refine_params`] refuses (more than
+//! [`MAX_REFINE_STEPS`] steps — the refinement loop runs under the index
+//! lock — or a non-finite or out-of-range rate) is refused with a typed
+//! [`ErrorCode::Query`] error before it is queued. The facade applies
+//! the same rule again on entry, so in-process callers and WAL replay
+//! cannot bypass it.
 //!
-//! # Epoch-swapped reads, sharded
+//! # Epoch-swapped reads
 //!
 //! Workers execute reads through
-//! [`VirtualKnowledgeGraph::with_published_shard`], which takes only
-//! the owning relation's shard lock and pins one `(epoch, snapshot)`
-//! pair for the whole query — traffic on one hot relation never stalls
-//! queries routed to other shards. Dynamic writes go through the
-//! facade's `&self` single-writer path (all shard locks) and publish a
-//! fresh snapshot with a bumped epoch; every response carries the epoch
-//! it was computed at so clients can reason about read-your-writes.
-//! Admission is recorded per shard ([`crate::queue::ShardCounters`])
-//! and reported in `Stats`; a graceful drain ends by **quiescing** every
-//! shard (acquiring and releasing all shard locks) so no in-flight
-//! cracking outlives the server.
+//! [`VirtualKnowledgeGraph::with_published_index`], which takes the
+//! index lock and pins one `(epoch, snapshot)` pair for the whole
+//! query. Dynamic writes go through the facade's `&self` single-writer
+//! path (the same lock) and publish a fresh snapshot with a bumped
+//! epoch; every response carries the epoch it was computed at so
+//! clients can reason about read-your-writes. A graceful drain ends by
+//! **quiescing** the index (acquiring and releasing its lock) so no
+//! in-flight cracking outlives the server.
 //!
-//! # Same-shard batching
+//! # Batching
 //!
 //! With [`ServerConfig::batch_max`] > 1 a worker drains up to that many
-//! queued jobs per wake-up ([`crate::queue::JobQueue::pop_batch`]),
-//! buckets the relation-routed reads by engine shard, and executes each
-//! bucket under **one** shard-lock acquisition — amortizing lock and
-//! crack-log-replay cost across the group (`server.lock_rounds` /
+//! queued jobs per wake-up ([`crate::queue::JobQueue::pop_batch`]) and
+//! executes the reads among them under **one** index-lock acquisition
+//! — amortizing the lock across the group (`server.lock_rounds` /
 //! `server.answered` drops below 1). Reads go through the facade's
 //! cache-aware pinned entry points, so the epoch-keyed result cache
 //! serves repeats without recomputation. Each batched job's deadline is
@@ -55,7 +53,7 @@
 //! # Observability
 //!
 //! Every admitted request is traced into a [`vkg_obs::Span`] — queue
-//! wait → shard lock (including crack-log replay) → execute → encode —
+//! wait → index lock → execute → encode —
 //! and pushed into a fixed-size lock-free [`SpanRing`]; the admission
 //! counters and a server-side latency histogram live in a `server.*`
 //! [`Registry`] (see [`names`]). The wire `Metrics` opcode (and
@@ -72,8 +70,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vkg_core::engine::IndexState;
-use vkg_core::vkg::{ShardPin, VirtualKnowledgeGraph};
-use vkg_core::VkgSnapshot;
+use vkg_core::vkg::{IndexPin, VirtualKnowledgeGraph};
+use vkg_core::{QueryEngine, VkgSnapshot};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, Registry, Span, SpanOutcome, SpanRing, Tick};
 use vkg_sync::thread::{self, JoinHandle};
@@ -83,7 +81,7 @@ use crate::protocol::{
     AggregateWire, ErrorCode, MetricsWire, Request, RequestOp, Response, ServerCounters,
     ServerError, ShardStatsWire, StatsWire, TopKWire, WireFilter,
 };
-use crate::queue::{Admission, Counters, JobQueue, ShardCounters};
+use crate::queue::{Admission, Counters, JobQueue};
 use crate::wire::{write_frame, FrameBuffer, WireError};
 
 /// Metric names exported by the server (`server.*` namespace). The
@@ -109,8 +107,8 @@ pub mod names {
     /// Jobs drained per worker wake-up — the batch-size distribution.
     /// Recorded as raw counts (a sample of `3` means a 3-job batch).
     pub const BATCH_SIZE: &str = "server.batch_size";
-    /// Engine lock rounds taken by workers: one per same-shard batch
-    /// group, per standalone query, and per dynamic write. With
+    /// Index-lock rounds taken by workers: one per batch's group of
+    /// reads, per standalone query, and per dynamic write. With
     /// batching on, `lock_rounds / answered < 1` is the whole point.
     pub const LOCK_ROUNDS: &str = "server.lock_rounds";
     /// Mirror of the facade's `core.wal.appended` counter: WAL records
@@ -142,10 +140,10 @@ pub struct ServerConfig {
     /// Capacity of the lock-free span ring: how many of the most recent
     /// per-request spans the `Metrics` export can return.
     pub span_ring: usize,
-    /// Most jobs a worker drains from the queue per wake-up. Jobs
-    /// routing to the same engine shard execute under **one** shard-lock
-    /// acquisition; each job's deadline is re-checked after the lock is
-    /// held. `1` (the default) reproduces unbatched serving exactly.
+    /// Most jobs a worker drains from the queue per wake-up. The reads
+    /// among them execute under **one** index-lock acquisition; each
+    /// job's deadline is re-checked after the lock is held. `1` (the
+    /// default) reproduces unbatched serving exactly.
     pub batch_max: usize,
     /// The clock every span phase, deadline check, and latency sample is
     /// measured on. Tests inject [`Clock::mock`] to make timing
@@ -175,14 +173,16 @@ impl Default for ServerConfig {
     }
 }
 
+/// The `shard` word of every span traced here: the 62-byte span record
+/// keeps the field (`u32::MAX` marks a request that routed nowhere),
+/// and the one index is shard 0.
+const ROUTED: u32 = 0;
+
 /// One admitted unit of work.
 struct Job {
     /// Server-assigned query id, stamped into the traced span.
     id: u64,
     request: Request,
-    /// The engine shard the request routes to (`None` for control
-    /// operations, which never reach the queue anyway).
-    shard: Option<usize>,
     admitted_at: Tick,
     deadline: Duration,
     /// The worker sends back the answer plus the span traced for it;
@@ -241,7 +241,6 @@ struct Shared {
     cfg: ServerConfig,
     queue: JobQueue<Job>,
     counters: Counters,
-    shard_counters: ShardCounters,
     draining: AtomicBool,
     obs: Obs,
 }
@@ -270,13 +269,11 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shard_counters = ShardCounters::new(vkg.shard_count());
         let obs = Obs::new(&cfg);
         let shared = Arc::new(Shared {
             vkg,
             queue: JobQueue::new(cfg.queue_capacity),
             counters: Counters::default(),
-            shard_counters,
             draining: AtomicBool::new(false),
             obs,
             cfg,
@@ -341,11 +338,6 @@ impl ServerHandle {
         self.shared.counters.snapshot()
     }
 
-    /// Per-shard `(admitted, answered)` counters, in shard order.
-    pub fn shard_counters(&self) -> Vec<(u64, u64)> {
-        self.shared.shard_counters.snapshot()
-    }
-
     /// The merged observability export — identical in content to what
     /// the wire `Metrics` opcode returns — for in-process callers like
     /// the load generator's artifact writer.
@@ -381,11 +373,7 @@ impl ServerHandle {
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
-/// Most gradient-refinement steps a wire `AddFactDynamic` may request.
-/// The refinement loop runs while holding the engine write lock, so an
-/// unbounded step count from one client would wedge every query, stat,
-/// and drain behind it.
-pub const MAX_REFINE_STEPS: u32 = 1024;
+pub use vkg_core::MAX_REFINE_STEPS;
 
 /// Wire cost of one `PredictionWire` (`u32` id + two `f64`s).
 const PREDICTION_WIRE_BYTES: usize = 20;
@@ -427,18 +415,8 @@ fn sanitize(shared: &Shared, request: &mut Request) -> Result<(), Response> {
             learning_rate,
             ..
         } => {
-            if *refine_steps > MAX_REFINE_STEPS {
-                return Err(refusal(
-                    ErrorCode::Query,
-                    &format!("refine_steps {refine_steps} exceeds the cap of {MAX_REFINE_STEPS}"),
-                ));
-            }
-            if !learning_rate.is_finite() || !(0.0..=1.0).contains(learning_rate) {
-                return Err(refusal(
-                    ErrorCode::Query,
-                    "learning_rate must be finite and within [0, 1]",
-                ));
-            }
+            vkg_core::check_refine_params(*refine_steps as usize, *learning_rate)
+                .map_err(|why| refusal(ErrorCode::Query, &why))?;
         }
         RequestOp::Aggregate { .. }
         | RequestOp::Stats
@@ -462,19 +440,6 @@ fn metrics_export(shared: &Shared, last_spans: usize) -> MetricsWire {
     obs.drained.set(counters.drained);
     obs.queue_depth
         .set(u64::try_from(shared.queue.len()).unwrap_or(u64::MAX));
-    for (i, (admitted, answered)) in shared.shard_counters.snapshot().into_iter().enumerate() {
-        // Get-or-create by name: shard count is fixed at start, so after
-        // the first export these are lookups, and exports are rare.
-        obs.registry
-            .gauge(&format!("server.shard{i}.admitted"))
-            .set(admitted);
-        obs.registry
-            .gauge(&format!("server.shard{i}.answered"))
-            .set(answered);
-    }
-    // One integer under the published read lock: a scrape must neither
-    // stop queries behind every shard lock nor make lagging shards
-    // replay the crack log.
     let epoch = shared.vkg.epoch();
     let mut snap = shared.vkg.metrics_snapshot();
     // Mirror the facade's durability counters into `server.wal.*` gauges
@@ -552,10 +517,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHan
     for worker in workers {
         let _ = worker.join();
     }
-    // Quiesce every shard: acquire and release all shard locks, so any
-    // cracking still running on a shard (there should be none — workers
-    // joined — but belt and braces against detached readers holding a
-    // facade guard) finishes before the drain reports complete.
+    // Quiesce the index: acquire and release its lock, so any cracking
+    // still running (there should be none — workers joined — but belt
+    // and braces against detached readers holding a facade guard)
+    // finishes before the drain reports complete.
     shared.vkg.quiesce();
 }
 
@@ -626,29 +591,27 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
         }
         RequestOp::Stats => {
             // Side-effect free: answered inline, bypassing admission
-            // control so it stays observable under overload. Takes every
-            // shard lock briefly (an atomic cut across shards: the
-            // global epoch and all shard epochs are mutually consistent).
-            let stats = shared.vkg.with_published_engine(|pin, _, engine| {
-                let per_shard = shared.shard_counters.snapshot();
-                let shards = pin
-                    .shard_epochs
-                    .iter()
-                    .zip(per_shard)
-                    .map(|(&epoch, (admitted, answered))| ShardStatsWire {
-                        epoch,
-                        admitted,
-                        answered,
-                    })
-                    .collect();
+            // control so it stays observable under overload. Holds the
+            // index lock's shared side: publication needs the exclusive
+            // side, so both epochs and the index statistics are one cut.
+            let stats = {
+                let index = shared.vkg.index();
+                let server = shared.counters.snapshot();
+                // The wire keeps its per-shard sequence (v2 clients
+                // decode it); one index fills exactly one row.
+                let row = ShardStatsWire {
+                    epoch: shared.vkg.index_epoch(),
+                    admitted: server.admitted,
+                    answered: server.answered,
+                };
                 StatsWire::from_stats(
-                    pin.epoch,
-                    &engine.merged_stats(),
-                    engine.accuracy(),
-                    shared.counters.snapshot(),
-                    shards,
+                    shared.vkg.epoch(),
+                    &index.state().stats(),
+                    index.state().accuracy(),
+                    server,
+                    vec![row],
                 )
-            });
+            };
             send(stream, &Response::Stats(stats)).is_ok()
         }
         RequestOp::Metrics { last_spans } => {
@@ -673,14 +636,12 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
             } else {
                 Duration::from_millis(u64::from(request.deadline_ms))
             };
-            let shard = request_shard(shared, &request);
             let (reply_tx, reply_rx) = mpsc::channel();
             let job = Job {
                 // relaxed: a ticket dispenser; span ids need uniqueness,
                 // not ordering with any other state.
                 id: shared.obs.next_query_id.fetch_add(1, Ordering::Relaxed),
                 request,
-                shard,
                 admitted_at: shared.obs.clock.now(),
                 deadline,
                 reply: reply_tx,
@@ -688,9 +649,6 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
             match shared.queue.try_push(job) {
                 Admission::Admitted => {
                     shared.counters.record_admitted();
-                    if let Some(shard) = shard {
-                        shared.shard_counters.record_admitted(shard);
-                    }
                     match reply_rx.recv() {
                         Ok((response, mut span)) => {
                             // Encode on the connection thread so the
@@ -771,32 +729,8 @@ fn fail_connection(stream: &mut TcpStream, e: &WireError) {
     );
 }
 
-/// The engine shard a request's relation routes to. Dynamic writes are
-/// charged to their relation's shard even though execution takes every
-/// shard lock — the *traffic* belongs to that relation. Control
-/// operations carry no relation and route nowhere.
-fn request_shard(shared: &Shared, request: &Request) -> Option<usize> {
-    let relation = match &request.op {
-        RequestOp::TopK { relation, .. }
-        | RequestOp::TopKFiltered { relation, .. }
-        | RequestOp::Aggregate { relation, .. } => *relation,
-        RequestOp::AddFactDynamic { r, .. } => *r,
-        RequestOp::Stats | RequestOp::Metrics { .. } | RequestOp::Shutdown => return None,
-    };
-    Some(shared.vkg.shard_of(RelationId(relation)))
-}
-
-/// One unit of execution inside a batch: either a same-shard group of
-/// relation-routed reads (one shard-lock round for the lot) or a job
-/// that must run standalone (dynamic writes, which take every shard
-/// lock inside the facade).
-enum Unit {
-    Group(usize, Vec<Job>),
-    Solo(Job),
-}
-
-/// Whether a request is a relation-routed read that can share a
-/// shard-lock round with same-shard siblings.
+/// Whether a request is a read that can share an index-lock round
+/// with the other reads of its batch.
 fn batchable(op: &RequestOp) -> bool {
     matches!(
         op,
@@ -816,33 +750,29 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             continue;
         }
-        // Bucket relation-routed reads by shard, preserving first-seen
-        // order; everything else runs standalone in arrival order.
+        // The reads of one pop form one group, served where the first of
+        // them arrived; everything else (dynamic writes, which take the
+        // index lock inside the facade) runs standalone in arrival order.
         // Reordering across a batch is unobservable to clients: each
         // connection serializes (it blocks on its reply before sending
         // the next frame), so batched jobs always belong to distinct
         // connections with no cross-ordering obligations.
-        let mut units: Vec<Unit> = Vec::new();
+        let mut reads: Vec<Job> = Vec::new();
+        let mut after: Vec<Job> = Vec::new();
         for job in batch {
-            match job.shard {
-                Some(shard) if batchable(&job.request.op) => {
-                    let existing = units.iter_mut().find_map(|u| match u {
-                        Unit::Group(s, jobs) if *s == shard => Some(jobs),
-                        _ => None,
-                    });
-                    match existing {
-                        Some(jobs) => jobs.push(job),
-                        None => units.push(Unit::Group(shard, vec![job])),
-                    }
-                }
-                _ => units.push(Unit::Solo(job)),
+            if batchable(&job.request.op) {
+                reads.push(job);
+            } else if reads.is_empty() {
+                serve_one(shared, job, popped);
+            } else {
+                after.push(job);
             }
         }
-        for unit in units {
-            match unit {
-                Unit::Solo(job) => serve_one(shared, job, popped),
-                Unit::Group(shard, jobs) => serve_group(shared, shard, jobs, popped),
-            }
+        if !reads.is_empty() {
+            serve_group(shared, reads, popped);
+        }
+        for job in after {
+            serve_one(shared, job, popped);
         }
     }
 }
@@ -868,24 +798,19 @@ fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
         if let Some(think) = shared.cfg.worker_think_time {
             thread::sleep(think);
         }
-        if job.shard.is_some() {
-            // One lock round: a read takes its shard's lock, a write
-            // takes all of them — either way one acquisition episode.
-            shared.obs.lock_rounds.incr();
-        }
+        // One lock round, read or write: both take the index lock once.
+        shared.obs.lock_rounds.incr();
         execute(&shared.vkg, &job.request, clock)
     };
     let finished = clock.now();
     let span = Span {
         id: job.id,
         op: job.request.op.opcode(),
-        shard: job
-            .shard
-            .map_or(u32::MAX, |s| u32::try_from(s).unwrap_or(u32::MAX)),
+        shard: ROUTED,
         outcome: outcome_of(&response),
         queue_ns,
-        // Pop → shard lock held (includes crack-log replay, and the
-        // injected think time when the fault-injection knob is set).
+        // Pop → index lock held (includes the injected think time when
+        // the fault-injection knob is set).
         lock_ns: locked_at.since(unit_start),
         exec_ns: finished.since(locked_at),
         // Stamped by the connection thread once the encode is done.
@@ -898,7 +823,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
     finish_job(shared, job, response, span);
 }
 
-/// Serves a same-shard group of reads under **one** shard-lock round.
+/// Serves a batch's group of reads under **one** index-lock round.
 ///
 /// Each job's deadline is re-checked *after* the lock is held: a
 /// request can expire while its batch siblings execute (or while the
@@ -906,42 +831,40 @@ fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
 /// spend lock time on an answer the client has already written off.
 /// Expired jobs are refused with `DeadlineExceeded` — still answered,
 /// so `admitted == answered` survives batching.
-fn serve_group(shared: &Arc<Shared>, shard: usize, jobs: Vec<Job>, popped: Tick) {
+fn serve_group(shared: &Arc<Shared>, jobs: Vec<Job>, popped: Tick) {
     let clock = &shared.obs.clock;
     let group_start = clock.now();
     shared.obs.lock_rounds.incr();
-    let (locked_at, served) = shared
-        .vkg
-        .with_published_shard_index(shard, |pin, snap, state| {
-            let locked_at = clock.now();
-            let mut served = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                let exec_start = clock.now();
-                let waited = exec_start.since(job.admitted_at);
-                let response = if Duration::from_nanos(waited) >= job.deadline {
-                    shared.counters.record_deadline_expired();
-                    refusal(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired before execution; not executed",
-                    )
-                } else {
-                    if let Some(think) = shared.cfg.worker_think_time {
-                        thread::sleep(think);
-                    }
-                    execute_pinned(&shared.vkg, &job.request, pin, snap, state)
-                };
-                served.push((job, response, exec_start, clock.now()));
-            }
-            (locked_at, served)
-        });
+    let (locked_at, served) = shared.vkg.with_published_index(|pin, snap, state| {
+        let locked_at = clock.now();
+        let mut served = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let exec_start = clock.now();
+            let waited = exec_start.since(job.admitted_at);
+            let response = if Duration::from_nanos(waited) >= job.deadline {
+                shared.counters.record_deadline_expired();
+                refusal(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline expired before execution; not executed",
+                )
+            } else {
+                if let Some(think) = shared.cfg.worker_think_time {
+                    thread::sleep(think);
+                }
+                execute_pinned(&shared.vkg, &job.request, pin, snap, state)
+            };
+            served.push((job, response, exec_start, clock.now()));
+        }
+        (locked_at, served)
+    });
     for (job, response, exec_start, finished) in served {
         let span = Span {
             id: job.id,
             op: job.request.op.opcode(),
-            shard: u32::try_from(shard).unwrap_or(u32::MAX),
+            shard: ROUTED,
             outcome: outcome_of(&response),
             queue_ns: popped.since(job.admitted_at),
-            // The group's shared wait for the shard lock.
+            // The group's shared wait for the index lock.
             lock_ns: locked_at.since(group_start),
             exec_ns: finished.since(exec_start),
             encode_ns: 0,
@@ -962,10 +885,7 @@ fn serve_group(shared: &Arc<Shared>, shard: usize, jobs: Vec<Job>, popped: Tick)
 /// answered.
 fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span) {
     shared.counters.record_answered();
-    if let Some(shard) = job.shard {
-        shared.shard_counters.record_answered(shard);
-    }
-    // The server executes reads inside shard closures, bypassing
+    // The server executes reads inside index-lock closures, bypassing
     // the facade's own instrumented entry points — mirror the
     // executed reads into the facade registry so `core.queries`
     // stays truthful however the engine is driven. Deadline-refused
@@ -1001,21 +921,19 @@ fn refine_steps_of(response: &Response) -> u64 {
 }
 
 /// Runs one request against the engine. Reads pin a single epoch via
-/// `with_published_shard` — taking only the owning relation's shard
-/// lock; the dynamic write goes through the facade's serialized `&self`
-/// writer path (all shard locks) and reports the post-publish epoch.
+/// `with_published_index`; the dynamic write goes through the facade's
+/// serialized `&self` writer path (the same lock) and reports the
+/// post-publish epoch.
 ///
-/// Returns the response plus the tick at which the shard lock was held
-/// (closure entry, i.e. after crack-log replay) so the worker can split
-/// the span into its lock and execute phases. Paths that take no shard
-/// lock report their own start tick, which makes `lock_ns` cover the
-/// whole wait (the single-writer path) or nothing (refusals).
+/// Returns the response plus the tick at which the index lock was held
+/// (closure entry) so the worker can split the span into its lock and
+/// execute phases. Paths that do not take the lock here report their
+/// own start tick, which makes `exec_ns` cover the whole call (the
+/// single-writer path) or nothing (refusals).
 fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Response, Tick) {
     match &request.op {
-        RequestOp::TopK { relation, .. }
-        | RequestOp::TopKFiltered { relation, .. }
-        | RequestOp::Aggregate { relation, .. } => {
-            vkg.with_published_shard(RelationId(*relation), |pin, snap, state| {
+        RequestOp::TopK { .. } | RequestOp::TopKFiltered { .. } | RequestOp::Aggregate { .. } => {
+            vkg.with_published_index(|pin, snap, state| {
                 let locked_at = clock.now();
                 (execute_pinned(vkg, request, pin, snap, state), locked_at)
             })
@@ -1028,7 +946,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
             learning_rate,
             token,
         } => {
-            // The write path acquires every shard lock inside the
+            // The write path acquires the index lock inside the
             // facade; its span charges the whole call to `exec_ns`.
             // With a WAL attached the facade appends + flushes the
             // record before the index mutation this ack reports.
@@ -1042,7 +960,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
                 *learning_rate,
             ) {
                 // The facade reports the epoch of *this* write (taken while
-                // it held the engine lock), so a concurrent writer publishing
+                // it held the index lock), so a concurrent writer publishing
                 // right after cannot leak its later epoch into this response.
                 Ok((added, epoch)) => Response::FactAdded {
                     added,
@@ -1060,7 +978,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
     }
 }
 
-/// Runs one relation-routed read against an already-locked shard — the
+/// Runs one read against the already-locked index — the
 /// shared execution core of the standalone path (`execute` wraps it in
 /// its own lock round) and the batched path (`serve_group` drives many
 /// requests through one round). All three reads go through the facade's
@@ -1069,7 +987,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
 fn execute_pinned(
     vkg: &VirtualKnowledgeGraph,
     request: &Request,
-    pin: ShardPin,
+    pin: IndexPin,
     snap: &VkgSnapshot,
     state: &mut IndexState,
 ) -> Response {
@@ -1153,9 +1071,6 @@ fn execute_pinned(
                 }
             }
         },
-        _ => refusal(
-            ErrorCode::Internal,
-            "only relation-routed reads execute pinned",
-        ),
+        _ => refusal(ErrorCode::Internal, "only reads execute pinned"),
     }
 }

@@ -119,7 +119,7 @@ fn parked_consumer_always_woken() {
 }
 
 /// The batching consumer loop: producers race consumers that drain via
-/// [`JobQueue::pop_batch`] (the same-shard group path of the serving
+/// [`JobQueue::pop_batch`] (the group path of the serving
 /// loop) and a closer. In every explored interleaving the drain
 /// invariant holds — each admitted item lands in exactly one batch,
 /// batches respect the size cap, and none is empty or lost.

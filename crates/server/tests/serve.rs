@@ -297,13 +297,13 @@ fn queued_requests_past_deadline_are_refused() {
 }
 
 /// Regression test for the batched-deadline bug: a request grouped
-/// behind same-shard siblings must be re-checked against *its own*
-/// deadline **after** the shard lock is acquired, because siblings
+/// behind batch siblings must be re-checked against *its own*
+/// deadline **after** the index lock is acquired, because siblings
 /// executing ahead of it inside the lock consume real time. Without the
 /// post-lock re-check, late group members would execute (and bill their
 /// think time) long past the deadline the client was promised.
 ///
-/// One worker with a 25ms think time serves 8 same-shard requests
+/// One worker with a 25ms think time serves 8 read requests
 /// carrying 60ms deadlines: the first batch member(s) answer in time,
 /// and members queued behind ≥2 siblings' think time must be refused
 /// with `DeadlineExceeded` — never executed late, never dropped.
@@ -362,7 +362,7 @@ fn batched_requests_expiring_after_lock_are_refused_not_executed() {
     );
 
     // The refusals really came from batched execution: the worker
-    // drained same-shard groups larger than one.
+    // drained groups larger than one.
     let mut probe = Client::connect(addr).expect("metrics client connects");
     let m = probe.metrics(0).expect("metrics answered");
     let batch = m.snapshot.hist("server.batch_size").expect("batch hist");
@@ -397,7 +397,6 @@ fn batched_cached_serving_stays_correct_under_writes() {
         ds.attributes,
         embeddings,
         VkgConfig {
-            shards: 2,
             cache_capacity: 1024,
             ..VkgConfig::default()
         },
@@ -729,6 +728,15 @@ fn stats_reports_epoch_accuracy_and_ledger() {
     assert_eq!(stats.server.admitted, 2, "stats itself bypasses admission");
     assert_eq!(stats.server.answered, 2);
     assert_eq!(stats.server.shed, 0);
+    // One index, one row: its epoch and the whole ledger.
+    assert_eq!(
+        stats.shards,
+        vec![vkg_server::protocol::ShardStatsWire {
+            epoch: vkg.index_epoch(),
+            admitted: stats.server.admitted,
+            answered: stats.server.answered,
+        }]
+    );
 
     let name_filtered = client
         .top_k_filtered(
@@ -747,107 +755,6 @@ fn stats_reports_epoch_accuracy_and_ledger() {
 
     let counters = handle.shutdown();
     assert_eq!(counters.admitted, counters.answered);
-}
-
-/// Sharded serving independence: relations 0 and 1 hash to different
-/// shards at shard count 2, so a writer hammering one relation holds
-/// only its own shard's lock. Readers on *both* relations must make
-/// progress while both writers are mid-burst — a global engine lock
-/// would stall one side and trip the progress deadline. Per-shard
-/// admission counters confirm traffic really landed on two shards.
-#[test]
-fn writers_on_two_relations_do_not_block_each_others_readers() {
-    let vkg = build_vkg_with(VkgConfig {
-        shards: 2,
-        ..VkgConfig::default()
-    });
-    let handle = start(
-        &vkg,
-        ServerConfig {
-            workers: 4,
-            queue_capacity: 512,
-            ..ServerConfig::default()
-        },
-    );
-    let addr = handle.addr();
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let gate = Arc::new(Barrier::new(4));
-    let writers: Vec<_> = [RelationId(0), RelationId(1)]
-        .into_iter()
-        .map(|relation| {
-            let stop = Arc::clone(&stop);
-            let gate = Arc::clone(&gate);
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("writer connects");
-                gate.wait();
-                let mut writes = 0u32;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let i = writes;
-                    client
-                        .add_fact(
-                            EntityId(i % USERS),
-                            relation,
-                            EntityId(USERS + (i * 11 + relation.0 * 3) % MOVIES),
-                            2,
-                            0.01,
-                        )
-                        .expect("dynamic write is answered");
-                    writes += 1;
-                }
-                writes
-            })
-        })
-        .collect();
-
-    // Readers on the two relations run to completion *while* the
-    // writers keep writing; a deadline turns "reads blocked behind the
-    // other relation's writer" into a hard failure.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let readers: Vec<_> = [RelationId(0), RelationId(1)]
-        .into_iter()
-        .map(|relation| {
-            let gate = Arc::clone(&gate);
-            let tx = tx.clone();
-            thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("reader connects");
-                gate.wait();
-                for i in 0..25u32 {
-                    let top = client
-                        .top_k(EntityId(i % USERS), relation, Direction::Tails, 5)
-                        .expect("top-k is answered");
-                    assert!(top.predictions.len() <= 5);
-                    for w in top.predictions.windows(2) {
-                        assert!(w[0].distance <= w[1].distance, "ascending by distance");
-                    }
-                }
-                tx.send(relation).expect("main thread is waiting");
-            })
-        })
-        .collect();
-
-    for _ in 0..2 {
-        rx.recv_timeout(Duration::from_secs(30))
-            .expect("readers must progress while both writers are live");
-    }
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    for w in writers {
-        assert!(w.join().expect("writer") > 0, "writers made progress too");
-    }
-    for r in readers {
-        r.join().expect("reader");
-    }
-
-    let mut client = Client::connect(addr).expect("stats client");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.shards.len(), 2, "one stats row per shard");
-    for (s, row) in stats.shards.iter().enumerate() {
-        assert!(row.admitted > 0, "shard {s} saw no traffic");
-        assert_eq!(row.admitted, row.answered, "shard {s} drained");
-    }
-    drop(client);
-    handle.shutdown();
-    vkg.index().check_invariants();
 }
 
 /// The `Metrics` opcode exports telemetry that reconciles with what the
@@ -900,7 +807,6 @@ fn metrics_opcode_exports_reconciling_telemetry() {
     assert_eq!(snap.gauge("server.answered"), Some(queries));
     assert_eq!(snap.gauge("server.shed"), Some(0));
     assert_eq!(snap.gauge("server.queue_depth"), Some(0));
-    assert!(snap.gauge("server.shard0.admitted").is_some());
     let server_latency = snap.hist("server.latency_us").expect("server latency");
     assert_eq!(server_latency.total, queries);
 
@@ -932,47 +838,14 @@ fn metrics_opcode_exports_reconciling_telemetry() {
         "facade refine counter equals the sum over all spans"
     );
 
+    // A scrape observes the engine without touching it: it reports the
+    // served epoch, and a second one reports it again.
+    assert_eq!(m.epoch, vkg.epoch());
+    assert_eq!(client.metrics(0).expect("second scrape").epoch, m.epoch);
+
     drop(client);
     let counters = handle.shutdown();
     assert_eq!(counters.admitted, counters.answered, "drain invariant");
-}
-
-/// A `Metrics` scrape observes the engine without touching it: on a
-/// two-shard engine whose traffic all lands on one shard, the other
-/// shard lags the crack log, and scraping must not make it catch up
-/// (that would take every shard's write lock) nor move the epoch.
-#[test]
-fn metrics_scrape_does_not_replay_the_crack_log() {
-    let vkg = build_vkg_with(VkgConfig {
-        shards: 2,
-        ..VkgConfig::default()
-    });
-    let handle = start(&vkg, ServerConfig::default());
-    let mut client = Client::connect(handle.addr()).expect("client connects");
-
-    let mut epoch = 0;
-    for i in 0..8u32 {
-        epoch = client
-            .top_k(EntityId(i), RelationId(0), Direction::Tails, 5)
-            .expect("top-k is answered")
-            .epoch;
-    }
-    for scrape in 0..2 {
-        let m = client.metrics(0).expect("metrics is answered");
-        assert!(
-            m.snapshot.gauge("core.cracklog.published") > Some(0),
-            "the served shard cracked, so its sibling has a log to lag behind"
-        );
-        assert_eq!(
-            m.snapshot.gauge("core.cracklog.replayed"),
-            Some(0),
-            "scrape {scrape} made the idle shard replay"
-        );
-        assert_eq!(m.epoch, epoch, "scrape {scrape} reports the served epoch");
-    }
-
-    drop(client);
-    handle.shutdown();
 }
 
 /// With an injected mock clock the server still serves correctly, and

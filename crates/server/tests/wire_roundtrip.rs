@@ -311,3 +311,104 @@ proptest! {
         let _ = Response::decode(&bytes);
     }
 }
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
+        .collect()
+}
+
+/// The layout of the two frames the one-index server fills differently
+/// from the sharded one — a `Stats` report whose `shards` sequence has
+/// exactly one row, and a 62-byte span record with `shard = 0` — pinned
+/// as bytes taken from the encoder before the shards went: what a v2
+/// client already decodes must be, byte for byte, what is sent now.
+/// (The proptests above round-trip the encoder against itself; they
+/// cannot see a layout change made to both sides.)
+#[test]
+fn one_row_stats_and_routed_span_keep_their_bytes() {
+    let stats = Response::Stats(StatsWire {
+        epoch: 3,
+        nodes: 17,
+        bytes: 4096,
+        splits_performed: 8,
+        nodes_created: 17,
+        elements_accessed: 5,
+        points_examined: 120,
+        s1_distance_evals: 40,
+        accuracy: AccuracyWire(Accuracy::Approximate { min_overlap: 0.5 }),
+        server: ServerCounters {
+            admitted: 9,
+            answered: 9,
+            shed: 1,
+            deadline_expired: 0,
+            drained: 0,
+        },
+        shards: vec![ShardStatsWire {
+            epoch: 2,
+            admitted: 9,
+            answered: 9,
+        }],
+    });
+    let golden = unhex(concat!(
+        "0284",
+        "0300000000000000",
+        "1100000000000000",
+        "0010000000000000",
+        "0800000000000000",
+        "1100000000000000",
+        "0500000000000000",
+        "7800000000000000",
+        "2800000000000000",
+        "01000000000000e03f",
+        "0900000000000000",
+        "0900000000000000",
+        "0100000000000000",
+        "0000000000000000",
+        "0000000000000000",
+        "01000000",
+        "0200000000000000",
+        "0900000000000000",
+        "0900000000000000",
+    ));
+    assert_eq!(stats.encode(), golden);
+    assert_eq!(Response::decode(&golden).unwrap(), stats);
+
+    let span = Span {
+        id: 119,
+        op: 1,
+        shard: 0,
+        outcome: SpanOutcome::Ok,
+        queue_ns: 81_000,
+        lock_ns: 2_000,
+        exec_ns: 410_000,
+        encode_ns: 3_000,
+        batch_ns: 0,
+        refine_steps: 961,
+    };
+    let metrics = Response::Metrics(MetricsWire {
+        epoch: 3,
+        snapshot: MetricsSnapshot {
+            spans: vec![span],
+            spans_recorded: 1,
+            ..MetricsSnapshot::default()
+        },
+    });
+    let golden_span = unhex(concat!(
+        "7700000000000000",
+        "01",
+        "00000000",
+        "00",
+        "683c010000000000",
+        "d007000000000000",
+        "9041060000000000",
+        "b80b000000000000",
+        "0000000000000000",
+        "c103000000000000",
+    ));
+    assert_eq!(golden_span.len(), 62);
+    let payload = metrics.encode();
+    assert_eq!(payload[payload.len() - 62..], golden_span[..]);
+    assert_eq!(Response::decode(&payload).unwrap(), metrics);
+}

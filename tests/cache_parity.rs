@@ -3,23 +3,18 @@
 //!
 //! A cache hit is only legal if it is **provably identical** to
 //! recomputation: entries are validated against the exact pinned
-//! `(global epoch, shard epoch)` pair, hits replay the filling query's
-//! crack regions so the tree (and the crack log feeding sibling shards)
-//! evolves as if every query had executed, and prefix cuts recompute
+//! `(global epoch, index epoch)` pair, hits replay the filling query's
+//! crack regions so the tree evolves as if every query had executed, and prefix cuts recompute
 //! probabilities and the Theorem 2 guarantee from the cached distances
 //! — pure functions of the prefix. Proptest drives seeded workloads
 //! that interleave `add_fact_dynamic` writers (epoch bumps → lazy
 //! invalidation) with repetition-heavy reads (exact hits, prefix hits,
-//! warm starts) over shard counts {1, 2, 7}, asserting the cached
-//! engine's outcome stream is bit-identical to a cache-disabled twin's.
+//! warm starts), asserting the cached engine's outcome stream is bit-identical to a cache-disabled twin's.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use vkg::prelude::*;
-
-/// Shard counts under test — same spread as `shard_parity.rs`.
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn trained() -> &'static (Dataset, EmbeddingStore) {
     static TRAINED: OnceLock<(Dataset, EmbeddingStore)> = OnceLock::new();
@@ -35,14 +30,13 @@ fn trained() -> &'static (Dataset, EmbeddingStore) {
     })
 }
 
-fn engine(shards: usize, cache_capacity: usize) -> VirtualKnowledgeGraph {
+fn engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
     let (ds, embeddings) = trained();
     VirtualKnowledgeGraph::assemble(
         ds.graph.clone(),
         ds.attributes.clone(),
         embeddings.clone(),
         VkgConfig {
-            shards,
             cache_capacity,
             epsilon: 0.5,
             ..VkgConfig::default()
@@ -192,9 +186,8 @@ fn counter(vkg: &VirtualKnowledgeGraph, name: &str) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// At every shard count, the cached engine replays the interleaved
-    /// read/write workload to the exact same outcome sequence as a
-    /// cache-disabled engine.
+    /// The cached engine replays the interleaved read/write workload to
+    /// the exact same outcome sequence as a cache-disabled engine.
     #[test]
     fn cached_answers_are_bit_identical_under_writes(
         ops in prop::collection::vec(
@@ -204,23 +197,14 @@ proptest! {
     ) {
         let relations = trained().0.graph.num_relations() as u32;
         let entities = trained().0.graph.num_entities() as u32;
-        for &shards in &SHARD_COUNTS {
-            let plain = engine(shards, 0);
-            let cached = engine(shards, 1024);
-            for (i, op) in ops.iter().enumerate() {
-                let want = apply(&plain, op, relations, entities);
-                let got = apply(&cached, op, relations, entities);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "op {} ({:?}) diverged with cache on at {} shards",
-                    i,
-                    op,
-                    shards
-                );
-            }
-            cached.index().check_invariants();
+        let plain = engine(0);
+        let cached = engine(1024);
+        for (i, op) in ops.iter().enumerate() {
+            let want = apply(&plain, op, relations, entities);
+            let got = apply(&cached, op, relations, entities);
+            prop_assert_eq!(&got, &want, "op {} ({:?}) diverged with cache on", i, op);
         }
+        cached.index().check_invariants();
     }
 }
 
@@ -229,7 +213,7 @@ proptest! {
 /// hits return the exact bits of the first answer.
 #[test]
 fn repeats_hit_and_match_first_answer() {
-    let vkg = engine(2, 1024);
+    let vkg = engine(1024);
     let relations = trained().0.graph.num_relations() as u32;
     let op = Op::TopK {
         entity: 0,
@@ -249,8 +233,8 @@ fn repeats_hit_and_match_first_answer() {
 /// warm-starts rather than hitting; a write invalidates lazily.
 #[test]
 fn prefix_hits_warm_starts_and_invalidation_are_counted() {
-    let plain = engine(2, 0);
-    let cached = engine(2, 1024);
+    let plain = engine(0);
+    let cached = engine(1024);
     let relations = trained().0.graph.num_relations() as u32;
     let entities = trained().0.graph.num_entities() as u32;
     let at = |k: usize| Op::TopK {

@@ -300,56 +300,3 @@ fn index_stats_are_coherent_after_concurrent_load() {
     assert!(guard.index_node_count() >= 1);
     guard.index().check_invariants();
 }
-
-/// Shard independence: with the engine sharded by relation, holding one
-/// shard's write lock stalls only that shard. Queries routed to a
-/// different shard must keep answering while the lock is held — under a
-/// single global engine lock they would deadlock against the timeout.
-#[test]
-fn queries_on_other_shards_progress_while_one_shard_lock_is_held() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let vkg = vkg::build_from_dataset(
-        &ds,
-        TransEConfig {
-            dim: 16,
-            epochs: 6,
-            ..TransEConfig::default()
-        },
-        VkgConfig {
-            shards: 2,
-            ..VkgConfig::default()
-        },
-    );
-    // Find a relation the router does NOT place on shard 0 (the shard
-    // `index_mut` pins); the tiny movie world has four relations, and
-    // the Fibonacci hash never maps them all to one shard of two.
-    let other = (0..ds.graph.num_relations() as u32)
-        .map(RelationId)
-        .find(|&r| shard_of_relation(r, 2) != 0)
-        .expect("some relation lives on shard 1");
-    let users: Vec<EntityId> = (0..6)
-        .map(|u| ds.graph.entity_id(&format!("user_{u}")).unwrap())
-        .collect();
-    let vkg = Arc::new(vkg);
-
-    // The "writer": sit on shard 0's write lock, as a long crack would.
-    let shard0_guard = vkg.index_mut();
-
-    let (tx, rx) = std::sync::mpsc::channel();
-    let reader = {
-        let vkg = Arc::clone(&vkg);
-        let users = users.clone();
-        std::thread::spawn(move || {
-            for &u in &users {
-                let r = vkg.top_k(u, other, Direction::Tails, 3).unwrap();
-                assert!(r.predictions.len() <= 3);
-            }
-            tx.send(()).unwrap();
-        })
-    };
-    rx.recv_timeout(std::time::Duration::from_secs(10))
-        .expect("other-shard queries must progress while shard 0 is locked");
-    drop(shard0_guard);
-    reader.join().unwrap();
-    vkg.index().check_invariants();
-}

@@ -71,6 +71,53 @@ fn wrong_length_embedding_is_a_typed_error_on_both_branches() {
     vkg.index().check_invariants();
 }
 
+/// Write parameters the wire refuses are refused in process too — with
+/// a WAL attached nothing reaches the log, so no restart replays them.
+/// (At a NaN rate the write used to ack, log, and leave a NaN row that
+/// panicked the next query over it on a NaN ball radius.)
+#[test]
+fn refused_write_parameters_are_typed_errors_and_never_logged() {
+    let (_ds, vkg) = world();
+    let log = std::env::temp_dir().join(format!("vkg_dyn_params_{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    vkg.attach_wal(&log, vkg::core::FaultPlane::none())
+        .expect("fresh log");
+    let log_len = || std::fs::metadata(&log).expect("log").len();
+    let likes = vkg.graph().relation_id("likes").unwrap();
+    let user = vkg.graph().entity_id("user_3").unwrap();
+    let movie = vkg
+        .top_k(user, likes, Direction::Tails, 1)
+        .unwrap()
+        .predictions[0]
+        .id;
+    let (epoch, len) = (vkg.epoch(), log_len());
+
+    let refused = [
+        vkg.add_fact_durable(9, user, likes, EntityId(movie), 4, f64::NAN),
+        vkg.add_fact_durable(9, user, likes, EntityId(movie), 4, 1.5),
+        vkg.add_fact_durable(9, user, likes, EntityId(movie), 1 << 20, 0.01),
+    ];
+    for r in &refused {
+        assert!(matches!(r, Err(VkgError::InvalidParameter(_))), "{r:?}");
+    }
+    let nan_row = vkg.add_entity_dynamic("movie_nan", &[f64::NAN; 16]);
+    assert!(
+        matches!(nan_row, Err(VkgError::InvalidParameter(_))),
+        "{nan_row:?}"
+    );
+    assert!(vkg.graph().entity_id("movie_nan").is_none());
+    assert_eq!(vkg.epoch(), epoch, "a refused write published");
+    assert_eq!(log_len(), len, "a refused write was logged");
+
+    // The same token then carries a good write; queries still answer.
+    let good = vkg.add_fact_durable(9, user, likes, EntityId(movie), 4, 0.01);
+    assert_eq!(good, Ok((true, epoch + 1)));
+    assert!(log_len() > len);
+    vkg.top_k(user, likes, Direction::Tails, 3).unwrap();
+    vkg.index().check_invariants();
+    let _ = std::fs::remove_file(&log);
+}
+
 #[test]
 fn new_fact_is_excluded_from_predictions() {
     let (_ds, vkg) = world();
@@ -237,7 +284,8 @@ fn dynamic_attribute_visible_to_aggregates() {
         })
         .collect();
     for (i, m) in ids.iter().enumerate() {
-        vkg.set_attribute_dynamic("runtime", *m, 90.0 + (i % 60) as f64);
+        vkg.set_attribute_dynamic("runtime", *m, 90.0 + (i % 60) as f64)
+            .expect("known entity, finite value");
     }
     let r = vkg
         .aggregate(
