@@ -10,8 +10,8 @@ use vkg_kg::{EntityId, RelationId};
 use vkg_sync::pool::Pool;
 
 use crate::error::{VkgError, VkgResult};
-use crate::geometry::Mbr;
-use crate::index::CrackingIndex;
+use crate::geometry::{Mbr, PointSet};
+use crate::index::{CrackingIndex, ElementSummary};
 use crate::query::aggregate::{
     self, AggregateKind, AggregateResult, AggregateSpec, DeviationBound,
 };
@@ -36,21 +36,23 @@ impl IndexState {
     /// `threads` width drives the JL projection, the root sort orders
     /// and every later crack/search through one shared [`Pool`].
     pub fn cracking(snap: &VkgSnapshot) -> Self {
-        Self::build(snap, Pool::new(snap.config().threads), false)
+        let pool = Pool::new(snap.config().threads);
+        Self::build(snap, snap.project_points_pooled(&pool), pool, false)
     }
 
     /// A fully **bulk-loaded** offline index (the BULKLOADCHUNK baseline
     /// of §VI). Like [`IndexState::cracking`], the configured `threads`
     /// width parallelizes the projection and the offline build.
     pub fn bulk_loaded(snap: &VkgSnapshot) -> Self {
-        Self::build(snap, Pool::new(snap.config().threads), true)
+        let pool = Pool::new(snap.config().threads);
+        Self::build(snap, snap.project_points_pooled(&pool), pool, true)
     }
 
-    /// Both constructors, on the caller's pool: the facade passes one
-    /// that reports into its `PoolStats`.
-    pub(crate) fn build(snap: &VkgSnapshot, pool: Pool, bulk: bool) -> Self {
+    /// Both constructors, over the snapshot's already projected `points`
+    /// and on the caller's pool: the facade checks the points first and
+    /// passes a pool that reports into its `PoolStats`.
+    pub(crate) fn build(snap: &VkgSnapshot, points: PointSet, pool: Pool, bulk: bool) -> Self {
         let cfg = snap.config();
-        let points = snap.project_points_pooled(&pool);
         if bulk {
             let index = CrackingIndex::bulk_load_with_pool(
                 points,
@@ -129,6 +131,45 @@ impl IndexState {
     }
 }
 
+/// One contour element's candidates in the flat member vector of a
+/// sampled aggregate.
+struct ElementRun {
+    /// The element's proxy for the S₁ distance of any of its members.
+    proxy: f64,
+    /// Smallest candidate id, ordering elements whose proxies tie.
+    first: u32,
+    /// Where the element's candidates start in the member vector.
+    start: usize,
+    /// How many they are.
+    len: usize,
+}
+
+/// The element-level proxy for the S₁ distance from the query to a
+/// member of the summarized element: the larger of two estimates. The
+/// element-center distance works when the element is small relative to
+/// its distance from the query; when the query sits *inside* a coarse
+/// element it collapses towards zero, so it is floored by the member
+/// cloud's RMS distance √(‖q − centroid‖² + spread²), de-biased by
+/// E[√α/χ_α] (`s2_bias`) for the S₂ → S₁ inverse-distance projection
+/// bias.
+fn element_proxy(summary: &ElementSummary<'_>, q_s2: &[f64], s2_bias: f64) -> f64 {
+    let center = summary.mbr.center();
+    let d_center: f64 = center
+        .iter()
+        .zip(q_s2)
+        .map(|(c, q)| (c - q) * (c - q))
+        .sum::<f64>()
+        .sqrt();
+    let delta_sq: f64 = summary
+        .centroid
+        .iter()
+        .zip(q_s2)
+        .map(|(c, q)| (c - q) * (c - q))
+        .sum();
+    let d_moment = (delta_sq + summary.spread_sq).sqrt() * s2_bias;
+    d_center.max(d_moment)
+}
+
 impl QueryEngine for IndexState {
     fn name(&self) -> &str {
         self.name
@@ -205,18 +246,17 @@ impl QueryEngine for IndexState {
         direction: Direction,
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
-        // Validate the attribute and threshold before any work.
-        let attr = match spec.kind {
+        // Validate the attribute and threshold before any work; the
+        // column is resolved here, once, not by name per candidate.
+        let column = match spec.kind {
             AggregateKind::Count => None,
             _ => {
                 let name = spec
                     .attribute
                     .as_deref()
                     .ok_or(VkgError::MissingAttribute)?;
-                if !snap.attributes().has_attribute(name) {
-                    return Err(VkgError::UnknownAttribute(name.to_owned()));
-                }
-                Some(name.to_owned())
+                let column = snap.attributes().column(name);
+                Some(column.ok_or_else(|| VkgError::UnknownAttribute(name.to_owned()))?)
             }
         };
         if !spec.p_tau.is_finite() || spec.p_tau <= 0.0 || spec.p_tau > 1.0 {
@@ -243,101 +283,131 @@ impl QueryEngine for IndexState {
         let d_min = nearest.distance;
         let r_tau = radius_for_threshold(d_min, spec.p_tau);
 
-        // Step 2: gather the ball members through the index.
+        // Step 2: read the ball's box through the index. A *candidate*
+        // is a point of the box that is not the query entity itself or
+        // an already-known neighbor (E′ semantics) and — for attribute
+        // aggregates — has the attribute; `value_of` gives what it would
+        // contribute. Attribute presence is catalog metadata, not a
+        // record access.
         let q_s1 = snap.query_point_s1(entity, relation, direction)?;
         let q_s2 = snap.project(&q_s1);
         let cfg = snap.config();
         let region = Mbr::of_ball(&q_s2, r_tau * (1.0 + cfg.epsilon));
         let known = snap.known_neighbors(entity, relation, direction);
-        // Candidates arrive with their contour element's member summary
-        // (MBR plus centroid and spread of the in-region members). The
-        // summary yields a cheap proxy for each member's S₁ distance: it
-        // ranks which points to *access* and feeds the probability
-        // estimate for the ones we never access (§V-B: the index knows
-        // per-element counts and average distances; only accessed points
-        // get exact distances).
-        let mut filtered: Vec<(u32, f64)> = Vec::new();
-        // The summary population is filtered the same way as the
-        // candidates: the query entity itself, its already-known
-        // neighbors (E′ semantics) and — for attribute aggregates —
-        // entities without the attribute are excluded *before* the
-        // element statistics are taken. Attribute presence is catalog
-        // metadata, not a record access.
-        let attributes = snap.attributes();
-        let keep = |id: u32| {
+        let value_of = |id: u32| -> Option<f64> {
             if id == entity.0 || known.binary_search(&id).is_ok() {
-                return false;
+                return None;
             }
-            match &attr {
-                None => true,
-                Some(name) => matches!(attributes.get(name, EntityId(id)), Ok(Some(_))),
+            match column {
+                None => Some(1.0),
+                Some(column) => column.get(EntityId(id).index()).copied().flatten(),
             }
         };
-        let s2_bias = vkg_transform::bounds::inverse_projected_distance_bias(cfg.alpha);
-        self.index.search_region_elements(
-            &region,
-            |_| true,
-            |id, summary| {
-                if !keep(id) {
-                    return;
-                }
-                // Two element-level proxies for the S₁ distance of a member.
-                // The element-center distance works when the element is small
-                // relative to its distance from the query; when the query
-                // sits *inside* a coarse element it collapses towards zero,
-                // so it is floored by the member cloud's RMS distance
-                // √(‖q − centroid‖² + spread²), de-biased by E[√α/χ_α] for
-                // the S₂ → S₁ inverse-distance projection bias.
-                let center = summary.mbr.center();
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "MBR centers have the index dimensionality, which q_s2 never exceeds"
-                )]
-                let d_center: f64 = center[..q_s2.len()]
-                    .iter()
-                    .zip(&q_s2)
-                    .map(|(c, q)| (c - q) * (c - q))
-                    .sum::<f64>()
-                    .sqrt();
-                let delta_sq: f64 = summary
-                    .centroid
-                    .iter()
-                    .zip(&q_s2)
-                    .map(|(c, q)| (c - q) * (c - q))
-                    .sum();
-                let d_moment = (delta_sq + summary.spread_sq).sqrt() * s2_bias;
-                let d_proxy = d_center.max(d_moment);
-                // The anchoring nearest entity is always accessed first.
-                let key = if id == nearest.id { 0.0 } else { d_proxy };
-                filtered.push((id, key));
-            },
-        );
-        filtered.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        // One exact record access: the (distance, value) of a candidate
+        // inside the S₁ ball; `None` for a point that is no candidate or
+        // that the box over-covered.
+        let embeddings = snap.embeddings();
+        let mut s1_evals = 0u64;
+        let mut access = |id: u32| -> Option<(f64, f64)> {
+            let value = value_of(id)?;
+            s1_evals += 1;
+            let d = embeddings.distance_to_entity(&q_s1, EntityId(id));
+            (d <= r_tau).then_some((d, value))
+        };
 
-        // Step 3: access the `a` most-promising points exactly; estimate
-        // the rest from their element geometry.
-        let budget = spec.sample_size.unwrap_or(usize::MAX);
+        // Step 3: access the `a` most-promising candidates exactly;
+        // estimate the rest from their element geometry.
         let mut accessed: Vec<(f64, f64)> = Vec::new(); // (distance, value)
         let mut unaccessed_dists: Vec<f64> = Vec::new();
-        let mut s1_evals = 0u64;
-        let embeddings = snap.embeddings();
-        for (id, approx) in filtered {
-            if accessed.len() < budget {
-                let d = embeddings.distance_to_entity(&q_s1, EntityId(id));
-                s1_evals += 1;
-                if d > r_tau {
-                    continue;
+        match spec.sample_size {
+            // Full access: every candidate is accessed and `accessed` is
+            // re-sorted by S₁ distance below, so neither an access order
+            // nor an element summary is needed. Ascending ids read the
+            // embedding rows and the attribute column front to back
+            // rather than in tree order.
+            None => {
+                let mut ids: Vec<u32> = Vec::new();
+                self.index.search_region(&region, |id| ids.push(id));
+                ids.sort_unstable();
+                accessed.extend(ids.into_iter().filter_map(&mut access));
+            }
+            // Sampled access. The proxy for an unaccessed point's S₁
+            // distance is a property of its contour element (§V-B: the
+            // index knows per-element counts and average distances;
+            // only accessed points get exact distances), so elements
+            // are what gets ranked: candidates sit in one flat vector,
+            // one run per element. The summary behind a proxy is taken
+            // over *all* of the element's in-region points, the
+            // non-candidates among them included (the query entity and
+            // its known neighbors sit right next to `q`): the proxies
+            // lean near. ROADMAP item 2 has the decision to make.
+            Some(budget) => {
+                let s2_bias = vkg_transform::bounds::inverse_projected_distance_bias(cfg.alpha);
+                let mut members: Vec<u32> = Vec::new();
+                let mut runs: Vec<ElementRun> = Vec::new();
+                let mut anchored = false;
+                self.index.search_region_elements(&region, |ids, summary| {
+                    let start = members.len();
+                    let mut first = u32::MAX;
+                    for &id in ids {
+                        if value_of(id).is_none() {
+                            continue;
+                        }
+                        // The anchoring nearest entity is accessed first,
+                        // at proxy 0, outside its element's run.
+                        if id == nearest.id {
+                            anchored = true;
+                        } else {
+                            members.push(id);
+                            first = first.min(id);
+                        }
+                    }
+                    let len = members.len() - start;
+                    if len > 0 {
+                        runs.push(ElementRun {
+                            proxy: element_proxy(summary, &q_s2, s2_bias),
+                            first,
+                            start,
+                            len,
+                        });
+                    }
+                });
+                // Elements by proxy, ids ascending inside one: the order
+                // a sort of all candidates by (proxy, id) would give
+                // (short of two elements with bit-equal proxies, whose
+                // members it would interleave).
+                runs.sort_by(|a, b| a.proxy.total_cmp(&b.proxy).then(a.first.cmp(&b.first)));
+                if anchored {
+                    if budget > 0 {
+                        accessed.extend(access(nearest.id));
+                    } else {
+                        unaccessed_dists.push(0.0);
+                    }
                 }
-                let value = match &attr {
-                    None => 1.0,
-                    Some(name) => attributes
-                        .get(name, EntityId(id))
-                        .map_err(VkgError::from)?
-                        .ok_or_else(|| VkgError::UnknownAttribute(name.clone()))?,
-                };
-                accessed.push((d, value));
-            } else if approx <= r_tau {
-                unaccessed_dists.push(approx);
+                for run in &runs {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "a run is the range of `members` its element's pushes filled"
+                    )]
+                    let ids = &mut members[run.start..run.start + run.len];
+                    let mut rest = ids.len();
+                    if accessed.len() < budget {
+                        ids.sort_unstable();
+                        for &id in ids.iter() {
+                            if accessed.len() >= budget {
+                                break;
+                            }
+                            accessed.extend(access(id));
+                            rest -= 1;
+                        }
+                    }
+                    // Past the budget a member contributes its element's
+                    // proxy and nothing else, so its place in the run is
+                    // moot and the run stays unsorted.
+                    if run.proxy <= r_tau {
+                        unaccessed_dists.resize(unaccessed_dists.len() + rest, run.proxy);
+                    }
+                }
             }
         }
         self.index.stats_mut().s1_distance_evals += s1_evals;

@@ -6,7 +6,7 @@
 //! cache-friendly (see the workspace performance notes in DESIGN.md §3).
 
 use super::mbr::{Mbr, MAX_DIM};
-use crate::error::{VkgError, VkgResult};
+use crate::error::{check_finite, VkgError, VkgResult};
 
 /// An immutable set of `α`-dimensional points, indexed by dense `u32` ids.
 ///
@@ -114,6 +114,12 @@ impl PointSet {
     #[inline]
     pub fn in_region(&self, id: u32, region: &Mbr) -> bool {
         region.contains_point(self.point(id))
+    }
+
+    /// Refuses a set holding a NaN or ±∞ coordinate: such a point has no
+    /// place in a sort order ([`crate::rtree::SortOrders`]).
+    pub(crate) fn check_finite(&self) -> VkgResult<()> {
+        check_finite("projected entity embedding", &self.coords)
     }
 
     /// All ids `0..len` in order.

@@ -47,12 +47,12 @@ impl PartialOrd for Nearest {
 /// to the [`CrackingIndex::search_region_elements`] visitor. Per §V-B the
 /// index estimates the probabilities of unaccessed points from
 /// element-level statistics rather than per-point geometry.
-#[derive(Debug, Clone)]
-pub struct ElementSummary {
+#[derive(Debug, Clone, Copy)]
+pub struct ElementSummary<'a> {
     /// Bounding region of the whole element (not just the in-region part).
-    pub mbr: Mbr,
+    pub mbr: &'a Mbr,
     /// Mean S₂ coordinates of the element's in-region members.
-    pub centroid: Vec<f64>,
+    pub centroid: &'a [f64],
     /// Mean squared distance of those members from the centroid.
     pub spread_sq: f64,
 }
@@ -70,26 +70,19 @@ impl CrackingIndex {
             if !node.mbr.intersects(q) {
                 continue;
             }
-            match &node.kind {
-                NodeKind::Internal(children) => stack.extend(children.iter().rev().copied()),
-                NodeKind::Leaf(ids) => {
-                    self.stats.elements_accessed += 1;
-                    self.stats.points_examined += ids.len() as u64;
-                    for &pid in ids {
-                        if self.points.in_region(pid, q) {
-                            visit(pid);
-                        }
-                    }
+            let ids: &[u32] = match &node.kind {
+                NodeKind::Internal(children) => {
+                    stack.extend(children.iter().rev().copied());
+                    continue;
                 }
-                NodeKind::Unsplit(orders) => {
-                    self.stats.elements_accessed += 1;
-                    let ids = orders.ids(0);
-                    self.stats.points_examined += ids.len() as u64;
-                    for &pid in ids {
-                        if self.points.in_region(pid, q) {
-                            visit(pid);
-                        }
-                    }
+                NodeKind::Leaf(ids) => ids,
+                NodeKind::Unsplit(orders) => orders.ids(0),
+            };
+            self.stats.elements_accessed += 1;
+            self.stats.points_examined += ids.len() as u64;
+            for &pid in ids {
+                if self.points.in_region(pid, q) {
+                    visit(pid);
                 }
             }
         }
@@ -163,34 +156,33 @@ impl CrackingIndex {
         computed
     }
 
-    /// Like [`CrackingIndex::search_region`], but also hands the visitor
-    /// summary statistics of the contour element each point lives in.
+    /// Like [`CrackingIndex::search_region`], but one contour element at
+    /// a time: the visitor gets the element's in-region member ids (in
+    /// the element's own order) together with their summary statistics.
     /// The aggregate estimators use the element summary to *approximate*
     /// the probabilities of points they do not access exactly (§V-B: "we
     /// know the number of entities in each element of an index contour,
     /// and hence can estimate the b − a probabilities based on the
     /// average distance of an element to a query point").
     ///
-    /// The summary is computed over the element's in-region members that
-    /// pass the caller's `keep` predicate — i.e. over the population
-    /// actually being proxied. Summarizing filtered-out points (the query
-    /// entity's already-known neighbors, say, which cluster right next to
-    /// the query) would attribute their near-query mass to the remaining
-    /// members and systematically inflate the estimates. With the right
-    /// population, `‖q − centroid‖² + spread²` is the exact second moment
-    /// of the distance from `q` to a random proxied member — unlike the
-    /// element MBR's center, which misrepresents members that cluster
-    /// away from the box center.
+    /// The summary is taken over **every** in-region member, whatever
+    /// the caller then does with the ids: `‖q − centroid‖² + spread²` is
+    /// the exact second moment of the distance from `q` to a random
+    /// in-region member — unlike the element MBR's center, which
+    /// misrepresents members that cluster away from the box center. A
+    /// caller that drops some of the ids (the query entity's known
+    /// neighbors, say, which sit right next to the query) is proxying
+    /// the rest by a population that still contains them.
     pub fn search_region_elements(
         &mut self,
         q: &Mbr,
-        mut keep: impl FnMut(u32) -> bool,
-        mut visit: impl FnMut(u32, &ElementSummary),
+        mut visit: impl FnMut(&[u32], &ElementSummary<'_>),
     ) {
         let dim = self.points.dim();
         let mut stack = vec![self.root];
         let mut members: Vec<u32> = Vec::new();
         let mut sum = vec![0.0f64; dim];
+        let mut centroid = vec![0.0f64; dim];
         while let Some(id) = stack.pop() {
             // Split borrows: stats updated after inspecting the node.
             let node = &self.nodes[id as usize];
@@ -211,7 +203,7 @@ impl CrackingIndex {
             sum.iter_mut().for_each(|s| *s = 0.0);
             let mut sum_norm_sq = 0.0;
             for &pid in ids {
-                if self.points.in_region(pid, q) && keep(pid) {
+                if self.points.in_region(pid, q) {
                     members.push(pid);
                     let p = self.points.point(pid);
                     for (axis, &c) in p.iter().enumerate() {
@@ -224,16 +216,16 @@ impl CrackingIndex {
                 continue;
             }
             let n = members.len() as f64;
-            let centroid: Vec<f64> = sum.iter().map(|s| s / n).collect();
+            for (c, s) in centroid.iter_mut().zip(&sum) {
+                *c = s / n;
+            }
             let centroid_norm_sq: f64 = centroid.iter().map(|c| c * c).sum();
             let summary = ElementSummary {
-                mbr: node.mbr,
-                centroid,
+                mbr: &node.mbr,
+                centroid: &centroid,
                 spread_sq: (sum_norm_sq / n - centroid_norm_sq).max(0.0),
             };
-            for &pid in &members {
-                visit(pid, &summary);
-            }
+            visit(&members, &summary);
         }
     }
 

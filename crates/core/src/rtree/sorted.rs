@@ -23,7 +23,7 @@ const POOLED_MIN: usize = 4096;
 fn sort_axis(points: &PointSet, axis: usize, order: &mut [u32]) {
     #[expect(
         clippy::expect_used,
-        reason = "can fire: a NaN coordinate has no order to sort by, and nothing upstream rejects non-finite embeddings yet (ROADMAP aim 3); the message names the cause"
+        reason = "a NaN coordinate has no order to sort by; embedding import, try_assemble and every dynamic update refuse non-finite values, so only a hand-built PointSet can fire this, and the message names the cause"
     )]
     order.sort_unstable_by(|&a, &b| {
         points

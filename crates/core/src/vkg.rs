@@ -235,7 +235,8 @@ impl VirtualKnowledgeGraph {
     ///
     /// # Panics
     /// Panics if the embedding store's entity count does not match the
-    /// graph's, or the configuration is invalid. Use
+    /// graph's, the configuration is invalid, or an embedding value is
+    /// not finite. Use
     /// [`VirtualKnowledgeGraph::try_assemble`] to handle these as errors.
     pub fn assemble(
         graph: KnowledgeGraph,
@@ -261,22 +262,32 @@ impl VirtualKnowledgeGraph {
         config: VkgConfig,
     ) -> VkgResult<Self> {
         let snapshot = VkgSnapshot::new(graph, attributes, embeddings, config)?;
-        Ok(Self::from_snapshot(snapshot, false))
+        Self::from_snapshot(snapshot, false)
     }
 
     /// Builds the index over `snapshot` on a pool that reports into the
     /// facade's [`PoolStats`]. Metrics record into a live per-facade
     /// registry on a real clock.
-    fn from_snapshot(snapshot: VkgSnapshot, bulk: bool) -> Self {
+    ///
+    /// Non-finite embeddings stop here, before anything sorts by them.
+    /// Entity rows are checked on their S₂ projections (α values each,
+    /// which the build needs anyway; a NaN or ±∞ row cannot project to a
+    /// finite point), so the S₁ matrix is not scanned a second time.
+    fn from_snapshot(snapshot: VkgSnapshot, bulk: bool) -> VkgResult<Self> {
         let config = snapshot.config();
+        for rows in snapshot.embeddings().relation_rows().chunks() {
+            check_finite("relation embedding", rows)?;
+        }
         let pool_stats = Arc::new(PoolStats::new());
         let pool = Pool::new(config.threads).with_stats(pool_stats.clone());
-        let index = IndexState::build(&snapshot, pool, bulk);
+        let points = snapshot.project_points_pooled(&pool);
+        points.check_finite()?;
+        let index = IndexState::build(&snapshot, points, pool, bulk);
         let cache = match config.cache_capacity {
             0 => None,
             capacity => Some(ResultCache::new(capacity)),
         };
-        Self {
+        Ok(Self {
             published: RwLock::with_name(
                 Published {
                     epoch: 0,
@@ -296,7 +307,7 @@ impl VirtualKnowledgeGraph {
                 },
                 "vkg.wal",
             ),
-        }
+        })
     }
 
     /// Assembles with a fully **bulk-loaded** offline index (the
@@ -329,7 +340,7 @@ impl VirtualKnowledgeGraph {
         config: VkgConfig,
     ) -> VkgResult<Self> {
         let snapshot = VkgSnapshot::new(graph, attributes, embeddings, config)?;
-        Ok(Self::from_snapshot(snapshot, true))
+        Self::from_snapshot(snapshot, true)
     }
 
     /// The immutable read side, shareable across threads. Clones of this
@@ -1304,6 +1315,42 @@ mod tests {
             VirtualKnowledgeGraph::try_assemble(g, attrs, short, config()),
             Err(VkgError::Mismatch { .. })
         ));
+    }
+
+    /// A hand-built store with a NaN or ±∞ value — in an entity row or a
+    /// relation row — is a typed error from both assembly doors, not a
+    /// panic in the root sort.
+    #[test]
+    fn try_assemble_refuses_non_finite_embeddings() {
+        type Door = fn(
+            KnowledgeGraph,
+            AttributeStore,
+            EmbeddingStore,
+            VkgConfig,
+        ) -> VkgResult<VirtualKnowledgeGraph>;
+        let doors: [Door; 2] = [
+            VirtualKnowledgeGraph::try_assemble,
+            VirtualKnowledgeGraph::try_assemble_bulk_loaded,
+        ];
+        for door in doors {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let (g, attrs, mut emb) = tiny_world(8);
+                emb.entity_mut(EntityId(2))[3] = bad;
+                let err = door(g, attrs, emb, config()).unwrap_err();
+                assert!(
+                    matches!(&err, VkgError::InvalidParameter(m) if m.contains("entity embedding")),
+                    "{err}"
+                );
+
+                let (g, attrs, mut emb) = tiny_world(8);
+                emb.relation_mut(RelationId(0))[0] = bad;
+                let err = door(g, attrs, emb, config()).unwrap_err();
+                assert!(
+                    matches!(&err, VkgError::InvalidParameter(m) if m.contains("relation embedding")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

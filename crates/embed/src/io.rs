@@ -54,6 +54,15 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// An embedding value must be finite: the index sorts by projections of
+/// these rows, and a NaN has no place in an order.
+fn check_finite(values: &[f64]) -> Result<(), String> {
+    match values.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(format!("non-finite embedding value {v}")),
+        None => Ok(()),
+    }
+}
+
 /// Writes `store` as TSV.
 pub fn write_tsv<W: Write>(store: &EmbeddingStore, writer: W) -> Result<(), IoError> {
     let mut out = BufWriter::new(writer);
@@ -115,6 +124,10 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
                 line: lineno + 1,
                 message: format!("bad float: {e}"),
             })?;
+        check_finite(&row).map_err(|message| IoError::Parse {
+            line: lineno + 1,
+            message,
+        })?;
         match dim {
             None => dim = Some(row.len()),
             Some(d) if d != row.len() => {
@@ -207,17 +220,13 @@ pub fn from_binary(data: &[u8]) -> Result<EmbeddingStore, IoError> {
             payload.len()
         )));
     }
-    let decode = |rows: &[u8]| -> Vec<f64> {
-        rows.chunks_exact(8)
-            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-            .collect()
-    };
-    let (entities, relations) = payload.split_at(n * dim * 8);
-    Ok(EmbeddingStore::from_raw(
-        dim,
-        decode(entities),
-        decode(relations),
-    ))
+    let mut entities: Vec<f64> = payload
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .collect();
+    check_finite(&entities).map_err(IoError::Format)?;
+    let relations = entities.split_off(n * dim);
+    Ok(EmbeddingStore::from_raw(dim, entities, relations))
 }
 
 #[cfg(test)]
@@ -295,6 +304,38 @@ mod tests {
     fn tsv_unknown_kind_is_error() {
         let text = "vector\t0\t1 2\n";
         assert!(read_tsv(text.as_bytes()).is_err());
+    }
+
+    /// `str::parse` reads "NaN" and "inf" as floats and any eight bytes
+    /// are an `f64`: both importers must refuse them by value.
+    #[test]
+    fn non_finite_values_are_refused_by_both_formats() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [1, 7] {
+                // Value 1 is in an entity row, value 7 in the relation row.
+                let mut flat = [0.5; 9];
+                flat[at] = bad;
+                let text = format!(
+                    "entity\t0\t{} {} {}\nentity\t1\t{} {} {}\nrelation\t0\t{} {} {}\n",
+                    flat[0], flat[1], flat[2], flat[3], flat[4], flat[5], flat[6], flat[7], flat[8]
+                );
+                let err = read_tsv(text.as_bytes()).unwrap_err();
+                let line = if at == 1 { 1 } else { 3 };
+                assert!(
+                    matches!(&err, IoError::Parse { line: l, message } if *l == line && message.contains("non-finite")),
+                    "{err}"
+                );
+
+                let mut bytes = to_binary(&sample_store());
+                let offset = HEADER_LEN + at * 8;
+                bytes[offset..offset + 8].copy_from_slice(&bad.to_le_bytes());
+                let err = from_binary(&bytes).unwrap_err();
+                assert!(
+                    matches!(&err, IoError::Format(m) if m.contains("non-finite")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

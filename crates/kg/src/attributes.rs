@@ -63,6 +63,14 @@ impl AttributeStore {
             .ok_or_else(|| KgError::UnknownAttribute(attr.to_owned()))
     }
 
+    /// The whole column `attr`, indexed by entity id, or `None` if no
+    /// such column exists. It may be shorter than the entity count:
+    /// entities past its end lack the attribute. A query that reads the
+    /// attribute of many entities resolves the name once here.
+    pub fn column(&self, attr: &str) -> Option<&[Option<f64>]> {
+        self.columns.get(attr).map(|c| c.values.as_slice())
+    }
+
     /// Whether a column named `attr` exists.
     pub fn has_attribute(&self, attr: &str) -> bool {
         self.columns.contains_key(attr)
@@ -121,6 +129,9 @@ mod tests {
         assert!(!a.has_attribute("age"));
         assert_eq!(a.count_present("quality"), 2);
         assert_eq!(a.count_present("age"), 0);
+        assert_eq!(a.column("quality").map(<[_]>::len), Some(8));
+        assert_eq!(a.column("quality").unwrap()[7], Some(3.0));
+        assert!(a.column("age").is_none());
         let names: Vec<_> = a.attribute_names().collect();
         assert_eq!(names, vec!["quality"]);
     }
