@@ -40,7 +40,6 @@ fn result_from_pairs(pairs: Vec<(u32, f64)>, epsilon: f64, alpha: usize, evals: 
         guarantee,
         s1_evals: evals,
         candidates_examined: evals,
-        crack_region: None,
     }
 }
 
@@ -239,7 +238,6 @@ impl H2AlshEngine {
             guarantee: topk_guarantee(&[], 1.0, 1),
             s1_evals: 0,
             candidates_examined: self.ids.len() as u64,
-            crack_region: None,
         }
     }
 }

@@ -675,12 +675,9 @@ fn main() -> ExitCode {
         let hits = m.snapshot.counter(core_names::CACHE_HIT).unwrap_or(0);
         let misses = m.snapshot.counter(core_names::CACHE_MISS).unwrap_or(0);
         println!(
-            "  cache: hits={} misses={} prefix_hits={} invalidations={} | lock rounds={}",
+            "  cache: hits={} misses={} invalidations={} | lock rounds={}",
             hits,
             misses,
-            m.snapshot
-                .counter(core_names::CACHE_PREFIX_HIT)
-                .unwrap_or(0),
             m.snapshot
                 .counter(core_names::CACHE_INVALIDATE)
                 .unwrap_or(0),

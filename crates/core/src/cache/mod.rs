@@ -11,28 +11,25 @@
 //! was computed at. Publication bumps those counters under the index
 //! lock, so a matching pair proves the snapshot — graph, embeddings,
 //! attributes, and the index's point set — is byte-identical to fill
-//! time, which makes a hit *provably* identical to recomputation. Stale
-//! entries are invalidated lazily on touch; no writer ever scans the
-//! cache.
+//! time, and an answer is a function of that snapshot and the query
+//! alone, which makes a hit identical to recomputation. Stale entries
+//! are invalidated lazily on touch; no writer ever scans the cache.
 //!
-//! Two deliberate asymmetries keep hits honest:
+//! A hit is a clone of the stored value and nothing else:
 //!
-//! * **Cracks replay on hits.** Queries reshape the index (Algorithm 3
-//!   line 9 cracks for the final ball) without bumping any epoch —
-//!   cracking is answer-neutral, so entries stay valid across it. But a
-//!   served hit that skipped the engine would also skip the crack, and
-//!   a cached deployment's tree would drift from an uncached one's
-//!   (Algorithm 3 seeds from the contour, so tree shape is not purely
-//!   a performance property). Every cached value therefore carries the
-//!   crack regions its computation performed, and the facade replays
-//!   them (idempotently) on each hit.
-//! * **Containment answers smaller k.** A cached top-k′ answers any
-//!   k ≤ k′ by prefix — the top-k of a fixed candidate set is a prefix
-//!   of its top-k′ — with probabilities and the Theorem 2 guarantee
-//!   recomputed from the prefix distances (both are pure functions of
-//!   them). For k > k′ the entry still helps: its (id, distance) pairs
-//!   warm-start the shrinking ball
-//!   ([`crate::query::topk::find_top_k_warm`]).
+//! * **Hits do not crack.** Queries reshape the index (Algorithm 3 line
+//!   9 cracks for the final ball) without bumping any epoch, and an
+//!   answer does not depend on the tree's shape (the k-set is seeded
+//!   from the traversal, not from the contour — `query::topk`), so an
+//!   entry stays valid across every crack and a served hit owes the
+//!   tree nothing: the filling query already cracked for its final
+//!   ball, and whatever shape the tree takes next, the answers are the
+//!   same.
+//! * **An entry answers the k it was filled for.** Any other k is a
+//!   miss that recomputes and replaces the entry. The k-prefix of a
+//!   top-k′ is the k best of the *larger* final ball — never worse rank
+//!   for rank, but not what the k-query itself answers — so cutting or
+//!   warm-starting from an entry would make "cache on" a second answer.
 //!
 //! Locking: entries live in `stripes` (hash-partitioned mutexes, lock
 //! class `vkg.cache`). A stripe lock is only taken while the caller
@@ -46,9 +43,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use vkg_sync::Mutex;
 
 use crate::query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
-use crate::query::guarantees::topk_guarantee;
-use crate::query::probability::inverse_distance_probabilities;
-use crate::query::topk::{Prediction, TopKResult};
+use crate::query::topk::TopKResult;
 use crate::snapshot::Direction;
 
 /// Semantic identity of a cacheable query.
@@ -57,10 +52,9 @@ use crate::snapshot::Direction;
 /// pure function of ⟨entity, relation, direction⟩ (embeddings and the JL
 /// transform are part of the epoch-validated snapshot), so the id triple
 /// is a lossless — and collision-free — stand-in for the quantized
-/// point. `k` is also absent: it lives in the entry, which is what lets
-/// one entry answer every k ≤ k′ (and seed every k > k′). Refinement
-/// parameters (ε, α) are fixed per facade by [`crate::VkgConfig`] and
-/// need no key bits.
+/// point. `k` is also absent: it lives in the entry, so a key holds one
+/// answer at a time — the last k asked. Refinement parameters (ε, α)
+/// are fixed per facade by [`crate::VkgConfig`] and need no key bits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CacheKey {
     /// A top-k entity query (plain or wire-filtered).
@@ -151,32 +145,19 @@ impl CacheKey {
 )]
 #[derive(Debug)]
 pub enum TopKLookup {
-    /// A complete answer. The caller must replay `result.crack_region`
-    /// before serving so cached and uncached trees stay identical.
-    Hit {
-        /// The answer, already cut to the requested k.
-        result: TopKResult,
-        /// Whether the answer was cut down from a larger cached k
-        /// (containment fast path) rather than matched exactly.
-        prefix: bool,
-    },
-    /// The entry matches the epochs but was computed for a smaller k:
-    /// its (id, S₁-distance) pairs warm-start the shrinking ball.
-    Partial {
-        /// Trusted (id, distance) pairs, ascending by distance.
-        warm: Vec<(u32, f64)>,
-    },
+    /// The answer stored for exactly this k at exactly these epochs.
+    Hit(TopKResult),
     /// An entry existed but its epochs no longer match — it has been
     /// removed (lazy invalidation).
     Stale,
-    /// No entry.
+    /// No entry, or one filled for a different k.
     Miss,
 }
 
 /// Outcome of an aggregate probe.
 #[derive(Debug)]
 pub enum AggregateLookup {
-    /// A complete answer. The caller must replay `crack_regions`.
+    /// The stored answer.
     Hit(AggregateResult),
     /// Removed a stale entry (lazy invalidation).
     Stale,
@@ -307,16 +288,17 @@ impl ResultCache {
         &self.stripes[(h.finish() as usize) % self.stripes.len()]
     }
 
-    /// Probes for a top-k answer at the pinned epochs. `epsilon`/`alpha`
-    /// recompute the Theorem 2 guarantee on prefix cuts.
+    /// Probes for the top-k answer at the pinned epochs. `_epsilon` and
+    /// `_alpha` are held for the benchmark, which calls this positionally
+    /// (DESIGN.md §3.5); nothing reads them.
     pub fn lookup_top_k(
         &self,
         key: &CacheKey,
         k: usize,
         epoch: u64,
         index_epoch: u64,
-        epsilon: f64,
-        alpha: usize,
+        _epsilon: f64,
+        _alpha: usize,
     ) -> TopKLookup {
         let mut stripe = self.stripe(key).lock();
         stripe.tick += 1;
@@ -329,33 +311,12 @@ impl ResultCache {
             return TopKLookup::Stale;
         }
         entry.stamp = tick;
-        let CachedValue::TopK(cached) = &entry.value else {
-            // Key kinds and value kinds correspond one-to-one; treat a
-            // mismatch as a miss rather than asserting on the hot path.
-            return TopKLookup::Miss;
-        };
-        if k == entry.k {
-            return TopKLookup::Hit {
-                result: cached.clone(),
-                prefix: false,
-            };
-        }
-        if k < entry.k || cached.predictions.len() < entry.k {
-            // Containment: the top-k of a fixed candidate set is a
-            // prefix of its top-k′ for k ≤ k′; and an entry with fewer
-            // than k′ predictions exhausted the candidate set, so it
-            // answers *any* k.
-            return TopKLookup::Hit {
-                result: cut_prefix(cached, k, epsilon, alpha),
-                prefix: true,
-            };
-        }
-        TopKLookup::Partial {
-            warm: cached
-                .predictions
-                .iter()
-                .map(|p| (p.id, p.distance))
-                .collect(),
+        match &entry.value {
+            CachedValue::TopK(cached) if entry.k == k => TopKLookup::Hit(cached.clone()),
+            // Another k refills the entry; key kinds and value kinds
+            // correspond one-to-one, so the aggregate arm is unreachable
+            // and answered as a miss rather than asserted on the hot path.
+            _ => TopKLookup::Miss,
         }
     }
 
@@ -449,40 +410,12 @@ impl ResultCache {
     }
 }
 
-/// Cuts a cached top-k′ answer down to k, recomputing probabilities and
-/// the Theorem 2 guarantee from the prefix distances (both are pure
-/// functions of them, so the cut is bit-identical to recomputing the
-/// smaller query at the same epochs). Cost counters keep their fill-time
-/// values: they describe the work that *built* the answer.
-fn cut_prefix(cached: &TopKResult, k: usize, epsilon: f64, alpha: usize) -> TopKResult {
-    if k >= cached.predictions.len() {
-        return cached.clone();
-    }
-    let distances: Vec<f64> = cached.predictions[..k].iter().map(|p| p.distance).collect();
-    let probabilities = inverse_distance_probabilities(&distances);
-    let predictions: Vec<Prediction> = cached.predictions[..k]
-        .iter()
-        .zip(probabilities)
-        .map(|(p, probability)| Prediction {
-            id: p.id,
-            distance: p.distance,
-            probability,
-        })
-        .collect();
-    let guarantee = topk_guarantee(&distances, epsilon, alpha);
-    TopKResult {
-        predictions,
-        guarantee,
-        s1_evals: cached.s1_evals,
-        candidates_examined: cached.candidates_examined,
-        crack_region: cached.crack_region,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Mbr;
+    use crate::query::guarantees::topk_guarantee;
+    use crate::query::probability::inverse_distance_probabilities;
+    use crate::query::topk::Prediction;
 
     fn top_k_result(n: usize) -> TopKResult {
         let distances: Vec<f64> = (1..=n).map(|i| i as f64).collect();
@@ -501,7 +434,6 @@ mod tests {
             guarantee: topk_guarantee(&distances, 3.0, 3),
             s1_evals: 10,
             candidates_examined: 20,
-            crack_region: Some(Mbr::of_ball(&[0.0, 0.0, 0.0], 1.0)),
         }
     }
 
@@ -515,11 +447,7 @@ mod tests {
         let r = top_k_result(3);
         cache.insert_top_k(key(), 3, 5, 2, &r);
         match cache.lookup_top_k(&key(), 3, 5, 2, 3.0, 3) {
-            TopKLookup::Hit { result, prefix } => {
-                assert!(!prefix);
-                assert_eq!(result.predictions, r.predictions);
-                assert_eq!(result.crack_region, r.crack_region);
-            }
+            TopKLookup::Hit(result) => assert_eq!(result.predictions, r.predictions),
             other => panic!("expected hit, got {other:?}"),
         }
     }
@@ -548,55 +476,26 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cut_matches_direct_computation() {
+    fn any_other_k_is_a_miss() {
         let cache = ResultCache::new(16);
         cache.insert_top_k(key(), 5, 0, 0, &top_k_result(5));
-        let TopKLookup::Hit { result, prefix } = cache.lookup_top_k(&key(), 2, 0, 0, 3.0, 3) else {
-            panic!("expected prefix hit");
-        };
-        assert!(prefix);
-        assert_eq!(result.predictions.len(), 2);
-        // Bit-identical to computing the 2-element answer directly.
-        let direct = top_k_result(2);
-        for (got, want) in result.predictions.iter().zip(&direct.predictions) {
-            assert_eq!(got.id, want.id);
-            assert_eq!(got.distance.to_bits(), want.distance.to_bits());
-            assert_eq!(got.probability.to_bits(), want.probability.to_bits());
+        for k in [2, 8, 0] {
+            assert!(matches!(
+                cache.lookup_top_k(&key(), k, 0, 0, 3.0, 3),
+                TopKLookup::Miss
+            ));
         }
-        assert_eq!(
-            result.guarantee.success_probability.to_bits(),
-            direct.guarantee.success_probability.to_bits()
-        );
-        // The crack region stays the fill-time one (it is what the
-        // filling query cracked; the facade replays it on this hit).
-        assert_eq!(result.crack_region, top_k_result(5).crack_region);
-    }
-
-    #[test]
-    fn exhausted_entry_answers_larger_k() {
-        let cache = ResultCache::new(16);
-        // Asked for k=8, found only 3 candidates: the candidate set is
-        // exhausted, so the same answer serves any larger k.
+        // An entry with fewer than k predictions is no exception, and a
+        // miss leaves the entry in place for the k it was filled for.
         cache.insert_top_k(key(), 8, 0, 0, &top_k_result(3));
-        match cache.lookup_top_k(&key(), 20, 0, 0, 3.0, 3) {
-            TopKLookup::Hit { result, prefix } => {
-                assert!(prefix);
-                assert_eq!(result.predictions.len(), 3);
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn larger_k_gets_warm_seeds() {
-        let cache = ResultCache::new(16);
-        cache.insert_top_k(key(), 3, 0, 0, &top_k_result(3));
-        match cache.lookup_top_k(&key(), 5, 0, 0, 3.0, 3) {
-            TopKLookup::Partial { warm } => {
-                assert_eq!(warm, vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
+        assert!(matches!(
+            cache.lookup_top_k(&key(), 20, 0, 0, 3.0, 3),
+            TopKLookup::Miss
+        ));
+        assert!(matches!(
+            cache.lookup_top_k(&key(), 8, 0, 0, 3.0, 3),
+            TopKLookup::Hit(_)
+        ));
     }
 
     #[test]
@@ -613,14 +512,12 @@ mod tests {
                 mu: 4.25,
                 increment_mass: 0.5,
             },
-            crack_regions: vec![Mbr::of_ball(&[0.0, 0.0, 0.0], 2.0)],
         };
         cache.insert_aggregate(akey.clone(), 1, 1, &a);
         match cache.lookup_aggregate(&akey, 1, 1) {
             AggregateLookup::Hit(got) => {
                 assert_eq!(got.estimate.to_bits(), a.estimate.to_bits());
                 assert_eq!(got.ball_size, a.ball_size);
-                assert_eq!(got.crack_regions, a.crack_regions);
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -651,7 +548,7 @@ mod tests {
         ));
         assert!(matches!(
             cache.lookup_top_k(&k2, 3, 0, 0, 3.0, 3),
-            TopKLookup::Hit { .. }
+            TopKLookup::Hit(_)
         ));
     }
 

@@ -56,9 +56,8 @@ pub struct VkgConfig {
     /// Capacity (entries) of the epoch-keyed result cache on the facade's
     /// read path; `0` (the default) disables caching entirely, taking the
     /// exact pre-cache code paths. A hit is only served when the global
-    /// and index epochs still match the entry, and the entry's recorded
-    /// crack regions are replayed, so cached answers stay bit-identical
-    /// to recomputation.
+    /// and index epochs still match the entry and it was filled for the
+    /// same k, so cached answers stay bit-identical to recomputation.
     pub cache_capacity: usize,
 }
 

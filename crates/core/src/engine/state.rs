@@ -16,7 +16,7 @@ use crate::query::aggregate::{
     self, AggregateKind, AggregateResult, AggregateSpec, DeviationBound,
 };
 use crate::query::probability::{inverse_distance_probabilities, radius_for_threshold};
-use crate::query::topk::{find_top_k, find_top_k_warm, TopKResult};
+use crate::query::topk::{find_top_k, TopKResult};
 use crate::snapshot::{Direction, VkgSnapshot};
 
 use super::{Accuracy, EngineStats, Neighbor, QueryEngine};
@@ -82,42 +82,6 @@ impl IndexState {
             name,
             accuracy: Accuracy::Approximate { min_overlap: 0.5 },
         }
-    }
-
-    /// [`QueryEngine::top_k_filtered`] warm-started from trusted
-    /// `(id, s1_distance)` pairs — the result cache's partial-hit path
-    /// (a cached top-k′ answer for the *same* query at the *same*
-    /// epochs seeds Algorithm 3's shrinking ball). With `warm` empty
-    /// this is exactly `top_k_filtered`.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the query field by field, plus the warm pairs and the filter"
-    )]
-    pub fn top_k_warm(
-        &mut self,
-        snap: &VkgSnapshot,
-        entity: EntityId,
-        relation: RelationId,
-        direction: Direction,
-        k: usize,
-        warm: &[(u32, f64)],
-        filter: &dyn Fn(EntityId) -> bool,
-    ) -> VkgResult<TopKResult> {
-        let q_s1 = snap.query_point_s1(entity, relation, direction)?;
-        let q_s2 = snap.project(&q_s1);
-        let known = snap.known_neighbors(entity, relation, direction);
-        let cfg = snap.config();
-        let embeddings = snap.embeddings();
-        find_top_k_warm(
-            &mut self.index,
-            &q_s2,
-            k,
-            cfg.epsilon,
-            cfg.alpha,
-            warm,
-            |_, id| embeddings.distance_to_entity(&q_s1, EntityId(id)),
-            |id| id == entity.0 || known.binary_search(&id).is_ok() || !filter(EntityId(id)),
-        )
     }
 
     /// The underlying index (benchmarks, invariant checks).
@@ -277,7 +241,6 @@ impl QueryEngine for IndexState {
                     mu: 0.0,
                     increment_mass: 0.0,
                 },
-                crack_regions: top1.crack_region.into_iter().collect(),
             });
         };
         let d_min = nearest.distance;
@@ -463,17 +426,11 @@ impl QueryEngine for IndexState {
 
         self.index.crack(&region);
 
-        // Both cracks this query performed, in execution order, so a
-        // cache hit can replay them (inner top-1 first, then the ball).
-        let mut crack_regions: Vec<Mbr> = top1.crack_region.into_iter().collect();
-        crack_regions.push(region);
-
         Ok(AggregateResult {
             estimate,
             accessed: a,
             ball_size: b,
             bound,
-            crack_regions,
         })
     }
 

@@ -1,5 +1,5 @@
-//! Contour reads (Definitions 2–3): region search, element summaries,
-//! seed probes.
+//! Contour reads (Definitions 2–3): region search, best-first
+//! traversal, element summaries.
 //!
 //! Everything here is a *read* of the current contour — none of these
 //! operations crack the index (Algorithm 3 cracks once per query, after
@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 
 use crate::geometry::{kernels, Mbr, PointSet};
 
-use super::{CrackingIndex, NodeId, NodeKind};
+use super::{CrackingIndex, NodeKind};
 
 /// Queue entry of [`CrackingIndex::nearest_first`]: a tree node keyed by
 /// its region's lower bound, or a point keyed by its own distance.
@@ -226,84 +226,6 @@ impl CrackingIndex {
                 spread_sq: (sum_norm_sq / n - centroid_norm_sq).max(0.0),
             };
             visit(&members, &summary);
-        }
-    }
-
-    /// Probes for the smallest contour element whose region contains (or
-    /// is nearest to) `point` — line 2 of Algorithm 3.
-    pub fn smallest_element_containing(&self, point: &[f64]) -> NodeId {
-        let mut id = self.root;
-        loop {
-            match &self.nodes[id as usize].kind {
-                NodeKind::Internal(children) => {
-                    // Prefer a child containing the point; otherwise the
-                    // nearest child region.
-                    let next = children.iter().copied().min_by(|&a, &b| {
-                        let da = self.nodes[a as usize].mbr.min_distance_sq(point);
-                        let db = self.nodes[b as usize].mbr.min_distance_sq(point);
-                        da.total_cmp(&db)
-                    });
-                    match next {
-                        Some(n) => id = n,
-                        // A childless internal node has no smaller element.
-                        None => return id,
-                    }
-                }
-                _ => return id,
-            }
-        }
-    }
-
-    /// Walks a contour element's points outward from `center` along one
-    /// sort order (the seed scan of Algorithm 3 line 2), returning up to
-    /// `k` point ids in that traversal order.
-    ///
-    /// For an unsplit partition the walk uses the axis-0 sort order and a
-    /// two-pointer expansion from the query coordinate; a leaf is scanned
-    /// and sorted directly (it holds at most N points).
-    pub fn seed_scan(&mut self, element: NodeId, center: &[f64], k: usize) -> Vec<u32> {
-        self.stats.elements_accessed += 1;
-        match &self.nodes[element as usize].kind {
-            NodeKind::Internal(_) => Vec::new(),
-            NodeKind::Leaf(ids) => {
-                let ids: Vec<u32> = ids.clone();
-                self.stats.points_examined += ids.len() as u64;
-                let mut dists = vec![0.0f64; ids.len()];
-                kernels::distances_sq(&self.pool, &self.points, &ids, center, &mut dists);
-                // Stable sort on the distance alone preserves the leaf's
-                // id order for ties, matching the old per-comparison sort.
-                let mut pairs: Vec<(f64, u32)> = dists.into_iter().zip(ids).collect();
-                pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-                pairs.truncate(k);
-                pairs.into_iter().map(|(_, id)| id).collect()
-            }
-            NodeKind::Unsplit(orders) => {
-                let order = orders.ids(0);
-                let c = center[0];
-                // Position of the query coordinate in the axis-0 order.
-                let start = order.partition_point(|&id| self.points.coord(id, 0) < c);
-                let mut out = Vec::with_capacity(k);
-                let (mut lo, mut hi) = (start, start);
-                while out.len() < k && (lo > 0 || hi < order.len()) {
-                    let take_low = if lo == 0 {
-                        false
-                    } else if hi >= order.len() {
-                        true
-                    } else {
-                        (c - self.points.coord(order[lo - 1], 0)).abs()
-                            <= (self.points.coord(order[hi], 0) - c).abs()
-                    };
-                    if take_low {
-                        lo -= 1;
-                        out.push(order[lo]);
-                    } else {
-                        out.push(order[hi]);
-                        hi += 1;
-                    }
-                }
-                self.stats.points_examined += out.len() as u64;
-                out
-            }
         }
     }
 }

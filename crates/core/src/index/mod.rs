@@ -13,7 +13,7 @@
 //! - [`arena`] — flat node storage ([`Node`] / [`NodeKind`] / [`NodeId`])
 //!   and size accounting;
 //! - [`contour`] — reads over the current contour (Definitions 2–3):
-//!   region search, element summaries, seed probes;
+//!   region search, best-first traversal, element summaries;
 //! - [`crack`] — the crack/split driver turning query regions into
 //!   partial builds;
 //! - [`build`] — the recursive build core shared by cracking and bulk
@@ -465,23 +465,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn seed_scan_returns_nearby_points() {
-        let mut idx = fresh(2_000, SplitStrategy::Greedy);
-        let center = [1.0, 1.0, 1.0];
-        let el = idx.smallest_element_containing(&center);
-        let n_before = idx.element_point_ids(el).len();
-        let seeds = idx.seed_scan(el, &center, 5);
-        assert_eq!(seeds.len(), 5);
-        // After cracking, the probe lands in a smaller element.
-        idx.crack(&Mbr::of_ball(&center, 1.0));
-        let el2 = idx.smallest_element_containing(&center);
-        let n_after = idx.element_point_ids(el2).len();
-        assert!(n_after <= n_before);
-        let seeds2 = idx.seed_scan(el2, &center, 5);
-        assert_eq!(seeds2.len(), 5);
     }
 
     #[test]

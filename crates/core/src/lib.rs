@@ -30,8 +30,8 @@
 //!   latency), plus sampling of engine-side counters into gauges.
 //! * [`cache`] — the epoch-keyed semantic result cache the facade
 //!   consults on its read path when [`VkgConfig::cache_capacity`] > 0:
-//!   hits are validated against the exact pinned epochs and replay the
-//!   filling query's crack regions, so they are provably identical to
+//!   hits are validated against the exact pinned epochs and an answer
+//!   is a function of (snapshot, query), so they are identical to
 //!   recomputation.
 //! * [`wal`] — the durability layer (§3.9): a length-prefixed,
 //!   checksummed, epoch-stamped write-ahead log for dynamic writes,

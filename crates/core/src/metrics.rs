@@ -44,13 +44,14 @@ pub mod names {
     pub const POOL_CHUNKS_CLAIMED: &str = "core.pool.chunks_claimed";
     /// Result-cache hits served whole at the pinned epochs.
     pub const CACHE_HIT: &str = "core.cache.hit";
-    /// Result-cache probes that found nothing usable (includes probes
-    /// that only yielded warm-start seeds).
+    /// Result-cache probes that found nothing usable (no entry, a stale
+    /// one, or one filled for another k).
     pub const CACHE_MISS: &str = "core.cache.miss";
     /// Stale result-cache entries removed on touch (epoch moved on).
     pub const CACHE_INVALIDATE: &str = "core.cache.invalidate";
-    /// Hits served by cutting a larger cached k down to the requested
-    /// one (superset containment).
+    /// Held for the benchmark (DESIGN.md §3.5): the ledger adds this
+    /// name to its hit count. No counter is behind it — an entry answers
+    /// only the k it was filled for — and an absent name reads as 0.
     pub const CACHE_PREFIX_HIT: &str = "core.cache.prefix_hit";
     /// WAL records appended + flushed on the dynamic write path.
     pub const WAL_APPENDED: &str = "core.wal.appended";
@@ -82,7 +83,6 @@ pub struct VkgMetrics {
     cache_hit: Counter,
     cache_miss: Counter,
     cache_invalidate: Counter,
-    cache_prefix_hit: Counter,
     wal_appended: Counter,
     wal_replayed: Counter,
     wal_dedup_hits: Counter,
@@ -107,7 +107,6 @@ impl VkgMetrics {
             cache_hit: registry.counter(names::CACHE_HIT),
             cache_miss: registry.counter(names::CACHE_MISS),
             cache_invalidate: registry.counter(names::CACHE_INVALIDATE),
-            cache_prefix_hit: registry.counter(names::CACHE_PREFIX_HIT),
             wal_appended: registry.counter(names::WAL_APPENDED),
             wal_replayed: registry.counter(names::WAL_REPLAYED),
             wal_dedup_hits: registry.counter(names::WAL_DEDUP_HITS),
@@ -151,8 +150,8 @@ impl VkgMetrics {
         self.cache_hit.incr();
     }
 
-    /// Records one cache probe that had to recompute (no entry, or only
-    /// warm-start seeds).
+    /// Records one cache probe that had to recompute (no entry, or one
+    /// for another k).
     pub fn record_cache_miss(&self) {
         self.cache_miss.incr();
     }
@@ -160,11 +159,6 @@ impl VkgMetrics {
     /// Records the lazy removal of one stale cache entry.
     pub fn record_cache_invalidate(&self) {
         self.cache_invalidate.incr();
-    }
-
-    /// Records one hit served by prefix-cutting a larger cached k.
-    pub fn record_cache_prefix_hit(&self) {
-        self.cache_prefix_hit.incr();
     }
 
     /// Records one WAL record appended + flushed before its ack.

@@ -8,8 +8,6 @@
 //! most-probable of the `b` ball members and scales up per Equation (3)
 //! (COUNT/SUM/AVG) or Equation (4) (MAX/MIN).
 
-use crate::geometry::Mbr;
-
 /// Which aggregate to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregateKind {
@@ -158,11 +156,6 @@ pub struct AggregateResult {
     /// The Theorem 4 deviation bound (meaningful for COUNT/SUM/AVG; for
     /// MAX/MIN it is the analogous bound sketched at the end of §V-B).
     pub bound: DeviationBound,
-    /// The regions the index was cracked for while answering (the inner
-    /// top-1's region plus the probability ball), kept so a result cache
-    /// replaying this answer reproduces the cracks exactly. Empty for
-    /// merged results, which crack nothing themselves.
-    pub crack_regions: Vec<Mbr>,
 }
 
 /// Equation (3): expected SUM from the `a` accessed `(value, probability)`
@@ -358,7 +351,6 @@ pub fn merge_partials(kind: AggregateKind, parts: &[AggregateResult]) -> Aggrega
         accessed,
         ball_size,
         bound,
-        crack_regions: Vec::new(),
     }
 }
 
@@ -561,7 +553,6 @@ mod tests {
             accessed: a,
             ball_size: b,
             bound: deviation_bound(est, &[1.0; 2], &[1.0; 3], 1.0),
-            crack_regions: Vec::new(),
         };
         let merged = merge_partials(AggregateKind::Count, &[part(3.0, 2, 5), part(7.0, 2, 5)]);
         assert!((merged.estimate - 10.0).abs() < 1e-12);
@@ -581,7 +572,6 @@ mod tests {
                 mu: est,
                 increment_mass: 1.0,
             },
-            crack_regions: Vec::new(),
         };
         // 3 members averaging 10 and 1 member averaging 50 → 20.
         let merged = merge_partials(AggregateKind::Avg, &[part(10.0, 3), part(50.0, 1)]);
@@ -601,7 +591,6 @@ mod tests {
                 mu: est,
                 increment_mass: 2.0,
             },
-            crack_regions: Vec::new(),
         };
         // The empty part's 0.0 placeholder must not beat the negative max.
         let merged = merge_partials(AggregateKind::Max, &[part(-5.0, 3), part(0.0, 0)]);

@@ -1,12 +1,17 @@
 //! FINDTOP-KENTITIES (Algorithm 3, §V-A).
 //!
 //! The algorithm runs in the low-dimensional index space S₂ but ranks by
-//! true S₁ distance: it seeds a top-k set from the contour element
-//! containing the query point, inflates the k-th S₁ distance by `(1+ε)`
-//! into an S₂ ball, and examines the ball's points while the ball
-//! monotonically shrinks as better candidates arrive. When the region
-//! stabilizes the index is cracked for it (line 9), so subsequent queries
-//! near the same region find a finer tree.
+//! true S₁ distance: it visits the points nearest the query point in S₂
+//! first, lets the first k of them seed the top-k set, inflates the k-th
+//! S₁ distance by `(1+ε)` into an S₂ ball, and keeps visiting while the
+//! ball monotonically shrinks as better candidates arrive. When the
+//! region stabilizes the index is cracked for it (line 9), so subsequent
+//! queries near the same region find a finer tree.
+//!
+//! The paper's line 2 seeds from the smallest contour element containing
+//! q instead; seeding from the traversal makes the answer independent of
+//! how far the tree is cracked and leaves Theorem 2 untouched (DESIGN.md
+//! §7).
 //!
 //! This module implements the algorithm generically over two closures —
 //! the S₁ distance oracle and the skip predicate (known `E`-edges and the
@@ -48,11 +53,6 @@ pub struct TopKResult {
     /// filter): the members of every contour element the shrinking ball
     /// reached.
     pub candidates_examined: u64,
-    /// The region the index was cracked for (Algorithm 3 line 9), kept so
-    /// a result cache replaying this answer can reproduce the crack and
-    /// keep cached and uncached trees identical. `None` for engines that
-    /// never crack (the baselines).
-    pub crack_region: Option<Mbr>,
 }
 
 /// Max-heap entry so the k-th (worst) current answer pops first.
@@ -78,7 +78,7 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Runs Algorithm 3.
+/// Runs Algorithm 3, seeded from its own traversal.
 ///
 /// * `q_s2` — the query center in S₂ (the transformed `h + r` / `t − r`).
 /// * `k` — number of entities requested.
@@ -91,6 +91,12 @@ impl PartialOrd for HeapEntry {
 /// * `skip(id)` — true for entities excluded from `E'` (existing
 ///   neighbours, the query entity itself).
 ///
+/// The answer is a function of the live point set and the arguments
+/// alone, never of the tree's shape: walk the non-skipped points in
+/// `(d_S₂², id)` order, keep the k best by S₁ distance (a newcomer must
+/// beat the k-th strictly), stop at the first point beyond `(1+ε)·` the
+/// current k-th S₁ distance.
+///
 /// # Errors
 /// [`VkgError::InvalidParameter`] when `k = 0` or `ε` is not positive.
 pub fn find_top_k(
@@ -99,31 +105,6 @@ pub fn find_top_k(
     k: usize,
     epsilon: f64,
     alpha: usize,
-    s1_distance: impl FnMut(&PointSet, u32) -> f64,
-    skip: impl FnMut(u32) -> bool,
-) -> VkgResult<TopKResult> {
-    find_top_k_warm(index, q_s2, k, epsilon, alpha, &[], s1_distance, skip)
-}
-
-/// [`find_top_k`] warm-started from already-known `(id, s1_distance)`
-/// pairs — the result cache's partial-hit path: a cached top-k′ answer
-/// (k′ < k, same query, same epoch) seeds the k-set so the initial ball
-/// of line 3 starts at its smallest admissible radius instead of being
-/// re-derived from a seed scan. Warm pairs must come from an identical
-/// query at an identical snapshot epoch (their distances and skip status
-/// are trusted verbatim); they are not counted as oracle evaluations.
-/// With `warm` empty this **is** `find_top_k`, byte for byte.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "Algorithm 3's inputs (index, q, k, ε, α) plus the warm pairs and the two oracles"
-)]
-pub fn find_top_k_warm(
-    index: &mut CrackingIndex,
-    q_s2: &[f64],
-    k: usize,
-    epsilon: f64,
-    alpha: usize,
-    warm: &[(u32, f64)],
     mut s1_distance: impl FnMut(&PointSet, u32) -> f64,
     mut skip: impl FnMut(u32) -> bool,
 ) -> VkgResult<TopKResult> {
@@ -135,38 +116,14 @@ pub fn find_top_k_warm(
     }
     let mut s1_evals = 0u64;
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    for &(id, d) in warm {
-        push_candidate(&mut heap, k, id, d);
-    }
 
-    // Line 2: probe the smallest contour element containing q and seed
-    // the k-set by walking its points outward along one sort order.
-    let element = index.smallest_element_containing(q_s2);
-    let seed_want = (k * 4).max(16);
-    let seeds = index.seed_scan(element, q_s2, seed_want);
-    // The warm set already holds exact distances for its ids; skipping
-    // them here both saves oracle calls and keeps the heap duplicate-free
-    // (`push_candidate` does not deduplicate).
-    let warm_ids = sorted_ids(warm.iter().map(|&(id, _)| id));
-    for id in seeds {
-        if warm_ids.binary_search(&id).is_ok() || skip(id) {
-            continue;
-        }
-        let d = s1_distance(index.points(), id);
-        s1_evals += 1;
-        push_candidate(&mut heap, k, id, d);
-    }
-
-    // Lines 3–8: visit the points of the ball nearest-in-S₂ first, so it
-    // shrinks as early as possible and the traversal ends at the first
-    // point outside it. With fewer than k usable seeds (selective
-    // filters) the radius is unknown and stays infinite until the k-set
-    // fills. Ball points are distinct, so only the ids the k-set already
-    // held — their distances are known — need rejecting.
-    let seeded = sorted_ids(heap.iter().map(|e| e.id));
-    let r_sq = current_ball_radius_sq(&heap, k, epsilon);
-    let candidates_examined = index.nearest_first(q_s2, r_sq, |points, id| {
-        if seeded.binary_search(&id).is_err() && !skip(id) {
+    // Lines 2–8: visit the points nearest-in-S₂ first. The radius is
+    // unknown and stays infinite until the first k usable points fill
+    // the k-set (the seed); from then on the ball shrinks as better
+    // candidates arrive and the traversal ends at the first point
+    // outside it. Emitted points are distinct, so nothing is seen twice.
+    let candidates_examined = index.nearest_first(q_s2, f64::INFINITY, |points, id| {
+        if !skip(id) {
             let d = s1_distance(points, id);
             s1_evals += 1;
             push_candidate(&mut heap, k, id, d);
@@ -204,7 +161,6 @@ pub fn find_top_k_warm(
         guarantee,
         s1_evals,
         candidates_examined,
-        crack_region: Some(final_region),
     })
 }
 
@@ -218,14 +174,6 @@ fn push_candidate(heap: &mut BinaryHeap<HeapEntry>, k: usize, id: u32, distance:
             *worst = HeapEntry { distance, id };
         }
     }
-}
-
-/// The ids as a sorted slice for `binary_search` membership tests (at
-/// most k of them — hashing each candidate costs more than the probe).
-fn sorted_ids(ids: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut ids: Vec<u32> = ids.collect();
-    ids.sort_unstable();
-    ids
 }
 
 /// Squared S₂ ball radius for the current k-set (infinite until k found).
@@ -413,7 +361,8 @@ mod tests {
             |_| false,
         )
         .unwrap();
-        assert!(result.s1_evals <= result.candidates_examined + 16 + 20);
+        // Every oracle call is for a point the traversal emitted.
+        assert!(result.s1_evals <= result.candidates_examined);
         assert!(result.s1_evals >= 5);
     }
 

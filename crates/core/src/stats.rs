@@ -29,15 +29,6 @@ impl IndexStats {
         self.points_examined = 0;
         self.s1_distance_evals = 0;
     }
-
-    /// Adds `other`'s counters into `self`.
-    pub fn absorb(&mut self, other: &IndexStats) {
-        self.splits_performed += other.splits_performed;
-        self.nodes_created += other.nodes_created;
-        self.elements_accessed += other.elements_accessed;
-        self.points_examined += other.points_examined;
-        self.s1_distance_evals += other.s1_distance_evals;
-    }
 }
 
 #[cfg(test)]
@@ -59,34 +50,5 @@ mod tests {
         assert_eq!(s.elements_accessed, 0);
         assert_eq!(s.points_examined, 0);
         assert_eq!(s.s1_distance_evals, 0);
-    }
-
-    #[test]
-    fn absorb_sums_every_field() {
-        let mut a = IndexStats {
-            splits_performed: 1,
-            nodes_created: 2,
-            elements_accessed: 3,
-            points_examined: 4,
-            s1_distance_evals: 5,
-        };
-        let b = IndexStats {
-            splits_performed: 10,
-            nodes_created: 20,
-            elements_accessed: 30,
-            points_examined: 40,
-            s1_distance_evals: 50,
-        };
-        a.absorb(&b);
-        assert_eq!(
-            a,
-            IndexStats {
-                splits_performed: 11,
-                nodes_created: 22,
-                elements_accessed: 33,
-                points_examined: 44,
-                s1_distance_evals: 55,
-            }
-        );
     }
 }

@@ -538,10 +538,9 @@ impl VirtualKnowledgeGraph {
 
     /// The cache-aware top-k execution path, run under the index lock
     /// (the [`IndexPin`] proves both epochs are exact). Serves from the
-    /// result cache when possible — replaying the filling query's crack
-    /// region so the tree evolves exactly as if the query had executed —
-    /// and otherwise computes (warm-started when a smaller same-query
-    /// entry exists) and fills the cache.
+    /// result cache when it holds this query's answer for this k — a hit
+    /// does not touch the tree — and otherwise computes and fills the
+    /// cache.
     ///
     /// This is the entry point the serving layer drives per batched
     /// request while holding the index lock for the whole group; the
@@ -630,31 +629,15 @@ impl VirtualKnowledgeGraph {
         key_filter: Option<Vec<u8>>,
         filter: &dyn Fn(EntityId) -> bool,
     ) -> VkgResult<TopKResult> {
-        // `k == 0` must surface the engine's typed rejection; a prefix
-        // cut of a cached entry would instead fabricate an empty Ok.
-        let (Some(cache), true) = (self.cache.as_ref(), k > 0) else {
-            return state.top_k_warm(snap, entity, relation, direction, k, &[], filter);
+        let Some(cache) = self.cache.as_ref() else {
+            return state.top_k_filtered(snap, entity, relation, direction, k, filter);
         };
         let cfg = snap.config();
         let key = CacheKey::top_k(entity.0, relation.0, direction, key_filter);
-        let mut warm = Vec::new();
         match cache.lookup_top_k(&key, k, pin.epoch, pin.index_epoch, cfg.epsilon, cfg.alpha) {
-            TopKLookup::Hit { result, prefix } => {
-                if let Some(region) = &result.crack_region {
-                    // Replay the filling query's crack (idempotent) so
-                    // cached and uncached trees stay identical.
-                    state.index_mut().crack(region);
-                }
-                if prefix {
-                    self.metrics.record_cache_prefix_hit();
-                } else {
-                    self.metrics.record_cache_hit();
-                }
+            TopKLookup::Hit(result) => {
+                self.metrics.record_cache_hit();
                 return Ok(result);
-            }
-            TopKLookup::Partial { warm: seeds } => {
-                warm = seeds;
-                self.metrics.record_cache_miss();
             }
             TopKLookup::Stale => {
                 self.metrics.record_cache_invalidate();
@@ -662,7 +645,9 @@ impl VirtualKnowledgeGraph {
             }
             TopKLookup::Miss => self.metrics.record_cache_miss(),
         }
-        let r = state.top_k_warm(snap, entity, relation, direction, k, &warm, filter)?;
+        // Only `Ok` answers are stored: `k = 0` is the engine's typed
+        // rejection every time it is asked.
+        let r = state.top_k_filtered(snap, entity, relation, direction, k, filter)?;
         cache.insert_top_k(key, k, pin.epoch, pin.index_epoch, &r);
         Ok(r)
     }
@@ -694,11 +679,6 @@ impl VirtualKnowledgeGraph {
         let key = CacheKey::aggregate(entity.0, relation.0, direction, spec);
         match cache.lookup_aggregate(&key, pin.epoch, pin.index_epoch) {
             AggregateLookup::Hit(result) => {
-                for region in &result.crack_regions {
-                    // Replay both fill-time cracks (inner top-1, then
-                    // the probability ball) — see `top_k_cached`.
-                    state.index_mut().crack(region);
-                }
                 self.metrics.record_cache_hit();
                 return Ok(result);
             }

@@ -9,7 +9,7 @@ use vkg_core::config::SplitStrategy;
 use vkg_core::geometry::{kernels, Mbr, PointSet};
 use vkg_core::index::CrackingIndex;
 use vkg_core::query::aggregate;
-use vkg_core::query::topk::{find_top_k_warm, TopKResult};
+use vkg_core::query::topk::{find_top_k, TopKResult};
 use vkg_core::rtree::SortOrders;
 use vkg_core::{Direction, VirtualKnowledgeGraph, VkgConfig};
 use vkg_embed::EmbeddingStore;
@@ -103,30 +103,43 @@ fn by_distance_then_id(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// What `find_top_k_warm` answers, compared bit for bit.
-type Answer = (Vec<(u32, u64)>, u64, Option<Mbr>);
+/// What `find_top_k` answers, compared bit for bit.
+type Answer = (Vec<(u32, u64)>, u64);
 
 fn answer_of(r: &TopKResult) -> Answer {
     let predictions = r.predictions.iter().map(|p| (p.id, p.distance.to_bits()));
-    (predictions.collect(), r.s1_evals, r.crack_region)
+    (predictions.collect(), r.s1_evals)
 }
 
-/// Test-only oracle for Algorithm 3: the same seeding and the same
-/// shrinking-ball loop, but over *all* live points sorted by
-/// `(d_S₂², id)` instead of a traversal of the tree.
-#[allow(clippy::too_many_arguments)]
+/// Test-only definition of a top-k answer, with no tree in it: walk the
+/// non-skipped points of `sorted` (every live point in `(d_S₂², id)`
+/// order), keep the k best by S₁ distance — a newcomer must beat the
+/// k-th strictly — and stop at the first point beyond `(1+ε)·` the
+/// current k-th S₁ distance.
 fn oracle_top_k(
-    idx: &mut CrackingIndex,
-    q: &[f64],
+    sorted: &[(f64, u32)],
     k: usize,
     eps: f64,
-    warm: &[(u32, f64)],
-    s1: &dyn Fn(&PointSet, u32) -> f64,
-    skip: &dyn Fn(u32) -> bool,
+    s1: impl Fn(u32) -> f64,
+    skip: impl Fn(u32) -> bool,
 ) -> Answer {
-    // The k-set, ascending by (distance, id); a newcomer must beat the worst.
-    fn offer(set: &mut Vec<(f64, u32)>, k: usize, entry: (f64, u32)) {
-        if set.len() == k && set.last().is_some_and(|worst| entry.0 < worst.0) {
+    // The k-set, ascending by (distance, id).
+    let (mut set, mut evals) = (Vec::<(f64, u32)>::new(), 0u64);
+    for &(d_sq, id) in sorted {
+        let full = set.len() == k;
+        if full
+            && set
+                .last()
+                .is_some_and(|w| d_sq > (w.0 * (1.0 + eps)).powi(2))
+        {
+            break;
+        }
+        if skip(id) {
+            continue;
+        }
+        evals += 1;
+        let entry = (s1(id), id);
+        if full && set.last().is_some_and(|w| entry.0 < w.0) {
             set.pop();
         }
         if set.len() < k {
@@ -134,38 +147,8 @@ fn oracle_top_k(
             set.sort_by(by_distance_then_id);
         }
     }
-    let (mut set, mut evals) = (Vec::new(), 0u64);
-    for &(id, d) in warm {
-        offer(&mut set, k, (d, id));
-    }
-    let element = idx.smallest_element_containing(q);
-    for id in idx.seed_scan(element, q, (k * 4).max(16)) {
-        if warm.iter().all(|w| w.0 != id) && !skip(id) {
-            evals += 1;
-            offer(&mut set, k, (s1(idx.points(), id), id));
-        }
-    }
-    let held: Vec<u32> = set.iter().map(|e| e.1).collect();
-    let radius = |set: &[(f64, u32)]| match set.last() {
-        Some(worst) if set.len() >= k => worst.0 * (1.0 + eps),
-        _ => f64::INFINITY,
-    };
-    for (d_sq, id) in live_by_distance(idx, q) {
-        let r = radius(&set);
-        if d_sq > r * r {
-            break;
-        }
-        if !held.contains(&id) && !skip(id) {
-            evals += 1;
-            offer(&mut set, k, (s1(idx.points(), id), id));
-        }
-    }
-    let region = match set.last() {
-        Some(worst) => Mbr::of_ball(q, worst.0 * (1.0 + eps)),
-        None => idx.points().mbr_of(&idx.points().all_ids()),
-    };
     let predictions = set.iter().map(|e| (e.1, e.0.to_bits()));
-    (predictions.collect(), evals, Some(region))
+    (predictions.collect(), evals)
 }
 
 proptest! {
@@ -218,20 +201,36 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// `find_top_k` against the sort-everything oracle: ids, distance
-    /// bits, `s1_evals` and `crack_region` agree with and without `skip`,
-    /// under a filter rejecting ≥ 95 % of ids (the unknown-radius path),
-    /// with `warm` pairs, and with k beyond the live points.
+    /// One oracle, every tree: for the same points and the same query a
+    /// root-only, a cracked, a bulk-loaded and an edited tree all give
+    /// the oracle's ids, distance bits and `s1_evals` — with and without
+    /// `skip`, under a filter rejecting ≥ 95 % of ids, with k beyond the
+    /// live points — and keep giving them as the queries crack on.
     #[test]
     fn find_top_k_matches_oracle(
         ps in arb_points(120, 3),
-        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        on_grid in any::<bool>(),
         cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
         edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
         queries in prop::collection::vec((arb_xyz(60.0), 1usize..12, 0usize..4), 1..6),
         eps in 0.1f64..2.0,
     ) {
-        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        // The edited tree (shape 3) and its point set, rebuilt from
+        // scratch in the three unedited shapes: same live points, four
+        // trees. A tombstoned id keeps its row, so the rebuilt trees
+        // hold it live: they skip it, which counts no evaluation.
+        let mut edited = shaped_index(ps, on_grid, 3, &cracks, &edits);
+        let points = edited.points().clone();
+        let removed: Vec<u32> =
+            (0..points.len() as u32).filter(|&id| edited.is_removed(id)).collect();
+        let mut trees = [
+            CrackingIndex::new(points.clone(), 4, 3, 2.0, SplitStrategy::Greedy),
+            CrackingIndex::new(points.clone(), 4, 3, 2.0, SplitStrategy::Greedy),
+            CrackingIndex::bulk_load(points, 4, 3, 2.0),
+        ];
+        for &((x, y, z), r) in &cracks {
+            trees[1].crack(&Mbr::of_ball(&[x, y, z], r));
+        }
         for (q, k, mode) in queries {
             let q = snap(on_grid, q);
             // S₁ is S₂ stretched per id, so the two rankings disagree.
@@ -244,18 +243,18 @@ proptest! {
                 _ => id % 32 != 5,
             };
             // mode 3 also asks for more than the live points can give.
-            let k = if mode == 3 { k + idx.live_points() } else { k };
-            // A genuine warm set: the same query answered for k′ < k.
-            let warm: Vec<(u32, f64)> = if k > 1 && mode < 2 {
-                let half = find_top_k_warm(&mut idx, &q, k / 2, eps, 3, &[], s1, skip).unwrap();
-                half.predictions.iter().map(|p| (p.id, p.distance)).collect()
-            } else {
-                Vec::new()
-            };
-            let want = oracle_top_k(&mut idx, &q, k, eps, &warm, &s1, &skip);
-            let got = find_top_k_warm(&mut idx, &q, k, eps, 3, &warm, s1, skip).unwrap();
-            prop_assert_eq!(answer_of(&got), want);
-            idx.check_invariants();
+            let k = if mode == 3 { k + edited.live_points() } else { k };
+            let sorted = live_by_distance(&edited, &q);
+            let want = oracle_top_k(&sorted, k, eps, |id| s1(edited.points(), id), skip);
+            let got = find_top_k(&mut edited, &q, k, eps, 3, s1, skip).unwrap();
+            prop_assert_eq!(&answer_of(&got), &want, "edited tree");
+            edited.check_invariants();
+            for (shape, idx) in trees.iter_mut().enumerate() {
+                let skip = |id: u32| skip(id) || removed.binary_search(&id).is_ok();
+                let got = find_top_k(idx, &q, k, eps, 3, s1, skip).unwrap();
+                prop_assert_eq!(&answer_of(&got), &want, "shape {}", shape);
+                idx.check_invariants();
+            }
         }
     }
 
