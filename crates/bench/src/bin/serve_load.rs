@@ -22,17 +22,15 @@
 //! tier-2 gate. `--metrics-out PATH` writes the full server snapshot in
 //! the `vkg-obs` text exposition format as a run artifact.
 //!
-//! The serve path's result cache and batching are load-tested through
-//! three more knobs. `--cache on|off` switches the engine's epoch-keyed
-//! result cache (default off); `--batch N` lets each worker drain up to
-//! N queued requests per round, executing the reads among them under
-//! one lock acquisition; `--zipf S` skews the workload so a hot head of
+//! The serve path's result cache is load-tested through two more
+//! knobs. `--cache on|off` switches the engine's epoch-keyed result
+//! cache (default off); `--zipf S` skews the workload so a hot head of
 //! queries repeats (`S = 0`, the default, keeps the uniform stream). Under
 //! `--check`, a quiescent sample of the workload is then asked once over
-//! the wire — the cached, batched path — and recomputed cache-free
-//! against the same pinned engine state: any bit of divergence fails the
-//! run, and with the cache on a skewed workload must also show a
-//! non-zero hit count.
+//! the wire — the cached path — and recomputed cache-free against the
+//! same pinned engine state: any bit of divergence fails the run, and
+//! with the cache on a skewed workload must also show a non-zero hit
+//! count.
 //!
 //! The crash → restart → parity loop is scriptable through three more
 //! flags. `--wal PATH` (default off) attaches the write-ahead log: the
@@ -84,9 +82,6 @@ struct Args {
     /// Result-cache entry capacity: `--cache on` selects
     /// [`DEFAULT_CACHE_CAPACITY`], `off` (the default) 0.
     cache_capacity: usize,
-    /// Max requests a worker drains per round (`--batch`); 1 is the
-    /// unbatched serve loop.
-    batch: usize,
     /// Zipf exponent of the workload (`--zipf`); 0 is uniform.
     zipf: f64,
     /// Write-ahead-log path (`--wal`); `None` keeps the in-memory write
@@ -113,7 +108,6 @@ impl Default for Args {
             workers: 4,
             queue_capacity: 128,
             cache_capacity: 0,
-            batch: 1,
             zipf: 0.0,
             wal: None,
             kill_after: None,
@@ -128,7 +122,7 @@ fn usage() {
     eprintln!(
         "usage: serve_load [--qps N] [--seconds N] [--connections N] [--seed N]\n\
          \x20                 [--write-ratio F] [--workers N] [--queue N]\n\
-         \x20                 [--cache on|off] [--batch N] [--zipf S]\n\
+         \x20                 [--cache on|off] [--zipf S]\n\
          \x20                 [--wal PATH] [--kill-after N] [--recover]\n\
          \x20                 [--check] [--metrics-out PATH]"
     );
@@ -163,7 +157,6 @@ fn parse_args() -> Option<Args> {
                     return None;
                 }
             },
-            "--batch" => a.batch = num("--batch")? as usize,
             "--zipf" => a.zipf = num("--zipf")?,
             "--wal" => match args.next() {
                 Some(path) => a.wal = Some(PathBuf::from(path)),
@@ -218,9 +211,9 @@ struct Tally {
 }
 
 /// `--check`'s cache-parity clause: at quiescence a sample of distinct
-/// workload queries is asked once over the wire — the cached, batched
-/// serve path — and recomputed cache-free against the same pinned
-/// engine state. Returns the number of queries checked; any bit of
+/// workload queries is asked once over the wire — the cached serve
+/// path — and recomputed cache-free (the read halves alone, under the
+/// shared guard) against the same pinned engine state. Returns the number of queries checked; any bit of
 /// divergence is an error. Every fourth sample also cross-checks the
 /// aggregate path.
 fn check_cache_parity(
@@ -243,9 +236,10 @@ fn check_cache_parity(
             .map_err(|e| format!("remote top-k: {e}"))?;
         let local = vkg
             .with_published_index(|_pin, snap, state| {
-                state.top_k(snap, q.entity, q.relation, q.direction, 10)
+                state.top_k_read(snap, q.entity, q.relation, q.direction, 10, &|_| true)
             })
-            .map_err(|e| format!("local recompute: {e}"))?;
+            .map_err(|e| format!("local recompute: {e}"))?
+            .0;
         if remote.predictions.len() != local.predictions.len()
             || remote
                 .predictions
@@ -279,9 +273,17 @@ fn check_cache_parity(
             let spec = AggregateSpec::count(0.05);
             let local_agg = vkg
                 .with_published_index(|_pin, snap, state| {
-                    state.aggregate(snap, q.entity, q.relation, q.direction, &spec)
+                    let (entity, relation, direction) = (q.entity, q.relation, q.direction);
+                    let (nearest, _) =
+                        state.aggregate_anchor(snap, entity, relation, direction, &spec)?;
+                    let Some(nearest) = nearest else {
+                        return Ok(AggregateResult::empty());
+                    };
+                    state
+                        .aggregate_ball(snap, entity, relation, direction, &spec, &nearest)
+                        .map(|(answer, _)| answer)
                 })
-                .map_err(|e| format!("local aggregate recompute: {e}"))?;
+                .map_err(|e: VkgError| format!("local aggregate recompute: {e}"))?;
             if remote_agg.estimate.to_bits() != local_agg.estimate.to_bits()
                 || remote_agg.mu.to_bits() != local_agg.bound.mu.to_bits()
                 || remote_agg.increment_mass.to_bits() != local_agg.bound.increment_mass.to_bits()
@@ -413,9 +415,8 @@ fn main() -> ExitCode {
 
     eprintln!(
         "serve_load: preparing smoke-scale movie dataset + embeddings \
-         (cache {} entries, batch {}, wal {})...",
+         (cache {} entries, wal {})...",
         args.cache_capacity,
-        args.batch,
         args.wal
             .as_deref()
             .map_or("off".into(), |p| p.display().to_string()),
@@ -437,7 +438,6 @@ fn main() -> ExitCode {
         ServerConfig {
             workers: args.workers,
             queue_capacity: args.queue_capacity,
-            batch_max: args.batch.max(1),
             wal: args.wal.clone(),
             ..ServerConfig::default()
         },
@@ -675,13 +675,14 @@ fn main() -> ExitCode {
         let hits = m.snapshot.counter(core_names::CACHE_HIT).unwrap_or(0);
         let misses = m.snapshot.counter(core_names::CACHE_MISS).unwrap_or(0);
         println!(
-            "  cache: hits={} misses={} invalidations={} | lock rounds={}",
+            "  cache: hits={} misses={} invalidations={} | late cracks: applied={} skipped={}",
             hits,
             misses,
             m.snapshot
                 .counter(core_names::CACHE_INVALIDATE)
                 .unwrap_or(0),
-            m.snapshot.counter(names::LOCK_ROUNDS).unwrap_or(0),
+            m.snapshot.counter(core_names::CRACKS_APPLIED).unwrap_or(0),
+            m.snapshot.counter(core_names::CRACKS_SKIPPED).unwrap_or(0),
         );
         if wal_mode {
             println!(

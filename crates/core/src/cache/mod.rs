@@ -33,7 +33,7 @@
 //!
 //! Locking: entries live in `stripes` (hash-partitioned mutexes, lock
 //! class `vkg.cache`). A stripe lock is only taken while the caller
-//! holds the index lock, and **nothing** is acquired while a stripe
+//! holds the index lock (either side), and nothing is acquired while a stripe
 //! lock is held — `vkg.cache` sits after `vkg.index` in the lock order
 //! and is never held across another acquisition.
 

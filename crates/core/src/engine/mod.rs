@@ -8,8 +8,8 @@
 //!
 //! The trait splits reads from writes architecturally: the snapshot is
 //! shared and lock-free; only the engine (whose internal index may crack
-//! on every query) needs `&mut self` and, in concurrent settings, a
-//! lock.
+//! on every query) needs `&mut self` — and [`IndexState`] splits again:
+//! `&self` read halves a facade runs under a shared lock, then the crack.
 
 pub mod state;
 

@@ -1,10 +1,16 @@
 //! The mutable index half of the split facade.
 //!
 //! [`IndexState`] owns the cracking (or bulk-loaded) [`CrackingIndex`]
-//! and all query pipelines that reshape it. The immutable inputs —
-//! graph, embeddings, transform — arrive per call as a
-//! [`VkgSnapshot`], so a facade can guard *only* this state with a lock
-//! while readers use the snapshot lock-free.
+//! and all query pipelines over it. The immutable inputs — graph,
+//! embeddings, transform — arrive per call as a [`VkgSnapshot`], so a
+//! facade can guard *only* this state with a lock while readers use the
+//! snapshot lock-free.
+//!
+//! Every pipeline has a `&self` *read half* that traverses the index and
+//! returns the answer with the region Algorithm 3 line 9 cracks for.
+//! The facade runs it under the lock's shared side and applies the
+//! crack afterwards; the `&mut` [`QueryEngine`] methods are read half,
+//! then [`CrackingIndex::crack`].
 
 use vkg_kg::{EntityId, RelationId};
 use vkg_sync::pool::Pool;
@@ -12,11 +18,9 @@ use vkg_sync::pool::Pool;
 use crate::error::{VkgError, VkgResult};
 use crate::geometry::{Mbr, PointSet};
 use crate::index::{CrackingIndex, ElementSummary};
-use crate::query::aggregate::{
-    self, AggregateKind, AggregateResult, AggregateSpec, DeviationBound,
-};
+use crate::query::aggregate::{self, AggregateKind, AggregateResult, AggregateSpec};
 use crate::query::probability::{inverse_distance_probabilities, radius_for_threshold};
-use crate::query::topk::{find_top_k, TopKResult};
+use crate::query::topk::{find_top_k, find_top_k_read, Prediction, TopKResult};
 use crate::snapshot::{Direction, VkgSnapshot};
 
 use super::{Accuracy, EngineStats, Neighbor, QueryEngine};
@@ -134,31 +138,44 @@ fn element_proxy(summary: &ElementSummary<'_>, q_s2: &[f64], s2_bias: f64) -> f6
     d_center.max(d_moment)
 }
 
-impl QueryEngine for IndexState {
-    fn name(&self) -> &str {
-        self.name
+/// The attribute column an aggregate reads (`None` for COUNT, which
+/// reads none).
+fn attribute_column<'a>(
+    snap: &'a VkgSnapshot,
+    spec: &AggregateSpec,
+) -> VkgResult<Option<&'a [Option<f64>]>> {
+    if spec.kind == AggregateKind::Count {
+        return Ok(None);
     }
+    let name = spec
+        .attribute
+        .as_deref()
+        .ok_or(VkgError::MissingAttribute)?;
+    let column = snap.attributes().column(name);
+    Ok(Some(column.ok_or_else(|| {
+        VkgError::UnknownAttribute(name.to_owned())
+    })?))
+}
 
-    fn accuracy(&self) -> Accuracy {
-        self.accuracy
-    }
-
-    fn top_k_filtered(
-        &mut self,
+impl IndexState {
+    /// The read half of [`QueryEngine::top_k_filtered`]: the answer, and
+    /// the region the query cracks the index for.
+    pub fn top_k_read(
+        &self,
         snap: &VkgSnapshot,
         entity: EntityId,
         relation: RelationId,
         direction: Direction,
         k: usize,
         filter: &dyn Fn(EntityId) -> bool,
-    ) -> VkgResult<TopKResult> {
+    ) -> VkgResult<(TopKResult, Mbr)> {
         let q_s1 = snap.query_point_s1(entity, relation, direction)?;
         let q_s2 = snap.project(&q_s1);
         let known = snap.known_neighbors(entity, relation, direction);
         let cfg = snap.config();
         let embeddings = snap.embeddings();
-        find_top_k(
-            &mut self.index,
+        find_top_k_read(
+            &self.index,
             &q_s2,
             k,
             cfg.epsilon,
@@ -168,81 +185,46 @@ impl QueryEngine for IndexState {
         )
     }
 
-    /// Exact S₂ kNN through the index: the S₁ oracle of Algorithm 3 is
-    /// replaced by the S₂ distance itself, so the (1+ε) ball certifies
-    /// the exact answer.
-    fn knn_in_s2(
-        &mut self,
-        snap: &VkgSnapshot,
-        q_s1: &[f64],
-        k: usize,
-    ) -> VkgResult<Vec<Neighbor>> {
-        let q_s2 = snap.project(q_s1);
-        let cfg = snap.config();
-        let result = find_top_k(
-            &mut self.index,
-            &q_s2,
-            k,
-            cfg.epsilon,
-            cfg.alpha,
-            // The oracle reads the index's own stored S₂ points (handed
-            // through by the search), so no per-candidate re-projection.
-            |points, id| points.distance_sq(id, &q_s2).sqrt(),
-            |_| false,
-        )?;
-        Ok(result
-            .predictions
-            .into_iter()
-            .map(|p| Neighbor {
-                id: p.id,
-                distance: p.distance,
-            })
-            .collect())
-    }
-
-    /// Answers an aggregate query over the probability ball around the
-    /// query center (§V-B).
-    fn aggregate(
-        &mut self,
+    /// First read half of [`QueryEngine::aggregate`] (§V-B step 1): the
+    /// spec is validated before any work, then the nearest predicted
+    /// entity — whose distance fixes `d_min` (probability 1) — is read
+    /// with the region that top-1 cracks for. `None` when nothing is
+    /// predictable: the aggregate is then [`AggregateResult::empty`].
+    pub fn aggregate_anchor(
+        &self,
         snap: &VkgSnapshot,
         entity: EntityId,
         relation: RelationId,
         direction: Direction,
         spec: &AggregateSpec,
-    ) -> VkgResult<AggregateResult> {
-        // Validate the attribute and threshold before any work; the
-        // column is resolved here, once, not by name per candidate.
-        let column = match spec.kind {
-            AggregateKind::Count => None,
-            _ => {
-                let name = spec
-                    .attribute
-                    .as_deref()
-                    .ok_or(VkgError::MissingAttribute)?;
-                let column = snap.attributes().column(name);
-                Some(column.ok_or_else(|| VkgError::UnknownAttribute(name.to_owned()))?)
-            }
-        };
+    ) -> VkgResult<(Option<Prediction>, Mbr)> {
+        attribute_column(snap, spec)?;
         if !spec.p_tau.is_finite() || spec.p_tau <= 0.0 || spec.p_tau > 1.0 {
             return Err(VkgError::InvalidParameter(format!(
                 "probability threshold p_τ = {} outside (0, 1]",
                 spec.p_tau
             )));
         }
+        let (top1, region) = self.top_k_read(snap, entity, relation, direction, 1, &|_| true)?;
+        Ok((top1.predictions.into_iter().next(), region))
+    }
 
-        // Step 1: nearest predicted entity fixes d_min (probability 1).
-        let top1 = self.top_k(snap, entity, relation, direction, 1)?;
-        let Some(nearest) = top1.predictions.first().cloned() else {
-            return Ok(AggregateResult {
-                estimate: 0.0,
-                accessed: 0,
-                ball_size: 0,
-                bound: DeviationBound {
-                    mu: 0.0,
-                    increment_mass: 0.0,
-                },
-            });
-        };
+    /// Second read half of [`QueryEngine::aggregate`] (steps 2–4): reads
+    /// the probability ball around the query center, anchored at the
+    /// `nearest` entity [`IndexState::aggregate_anchor`] found against
+    /// the same snapshot, and estimates over it. Returns the answer and
+    /// the ball's box, which the query cracks for.
+    pub fn aggregate_ball(
+        &self,
+        snap: &VkgSnapshot,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        spec: &AggregateSpec,
+        nearest: &Prediction,
+    ) -> VkgResult<(AggregateResult, Mbr)> {
+        // The column is resolved here, once, not by name per candidate.
+        let column = attribute_column(snap, spec)?;
         let d_min = nearest.distance;
         let r_tau = radius_for_threshold(d_min, spec.p_tau);
 
@@ -373,7 +355,7 @@ impl QueryEngine for IndexState {
                 }
             }
         }
-        self.index.stats_mut().s1_distance_evals += s1_evals;
+        self.index.count_s1_evals(s1_evals);
         accessed.sort_by(|x, y| x.0.total_cmp(&y.0));
 
         let distances: Vec<f64> = accessed.iter().map(|m| m.0).collect();
@@ -391,7 +373,7 @@ impl QueryEngine for IndexState {
         let a = accessed.len();
         let b = probs.len();
 
-        // Step 4: estimate + Theorem 4 bound, then crack for the region.
+        // Step 4: estimate + Theorem 4 bound.
         #[expect(
             clippy::indexing_slicing,
             reason = "a = accessed.len() <= probs.len(): probs holds accessed then unaccessed"
@@ -424,25 +406,102 @@ impl QueryEngine for IndexState {
             aggregate::deviation_bound(estimate, &values, &probs[a..], v_max)
         };
 
-        self.index.crack(&region);
-
-        Ok(AggregateResult {
+        let result = AggregateResult {
             estimate,
             accessed: a,
             ball_size: b,
             bound,
-        })
+        };
+        Ok((result, region))
+    }
+}
+
+impl QueryEngine for IndexState {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn accuracy(&self) -> Accuracy {
+        self.accuracy
+    }
+
+    fn top_k_filtered(
+        &mut self,
+        snap: &VkgSnapshot,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        k: usize,
+        filter: &dyn Fn(EntityId) -> bool,
+    ) -> VkgResult<TopKResult> {
+        let (result, region) = self.top_k_read(snap, entity, relation, direction, k, filter)?;
+        self.index.crack(&region);
+        Ok(result)
+    }
+
+    /// Exact S₂ kNN through the index: the S₁ oracle of Algorithm 3 is
+    /// replaced by the S₂ distance itself, so the (1+ε) ball certifies
+    /// the exact answer.
+    fn knn_in_s2(
+        &mut self,
+        snap: &VkgSnapshot,
+        q_s1: &[f64],
+        k: usize,
+    ) -> VkgResult<Vec<Neighbor>> {
+        let q_s2 = snap.project(q_s1);
+        let cfg = snap.config();
+        let result = find_top_k(
+            &mut self.index,
+            &q_s2,
+            k,
+            cfg.epsilon,
+            cfg.alpha,
+            // The oracle reads the index's own stored S₂ points (handed
+            // through by the search), so no per-candidate re-projection.
+            |points, id| points.distance_sq(id, &q_s2).sqrt(),
+            |_| false,
+        )?;
+        Ok(result
+            .predictions
+            .into_iter()
+            .map(|p| Neighbor {
+                id: p.id,
+                distance: p.distance,
+            })
+            .collect())
+    }
+
+    /// Answers an aggregate query over the probability ball around the
+    /// query center (§V-B): the two read halves, each followed by its
+    /// crack.
+    fn aggregate(
+        &mut self,
+        snap: &VkgSnapshot,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        spec: &AggregateSpec,
+    ) -> VkgResult<AggregateResult> {
+        let (nearest, region) = self.aggregate_anchor(snap, entity, relation, direction, spec)?;
+        self.index.crack(&region);
+        let Some(nearest) = nearest else {
+            return Ok(AggregateResult::empty());
+        };
+        let (result, region) =
+            self.aggregate_ball(snap, entity, relation, direction, spec, &nearest)?;
+        self.index.crack(&region);
+        Ok(result)
     }
 
     fn stats(&self) -> EngineStats {
         EngineStats {
             nodes: self.index.node_count(),
             bytes: self.index.index_bytes(),
-            counters: *self.index.stats(),
+            counters: self.index.stats(),
         }
     }
 
     fn reset_access_counters(&mut self) {
-        self.index.stats_mut().reset_access_counters();
+        self.index.reset_access_counters();
     }
 }

@@ -120,7 +120,7 @@ impl CrackingIndex {
             height: 0,
             kind: NodeKind::Leaf(Vec::new()),
         });
-        self.stats.nodes_created += 1;
+        self.nodes_created += 1;
         id
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! Everything here is a *read* of the current contour — none of these
 //! operations crack the index (Algorithm 3 cracks once per query, after
-//! the result region stabilizes). They do update access statistics,
-//! which is why the methods take `&mut self`.
+//! the result region stabilizes) — and takes `&self`, so any number of
+//! queries traverse at once under the facade's shared guard. The access
+//! statistics they keep are relaxed atomics, bumped once per traversal.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,10 +63,10 @@ impl CrackingIndex {
     ///
     /// This is a pure read: it does **not** crack the index (Algorithm 3
     /// cracks once per query, after the result region stabilizes).
-    pub fn search_region(&mut self, q: &Mbr, mut visit: impl FnMut(u32)) {
+    pub fn search_region(&self, q: &Mbr, mut visit: impl FnMut(u32)) {
+        let (mut elements, mut examined) = (0u64, 0u64);
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
-            // Split borrows: stats updated after inspecting the node.
             let node = &self.nodes[id as usize];
             if !node.mbr.intersects(q) {
                 continue;
@@ -78,14 +79,15 @@ impl CrackingIndex {
                 NodeKind::Leaf(ids) => ids,
                 NodeKind::Unsplit(orders) => orders.ids(0),
             };
-            self.stats.elements_accessed += 1;
-            self.stats.points_examined += ids.len() as u64;
+            elements += 1;
+            examined += ids.len() as u64;
             for &pid in ids {
                 if self.points.in_region(pid, q) {
                     visit(pid);
                 }
             }
         }
+        self.count_access(elements, examined);
     }
 
     /// Visits the points of the ball `B(q, √r_sq)` nearest first — in
@@ -103,7 +105,7 @@ impl CrackingIndex {
     /// never queued. Like [`CrackingIndex::search_region`] this is a pure
     /// read that counts each expanded element in the access statistics.
     pub fn nearest_first(
-        &mut self,
+        &self,
         q: &[f64],
         mut r_sq: f64,
         mut visit: impl FnMut(&PointSet, u32) -> f64,
@@ -114,7 +116,7 @@ impl CrackingIndex {
             id: self.root,
         }]);
         let mut dists: Vec<f64> = Vec::new();
-        let mut computed = 0u64;
+        let (mut elements, mut computed) = (0u64, 0u64);
         while let Some(Nearest { key, point, id }) = queue.pop() {
             if key > r_sq {
                 break;
@@ -138,8 +140,7 @@ impl CrackingIndex {
                 NodeKind::Leaf(ids) => ids,
                 NodeKind::Unsplit(orders) => orders.ids(0),
             };
-            self.stats.elements_accessed += 1;
-            self.stats.points_examined += ids.len() as u64;
+            elements += 1;
             computed += ids.len() as u64;
             dists.resize(ids.len(), 0.0);
             kernels::distances_sq(&self.pool, &self.points, ids, q, &mut dists);
@@ -153,6 +154,7 @@ impl CrackingIndex {
                 },
             ));
         }
+        self.count_access(elements, computed);
         computed
     }
 
@@ -174,17 +176,17 @@ impl CrackingIndex {
     /// neighbors, say, which sit right next to the query) is proxying
     /// the rest by a population that still contains them.
     pub fn search_region_elements(
-        &mut self,
+        &self,
         q: &Mbr,
         mut visit: impl FnMut(&[u32], &ElementSummary<'_>),
     ) {
         let dim = self.points.dim();
+        let (mut elements, mut examined) = (0u64, 0u64);
         let mut stack = vec![self.root];
         let mut members: Vec<u32> = Vec::new();
         let mut sum = vec![0.0f64; dim];
         let mut centroid = vec![0.0f64; dim];
         while let Some(id) = stack.pop() {
-            // Split borrows: stats updated after inspecting the node.
             let node = &self.nodes[id as usize];
             if !node.mbr.intersects(q) {
                 continue;
@@ -197,8 +199,8 @@ impl CrackingIndex {
                 NodeKind::Leaf(ids) => ids,
                 NodeKind::Unsplit(orders) => orders.ids(0),
             };
-            self.stats.elements_accessed += 1;
-            self.stats.points_examined += ids.len() as u64;
+            elements += 1;
+            examined += ids.len() as u64;
             members.clear();
             sum.iter_mut().for_each(|s| *s = 0.0);
             let mut sum_norm_sq = 0.0;
@@ -227,5 +229,6 @@ impl CrackingIndex {
             };
             visit(&members, &summary);
         }
+        self.count_access(elements, examined);
     }
 }

@@ -7,11 +7,16 @@
 //! lives in [`super::topk`] and drives the same per-element primitives
 //! exposed here (`CrackingIndex::crack_element` /
 //! `CrackingIndex::dry_run_element`, crate-private).
+//!
+//! A crack touches only the elements it splits: the unsplit elements
+//! overlapping the region that fail the §IV-C stop condition. A crack
+//! that splits nothing leaves every node as it was, and
+//! [`CrackingIndex::wants_crack`] says beforehand whether it would.
 
 use crate::config::SplitStrategy;
 use crate::geometry::Mbr;
 
-use super::build::{build_element, RunCost};
+use super::build::{build_element, stop_condition, RunCost};
 use super::chooser::{GreedyChooser, SplitChooser};
 use super::{topk, CrackingIndex, NodeId, NodeKind};
 
@@ -25,16 +30,26 @@ impl CrackingIndex {
         }
     }
 
+    /// Whether [`CrackingIndex::crack`] for `q` would split anything,
+    /// under either strategy: true iff some unsplit element overlapping
+    /// `q` fails the stop condition. A read — a query asks it under the
+    /// shared guard and goes exclusive only on `true`.
+    pub fn wants_crack(&self, q: &Mbr) -> bool {
+        !self.elements_to_split(q).is_empty()
+    }
+
     fn crack_greedy(&mut self, q: &Mbr) {
-        let elements = self.unsplit_elements_overlapping(q);
-        for id in elements {
+        for id in self.elements_to_split(q) {
             self.crack_element(id, q, &mut GreedyChooser);
         }
     }
 
-    /// Unsplit contour elements whose MBR overlaps `q`, in DFS order.
-    /// This is the traversal order Algorithm 2's lines 6–8 walk.
-    pub(crate) fn unsplit_elements_overlapping(&self, q: &Mbr) -> Vec<NodeId> {
+    /// The unsplit contour elements a crack for `q` splits: those whose
+    /// MBR overlaps `q` and whose points the stop condition does not
+    /// hold for, in DFS order (the order Algorithm 2's lines 6–8 walk).
+    /// The build core splits such an element at least once and any
+    /// other not at all, whatever the chooser.
+    pub(crate) fn elements_to_split(&self, q: &Mbr) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
@@ -44,7 +59,12 @@ impl CrackingIndex {
             }
             match &node.kind {
                 NodeKind::Internal(children) => stack.extend(children.iter().rev().copied()),
-                NodeKind::Unsplit(_) => out.push(id),
+                NodeKind::Unsplit(orders) => {
+                    let in_q = orders.count_in_region_pooled(&self.points, q, &self.pool);
+                    if !stop_condition(in_q, orders.len(), self.params.leaf_capacity) {
+                        out.push(id);
+                    }
+                }
                 NodeKind::Leaf(_) => {}
             }
         }
@@ -82,7 +102,7 @@ impl CrackingIndex {
             &mut cost,
             &self.pool,
         );
-        self.stats.splits_performed += cost.splits;
+        self.splits_performed += cost.splits;
         self.install(id, built);
         cost
     }

@@ -34,6 +34,7 @@ pub use arena::{Node, NodeId, NodeKind};
 pub use contour::ElementSummary;
 
 use vkg_sync::pool::Pool;
+use vkg_sync::{AtomicU64, Ordering};
 
 use crate::config::SplitStrategy;
 use crate::geometry::PointSet;
@@ -51,7 +52,15 @@ pub struct CrackingIndex {
     root: NodeId,
     params: BuildParams,
     strategy: SplitStrategy,
-    stats: IndexStats,
+    /// Structure counters: only `&mut self` operations move them.
+    splits_performed: u64,
+    nodes_created: u64,
+    /// Access counters: reads take `&self` and run concurrently under
+    /// the facade's shared guard, so these are atomics, bumped once per
+    /// traversal.
+    elements_accessed: AtomicU64,
+    points_examined: AtomicU64,
+    s1_distance_evals: AtomicU64,
     /// Tombstoned point ids (dynamic removals; ids are never reused).
     removed: std::collections::HashSet<u32>,
     /// Data-parallel pool the build layers fan out over. Width 1 (the
@@ -111,18 +120,20 @@ impl CrackingIndex {
         };
         let height = crate::rtree::height_for(len, leaf_capacity, fanout);
         let root_node = Node { mbr, height, kind };
-        let mut index = Self {
+        Self {
             points,
             nodes: vec![root_node],
             root: 0,
             params,
             strategy,
-            stats: IndexStats::default(),
+            splits_performed: 0,
+            nodes_created: 1,
+            elements_accessed: AtomicU64::new(0),
+            points_examined: AtomicU64::new(0),
+            s1_distance_evals: AtomicU64::new(0),
             removed: std::collections::HashSet::new(),
             pool,
-        };
-        index.stats.nodes_created = 1;
-        index
+        }
     }
 
     /// Builds the complete balanced index offline (the BULKLOADCHUNK
@@ -176,7 +187,7 @@ impl CrackingIndex {
                 &mut cost,
                 &index.pool,
             );
-            index.stats.splits_performed += cost.splits;
+            index.splits_performed += cost.splits;
             index.install(root, built);
         }
         index
@@ -199,14 +210,43 @@ impl CrackingIndex {
         self.points.dim()
     }
 
-    /// Current statistics.
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
+    /// Current statistics. Under concurrent readers the three access
+    /// counters are a monotone sample, not one cut across them.
+    pub fn stats(&self) -> IndexStats {
+        // relaxed: statistics; no reader infers other state from them.
+        let sample = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        IndexStats {
+            splits_performed: self.splits_performed,
+            nodes_created: self.nodes_created,
+            elements_accessed: sample(&self.elements_accessed),
+            points_examined: sample(&self.points_examined),
+            s1_distance_evals: sample(&self.s1_distance_evals),
+        }
     }
 
-    /// Mutable statistics (e.g. to reset per-query access counters).
-    pub fn stats_mut(&mut self) -> &mut IndexStats {
-        &mut self.stats
+    /// Adds one traversal's contour elements and points to the access
+    /// counters.
+    pub(super) fn count_access(&self, elements: u64, points: u64) {
+        // relaxed: statistics; no reader infers other state from them.
+        self.elements_accessed
+            .fetch_add(elements, Ordering::Relaxed);
+        // relaxed: as above.
+        self.points_examined.fetch_add(points, Ordering::Relaxed);
+    }
+
+    /// Adds a query's S₁ distance evaluations to the access counters
+    /// (the oracle runs in the query pipelines, not in the index).
+    pub fn count_s1_evals(&self, evals: u64) {
+        // relaxed: a statistic; no reader infers other state from it.
+        self.s1_distance_evals.fetch_add(evals, Ordering::Relaxed);
+    }
+
+    /// Resets the per-query access counters (splits and nodes are
+    /// cumulative structure counters and are preserved).
+    pub fn reset_access_counters(&mut self) {
+        self.elements_accessed = AtomicU64::new(0);
+        self.points_examined = AtomicU64::new(0);
+        self.s1_distance_evals = AtomicU64::new(0);
     }
 
     /// Leaf capacity `N`.
@@ -321,7 +361,7 @@ mod tests {
 
     #[test]
     fn search_on_unsplit_root_finds_everything() {
-        let mut idx = fresh(500, SplitStrategy::Greedy);
+        let idx = fresh(500, SplitStrategy::Greedy);
         let q = Mbr::of_ball(&[0.0, 0.0, 0.0], 4.0);
         let mut found = Vec::new();
         idx.search_region(&q, |id| found.push(id));
@@ -446,7 +486,7 @@ mod tests {
     #[test]
     fn bulk_and_cracked_search_agree() {
         let ps = random_points(4_000, 3, 21);
-        let mut bulk = CrackingIndex::bulk_load(ps.clone(), 16, 8, 2.0);
+        let bulk = CrackingIndex::bulk_load(ps.clone(), 16, 8, 2.0);
         let mut cracked = CrackingIndex::new(ps, 16, 8, 2.0, SplitStrategy::Greedy);
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..8 {

@@ -73,10 +73,12 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Runs Algorithm 2 over every unsplit element overlapping `q` and
-/// installs the winning change candidate.
+/// Runs Algorithm 2 over the unsplit elements a crack for `q` splits and
+/// installs the winning change candidate. (An overlapping element the
+/// stop condition holds for has no decision point and would add the same
+/// `c_Q` to every candidate, so leaving it out ranks them the same.)
 pub(crate) fn crack_topk(index: &mut CrackingIndex, q: &Mbr, k: usize) {
-    let all: Vec<NodeId> = index.unsplit_elements_overlapping(q);
+    let all: Vec<NodeId> = index.elements_to_split(q);
     if all.is_empty() {
         return;
     }
@@ -202,7 +204,7 @@ mod tests {
         let q = Mbr::of_ball(&[1.0, 2.0, 3.0], 2.0);
 
         let mut greedy_idx = CrackingIndex::new(ps.clone(), 16, 8, 2.0, SplitStrategy::Greedy);
-        let g_elems = greedy_idx.unsplit_elements_overlapping(&q);
+        let g_elems = greedy_idx.elements_to_split(&q);
         let mut g_cost = RunCost::default();
         for &id in &g_elems {
             let c = greedy_idx.crack_element(id, &q, &mut super::super::chooser::GreedyChooser);
@@ -211,7 +213,7 @@ mod tests {
         }
 
         let topk_idx = CrackingIndex::new(ps, 16, 8, 2.0, SplitStrategy::TopK { choices: 3 });
-        let elements = topk_idx.unsplit_elements_overlapping(&q);
+        let elements = topk_idx.elements_to_split(&q);
         // Reproduce the search's dry-run for the empty script (greedy) and
         // verify the search winner can only improve on it.
         let mut chooser = ScriptChooser::new(vec![], 3);

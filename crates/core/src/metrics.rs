@@ -33,6 +33,12 @@ pub mod names {
     pub const INDEX_BYTES: &str = "core.index.bytes";
     /// Sampled: cumulative S₁ distance evaluations.
     pub const INDEX_S1_EVALS: &str = "core.index.s1_evals";
+    /// Read rounds whose late crack was applied: the pre-check found
+    /// something to split, so the round went on to the exclusive side.
+    pub const CRACKS_APPLIED: &str = "core.index.cracks_applied";
+    /// Read rounds that traversed and stayed shared, nothing being left
+    /// to split. `applied / (applied + skipped)` went exclusive.
+    pub const CRACKS_SKIPPED: &str = "core.index.cracks_skipped";
     /// Held for the benchmark (DESIGN.md §3.5): the ledger reads this
     /// name and takes an absent gauge as 0. Nothing records under it.
     pub const CRACKS_REPLAYED: &str = "core.cracklog.replayed";
@@ -77,6 +83,8 @@ pub struct VkgMetrics {
     index_nodes: Gauge,
     index_bytes: Gauge,
     index_s1_evals: Gauge,
+    cracks_applied: Counter,
+    cracks_skipped: Counter,
     pool_serial: Gauge,
     pool_parallel: Gauge,
     pool_chunks: Gauge,
@@ -101,6 +109,8 @@ impl VkgMetrics {
             index_nodes: registry.gauge(names::INDEX_NODES),
             index_bytes: registry.gauge(names::INDEX_BYTES),
             index_s1_evals: registry.gauge(names::INDEX_S1_EVALS),
+            cracks_applied: registry.counter(names::CRACKS_APPLIED),
+            cracks_skipped: registry.counter(names::CRACKS_SKIPPED),
             pool_serial: registry.gauge(names::POOL_SERIAL_RUNS),
             pool_parallel: registry.gauge(names::POOL_PARALLEL_RUNS),
             pool_chunks: registry.gauge(names::POOL_CHUNKS_CLAIMED),
@@ -143,6 +153,16 @@ impl VkgMetrics {
         }
         self.refine_steps.add(refine_steps);
         self.latency.record(latency);
+    }
+
+    /// Records one read round that traversed: its late crack was
+    /// `applied`, or skipped because nothing was left to split.
+    pub fn record_crack(&self, applied: bool) {
+        if applied {
+            self.cracks_applied.incr();
+        } else {
+            self.cracks_skipped.incr();
+        }
     }
 
     /// Records one whole-result cache hit (served at the pinned epochs).

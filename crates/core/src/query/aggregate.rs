@@ -158,6 +158,22 @@ pub struct AggregateResult {
     pub bound: DeviationBound,
 }
 
+impl AggregateResult {
+    /// The aggregate over an empty ball: nothing was predictable around
+    /// the query center, so nothing was accessed and nothing deviates.
+    pub fn empty() -> Self {
+        AggregateResult {
+            estimate: 0.0,
+            accessed: 0,
+            ball_size: 0,
+            bound: DeviationBound {
+                mu: 0.0,
+                increment_mass: 0.0,
+            },
+        }
+    }
+}
+
 /// Equation (3): expected SUM from the `a` accessed `(value, probability)`
 /// pairs and the probabilities of **all** `b` ball members
 /// (`probs_all[i]` descending; the first `values.len()` entries align

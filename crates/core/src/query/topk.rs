@@ -6,7 +6,9 @@
 //! S₁ distance by `(1+ε)` into an S₂ ball, and keeps visiting while the
 //! ball monotonically shrinks as better candidates arrive. When the
 //! region stabilizes the index is cracked for it (line 9), so subsequent
-//! queries near the same region find a finer tree.
+//! queries near the same region find a finer tree. Lines 1–8 only read
+//! the index ([`find_top_k_read`], `&self`); line 9 is the one step that
+//! reshapes it, and [`find_top_k`] is the two in sequence.
 //!
 //! The paper's line 2 seeds from the smallest contour element containing
 //! q instead; seeding from the traversal makes the answer independent of
@@ -78,7 +80,24 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Runs Algorithm 3, seeded from its own traversal.
+/// Runs Algorithm 3, seeded from its own traversal: [`find_top_k_read`],
+/// then the crack of line 9.
+pub fn find_top_k(
+    index: &mut CrackingIndex,
+    q_s2: &[f64],
+    k: usize,
+    epsilon: f64,
+    alpha: usize,
+    s1_distance: impl FnMut(&PointSet, u32) -> f64,
+    skip: impl FnMut(u32) -> bool,
+) -> VkgResult<TopKResult> {
+    let (result, region) = find_top_k_read(index, q_s2, k, epsilon, alpha, s1_distance, skip)?;
+    index.crack(&region);
+    Ok(result)
+}
+
+/// Lines 1–8 of Algorithm 3 — everything but the crack: the answer, and
+/// the final (stabilized) region line 9 cracks the index for.
 ///
 /// * `q_s2` — the query center in S₂ (the transformed `h + r` / `t − r`).
 /// * `k` — number of entities requested.
@@ -99,15 +118,15 @@ impl PartialOrd for HeapEntry {
 ///
 /// # Errors
 /// [`VkgError::InvalidParameter`] when `k = 0` or `ε` is not positive.
-pub fn find_top_k(
-    index: &mut CrackingIndex,
+pub fn find_top_k_read(
+    index: &CrackingIndex,
     q_s2: &[f64],
     k: usize,
     epsilon: f64,
     alpha: usize,
     mut s1_distance: impl FnMut(&PointSet, u32) -> f64,
     mut skip: impl FnMut(u32) -> bool,
-) -> VkgResult<TopKResult> {
+) -> VkgResult<(TopKResult, Mbr)> {
     if k == 0 {
         return Err(VkgError::InvalidParameter("top-k requires k ≥ 1".into()));
     }
@@ -131,14 +150,13 @@ pub fn find_top_k(
         current_ball_radius_sq(&heap, k, epsilon)
     });
 
-    // Line 9: crack the index for the final (stabilized) region — the
-    // whole data region when nothing at all was usable.
+    // Line 9 cracks for the final (stabilized) region — the whole data
+    // region when nothing at all was usable.
     let final_region = match heap.peek() {
         Some(worst) => Mbr::of_ball(q_s2, worst.distance * (1.0 + epsilon)),
         None => index.points().mbr_of(&index.points().all_ids()),
     };
-    index.crack(&final_region);
-    index.stats_mut().s1_distance_evals += s1_evals;
+    index.count_s1_evals(s1_evals);
 
     // Assemble ascending results with probabilities and guarantees.
     let mut entries: Vec<HeapEntry> = heap.into_vec();
@@ -156,12 +174,13 @@ pub fn find_top_k(
         .collect();
     let guarantee = topk_guarantee(&distances, epsilon, alpha);
 
-    Ok(TopKResult {
+    let result = TopKResult {
         predictions,
         guarantee,
         s1_evals,
         candidates_examined,
-    })
+    };
+    Ok((result, final_region))
 }
 
 /// Pushes a candidate into the bounded max-heap, evicting the k-th

@@ -8,9 +8,14 @@
 //! one index serves every relation. The split means the lock — class
 //! `vkg.index` — guards **only** the index: any number of readers
 //! resolve entities, embeddings and query points through the snapshot
-//! without ever touching a lock, while a query — which may crack the
-//! index — serializes on the index lock
-//! ([`VirtualKnowledgeGraph::with_published_index`]).
+//! without ever touching a lock.
+//!
+//! A query traverses under the lock's **shared** side, beside any
+//! number of other queries; the crack it wants (Algorithm 3 line 9) is
+//! applied *late* — after the shared guard is dropped (never upgraded),
+//! in a short exclusive section, and only when a read-only pre-check
+//! ([`CrackingIndex::wants_crack`]) says the region still has something
+//! to split, so a warm index rarely sees the exclusive side asked for.
 //!
 //! Dynamic updates are **epoch-swapped**: every write takes `&self`,
 //! acquires the index lock exclusively (single-writer), builds a fresh
@@ -19,13 +24,13 @@
 //! the index epoch when the publication mutated the index. Readers
 //! holding an older `Arc` clone keep a consistent pre-update view; new
 //! readers pick up the new epoch with a single pointer load. Because
-//! publication happens only under the index lock, a reader holding it
-//! sees both epochs pinned. This is the concurrency contract the
-//! serving layer (`vkg-server`) extends across the process boundary.
-//! Snapshots share their stores chunk by chunk ([`vkg_kg::ChunkVec`],
-//! [`vkg_kg::CHUNK_LEN`] rows to a chunk), so a fact write copies the
-//! few chunks its two entities live in — not the graph, not the
-//! embedding matrix.
+//! publication happens only under the exclusive side, a reader holding
+//! the shared guard sees both epochs pinned. This is the concurrency
+//! contract the serving layer (`vkg-server`) extends across the process
+//! boundary. Snapshots share their stores chunk by chunk
+//! ([`vkg_kg::ChunkVec`], [`vkg_kg::CHUNK_LEN`] rows to a chunk), so a
+//! fact write copies the few chunks its two entities live in — not the
+//! graph, not the embedding matrix.
 //!
 //! Lock order: `vkg.index < { vkg.published, vkg.cache, vkg.wal }`, the
 //! latter three leaves (DESIGN.md §3.5).
@@ -47,6 +52,7 @@ use crate::cache::{AggregateLookup, CacheKey, ResultCache, TopKLookup};
 use crate::config::VkgConfig;
 use crate::engine::{IndexState, QueryEngine};
 use crate::error::{check_finite, VkgError, VkgResult};
+use crate::geometry::Mbr;
 use crate::index::CrackingIndex;
 use crate::metrics::VkgMetrics;
 use crate::query::aggregate::{self, AggregateResult, AggregateSpec};
@@ -139,7 +145,8 @@ struct Published {
 }
 
 /// The epochs pinned by [`VirtualKnowledgeGraph::with_published_index`]:
-/// exact while the index lock is held, because publication needs it.
+/// exact while either side of the index lock is held, because
+/// publication needs the exclusive side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexPin {
     /// The global snapshot epoch.
@@ -154,8 +161,8 @@ pub struct IndexPin {
 pub struct RelationAggregate {
     /// The relation this partial answers.
     pub relation: RelationId,
-    /// The global epoch pinned for the whole fan-out: every partial of
-    /// one call is answered under one hold of the index lock.
+    /// The global epoch of the whole fan-out: every partial of one call
+    /// is answered at the same epoch.
     pub epoch: u64,
     /// The partial estimate with its own Theorem 4 bound.
     pub result: AggregateResult,
@@ -202,16 +209,17 @@ const TOKEN_CAPACITY: usize = 4096;
 /// for predictive top-k and aggregate queries.
 ///
 /// All query **and update** methods take `&self`: reads go through the
-/// currently-published snapshot lock-free, index mutations a query
-/// implies (cracking) serialize behind the index lock, and dynamic
-/// updates act as a single writer (the same lock) that publishes a
-/// fresh snapshot epoch. The facade is `Send + Sync` and is shared
-/// behind an `Arc` by the serving layer with no outer lock.
+/// currently-published snapshot lock-free, queries traverse the index
+/// under the index lock's shared side and crack it late, and dynamic
+/// updates act as a single writer (the same lock, exclusive) that
+/// publishes a fresh snapshot epoch. The facade is `Send + Sync` and is
+/// shared behind an `Arc` by the serving layer with no outer lock.
 #[derive(Debug)]
 pub struct VirtualKnowledgeGraph {
     published: RwLock<Published>,
     /// The one cracking index, lock class `vkg.index`: first in the
     /// lock order, every other facade lock is a leaf taken under it.
+    /// Shared for queries; exclusive for writes and late cracks.
     index: RwLock<IndexState>,
     /// Dispatch statistics of the index's kernel pool (and the
     /// build-time projection), so observability can report how often
@@ -220,8 +228,8 @@ pub struct VirtualKnowledgeGraph {
     metrics: VkgMetrics,
     /// The epoch-keyed result cache ([`crate::cache`]), present when
     /// [`VkgConfig::cache_capacity`] > 0. Consulted only under the
-    /// index lock (epochs pinned), so every hit is provably identical
-    /// to recomputation.
+    /// index lock — either side pins the epochs — so every hit is
+    /// provably identical to recomputation.
     cache: Option<ResultCache>,
     /// WAL writer + idempotency map (DESIGN.md §3.9). Ordered strictly
     /// after the index lock: the write path appends under it, *before*
@@ -365,8 +373,8 @@ impl VirtualKnowledgeGraph {
     }
 
     /// The current index epoch: the number of publications that mutated
-    /// the index. Exact while the index lock is held; otherwise a
-    /// monotone snapshot.
+    /// the index. Exact while either side of the index lock is held;
+    /// otherwise a monotone snapshot.
     pub fn index_epoch(&self) -> u64 {
         self.published.read().index_epoch
     }
@@ -405,7 +413,7 @@ impl VirtualKnowledgeGraph {
 
     /// Index statistics (splits, nodes, per-query access counters).
     pub fn index_stats(&self) -> IndexStats {
-        *self.index.read().index().stats()
+        self.index.read().index().stats()
     }
 
     /// The facade's metric handles (registry, clock, typed counters).
@@ -437,9 +445,12 @@ impl VirtualKnowledgeGraph {
         self.index.write().reset_access_counters();
     }
 
-    /// Waits for every in-flight query to finish: acquires and releases
-    /// the index lock. After `quiesce` returns, any query admitted
-    /// before the call has completed (the server's drain barrier).
+    /// Waits for every guard on the index lock held at the call —
+    /// traversals, late cracks, writes — to be released: acquires and
+    /// releases the exclusive side. A query between its traversal and
+    /// its late crack holds no guard and is not waited for; a caller
+    /// that needs every *query* finished joins the threads running them
+    /// first, as the server's drain does (workers, then this barrier).
     pub fn quiesce(&self) {
         drop(self.index.write());
     }
@@ -454,41 +465,79 @@ impl VirtualKnowledgeGraph {
         self.snapshot().query_point_s1(entity, relation, direction)
     }
 
-    /// Runs `f` with the index lock held against the currently-published
-    /// snapshot. This is the epoch-consistent entry point queries build
-    /// on: while `f` runs no dynamic update can publish (publication
-    /// needs the lock `f` holds), so both epochs in the [`IndexPin`] are
-    /// exact for the whole call.
-    ///
-    /// `f` must not call back into this facade (the index lock is not
-    /// reentrant).
-    pub fn with_published_index<R>(
-        &self,
-        f: impl FnOnce(IndexPin, &VkgSnapshot, &mut IndexState) -> R,
-    ) -> R {
-        let mut state = self.index.write();
-        // Read after the index lock, never before: a writer publishes
-        // while holding it, so `vkg.published` is a leaf under it.
-        let (pin, snap) = {
-            let p = self.published.read();
-            let pin = IndexPin {
-                epoch: p.epoch,
-                index_epoch: p.index_epoch,
-            };
-            (pin, p.snap.clone())
+    /// The published epochs and snapshot, read together. Exact for as
+    /// long as the caller holds either side of the index lock: a writer
+    /// publishes only under the exclusive side. Always read after the
+    /// index lock, never before — `vkg.published` is a leaf under it.
+    fn pinned(&self) -> (IndexPin, Arc<VkgSnapshot>) {
+        let p = self.published.read();
+        let pin = IndexPin {
+            epoch: p.epoch,
+            index_epoch: p.index_epoch,
         };
-        f(pin, &snap, &mut state)
+        (pin, p.snap.clone())
     }
 
-    /// Held for the benchmark (DESIGN.md §3.5): the ledger calls this
-    /// name. Forwards to [`VirtualKnowledgeGraph::with_published_index`]
-    /// — one index serves every relation, so `relation` selects nothing.
+    /// Runs `f` under the index lock's **shared** side against the
+    /// currently-published snapshot: while `f` runs no dynamic update
+    /// can publish and no crack can land (both need the exclusive
+    /// side), so both epochs in the [`IndexPin`] are exact and the tree
+    /// stands still, while any number of other readers run beside it.
+    ///
+    /// `f` must not call back into this facade (the index lock is not
+    /// reentrant, and its exclusive side is never granted to a thread
+    /// holding the shared guard).
+    pub fn with_published_index<R>(
+        &self,
+        f: impl FnOnce(IndexPin, &VkgSnapshot, &IndexState) -> R,
+    ) -> R {
+        let state = self.index.read();
+        let (pin, snap) = self.pinned();
+        f(pin, &snap, &state)
+    }
+
+    /// Held for the benchmark (DESIGN.md §3.5), which drives the `&mut`
+    /// [`IndexState`] it hands out: the **exclusive** counterpart of
+    /// [`VirtualKnowledgeGraph::with_published_index`]. One index
+    /// serves every relation, so `relation` selects nothing.
     pub fn with_published_shard<R>(
         &self,
         _relation: RelationId,
         f: impl FnOnce(IndexPin, &VkgSnapshot, &mut IndexState) -> R,
     ) -> R {
-        self.with_published_index(f)
+        let mut state = self.index.write();
+        let (pin, snap) = self.pinned();
+        f(pin, &snap, &mut state)
+    }
+
+    /// One round of the read protocol every query goes through: take the
+    /// shared guard (`on_guard` fires once it is held, so a caller can
+    /// time the wait), pin the epochs, run `half` — a cache probe, a
+    /// read half, a cache fill — and pre-check whether the region `half`
+    /// wants cracked still has something to split. Only then, and only
+    /// after the shared guard is dropped, is the crack applied in a
+    /// short exclusive section; it needs no re-validation, since a crack
+    /// refines whatever tree it finds and answers do not depend on it.
+    fn read_round<T>(
+        &self,
+        on_guard: &mut dyn FnMut(),
+        half: impl FnOnce(IndexPin, &VkgSnapshot, &IndexState) -> VkgResult<(T, Option<Mbr>)>,
+    ) -> VkgResult<(IndexPin, T)> {
+        let (pin, value, crack) = self.with_published_index(|pin, snap, state| {
+            on_guard();
+            let (value, region) = half(pin, snap, state)?;
+            let crack = region.map(|region| state.index().wants_crack(&region).then_some(region));
+            VkgResult::Ok((pin, value, crack))
+        })?;
+        // `None`: nothing traversed (a cache hit). `Some(None)`: nothing
+        // left to split.
+        if let Some(crack) = crack {
+            if let Some(region) = &crack {
+                self.index.write().index_mut().crack(region);
+            }
+            self.metrics.record_crack(crack.is_some());
+        }
+        Ok((pin, value))
     }
 
     /// Top-k predicted entities for `(entity, relation)` in `direction`
@@ -501,9 +550,8 @@ impl VirtualKnowledgeGraph {
         k: usize,
     ) -> VkgResult<TopKResult> {
         let start = self.metrics.clock().now();
-        let r = self.with_published_index(|pin, snap, state| {
-            self.top_k_pinned(pin, snap, state, entity, relation, direction, k)
-        });
+        let served = self.top_k_served(entity, relation, direction, k, None, &mut || {});
+        let r = served.map(|(_, r)| r);
         self.metrics
             .record_query(start, r.as_ref().map_or(0, |t| t.s1_evals), r.is_ok());
         r
@@ -516,9 +564,8 @@ impl VirtualKnowledgeGraph {
     /// Closure filters have no deterministic fingerprint, so this entry
     /// point always bypasses the result cache; callers whose filter has
     /// a canonical encoding (the wire protocol's filter expressions)
-    /// should use [`VirtualKnowledgeGraph::top_k_filtered_pinned`] with
-    /// the fingerprint inside a
-    /// [`VirtualKnowledgeGraph::with_published_index`] closure instead.
+    /// should use [`VirtualKnowledgeGraph::top_k_served`] with the
+    /// fingerprint instead.
     pub fn top_k_filtered(
         &self,
         entity: EntityId,
@@ -528,24 +575,51 @@ impl VirtualKnowledgeGraph {
         filter: impl Fn(EntityId) -> bool,
     ) -> VkgResult<TopKResult> {
         let start = self.metrics.clock().now();
-        let r = self.with_published_index(|_pin, snap, state| {
-            state.top_k_filtered(snap, entity, relation, direction, k, &filter)
+        let q = (entity, relation, direction, k);
+        let round = self.read_round(&mut || {}, |pin, snap, state| {
+            self.top_k_half(pin, snap, state, q, None, &filter)
         });
+        let r = round.map(|(_, r)| r);
         self.metrics
             .record_query(start, r.as_ref().map_or(0, |t| t.s1_evals), r.is_ok());
         r
     }
 
-    /// The cache-aware top-k execution path, run under the index lock
-    /// (the [`IndexPin`] proves both epochs are exact). Serves from the
-    /// result cache when it holds this query's answer for this k — a hit
-    /// does not touch the tree — and otherwise computes and fills the
-    /// cache.
-    ///
-    /// This is the entry point the serving layer drives per batched
-    /// request while holding the index lock for the whole group; the
-    /// facade's own [`VirtualKnowledgeGraph::top_k`] wraps it. It does
-    /// **not** record query latency metrics — callers own that.
+    /// [`VirtualKnowledgeGraph::top_k`] and
+    /// [`VirtualKnowledgeGraph::top_k_filtered`] as the serving layer
+    /// drives them. `filter` is a candidate predicate over the pinned
+    /// snapshot plus its deterministic byte fingerprint (equal bytes ⇒
+    /// equal predicate — the wire protocol's filter encoding
+    /// qualifies), which keys the result cache. `on_guard` fires when
+    /// the shared guard is held. Returns the epochs the answer was
+    /// computed at; records no query metrics — callers own that.
+    #[allow(
+        clippy::type_complexity,
+        reason = "one optional (fingerprint, predicate) pair; a named type would have a single user"
+    )]
+    pub fn top_k_served(
+        &self,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        k: usize,
+        filter: Option<(&[u8], &dyn Fn(&VkgSnapshot, EntityId) -> bool)>,
+        on_guard: &mut dyn FnMut(),
+    ) -> VkgResult<(IndexPin, TopKResult)> {
+        let q = (entity, relation, direction, k);
+        let fingerprint = filter.map(|(bytes, _)| bytes.to_vec());
+        let key = CacheKey::top_k(entity.0, relation.0, direction, fingerprint);
+        self.read_round(on_guard, |pin, snap, state| {
+            let accept = |id| filter.is_none_or(|(_, accept)| accept(snap, id));
+            self.top_k_half(pin, snap, state, q, Some(key), &accept)
+        })
+    }
+
+    /// Held for the benchmark (DESIGN.md §3.5): the cache-aware top-k
+    /// under the **exclusive** guard the caller holds
+    /// ([`VirtualKnowledgeGraph::with_published_shard`]) — the halves
+    /// of the shared path composed in place: probe, read, fill, crack.
+    /// Records no query metrics — callers own that.
     #[allow(
         clippy::too_many_arguments,
         reason = "the query field by field, plus the pin, snapshot and state the caller holds"
@@ -560,24 +634,19 @@ impl VirtualKnowledgeGraph {
         direction: Direction,
         k: usize,
     ) -> VkgResult<TopKResult> {
-        self.top_k_cached(
-            pin,
-            snap,
-            state,
-            entity,
-            relation,
-            direction,
-            k,
-            None,
-            &|_| true,
-        )
+        let key = CacheKey::top_k(entity.0, relation.0, direction, None);
+        let q = (entity, relation, direction, k);
+        let (r, region) = self.top_k_half(pin, snap, state, q, Some(key), &|_| true)?;
+        if let Some(region) = region {
+            state.index_mut().crack(&region);
+        }
+        Ok(r)
     }
 
-    /// [`VirtualKnowledgeGraph::top_k_pinned`] with a candidate filter.
-    /// `fingerprint` is a deterministic byte encoding of the filter
-    /// (equal bytes ⇒ equal predicate — the wire protocol's filter
-    /// encoding qualifies); with `None` the call bypasses the cache,
-    /// because a bare closure cannot be keyed.
+    /// [`VirtualKnowledgeGraph::top_k_pinned`] with a candidate filter
+    /// (held like it). `fingerprint` is a deterministic byte encoding of
+    /// the filter (equal bytes ⇒ equal predicate); with `None` the call
+    /// bypasses the cache, because a bare closure cannot be keyed.
     #[allow(
         clippy::too_many_arguments,
         reason = "the query field by field, plus the pin, snapshot and state the caller holds"
@@ -594,70 +663,96 @@ impl VirtualKnowledgeGraph {
         fingerprint: Option<&[u8]>,
         filter: &dyn Fn(EntityId) -> bool,
     ) -> VkgResult<TopKResult> {
-        match fingerprint {
-            Some(bytes) => self.top_k_cached(
-                pin,
-                snap,
-                state,
-                entity,
-                relation,
-                direction,
-                k,
-                Some(bytes.to_vec()),
-                filter,
-            ),
-            None => state.top_k_filtered(snap, entity, relation, direction, k, filter),
+        let key = fingerprint
+            .map(|bytes| CacheKey::top_k(entity.0, relation.0, direction, Some(bytes.to_vec())));
+        let q = (entity, relation, direction, k);
+        let (r, region) = self.top_k_half(pin, snap, state, q, key, filter)?;
+        if let Some(region) = region {
+            state.index_mut().crack(&region);
         }
-    }
-
-    /// Shared cacheable top-k path. `key_filter` is the key's filter
-    /// fingerprint (`None` = the unfiltered query), distinct from the
-    /// executable `filter` closure, which always runs on misses.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the query field by field, plus the pin, snapshot and state the caller holds"
-    )]
-    fn top_k_cached(
-        &self,
-        pin: IndexPin,
-        snap: &VkgSnapshot,
-        state: &mut IndexState,
-        entity: EntityId,
-        relation: RelationId,
-        direction: Direction,
-        k: usize,
-        key_filter: Option<Vec<u8>>,
-        filter: &dyn Fn(EntityId) -> bool,
-    ) -> VkgResult<TopKResult> {
-        let Some(cache) = self.cache.as_ref() else {
-            return state.top_k_filtered(snap, entity, relation, direction, k, filter);
-        };
-        let cfg = snap.config();
-        let key = CacheKey::top_k(entity.0, relation.0, direction, key_filter);
-        match cache.lookup_top_k(&key, k, pin.epoch, pin.index_epoch, cfg.epsilon, cfg.alpha) {
-            TopKLookup::Hit(result) => {
-                self.metrics.record_cache_hit();
-                return Ok(result);
-            }
-            TopKLookup::Stale => {
-                self.metrics.record_cache_invalidate();
-                self.metrics.record_cache_miss();
-            }
-            TopKLookup::Miss => self.metrics.record_cache_miss(),
-        }
-        // Only `Ok` answers are stored: `k = 0` is the engine's typed
-        // rejection every time it is asked.
-        let r = state.top_k_filtered(snap, entity, relation, direction, k, filter)?;
-        cache.insert_top_k(key, k, pin.epoch, pin.index_epoch, &r);
         Ok(r)
     }
 
-    /// The cache-aware aggregate execution path, run under the index
-    /// lock — the aggregate counterpart of
-    /// [`VirtualKnowledgeGraph::top_k_pinned`]. Sampled specs
-    /// (`sample_size.is_some()`) always bypass the cache: their access
-    /// order depends on tree shape, so their answers are not
-    /// reproducible across differently-cracked trees.
+    /// The top-k work of one round, under either side of the index lock
+    /// (the [`IndexPin`] proves both epochs are exact): serves from the
+    /// result cache when `key` names an entry holding this query's
+    /// answer for this k — a hit touches no tree and wants no crack —
+    /// and otherwise runs the read half and fills the cache. `key` is
+    /// `None` for a query that cannot be keyed; `filter` runs on misses.
+    fn top_k_half(
+        &self,
+        pin: IndexPin,
+        snap: &VkgSnapshot,
+        state: &IndexState,
+        (entity, relation, direction, k): (EntityId, RelationId, Direction, usize),
+        key: Option<CacheKey>,
+        filter: &dyn Fn(EntityId) -> bool,
+    ) -> VkgResult<(TopKResult, Option<Mbr>)> {
+        let slot = self.cache.as_ref().zip(key);
+        if let Some((cache, key)) = &slot {
+            let cfg = snap.config();
+            match cache.lookup_top_k(key, k, pin.epoch, pin.index_epoch, cfg.epsilon, cfg.alpha) {
+                TopKLookup::Hit(result) => {
+                    self.metrics.record_cache_hit();
+                    return Ok((result, None));
+                }
+                TopKLookup::Stale => {
+                    self.metrics.record_cache_invalidate();
+                    self.metrics.record_cache_miss();
+                }
+                TopKLookup::Miss => self.metrics.record_cache_miss(),
+            }
+        }
+        // Only `Ok` answers are stored: `k = 0` is the engine's typed
+        // rejection every time it is asked.
+        let (r, region) = state.top_k_read(snap, entity, relation, direction, k, filter)?;
+        if let Some((cache, key)) = slot {
+            cache.insert_top_k(key, k, pin.epoch, pin.index_epoch, &r);
+        }
+        Ok((r, Some(region)))
+    }
+
+    /// The result-cache slot of an aggregate: `None` with the cache off
+    /// and for sampled specs (`sample_size.is_some()`), which always
+    /// bypass it — their access order depends on tree shape, so their
+    /// answers are not reproducible across differently-cracked trees.
+    fn aggregate_slot(
+        &self,
+        (entity, relation, direction): (EntityId, RelationId, Direction),
+        spec: &AggregateSpec,
+    ) -> Option<(&ResultCache, CacheKey)> {
+        let cache = self.cache.as_ref().filter(|_| spec.sample_size.is_none())?;
+        let key = CacheKey::aggregate(entity.0, relation.0, direction, spec);
+        Some((cache, key))
+    }
+
+    /// Probes an aggregate's slot at the pinned epochs, keeping the
+    /// cache counters.
+    fn probe_aggregate(
+        &self,
+        slot: Option<&(&ResultCache, CacheKey)>,
+        pin: IndexPin,
+    ) -> Option<AggregateResult> {
+        let (cache, key) = slot?;
+        match cache.lookup_aggregate(key, pin.epoch, pin.index_epoch) {
+            AggregateLookup::Hit(result) => {
+                self.metrics.record_cache_hit();
+                return Some(result);
+            }
+            AggregateLookup::Stale => {
+                self.metrics.record_cache_invalidate();
+                self.metrics.record_cache_miss();
+            }
+            AggregateLookup::Miss => self.metrics.record_cache_miss(),
+        }
+        None
+    }
+
+    /// Held for the benchmark (DESIGN.md §3.5): the cache-aware
+    /// aggregate under the **exclusive** guard the caller holds — the
+    /// aggregate counterpart of [`VirtualKnowledgeGraph::top_k_pinned`]:
+    /// probe, then [`QueryEngine::aggregate`] (both read halves, each
+    /// followed by its crack), then fill.
     #[allow(
         clippy::too_many_arguments,
         reason = "the query field by field, plus the pin, snapshot and state the caller holds"
@@ -672,25 +767,73 @@ impl VirtualKnowledgeGraph {
         direction: Direction,
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
-        let cacheable = spec.sample_size.is_none();
-        let Some(cache) = self.cache.as_ref().filter(|_| cacheable) else {
-            return state.aggregate(snap, entity, relation, direction, spec);
-        };
-        let key = CacheKey::aggregate(entity.0, relation.0, direction, spec);
-        match cache.lookup_aggregate(&key, pin.epoch, pin.index_epoch) {
-            AggregateLookup::Hit(result) => {
-                self.metrics.record_cache_hit();
-                return Ok(result);
-            }
-            AggregateLookup::Stale => {
-                self.metrics.record_cache_invalidate();
-                self.metrics.record_cache_miss();
-            }
-            AggregateLookup::Miss => self.metrics.record_cache_miss(),
+        let slot = self.aggregate_slot((entity, relation, direction), spec);
+        if let Some(hit) = self.probe_aggregate(slot.as_ref(), pin) {
+            return Ok(hit);
         }
         let r = state.aggregate(snap, entity, relation, direction, spec)?;
-        cache.insert_aggregate(key, pin.epoch, pin.index_epoch, &r);
+        if let Some((cache, key)) = slot {
+            cache.insert_aggregate(key, pin.epoch, pin.index_epoch, &r);
+        }
         Ok(r)
+    }
+
+    /// [`VirtualKnowledgeGraph::aggregate`] as the serving layer drives
+    /// it: **two** rounds of the read protocol — the inner top-1 that
+    /// anchors the ball, then the ball itself — so the reads and the
+    /// cracks keep the sequence of the exclusive composition (a sampled
+    /// aggregate's strata are the contour its own top-1 crack left).
+    /// The second round re-reads the pin; if a write published in
+    /// between, the anchor belongs to a superseded epoch and the query
+    /// starts over, so an answer is always computed at one epoch — the
+    /// one returned. `on_guard` fires each time a shared guard is held.
+    /// Records no query metrics — callers own that.
+    pub fn aggregate_served(
+        &self,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        spec: &AggregateSpec,
+        on_guard: &mut dyn FnMut(),
+    ) -> VkgResult<(IndexPin, AggregateResult)> {
+        let slot = self.aggregate_slot((entity, relation, direction), spec);
+        let fill = |pin: IndexPin, r: &AggregateResult| {
+            if let Some((cache, key)) = &slot {
+                cache.insert_aggregate(key.clone(), pin.epoch, pin.index_epoch, r);
+            }
+        };
+        loop {
+            // `Err` ends the query in round one: a cache hit, or the
+            // empty answer when nothing is predictable around the center.
+            let (pin, anchor) = self.read_round(on_guard, |pin, snap, state| {
+                if let Some(hit) = self.probe_aggregate(slot.as_ref(), pin) {
+                    return Ok((Err(hit), None));
+                }
+                let (nearest, region) =
+                    state.aggregate_anchor(snap, entity, relation, direction, spec)?;
+                let anchor = nearest.ok_or_else(AggregateResult::empty);
+                if let Err(empty) = &anchor {
+                    fill(pin, empty);
+                }
+                Ok((anchor, Some(region)))
+            })?;
+            let nearest = match anchor {
+                Ok(nearest) => nearest,
+                Err(answer) => return Ok((pin, answer)),
+            };
+            let (_, ball) = self.read_round(on_guard, |now, snap, state| {
+                if now != pin {
+                    return Ok((None, None));
+                }
+                let (r, region) =
+                    state.aggregate_ball(snap, entity, relation, direction, spec, &nearest)?;
+                fill(pin, &r);
+                Ok((Some(r), Some(region)))
+            })?;
+            if let Some(r) = ball {
+                return Ok((pin, r));
+            }
+        }
     }
 
     /// Answers an aggregate query over the probability ball around the
@@ -703,16 +846,12 @@ impl VirtualKnowledgeGraph {
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
         let start = self.metrics.clock().now();
-        let r = self.with_published_index(|pin, snap, state| {
-            self.aggregate_pinned(pin, snap, state, entity, relation, direction, spec)
-        });
+        let served = self.aggregate_served(entity, relation, direction, spec, &mut || {});
+        let r = served.map(|(_, r)| r);
         // Aggregates refine by accessing exact S₁ distances; the access
         // count is the refine-step analogue top-k reports as s1_evals.
-        self.metrics.record_query(
-            start,
-            r.as_ref().map_or(0, |a| a.accessed as u64),
-            r.is_ok(),
-        );
+        let accessed = r.as_ref().map_or(0, |a| a.accessed as u64);
+        self.metrics.record_query(start, accessed, r.is_ok());
         r
     }
 
@@ -722,9 +861,11 @@ impl VirtualKnowledgeGraph {
     /// proofs). COUNT/SUM partials add exactly; AVG is the ball-size
     /// weighted mean; MAX/MIN take the extremum with a union-bound tail.
     ///
-    /// The relations are answered in input order under one hold of the
-    /// index lock, so every partial sees the same epoch; the first
-    /// failing relation's error is the call's error.
+    /// The relations are answered in input order, each through its own
+    /// rounds of the read protocol; if a write publishes between two of
+    /// them the fan-out starts over, so every partial of the answer
+    /// returned sees the same epoch. The first failing relation's error
+    /// is the call's error.
     pub fn aggregate_multi(
         &self,
         entity: EntityId,
@@ -738,13 +879,18 @@ impl VirtualKnowledgeGraph {
             ));
         }
         let start = self.metrics.clock().now();
-        let r: VkgResult<MultiAggregateResult> = self.with_published_index(|pin, snap, state| {
-            let mut parts = Vec::with_capacity(relations.len());
-            for &relation in relations {
+        let fan_out = || {
+            let mut parts: Vec<RelationAggregate> = Vec::with_capacity(relations.len());
+            while let Some(&relation) = relations.get(parts.len()) {
                 // Per-relation partials share the result cache with
-                // single-relation aggregates.
-                let result =
-                    self.aggregate_pinned(pin, snap, state, entity, relation, direction, spec)?;
+                // single-relation aggregates, so a restart re-reads the
+                // partials it already had from there.
+                let (pin, result) =
+                    self.aggregate_served(entity, relation, direction, spec, &mut || {})?;
+                if parts.first().is_some_and(|first| first.epoch != pin.epoch) {
+                    parts.clear();
+                    continue;
+                }
                 parts.push(RelationAggregate {
                     relation,
                     epoch: pin.epoch,
@@ -754,7 +900,8 @@ impl VirtualKnowledgeGraph {
             let partials: Vec<AggregateResult> = parts.iter().map(|p| p.result.clone()).collect();
             let combined = aggregate::merge_partials(spec.kind, &partials);
             Ok(MultiAggregateResult { combined, parts })
-        });
+        };
+        let r: VkgResult<MultiAggregateResult> = fan_out();
         let steps = r.as_ref().map_or(0, |m| {
             m.parts.iter().map(|p| p.result.accessed as u64).sum()
         });
@@ -1056,8 +1203,9 @@ impl VirtualKnowledgeGraph {
         IndexGuard(self.index.read())
     }
 
-    /// Exclusive access to the index. Holds the index lock while the
-    /// guard lives — readers of [`VirtualKnowledgeGraph::graph`] /
+    /// Exclusive access to the index. Holds the index lock's exclusive
+    /// side while the guard lives — readers of
+    /// [`VirtualKnowledgeGraph::graph`] /
     /// [`VirtualKnowledgeGraph::embeddings`] are *not* blocked; queries
     /// and dynamic updates are.
     pub fn index_mut(&self) -> IndexGuardMut<'_> {
@@ -1441,7 +1589,9 @@ mod tests {
         let u0 = vkg.graph().entity_id("u0").unwrap();
         let likes = vkg.graph().relation_id("likes").unwrap();
         let (pin, ids) = vkg.with_published_index(|pin, snap, state| {
-            let r = state.top_k(snap, u0, likes, Direction::Tails, 2).unwrap();
+            let (r, _region) = state
+                .top_k_read(snap, u0, likes, Direction::Tails, 2, &|_| true)
+                .unwrap();
             (pin, r.predictions.iter().map(|p| p.id).collect::<Vec<_>>())
         });
         assert_eq!(
@@ -1452,7 +1602,7 @@ mod tests {
             }
         );
         assert_eq!(ids.len(), 2);
-        // The name the benchmark calls forwards to the same lock.
+        // The name the benchmark calls pins the same epochs, exclusively.
         let held = vkg.with_published_shard(likes, |pin, _, _| pin);
         assert_eq!(held, pin);
     }

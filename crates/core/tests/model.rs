@@ -10,8 +10,9 @@
 
 use std::sync::Arc;
 
+use vkg_core::metrics::names;
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{AggregateSpec, Direction, FaultPlane, SplitStrategy, VkgConfig};
+use vkg_core::{AggregateResult, AggregateSpec, Direction, FaultPlane, SplitStrategy, VkgConfig};
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, KnowledgeGraph, RelationId};
 use vkg_sync::{model, thread};
@@ -28,6 +29,23 @@ fn tiny_vkg() -> (VirtualKnowledgeGraph, RelationId) {
 /// off), for scenarios that race cached readers against epoch-bumping
 /// writers.
 fn tiny_vkg_cached(cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId) {
+    tiny_vkg_tuned(cache_capacity, 3.0)
+}
+
+/// ε of the worlds whose queries really crack: at the default ε = 3 a
+/// query's region covers all ten points and the stop condition leaves
+/// the root alone; at 0.3 the first query of a region wants a split, so
+/// its read goes on to take the exclusive side — the late crack.
+const CRACKING_EPSILON: f64 = 0.3;
+
+/// Late cracks applied so far.
+fn cracks_applied(vkg: &VirtualKnowledgeGraph) -> u64 {
+    let applied = vkg.metrics_snapshot().counter(names::CRACKS_APPLIED);
+    applied.expect("registered at assembly")
+}
+
+/// The tiny world at a given cache capacity and ε.
+fn tiny_vkg_tuned(cache_capacity: usize, epsilon: f64) -> (VirtualKnowledgeGraph, RelationId) {
     let dim = 8;
     let mut g = KnowledgeGraph::new();
     let likes = g.add_relation("likes");
@@ -60,7 +78,7 @@ fn tiny_vkg_cached(cache_capacity: usize) -> (VirtualKnowledgeGraph, RelationId)
     }
     let cfg = VkgConfig {
         alpha: 3,
-        epsilon: 3.0,
+        epsilon,
         leaf_capacity: 2,
         fanout: 2,
         beta: 2.0,
@@ -298,14 +316,20 @@ fn index_epoch_monotonic_across_concurrent_writers() {
     .unwrap_or_else(|v| panic!("index-epoch monotonicity model failed: {v}"));
 }
 
-/// Queries from two relations' query points, a writer and a drain
-/// barrier all contend on the one index lock, each nesting its leaves
-/// under it — the checker verifies every explored interleaving is free
-/// of deadlocks and lock-order inversions.
+/// The read protocol on one facade: two readers, at two relations' query
+/// points, traverse under the shared guard and crack late (ε is tight,
+/// so their first traversals want a split and go on to the exclusive
+/// side); a third holds the shared guard and re-reads the epochs inside
+/// it, twice; a writer publishes; a drain barrier takes the exclusive
+/// side with nothing to do. On every explored interleaving the pin is
+/// exact under the shared guard, epochs are monotone, no lock is taken
+/// out of order and nothing deadlocks — in particular no reader asks for
+/// the exclusive side while it still holds the shared guard, which the
+/// checker reports as a self-deadlock.
 #[test]
-fn queries_writer_and_quiesce_are_deadlock_free() {
+fn readers_late_cracker_writer_and_quiesce_are_deadlock_free() {
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg();
+        let (vkg, likes) = tiny_vkg_tuned(0, CRACKING_EPSILON);
         let also = vkg.graph().relation_id("also").expect("also");
         let vkg = Arc::new(vkg);
         let u0 = vkg.graph().entity_id("u0").expect("u0");
@@ -330,6 +354,23 @@ fn queries_writer_and_quiesce_are_deadlock_free() {
                 assert!(!r.predictions.is_empty());
             })
         };
+        let pinned = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                let mut last = 0;
+                for _ in 0..2 {
+                    vkg.with_published_index(|pin, _snap, _state| {
+                        assert_eq!(
+                            (pin.epoch, pin.index_epoch),
+                            (vkg.epoch(), vkg.index_epoch()),
+                            "no publication can land under the shared guard"
+                        );
+                        assert!(pin.epoch >= last, "epoch went backwards");
+                        last = pin.epoch;
+                    });
+                }
+            })
+        };
         let writer = {
             let vkg = Arc::clone(&vkg);
             thread::spawn(move || {
@@ -343,11 +384,89 @@ fn queries_writer_and_quiesce_are_deadlock_free() {
         };
         q_likes.join().expect("likes querier");
         q_also.join().expect("also querier");
+        pinned.join().expect("pinned reader");
         writer.join().expect("writer");
         drainer.join().expect("drainer");
+        assert_eq!(vkg.epoch(), 1);
+        assert!(cracks_applied(&vkg) > 0, "a reader went exclusive, late");
         vkg.index().check_invariants();
     })
     .unwrap_or_else(|v| panic!("deadlock-freedom model failed: {v}"));
+}
+
+/// What an aggregate answers, down to the float bits.
+fn aggregate_bits(r: &AggregateResult) -> (u64, usize, usize, u64, u64) {
+    let bound = &r.bound;
+    (
+        r.estimate.to_bits(),
+        r.accessed,
+        r.ball_size,
+        bound.mu.to_bits(),
+        bound.increment_mass.to_bits(),
+    )
+}
+
+/// An aggregate is two rounds of the read protocol — the inner top-1,
+/// then the ball — and a write may publish between them. The fact
+/// written here makes the query's anchor a known edge and moves both
+/// its endpoints, so an answer built from the old anchor and the new
+/// ball is neither epoch's answer. The second round re-reads the pin
+/// and the query starts over: on every interleaving the answer is,
+/// bit for bit, the quiescent answer of the one epoch it reports.
+#[test]
+fn aggregate_straddling_a_publication_answers_at_one_epoch() {
+    let count = AggregateSpec::count(0.05);
+    // The quiescent answers at epoch 0 and, after the write, at epoch 1.
+    let (twin, likes) = tiny_vkg();
+    let u0 = twin.graph().entity_id("u0").expect("u0");
+    let m1 = twin.graph().entity_id("m1").expect("m1");
+    let mut expected = Vec::new();
+    for epoch in 0..2 {
+        let r = twin.aggregate(u0, likes, Direction::Tails, &count);
+        expected.push(aggregate_bits(&r.expect("valid query")));
+        if epoch == 0 {
+            let (added, _) = twin.add_fact_dynamic(u0, likes, m1, 8, 0.05).expect("ids");
+            assert!(added, "fresh edge");
+        }
+    }
+    assert_ne!(expected[0], expected[1], "the write must move the answer");
+
+    for cache_capacity in [0, 64] {
+        let expected = expected.clone();
+        let count = count.clone();
+        model::sweep(SEEDS, move || {
+            let (vkg, likes) = tiny_vkg_cached(cache_capacity);
+            let vkg = Arc::new(vkg);
+            let writer = {
+                let vkg = Arc::clone(&vkg);
+                thread::spawn(move || {
+                    vkg.add_fact_dynamic(u0, likes, m1, 8, 0.05)
+                        .expect("valid ids");
+                })
+            };
+            let reader = {
+                let vkg = Arc::clone(&vkg);
+                let (expected, count) = (expected.clone(), count.clone());
+                thread::spawn(move || {
+                    for _ in 0..2 {
+                        let (pin, r) = vkg
+                            .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {})
+                            .expect("valid query");
+                        assert_eq!(
+                            aggregate_bits(&r),
+                            expected[pin.epoch as usize],
+                            "the answer of epoch {}, whole",
+                            pin.epoch
+                        );
+                    }
+                })
+            };
+            writer.join().expect("writer");
+            reader.join().expect("reader");
+            assert_eq!(vkg.epoch(), 1);
+        })
+        .unwrap_or_else(|v| panic!("straddling-aggregate model failed: {v}"));
+    }
 }
 
 /// The result cache's epoch validation raced against a writer: when no
@@ -432,8 +551,10 @@ fn cached_reads_race_writer_without_stale_answers() {
 /// The lock-order check (DESIGN.md §3.7): every lock nesting the facade
 /// has — `vkg.index < { vkg.published, vkg.cache, vkg.wal }` — executed
 /// once per schedule: the cache on (stripe under the index lock), a WAL
-/// attached (durability under it too), every read entry point, every
-/// shared-side inspector, every kind of writer.
+/// attached (durability under it too), every read entry point — the
+/// shared acquisition and, ε being tight, the late exclusive one after
+/// it — the held exclusive entries, every shared-side inspector, every
+/// kind of writer.
 /// The checker's acquired-while-holding graph is per run, so executing a
 /// nesting once is enough for it to report two locks taken in both
 /// orders; a nesting that can block forever shows up as a deadlock.
@@ -441,7 +562,7 @@ fn cached_reads_race_writer_without_stale_answers() {
 fn every_lock_nesting_on_the_facade_is_walked() {
     let log = std::env::temp_dir().join(format!("vkg_model_{}.wal", std::process::id()));
     model::sweep(SEEDS, || {
-        let (vkg, likes) = tiny_vkg_cached(64);
+        let (vkg, likes) = tiny_vkg_tuned(64, CRACKING_EPSILON);
         let also = vkg.graph().relation_id("also").expect("also");
         let _ = std::fs::remove_file(&log);
         vkg.attach_wal(&log, FaultPlane::none()).expect("fresh log");
@@ -463,8 +584,31 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                     .aggregate_multi(u0, &[likes, also], tails, &count)
                     .expect("multi-relation aggregate");
                 assert_eq!(multi.parts.len(), 2);
+                let keep = |_: &vkg_core::VkgSnapshot, e| e != m1;
+                vkg.top_k_served(u1, also, tails, 2, Some((b"not m1", &keep)), &mut || {})
+                    .expect("served top-k");
+                vkg.aggregate_served(u1, also, tails, &count, &mut || {})
+                    .expect("served aggregate");
                 vkg.with_published_index(|pin, _snap, _state| {
                     assert!(pin.index_epoch <= pin.epoch);
+                });
+                vkg.with_published_shard(likes, |pin, snap, state| {
+                    vkg.top_k_pinned(pin, snap, state, u0, likes, tails, 2)
+                        .expect("pinned top-k");
+                    vkg.top_k_filtered_pinned(
+                        pin,
+                        snap,
+                        state,
+                        u0,
+                        likes,
+                        tails,
+                        2,
+                        Some(b"all"),
+                        &|_| true,
+                    )
+                    .expect("pinned filtered top-k");
+                    vkg.aggregate_pinned(pin, snap, state, u0, likes, tails, &count)
+                        .expect("pinned aggregate");
                 });
                 vkg.metrics_snapshot();
                 vkg.index_stats();
@@ -489,6 +633,7 @@ fn every_lock_nesting_on_the_facade_is_walked() {
         reader.join().expect("reader");
         writer.join().expect("writer");
         assert_eq!(vkg.epoch(), 3, "one publication per write");
+        assert!(cracks_applied(&vkg) > 0, "a read went exclusive, late");
         vkg.index().check_invariants();
     })
     .unwrap_or_else(|v| panic!("lock-nesting model failed: {v}"));

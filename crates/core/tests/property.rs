@@ -1,7 +1,9 @@
 //! Property-based tests for the index core: MBR algebra, sort-order
 //! splits, the cracking invariants (Lemma 1), search exactness against
 //! brute force, the best-first traversal and Algorithm 3 against a
-//! sort-everything oracle, and the aggregate estimators.
+//! sort-everything oracle, the crack pre-check against the crack itself
+//! (and the shared read protocol against its exclusive composition),
+//! and the aggregate estimators.
 
 use proptest::prelude::*;
 
@@ -11,7 +13,7 @@ use vkg_core::index::CrackingIndex;
 use vkg_core::query::aggregate;
 use vkg_core::query::topk::{find_top_k, TopKResult};
 use vkg_core::rtree::SortOrders;
-use vkg_core::{Direction, VirtualKnowledgeGraph, VkgConfig};
+use vkg_core::{AggregateKind, AggregateSpec, Direction, VirtualKnowledgeGraph, VkgConfig};
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_sync::pool::Pool;
@@ -59,6 +61,18 @@ fn shaped_index(
     cracks: &[(Xyz, f64)],
     edits: &[(usize, Xyz, u32)],
 ) -> CrackingIndex {
+    shaped_index_with(ps, on_grid, shape, SplitStrategy::Greedy, cracks, edits)
+}
+
+/// [`shaped_index`] cracking under `strategy`.
+fn shaped_index_with(
+    ps: PointSet,
+    on_grid: bool,
+    shape: usize,
+    strategy: SplitStrategy,
+    cracks: &[(Xyz, f64)],
+    edits: &[(usize, Xyz, u32)],
+) -> CrackingIndex {
     let rows = (0..ps.len() as u32).flat_map(|id| {
         let p = ps.point(id);
         snap(on_grid, (p[0], p[1], p[2]))
@@ -67,7 +81,7 @@ fn shaped_index(
     if shape == 2 {
         return CrackingIndex::bulk_load(ps, 4, 3, 2.0);
     }
-    let mut idx = CrackingIndex::new(ps, 4, 3, 2.0, SplitStrategy::Greedy);
+    let mut idx = CrackingIndex::new(ps, 4, 3, 2.0, strategy);
     if shape >= 1 {
         for &((x, y, z), r) in cracks {
             idx.crack(&Mbr::of_ball(&[x, y, z], r));
@@ -86,6 +100,23 @@ fn shaped_index(
     }
     idx.check_invariants();
     idx
+}
+
+/// A tree, for comparing two of them node for node: the node count, the
+/// contour, and each non-empty contour element's members and MBR (the
+/// region a sampled aggregate reads as `summary.mbr`).
+type Tree = (usize, Vec<u32>, Vec<(Vec<u32>, Mbr)>);
+
+fn tree_of(idx: &CrackingIndex) -> Tree {
+    let dim = idx.dim();
+    let mut everything = Mbr::empty(dim);
+    everything.include_point(&vec![-1e12; dim]);
+    everything.include_point(&vec![1e12; dim]);
+    let mut elements = Vec::new();
+    idx.search_region_elements(&everything, |ids, summary| {
+        elements.push((ids.to_vec(), *summary.mbr));
+    });
+    (idx.node_count(), idx.contour(), elements)
 }
 
 /// Every live point as `(d², id)`, ascending — the order the traversal
@@ -167,7 +198,7 @@ proptest! {
         q in arb_xyz(60.0),
         (r, shrink) in (0.0f64..80.0, 0.5f64..1.0),
     ) {
-        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        let idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
         let q = snap(on_grid, q);
         let r_sq = if on_grid { (r / 10.0).round() * 100.0 } else { r * r };
         let sorted = live_by_distance(&idx, &q);
@@ -255,6 +286,41 @@ proptest! {
                 prop_assert_eq!(&answer_of(&got), &want, "shape {}", shape);
                 idx.check_invariants();
             }
+        }
+    }
+
+    /// The pre-check is the crack's own decision, read-only. On every
+    /// tree shape and under both strategies `wants_crack(q)` says
+    /// whether `crack(q)` splits anything; a crack that splits nothing
+    /// leaves the tree as it was — node for node, MBRs included, so the
+    /// shared read protocol (which skips it) and the `&mut` composition
+    /// (which runs it) cannot drift apart, not even after updates left
+    /// an element's MBR loose; and once `q` is cracked for, nothing in
+    /// it is left to split.
+    #[test]
+    fn wants_crack_is_the_cracks_own_decision(
+        ps in arb_points(120, 3),
+        (on_grid, shape, choices) in (any::<bool>(), 0usize..4, 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
+        regions in prop::collection::vec((arb_xyz(60.0), 0.5f64..40.0), 1..6),
+    ) {
+        let strategy = match choices {
+            0 => SplitStrategy::Greedy,
+            choices => SplitStrategy::TopK { choices },
+        };
+        let mut idx = shaped_index_with(ps, on_grid, shape, strategy, &cracks, &edits);
+        for (center, r) in regions {
+            let q = Mbr::of_ball(&snap(on_grid, center), r);
+            let wanted = idx.wants_crack(&q);
+            let (splits, tree) = (idx.stats().splits_performed, tree_of(&idx));
+            idx.crack(&q);
+            idx.check_invariants();
+            prop_assert_eq!(idx.stats().splits_performed > splits, wanted);
+            if !wanted {
+                prop_assert_eq!(tree_of(&idx), tree);
+            }
+            prop_assert!(!idx.wants_crack(&q));
         }
     }
 
@@ -379,7 +445,6 @@ proptest! {
         idx.check_invariants();
         let all = ps.mbr_of(&ps.all_ids());
         let mut got = Vec::new();
-        let mut idx = idx;
         idx.search_region(&all, |id| got.push(id));
         got.sort_unstable();
         prop_assert_eq!(got.len(), ps.len());
@@ -596,4 +661,195 @@ fn pooled_top_k_matches_serial() {
         assert_eq!(p, s, "query {i}");
     }
     assert_eq!(pooled_nodes, serial_nodes);
+}
+
+/// One request of the twin stream below.
+enum TwinOp {
+    TopK(EntityId, RelationId, Direction, usize),
+    Filtered(EntityId, RelationId, Direction, usize, u32, u32),
+    Aggregate(EntityId, RelationId, Direction, AggregateSpec),
+    Fact(EntityId, RelationId, EntityId),
+    Entity(String, Vec<f64>),
+    Attribute(EntityId, f64),
+}
+
+/// The shared read protocol (traverse under the shared guard, crack late
+/// and only when the pre-check says something splits) builds exactly the
+/// tree of the exclusive composition (`with_published_shard` + the
+/// `*_pinned` entry points: probe, read, fill, crack in place). Two
+/// facades over one world take the same stream — 160 requests: top-k,
+/// filtered top-k, full and sampled aggregates, each asked twice in a
+/// row (the repeat is a hit where the cache is on), with fact, entity
+/// and attribute writes moving points in between — one through each
+/// path, under both split strategies and with the cache on and off. Every answer must
+/// agree bit for bit, the tree-dependent ones included (a sampled
+/// aggregate's strata, `candidates_examined`), and the two indexes must
+/// end node for node the same: count, contour, members, element MBRs,
+/// and every counter.
+#[test]
+fn shared_protocol_builds_the_tree_of_the_exclusive_composition() {
+    let (n, d) = (2_000usize, 4usize);
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state >> 11
+    };
+    let mut graph = KnowledgeGraph::new();
+    let relations: Vec<RelationId> = (0..3)
+        .map(|r| graph.add_relation(&format!("r{r}")))
+        .collect();
+    let mut attributes = AttributeStore::new();
+    let mut rows = Vec::with_capacity(n * d);
+    for i in 0..n {
+        let e = graph.add_entity(&format!("e{i}"));
+        rows.extend((0..d).map(|_| (next() % 2_000) as f64 / 100.0 - 10.0));
+        if i % 3 != 0 {
+            attributes.set("score", e, (next() % 500) as f64 / 10.0);
+        }
+    }
+    let pick = |x: u64| EntityId((x % n as u64) as u32);
+    for _ in 0..2 * n {
+        let (h, r, t) = (pick(next()), relations[(next() % 3) as usize], pick(next()));
+        let _ = graph.add_triple(h, r, t);
+    }
+    let relation_rows: Vec<f64> = (0..3 * d)
+        .map(|_| (next() % 2_000) as f64 / 400.0 - 2.5)
+        .collect();
+    let store = EmbeddingStore::from_raw(d, rows, relation_rows);
+
+    let kinds = [
+        AggregateKind::Count,
+        AggregateKind::Sum,
+        AggregateKind::Avg,
+        AggregateKind::Max,
+        AggregateKind::Min,
+    ];
+    let ops: Vec<TwinOp> = (0..160)
+        .map(|i| {
+            let (e, r) = (pick(next()), relations[(next() % 3) as usize]);
+            let direction = [Direction::Tails, Direction::Heads][(next() % 2) as usize];
+            match next() % 20 {
+                0..=7 => TwinOp::TopK(e, r, direction, [1, 5, 10][(next() % 3) as usize]),
+                8..=10 => {
+                    let lo = (next() % n as u64) as u32;
+                    TwinOp::Filtered(e, r, direction, 5, lo, lo + n as u32 / 3)
+                }
+                11..=15 => {
+                    let p_tau = 0.3 + (next() % 50) as f64 / 100.0;
+                    let mut spec = match kinds[(next() % 5) as usize] {
+                        AggregateKind::Count => AggregateSpec::count(p_tau),
+                        kind => AggregateSpec::of(kind, "score", p_tau),
+                    };
+                    spec.sample_size = [None, Some(0), Some(20)][(next() % 3) as usize];
+                    TwinOp::Aggregate(e, r, direction, spec)
+                }
+                16..=18 => TwinOp::Fact(e, r, pick(next())),
+                _ if i % 2 == 0 => TwinOp::Entity(
+                    format!("fresh{i}"),
+                    (0..d)
+                        .map(|_| (next() % 2_000) as f64 / 100.0 - 10.0)
+                        .collect(),
+                ),
+                _ => TwinOp::Attribute(e, (next() % 500) as f64 / 10.0),
+            }
+        })
+        .collect();
+
+    let top_k_bits = |r: &TopKResult| (answer_of(r), r.candidates_examined);
+    let aggregate_bits = |r: &vkg_core::AggregateResult| {
+        let bound = (r.bound.mu.to_bits(), r.bound.increment_mass.to_bits());
+        (r.estimate.to_bits(), r.accessed, r.ball_size, bound)
+    };
+    for strategy in [SplitStrategy::Greedy, SplitStrategy::TopK { choices: 3 }] {
+        for cache_capacity in [0, 256] {
+            let assemble = || {
+                VirtualKnowledgeGraph::assemble(
+                    graph.clone(),
+                    attributes.clone(),
+                    store.clone(),
+                    VkgConfig {
+                        alpha: 3,
+                        epsilon: 0.3,
+                        leaf_capacity: 8,
+                        fanout: 4,
+                        split_strategy: strategy,
+                        cache_capacity,
+                        ..VkgConfig::default()
+                    },
+                )
+            };
+            let (shared, exclusive) = (assemble(), assemble());
+            let twice = |op: &TwinOp| {
+                let write = matches!(
+                    op,
+                    TwinOp::Fact(..) | TwinOp::Entity(..) | TwinOp::Attribute(..)
+                );
+                if write {
+                    1
+                } else {
+                    2
+                }
+            };
+            let stream = ops.iter().flat_map(|op| std::iter::repeat_n(op, twice(op)));
+            for (i, op) in stream.enumerate() {
+                let at = format!("op {i}, {strategy:?}, cache {cache_capacity}");
+                match op {
+                    &TwinOp::TopK(e, r, direction, k) => {
+                        let a = shared.top_k(e, r, direction, k).unwrap();
+                        let b = exclusive
+                            .with_published_shard(r, |pin, snap, state| {
+                                exclusive.top_k_pinned(pin, snap, state, e, r, direction, k)
+                            })
+                            .unwrap();
+                        assert_eq!(top_k_bits(&a), top_k_bits(&b), "{at}");
+                    }
+                    &TwinOp::Filtered(e, r, direction, k, lo, hi) => {
+                        let keep = |id: EntityId| lo <= id.0 && id.0 < hi;
+                        let a = shared.top_k_filtered(e, r, direction, k, keep).unwrap();
+                        let b = exclusive
+                            .with_published_shard(r, |pin, snap, state| {
+                                exclusive.top_k_filtered_pinned(
+                                    pin, snap, state, e, r, direction, k, None, &keep,
+                                )
+                            })
+                            .unwrap();
+                        assert_eq!(top_k_bits(&a), top_k_bits(&b), "{at}");
+                    }
+                    TwinOp::Aggregate(e, r, direction, spec) => {
+                        let (e, r, direction) = (*e, *r, *direction);
+                        let a = shared.aggregate(e, r, direction, spec).unwrap();
+                        let b = exclusive
+                            .with_published_shard(r, |pin, snap, state| {
+                                exclusive.aggregate_pinned(pin, snap, state, e, r, direction, spec)
+                            })
+                            .unwrap();
+                        assert_eq!(aggregate_bits(&a), aggregate_bits(&b), "{at}");
+                    }
+                    &TwinOp::Fact(h, r, t) => {
+                        let a = shared.add_fact_dynamic(h, r, t, 2, 0.05).unwrap();
+                        let b = exclusive.add_fact_dynamic(h, r, t, 2, 0.05).unwrap();
+                        assert_eq!(a, b, "{at}");
+                    }
+                    TwinOp::Entity(name, row) => {
+                        let a = shared.add_entity_dynamic(name, row).unwrap();
+                        let b = exclusive.add_entity_dynamic(name, row).unwrap();
+                        assert_eq!(a, b, "{at}");
+                    }
+                    &TwinOp::Attribute(e, value) => {
+                        shared.set_attribute_dynamic("score", e, value).unwrap();
+                        exclusive.set_attribute_dynamic("score", e, value).unwrap();
+                    }
+                }
+            }
+            shared.index().check_invariants();
+            assert_eq!(shared.index_stats(), exclusive.index_stats());
+            assert!(
+                shared.index_stats().splits_performed > 0,
+                "the stream must crack"
+            );
+            assert_eq!(tree_of(&shared.index()), tree_of(&exclusive.index()));
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //!   `Vkg` / per `Server` and handed out as cheap cloneable handles
 //!   ([`Counter`], [`Gauge`], [`HistogramCell`]).
 //! * [`Span`] / [`SpanRing`] — one record per served request, following
-//!   it through admission → queue wait → index lock → crack/refine →
+//!   it through admission → queue wait → shared index guard → execute →
 //!   encode, written into a fixed-size lock-free ring with exact
 //!   dropped-span accounting (see [`SpanRing`] for the seqlock slot
 //!   protocol).

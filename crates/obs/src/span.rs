@@ -1,9 +1,9 @@
 //! Per-query span records.
 //!
 //! One [`Span`] is produced per served request and follows it through
-//! the serving pipeline's phases: admission → queue wait → batch wait
-//! (group draining) → index lock → crack/refine execution → response
-//! encode. Spans are
+//! the serving pipeline's phases: admission → queue wait → wait for the
+//! index lock's shared guard → execution (traversal, refine, and the
+//! late crack when one is applied) → response encode. Spans are
 //! fixed-size and encode into a constant number of
 //! `u64` words ([`SPAN_WORDS`]) so the lock-free [`crate::SpanRing`]
 //! can store them in per-slot atomic arrays without allocation.
@@ -52,16 +52,20 @@ pub struct Span {
     pub outcome: SpanOutcome,
     /// Admission (successful `try_push`) → worker pop.
     pub queue_ns: u64,
-    /// Worker pop → index lock acquired.
+    /// Worker pop → the index lock's **shared** guard held: what a read
+    /// waits behind writers and other queries' late cracks. (A write
+    /// takes the lock inside the facade and charges it all to
+    /// `exec_ns`.)
     pub lock_ns: u64,
-    /// Index lock acquired → result ready (crack/refine work).
+    /// Shared guard held → result ready: traversal and refine work,
+    /// plus — when the query's late crack is applied — its wait for the
+    /// exclusive side and the crack itself.
     pub exec_ns: u64,
     /// Response encode on the connection thread.
     pub encode_ns: u64,
-    /// Time spent waiting for batch siblings: worker pop → this
-    /// request's turn under the index lock, when the worker drained it
-    /// as part of a multi-request group. Zero on the single-request
-    /// path.
+    /// Always 0: a worker pops one job at a time, so nothing waits
+    /// behind a batch sibling. The word stays in the record because
+    /// wire v2 carries it and the benchmark reads it.
     pub batch_ns: u64,
     /// Refine steps (S1 distance evaluations) the query performed.
     pub refine_steps: u64,

@@ -36,8 +36,8 @@
 //!   applies at most once even across a server crash + WAL recovery.
 //!
 //! The server is **observable end-to-end**: every admitted request is
-//! traced into a `vkg-obs` span (queue wait → index lock → execute →
-//! encode), admission counters and a server-side latency histogram live
+//! traced into a `vkg-obs` span (queue wait → shared index guard →
+//! execute → encode), admission counters and a server-side latency histogram live
 //! in a per-server metrics registry, and the `Metrics` opcode exports
 //! all of it (merged with the engine facade's `core.*` registry) over
 //! the wire — see [`server::names`] and [`protocol::MetricsWire`].

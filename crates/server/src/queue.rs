@@ -92,33 +92,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Blocks for the next item like [`JobQueue::pop`], then greedily
-    /// drains up to `max - 1` more already-queued items **without
-    /// waiting** — the group a batching consumer executes under one
-    /// lock round. `None` has exactly `pop`'s meaning (closed and
-    /// drained), so `while let Some(batch) = queue.pop_batch(n)` also
-    /// answers every admitted job before exiting. `max` is clamped to at
-    /// least 1; the returned vector is never empty.
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
-        let mut state = self.inner.lock();
-        loop {
-            if let Some(first) = state.jobs.pop_front() {
-                let mut batch = vec![first];
-                while batch.len() < max {
-                    match state.jobs.pop_front() {
-                        Some(job) => batch.push(job),
-                        None => break,
-                    }
-                }
-                return Some(batch);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state);
-        }
-    }
-
     /// Closes the queue: subsequent pushes are refused, and consumers
     /// drain the backlog then observe `None`.
     pub fn close(&self) {
@@ -223,24 +196,6 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(4), Admission::Closed);
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_batch_drains_greedily_without_waiting() {
-        let q = JobQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i);
-        }
-        // Takes at most `max`, leaves the rest queued.
-        assert_eq!(q.pop_batch(3), Some(vec![0, 1, 2]));
-        // Takes what's there without blocking for a full batch.
-        assert_eq!(q.pop_batch(3), Some(vec![3, 4]));
-        // `max` of zero clamps to one item.
-        q.try_push(9);
-        assert_eq!(q.pop_batch(0), Some(vec![9]));
-        // Closed + drained ends the consumer loop, like `pop`.
-        q.close();
-        assert_eq!(q.pop_batch(4), None);
     }
 
     #[test]

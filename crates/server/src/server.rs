@@ -26,34 +26,26 @@
 //!
 //! # Epoch-swapped reads
 //!
-//! Workers execute reads through
-//! [`VirtualKnowledgeGraph::with_published_index`], which takes the
-//! index lock and pins one `(epoch, snapshot)` pair for the whole
-//! query. Dynamic writes go through the facade's `&self` single-writer
-//! path (the same lock) and publish a fresh snapshot with a bumped
-//! epoch; every response carries the epoch it was computed at so
-//! clients can reason about read-your-writes. A graceful drain ends by
-//! **quiescing** the index (acquiring and releasing its lock) so no
-//! in-flight cracking outlives the server.
-//!
-//! # Batching
-//!
-//! With [`ServerConfig::batch_max`] > 1 a worker drains up to that many
-//! queued jobs per wake-up ([`crate::queue::JobQueue::pop_batch`]) and
-//! executes the reads among them under **one** index-lock acquisition
-//! — amortizing the lock across the group (`server.lock_rounds` /
-//! `server.answered` drops below 1). Reads go through the facade's
-//! cache-aware pinned entry points, so the epoch-keyed result cache
-//! serves repeats without recomputation. Each batched job's deadline is
-//! re-checked **after** the lock is held; expired jobs are refused, not
-//! executed, and still answered — `admitted == answered` survives
-//! batching. The default `batch_max = 1` reproduces unbatched serving
-//! exactly.
+//! Workers execute reads through the facade's served entry points
+//! ([`VirtualKnowledgeGraph::top_k_served`],
+//! [`VirtualKnowledgeGraph::aggregate_served`]): a read traverses under
+//! the index lock's **shared** side with one `(epoch, snapshot)` pair
+//! pinned, so the workers' reads run side by side, and the crack it
+//! wants is applied afterwards in a short exclusive section, only when
+//! something still splits. The epoch-keyed result cache serves repeats
+//! without recomputation. Dynamic writes go through the facade's
+//! `&self` single-writer path (the same lock, exclusive) and publish a
+//! fresh snapshot with a bumped epoch; every response carries the epoch
+//! it was computed at so clients can reason about read-your-writes. A
+//! graceful drain joins the workers and then **quiesces** the index
+//! (acquiring and releasing its lock) so no guard a detached reader
+//! still holds outlives the server.
 //!
 //! # Observability
 //!
 //! Every admitted request is traced into a [`vkg_obs::Span`] — queue
-//! wait → index lock → execute → encode —
+//! wait → wait for the index lock's shared guard → execute (a late
+//! crack's exclusive wait and work included) → encode —
 //! and pushed into a fixed-size lock-free [`SpanRing`]; the admission
 //! counters and a server-side latency histogram live in a `server.*`
 //! [`Registry`] (see [`names`]). The wire `Metrics` opcode (and
@@ -69,8 +61,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vkg_core::engine::IndexState;
-use vkg_core::vkg::{IndexPin, VirtualKnowledgeGraph};
+use vkg_core::vkg::VirtualKnowledgeGraph;
 use vkg_core::{QueryEngine, VkgSnapshot};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, Registry, Span, SpanOutcome, SpanRing, Tick};
@@ -104,12 +95,8 @@ pub mod names {
     pub const DEADLINE_EXPIRED: &str = "server.deadline_expired";
     /// Mirror of [`ServerCounters::drained`].
     pub const DRAINED: &str = "server.drained";
-    /// Jobs drained per worker wake-up — the batch-size distribution.
-    /// Recorded as raw counts (a sample of `3` means a 3-job batch).
-    pub const BATCH_SIZE: &str = "server.batch_size";
-    /// Index-lock rounds taken by workers: one per batch's group of
-    /// reads, per standalone query, and per dynamic write. With
-    /// batching on, `lock_rounds / answered < 1` is the whole point.
+    /// Requests a worker executed against the index: one per query and
+    /// per dynamic write (a deadline refusal executes nothing).
     pub const LOCK_ROUNDS: &str = "server.lock_rounds";
     /// Mirror of the facade's `core.wal.appended` counter: WAL records
     /// flushed before their ack. The `--check` reconciliation compares
@@ -140,11 +127,6 @@ pub struct ServerConfig {
     /// Capacity of the lock-free span ring: how many of the most recent
     /// per-request spans the `Metrics` export can return.
     pub span_ring: usize,
-    /// Most jobs a worker drains from the queue per wake-up. The reads
-    /// among them execute under **one** index-lock acquisition; each
-    /// job's deadline is re-checked after the lock is held. `1` (the
-    /// default) reproduces unbatched serving exactly.
-    pub batch_max: usize,
     /// The clock every span phase, deadline check, and latency sample is
     /// measured on. Tests inject [`Clock::mock`] to make timing
     /// deterministic; the default is the real monotonic clock.
@@ -166,7 +148,6 @@ impl Default for ServerConfig {
             max_frame: crate::wire::MAX_FRAME,
             worker_think_time: None,
             span_ring: 256,
-            batch_max: 1,
             clock: Clock::real(),
             wal: None,
         }
@@ -199,7 +180,6 @@ struct Obs {
     ring: SpanRing,
     next_query_id: AtomicU64,
     latency: HistogramCell,
-    batch_size: HistogramCell,
     lock_rounds: Counter,
     queue_depth: Gauge,
     admitted: Gauge,
@@ -220,7 +200,6 @@ impl Obs {
             ring: SpanRing::new(cfg.span_ring),
             next_query_id: AtomicU64::new(0),
             latency: registry.histogram(names::LATENCY_US),
-            batch_size: registry.histogram(names::BATCH_SIZE),
             lock_rounds: registry.counter(names::LOCK_ROUNDS),
             queue_depth: registry.gauge(names::QUEUE_DEPTH),
             admitted: registry.gauge(names::ADMITTED),
@@ -729,63 +708,21 @@ fn fail_connection(stream: &mut TcpStream, e: &WireError) {
     );
 }
 
-/// Whether a request is a read that can share an index-lock round
-/// with the other reads of its batch.
-fn batchable(op: &RequestOp) -> bool {
-    matches!(
-        op,
-        RequestOp::TopK { .. } | RequestOp::TopKFiltered { .. } | RequestOp::Aggregate { .. }
-    )
-}
-
 fn worker_loop(shared: &Arc<Shared>) {
-    let clock = &shared.obs.clock;
-    let batch_max = shared.cfg.batch_max.max(1);
-    while let Some(mut batch) = shared.queue.pop_batch(batch_max) {
-        let popped = clock.now();
-        shared.obs.batch_size.record_us(batch.len() as u64);
-        if batch.len() == 1 {
-            if let Some(job) = batch.pop() {
-                serve_one(shared, job, popped);
-            }
-            continue;
-        }
-        // The reads of one pop form one group, served where the first of
-        // them arrived; everything else (dynamic writes, which take the
-        // index lock inside the facade) runs standalone in arrival order.
-        // Reordering across a batch is unobservable to clients: each
-        // connection serializes (it blocks on its reply before sending
-        // the next frame), so batched jobs always belong to distinct
-        // connections with no cross-ordering obligations.
-        let mut reads: Vec<Job> = Vec::new();
-        let mut after: Vec<Job> = Vec::new();
-        for job in batch {
-            if batchable(&job.request.op) {
-                reads.push(job);
-            } else if reads.is_empty() {
-                serve_one(shared, job, popped);
-            } else {
-                after.push(job);
-            }
-        }
-        if !reads.is_empty() {
-            serve_group(shared, reads, popped);
-        }
-        for job in after {
-            serve_one(shared, job, popped);
-        }
+    while let Some(job) = shared.queue.pop() {
+        serve_one(shared, job);
     }
 }
 
-/// Serves one job on the standalone path (the whole path when
-/// `batch_max == 1`): deadline check at unit start, optional think-time
-/// fault injection, then `execute`, which takes its own lock round.
-fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
+/// Serves one popped job: deadline check — *after* the pop, so time
+/// spent queued behind a slow worker counts against the job's own
+/// deadline and an expired job is refused, never executed late —
+/// optional think-time fault injection, then `execute`.
+fn serve_one(shared: &Arc<Shared>, job: Job) {
     let clock = &shared.obs.clock;
     let unit_start = clock.now();
-    let queue_ns = popped.since(job.admitted_at);
-    let waited = unit_start.since(job.admitted_at);
-    let (response, locked_at) = if Duration::from_nanos(waited) >= job.deadline {
+    let queue_ns = unit_start.since(job.admitted_at);
+    let (response, locked_at) = if Duration::from_nanos(queue_ns) >= job.deadline {
         shared.counters.record_deadline_expired();
         (
             refusal(
@@ -798,7 +735,6 @@ fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
         if let Some(think) = shared.cfg.worker_think_time {
             thread::sleep(think);
         }
-        // One lock round, read or write: both take the index lock once.
         shared.obs.lock_rounds.incr();
         execute(&shared.vkg, &job.request, clock)
     };
@@ -809,74 +745,21 @@ fn serve_one(shared: &Arc<Shared>, job: Job, popped: Tick) {
         shard: ROUTED,
         outcome: outcome_of(&response),
         queue_ns,
-        // Pop → index lock held (includes the injected think time when
-        // the fault-injection knob is set).
+        // Pop → the index lock's shared guard held (includes the
+        // injected think time when the fault-injection knob is set).
         lock_ns: locked_at.since(unit_start),
+        // Everything after that: the traversal, and when the query's
+        // late crack is applied, its wait for the exclusive side and
+        // the crack itself.
         exec_ns: finished.since(locked_at),
         // Stamped by the connection thread once the encode is done.
         encode_ns: 0,
-        // Time spent behind earlier units of the same batch (zero when
-        // this job was popped alone).
-        batch_ns: unit_start.since(popped),
+        // Held on the wire (v2 span records carry it); a pop is one
+        // job, so nothing waits behind a batch sibling.
+        batch_ns: 0,
         refine_steps: refine_steps_of(&response),
     };
     finish_job(shared, job, response, span);
-}
-
-/// Serves a batch's group of reads under **one** index-lock round.
-///
-/// Each job's deadline is re-checked *after* the lock is held: a
-/// request can expire while its batch siblings execute (or while the
-/// lock round waits behind a writer), and executing it anyway would
-/// spend lock time on an answer the client has already written off.
-/// Expired jobs are refused with `DeadlineExceeded` — still answered,
-/// so `admitted == answered` survives batching.
-fn serve_group(shared: &Arc<Shared>, jobs: Vec<Job>, popped: Tick) {
-    let clock = &shared.obs.clock;
-    let group_start = clock.now();
-    shared.obs.lock_rounds.incr();
-    let (locked_at, served) = shared.vkg.with_published_index(|pin, snap, state| {
-        let locked_at = clock.now();
-        let mut served = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let exec_start = clock.now();
-            let waited = exec_start.since(job.admitted_at);
-            let response = if Duration::from_nanos(waited) >= job.deadline {
-                shared.counters.record_deadline_expired();
-                refusal(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline expired before execution; not executed",
-                )
-            } else {
-                if let Some(think) = shared.cfg.worker_think_time {
-                    thread::sleep(think);
-                }
-                execute_pinned(&shared.vkg, &job.request, pin, snap, state)
-            };
-            served.push((job, response, exec_start, clock.now()));
-        }
-        (locked_at, served)
-    });
-    for (job, response, exec_start, finished) in served {
-        let span = Span {
-            id: job.id,
-            op: job.request.op.opcode(),
-            shard: ROUTED,
-            outcome: outcome_of(&response),
-            queue_ns: popped.since(job.admitted_at),
-            // The group's shared wait for the index lock.
-            lock_ns: locked_at.since(group_start),
-            exec_ns: finished.since(exec_start),
-            encode_ns: 0,
-            // Waiting on earlier batch units plus on earlier siblings
-            // inside this group's lock round.
-            batch_ns: group_start
-                .since(popped)
-                .saturating_add(exec_start.since(locked_at)),
-            refine_steps: refine_steps_of(&response),
-        };
-        finish_job(shared, job, response, span);
-    }
 }
 
 /// Accounts for one answered job and hands the response back to its
@@ -885,13 +768,16 @@ fn serve_group(shared: &Arc<Shared>, jobs: Vec<Job>, popped: Tick) {
 /// answered.
 fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span) {
     shared.counters.record_answered();
-    // The server executes reads inside index-lock closures, bypassing
-    // the facade's own instrumented entry points — mirror the
-    // executed reads into the facade registry so `core.queries`
-    // stays truthful however the engine is driven. Deadline-refused
-    // jobs never reached the engine and are not mirrored.
-    let is_read = batchable(&job.request.op);
-    if is_read && span.outcome != SpanOutcome::DeadlineExpired {
+    // The served entry points record no query metrics (the worker times
+    // the request on its own clock) — mirror the executed reads into
+    // the facade registry so `core.queries` stays truthful however the
+    // engine is driven. Deadline-refused jobs never reached the engine
+    // and are not mirrored.
+    let read = matches!(
+        job.request.op,
+        RequestOp::TopK { .. } | RequestOp::TopKFiltered { .. } | RequestOp::Aggregate { .. }
+    );
+    if read && span.outcome != SpanOutcome::DeadlineExpired {
         shared.vkg.metrics().record_query_timed(
             Duration::from_nanos(span.lock_ns.saturating_add(span.exec_ns)),
             span.refine_steps,
@@ -920,24 +806,86 @@ fn refine_steps_of(response: &Response) -> u64 {
     }
 }
 
-/// Runs one request against the engine. Reads pin a single epoch via
-/// `with_published_index`; the dynamic write goes through the facade's
-/// serialized `&self` writer path (the same lock) and reports the
-/// post-publish epoch.
+/// Runs one request against the engine. Reads go through the facade's
+/// served entry points (shared guard, epochs pinned, late crack); the
+/// dynamic write goes through the facade's serialized `&self` writer
+/// path (the same lock, exclusive) and reports the post-publish epoch.
 ///
-/// Returns the response plus the tick at which the index lock was held
-/// (closure entry) so the worker can split the span into its lock and
-/// execute phases. Paths that do not take the lock here report their
-/// own start tick, which makes `exec_ns` cover the whole call (the
+/// Returns the response plus the tick at which the index lock's shared
+/// guard was first held, so the worker can split the span into its lock
+/// and execute phases. Paths that take no shared guard report their own
+/// start tick, which makes `exec_ns` cover the whole call (the
 /// single-writer path) or nothing (refusals).
 fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Response, Tick) {
-    match &request.op {
-        RequestOp::TopK { .. } | RequestOp::TopKFiltered { .. } | RequestOp::Aggregate { .. } => {
-            vkg.with_published_index(|pin, snap, state| {
-                let locked_at = clock.now();
-                (execute_pinned(vkg, request, pin, snap, state), locked_at)
-            })
+    let start = clock.now();
+    let mut locked_at = None;
+    let mut on_guard = || {
+        locked_at.get_or_insert_with(|| clock.now());
+    };
+    let response = match &request.op {
+        RequestOp::TopK {
+            entity,
+            relation,
+            direction,
+            k,
         }
+        | RequestOp::TopKFiltered {
+            entity,
+            relation,
+            direction,
+            k,
+            ..
+        } => {
+            let wire = match &request.op {
+                RequestOp::TopKFiltered { filter, .. } => Some(filter),
+                _ => None,
+            };
+            // The wire encoding doubles as the cache key's filter
+            // fingerprint: equal bytes ⇒ equal predicate.
+            let fingerprint = wire.map(WireFilter::fingerprint);
+            let accept = |snap: &VkgSnapshot, id: EntityId| match wire {
+                Some(WireFilter::NamePrefix(prefix)) => {
+                    let name = snap.graph().entity_name(id);
+                    name.is_some_and(|n| n.starts_with(prefix))
+                }
+                Some(WireFilter::IdRange { lo, hi }) => *lo <= id.0 && id.0 < *hi,
+                None => true,
+            };
+            let filter = fingerprint.as_deref().map(|bytes| (bytes, &accept as _));
+            let (entity, relation) = (EntityId(*entity), RelationId(*relation));
+            match vkg.top_k_served(
+                entity,
+                relation,
+                *direction,
+                *k as usize,
+                filter,
+                &mut on_guard,
+            ) {
+                Ok((pin, r)) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
+                Err(e) => Response::Error(ServerError::query(&e)),
+            }
+        }
+        RequestOp::Aggregate {
+            entity,
+            relation,
+            direction,
+            ..
+        } => match request.aggregate_spec() {
+            // Decoding guarantees aggregate ops carry a spec, but a
+            // refusal here is cheaper to reason about than a panic in a
+            // worker thread if that invariant ever drifts.
+            None => refusal(ErrorCode::Internal, "aggregate request lost its spec"),
+            Some(spec) => match vkg.aggregate_served(
+                EntityId(*entity),
+                RelationId(*relation),
+                *direction,
+                &spec,
+                &mut on_guard,
+            ) {
+                Ok((pin, r)) => Response::Aggregate(AggregateWire::from_result(pin.epoch, &r)),
+                Err(e) => Response::Error(ServerError::query(&e)),
+            },
+        },
         RequestOp::AddFactDynamic {
             h,
             r,
@@ -950,8 +898,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
             // facade; its span charges the whole call to `exec_ns`.
             // With a WAL attached the facade appends + flushes the
             // record before the index mutation this ack reports.
-            let locked_at = clock.now();
-            let response = match vkg.add_fact_durable(
+            match vkg.add_fact_durable(
                 *token,
                 EntityId(*h),
                 RelationId(*r),
@@ -968,109 +915,11 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
                     token: *token,
                 },
                 Err(e) => Response::Error(ServerError::query(&e)),
-            };
-            (response, locked_at)
-        }
-        RequestOp::Stats | RequestOp::Metrics { .. } | RequestOp::Shutdown => (
-            refusal(ErrorCode::Internal, "control requests are not queued"),
-            clock.now(),
-        ),
-    }
-}
-
-/// Runs one read against the already-locked index — the
-/// shared execution core of the standalone path (`execute` wraps it in
-/// its own lock round) and the batched path (`serve_group` drives many
-/// requests through one round). All three reads go through the facade's
-/// cache-aware pinned entry points, so cached answers — validated
-/// against the pin's exact epochs — serve identically on either path.
-fn execute_pinned(
-    vkg: &VirtualKnowledgeGraph,
-    request: &Request,
-    pin: IndexPin,
-    snap: &VkgSnapshot,
-    state: &mut IndexState,
-) -> Response {
-    match &request.op {
-        RequestOp::TopK {
-            entity,
-            relation,
-            direction,
-            k,
-        } => {
-            match vkg.top_k_pinned(
-                pin,
-                snap,
-                state,
-                EntityId(*entity),
-                RelationId(*relation),
-                *direction,
-                *k as usize,
-            ) {
-                Ok(r) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
-                Err(e) => Response::Error(ServerError::query(&e)),
             }
         }
-        RequestOp::TopKFiltered {
-            entity,
-            relation,
-            direction,
-            k,
-            filter,
-        } => {
-            let graph = snap.graph();
-            let accept: Box<dyn Fn(EntityId) -> bool> = match filter {
-                WireFilter::NamePrefix(prefix) => Box::new(move |id: EntityId| {
-                    graph.entity_name(id).is_some_and(|n| n.starts_with(prefix))
-                }),
-                WireFilter::IdRange { lo, hi } => {
-                    let (lo, hi) = (*lo, *hi);
-                    Box::new(move |id: EntityId| lo <= id.0 && id.0 < hi)
-                }
-            };
-            // The wire encoding doubles as the cache key's filter
-            // fingerprint: equal bytes ⇒ equal predicate.
-            let fingerprint = filter.fingerprint();
-            match vkg.top_k_filtered_pinned(
-                pin,
-                snap,
-                state,
-                EntityId(*entity),
-                RelationId(*relation),
-                *direction,
-                *k as usize,
-                Some(&fingerprint),
-                &accept,
-            ) {
-                Ok(r) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
-                Err(e) => Response::Error(ServerError::query(&e)),
-            }
+        RequestOp::Stats | RequestOp::Metrics { .. } | RequestOp::Shutdown => {
+            refusal(ErrorCode::Internal, "control requests are not queued")
         }
-        RequestOp::Aggregate {
-            entity,
-            relation,
-            direction,
-            ..
-        } => match request.aggregate_spec() {
-            // Decoding guarantees aggregate ops carry a spec, but a
-            // refusal here is cheaper to reason about than a panic in a
-            // worker thread if that invariant ever drifts.
-            None => refusal(ErrorCode::Internal, "aggregate request lost its spec"),
-            Some(spec) => {
-                match vkg.aggregate_pinned(
-                    pin,
-                    snap,
-                    state,
-                    EntityId(*entity),
-                    RelationId(*relation),
-                    *direction,
-                    &spec,
-                ) {
-                    Ok(r) => Response::Aggregate(AggregateWire::from_result(pin.epoch, &r)),
-                    Err(e) => Response::Error(ServerError::query(&e)),
-                }
-            }
-        },
-        _ => refusal(ErrorCode::Internal, "only reads execute pinned"),
-    }
+    };
+    (response, locked_at.unwrap_or(start))
 }

@@ -118,77 +118,6 @@ fn parked_consumer_always_woken() {
     .unwrap_or_else(|v| panic!("parked-consumer model failed: {v}"));
 }
 
-/// The batching consumer loop: producers race consumers that drain via
-/// [`JobQueue::pop_batch`] (the group path of the serving
-/// loop) and a closer. In every explored interleaving the drain
-/// invariant holds — each admitted item lands in exactly one batch,
-/// batches respect the size cap, and none is empty or lost.
-#[test]
-fn batch_drain_admitted_equals_answered() {
-    model::sweep(SEEDS, || {
-        let queue = Arc::new(JobQueue::new(4));
-        let counters = Arc::new(Counters::default());
-        let popped = Arc::new(Mutex::with_name(Vec::new(), "popped-items"));
-
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let queue = Arc::clone(&queue);
-                let counters = Arc::clone(&counters);
-                thread::spawn(move || {
-                    for i in 0..3_u64 {
-                        match queue.try_push(p * 10 + i) {
-                            Admission::Admitted => counters.record_admitted(),
-                            Admission::QueueFull => counters.record_shed(),
-                            Admission::Closed => counters.record_drained(),
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let counters = Arc::clone(&counters);
-                let popped = Arc::clone(&popped);
-                thread::spawn(move || {
-                    while let Some(batch) = queue.pop_batch(3) {
-                        assert!(!batch.is_empty(), "pop_batch never returns empty");
-                        assert!(batch.len() <= 3, "batches respect the cap");
-                        for item in batch {
-                            counters.record_answered();
-                            popped.lock().push(item);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().expect("producer");
-        }
-        queue.close();
-        for c in consumers {
-            c.join().expect("consumer");
-        }
-
-        let s = counters.snapshot();
-        assert_eq!(
-            s.admitted, s.answered,
-            "batch-drain invariant: admitted ({}) != answered ({})",
-            s.admitted, s.answered
-        );
-        assert_eq!(s.admitted + s.shed + s.drained, 6, "every push accounted");
-        let mut items = popped.lock().clone();
-        items.sort_unstable();
-        items.dedup();
-        assert_eq!(
-            items.len() as u64,
-            s.answered,
-            "each admitted item landed in exactly one batch"
-        );
-    })
-    .unwrap_or_else(|v| panic!("batch-drain model failed: {v}"));
-}
-
 /// The drain flag + closed queue interplay of the serving loop: once a
 /// connection observes `draining`, refusals are counted as drained, and
 /// no admission slips through after the close — in any interleaving.

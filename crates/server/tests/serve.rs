@@ -296,26 +296,27 @@ fn queued_requests_past_deadline_are_refused() {
     assert_eq!(counters.deadline_expired as u32, expired);
 }
 
-/// Regression test for the batched-deadline bug: a request grouped
-/// behind batch siblings must be re-checked against *its own*
-/// deadline **after** the index lock is acquired, because siblings
-/// executing ahead of it inside the lock consume real time. Without the
-/// post-lock re-check, late group members would execute (and bill their
-/// think time) long past the deadline the client was promised.
+/// Regression test for the deadline re-check: a request is checked
+/// against *its own* deadline when the worker pops it — after the
+/// requests ahead of it consumed real time — not when it was admitted.
+/// Without the re-check, requests at the back of the queue would
+/// execute (and bill their think time) long past the deadline the
+/// client was promised.
 ///
-/// One worker with a 25ms think time serves 8 read requests
-/// carrying 60ms deadlines: the first batch member(s) answer in time,
-/// and members queued behind ≥2 siblings' think time must be refused
-/// with `DeadlineExceeded` — never executed late, never dropped.
+/// One worker with a 25ms think time serves 8 read requests carrying
+/// 60ms deadlines: the front of the queue answers in time, and requests
+/// queued behind ≥2 others' think time must be refused with
+/// `DeadlineExceeded` — never executed late, never dropped. Every
+/// refusal skipped its execution: the worker executed exactly the
+/// requests it answered.
 #[test]
-fn batched_requests_expiring_after_lock_are_refused_not_executed() {
+fn requests_expiring_behind_a_slow_worker_are_refused_not_executed() {
     let vkg = build_vkg();
     let handle = start(
         &vkg,
         ServerConfig {
             workers: 1,
             queue_capacity: 64,
-            batch_max: 8,
             worker_think_time: Some(Duration::from_millis(25)),
             ..ServerConfig::default()
         },
@@ -355,21 +356,24 @@ fn batched_requests_expiring_after_lock_are_refused_not_executed() {
         expired += e;
     }
     assert_eq!(ok + expired, clients as u32, "every request got a response");
-    assert!(ok >= 1, "the front of the batch answered within deadline");
+    assert!(ok >= 1, "the front of the queue answered within deadline");
     assert!(
         expired >= 1,
-        "members queued behind siblings' in-lock think time expired"
+        "requests queued behind others' think time expired"
     );
 
-    // The refusals really came from batched execution: the worker
-    // drained groups larger than one.
+    // Refused means not executed: the worker ran the engine once per
+    // answer it gave and never for a refusal.
     let mut probe = Client::connect(addr).expect("metrics client connects");
     let m = probe.metrics(0).expect("metrics answered");
-    let batch = m.snapshot.hist("server.batch_size").expect("batch hist");
-    assert!(
-        batch.max_us >= 2,
-        "the worker formed a multi-request batch (max {})",
-        batch.max_us
+    let executed = m
+        .snapshot
+        .counter("server.lock_rounds")
+        .expect("lock rounds");
+    assert_eq!(
+        executed,
+        u64::from(ok),
+        "one execution per answer, none per refusal"
     );
 
     drop(probe);
@@ -378,13 +382,13 @@ fn batched_requests_expiring_after_lock_are_refused_not_executed() {
     assert_eq!(counters.deadline_expired as u32, expired);
 }
 
-/// Batching and the result cache together on a live server: concurrent
-/// repeat-heavy readers with a dynamic writer, then quiescent answers
-/// verified bit-for-bit against the in-process engine. The cache must
-/// actually hit and batches must actually form — while every admitted
-/// request is still answered.
+/// The result cache on a live server whose four workers read side by
+/// side: concurrent repeat-heavy readers with a dynamic writer, then
+/// quiescent answers verified bit-for-bit against the in-process
+/// engine. The cache must actually hit — while every admitted request
+/// is still answered.
 #[test]
-fn batched_cached_serving_stays_correct_under_writes() {
+fn cached_serving_stays_correct_under_writes() {
     let ds = movie_like(&MovieConfig::tiny());
     let (embeddings, _) = TransE::new(TransEConfig {
         dim: 16,
@@ -406,7 +410,6 @@ fn batched_cached_serving_stays_correct_under_writes() {
         ServerConfig {
             workers: 4,
             queue_capacity: 512,
-            batch_max: 4,
             ..ServerConfig::default()
         },
     );
@@ -472,15 +475,6 @@ fn batched_cached_serving_stays_correct_under_writes() {
     assert!(
         m.snapshot.counter("core.cache.hit").unwrap_or(0) > 0,
         "the repeat-heavy workload hit the cache"
-    );
-    let answered = m.snapshot.gauge("server.answered").expect("answered gauge");
-    let rounds = m
-        .snapshot
-        .counter("server.lock_rounds")
-        .expect("lock rounds");
-    assert!(
-        rounds <= answered,
-        "batching never takes more lock rounds than answers ({rounds} vs {answered})"
     );
 
     drop(client);

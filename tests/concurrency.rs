@@ -1,6 +1,7 @@
 //! Concurrency: the assembled engine is `Send`, read paths are shareable,
-//! and a lock-guarded engine serves a multi-threaded query workload with
-//! results identical to the serial run.
+//! and the facade serves a multi-threaded query workload — its readers
+//! side by side under the index lock's shared guard, cracking late —
+//! with results identical to a single-threaded twin's.
 //!
 //! The snapshot-readers-vs-one-writer scenario is defined **once**
 //! ([`snapshot_readers_vs_writer_scenario`]) and exercised two ways: as
@@ -9,10 +10,11 @@
 //! same threads onto explored interleavings and checks for data races,
 //! lock-order inversions, and deadlocks along the way.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use vkg::prelude::*;
-use vkg_sync::{thread as sync_thread, Mutex, RwLock};
+use vkg_sync::{thread as sync_thread, RwLock};
 
 fn build() -> (Dataset, VirtualKnowledgeGraph) {
     let ds = movie_like(&MovieConfig::tiny());
@@ -90,15 +92,14 @@ fn parallel_queries_match_serial_results() {
         serial_answers.push(r.predictions.iter().map(|p| p.id).collect::<Vec<_>>());
     }
 
-    // Parallel run: queries mutate the index (cracking), so a Mutex
-    // serializes the engine while threads interleave arbitrarily.
-    let shared = Arc::new(Mutex::new(vkg));
+    // Parallel run: the facade needs no outer lock — the threads
+    // traverse side by side and each applies its own late crack.
+    let shared = Arc::new(vkg);
     let mut handles = Vec::new();
     for (qi, &u) in users.iter().enumerate() {
         let shared = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || {
-            let guard = shared.lock();
-            let r = guard.top_k(u, likes, Direction::Tails, 5).unwrap();
+            let r = shared.top_k(u, likes, Direction::Tails, 5).unwrap();
             (qi, r.predictions.iter().map(|p| p.id).collect::<Vec<_>>())
         }));
     }
@@ -113,7 +114,7 @@ fn parallel_queries_match_serial_results() {
     for (qi, (s, p)) in serial_answers.iter().zip(&parallel_answers).enumerate() {
         assert_eq!(s, p, "query {qi} diverged under concurrency");
     }
-    shared.lock().index().check_invariants();
+    shared.index().check_invariants();
 }
 
 /// Snapshot isolation: readers holding `Arc<VkgSnapshot>` clones make
@@ -281,22 +282,397 @@ fn snapshot_readers_vs_one_writer_model() {
 fn index_stats_are_coherent_after_concurrent_load() {
     let (ds, vkg) = build();
     let likes = ds.graph.relation_id("likes").unwrap();
-    let shared = Arc::new(Mutex::new(vkg));
+    let shared = Arc::new(vkg);
     let mut handles = Vec::new();
     for t in 0..8 {
         let shared = Arc::clone(&shared);
         let ds_users = ds.graph.entity_id(&format!("user_{t}")).unwrap();
         handles.push(std::thread::spawn(move || {
-            let guard = shared.lock();
-            let _ = guard.top_k(ds_users, likes, Direction::Tails, 3).unwrap();
+            let _ = shared.top_k(ds_users, likes, Direction::Tails, 3).unwrap();
         }));
     }
     for h in handles {
         h.join().unwrap();
     }
-    let guard = shared.lock();
-    let s = guard.index_stats();
+    let s = shared.index_stats();
     assert!(s.s1_distance_evals > 0);
-    assert!(guard.index_node_count() >= 1);
-    guard.index().check_invariants();
+    assert!(shared.index_node_count() >= 1);
+    shared.index().check_invariants();
+}
+
+/// The world of the threaded differential tests: 20 000 entities, where
+/// a query's ball is a small part of the tree and cracks keep landing
+/// for the whole run.
+fn big_world() -> &'static (Dataset, EmbeddingStore) {
+    static WORLD: OnceLock<(Dataset, EmbeddingStore)> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let ds = freebase_like(&FreebaseConfig::default());
+        assert!(ds.graph.num_entities() >= 20_000);
+        let embeddings = vkg::embed::least_squares_embedding(
+            &ds.graph,
+            &vkg::embed::LsConfig {
+                dim: 32,
+                ..Default::default()
+            },
+        );
+        (ds, embeddings)
+    })
+}
+
+fn big_engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
+    let (ds, embeddings) = big_world();
+    VirtualKnowledgeGraph::assemble(
+        ds.graph.clone(),
+        ds.attributes.clone(),
+        embeddings.clone(),
+        VkgConfig {
+            cache_capacity,
+            epsilon: 0.5,
+            ..VkgConfig::default()
+        },
+    )
+}
+
+/// One read of the fixed mixed stream.
+#[derive(Debug, Clone)]
+enum Read {
+    TopK(usize),
+    /// Keeps candidate ids in `lo..hi`.
+    Filtered(u32, u32),
+    /// Full access: the answer is a function of (snapshot, query).
+    Aggregate(AggregateSpec),
+}
+
+#[derive(Debug, Clone)]
+struct Query {
+    entity: EntityId,
+    relation: RelationId,
+    direction: Direction,
+    read: Read,
+}
+
+/// Everything of an answer that is a function of (snapshot, query), down
+/// to the float bits. `candidates_examined` depends on how far the tree
+/// is cracked and stays out.
+#[derive(Debug, PartialEq)]
+enum Bits {
+    TopK(Vec<(u32, u64, u64)>, (u64, u64), u64),
+    Aggregate(u64, (u64, u64), usize, usize),
+}
+
+fn top_k_bits(r: &TopKResult) -> Bits {
+    let predictions = r
+        .predictions
+        .iter()
+        .map(|p| (p.id, p.distance.to_bits(), p.probability.to_bits()));
+    let guarantee = (
+        r.guarantee.success_probability.to_bits(),
+        r.guarantee.expected_misses.to_bits(),
+    );
+    Bits::TopK(predictions.collect(), guarantee, r.s1_evals)
+}
+
+fn aggregate_bits(r: &AggregateResult) -> Bits {
+    let bound = (r.bound.mu.to_bits(), r.bound.increment_mass.to_bits());
+    Bits::Aggregate(r.estimate.to_bits(), bound, r.accessed, r.ball_size)
+}
+
+/// `lanes` fixed streams of `per_lane` reads each — half plain top-k, a
+/// quarter filtered, a quarter full-access aggregates — over query keys
+/// taken from the graph's own triples. Lanes overlap in keys, so with
+/// the cache on one lane's fill is another's hit.
+fn streams(lanes: usize, per_lane: usize) -> Vec<Vec<Query>> {
+    let (ds, _) = big_world();
+    let triples = ds.graph.triples();
+    let entities = ds.graph.num_entities() as u32;
+    (0..lanes)
+        .map(|lane| {
+            (0..per_lane)
+                .map(|i| {
+                    let n = lane * per_lane / 2 + i;
+                    let t = &triples[n * 97 % triples.len()];
+                    let (entity, direction) = match n % 3 {
+                        0 => (t.tail, Direction::Heads),
+                        _ => (t.head, Direction::Tails),
+                    };
+                    let read = match n % 8 {
+                        0 | 4 => {
+                            let lo = (n as u32 * 7_919) % entities;
+                            Read::Filtered(lo, lo + entities / 4)
+                        }
+                        2 => Read::Aggregate(AggregateSpec::count(0.5)),
+                        6 => Read::Aggregate(AggregateSpec::of(AggregateKind::Sum, "age", 0.6)),
+                        _ => Read::TopK([10, 5, 1][n % 3]),
+                    };
+                    Query {
+                        entity,
+                        relation: t.relation,
+                        direction,
+                        read,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Asks `q` through the served entry points (the result cache, when on,
+/// is in the path): the global epoch the answer was computed at, its
+/// bits, and the `(candidates_examined, s1_evals)` a top-k reports.
+fn ask_served(vkg: &VirtualKnowledgeGraph, q: &Query) -> (u64, Bits, (u64, u64)) {
+    let (entity, relation, direction) = (q.entity, q.relation, q.direction);
+    let top_k = |served: VkgResult<(_, TopKResult)>| {
+        let (pin, r): (vkg::core::vkg::IndexPin, _) = served.expect("valid query");
+        (
+            pin.epoch,
+            top_k_bits(&r),
+            (r.candidates_examined, r.s1_evals),
+        )
+    };
+    match &q.read {
+        &Read::TopK(k) => top_k(vkg.top_k_served(entity, relation, direction, k, None, &mut || {})),
+        &Read::Filtered(lo, hi) => {
+            let fingerprint = [lo.to_le_bytes(), hi.to_le_bytes()].concat();
+            let keep = |_: &VkgSnapshot, id: EntityId| lo <= id.0 && id.0 < hi;
+            let filter = Some((fingerprint.as_slice(), &keep as _));
+            top_k(vkg.top_k_served(entity, relation, direction, 10, filter, &mut || {}))
+        }
+        Read::Aggregate(spec) => {
+            let (pin, r) = vkg
+                .aggregate_served(entity, relation, direction, spec, &mut || {})
+                .expect("valid query");
+            (pin.epoch, aggregate_bits(&r), (0, 0))
+        }
+    }
+}
+
+/// The same question on the single-threaded twin, cache-free.
+fn ask_twin(twin: &VirtualKnowledgeGraph, q: &Query) -> Bits {
+    let (entity, relation, direction) = (q.entity, q.relation, q.direction);
+    match &q.read {
+        &Read::TopK(k) => top_k_bits(&twin.top_k(entity, relation, direction, k).unwrap()),
+        &Read::Filtered(lo, hi) => {
+            let keep = |id: EntityId| lo <= id.0 && id.0 < hi;
+            top_k_bits(
+                &twin
+                    .top_k_filtered(entity, relation, direction, 10, keep)
+                    .unwrap(),
+            )
+        }
+        Read::Aggregate(spec) => {
+            aggregate_bits(&twin.aggregate(entity, relation, direction, spec).unwrap())
+        }
+    }
+}
+
+/// Fresh facts (no such edge yet), one publication each.
+fn fresh_facts(count: usize) -> Vec<(EntityId, RelationId, EntityId)> {
+    let (ds, _) = big_world();
+    let triples = ds.graph.triples();
+    (0..)
+        .map(|i| {
+            let (a, b) = (
+                &triples[i * 131 % triples.len()],
+                &triples[(i * 211 + 7) % triples.len()],
+            );
+            (a.head, a.relation, b.tail)
+        })
+        .filter(|&(h, r, t)| !ds.graph.has_edge(h, r, t))
+        .take(count)
+        .collect()
+}
+
+/// Four threads drive fixed mixed streams against **one** cracking
+/// facade — traversing side by side under the shared guard, each
+/// applying its own late cracks — while, in the `writes` variant, a
+/// fifth publishes fresh facts in step with their progress. Every
+/// answer must equal, bit for bit, what a single-threaded cache-off twin
+/// answers for the same query at the same epoch; the tree must be whole
+/// at the end.
+fn differential(cache_capacity: usize, writes: usize) {
+    const LANES: usize = 4;
+    const PER_LANE: usize = 48;
+    let vkg = big_engine(cache_capacity);
+    let lanes = streams(LANES, PER_LANE);
+    let facts = fresh_facts(writes);
+    let done = AtomicUsize::new(0);
+    let start = Barrier::new(LANES + 1);
+    let answered: Vec<Vec<(u64, Bits)>> = std::thread::scope(|scope| {
+        let readers: Vec<_> = lanes
+            .iter()
+            .map(|lane| {
+                scope.spawn(|| {
+                    start.wait();
+                    lane.iter()
+                        .map(|q| {
+                            let (epoch, bits, _) = ask_served(&vkg, q);
+                            done.fetch_add(1, Ordering::SeqCst);
+                            (epoch, bits)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        // The writer is paced by the readers' progress, not by the
+        // clock: write `j` lands once `j/writes` of the reads are in, so
+        // every run spreads the publications over the whole stream.
+        start.wait();
+        for (j, &(h, r, t)) in facts.iter().enumerate() {
+            while done.load(Ordering::SeqCst) < j * LANES * PER_LANE / writes {
+                std::thread::yield_now();
+            }
+            let (added, epoch) = vkg.add_fact_dynamic(h, r, t, 2, 0.05).expect("valid ids");
+            assert_eq!((added, epoch), (true, j as u64 + 1));
+        }
+        readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader"))
+            .collect()
+    });
+    vkg.index().check_invariants();
+
+    // The twin walks the epochs once, answering at each the reads the
+    // threads were answered at it.
+    let twin = big_engine(0);
+    let mut epochs_read = 0;
+    for epoch in 0..=writes as u64 {
+        let mut any = false;
+        for (lane, answers) in lanes.iter().zip(&answered) {
+            for (i, (q, (at, bits))) in lane.iter().zip(answers).enumerate() {
+                if *at == epoch {
+                    any = true;
+                    assert_eq!(
+                        *bits,
+                        ask_twin(&twin, q),
+                        "read {i} at epoch {epoch}: {q:?}"
+                    );
+                }
+            }
+        }
+        epochs_read += usize::from(any);
+        if let Some(&(h, r, t)) = facts.get(epoch as usize) {
+            twin.add_fact_dynamic(h, r, t, 2, 0.05).expect("valid ids");
+        }
+    }
+    if writes > 0 {
+        assert!(epochs_read > 2, "reads landed at {epochs_read} epochs");
+    } else if cache_capacity == 0 {
+        // S₁ evaluations are a function of (snapshot, query) too — of a
+        // top-k and of a full-access aggregate alike — so with nothing
+        // cached the two facades counted the same number of them.
+        assert_eq!(
+            vkg.index_stats().s1_distance_evals,
+            twin.index_stats().s1_distance_evals
+        );
+    }
+}
+
+#[test]
+fn threaded_reads_equal_a_single_threaded_twin() {
+    differential(0, 0);
+    differential(1024, 0);
+}
+
+#[test]
+fn threaded_reads_beside_a_writer_equal_a_twin_at_the_same_epoch() {
+    differential(0, 12);
+    differential(1024, 12);
+}
+
+/// No update of the access counters is lost. Four threads of top-k reads
+/// (plain and filtered, cache off) bump the facade's counters
+/// concurrently; afterwards `points_examined` and `s1_distance_evals`
+/// must equal the sums of what the answers themselves report.
+#[test]
+fn access_counters_equal_the_sums_of_the_answers() {
+    let vkg = big_engine(0);
+    let lanes: Vec<Vec<Query>> = streams(4, 48)
+        .into_iter()
+        .map(|lane| {
+            lane.into_iter()
+                .filter(|q| !matches!(q.read, Read::Aggregate(_)))
+                .collect()
+        })
+        .collect();
+    let start = Barrier::new(lanes.len());
+    let (examined, evals) = std::thread::scope(|scope| {
+        let readers: Vec<_> = lanes
+            .iter()
+            .map(|lane| {
+                scope.spawn(|| {
+                    start.wait();
+                    lane.iter().fold((0, 0), |sum, q| {
+                        let (_, _, counts) = ask_served(&vkg, q);
+                        (sum.0 + counts.0, sum.1 + counts.1)
+                    })
+                })
+            })
+            .collect();
+        readers.into_iter().fold((0, 0), |sum, reader| {
+            let lane = reader.join().expect("reader");
+            (sum.0 + lane.0, sum.1 + lane.1)
+        })
+    });
+    let stats = vkg.index_stats();
+    assert_eq!(stats.points_examined, examined);
+    assert_eq!(stats.s1_distance_evals, evals);
+    assert!(stats.elements_accessed > 0 && stats.elements_accessed <= examined);
+}
+
+/// The same for all three counters, where every call's share is known:
+/// the contour reads take `&self`, so four threads share one index by
+/// reference — nothing cracks, the tree stands still — and the totals
+/// must be exactly four times what one pass over the calls adds.
+#[test]
+fn contour_reads_share_an_index_without_losing_counts() {
+    let (ds, embeddings) = big_world();
+    let snap = VkgSnapshot::new(
+        ds.graph.clone(),
+        ds.attributes.clone(),
+        embeddings.clone(),
+        VkgConfig::default(),
+    )
+    .expect("consistent world");
+    let mut state = IndexState::cracking(&snap);
+    let centers: Vec<Vec<f64>> = (0..40u32)
+        .map(|i| state.index().points().point(i * 487).to_vec())
+        .collect();
+    for c in &centers[..20] {
+        state
+            .index_mut()
+            .crack(&vkg::core::geometry::Mbr::of_ball(c, 0.2));
+    }
+    let index = state.index();
+    let pass = || {
+        for c in &centers {
+            let ball = vkg::core::geometry::Mbr::of_ball(c, 0.3);
+            index.search_region(&ball, |_| {});
+            index.search_region_elements(&ball, |_, _| {});
+            let seen = index.nearest_first(c, 0.09, |_, _| 0.09);
+            index.count_s1_evals(seen);
+        }
+    };
+    let before = index.stats();
+    pass();
+    let once = index.stats();
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                start.wait();
+                pass();
+            });
+        }
+    });
+    let after = index.stats();
+    for (name, count) in [
+        ("elements_accessed", |s: &IndexStats| s.elements_accessed),
+        ("points_examined", |s: &IndexStats| s.points_examined),
+        ("s1_distance_evals", |s: &IndexStats| s.s1_distance_evals),
+    ] as [(&str, fn(&IndexStats) -> u64); 3]
+    {
+        let share = count(&once) - count(&before);
+        assert!(share > 0, "{name} must move");
+        assert_eq!(count(&after) - count(&once), 4 * share, "{name}");
+    }
 }
