@@ -6,8 +6,8 @@
 //! generator all bucket latencies identically — which is what makes the
 //! server-vs-client quantile cross-check in `serve_load --check`
 //! meaningful. This module is now a thin re-export plus the
-//! bench-side property tests that pin the merge and exposition
-//! behaviour the cross-check relies on.
+//! bench-side property tests that pin the merge behaviour the
+//! cross-check relies on.
 
 pub use vkg::obs::Histogram;
 
@@ -16,7 +16,6 @@ mod tests {
     use std::time::Duration;
 
     use proptest::prelude::*;
-    use vkg::obs::{expo, HistSnapshot, MetricsSnapshot};
 
     use super::Histogram;
 
@@ -89,30 +88,6 @@ mod tests {
                     "q{}: merged {:?} below both parts", q, m);
                 prop_assert!(m <= a.max().max(b.max()),
                     "q{}: merged {:?} above max(a, b)", q, m);
-            }
-        }
-
-        /// A histogram survives the snapshot → text exposition → parse
-        /// → rebuild path with every quantile intact — the load
-        /// generator's `--metrics-out` artifact is lossless.
-        #[test]
-        fn exposition_roundtrip_preserves_quantiles(
-            xs in prop::collection::vec(0u64..10_000_000, 0..300),
-        ) {
-            let mut h = Histogram::new();
-            for &us in &xs {
-                h.record_us(us);
-            }
-            let snap = MetricsSnapshot {
-                hists: vec![("client.latency_us".into(), HistSnapshot::from_histogram(&h))],
-                ..MetricsSnapshot::default()
-            };
-            let parsed = expo::parse(&expo::render(&snap)).expect("render output must parse");
-            prop_assert_eq!(&parsed, &snap);
-            let back = parsed.hist("client.latency_us").expect("hist present").to_histogram();
-            prop_assert_eq!(&back, &h);
-            for q in [0.0, 0.5, 0.99, 1.0] {
-                prop_assert_eq!(back.quantile(q), h.quantile(q));
             }
         }
     }

@@ -31,14 +31,14 @@
 //!   for rank, but not what the k-query itself answers — so cutting or
 //!   warm-starting from an entry would make "cache on" a second answer.
 //!
-//! Locking: entries live in `stripes` (hash-partitioned mutexes, lock
-//! class `vkg.cache`). A stripe lock is only taken while the caller
-//! holds the index lock (either side), and nothing is acquired while a stripe
-//! lock is held — `vkg.cache` sits after `vkg.index` in the lock order
-//! and is never held across another acquisition.
+//! Locking: entries live in one map behind one mutex (lock class
+//! `vkg.cache`). It is only taken while the caller holds the index lock
+//! (either side), and nothing is acquired while it is held —
+//! `vkg.cache` sits after `vkg.index` in the lock order and is never
+//! held across another acquisition.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vkg_sync::Mutex;
 
@@ -184,17 +184,14 @@ struct Entry {
     /// The k the value was computed for (0 for aggregates).
     k: usize,
     value: CachedValue,
-    /// Monotone per-stripe use stamp (LRU victim selection).
+    /// Monotone use stamp (LRU victim selection).
     stamp: u64,
 }
 
-/// FNV-1a, used both for stripe selection and inside the stripe maps.
-/// The keys are short (a handful of ids and flags), already admitted —
-/// SipHash's DoS resistance buys nothing here and costs ~4 full-key
-/// hashes per miss (stripe choice + map op, on lookup and insert). FNV
-/// is several times cheaper on these sizes and, unlike
-/// `DefaultHasher`'s per-process keys, deterministic across runs, which
-/// the model tests' stripe-choice reproducibility relies on.
+/// FNV-1a for the entry map. The keys are short (a handful of ids and
+/// flags), already admitted — SipHash's DoS resistance buys nothing
+/// here and costs a full-key hash per map operation, on lookup and
+/// insert. FNV is several times cheaper on these sizes.
 #[derive(Debug)]
 struct FnvHasher(u64);
 
@@ -220,72 +217,50 @@ impl Hasher for FnvHasher {
 type FnvBuild = BuildHasherDefault<FnvHasher>;
 
 #[derive(Debug)]
-struct Stripe {
+struct Entries {
     map: HashMap<CacheKey, Entry, FnvBuild>,
-    /// Monotone counter behind the stripe lock — no atomics needed.
+    /// Monotone counter behind the lock — no atomics needed.
     tick: u64,
 }
 
-/// The striped cache. See the module docs for the validity
-/// and locking story.
+/// The result cache. See the module docs for the validity and locking
+/// story.
 #[derive(Debug)]
 pub struct ResultCache {
-    stripes: Vec<Mutex<Stripe>>,
-    /// Entry capacity per stripe (total capacity / stripe count).
-    stripe_capacity: usize,
+    entries: Mutex<Entries>,
+    capacity: usize,
 }
-
-/// Stripe count: enough to keep concurrent probes from serializing on
-/// one mutex, small enough that a capacity-1024 cache
-/// still gives each stripe a useful working set.
-const STRIPES: usize = 8;
 
 impl ResultCache {
     /// A cache holding up to `capacity` entries (clamped to ≥ 1; a
     /// facade with `cache_capacity = 0` holds no cache at all).
     pub fn new(capacity: usize) -> Self {
-        let stripes = STRIPES.min(capacity.max(1));
-        let stripe_capacity = capacity.max(1).div_ceil(stripes);
+        let capacity = capacity.max(1);
         Self {
-            stripes: (0..stripes)
-                .map(|_| {
-                    Mutex::with_name(
-                        Stripe {
-                            // Preallocate up to the stripe's working set
-                            // (clamped so a huge configured capacity does
-                            // not reserve memory up front): filling the
-                            // cache must never rehash, which would re-run
-                            // every stored key's hash on the miss path.
-                            map: HashMap::with_capacity_and_hasher(
-                                stripe_capacity.min(4096),
-                                FnvBuild::default(),
-                            ),
-                            tick: 0,
-                        },
-                        "vkg.cache",
-                    )
-                })
-                .collect(),
-            stripe_capacity,
+            entries: Mutex::with_name(
+                Entries {
+                    // Preallocate up to the working set (clamped so a
+                    // huge configured capacity does not reserve memory
+                    // up front): filling the cache must never rehash,
+                    // which would re-run every stored key's hash on the
+                    // miss path.
+                    map: HashMap::with_capacity_and_hasher(capacity.min(4096), FnvBuild::default()),
+                    tick: 0,
+                },
+                "vkg.cache",
+            ),
+            capacity,
         }
     }
 
     /// Total entries currently held (tests, exposition).
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().map.len()).sum()
+        self.entries.lock().map.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn stripe(&self, key: &CacheKey) -> &Mutex<Stripe> {
-        // FNV is keyless, so stripe choice is deterministic across runs
-        // (the model tests rely on that).
-        let mut h = FnvHasher::default();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) % self.stripes.len()]
     }
 
     /// Probes for the top-k answer at the pinned epochs. `_epsilon` and
@@ -300,14 +275,14 @@ impl ResultCache {
         _epsilon: f64,
         _alpha: usize,
     ) -> TopKLookup {
-        let mut stripe = self.stripe(key).lock();
-        stripe.tick += 1;
-        let tick = stripe.tick;
-        let Some(entry) = stripe.map.get_mut(key) else {
+        let mut entries = self.entries.lock();
+        entries.tick += 1;
+        let tick = entries.tick;
+        let Some(entry) = entries.map.get_mut(key) else {
             return TopKLookup::Miss;
         };
         if entry.epoch != epoch || entry.index_epoch != index_epoch {
-            stripe.map.remove(key);
+            entries.map.remove(key);
             return TopKLookup::Stale;
         }
         entry.stamp = tick;
@@ -346,14 +321,14 @@ impl ResultCache {
         epoch: u64,
         index_epoch: u64,
     ) -> AggregateLookup {
-        let mut stripe = self.stripe(key).lock();
-        stripe.tick += 1;
-        let tick = stripe.tick;
-        let Some(entry) = stripe.map.get_mut(key) else {
+        let mut entries = self.entries.lock();
+        entries.tick += 1;
+        let tick = entries.tick;
+        let Some(entry) = entries.map.get_mut(key) else {
             return AggregateLookup::Miss;
         };
         if entry.epoch != epoch || entry.index_epoch != index_epoch {
-            stripe.map.remove(key);
+            entries.map.remove(key);
             return AggregateLookup::Stale;
         }
         entry.stamp = tick;
@@ -381,23 +356,23 @@ impl ResultCache {
     }
 
     fn insert(&self, key: CacheKey, k: usize, epoch: u64, index_epoch: u64, value: CachedValue) {
-        let mut stripe = self.stripe(&key).lock();
-        stripe.tick += 1;
-        let tick = stripe.tick;
-        if stripe.map.len() >= self.stripe_capacity && !stripe.map.contains_key(&key) {
-            // Evict the least-recently-used entry. Linear in the stripe
-            // (≤ capacity/stripes entries) — fine at the capacities the
-            // facade configures, and only on insert at a full stripe.
-            if let Some(victim) = stripe
+        let mut entries = self.entries.lock();
+        entries.tick += 1;
+        let tick = entries.tick;
+        if entries.map.len() >= self.capacity && !entries.map.contains_key(&key) {
+            // Evict the least-recently-used entry. Linear in the cache —
+            // fine at the capacities the facade configures, and only on
+            // insert at a full cache.
+            if let Some(victim) = entries
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(key, _)| key.clone())
             {
-                stripe.map.remove(&victim);
+                entries.map.remove(&victim);
             }
         }
-        stripe.map.insert(
+        entries.map.insert(
             key,
             Entry {
                 epoch,
@@ -532,11 +507,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        // Capacity below the stripe count degenerates to one stripe of
-        // one entry each — use a single-stripe configuration to make the
-        // LRU order observable.
         let cache = ResultCache::new(1);
-        assert_eq!(cache.stripes.len(), 1);
         let k1 = CacheKey::top_k(1, 0, Direction::Tails, None);
         let k2 = CacheKey::top_k(2, 0, Direction::Tails, None);
         cache.insert_top_k(k1.clone(), 3, 0, 0, &top_k_result(3));
@@ -550,6 +521,24 @@ mod tests {
             cache.lookup_top_k(&k2, 3, 0, 0, 3.0, 3),
             TopKLookup::Hit(_)
         ));
+    }
+
+    #[test]
+    fn capacity_is_exact_and_lru_is_global() {
+        let cache = ResultCache::new(9);
+        let key = |e| CacheKey::top_k(e, 0, Direction::Tails, None);
+        for e in 0..64 {
+            cache.insert_top_k(key(e), 3, 0, 0, &top_k_result(3));
+        }
+        assert_eq!(cache.len(), 9);
+        // The nine most recent inserts are the nine held.
+        for e in 0..64 {
+            let held = matches!(
+                cache.lookup_top_k(&key(e), 3, 0, 0, 3.0, 3),
+                TopKLookup::Hit(_)
+            );
+            assert_eq!(held, e >= 55, "entity {e}");
+        }
     }
 
     #[test]

@@ -47,11 +47,11 @@ pub struct VkgConfig {
     pub query_aware_cost: bool,
     /// Seed for the JL projection matrix.
     pub transform_seed: u64,
-    /// Width of the data-parallel pool the engine hands to the JL
-    /// projection, bulk build, and batched distance kernels. Width 1
-    /// (the default) takes the exact serial code paths, so results are
-    /// bit-identical to a build without the pool and model tests stay
-    /// deterministic.
+    /// Width of the offline build pool: root sort orders and bulk load;
+    /// queries, cracks and writes are serial — parallelism on the
+    /// serving path comes from concurrent requests. Width 1 (the
+    /// default) takes the exact serial code paths, and the tree built is
+    /// the same at every width.
     pub threads: usize,
     /// Capacity (entries) of the epoch-keyed result cache on the facade's
     /// read path; `0` (the default) disables caching entirely, taking the

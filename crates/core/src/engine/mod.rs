@@ -46,15 +46,6 @@ pub enum Accuracy {
     },
 }
 
-/// One k-nearest-neighbor answer in the index space S₂.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
-    /// Dense entity id.
-    pub id: u32,
-    /// Distance in S₂.
-    pub distance: f64,
-}
-
 /// Size and access statistics reported uniformly by every engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -136,38 +127,6 @@ pub trait QueryEngine: Send {
         k: usize,
         filter: &dyn Fn(EntityId) -> bool,
     ) -> VkgResult<TopKResult>;
-
-    /// The k nearest entities to an S₁ point, measured in the index
-    /// space S₂. The default projects every entity through the
-    /// snapshot's transform and scans — exact by definition, and the
-    /// yardstick indexed overrides must reproduce.
-    fn knn_in_s2(
-        &mut self,
-        snap: &VkgSnapshot,
-        q_s1: &[f64],
-        k: usize,
-    ) -> VkgResult<Vec<Neighbor>> {
-        if k == 0 {
-            return Err(VkgError::InvalidParameter("k must be ≥ 1".into()));
-        }
-        let q_s2 = snap.project(q_s1);
-        let embeddings = snap.embeddings();
-        let mut all: Vec<Neighbor> = (0..embeddings.num_entities() as u32)
-            .map(|id| {
-                let p = snap.project(embeddings.entity(EntityId(id)));
-                let d = p
-                    .iter()
-                    .zip(&q_s2)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                Neighbor { id, distance: d }
-            })
-            .collect();
-        all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        all.truncate(k);
-        Ok(all)
-    }
 
     /// Answers an aggregate query over the probability ball around the
     /// query center (§V-B). Engines without element summaries refuse.
@@ -282,18 +241,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, VkgError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn default_knn_is_exact_s2_scan() {
-        let s = snap();
-        let mut e = Defaults;
-        // Query at a's position: nearest are a (0), then b, then c.
-        let nn = e.knn_in_s2(&s, &[0.0, 0.0], 3).unwrap();
-        let ids: Vec<u32> = nn.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert!(nn[0].distance <= nn[1].distance);
-        assert!(e.knn_in_s2(&s, &[0.0, 0.0], 0).is_err());
     }
 
     #[test]

@@ -20,10 +20,10 @@ use crate::geometry::{Mbr, PointSet};
 use crate::index::{CrackingIndex, ElementSummary};
 use crate::query::aggregate::{self, AggregateKind, AggregateResult, AggregateSpec};
 use crate::query::probability::{inverse_distance_probabilities, radius_for_threshold};
-use crate::query::topk::{find_top_k, find_top_k_read, Prediction, TopKResult};
+use crate::query::topk::{find_top_k_read, Prediction, TopKResult};
 use crate::snapshot::{Direction, VkgSnapshot};
 
-use super::{Accuracy, EngineStats, Neighbor, QueryEngine};
+use super::{Accuracy, EngineStats, QueryEngine};
 
 /// The cracking/bulk-loaded index plus its query pipelines, behind the
 /// [`QueryEngine`] trait.
@@ -37,26 +37,25 @@ pub struct IndexState {
 impl IndexState {
     /// An **online cracking** index over the snapshot's projected points
     /// (starts as a root-only tree; queries shape it). The configured
-    /// `threads` width drives the JL projection, the root sort orders
-    /// and every later crack/search through one shared [`Pool`].
+    /// `threads` width builds the root sort orders and nothing after
+    /// them: every query, crack and write on the index is serial.
     pub fn cracking(snap: &VkgSnapshot) -> Self {
-        let pool = Pool::new(snap.config().threads);
-        Self::build(snap, snap.project_points_pooled(&pool), pool, false)
+        Self::build(snap, snap.project_points(), false)
     }
 
     /// A fully **bulk-loaded** offline index (the BULKLOADCHUNK baseline
-    /// of §VI). Like [`IndexState::cracking`], the configured `threads`
-    /// width parallelizes the projection and the offline build.
+    /// of §VI). The configured `threads` width is the width of that one
+    /// offline build; the index it returns serves serially.
     pub fn bulk_loaded(snap: &VkgSnapshot) -> Self {
-        let pool = Pool::new(snap.config().threads);
-        Self::build(snap, snap.project_points_pooled(&pool), pool, true)
+        Self::build(snap, snap.project_points(), true)
     }
 
     /// Both constructors, over the snapshot's already projected `points`
-    /// and on the caller's pool: the facade checks the points first and
-    /// passes a pool that reports into its `PoolStats`.
-    pub(crate) fn build(snap: &VkgSnapshot, points: PointSet, pool: Pool, bulk: bool) -> Self {
+    /// (the facade checks them first). The pool of `threads` workers
+    /// lives for this call.
+    pub(crate) fn build(snap: &VkgSnapshot, points: PointSet, bulk: bool) -> Self {
         let cfg = snap.config();
+        let pool = Pool::new(cfg.threads);
         if bulk {
             let index = CrackingIndex::bulk_load_with_pool(
                 points,
@@ -79,8 +78,7 @@ impl IndexState {
         Self::from_index(index, "cracking")
     }
 
-    /// Wraps an already-built index (ablations that tweak the build).
-    pub fn from_index(index: CrackingIndex, name: &'static str) -> Self {
+    fn from_index(index: CrackingIndex, name: &'static str) -> Self {
         Self {
             index,
             name,
@@ -437,38 +435,6 @@ impl QueryEngine for IndexState {
         let (result, region) = self.top_k_read(snap, entity, relation, direction, k, filter)?;
         self.index.crack(&region);
         Ok(result)
-    }
-
-    /// Exact S₂ kNN through the index: the S₁ oracle of Algorithm 3 is
-    /// replaced by the S₂ distance itself, so the (1+ε) ball certifies
-    /// the exact answer.
-    fn knn_in_s2(
-        &mut self,
-        snap: &VkgSnapshot,
-        q_s1: &[f64],
-        k: usize,
-    ) -> VkgResult<Vec<Neighbor>> {
-        let q_s2 = snap.project(q_s1);
-        let cfg = snap.config();
-        let result = find_top_k(
-            &mut self.index,
-            &q_s2,
-            k,
-            cfg.epsilon,
-            cfg.alpha,
-            // The oracle reads the index's own stored S₂ points (handed
-            // through by the search), so no per-candidate re-projection.
-            |points, id| points.distance_sq(id, &q_s2).sqrt(),
-            |_| false,
-        )?;
-        Ok(result
-            .predictions
-            .into_iter()
-            .map(|p| Neighbor {
-                id: p.id,
-                distance: p.distance,
-            })
-            .collect())
     }
 
     /// Answers an aggregate query over the probability ball around the

@@ -7,6 +7,12 @@
 //! [`BuiltNode`] tree that the index installs into its arena; dry runs of
 //! the Algorithm 2 search build the same trees on cloned partitions and
 //! keep only the [`RunCost`].
+//!
+//! The `pool` argument is the offline build's: the bulk load fans its
+//! candidate sweeps, stable partitions and per-piece recursion over it.
+//! The online callers (`index/crack.rs`) pass `Pool::serial()`, and the
+//! stop-condition counts, which only a query reaches, are serial at any
+//! width.
 
 use vkg_sync::pool::Pool;
 use vkg_sync::Mutex;
@@ -106,10 +112,9 @@ pub fn stop_condition(in_q: usize, len: usize, leaf_capacity: usize) -> bool {
 ///   covered by `Q` stay unsplit.
 ///
 /// `cost` accumulates the run's `(c_Q, c_O)` and split count. `pool`
-/// fans the counting sweeps, stable partitions, and (offline) per-piece
-/// recursion out over workers; a width-1 pool takes the exact serial
-/// code paths, so serial results are bit-identical to the pre-pool
-/// implementation.
+/// fans the candidate sweeps, stable partitions, and (offline) per-piece
+/// recursion out over workers; a width-1 pool — what every online
+/// caller passes — takes the exact serial code paths.
 pub fn build_element(
     points: &PointSet,
     params: &BuildParams,
@@ -138,7 +143,7 @@ pub fn build_element(
 
     // Stop conditions (only online).
     if let Some(q) = query {
-        let in_q = orders.count_in_region_pooled(points, q, pool);
+        let in_q = orders.count_in_region(points, q);
         if stop_condition(in_q, len, params.leaf_capacity) {
             cost.cq += div_ceil(in_q, params.leaf_capacity);
             return BuiltNode {
@@ -278,7 +283,7 @@ fn partition(
     }
     if !force {
         if let Some(q) = stop_query {
-            let in_q = orders.count_in_region_pooled(ctx.points, q, ctx.pool);
+            let in_q = orders.count_in_region(ctx.points, q);
             if stop_condition(in_q, len, ctx.leaf_capacity) {
                 out.push((orders, true));
                 return;
@@ -561,35 +566,5 @@ mod tests {
             assert_eq!(c1.splits, c2.splits, "width {width}");
             assert_eq!(c1.cq, c2.cq, "width {width}");
         }
-    }
-
-    #[test]
-    fn pooled_online_crack_matches_serial_tree() {
-        let ps = random_points(6_000, 3, 78);
-        let q = Mbr::of_ball(&[2.0, 2.0, 2.0], 3.0);
-        let mut c1 = RunCost::default();
-        let t1 = build_element(
-            &ps,
-            &params(),
-            SortOrders::build(&ps, ps.all_ids()),
-            Some(&q),
-            &mut GreedyChooser,
-            &mut c1,
-            &SERIAL,
-        );
-        let pool = Pool::new(4);
-        let mut c2 = RunCost::default();
-        let t2 = build_element(
-            &ps,
-            &params(),
-            SortOrders::build_pooled(&ps, ps.all_ids(), &pool),
-            Some(&q),
-            &mut GreedyChooser,
-            &mut c2,
-            &pool,
-        );
-        assert!(trees_equal(&t1, &t2), "online crack diverged at width 4");
-        assert_eq!(c1.splits, c2.splits);
-        assert_eq!(c1.cq, c2.cq);
     }
 }

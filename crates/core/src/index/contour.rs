@@ -98,12 +98,12 @@ impl CrackingIndex {
     /// Returns the number of points whose distance was computed.
     ///
     /// One best-first descent: tree nodes are keyed by
-    /// [`Mbr::min_distance_sq`], points by the same per-point distance
-    /// [`kernels::distances_sq`] gives a whole batch, evaluated one
-    /// contour element at a time (so a width-1 pool stays on the exact
-    /// scalar path). Children and points beyond the current radius are
-    /// never queued. Like [`CrackingIndex::search_region`] this is a pure
-    /// read that counts each expanded element in the access statistics.
+    /// [`Mbr::min_distance_sq`], points by the per-point distance
+    /// [`kernels::scalar_distances_sq`] gives a whole batch, evaluated
+    /// one contour element at a time. Children and points beyond the
+    /// current radius are never queued. Like
+    /// [`CrackingIndex::search_region`] this is a pure read that counts
+    /// each expanded element in the access statistics.
     pub fn nearest_first(
         &self,
         q: &[f64],
@@ -143,7 +143,7 @@ impl CrackingIndex {
             elements += 1;
             computed += ids.len() as u64;
             dists.resize(ids.len(), 0.0);
-            kernels::distances_sq(&self.pool, &self.points, ids, q, &mut dists);
+            kernels::scalar_distances_sq(&self.points, ids, q, &mut dists);
             // One `extend` per element: a large batch (an unsplit root)
             // is heapified in O(n), not pushed point by point.
             queue.extend(ids.iter().zip(&dists).filter(|&(_, &key)| key <= r_sq).map(

@@ -60,7 +60,7 @@ impl CrackingIndex {
             match &node.kind {
                 NodeKind::Internal(children) => stack.extend(children.iter().rev().copied()),
                 NodeKind::Unsplit(orders) => {
-                    let in_q = orders.count_in_region_pooled(&self.points, q, &self.pool);
+                    let in_q = orders.count_in_region(&self.points, q);
                     if !stop_condition(in_q, orders.len(), self.params.leaf_capacity) {
                         out.push(id);
                     }
@@ -100,7 +100,7 @@ impl CrackingIndex {
             Some(q),
             chooser,
             &mut cost,
-            &self.pool,
+            &vkg_sync::pool::Pool::serial(),
         );
         self.splits_performed += cost.splits;
         self.install(id, built);
@@ -124,7 +124,7 @@ impl CrackingIndex {
                 Some(q),
                 chooser,
                 &mut cost,
-                &self.pool,
+                &vkg_sync::pool::Pool::serial(),
             );
         }
         cost

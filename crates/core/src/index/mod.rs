@@ -63,9 +63,6 @@ pub struct CrackingIndex {
     s1_distance_evals: AtomicU64,
     /// Tombstoned point ids (dynamic removals; ids are never reused).
     removed: std::collections::HashSet<u32>,
-    /// Data-parallel pool the build layers fan out over. Width 1 (the
-    /// default) takes the exact serial code paths.
-    pool: Pool,
 }
 
 impl CrackingIndex {
@@ -89,9 +86,10 @@ impl CrackingIndex {
         )
     }
 
-    /// [`CrackingIndex::new`] with an explicit pool: root sort orders
-    /// build in parallel, and every later crack or bulk load fans out
-    /// over the same pool. A width-1 pool reproduces `new` exactly.
+    /// [`CrackingIndex::new`] with the root sort orders built over
+    /// `pool`. The pool is a set-up argument, not index state: the index
+    /// does not keep it, and every later search, crack and write is
+    /// serial. A width-1 pool reproduces `new` exactly.
     pub fn with_pool(
         points: PointSet,
         leaf_capacity: usize,
@@ -132,7 +130,6 @@ impl CrackingIndex {
             points_examined: AtomicU64::new(0),
             s1_distance_evals: AtomicU64::new(0),
             removed: std::collections::HashSet::new(),
-            pool,
         }
     }
 
@@ -146,7 +143,9 @@ impl CrackingIndex {
     /// construction, candidate sweeps, stable partitions, and the
     /// top-level piece recursion all fan out. The tree is structurally
     /// identical at every width (split choices are deterministic); a
-    /// width-1 pool is bit-identical to `bulk_load`.
+    /// width-1 pool is bit-identical to `bulk_load`. The pool serves
+    /// this one offline build and is dropped with it: the returned
+    /// index is as serial as any other.
     pub fn bulk_load_with_pool(
         points: PointSet,
         leaf_capacity: usize,
@@ -160,7 +159,7 @@ impl CrackingIndex {
             fanout,
             beta,
             SplitStrategy::Greedy,
-            pool,
+            pool.clone(),
         );
         let root = index.root;
         // A root that already fits in one leaf needs no building; only an
@@ -185,7 +184,7 @@ impl CrackingIndex {
                 None,
                 &mut GreedyChooser,
                 &mut cost,
-                &index.pool,
+                &pool,
             );
             index.splits_performed += cost.splits;
             index.install(root, built);

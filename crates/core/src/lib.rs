@@ -85,7 +85,7 @@ pub mod wal;
 
 pub use cache::ResultCache;
 pub use config::{SplitStrategy, VkgConfig};
-pub use engine::{Accuracy, EngineStats, IndexState, Neighbor, QueryEngine};
+pub use engine::{Accuracy, EngineStats, IndexState, QueryEngine};
 pub use error::{VkgError, VkgResult};
 pub use index::CrackingIndex;
 pub use metrics::VkgMetrics;

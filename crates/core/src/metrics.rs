@@ -5,12 +5,11 @@
 //! The handles are resolved **once** at assembly, so the per-query hot
 //! path pays one atomic add per counter and one short mutex hold for
 //! the latency histogram — never a name lookup. Engine-side statistics
-//! that already exist as plain counters ([`crate::IndexStats`], pool
-//! dispatch counts) are *sampled* into gauges when a snapshot is taken
-//! rather than double-counted on the hot path.
+//! that already exist as plain counters ([`crate::IndexStats`]) are
+//! *sampled* into gauges when a snapshot is taken rather than
+//! double-counted on the hot path.
 
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, MetricsSnapshot, Registry, Tick};
-use vkg_sync::pool::PoolStats;
 
 use crate::engine::EngineStats;
 
@@ -42,12 +41,6 @@ pub mod names {
     /// Held for the benchmark (DESIGN.md §3.5): the ledger reads this
     /// name and takes an absent gauge as 0. Nothing records under it.
     pub const CRACKS_REPLAYED: &str = "core.cracklog.replayed";
-    /// Sampled: kernel pool jobs that ran on the exact serial path.
-    pub const POOL_SERIAL_RUNS: &str = "core.pool.serial_runs";
-    /// Sampled: kernel pool jobs dispatched across worker threads.
-    pub const POOL_PARALLEL_RUNS: &str = "core.pool.parallel_runs";
-    /// Sampled: chunks handed to parallel claim loops.
-    pub const POOL_CHUNKS_CLAIMED: &str = "core.pool.chunks_claimed";
     /// Result-cache hits served whole at the pinned epochs.
     pub const CACHE_HIT: &str = "core.cache.hit";
     /// Result-cache probes that found nothing usable (no entry, a stale
@@ -85,9 +78,6 @@ pub struct VkgMetrics {
     index_s1_evals: Gauge,
     cracks_applied: Counter,
     cracks_skipped: Counter,
-    pool_serial: Gauge,
-    pool_parallel: Gauge,
-    pool_chunks: Gauge,
     cache_hit: Counter,
     cache_miss: Counter,
     cache_invalidate: Counter,
@@ -111,9 +101,6 @@ impl VkgMetrics {
             index_s1_evals: registry.gauge(names::INDEX_S1_EVALS),
             cracks_applied: registry.counter(names::CRACKS_APPLIED),
             cracks_skipped: registry.counter(names::CRACKS_SKIPPED),
-            pool_serial: registry.gauge(names::POOL_SERIAL_RUNS),
-            pool_parallel: registry.gauge(names::POOL_PARALLEL_RUNS),
-            pool_chunks: registry.gauge(names::POOL_CHUNKS_CLAIMED),
             cache_hit: registry.counter(names::CACHE_HIT),
             cache_miss: registry.counter(names::CACHE_MISS),
             cache_invalidate: registry.counter(names::CACHE_INVALIDATE),
@@ -199,16 +186,13 @@ impl VkgMetrics {
     }
 
     /// Samples the engine-side counters (the index's statistics, read
-    /// by the caller under the index lock's shared side, and pool
-    /// dispatch) into gauges and returns a full snapshot.
-    pub fn snapshot_with_engine(&self, stats: &EngineStats, pool: &PoolStats) -> MetricsSnapshot {
+    /// by the caller under the index lock's shared side) into gauges and
+    /// returns a full snapshot.
+    pub fn snapshot_with_engine(&self, stats: &EngineStats) -> MetricsSnapshot {
         self.index_splits.set(stats.counters.splits_performed);
         self.index_nodes.set(stats.nodes as u64);
         self.index_bytes.set(stats.bytes as u64);
         self.index_s1_evals.set(stats.counters.s1_distance_evals);
-        self.pool_serial.set(pool.serial_runs());
-        self.pool_parallel.set(pool.parallel_runs());
-        self.pool_chunks.set(pool.chunks_claimed());
         self.registry.snapshot()
     }
 }

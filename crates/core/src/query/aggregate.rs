@@ -99,49 +99,6 @@ impl DeviationBound {
         let tail = 1.0 - confidence;
         ((self.increment_mass * (2.0 / tail).ln()) / (2.0 * self.mu * self.mu)).sqrt()
     }
-
-    /// Combines the bounds of partial estimates over **disjoint**
-    /// populations whose estimates *add* (COUNT/SUM fanned out across
-    /// relation partitions): the per-part martingales concatenate into
-    /// one martingale over the union, so μ = Σμᵢ and the Azuma
-    /// increment masses add. The combined bound is exact Theorem 4 for
-    /// the union, not a relaxation.
-    pub fn combine_sum(parts: &[DeviationBound]) -> DeviationBound {
-        DeviationBound {
-            mu: parts.iter().map(|b| b.mu).sum(),
-            increment_mass: parts.iter().map(|b| b.increment_mass).sum(),
-        }
-    }
-
-    /// Combines the bounds of a **convex combination** `Σ λᵢ·μᵢ` (AVG
-    /// fanned out across partitions, λᵢ the per-part weight, Σλᵢ = 1):
-    /// scaling a martingale by λ scales every increment by λ, so the
-    /// masses combine as `Σ λᵢ²·massᵢ`. Like [`DeviationBound::combine_sum`]
-    /// this is exact Theorem 4 for the combined estimator.
-    pub fn combine_weighted(parts: &[(f64, DeviationBound)]) -> DeviationBound {
-        DeviationBound {
-            mu: parts.iter().map(|(w, b)| w * b.mu).sum(),
-            increment_mass: parts.iter().map(|(w, b)| w * w * b.increment_mass).sum(),
-        }
-    }
-
-    /// Combines the bounds of an **extremal** merge (MAX/MIN across
-    /// partitions, `mu` the merged extremal estimate). The max over
-    /// parts deviates by more than `t` only if some part does, so the
-    /// union bound gives `Σᵢ 2·exp(−2t²/massᵢ) ≤ 2n·exp(−2t²/max massᵢ)`.
-    /// Folding the factor n into the exponent, the combined mass is
-    /// `n·maxᵢ massᵢ`, which is conservative:
-    /// `min(1, 2e^{−x/n}) ≥ min(1, 2n·e^{−x})` for all x ≥ 0, n ≥ 1
-    /// (for x ≤ n·ln 2 the left side is 1; beyond it
-    /// `x(1 − 1/n) ≥ ln n` follows from `x ≥ n·ln 2 ≥ ln(2n)`). The
-    /// tests sweep this inequality against the raw union bound.
-    pub fn combine_extremal(mu: f64, parts: &[DeviationBound]) -> DeviationBound {
-        let max_mass = parts.iter().map(|b| b.increment_mass).fold(0.0, f64::max);
-        DeviationBound {
-            mu,
-            increment_mass: parts.len() as f64 * max_mass,
-        }
-    }
 }
 
 /// Result of one aggregate query.
@@ -282,94 +239,6 @@ pub fn deviation_bound(
     }
 }
 
-/// Merges per-relation partial aggregates — one [`AggregateResult`] per
-/// relation of a multi-relation query, computed over **disjoint** ball
-/// populations (each relation has its own query center) — into one
-/// combined estimate with a combined Theorem 4 bound.
-///
-/// * COUNT/SUM add: disjoint populations, so the estimates and the
-///   martingale masses sum ([`DeviationBound::combine_sum`]).
-/// * AVG is the ball-size-weighted mean of the per-relation averages —
-///   an approximation of the pooled average (exact when per-relation
-///   inclusion-probability profiles agree), with the convex-combination
-///   bound ([`DeviationBound::combine_weighted`]). Parts with empty
-///   balls carry zero weight; if every ball is empty the weights fall
-///   back to uniform.
-/// * MAX/MIN take the extremum over parts with non-empty balls, with
-///   the union bound folded into one mass
-///   ([`DeviationBound::combine_extremal`]).
-pub fn merge_partials(kind: AggregateKind, parts: &[AggregateResult]) -> AggregateResult {
-    let accessed = parts.iter().map(|p| p.accessed).sum();
-    let ball_size = parts.iter().map(|p| p.ball_size).sum();
-    let (estimate, bound) = match kind {
-        AggregateKind::Count | AggregateKind::Sum => {
-            let bounds: Vec<DeviationBound> = parts.iter().map(|p| p.bound).collect();
-            (
-                parts.iter().map(|p| p.estimate).sum(),
-                DeviationBound::combine_sum(&bounds),
-            )
-        }
-        AggregateKind::Avg => {
-            let total: f64 = parts.iter().map(|p| p.ball_size as f64).sum();
-            let weighted: Vec<(f64, DeviationBound)> = parts
-                .iter()
-                .map(|p| {
-                    let w = if total > 0.0 {
-                        p.ball_size as f64 / total
-                    } else {
-                        1.0 / parts.len().max(1) as f64
-                    };
-                    (w, p.bound)
-                })
-                .collect();
-            let estimate = parts
-                .iter()
-                .zip(&weighted)
-                .map(|(p, (w, _))| w * p.estimate)
-                .sum();
-            (estimate, DeviationBound::combine_weighted(&weighted))
-        }
-        AggregateKind::Max | AggregateKind::Min => {
-            // Empty balls contribute no candidate extremum (their 0.0
-            // placeholder estimate must not win against negative values).
-            let live: Vec<&AggregateResult> = parts.iter().filter(|p| p.ball_size > 0).collect();
-            if live.is_empty() {
-                (
-                    0.0,
-                    DeviationBound {
-                        mu: 0.0,
-                        increment_mass: 0.0,
-                    },
-                )
-            } else {
-                let estimate = live.iter().map(|p| p.estimate).fold(
-                    if kind == AggregateKind::Max {
-                        f64::NEG_INFINITY
-                    } else {
-                        f64::INFINITY
-                    },
-                    if kind == AggregateKind::Max {
-                        f64::max
-                    } else {
-                        f64::min
-                    },
-                );
-                let bounds: Vec<DeviationBound> = live.iter().map(|p| p.bound).collect();
-                (
-                    estimate,
-                    DeviationBound::combine_extremal(estimate, &bounds),
-                )
-            }
-        }
-    };
-    AggregateResult {
-        estimate,
-        accessed,
-        ball_size,
-        bound,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,134 +366,6 @@ mod tests {
         let b = deviation_bound(10.0, &[], &[], 0.0);
         assert_eq!(b.tail_probability(0.5), 0.0);
         assert_eq!(b.delta_for_confidence(0.99), 0.0);
-    }
-
-    #[test]
-    fn combine_sum_equals_concatenated_population() {
-        // Splitting one population into two disjoint parts and combining
-        // must reproduce the bound over the whole population exactly.
-        let whole = deviation_bound(30.0, &[5.0, 5.0, 2.0], &[1.0; 8], 4.0);
-        let left = deviation_bound(18.0, &[5.0, 5.0], &[1.0; 3], 4.0);
-        let right = deviation_bound(12.0, &[2.0], &[1.0; 5], 4.0);
-        let combined = DeviationBound::combine_sum(&[left, right]);
-        assert!((combined.mu - whole.mu).abs() < 1e-12);
-        assert!((combined.increment_mass - whole.increment_mass).abs() < 1e-12);
-    }
-
-    #[test]
-    fn combine_sum_of_exact_parts_stays_exact() {
-        let exact = DeviationBound {
-            mu: 3.0,
-            increment_mass: 0.0,
-        };
-        let combined = DeviationBound::combine_sum(&[exact, exact]);
-        assert_eq!(combined.tail_probability(0.1), 0.0);
-    }
-
-    #[test]
-    fn combine_weighted_identity_and_scaling() {
-        let b = deviation_bound(50.0, &[2.0; 10], &[1.0; 5], 3.0);
-        // A single full-weight part is unchanged.
-        let one = DeviationBound::combine_weighted(&[(1.0, b)]);
-        assert_eq!(one, b);
-        // Halving the weight quarters the mass (λ² scaling).
-        let half = DeviationBound::combine_weighted(&[(0.5, b)]);
-        assert!((half.mu - 25.0).abs() < 1e-12);
-        assert!((half.increment_mass - b.increment_mass / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn combine_extremal_dominates_union_bound() {
-        // The folded single-mass bound must never claim a smaller tail
-        // than the raw union bound it stands in for.
-        let masses = [[4.0, 9.0], [0.5, 100.0], [25.0, 25.0]];
-        for pair in masses {
-            let parts: Vec<DeviationBound> = pair
-                .iter()
-                .map(|&m| DeviationBound {
-                    mu: 10.0,
-                    increment_mass: m,
-                })
-                .collect();
-            let combined = DeviationBound::combine_extremal(10.0, &parts);
-            for t in [0.5, 1.0, 2.0, 5.0, 10.0, 30.0] {
-                let union: f64 = parts
-                    .iter()
-                    .map(|p| 2.0 * (-2.0 * t * t / p.increment_mass).exp())
-                    .sum::<f64>()
-                    .min(1.0);
-                let folded = combined.tail_probability(t / combined.mu);
-                assert!(
-                    folded >= union - 1e-12,
-                    "folded {folded} < union {union} at t = {t}, masses {pair:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn merge_partials_count_and_sum_add() {
-        let part = |est: f64, a: usize, b: usize| AggregateResult {
-            estimate: est,
-            accessed: a,
-            ball_size: b,
-            bound: deviation_bound(est, &[1.0; 2], &[1.0; 3], 1.0),
-        };
-        let merged = merge_partials(AggregateKind::Count, &[part(3.0, 2, 5), part(7.0, 2, 5)]);
-        assert!((merged.estimate - 10.0).abs() < 1e-12);
-        assert_eq!(merged.accessed, 4);
-        assert_eq!(merged.ball_size, 10);
-        assert!((merged.bound.mu - 10.0).abs() < 1e-12);
-        assert!((merged.bound.increment_mass - 2.0 * (2.0 + 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_partials_avg_weights_by_ball_size() {
-        let part = |est: f64, b: usize| AggregateResult {
-            estimate: est,
-            accessed: b,
-            ball_size: b,
-            bound: DeviationBound {
-                mu: est,
-                increment_mass: 1.0,
-            },
-        };
-        // 3 members averaging 10 and 1 member averaging 50 → 20.
-        let merged = merge_partials(AggregateKind::Avg, &[part(10.0, 3), part(50.0, 1)]);
-        assert!((merged.estimate - 20.0).abs() < 1e-12);
-        // All-empty parts fall back to uniform weights.
-        let empty = merge_partials(AggregateKind::Avg, &[part(4.0, 0), part(8.0, 0)]);
-        assert!((empty.estimate - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_partials_extrema_skip_empty_balls() {
-        let part = |est: f64, b: usize| AggregateResult {
-            estimate: est,
-            accessed: b,
-            ball_size: b,
-            bound: DeviationBound {
-                mu: est,
-                increment_mass: 2.0,
-            },
-        };
-        // The empty part's 0.0 placeholder must not beat the negative max.
-        let merged = merge_partials(AggregateKind::Max, &[part(-5.0, 3), part(0.0, 0)]);
-        assert!((merged.estimate - -5.0).abs() < 1e-12);
-        assert!(
-            (merged.bound.increment_mass - 2.0).abs() < 1e-12,
-            "n = 1 live part"
-        );
-        let merged = merge_partials(AggregateKind::Min, &[part(4.0, 2), part(9.0, 2)]);
-        assert!((merged.estimate - 4.0).abs() < 1e-12);
-        assert!(
-            (merged.bound.increment_mass - 4.0).abs() < 1e-12,
-            "n·max mass"
-        );
-        // Every ball empty → exact zero.
-        let none = merge_partials(AggregateKind::Max, &[part(1.0, 0)]);
-        assert_eq!(none.estimate, 0.0);
-        assert_eq!(none.bound.tail_probability(0.5), 0.0);
     }
 
     #[test]

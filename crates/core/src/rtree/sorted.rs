@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use vkg_sync::pool::Pool;
-use vkg_sync::{AtomicU64, Mutex, Ordering};
+use vkg_sync::Mutex;
 
 use crate::geometry::{Mbr, PointSet};
 
@@ -139,27 +139,6 @@ impl SortOrders {
             .iter()
             .filter(|&&id| points.in_region(id, region))
             .count()
-    }
-
-    /// [`SortOrders::count_in_region`] chunked over a pool. The count
-    /// is an integer sum of per-chunk partial counts, so the result is
-    /// exact at every width.
-    pub fn count_in_region_pooled(&self, points: &PointSet, region: &Mbr, pool: &Pool) -> usize {
-        let len = self.len();
-        if pool.is_serial() || len < POOLED_MIN {
-            return self.count_in_region(points, region);
-        }
-        let total = AtomicU64::new(0);
-        pool.run_chunked(len, 1024, |start, end| {
-            let c = self.orders[0][start..end]
-                .iter()
-                .filter(|&&id| points.in_region(id, region))
-                .count() as u64;
-            // relaxed: independent partial counts; the pool's scoped join publishes the sum.
-            total.fetch_add(c, Ordering::Relaxed);
-        });
-        // relaxed: single-threaded read after the pool joined every worker.
-        total.load(Ordering::Relaxed) as usize
     }
 
     /// Splits off the first `count` ids of order `axis` (the paper's
@@ -404,22 +383,5 @@ mod tests {
         let (pl, ph) = so.split_by_prefix_pooled(1, cut, &Pool::new(4));
         assert_eq!(pl, sl);
         assert_eq!(ph, sh);
-    }
-
-    #[test]
-    fn pooled_count_matches_serial() {
-        let ps = large_fixture();
-        let so = SortOrders::build(&ps, ps.all_ids());
-        let region = Mbr::of_ball(&[0.0, 0.0], 30.0);
-        let serial = so.count_in_region(&ps, &region);
-        assert!(serial > 0);
-        assert_eq!(
-            so.count_in_region_pooled(&ps, &region, &Pool::new(4)),
-            serial
-        );
-        assert_eq!(
-            so.count_in_region_pooled(&ps, &region, &Pool::serial()),
-            serial
-        );
     }
 }

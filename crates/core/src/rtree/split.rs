@@ -7,6 +7,9 @@
 //! §IV-B1: `c_Q` from the Lemma 3 page bound of the two sides, `c_O` from
 //! the overlap penalty. Candidates are returned best-first, so the greedy
 //! algorithm takes index 0 and TOP-KSPLITSINDEXBUILD takes the first `k`.
+//!
+//! The per-axis sweeps fan out over the context's pool only in the
+//! offline bulk load; every online crack hands in a serial pool.
 
 use vkg_sync::pool::Pool;
 use vkg_sync::Mutex;
@@ -50,8 +53,9 @@ pub struct SplitContext<'a> {
     pub leaf_capacity: usize,
     /// Overlap weight `βʰ` at this node's height.
     pub beta_pow_h: f64,
-    /// Pool the candidate sweeps and partition splits fan out over
-    /// (width 1 = the exact serial code paths).
+    /// Pool the candidate sweeps and partition splits fan out over:
+    /// the offline build's. Width 1 — every online crack — is the exact
+    /// serial code path.
     pub pool: &'a Pool,
 }
 

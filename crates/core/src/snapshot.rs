@@ -12,7 +12,7 @@
 //! Components are **structurally shared** between epochs. The graph's
 //! adjacency and triple log and the embedding rows live in
 //! [`vkg_kg::ChunkVec`]s — spines of `Arc`'d chunks of
-//! [`CHUNK_LEN`] = 2^[`vkg_kg::CHUNK_BITS`] rows — and the interners' tables, the
+//! [`vkg_kg::CHUNK_LEN`] = 2^[`vkg_kg::CHUNK_BITS`] rows — and the interners' tables, the
 //! attribute store and the transform each sit behind an `Arc`. Cloning a
 //! snapshot copies the spines (one pointer per chunk) and nothing else; a
 //! fact append to the clone then copies the chunks its rows live in: at
@@ -24,9 +24,7 @@
 use std::sync::Arc;
 
 use vkg_embed::EmbeddingStore;
-use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId, CHUNK_LEN};
-use vkg_sync::pool::Pool;
-use vkg_sync::Mutex;
+use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_transform::JlTransform;
 
 use crate::config::VkgConfig;
@@ -144,37 +142,12 @@ impl VkgSnapshot {
     }
 
     /// Projects every entity embedding into S₂ (the point set an index
-    /// is built over).
+    /// is built over), one row chunk of the store at a time.
     pub fn project_points(&self) -> PointSet {
-        self.project_points_pooled(&Pool::serial())
-    }
-
-    /// [`VkgSnapshot::project_points`] over a thread pool: the pool's
-    /// workers take the store's row chunks one at a time. Bit-identical
-    /// at every width (each row's matvec is untouched). Inputs smaller
-    /// than [`JlTransform::PAR_WORK_THRESHOLD`] run serially.
-    pub fn project_points_pooled(&self, pool: &Pool) -> PointSet {
-        let (dim, alpha) = (self.embeddings.dim(), self.config.alpha);
-        let n = self.embeddings.num_entities();
-        let serial = Pool::serial();
-        let pool = if n * dim < JlTransform::PAR_WORK_THRESHOLD {
-            &serial
-        } else {
-            pool
-        };
-        let chunks: Vec<&[f64]> = self.embeddings.entity_rows().chunks().collect();
-        let mut projected = vec![0.0; n * alpha];
-        {
-            // One output window per chunk behind an uncontended mutex, so
-            // workers write without aliasing or unsafe.
-            let windows: Vec<Mutex<&mut [f64]>> = projected
-                .chunks_mut(CHUNK_LEN * alpha)
-                .map(Mutex::new)
-                .collect();
-            pool.run(chunks.len(), |c| {
-                let projected = self.transform.apply_matrix(chunks[c]);
-                windows[c].lock().copy_from_slice(&projected);
-            });
+        let alpha = self.config.alpha;
+        let mut projected = Vec::with_capacity(self.embeddings.num_entities() * alpha);
+        for chunk in self.embeddings.entity_rows().chunks() {
+            projected.extend(self.transform.apply_matrix(chunk));
         }
         PointSet::from_rows(alpha, projected)
     }
@@ -251,6 +224,7 @@ impl VkgSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vkg_kg::CHUNK_LEN;
 
     fn tiny() -> (KnowledgeGraph, EmbeddingStore) {
         let mut g = KnowledgeGraph::new();
@@ -338,11 +312,10 @@ mod tests {
     }
 
     /// Projecting the chunked rows gives, bit for bit, what projecting
-    /// the flat row-major matrix gives — serially and across a pool.
+    /// the flat row-major matrix gives.
     #[test]
     fn chunked_projection_matches_the_flat_matrix() {
         let (n, d) = (5 * CHUNK_LEN + 17, 32);
-        assert!(n * d >= JlTransform::PAR_WORK_THRESHOLD);
         let mut g = KnowledgeGraph::new();
         g.add_relation("r");
         for i in 0..n {
@@ -360,10 +333,7 @@ mod tests {
                 .map(f64::to_bits)
                 .collect()
         };
-        for width in [1, 4] {
-            let got = snap.project_points_pooled(&Pool::new(width));
-            assert_eq!(bits(&got), bits(&want), "pool width {width}");
-        }
+        assert_eq!(bits(&snap.project_points()), bits(&want));
     }
 
     #[test]

@@ -20,35 +20,3 @@ pub struct IndexStats {
     /// exists to avoid).
     pub s1_distance_evals: u64,
 }
-
-impl IndexStats {
-    /// Resets the per-query counters (splits/nodes are cumulative
-    /// structure counters and are preserved).
-    pub fn reset_access_counters(&mut self) {
-        self.elements_accessed = 0;
-        self.points_examined = 0;
-        self.s1_distance_evals = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reset_preserves_structure_counters() {
-        let mut s = IndexStats {
-            splits_performed: 10,
-            nodes_created: 21,
-            elements_accessed: 5,
-            points_examined: 100,
-            s1_distance_evals: 40,
-        };
-        s.reset_access_counters();
-        assert_eq!(s.splits_performed, 10);
-        assert_eq!(s.nodes_created, 21);
-        assert_eq!(s.elements_accessed, 0);
-        assert_eq!(s.points_examined, 0);
-        assert_eq!(s.s1_distance_evals, 0);
-    }
-}

@@ -45,7 +45,6 @@ use std::sync::Arc;
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_obs::{Clock, MetricsSnapshot, Registry};
-use vkg_sync::pool::{Pool, PoolStats};
 use vkg_sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::cache::{AggregateLookup, CacheKey, ResultCache, TopKLookup};
@@ -55,7 +54,7 @@ use crate::error::{check_finite, VkgError, VkgResult};
 use crate::geometry::Mbr;
 use crate::index::CrackingIndex;
 use crate::metrics::VkgMetrics;
-use crate::query::aggregate::{self, AggregateResult, AggregateSpec};
+use crate::query::aggregate::{AggregateResult, AggregateSpec};
 use crate::query::topk::TopKResult;
 use crate::snapshot::VkgSnapshot;
 use crate::stats::IndexStats;
@@ -155,29 +154,6 @@ pub struct IndexPin {
     pub index_epoch: u64,
 }
 
-/// One relation's slice of a multi-relation aggregate
-/// ([`VirtualKnowledgeGraph::aggregate_multi`]).
-#[derive(Debug, Clone)]
-pub struct RelationAggregate {
-    /// The relation this partial answers.
-    pub relation: RelationId,
-    /// The global epoch of the whole fan-out: every partial of one call
-    /// is answered at the same epoch.
-    pub epoch: u64,
-    /// The partial estimate with its own Theorem 4 bound.
-    pub result: AggregateResult,
-}
-
-/// A multi-relation aggregate: the per-relation partials (input order)
-/// and their merged estimate with the combined Theorem 4 bound.
-#[derive(Debug, Clone)]
-pub struct MultiAggregateResult {
-    /// The merged estimate (see `query::aggregate::merge_partials`).
-    pub combined: AggregateResult,
-    /// One partial per queried relation, in input order.
-    pub parts: Vec<RelationAggregate>,
-}
-
 /// What [`VirtualKnowledgeGraph::attach_wal`] reconstructed from the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalRecoveryReport {
@@ -221,10 +197,6 @@ pub struct VirtualKnowledgeGraph {
     /// lock order, every other facade lock is a leaf taken under it.
     /// Shared for queries; exclusive for writes and late cracks.
     index: RwLock<IndexState>,
-    /// Dispatch statistics of the index's kernel pool (and the
-    /// build-time projection), so observability can report how often
-    /// kernels ran serial vs. parallel.
-    pool_stats: Arc<PoolStats>,
     metrics: VkgMetrics,
     /// The epoch-keyed result cache ([`crate::cache`]), present when
     /// [`VkgConfig::cache_capacity`] > 0. Consulted only under the
@@ -273,9 +245,8 @@ impl VirtualKnowledgeGraph {
         Self::from_snapshot(snapshot, false)
     }
 
-    /// Builds the index over `snapshot` on a pool that reports into the
-    /// facade's [`PoolStats`]. Metrics record into a live per-facade
-    /// registry on a real clock.
+    /// Builds the index over `snapshot`. Metrics record into a live
+    /// per-facade registry on a real clock.
     ///
     /// Non-finite embeddings stop here, before anything sorts by them.
     /// Entity rows are checked on their S₂ projections (α values each,
@@ -286,11 +257,9 @@ impl VirtualKnowledgeGraph {
         for rows in snapshot.embeddings().relation_rows().chunks() {
             check_finite("relation embedding", rows)?;
         }
-        let pool_stats = Arc::new(PoolStats::new());
-        let pool = Pool::new(config.threads).with_stats(pool_stats.clone());
-        let points = snapshot.project_points_pooled(&pool);
+        let points = snapshot.project_points();
         points.check_finite()?;
-        let index = IndexState::build(&snapshot, points, pool, bulk);
+        let index = IndexState::build(&snapshot, points, bulk);
         let cache = match config.cache_capacity {
             0 => None,
             capacity => Some(ResultCache::new(capacity)),
@@ -305,7 +274,6 @@ impl VirtualKnowledgeGraph {
                 "vkg.published",
             ),
             index: RwLock::with_name(index, "vkg.index"),
-            pool_stats,
             metrics: VkgMetrics::new(Registry::active(), Clock::real()),
             cache,
             durability: Mutex::with_name(
@@ -423,11 +391,11 @@ impl VirtualKnowledgeGraph {
 
     /// A full metrics snapshot: the per-query counters and latency
     /// histogram recorded on the hot path, plus engine-side statistics
-    /// (index size, pool dispatch) sampled into gauges at the moment of
-    /// the call. Takes the index lock's shared side for the sample.
+    /// (index size) sampled into gauges at the moment of the call.
+    /// Takes the index lock's shared side for the sample.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let stats = self.index.read().stats();
-        self.metrics.snapshot_with_engine(&stats, &self.pool_stats)
+        self.metrics.snapshot_with_engine(&stats)
     }
 
     /// Number of index nodes (Fig. 9 metric).
@@ -438,11 +406,6 @@ impl VirtualKnowledgeGraph {
     /// Approximate index size in bytes (Figs. 10–11 metric).
     pub fn index_bytes(&self) -> usize {
         self.index.read().index().index_bytes()
-    }
-
-    /// Resets the per-query access counters.
-    pub fn reset_access_counters(&self) {
-        self.index.write().reset_access_counters();
     }
 
     /// Waits for every guard on the index lock held at the call —
@@ -852,60 +815,6 @@ impl VirtualKnowledgeGraph {
         // count is the refine-step analogue top-k reports as s1_evals.
         let accessed = r.as_ref().map_or(0, |a| a.accessed as u64);
         self.metrics.record_query(start, accessed, r.is_ok());
-        r
-    }
-
-    /// Answers one aggregate query *per relation* and merges the partial
-    /// estimates with their Theorem 4 bounds combined (see
-    /// `query::aggregate::merge_partials` for the combinators and their
-    /// proofs). COUNT/SUM partials add exactly; AVG is the ball-size
-    /// weighted mean; MAX/MIN take the extremum with a union-bound tail.
-    ///
-    /// The relations are answered in input order, each through its own
-    /// rounds of the read protocol; if a write publishes between two of
-    /// them the fan-out starts over, so every partial of the answer
-    /// returned sees the same epoch. The first failing relation's error
-    /// is the call's error.
-    pub fn aggregate_multi(
-        &self,
-        entity: EntityId,
-        relations: &[RelationId],
-        direction: Direction,
-        spec: &AggregateSpec,
-    ) -> VkgResult<MultiAggregateResult> {
-        if relations.is_empty() {
-            return Err(VkgError::InvalidParameter(
-                "aggregate_multi needs at least one relation".into(),
-            ));
-        }
-        let start = self.metrics.clock().now();
-        let fan_out = || {
-            let mut parts: Vec<RelationAggregate> = Vec::with_capacity(relations.len());
-            while let Some(&relation) = relations.get(parts.len()) {
-                // Per-relation partials share the result cache with
-                // single-relation aggregates, so a restart re-reads the
-                // partials it already had from there.
-                let (pin, result) =
-                    self.aggregate_served(entity, relation, direction, spec, &mut || {})?;
-                if parts.first().is_some_and(|first| first.epoch != pin.epoch) {
-                    parts.clear();
-                    continue;
-                }
-                parts.push(RelationAggregate {
-                    relation,
-                    epoch: pin.epoch,
-                    result,
-                });
-            }
-            let partials: Vec<AggregateResult> = parts.iter().map(|p| p.result.clone()).collect();
-            let combined = aggregate::merge_partials(spec.kind, &partials);
-            Ok(MultiAggregateResult { combined, parts })
-        };
-        let r: VkgResult<MultiAggregateResult> = fan_out();
-        let steps = r.as_ref().map_or(0, |m| {
-            m.parts.iter().map(|p| p.result.accessed as u64).sum()
-        });
-        self.metrics.record_query(start, steps, r.is_ok());
         r
     }
 
@@ -1650,70 +1559,6 @@ mod tests {
         assert_eq!(vkg.attributes().get("year", m0).unwrap(), Some(2000.0));
     }
 
-    /// [`tiny_world`] plus a second relation "bookmarks" translating by
-    /// +12 along x (so u0 + bookmarks lands near m2).
-    fn tiny_world_two_relations(dim: usize) -> (KnowledgeGraph, AttributeStore, EmbeddingStore) {
-        let (mut g, attrs, emb) = tiny_world(dim);
-        let _bookmarks = g.add_relation("bookmarks");
-        let n = g.num_entities();
-        let mut ent = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            ent.extend_from_slice(emb.entity(EntityId(i as u32)));
-        }
-        let mut rel = emb.relation(RelationId(0)).to_vec();
-        let mut bm = vec![0.0; dim];
-        bm[0] = 12.0;
-        bm[1] = 0.5;
-        rel.extend_from_slice(&bm);
-        (g, attrs, EmbeddingStore::from_raw(dim, ent, rel))
-    }
-
-    #[test]
-    fn aggregate_multi_matches_per_relation_aggregates() {
-        let (g, attrs, store) = tiny_world_two_relations(8);
-        let vkg = VirtualKnowledgeGraph::assemble(g, attrs, store, config());
-        let u0 = vkg.graph().entity_id("u0").unwrap();
-        let likes = vkg.graph().relation_id("likes").unwrap();
-        let bookmarks = vkg.graph().relation_id("bookmarks").unwrap();
-        let spec = AggregateSpec::count(0.05);
-        let multi = vkg
-            .aggregate_multi(u0, &[likes, bookmarks], Direction::Tails, &spec)
-            .unwrap();
-        assert_eq!(multi.parts.len(), 2);
-        assert_eq!(multi.parts[0].relation, likes);
-        assert_eq!(multi.parts[1].relation, bookmarks);
-        // Each partial equals the single-relation aggregate.
-        let solo_likes = vkg.aggregate(u0, likes, Direction::Tails, &spec).unwrap();
-        let solo_bm = vkg
-            .aggregate(u0, bookmarks, Direction::Tails, &spec)
-            .unwrap();
-        assert_eq!(multi.parts[0].result.estimate, solo_likes.estimate);
-        assert_eq!(multi.parts[1].result.estimate, solo_bm.estimate);
-        // COUNT partials add exactly.
-        assert!((multi.combined.estimate - (solo_likes.estimate + solo_bm.estimate)).abs() < 1e-12);
-        assert_eq!(
-            multi.combined.ball_size,
-            solo_likes.ball_size + solo_bm.ball_size
-        );
-    }
-
-    #[test]
-    fn aggregate_multi_rejects_empty_and_propagates_errors() {
-        let (g, attrs, emb) = tiny_world(8);
-        let vkg = VirtualKnowledgeGraph::assemble(g, attrs, emb, config());
-        let u0 = vkg.graph().entity_id("u0").unwrap();
-        let likes = vkg.graph().relation_id("likes").unwrap();
-        let spec = AggregateSpec::count(0.05);
-        assert!(matches!(
-            vkg.aggregate_multi(u0, &[], Direction::Tails, &spec),
-            Err(VkgError::InvalidParameter(_))
-        ));
-        assert!(matches!(
-            vkg.aggregate_multi(u0, &[likes, RelationId(99)], Direction::Tails, &spec),
-            Err(VkgError::UnknownRelation(99))
-        ));
-    }
-
     #[test]
     fn metrics_snapshot_reflects_served_queries() {
         use crate::metrics::names;
@@ -1736,22 +1581,5 @@ mod tests {
         // Engine-side gauges are sampled at snapshot time.
         assert!(snap.gauge(names::INDEX_NODES).unwrap() >= 1);
         assert!(snap.gauge(names::INDEX_S1_EVALS).unwrap() > 0);
-        assert!(snap.gauge(names::POOL_SERIAL_RUNS).is_some());
-    }
-
-    #[test]
-    fn aggregate_multi_records_one_query() {
-        use crate::metrics::names;
-        let (g, attrs, store) = tiny_world_two_relations(8);
-        let vkg = VirtualKnowledgeGraph::assemble(g, attrs, store, config());
-        let u0 = vkg.graph().entity_id("u0").unwrap();
-        let likes = vkg.graph().relation_id("likes").unwrap();
-        let bookmarks = vkg.graph().relation_id("bookmarks").unwrap();
-        let spec = AggregateSpec::count(0.05);
-        let _ = vkg
-            .aggregate_multi(u0, &[likes, bookmarks], Direction::Tails, &spec)
-            .unwrap();
-        let snap = vkg.metrics_snapshot();
-        assert_eq!(snap.counter(names::QUERIES), Some(1));
     }
 }

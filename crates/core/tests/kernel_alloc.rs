@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vkg_core::geometry::kernels::{distances_sq, scalar_distances_sq, DISTANCES_PAR_THRESHOLD};
+use vkg_core::geometry::kernels::{distances_sq, scalar_distances_sq};
 use vkg_core::geometry::PointSet;
 use vkg_sync::pool::Pool;
 
@@ -47,9 +47,7 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn kernels_do_not_allocate_per_call() {
-    // Large enough that only the pool's width, not the work-size gate,
-    // keeps `distances_sq` on the serial path.
-    let (dim, n) = (4, DISTANCES_PAR_THRESHOLD);
+    let (dim, n) = (4, 8_192);
     let coords: Vec<f64> = (0..n * dim).map(|i| (i % 97) as f64 * 0.25).collect();
     let points = PointSet::from_rows(dim, coords);
     let ids: Vec<u32> = (0..n as u32).collect();
@@ -59,6 +57,6 @@ fn kernels_do_not_allocate_per_call() {
     assert!(probe > 0, "the counting allocator is not installed");
     let scalar = allocations_during(|| scalar_distances_sq(&points, &ids, &q, &mut out));
     assert_eq!(scalar, 0, "scalar_distances_sq allocated");
-    let pooled = allocations_during(|| distances_sq(&serial, &points, &ids, &q, &mut out));
-    assert_eq!(pooled, 0, "distances_sq on a serial pool allocated");
+    let checked = allocations_during(|| distances_sq(&serial, &points, &ids, &q, &mut out));
+    assert_eq!(checked, 0, "distances_sq allocated");
 }

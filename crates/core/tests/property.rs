@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use vkg_core::config::SplitStrategy;
-use vkg_core::geometry::{kernels, Mbr, PointSet};
+use vkg_core::geometry::{Mbr, PointSet};
 use vkg_core::index::CrackingIndex;
 use vkg_core::query::aggregate;
 use vkg_core::query::topk::{find_top_k, TopKResult};
@@ -482,36 +482,6 @@ proptest! {
         prop_assert!(max_certain >= lo - 1e-9, "certain max {max_certain} < lo {lo}");
     }
 
-    /// The pooled dispatcher returns the scalar kernel's bits at every
-    /// pool width, at every dimension up to MAX_DIM, over strided
-    /// (non-contiguous) id lists on both sides of the dispatch threshold.
-    #[test]
-    fn pooled_kernel_is_bit_identical_to_scalar(
-        dim in 1usize..=16,
-        stride in 1usize..=4,
-        n in prop_oneof![Just(257usize), Just(4_099usize)],
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 2_000) as f64 / 10.0 - 100.0
-        };
-        let coords: Vec<f64> = (0..n * dim).map(|_| next()).collect();
-        let ps = PointSet::from_rows(dim, coords);
-        let q: Vec<f64> = (0..dim).map(|_| next()).collect();
-        let ids: Vec<u32> = (0..n as u32).step_by(stride).collect();
-        let mut scalar = vec![0.0; ids.len()];
-        kernels::scalar_distances_sq(&ps, &ids, &q, &mut scalar);
-        for width in [1usize, 4] {
-            let mut pooled = vec![0.0; ids.len()];
-            kernels::distances_sq(&Pool::new(width), &ps, &ids, &q, &mut pooled);
-            prop_assert_eq!(&pooled, &scalar, "dim {} stride {} width {}", dim, stride, width);
-        }
-    }
-
     /// Theorem 4 tail bound is a valid, monotone tail function for any
     /// inputs.
     #[test]
@@ -586,19 +556,13 @@ proptest! {
     }
 }
 
-/// The facade answers the same seeded query stream identically at pool
-/// widths 1 and 4: same ids, same S₁ distance bits, same oracle
-/// evaluations and S₂ candidates per query, same tree at the end.
-///
-/// α = 16 with 4 096-point leaves keeps every leaf's distance batch
-/// above `DISTANCES_PAR_THRESHOLD`, so the pool splits batches for the
-/// whole stream, not only on the unsplit root. Every embedding has 200
-/// exact twins, spread over the ids: the twins tie in S₁ and in S₂, so
-/// which ten make the answer is decided by `(S₂ distance, id)` visit
-/// order — and a twin group cut by a chunk boundary keeps that order
-/// only if both chunks compute the same bits. (Seeded mutant: chunk 1
-/// of `kernels::distances_sq` evaluating `|p|² − 2p·q + |q|²` changes
-/// 12 of the 240 answers.)
+/// A facade assembled at `threads: 4` answers the same seeded query
+/// stream as one assembled at `threads: 1`: same ids, same S₁ distance
+/// bits, same S₂ candidates per query, same tree at the end. The width
+/// builds the root sort orders and nothing a query runs. Every
+/// embedding has 200 exact twins, spread over the ids: the twins tie in
+/// S₁ and in S₂, so which ten make the answer is decided by
+/// `(S₂ distance, id)` visit order.
 #[test]
 fn pooled_top_k_matches_serial() {
     let (n, d, groups) = (12_000usize, 16usize, 60usize);
@@ -627,8 +591,6 @@ fn pooled_top_k_matches_serial() {
             AttributeStore::new(),
             store.clone(),
             VkgConfig {
-                alpha: 16,
-                leaf_capacity: 4_096,
                 threads,
                 ..VkgConfig::default()
             },
@@ -649,14 +611,10 @@ fn pooled_top_k_matches_serial() {
                 (answer_of(&r), r.candidates_examined)
             })
             .collect();
-        let pooled_runs = vkg
-            .metrics_snapshot()
-            .gauge(vkg_core::metrics::names::POOL_PARALLEL_RUNS);
-        (answers, vkg.index_node_count(), pooled_runs)
+        (answers, vkg.index_node_count())
     };
-    let (serial, serial_nodes, _) = run(1);
-    let (pooled, pooled_nodes, pooled_runs) = run(4);
-    assert!(pooled_runs > Some(0), "width 4 must dispatch to the pool");
+    let (serial, serial_nodes) = run(1);
+    let (pooled, pooled_nodes) = run(4);
     for (i, (p, s)) in pooled.iter().zip(&serial).enumerate() {
         assert_eq!(p, s, "query {i}");
     }

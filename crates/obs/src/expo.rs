@@ -1,5 +1,4 @@
-//! Human-readable text exposition of a [`MetricsSnapshot`], with a
-//! lossless parser.
+//! Human-readable text exposition of a [`MetricsSnapshot`].
 //!
 //! One record per line, whitespace-separated (metric names therefore
 //! must not contain whitespace — all workspace names are dotted
@@ -14,40 +13,16 @@
 //! span id=119 op=1 shard=0 outcome=0 queue_ns=81000 lock_ns=2000 exec_ns=410000 encode_ns=3000 batch_ns=0 refine_steps=961
 //! ```
 //!
-//! [`parse`] inverts [`render`] exactly (`parse(render(s)) == s`), which
-//! the roundtrip tests pin down; unknown line kinds are an error, not
-//! skipped, so a corrupted dump cannot silently read as a smaller one.
+//! Nothing in the workspace reads the text back: [`render`] feeds the
+//! `--metrics-out` artifacts, and a golden-text test pins what it
+//! writes.
 
-use std::fmt;
-
-use crate::snapshot::{HistSnapshot, MetricsSnapshot};
-use crate::span::{Span, SpanOutcome};
+use crate::snapshot::MetricsSnapshot;
 
 /// Version tag on the first line; bump when the format changes shape.
 pub const HEADER: &str = "# vkg-obs exposition v1";
 
-/// A parse failure: the line number (1-based) and what was wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpoError {
-    /// 1-based line the error occurred on.
-    pub line: usize,
-    /// What was wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for ExpoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "exposition parse error at line {}: {}",
-            self.line, self.msg
-        )
-    }
-}
-
-impl std::error::Error for ExpoError {}
-
-/// Renders a snapshot as text. Inverted exactly by [`parse`].
+/// Renders a snapshot as text.
 pub fn render(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     out.push_str(HEADER);
@@ -89,223 +64,57 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out
 }
 
-fn err<T>(line: usize, msg: &'static str) -> Result<T, ExpoError> {
-    Err(ExpoError { line, msg })
-}
-
-fn parse_u64(tok: &str, line: usize) -> Result<u64, ExpoError> {
-    tok.parse().map_err(|_| ExpoError {
-        line,
-        msg: "expected an unsigned integer",
-    })
-}
-
-/// Splits `key=value`, checking the key matches.
-fn kv<'a>(tok: Option<&'a str>, key: &'static str, line: usize) -> Result<&'a str, ExpoError> {
-    let Some(tok) = tok else {
-        return err(line, "missing field");
-    };
-    match tok.split_once('=') {
-        Some((k, v)) if k == key => Ok(v),
-        _ => err(line, "unexpected field name"),
-    }
-}
-
-/// Parses text produced by [`render`] back into a snapshot.
-pub fn parse(text: &str) -> Result<MetricsSnapshot, ExpoError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, first)) if first == HEADER => {}
-        _ => return err(1, "missing or unsupported header"),
-    }
-    let mut snap = MetricsSnapshot::default();
-    let mut saw_spans_line = false;
-    for (idx, raw) in lines {
-        let line = idx + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let mut toks = raw.split_whitespace();
-        match toks.next() {
-            Some("counter") => {
-                let name = toks.next().ok_or(ExpoError {
-                    line,
-                    msg: "counter needs a name",
-                })?;
-                let v = parse_u64(
-                    toks.next().ok_or(ExpoError {
-                        line,
-                        msg: "counter needs a value",
-                    })?,
-                    line,
-                )?;
-                snap.counters.push((name.to_string(), v));
-            }
-            Some("gauge") => {
-                let name = toks.next().ok_or(ExpoError {
-                    line,
-                    msg: "gauge needs a name",
-                })?;
-                let v = parse_u64(
-                    toks.next().ok_or(ExpoError {
-                        line,
-                        msg: "gauge needs a value",
-                    })?,
-                    line,
-                )?;
-                snap.gauges.push((name.to_string(), v));
-            }
-            Some("hist") => {
-                let name = toks.next().ok_or(ExpoError {
-                    line,
-                    msg: "hist needs a name",
-                })?;
-                let total = parse_u64(kv(toks.next(), "total", line)?, line)?;
-                let max_us = parse_u64(kv(toks.next(), "max_us", line)?, line)?;
-                let bucket_str = kv(toks.next(), "buckets", line)?;
-                let mut buckets = Vec::new();
-                if !bucket_str.is_empty() {
-                    for pair in bucket_str.split(',') {
-                        let Some((i, c)) = pair.split_once(':') else {
-                            return err(line, "bucket must be idx:count");
-                        };
-                        let idx32 = parse_u64(i, line)?;
-                        if idx32 > u64::from(u32::MAX) {
-                            return err(line, "bucket index out of range");
-                        }
-                        buckets.push((idx32 as u32, parse_u64(c, line)?));
-                    }
-                }
-                snap.hists.push((
-                    name.to_string(),
-                    HistSnapshot {
-                        total,
-                        max_us,
-                        buckets,
-                    },
-                ));
-            }
-            Some("spans") => {
-                snap.spans_recorded = parse_u64(kv(toks.next(), "recorded", line)?, line)?;
-                snap.spans_dropped = parse_u64(kv(toks.next(), "dropped", line)?, line)?;
-                saw_spans_line = true;
-            }
-            Some("span") => {
-                let id = parse_u64(kv(toks.next(), "id", line)?, line)?;
-                let op = parse_u64(kv(toks.next(), "op", line)?, line)?;
-                let shard = parse_u64(kv(toks.next(), "shard", line)?, line)?;
-                let outcome = parse_u64(kv(toks.next(), "outcome", line)?, line)?;
-                if op > u64::from(u8::MAX) || shard > u64::from(u32::MAX) {
-                    return err(line, "span field out of range");
-                }
-                snap.spans.push(Span {
-                    id,
-                    op: op as u8,
-                    shard: shard as u32,
-                    outcome: SpanOutcome::from_u8(outcome.min(255) as u8),
-                    queue_ns: parse_u64(kv(toks.next(), "queue_ns", line)?, line)?,
-                    lock_ns: parse_u64(kv(toks.next(), "lock_ns", line)?, line)?,
-                    exec_ns: parse_u64(kv(toks.next(), "exec_ns", line)?, line)?,
-                    encode_ns: parse_u64(kv(toks.next(), "encode_ns", line)?, line)?,
-                    batch_ns: parse_u64(kv(toks.next(), "batch_ns", line)?, line)?,
-                    refine_steps: parse_u64(kv(toks.next(), "refine_steps", line)?, line)?,
-                });
-            }
-            _ => return err(line, "unknown record kind"),
-        }
-        if toks.next().is_some() {
-            return err(line, "trailing tokens");
-        }
-    }
-    if !saw_spans_line {
-        return err(text.lines().count().max(1), "missing spans summary line");
-    }
-    Ok(snap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::HistSnapshot;
+    use crate::span::{Span, SpanOutcome};
 
-    fn sample() -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![
-                ("core.cracks".to_string(), 12),
-                ("server.queue.shed".to_string(), 3),
-            ],
-            gauges: vec![("server.queue.depth".to_string(), 0)],
-            hists: vec![(
-                "server.latency_us".to_string(),
-                HistSnapshot {
-                    total: 5,
-                    max_us: 900,
-                    buckets: vec![(0, 1), (40, 4)],
-                },
-            )],
-            spans: vec![Span {
-                id: 7,
-                op: 1,
-                shard: 2,
-                outcome: SpanOutcome::Ok,
-                queue_ns: 10,
-                lock_ns: 20,
-                exec_ns: 30,
-                encode_ns: 40,
-                batch_ns: 5,
-                refine_steps: 50,
-            }],
-            spans_recorded: 8,
-            spans_dropped: 1,
-        }
-    }
-
+    /// The format of the `--metrics-out` artifacts, byte for byte.
     #[test]
-    fn roundtrip_is_lossless() {
-        let snap = sample();
-        let text = render(&snap);
-        assert_eq!(parse(&text), Ok(snap));
-    }
-
-    #[test]
-    fn empty_snapshot_roundtrips() {
-        let snap = MetricsSnapshot::default();
-        assert_eq!(parse(&render(&snap)), Ok(snap));
-    }
-
-    #[test]
-    fn empty_bucket_list_roundtrips() {
-        let snap = MetricsSnapshot {
-            hists: vec![("h".to_string(), HistSnapshot::default())],
-            ..MetricsSnapshot::default()
+    fn render_writes_the_golden_text() {
+        let span = |id, outcome| Span {
+            id,
+            op: 1,
+            shard: 2,
+            outcome,
+            queue_ns: 10,
+            lock_ns: 20,
+            exec_ns: 30,
+            encode_ns: 40,
+            batch_ns: 5,
+            refine_steps: 50,
         };
-        assert_eq!(parse(&render(&snap)), Ok(snap));
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(parse("").is_err());
-        assert!(parse("counter a 1\n").is_err());
-        let hdr = format!("{HEADER}\n");
-        assert!(parse(&format!("{hdr}bogus x 1\nspans recorded=0 dropped=0\n")).is_err());
-        assert!(parse(&format!("{hdr}counter a\nspans recorded=0 dropped=0\n")).is_err());
-        assert!(parse(&format!("{hdr}counter a one\nspans recorded=0 dropped=0\n")).is_err());
-        assert!(parse(&format!(
-            "{hdr}counter a 1 extra\nspans recorded=0 dropped=0\n"
-        ))
-        .is_err());
-        assert!(parse(&format!(
-            "{hdr}hist h total=1 max_us=2 buckets=3\nspans recorded=0 dropped=0\n"
-        ))
-        .is_err());
-        // Missing the spans summary line entirely.
-        assert!(parse(&format!("{hdr}counter a 1\n")).is_err());
-    }
-
-    #[test]
-    fn error_reports_line_number() {
-        let text = format!("{HEADER}\ncounter ok 1\nbroken\n");
-        let e = parse(&text).expect_err("line 3 is invalid");
-        assert_eq!(e.line, 3);
-        assert!(e.to_string().contains("line 3"));
+        let snap = MetricsSnapshot {
+            counters: vec![("server.queue.shed".to_string(), 3)],
+            gauges: vec![("server.queue.depth".to_string(), 0)],
+            hists: vec![
+                ("server.idle_us".to_string(), HistSnapshot::default()),
+                (
+                    "server.latency_us".to_string(),
+                    HistSnapshot {
+                        total: 5,
+                        max_us: 900,
+                        buckets: vec![(0, 1), (40, 4)],
+                    },
+                ),
+            ],
+            spans: vec![span(7, SpanOutcome::Ok), span(8, SpanOutcome::Error)],
+            spans_recorded: 9,
+            spans_dropped: 1,
+        };
+        let golden = "\
+# vkg-obs exposition v1
+counter server.queue.shed 3
+gauge server.queue.depth 0
+hist server.idle_us total=0 max_us=0 buckets=
+hist server.latency_us total=5 max_us=900 buckets=0:1,40:4
+spans recorded=9 dropped=1
+span id=7 op=1 shard=2 outcome=0 queue_ns=10 lock_ns=20 exec_ns=30 encode_ns=40 batch_ns=5 refine_steps=50
+span id=8 op=1 shard=2 outcome=1 queue_ns=10 lock_ns=20 exec_ns=30 encode_ns=40 batch_ns=5 refine_steps=50
+";
+        let text = render(&snap);
+        assert!(text.starts_with(HEADER));
+        assert_eq!(text, golden);
     }
 }

@@ -22,8 +22,8 @@
 //!   a `Clock` (clippy's `disallowed-methods` enforces it), so tests
 //!   can substitute [`Clock::mock`] and advance time deterministically.
 //! * [`MetricsSnapshot`] — a point-in-time, wire-encodable dump of the
-//!   registry plus the last-N spans; [`expo`] renders it as a text
-//!   exposition format and parses it back losslessly.
+//!   registry plus the last-N spans; [`expo::render`] writes it as a
+//!   text exposition format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

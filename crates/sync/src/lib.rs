@@ -15,17 +15,17 @@
 //!   tier-1 test suite run.
 //!
 //! * **Model (`--features model`).** The same API routed through an
-//!   instrumented runtime ([`model`]): real OS threads are serialized
-//!   onto one logical processor, every primitive operation is a *yield
-//!   point* where a seed-deterministic randomized scheduler (PCT-style
-//!   bounded preemption) may switch threads, and vector-clock
+//!   instrumented runtime (the `model` module): real OS threads are
+//!   serialized onto one logical processor, every primitive operation
+//!   is a *yield point* where a seed-deterministic randomized scheduler
+//!   (PCT-style bounded preemption) may switch threads, and vector-clock
 //!   happens-before tracking flags data races ([`RaceCell`]), lock-order
 //!   inversions, deadlocks and lost wakeups at the first conflicting
 //!   pair. A failing schedule is replayed exactly by re-running its
 //!   seed.
 //!
 //! Instrumentation is *scoped*: only threads spawned inside
-//! [`model::check`] (via [`thread::spawn`]) are managed. On any other
+//! `model::check` (via [`thread::spawn`]) are managed. On any other
 //! thread the model-mode primitives silently degrade to plain
 //! `std::sync` behavior, so an entire test binary can be compiled with
 //! `--features model` and only the model tests pay the cost.

@@ -193,38 +193,6 @@ impl Pool {
             panic::resume_unwind(payload);
         }
     }
-
-    /// Runs `f(start, end)` over disjoint sub-ranges covering
-    /// `0..len`, each at least `min_per_chunk` long (except possibly
-    /// the last). Serial pools (and jobs shorter than one chunk) make
-    /// a single `f(0, len)` call — the exact serial path.
-    pub fn run_chunked<F>(&self, len: usize, min_per_chunk: usize, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let min = min_per_chunk.max(1);
-        if self.is_serial() || len <= min {
-            if let Some(stats) = &self.stats {
-                // relaxed: pure statistic (see `PoolStats`).
-                stats.serial_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            f(0, len);
-            return;
-        }
-        // Aim for a few chunks per worker so uneven chunks still
-        // balance, but never below the per-chunk minimum.
-        let target = (self.width * 4).min(len.div_ceil(min)).max(1);
-        let per = len.div_ceil(target);
-        let chunks = len.div_ceil(per);
-        self.run(chunks, |i| {
-            let start = i * per;
-            let end = (start + per).min(len);
-            f(start, end);
-        });
-    }
 }
 
 impl Default for Pool {
@@ -258,35 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_ranges_tile_the_input() {
-        for width in [1, 2, 4, 7] {
-            let pool = Pool::new(width);
-            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-            pool.run_chunked(1000, 16, |start, end| {
-                assert!(start < end && end <= 1000);
-                for h in &hits[start..end] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Acquire) == 1),
-                "width {width} left gaps or overlaps"
-            );
-        }
-    }
-
-    #[test]
-    fn serial_chunked_is_one_whole_range_call() {
-        let calls = Mutex::new(Vec::new());
-        Pool::serial().run_chunked(100, 8, |s, e| calls.lock().push((s, e)));
-        assert_eq!(*calls.lock(), vec![(0, 100)]);
-    }
-
-    #[test]
     fn zero_work_is_a_no_op() {
         let pool = Pool::new(4);
         pool.run(0, |_| panic!("no chunks to run"));
-        pool.run_chunked(0, 8, |_, _| panic!("no range to run"));
     }
 
     #[test]
@@ -320,14 +262,10 @@ mod tests {
         pool.run(16, |_| {});
         assert_eq!(stats.parallel_runs(), 1);
         assert_eq!(stats.chunks_claimed(), 16);
-        // Chunked jobs count through `run`; a short job is one serial
-        // whole-range call.
-        pool.run_chunked(8, 100, |_, _| {});
-        assert_eq!(stats.serial_runs(), 2);
         // Zero work counts nowhere; a pool without a sink is silent.
         pool.run(0, |_| {});
         Pool::new(4).run(16, |_| {});
-        assert_eq!(stats.serial_runs(), 2);
+        assert_eq!(stats.serial_runs(), 1);
         assert_eq!(stats.parallel_runs(), 1);
         assert!(pool.stats().is_some());
         assert!(Pool::serial().stats().is_none());

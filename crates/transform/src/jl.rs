@@ -93,50 +93,6 @@ impl JlTransform {
         }
         out
     }
-
-    /// Smallest `rows × in_dim` work size worth dispatching to the pool.
-    /// Below it, thread coordination costs more than the multiply saves
-    /// (measured: dispatching a ~100k-element multiply across 4 threads
-    /// on a small machine *lost* ~40% to scheduling overhead), so the
-    /// pooled entry point falls back to the serial loop.
-    pub const PAR_WORK_THRESHOLD: usize = 1 << 17;
-
-    /// [`JlTransform::apply_matrix`] with the row loop chunked over a
-    /// pool. Every row's dot products are computed exactly as in the
-    /// serial path, so the output is bit-identical at any width (rows
-    /// are independent; only the interleaving changes). Inputs smaller
-    /// than [`JlTransform::PAR_WORK_THRESHOLD`] run serially.
-    ///
-    /// # Panics
-    /// Panics if `rows.len()` is not a multiple of `in_dim`.
-    pub fn apply_matrix_pooled(&self, pool: &vkg_sync::pool::Pool, rows: &[f64]) -> Vec<f64> {
-        assert_eq!(rows.len() % self.in_dim, 0, "matrix shape mismatch");
-        let n = rows.len() / self.in_dim;
-        if pool.is_serial() || rows.len() < Self::PAR_WORK_THRESHOLD {
-            return self.apply_matrix(rows);
-        }
-        let chunk_rows = n.div_ceil(pool.width() * 4).max(256);
-        let mut out = vec![0.0; n * self.out_dim];
-        {
-            // Disjoint per-chunk output windows behind uncontended
-            // mutexes, so workers write without aliasing or unsafe.
-            let slots: Vec<vkg_sync::Mutex<&mut [f64]>> = out
-                .chunks_mut(chunk_rows * self.out_dim)
-                .map(vkg_sync::Mutex::new)
-                .collect();
-            pool.run(slots.len(), |c| {
-                let row0 = c * chunk_rows;
-                let mut window = slots[c].lock();
-                let rows_here = window.len() / self.out_dim;
-                for i in 0..rows_here {
-                    let x = &rows[(row0 + i) * self.in_dim..(row0 + i + 1) * self.in_dim];
-                    let (lo, hi) = (i * self.out_dim, (i + 1) * self.out_dim);
-                    self.apply_into(x, &mut window[lo..hi]);
-                }
-            });
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -200,36 +156,6 @@ mod tests {
         let r1 = t.apply(&rows[6..12]);
         assert_eq!(&m[0..2], r0.as_slice());
         assert_eq!(&m[2..4], r1.as_slice());
-    }
-
-    #[test]
-    fn pooled_matrix_is_bit_identical_at_any_width() {
-        use vkg_sync::pool::Pool;
-        let t = JlTransform::new(16, 3, 11);
-        // Large enough that rows × in_dim clears PAR_WORK_THRESHOLD and
-        // the pooled path actually dispatches.
-        let n = 10_000;
-        assert!(n * 16 >= JlTransform::PAR_WORK_THRESHOLD);
-        let rows: Vec<f64> = (0..n * 16).map(|i| ((i as f64) * 0.173).sin()).collect();
-        let serial = t.apply_matrix(&rows);
-        for width in [1, 2, 4] {
-            let pooled = t.apply_matrix_pooled(&Pool::new(width), &rows);
-            assert_eq!(pooled, serial, "width {width} diverged");
-        }
-    }
-
-    #[test]
-    fn pooled_matrix_skips_dispatch_below_threshold() {
-        use vkg_sync::pool::Pool;
-        // Work below the threshold still answers identically (it takes
-        // the serial path — same code, so trivially bit-identical).
-        let t = JlTransform::new(8, 2, 5);
-        let rows: Vec<f64> = (0..64 * 8).map(|i| (i as f64) * 0.01).collect();
-        assert!(rows.len() < JlTransform::PAR_WORK_THRESHOLD);
-        assert_eq!(
-            t.apply_matrix_pooled(&Pool::new(4), &rows),
-            t.apply_matrix(&rows)
-        );
     }
 
     #[test]

@@ -74,9 +74,8 @@ pub mod prelude {
     pub use vkg_core::query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
     pub use vkg_core::query::topk::{Prediction, TopKResult};
     pub use vkg_core::{
-        Accuracy, CrackingIndex, Direction, EngineStats, IndexState, IndexStats, Neighbor,
-        QueryEngine, SplitStrategy, VirtualKnowledgeGraph, VkgConfig, VkgError, VkgResult,
-        VkgSnapshot,
+        Accuracy, CrackingIndex, Direction, EngineStats, IndexState, IndexStats, QueryEngine,
+        SplitStrategy, VirtualKnowledgeGraph, VkgConfig, VkgError, VkgResult, VkgSnapshot,
     };
     pub use vkg_embed::{EmbeddingStore, TransA, TransAConfig, TransE, TransEConfig};
     pub use vkg_kg::datasets::{
