@@ -157,7 +157,8 @@ fn attribute_column<'a>(
 
 impl IndexState {
     /// The read half of [`QueryEngine::top_k_filtered`]: the answer, and
-    /// the region the query cracks the index for.
+    /// the region the query cracks the index for (`None` when nothing
+    /// was predictable).
     pub fn top_k_read(
         &self,
         snap: &VkgSnapshot,
@@ -166,7 +167,7 @@ impl IndexState {
         direction: Direction,
         k: usize,
         filter: &dyn Fn(EntityId) -> bool,
-    ) -> VkgResult<(TopKResult, Mbr)> {
+    ) -> VkgResult<(TopKResult, Option<Mbr>)> {
         let q_s1 = snap.query_point_s1(entity, relation, direction)?;
         let q_s2 = snap.project(&q_s1);
         let known = snap.known_neighbors(entity, relation, direction);
@@ -178,7 +179,7 @@ impl IndexState {
             k,
             cfg.epsilon,
             cfg.alpha,
-            |_, id| embeddings.distance_to_entity(&q_s1, EntityId(id)),
+            |_, ids, out| embeddings.distances_to_entities(&q_s1, ids, out),
             |id| id == entity.0 || known.binary_search(&id).is_ok() || !filter(EntityId(id)),
         )
     }
@@ -186,8 +187,8 @@ impl IndexState {
     /// First read half of [`QueryEngine::aggregate`] (§V-B step 1): the
     /// spec is validated before any work, then the nearest predicted
     /// entity — whose distance fixes `d_min` (probability 1) — is read
-    /// with the region that top-1 cracks for. `None` when nothing is
-    /// predictable: the aggregate is then [`AggregateResult::empty`].
+    /// with the region that top-1 cracks for. Both `None` when nothing
+    /// is predictable: the aggregate is then [`AggregateResult::empty`].
     pub fn aggregate_anchor(
         &self,
         snap: &VkgSnapshot,
@@ -195,7 +196,7 @@ impl IndexState {
         relation: RelationId,
         direction: Direction,
         spec: &AggregateSpec,
-    ) -> VkgResult<(Option<Prediction>, Mbr)> {
+    ) -> VkgResult<(Option<Prediction>, Option<Mbr>)> {
         attribute_column(snap, spec)?;
         if !spec.p_tau.is_finite() || spec.p_tau <= 0.0 || spec.p_tau > 1.0 {
             return Err(VkgError::InvalidParameter(format!(
@@ -267,12 +268,36 @@ impl IndexState {
             // re-sorted by S₁ distance below, so neither an access order
             // nor an element summary is needed. Ascending ids read the
             // embedding rows and the attribute column front to back
-            // rather than in tree order.
+            // rather than in tree order, the rows four at a time. The
+            // candidates go through the kernel a block at a time, in
+            // buffers of one block, so nothing the size of the ball is
+            // allocated beside the id list and `accessed`.
             None => {
+                const BLOCK: usize = 64;
                 let mut ids: Vec<u32> = Vec::new();
                 self.index.search_region(&region, |id| ids.push(id));
                 ids.sort_unstable();
-                accessed.extend(ids.into_iter().filter_map(&mut access));
+                let mut block: Vec<u32> = Vec::with_capacity(BLOCK);
+                let mut values: Vec<f64> = Vec::with_capacity(BLOCK);
+                let mut dists: Vec<f64> = Vec::with_capacity(BLOCK);
+                for chunk in ids.chunks(BLOCK) {
+                    block.clear();
+                    values.clear();
+                    for (id, value) in chunk.iter().filter_map(|&id| Some((id, value_of(id)?))) {
+                        block.push(id);
+                        values.push(value);
+                    }
+                    dists.resize(block.len(), 0.0);
+                    embeddings.distances_to_entities(&q_s1, &block, &mut dists);
+                    s1_evals += block.len() as u64;
+                    accessed.extend(
+                        dists
+                            .iter()
+                            .zip(&values)
+                            .map(|(&d, &v)| (d, v))
+                            .filter(|&(d, _)| d <= r_tau),
+                    );
+                }
             }
             // Sampled access. The proxy for an unaccessed point's S₁
             // distance is a property of its contour element (§V-B: the
@@ -433,7 +458,9 @@ impl QueryEngine for IndexState {
         filter: &dyn Fn(EntityId) -> bool,
     ) -> VkgResult<TopKResult> {
         let (result, region) = self.top_k_read(snap, entity, relation, direction, k, filter)?;
-        self.index.crack(&region);
+        if let Some(region) = region {
+            self.index.crack(&region);
+        }
         Ok(result)
     }
 
@@ -449,7 +476,9 @@ impl QueryEngine for IndexState {
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
         let (nearest, region) = self.aggregate_anchor(snap, entity, relation, direction, spec)?;
-        self.index.crack(&region);
+        if let Some(region) = region {
+            self.index.crack(&region);
+        }
         let Some(nearest) = nearest else {
             return Ok(AggregateResult::empty());
         };

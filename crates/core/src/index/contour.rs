@@ -7,41 +7,34 @@
 //! queries traverse at once under the facade's shared guard. The access
 //! statistics they keep are relaxed atomics, bumped once per traversal.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::geometry::{kernels, Mbr, PointSet};
 
 use super::{CrackingIndex, NodeKind};
 
-/// Queue entry of [`CrackingIndex::nearest_first`]: a tree node keyed by
-/// its region's lower bound, or a point keyed by its own distance.
-#[derive(PartialEq)]
-struct Nearest {
-    key: f64,
-    point: bool,
-    id: u32,
+/// Most points [`CrackingIndex::nearest_first`] hands its visitor in one
+/// run.
+pub const BATCH: usize = 8;
+
+/// Queue entry of [`CrackingIndex::nearest_first`] — a tree node keyed by
+/// its region's lower bound, or a point keyed by its own distance — as
+/// one integer: `d²`'s bits, then 0 for a node and 1 for a point, then
+/// the id. `d²` is a sum of squares or +∞ (an empty MBR), never negative
+/// and never NaN (refused at import), and non-negative floats order like
+/// their bits, so integer order is `(d², node before point, id)`: at
+/// equal keys a node pops before a point (it may hold an equally near
+/// point with a smaller id) and points pop in id order.
+fn queue_entry(d_sq: f64, point: bool, id: u32) -> Reverse<u128> {
+    debug_assert!(d_sq.is_sign_positive(), "queue key {d_sq}");
+    Reverse(u128::from(d_sq.to_bits()) << 64 | u128::from(point) << 32 | u128::from(id))
 }
 
-impl Eq for Nearest {}
-
-impl Ord for Nearest {
-    /// Reversed, so the max-heap pops the smallest key. At equal keys a
-    /// node pops before a point (it may hold an equally near point with
-    /// a smaller id) and points pop in id order.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(other.point.cmp(&self.point))
-            .then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for Nearest {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// `(d², is a point, id)` of a [`queue_entry`].
+fn decode(Reverse(entry): Reverse<u128>) -> (f64, bool, u32) {
+    let d_sq = f64::from_bits((entry >> 64) as u64);
+    (d_sq, entry >> 32 & 1 == 1, entry as u32)
 }
 
 /// Summary statistics of one contour element's in-region members, handed
@@ -92,10 +85,18 @@ impl CrackingIndex {
 
     /// Visits the points of the ball `B(q, √r_sq)` nearest first — in
     /// ascending `(squared S₂ distance, id)` order — while the ball
-    /// shrinks: `visit` returns the squared radius to continue with, and
-    /// the traversal stops at the first queue key beyond it (the
-    /// "increasing distance from q" loop of Algorithm 3, lines 5–8).
-    /// Returns the number of points whose distance was computed.
+    /// shrinks (the "increasing distance from q" loop of Algorithm 3,
+    /// lines 5–8). Returns the number of points whose distance was
+    /// computed.
+    ///
+    /// `visit` gets the points in runs of `(d², id)`: up to [`BATCH`]
+    /// consecutive points of that order, all within the radius the run
+    /// was collected under, cut short where a tree node is next. It
+    /// returns the squared radius to continue with; a visitor that meets
+    /// a key beyond its shrinking radius drops the rest of the run, and
+    /// the traversal ends at the first queue key beyond the returned
+    /// radius. Nodes are only expanded between runs, so each sees the
+    /// radius left by every point before it, as if visited one by one.
     ///
     /// One best-first descent: tree nodes are keyed by
     /// [`Mbr::min_distance_sq`], points by the per-point distance
@@ -108,32 +109,38 @@ impl CrackingIndex {
         &self,
         q: &[f64],
         mut r_sq: f64,
-        mut visit: impl FnMut(&PointSet, u32) -> f64,
+        mut visit: impl FnMut(&PointSet, &[(f64, u32)]) -> f64,
     ) -> u64 {
-        let mut queue = BinaryHeap::from([Nearest {
-            key: self.nodes[self.root as usize].mbr.min_distance_sq(q),
-            point: false,
-            id: self.root,
-        }]);
+        let root = self.nodes[self.root as usize].mbr.min_distance_sq(q);
+        let mut queue = BinaryHeap::from([queue_entry(root, false, self.root)]);
+        let mut run: Vec<(f64, u32)> = Vec::with_capacity(BATCH);
         let mut dists: Vec<f64> = Vec::new();
         let (mut elements, mut computed) = (0u64, 0u64);
-        while let Some(Nearest { key, point, id }) = queue.pop() {
+        while let Some(entry) = queue.pop() {
+            let (key, point, id) = decode(entry);
             if key > r_sq {
                 break;
             }
             if point {
-                r_sq = visit(&self.points, id);
+                run.clear();
+                run.push((key, id));
+                while run.len() < BATCH {
+                    let Some(next) = queue.peek_mut() else { break };
+                    let (key, point, id) = decode(*next);
+                    if !point || key > r_sq {
+                        break;
+                    }
+                    run.push((key, id));
+                    PeekMut::pop(next);
+                }
+                r_sq = visit(&self.points, &run);
                 continue;
             }
             let ids: &[u32] = match &self.nodes[id as usize].kind {
                 NodeKind::Internal(children) => {
                     queue.extend(children.iter().filter_map(|&id| {
                         let key = self.nodes[id as usize].mbr.min_distance_sq(q);
-                        (key <= r_sq).then_some(Nearest {
-                            key,
-                            point: false,
-                            id,
-                        })
+                        (key <= r_sq).then(|| queue_entry(key, false, id))
                     }));
                     continue;
                 }
@@ -146,13 +153,12 @@ impl CrackingIndex {
             kernels::scalar_distances_sq(&self.points, ids, q, &mut dists);
             // One `extend` per element: a large batch (an unsplit root)
             // is heapified in O(n), not pushed point by point.
-            queue.extend(ids.iter().zip(&dists).filter(|&(_, &key)| key <= r_sq).map(
-                |(&id, &key)| Nearest {
-                    key,
-                    point: true,
-                    id,
-                },
-            ));
+            queue.extend(
+                ids.iter()
+                    .zip(&dists)
+                    .filter(|&(_, &key)| key <= r_sq)
+                    .map(|(&id, &key)| queue_entry(key, true, id)),
+            );
         }
         self.count_access(elements, computed);
         computed
@@ -230,5 +236,48 @@ impl CrackingIndex {
             visit(&members, &summary);
         }
         self.count_access(elements, examined);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The integer entry orders like `(d² by total_cmp, node before
+    /// point, id)` and decodes to what it encodes: zero, subnormals,
+    /// equal keys, +∞, and nodes and points sharing an id.
+    #[test]
+    fn queue_entries_order_like_distance_then_node_then_id() {
+        let keys = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut entries = Vec::new();
+        for d_sq in keys {
+            for point in [false, true] {
+                for id in [0, 1, 7, u32::MAX] {
+                    entries.push((d_sq, point, id));
+                }
+            }
+        }
+        for &(d_sq, point, id) in &entries {
+            let (back, p, i) = decode(queue_entry(d_sq, point, id));
+            assert_eq!((back.to_bits(), p, i), (d_sq.to_bits(), point, id));
+        }
+        for a in &entries {
+            for b in &entries {
+                let want = a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2));
+                let (Reverse(x), Reverse(y)) =
+                    (queue_entry(a.0, a.1, a.2), queue_entry(b.0, b.1, b.2));
+                assert_eq!(x.cmp(&y), want, "{a:?} against {b:?}");
+            }
+        }
     }
 }

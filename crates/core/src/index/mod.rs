@@ -31,7 +31,7 @@ pub mod dynamic;
 pub mod topk;
 
 pub use arena::{Node, NodeId, NodeKind};
-pub use contour::ElementSummary;
+pub use contour::{ElementSummary, BATCH};
 
 use vkg_sync::pool::Pool;
 use vkg_sync::{AtomicU64, Ordering};

@@ -143,7 +143,8 @@ impl VkgMetrics {
     }
 
     /// Records one read round that traversed: its late crack was
-    /// `applied`, or skipped because nothing was left to split.
+    /// `applied`, or skipped because nothing was left to split or there
+    /// was no region (an empty k-set).
     pub fn record_crack(&self, applied: bool) {
         if applied {
             self.cracks_applied.incr();

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 
 use crate::error::{VkgError, VkgResult};
 use crate::geometry::{Mbr, PointSet};
-use crate::index::CrackingIndex;
+use crate::index::{CrackingIndex, BATCH};
 
 use super::guarantees::{topk_guarantee, TopKGuarantee};
 use super::probability::inverse_distance_probabilities;
@@ -81,40 +81,53 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Runs Algorithm 3, seeded from its own traversal: [`find_top_k_read`],
-/// then the crack of line 9.
+/// then the crack of line 9. `s1_distance(points, id)` is the oracle of
+/// one point, asked for every point of a run in turn.
 pub fn find_top_k(
     index: &mut CrackingIndex,
     q_s2: &[f64],
     k: usize,
     epsilon: f64,
     alpha: usize,
-    s1_distance: impl FnMut(&PointSet, u32) -> f64,
+    mut s1_distance: impl FnMut(&PointSet, u32) -> f64,
     skip: impl FnMut(u32) -> bool,
 ) -> VkgResult<TopKResult> {
-    let (result, region) = find_top_k_read(index, q_s2, k, epsilon, alpha, s1_distance, skip)?;
-    index.crack(&region);
+    let per_point = |points: &PointSet, ids: &[u32], out: &mut [f64]| {
+        for (d, &id) in out.iter_mut().zip(ids) {
+            *d = s1_distance(points, id);
+        }
+    };
+    let (result, region) = find_top_k_read(index, q_s2, k, epsilon, alpha, per_point, skip)?;
+    if let Some(region) = region {
+        index.crack(&region);
+    }
     Ok(result)
 }
 
 /// Lines 1–8 of Algorithm 3 — everything but the crack: the answer, and
-/// the final (stabilized) region line 9 cracks the index for.
+/// the final (stabilized) region line 9 cracks the index for — `None`
+/// when the k-set stayed empty, which leaves nothing to crack for.
 ///
 /// * `q_s2` — the query center in S₂ (the transformed `h + r` / `t − r`).
 /// * `k` — number of entities requested.
 /// * `epsilon` — the radius inflation of line 3 (`r_q = r*_k(1+ε)`).
 /// * `alpha` — dimensionality of S₂ (for the Theorem 2 guarantee).
-/// * `s1_distance(points, id)` — the true S₁ distance from the query
-///   point to the entity's embedding (the expensive oracle; evaluations
-///   are counted). The index's S₂ point set is passed through so oracles
-///   that only need S₂ geometry can read it without re-projecting.
+/// * `s1_distances(points, ids, out)` — the true S₁ distance from the
+///   query point to each entity of `ids`, into the same slot of `out`
+///   (the expensive oracle). It is asked once per run of the traversal
+///   for the run's non-skipped points; up to
+///   [`BATCH`] − 1 of them may lie past the point
+///   where the query stops, and only the points the query reaches count
+///   as evaluations. The index's S₂ point set is passed through so
+///   oracles that only need S₂ geometry can read it without re-projecting.
 /// * `skip(id)` — true for entities excluded from `E'` (existing
 ///   neighbours, the query entity itself).
 ///
 /// The answer is a function of the live point set and the arguments
-/// alone, never of the tree's shape: walk the non-skipped points in
-/// `(d_S₂², id)` order, keep the k best by S₁ distance (a newcomer must
-/// beat the k-th strictly), stop at the first point beyond `(1+ε)·` the
-/// current k-th S₁ distance.
+/// alone, never of the tree's shape or of how the traversal cut its
+/// runs: walk the non-skipped points in `(d_S₂², id)` order, keep the k
+/// best by S₁ distance (a newcomer must beat the k-th strictly), stop at
+/// the first point beyond `(1+ε)·` the current k-th S₁ distance.
 ///
 /// # Errors
 /// [`VkgError::InvalidParameter`] when `k = 0` or `ε` is not positive.
@@ -124,9 +137,9 @@ pub fn find_top_k_read(
     k: usize,
     epsilon: f64,
     alpha: usize,
-    mut s1_distance: impl FnMut(&PointSet, u32) -> f64,
+    mut s1_distances: impl FnMut(&PointSet, &[u32], &mut [f64]),
     mut skip: impl FnMut(u32) -> bool,
-) -> VkgResult<(TopKResult, Mbr)> {
+) -> VkgResult<(TopKResult, Option<Mbr>)> {
     if k == 0 {
         return Err(VkgError::InvalidParameter("top-k requires k ≥ 1".into()));
     }
@@ -135,27 +148,41 @@ pub fn find_top_k_read(
     }
     let mut s1_evals = 0u64;
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    let mut ids: Vec<u32> = Vec::with_capacity(BATCH);
+    let mut dists: Vec<f64> = Vec::with_capacity(BATCH);
 
     // Lines 2–8: visit the points nearest-in-S₂ first. The radius is
     // unknown and stays infinite until the first k usable points fill
     // the k-set (the seed); from then on the ball shrinks as better
     // candidates arrive and the traversal ends at the first point
     // outside it. Emitted points are distinct, so nothing is seen twice.
-    let candidates_examined = index.nearest_first(q_s2, f64::INFINITY, |points, id| {
-        if !skip(id) {
-            let d = s1_distance(points, id);
-            s1_evals += 1;
-            push_candidate(&mut heap, k, id, d);
+    let candidates_examined = index.nearest_first(q_s2, f64::INFINITY, |points, run| {
+        ids.clear();
+        ids.extend(run.iter().map(|&(_, id)| id).filter(|&id| !skip(id)));
+        dists.resize(ids.len(), 0.0);
+        s1_distances(points, &ids, &mut dists);
+        // The run replayed point by point, as if emitted one at a time:
+        // the radius moves after each candidate, and the first key
+        // beyond it ends the query with the rest of the run unread.
+        let mut r_sq = current_ball_radius_sq(&heap, k, epsilon);
+        let mut evaluated = ids.iter().zip(&dists).peekable();
+        for &(d_sq, id) in run {
+            if d_sq > r_sq {
+                break;
+            }
+            if let Some((_, &d)) = evaluated.next_if(|&(&e, _)| e == id) {
+                s1_evals += 1;
+                push_candidate(&mut heap, k, id, d);
+                r_sq = current_ball_radius_sq(&heap, k, epsilon);
+            }
         }
-        current_ball_radius_sq(&heap, k, epsilon)
+        r_sq
     });
 
-    // Line 9 cracks for the final (stabilized) region — the whole data
-    // region when nothing at all was usable.
-    let final_region = match heap.peek() {
-        Some(worst) => Mbr::of_ball(q_s2, worst.distance * (1.0 + epsilon)),
-        None => index.points().mbr_of(&index.points().all_ids()),
-    };
+    // Line 9 cracks for the final (stabilized) region.
+    let final_region = heap
+        .peek()
+        .map(|worst| Mbr::of_ball(q_s2, worst.distance * (1.0 + epsilon)));
     index.count_s1_evals(s1_evals);
 
     // Assemble ascending results with probabilities and guarantees.

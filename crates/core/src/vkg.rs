@@ -477,19 +477,22 @@ impl VirtualKnowledgeGraph {
     /// shared guard (`on_guard` fires once it is held, so a caller can
     /// time the wait), pin the epochs, run `half` — a cache probe, a
     /// read half, a cache fill — and pre-check whether the region `half`
-    /// wants cracked still has something to split. Only then, and only
-    /// after the shared guard is dropped, is the crack applied in a
-    /// short exclusive section; it needs no re-validation, since a crack
-    /// refines whatever tree it finds and answers do not depend on it.
+    /// wants cracked still has something to split: `half` gives `None`
+    /// when it traversed nothing (a cache hit), and `Some(None)` when it
+    /// traversed but has no region (an empty k-set), which counts as a
+    /// skipped crack. Only then, and only after the shared guard is
+    /// dropped, is the crack applied in a short exclusive section; it
+    /// needs no re-validation, since a crack refines whatever tree it
+    /// finds and answers do not depend on it.
     fn read_round<T>(
         &self,
         on_guard: &mut dyn FnMut(),
-        half: impl FnOnce(IndexPin, &VkgSnapshot, &IndexState) -> VkgResult<(T, Option<Mbr>)>,
+        half: impl FnOnce(IndexPin, &VkgSnapshot, &IndexState) -> VkgResult<(T, Option<Option<Mbr>>)>,
     ) -> VkgResult<(IndexPin, T)> {
         let (pin, value, crack) = self.with_published_index(|pin, snap, state| {
             on_guard();
             let (value, region) = half(pin, snap, state)?;
-            let crack = region.map(|region| state.index().wants_crack(&region).then_some(region));
+            let crack = region.map(|region| region.filter(|r| state.index().wants_crack(r)));
             VkgResult::Ok((pin, value, crack))
         })?;
         // `None`: nothing traversed (a cache hit). `Some(None)`: nothing
@@ -600,7 +603,7 @@ impl VirtualKnowledgeGraph {
         let key = CacheKey::top_k(entity.0, relation.0, direction, None);
         let q = (entity, relation, direction, k);
         let (r, region) = self.top_k_half(pin, snap, state, q, Some(key), &|_| true)?;
-        if let Some(region) = region {
+        if let Some(region) = region.flatten() {
             state.index_mut().crack(&region);
         }
         Ok(r)
@@ -630,7 +633,7 @@ impl VirtualKnowledgeGraph {
             .map(|bytes| CacheKey::top_k(entity.0, relation.0, direction, Some(bytes.to_vec())));
         let q = (entity, relation, direction, k);
         let (r, region) = self.top_k_half(pin, snap, state, q, key, filter)?;
-        if let Some(region) = region {
+        if let Some(region) = region.flatten() {
             state.index_mut().crack(&region);
         }
         Ok(r)
@@ -640,8 +643,9 @@ impl VirtualKnowledgeGraph {
     /// (the [`IndexPin`] proves both epochs are exact): serves from the
     /// result cache when `key` names an entry holding this query's
     /// answer for this k — a hit touches no tree and wants no crack —
-    /// and otherwise runs the read half and fills the cache. `key` is
-    /// `None` for a query that cannot be keyed; `filter` runs on misses.
+    /// and otherwise runs the read half and fills the cache. The region
+    /// is [`VirtualKnowledgeGraph::read_round`]'s. `key` is `None` for a
+    /// query that cannot be keyed; `filter` runs on misses.
     fn top_k_half(
         &self,
         pin: IndexPin,
@@ -650,7 +654,7 @@ impl VirtualKnowledgeGraph {
         (entity, relation, direction, k): (EntityId, RelationId, Direction, usize),
         key: Option<CacheKey>,
         filter: &dyn Fn(EntityId) -> bool,
-    ) -> VkgResult<(TopKResult, Option<Mbr>)> {
+    ) -> VkgResult<(TopKResult, Option<Option<Mbr>>)> {
         let slot = self.cache.as_ref().zip(key);
         if let Some((cache, key)) = &slot {
             let cfg = snap.config();
@@ -791,7 +795,7 @@ impl VirtualKnowledgeGraph {
                 let (r, region) =
                     state.aggregate_ball(snap, entity, relation, direction, spec, &nearest)?;
                 fill(pin, &r);
-                Ok((Some(r), Some(region)))
+                Ok((Some(r), Some(Some(region))))
             })?;
             if let Some(r) = ball {
                 return Ok((pin, r));

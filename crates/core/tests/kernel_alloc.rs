@@ -1,4 +1,5 @@
-//! The distance kernels allocate nothing per call (DESIGN.md §3.4).
+//! The distance kernels — S₂ and S₁ — allocate nothing per call
+//! (DESIGN.md §3.4).
 //!
 //! A binary of its own because it installs a counting global allocator.
 //! The count is per thread, so the libtest harness's own allocations on
@@ -10,6 +11,7 @@ use std::cell::Cell;
 
 use vkg_core::geometry::kernels::{distances_sq, scalar_distances_sq};
 use vkg_core::geometry::PointSet;
+use vkg_embed::EmbeddingStore;
 use vkg_sync::pool::Pool;
 
 thread_local! {
@@ -59,4 +61,13 @@ fn kernels_do_not_allocate_per_call() {
     assert_eq!(scalar, 0, "scalar_distances_sq allocated");
     let checked = allocations_during(|| distances_sq(&serial, &points, &ids, &q, &mut out));
     assert_eq!(checked, 0, "distances_sq allocated");
+
+    // The S₁ kernel, over every tail length of its four-row unroll.
+    let store = EmbeddingStore::from_raw(32, (0..32 * 64).map(f64::from).collect(), Vec::new());
+    let (point, rows) = (vec![0.5; 32], [3u32, 60, 7, 7, 0, 63, 12]);
+    for len in 0..=rows.len() {
+        let (ids, out) = (&rows[..len], &mut out[..len]);
+        let s1 = allocations_during(|| store.distances_to_entities(&point, ids, out));
+        assert_eq!(s1, 0, "distances_to_entities allocated at {len} ids");
+    }
 }

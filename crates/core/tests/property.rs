@@ -9,9 +9,10 @@ use proptest::prelude::*;
 
 use vkg_core::config::SplitStrategy;
 use vkg_core::geometry::{Mbr, PointSet};
-use vkg_core::index::CrackingIndex;
+use vkg_core::index::{CrackingIndex, BATCH};
+use vkg_core::metrics::names;
 use vkg_core::query::aggregate;
-use vkg_core::query::topk::{find_top_k, TopKResult};
+use vkg_core::query::topk::{find_top_k, find_top_k_read, TopKResult};
 use vkg_core::rtree::SortOrders;
 use vkg_core::{AggregateKind, AggregateSpec, Direction, VirtualKnowledgeGraph, VkgConfig};
 use vkg_embed::EmbeddingStore;
@@ -205,13 +206,24 @@ proptest! {
         let ball: Vec<u32> =
             sorted.iter().take_while(|e| e.0 <= r_sq).map(|e| e.1).collect();
 
-        let mut got = Vec::new();
-        let computed = idx.nearest_first(&q, r_sq, |_, id| {
-            got.push(id);
+        let mut runs: Vec<Vec<(f64, u32)>> = Vec::new();
+        let computed = idx.nearest_first(&q, r_sq, |_, run| {
+            runs.push(run.to_vec());
             r_sq
         });
+        let got: Vec<u32> = runs.iter().flatten().map(|e| e.1).collect();
         prop_assert_eq!(&got, &ball);
         prop_assert!(computed >= ball.len() as u64);
+        // Every run is a non-empty stretch of the sorted ball, keys
+        // included, of at most BATCH points.
+        let mut at = 0;
+        for run in &runs {
+            prop_assert!(!run.is_empty() && run.len() <= BATCH, "run of {}", run.len());
+            let bits = |e: &(f64, u32)| (e.0.to_bits(), e.1);
+            let want: Vec<_> = sorted[at..at + run.len()].iter().map(bits).collect();
+            prop_assert_eq!(run.iter().map(bits).collect::<Vec<_>>(), want);
+            at += run.len();
+        }
 
         let mut want = Vec::new();
         let mut bound = r_sq;
@@ -223,9 +235,14 @@ proptest! {
             bound *= shrink;
         }
         let (mut got, mut bound) = (Vec::new(), r_sq);
-        idx.nearest_first(&q, r_sq, |_, id| {
-            got.push(id);
-            bound *= shrink;
+        idx.nearest_first(&q, r_sq, |_, run| {
+            for &(d_sq, id) in run {
+                if d_sq > bound {
+                    break;
+                }
+                got.push(id);
+                bound *= shrink;
+            }
             bound
         });
         // `want` is a prefix of `ball` by construction.
@@ -286,6 +303,60 @@ proptest! {
                 prop_assert_eq!(&answer_of(&got), &want, "shape {}", shape);
                 idx.check_invariants();
             }
+        }
+    }
+
+    /// The per-point oracle (through `find_top_k`'s adapter) and a batch
+    /// oracle (`find_top_k_read`, then its crack) give the same ids,
+    /// distance bits, `s1_evals` and `candidates_examined` on root-only,
+    /// cracked and bulk-loaded trees, crack them alike, and ask for no
+    /// crack when every id is skipped. The oracles are asked for at most
+    /// `BATCH − 1` points past where a query stops.
+    #[test]
+    fn per_point_and_batch_oracles_agree(
+        ps in arb_points(120, 3),
+        (on_grid, shape) in (any::<bool>(), 0usize..3),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        queries in prop::collection::vec((arb_xyz(60.0), 1usize..12, 0usize..3), 1..6),
+        eps in 0.1f64..2.0,
+    ) {
+        let mut per_point = shaped_index(ps.clone(), on_grid, shape, &cracks, &[]);
+        let mut batched = shaped_index(ps, on_grid, shape, &cracks, &[]);
+        for (q, k, mode) in queries {
+            let q = snap(on_grid, q);
+            let s1 = |points: &PointSet, id: u32| {
+                points.distance_sq(id, &q).sqrt() * (1.0 + f64::from(id % 2) * 0.25)
+            };
+            let skip = |id: u32| match mode {
+                0 => false,
+                1 => id % 3 == 0,
+                _ => true,
+            };
+            let mut calls = 0u64;
+            let one = |points: &PointSet, id: u32| {
+                calls += 1;
+                s1(points, id)
+            };
+            let a = find_top_k(&mut per_point, &q, k, eps, 3, one, skip).unwrap();
+            let mut asked = 0u64;
+            let batch = |points: &PointSet, ids: &[u32], out: &mut [f64]| {
+                asked += ids.len() as u64;
+                for (d, &id) in out.iter_mut().zip(ids).rev() {
+                    *d = s1(points, id);
+                }
+            };
+            let (b, region) = find_top_k_read(&batched, &q, k, eps, 3, batch, skip).unwrap();
+            if let Some(region) = &region {
+                batched.crack(region);
+            }
+            prop_assert_eq!(
+                (answer_of(&a), a.candidates_examined),
+                (answer_of(&b), b.candidates_examined)
+            );
+            prop_assert_eq!(calls, asked);
+            prop_assert!(asked - b.s1_evals < BATCH as u64, "{} asked, {} counted", asked, b.s1_evals);
+            prop_assert_eq!(region.is_none(), b.predictions.is_empty());
+            prop_assert_eq!(tree_of(&per_point), tree_of(&batched));
         }
     }
 
@@ -619,6 +690,44 @@ fn pooled_top_k_matches_serial() {
         assert_eq!(p, s, "query {i}");
     }
     assert_eq!(pooled_nodes, serial_nodes);
+}
+
+/// A top-k whose filter rejects every id answers nothing and asks for
+/// no crack: the tree stays node for node what it was, and the round
+/// counts one skipped crack.
+#[test]
+fn empty_k_set_asks_for_no_crack() {
+    let (n, d) = (600usize, 4usize);
+    let mut graph = KnowledgeGraph::new();
+    let r = graph.add_relation("r");
+    for i in 0..n {
+        graph.add_entity(&format!("e{i}"));
+    }
+    let rows: Vec<f64> = (0..n * d)
+        .map(|i| ((i * 7_919) % 1_000) as f64 / 100.0)
+        .collect();
+    let store = EmbeddingStore::from_raw(d, rows, vec![0.5; d]);
+    let config = VkgConfig {
+        alpha: 3,
+        epsilon: 0.3,
+        leaf_capacity: 8,
+        fanout: 4,
+        ..VkgConfig::default()
+    };
+    let vkg = VirtualKnowledgeGraph::assemble(graph, AttributeStore::new(), store, config);
+    vkg.top_k(EntityId(0), r, Direction::Tails, 5).unwrap();
+    let skipped = || {
+        vkg.metrics_snapshot()
+            .counter(names::CRACKS_SKIPPED)
+            .unwrap()
+    };
+    let (tree, before) = (tree_of(&vkg.index()), skipped());
+    let empty = vkg
+        .top_k_filtered(EntityId(1), r, Direction::Tails, 5, |_| false)
+        .unwrap();
+    assert!(empty.predictions.is_empty());
+    assert_eq!(tree_of(&vkg.index()), tree);
+    assert_eq!(skipped(), before + 1);
 }
 
 /// One request of the twin stream below.

@@ -3,7 +3,7 @@
 //! The paper's virtual knowledge graph is induced by an embedding
 //! algorithm 𝒜 (§III-A): every entity and every relationship type gets a
 //! `d`-dimensional vector such that `h + r ≈ t` for true triples
-//! (TransE [6]); the plausibility of an *unseen* triple is a decreasing
+//! (TransE \[6\]); the plausibility of an *unseen* triple is a decreasing
 //! function of `‖h + r − t‖`.
 //!
 //! This crate provides:

@@ -112,6 +112,36 @@ impl EmbeddingStore {
         l2_distance(point, self.entity(e))
     }
 
+    /// [`EmbeddingStore::distance_to_entity`] from `point` to every entity
+    /// of `ids`, into the same slot of `out`, bit for bit: four rows at a
+    /// time, each still summed left to right, so four independent add
+    /// chains overlap instead of running one after another.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range, or in debug builds if `ids` and
+    /// `out` differ in length.
+    pub fn distances_to_entities(&self, point: &[f64], ids: &[u32], out: &mut [f64]) {
+        debug_assert_eq!(ids.len(), out.len());
+        debug_assert_eq!(point.len(), self.dim);
+        let (mut quads, mut outs) = (ids.chunks_exact(4), out.chunks_exact_mut(4));
+        for (quad, dists) in (&mut quads).zip(&mut outs) {
+            let [a, b, c, d] = [0, 1, 2, 3].map(|i| self.entities.row(quad[i] as usize));
+            let mut sums = [0.0f64; 4];
+            for ((((&p, &xa), &xb), &xc), &xd) in point.iter().zip(a).zip(b).zip(c).zip(d) {
+                for (s, x) in sums.iter_mut().zip([xa, xb, xc, xd]) {
+                    let t = p - x;
+                    *s += t * t;
+                }
+            }
+            for (o, s) in dists.iter_mut().zip(sums) {
+                *o = s.sqrt();
+            }
+        }
+        for (&id, o) in quads.remainder().iter().zip(outs.into_remainder()) {
+            *o = l2_distance(point, self.entities.row(id as usize));
+        }
+    }
+
     /// Appends an entity row, returning its id (dynamic graph updates).
     ///
     /// # Panics

@@ -1,5 +1,5 @@
 //! TransA: locally adaptive translation embedding (Jia et al., AAAI 2016 —
-//! the paper's reference [15], offered as an alternative algorithm 𝒜).
+//! the paper's reference \[15\], offered as an alternative algorithm 𝒜).
 //!
 //! TransA replaces TransE's isotropic distance with an adaptive
 //! Mahalanobis-style metric per relation:

@@ -1,5 +1,5 @@
 //! TransE: translating embeddings for multi-relational data (Bordes et
-//! al., NIPS 2013 — the paper's reference [6] and default algorithm 𝒜).
+//! al., NIPS 2013 — the paper's reference \[6\] and default algorithm 𝒜).
 //!
 //! TransE learns vectors such that `h + r ≈ t` for observed triples, by
 //! minimizing the margin-based ranking loss

@@ -89,6 +89,38 @@ proptest! {
         prop_assert_eq!(back, store);
     }
 
+    /// The four-row kernel gives `distance_to_entity`'s bits for every
+    /// tail length of the unroll, with repeated ids, duplicate rows and
+    /// rows at distance zero from the point.
+    #[test]
+    fn batched_distances_are_bit_identical(
+        dim in 1usize..=40,
+        kinds in prop::collection::vec(0u8..3, 1..10),
+        picks in prop::collection::vec(any::<u32>(), 0..=13),
+        seed: u64,
+    ) {
+        use rand::{Rng, SeedableRng};
+        use vkg_kg::EntityId;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let point: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+        let mut rows: Vec<f64> = Vec::with_capacity(kinds.len() * dim);
+        for kind in &kinds {
+            match kind {
+                0 => rows.extend((0..dim).map(|_| rng.gen_range(-50.0..50.0))),
+                1 if !rows.is_empty() => rows.extend_from_within(..dim),
+                _ => rows.extend_from_slice(&point),
+            }
+        }
+        let store = EmbeddingStore::from_raw(dim, rows, Vec::new());
+        let ids: Vec<u32> = picks.iter().map(|p| p % kinds.len() as u32).collect();
+        let mut out = vec![f64::NAN; ids.len()];
+        store.distances_to_entities(&point, &ids, &mut out);
+        for (&id, d) in ids.iter().zip(&out) {
+            let one = store.distance_to_entity(&point, EntityId(id));
+            prop_assert_eq!(d.to_bits(), one.to_bits(), "id {}", id);
+        }
+    }
+
     /// tail/head query points invert each other: (h + r) − r = h.
     #[test]
     fn query_points_invert(dim in 1usize..12, seed: u64) {
