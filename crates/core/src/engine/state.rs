@@ -266,26 +266,43 @@ impl IndexState {
         match spec.sample_size {
             // Full access: every candidate is accessed and `accessed` is
             // re-sorted by S₁ distance below, so neither an access order
-            // nor an element summary is needed. Ascending ids read the
-            // embedding rows and the attribute column front to back
-            // rather than in tree order, the rows four at a time. The
-            // candidates go through the kernel a block at a time, in
-            // buffers of one block, so nothing the size of the ball is
-            // allocated beside the id list and `accessed`.
+            // nor an element summary is needed. The region read sets a bit
+            // per point id in the box; read back lowest bit first, the ids
+            // come ascending without a sort, so the embedding rows (four
+            // at a time) and the attribute column are read front to back.
+            // The candidates go through the kernel in buffers of one
+            // block: nothing the size of the ball is allocated but
+            // `accessed`.
             None => {
                 const BLOCK: usize = 64;
-                let mut ids: Vec<u32> = Vec::new();
-                self.index.search_region(&region, |id| ids.push(id));
-                ids.sort_unstable();
+                let mut in_box = vec![0u64; self.index.points().len().div_ceil(64)];
+                self.index.search_region(&region, |id| {
+                    if let Some(word) = in_box.get_mut(id as usize / 64) {
+                        *word |= 1 << (id % 64);
+                    }
+                });
+                let mut candidates = (0u32..)
+                    .zip(in_box)
+                    .flat_map(|(w, mut word)| {
+                        std::iter::from_fn(move || {
+                            let bit = (word != 0).then(|| word.trailing_zeros())?;
+                            word &= word - 1;
+                            Some(w * 64 + bit)
+                        })
+                    })
+                    .filter_map(|id| Some((id, value_of(id)?)));
                 let mut block: Vec<u32> = Vec::with_capacity(BLOCK);
                 let mut values: Vec<f64> = Vec::with_capacity(BLOCK);
                 let mut dists: Vec<f64> = Vec::with_capacity(BLOCK);
-                for chunk in ids.chunks(BLOCK) {
+                loop {
                     block.clear();
                     values.clear();
-                    for (id, value) in chunk.iter().filter_map(|&id| Some((id, value_of(id)?))) {
+                    for (id, value) in candidates.by_ref().take(BLOCK) {
                         block.push(id);
                         values.push(value);
+                    }
+                    if block.is_empty() {
+                        break;
                     }
                     dists.resize(block.len(), 0.0);
                     embeddings.distances_to_entities(&q_s1, &block, &mut dists);
@@ -379,7 +396,7 @@ impl IndexState {
             }
         }
         self.index.count_s1_evals(s1_evals);
-        accessed.sort_by(|x, y| x.0.total_cmp(&y.0));
+        aggregate::sort_by_key_stable(&mut accessed, |m| m.0);
 
         let distances: Vec<f64> = accessed.iter().map(|m| m.0).collect();
         let values: Vec<f64> = accessed.iter().map(|m| m.1).collect();

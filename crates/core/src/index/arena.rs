@@ -6,7 +6,7 @@
 //! appended). The arena also owns the size accounting the evaluation
 //! figures report (node counts for Fig. 9, byte sizes for Figs. 10–11).
 
-use crate::geometry::Mbr;
+use crate::geometry::{Mbr, PointSet};
 use crate::rtree::SortOrders;
 
 use super::build::{BuiltKind, BuiltNode};
@@ -35,6 +35,47 @@ pub struct Node {
     pub height: u32,
     /// Children / payload.
     pub kind: NodeKind,
+    /// A contour element's member sums: each S₂ coordinate, then the
+    /// squared norm, added member by member in
+    /// [`CrackingIndex::element_point_ids`] order. Set wherever the
+    /// element's ids are created (the root, [`CrackingIndex::crack`],
+    /// the bulk load); `None` once an insert or a removal has edited
+    /// them, and for an internal node.
+    pub sums: Option<Box<[f64]>>,
+}
+
+impl Node {
+    /// A node whose [`Node::sums`] are taken afresh from its ids.
+    pub(super) fn new(points: &PointSet, mbr: Mbr, height: u32, kind: NodeKind) -> Self {
+        Node {
+            sums: fresh_sums(points, &kind),
+            mbr,
+            height,
+            kind,
+        }
+    }
+}
+
+/// Adds member `pid` to `dim + 1` sums laid out as [`Node::sums`].
+pub(super) fn add_member(points: &PointSet, pid: u32, sums: &mut [f64]) {
+    for (s, &c) in sums.iter_mut().zip(points.point(pid)) {
+        *s += c;
+    }
+    sums[points.dim()] += points.norm_sq(pid);
+}
+
+/// The [`Node::sums`] of a node of `kind`, summed afresh.
+pub(super) fn fresh_sums(points: &PointSet, kind: &NodeKind) -> Option<Box<[f64]>> {
+    let ids = match kind {
+        NodeKind::Internal(_) => return None,
+        NodeKind::Leaf(ids) => ids,
+        NodeKind::Unsplit(orders) => orders.ids(0),
+    };
+    let mut sums = vec![0.0; points.dim() + 1];
+    for &pid in ids {
+        add_member(points, pid, &mut sums);
+    }
+    Some(sums.into_boxed_slice())
 }
 
 impl CrackingIndex {
@@ -44,12 +85,13 @@ impl CrackingIndex {
     }
 
     /// Approximate index size in bytes (Figs. 10–11's metric): node
-    /// envelopes plus leaf/partition payloads. The point coordinates are
-    /// excluded — every method stores those.
+    /// envelopes plus leaf/partition payloads and element sums. The point
+    /// coordinates are excluded — every method stores those.
     pub fn index_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for node in &self.nodes {
             bytes += std::mem::size_of::<Node>();
+            bytes += node.sums.as_deref().map_or(0, std::mem::size_of_val);
             bytes += match &node.kind {
                 NodeKind::Internal(children) => children.capacity() * std::mem::size_of::<NodeId>(),
                 NodeKind::Leaf(ids) => ids.capacity() * std::mem::size_of::<u32>(),
@@ -71,6 +113,11 @@ impl CrackingIndex {
             }
         }
         out
+    }
+
+    /// Node `id`.
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
     }
 
     /// The point ids stored at a contour element (empty for internal
@@ -102,10 +149,7 @@ impl CrackingIndex {
                 NodeKind::Internal(child_ids)
             }
         };
-        let node = &mut self.nodes[id as usize];
-        node.mbr = mbr;
-        node.height = height;
-        node.kind = new_kind;
+        self.nodes[id as usize] = Node::new(&self.points, mbr, height, new_kind);
     }
 
     pub(super) fn alloc(&mut self) -> NodeId {
@@ -115,11 +159,10 @@ impl CrackingIndex {
         )]
         let id = NodeId::try_from(self.nodes.len())
             .expect("invariant: node arena holds fewer than u32::MAX nodes");
-        self.nodes.push(Node {
-            mbr: Mbr::empty(self.points.dim().max(1)),
-            height: 0,
-            kind: NodeKind::Leaf(Vec::new()),
-        });
+        let placeholder = NodeKind::Internal(Vec::new());
+        let mbr = Mbr::empty(self.points.dim().max(1));
+        self.nodes
+            .push(Node::new(&self.points, mbr, 0, placeholder));
         self.nodes_created += 1;
         id
     }

@@ -12,6 +12,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::geometry::{kernels, Mbr, PointSet};
 
+use super::arena::add_member;
 use super::{CrackingIndex, NodeKind};
 
 /// Most points [`CrackingIndex::nearest_first`] hands its visitor in one
@@ -40,7 +41,9 @@ fn decode(Reverse(entry): Reverse<u128>) -> (f64, bool, u32) {
 /// Summary statistics of one contour element's in-region members, handed
 /// to the [`CrackingIndex::search_region_elements`] visitor. Per §V-B the
 /// index estimates the probabilities of unaccessed points from
-/// element-level statistics rather than per-point geometry.
+/// element-level statistics rather than per-point geometry. Both moments
+/// come from coordinate and squared-norm sums over the members in element
+/// order, stored on the node ([`super::Node::sums`]) or summed in a pass.
 #[derive(Debug, Clone, Copy)]
 pub struct ElementSummary<'a> {
     /// Bounding region of the whole element (not just the in-region part).
@@ -52,7 +55,10 @@ pub struct ElementSummary<'a> {
 }
 
 impl CrackingIndex {
-    /// Visits every point id inside `q`, updating access statistics.
+    /// Visits every point id inside `q` once, updating access statistics.
+    /// An element whose MBR `q` contains is visited without a per-member
+    /// test: node MBRs cover their members after every edit, and
+    /// [`Mbr::contains_mbr`] is [`PointSet::in_region`]'s comparisons.
     ///
     /// This is a pure read: it does **not** crack the index (Algorithm 3
     /// cracks once per query, after the result region stabilizes).
@@ -74,8 +80,9 @@ impl CrackingIndex {
             };
             elements += 1;
             examined += ids.len() as u64;
+            let whole = q.contains_mbr(&node.mbr);
             for &pid in ids {
-                if self.points.in_region(pid, q) {
+                if whole || self.points.in_region(pid, q) {
                     visit(pid);
                 }
             }
@@ -181,6 +188,11 @@ impl CrackingIndex {
     /// caller that drops some of the ids (the query entity's known
     /// neighbors, say, which sit right next to the query) is proxying
     /// the rest by a population that still contains them.
+    ///
+    /// Only an element that `q` cuts costs a pass over its members (the
+    /// in-region test and the sums). One that `q` contains is handed over
+    /// as its own id slice with the sums it stores — that pass's sums to
+    /// the bit — unless an edit since its install cleared them.
     pub fn search_region_elements(
         &self,
         q: &Mbr,
@@ -189,8 +201,8 @@ impl CrackingIndex {
         let dim = self.points.dim();
         let (mut elements, mut examined) = (0u64, 0u64);
         let mut stack = vec![self.root];
-        let mut members: Vec<u32> = Vec::new();
-        let mut sum = vec![0.0f64; dim];
+        let mut pass_members: Vec<u32> = Vec::new();
+        let mut pass_sums = vec![0.0f64; dim + 1];
         let mut centroid = vec![0.0f64; dim];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
@@ -207,33 +219,35 @@ impl CrackingIndex {
             };
             elements += 1;
             examined += ids.len() as u64;
-            members.clear();
-            sum.iter_mut().for_each(|s| *s = 0.0);
-            let mut sum_norm_sq = 0.0;
-            for &pid in ids {
-                if self.points.in_region(pid, q) {
-                    members.push(pid);
-                    let p = self.points.point(pid);
-                    for (axis, &c) in p.iter().enumerate() {
-                        sum[axis] += c;
+            let whole = q.contains_mbr(&node.mbr);
+            let (members, sums): (&[u32], &[f64]) = match &node.sums {
+                Some(stored) if whole => (ids, stored),
+                _ => {
+                    pass_members.clear();
+                    pass_sums.fill(0.0);
+                    for &pid in ids {
+                        if whole || self.points.in_region(pid, q) {
+                            pass_members.push(pid);
+                            add_member(&self.points, pid, &mut pass_sums);
+                        }
                     }
-                    sum_norm_sq += self.points.norm_sq(pid);
+                    (&pass_members, &pass_sums)
                 }
-            }
+            };
             if members.is_empty() {
                 continue;
             }
             let n = members.len() as f64;
-            for (c, s) in centroid.iter_mut().zip(&sum) {
+            for (c, s) in centroid.iter_mut().zip(sums) {
                 *c = s / n;
             }
             let centroid_norm_sq: f64 = centroid.iter().map(|c| c * c).sum();
             let summary = ElementSummary {
                 mbr: &node.mbr,
                 centroid: &centroid,
-                spread_sq: (sum_norm_sq / n - centroid_norm_sq).max(0.0),
+                spread_sq: (sums[dim] / n - centroid_norm_sq).max(0.0),
             };
-            visit(&members, &summary);
+            visit(members, &summary);
         }
         self.count_access(elements, examined);
     }

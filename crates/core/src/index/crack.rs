@@ -48,8 +48,9 @@ impl CrackingIndex {
     /// MBR overlaps `q` and whose points the stop condition does not
     /// hold for, in DFS order (the order Algorithm 2's lines 6–8 walk).
     /// The build core splits such an element at least once and any
-    /// other not at all, whatever the chooser.
-    pub(crate) fn elements_to_split(&self, q: &Mbr) -> Vec<NodeId> {
+    /// other not at all, whatever the chooser. An element inside `q` is
+    /// in it whole (node MBRs cover their members): it is not counted.
+    pub fn elements_to_split(&self, q: &Mbr) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
@@ -60,7 +61,11 @@ impl CrackingIndex {
             match &node.kind {
                 NodeKind::Internal(children) => stack.extend(children.iter().rev().copied()),
                 NodeKind::Unsplit(orders) => {
-                    let in_q = orders.count_in_region(&self.points, q);
+                    let in_q = if q.contains_mbr(&node.mbr) {
+                        orders.len()
+                    } else {
+                        orders.count_in_region(&self.points, q)
+                    };
                     if !stop_condition(in_q, orders.len(), self.params.leaf_capacity) {
                         out.push(id);
                     }

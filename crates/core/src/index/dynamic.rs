@@ -8,12 +8,14 @@
 //! re-cracks lazily when a query next needs it — no eager re-balancing.
 //! Removals detach the point from its element and tombstone the id;
 //! element MBRs stay conservative (they may over-cover after removals,
-//! which affects pruning quality, never correctness).
+//! which affects pruning quality, never correctness). Either edit drops
+//! the element's stored member sums ([`super::Node::sums`]): its readers
+//! sum the members again until a crack reinstalls it.
 
 use crate::error::{check_finite, VkgError, VkgResult};
 use crate::rtree::{height_for, SortOrders};
 
-use super::{CrackingIndex, NodeId, NodeKind};
+use super::{CrackingIndex, Node, NodeId, NodeKind};
 
 impl CrackingIndex {
     /// Inserts a new point, returning its id (= the new entity's dense
@@ -135,6 +137,7 @@ impl CrackingIndex {
         // Split the borrow: the sorted insert reads point coordinates.
         let points = &self.points;
         let node = &mut self.nodes[cur as usize];
+        node.sums = None;
         match &mut node.kind {
             NodeKind::Leaf(ids) => {
                 ids.push(id);
@@ -177,42 +180,36 @@ impl CrackingIndex {
             if !node.mbr.contains_point(&point) {
                 continue;
             }
-            match &mut node.kind {
-                NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-                NodeKind::Leaf(ids) => {
-                    if let Some(pos) = ids.iter().position(|&x| x == id) {
-                        ids.swap_remove(pos);
-                        return true;
-                    }
-                }
-                NodeKind::Unsplit(orders) => {
-                    if orders.remove(id) {
-                        return true;
-                    }
-                }
+            if let NodeKind::Internal(children) = &node.kind {
+                stack.extend(children.iter().copied());
+            } else if take_member(node, id) {
+                return true;
             }
         }
         // Stale coordinates (e.g. the point moved since): fall back to a
         // full contour sweep.
-        for cur in self.contour() {
-            let node = &mut self.nodes[cur as usize];
-            match &mut node.kind {
-                NodeKind::Leaf(ids) => {
-                    if let Some(pos) = ids.iter().position(|&x| x == id) {
-                        ids.swap_remove(pos);
-                        return true;
-                    }
-                }
-                NodeKind::Unsplit(orders) => {
-                    if orders.remove(id) {
-                        return true;
-                    }
-                }
-                NodeKind::Internal(_) => {}
-            }
-        }
-        false
+        self.contour()
+            .into_iter()
+            .any(|cur| take_member(&mut self.nodes[cur as usize], id))
     }
+}
+
+/// Removes `id` from contour element `node`, if it is there; an edited
+/// element's sums are stale and are dropped.
+fn take_member(node: &mut Node, id: u32) -> bool {
+    let found = match &mut node.kind {
+        NodeKind::Leaf(ids) => ids
+            .iter()
+            .position(|&x| x == id)
+            .map(|pos| ids.swap_remove(pos))
+            .is_some(),
+        NodeKind::Unsplit(orders) => orders.remove(id),
+        NodeKind::Internal(_) => false,
+    };
+    if found {
+        node.sums = None;
+    }
+    found
 }
 
 #[cfg(test)]

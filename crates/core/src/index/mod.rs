@@ -117,7 +117,7 @@ impl CrackingIndex {
             NodeKind::Unsplit(orders)
         };
         let height = crate::rtree::height_for(len, leaf_capacity, fanout);
-        let root_node = Node { mbr, height, kind };
+        let root_node = Node::new(&points, mbr, height, kind);
         Self {
             points,
             nodes: vec![root_node],
@@ -254,7 +254,8 @@ impl CrackingIndex {
     }
 
     /// Consistency checks used by the test-suite: Lemma 1 (the contour
-    /// partitions the point ids) and MBR containment along every path.
+    /// partitions the point ids), MBR containment along every path, and
+    /// every stored [`Node::sums`] equal, bit for bit, to a fresh pass.
     ///
     /// # Panics
     /// Panics on violation.
@@ -281,10 +282,16 @@ impl CrackingIndex {
                 "live point {pid} is missing from the contour"
             );
         }
-        // MBR containment and child coverage.
+        // MBR containment, child coverage and element sums.
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let fresh = arena::fresh_sums(&self.points, &node.kind).unwrap_or_default();
+            assert!(
+                node.sums.as_deref().is_none_or(|s| bits(s) == bits(&fresh)),
+                "node {id}: stored sums differ from a fresh pass"
+            );
             match &node.kind {
                 NodeKind::Internal(children) => {
                     assert!(!children.is_empty(), "internal node {id} has no children");

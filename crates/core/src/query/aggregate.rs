@@ -182,9 +182,9 @@ pub fn estimate_max(values: &[f64], probs: &[f64]) -> f64 {
     if a == 0 {
         return 0.0;
     }
-    // Sort (value, prob) by value descending.
+    // Sort (value, prob) by value descending, ties in input order.
     let mut pairs: Vec<(f64, f64)> = values.iter().copied().zip(probs.iter().copied()).collect();
-    pairs.sort_by(|x, y| y.0.total_cmp(&x.0));
+    sort_by_key_stable(&mut pairs, |x| -x.0);
 
     let mut expected_sample_max = 0.0;
     let mut none_before = 1.0;
@@ -212,6 +212,72 @@ pub fn estimate_max(values: &[f64], probs: &[f64]) -> f64 {
 pub fn estimate_min(values: &[f64], probs: &[f64]) -> f64 {
     let negated: Vec<f64> = values.iter().map(|v| -v).collect();
     -estimate_max(&negated, probs)
+}
+
+/// [`sort_by_key_stable`] hands shorter inputs to `sort_by` whole.
+const DIRECT_SORT: usize = 256;
+
+/// Sorts `items` ascending by `key` under [`f64::total_cmp`], ties in
+/// input order: exactly the permutation of the stable
+/// `items.sort_by(|a, b| key(a).total_cmp(&key(b)))`. (Descending is the
+/// negated key: negation reverses the total order.)
+///
+/// A long input with finite keys not all equal goes to `n` buckets over
+/// `[lo, hi]`, entry to `((key − lo) · scale) as usize` — monotone in the
+/// key, as IEEE subtraction, multiplication by a positive constant and
+/// truncation are — by a stable counting scatter. Each bucket is then
+/// sorted by that stable `sort_by`, which insertion-sorts short slices
+/// (nearly every bucket) and puts −0.0, sharing a bucket with +0.0,
+/// first. Anything else is one `sort_by`.
+pub fn sort_by_key_stable<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> f64) {
+    let cmp = |a: &T, b: &T| key(a).total_cmp(&key(b));
+    let n = items.len();
+    if n < DIRECT_SORT {
+        items.sort_by(cmp);
+        return;
+    }
+    // Comparisons, not `f64::min`: a NaN fails `finite` anyway.
+    let (mut lo, mut hi, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
+    for k in items.iter().map(&key) {
+        finite &= k.is_finite();
+        if k < lo {
+            lo = k;
+        }
+        if k > hi {
+            hi = k;
+        }
+    }
+    // `hi` maps to n − 1 give or take rounding: the clamp is rarely taken.
+    let scale = (n - 1) as f64 / (hi - lo);
+    if !finite || !scale.is_finite() || scale <= 0.0 {
+        items.sort_by(cmp);
+        return;
+    }
+    let bucket = |x: &T| (((key(x) - lo) * scale) as usize).min(n - 1);
+    // `ends[b]` counts bucket b, becomes its start, and the scatter
+    // advances it to its end.
+    let mut ends = vec![0usize; n];
+    for x in items.iter() {
+        ends[bucket(x)] += 1;
+    }
+    let mut start = 0;
+    for end in ends.iter_mut() {
+        (*end, start) = (start, start + *end);
+    }
+    let mut sorted = items.clone();
+    for x in items.iter() {
+        let at = &mut ends[bucket(x)];
+        sorted[*at] = *x;
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in &ends {
+        if end - start > 1 {
+            sorted[start..end].sort_by(cmp);
+        }
+        start = end;
+    }
+    *items = sorted;
 }
 
 /// Builds the Theorem 4 deviation bound.

@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 use vkg_core::config::SplitStrategy;
 use vkg_core::geometry::{Mbr, PointSet};
-use vkg_core::index::{CrackingIndex, BATCH};
+use vkg_core::index::build::stop_condition;
+use vkg_core::index::{CrackingIndex, NodeId, NodeKind, BATCH};
 use vkg_core::metrics::names;
 use vkg_core::query::aggregate;
 use vkg_core::query::topk::{find_top_k, find_top_k_read, TopKResult};
@@ -89,14 +90,8 @@ fn shaped_index_with(
         }
     }
     if shape == 3 {
-        for &(op, to, pick) in edits {
-            let id = pick % idx.points().len() as u32;
-            match op {
-                0 => drop(idx.insert_point(&snap(on_grid, to))),
-                // Updating a tombstoned id is refused; nothing to undo.
-                1 => drop(idx.update_point(id, &snap(on_grid, to))),
-                _ => drop(idx.remove_point(id)),
-            }
+        for &edit in edits {
+            apply_edit(&mut idx, on_grid, edit);
         }
     }
     idx.check_invariants();
@@ -181,6 +176,51 @@ fn oracle_top_k(
     }
     let predictions = set.iter().map(|e| (e.1, e.0.to_bits()));
     (predictions.collect(), evals)
+}
+
+/// The bits of a slice of floats, for exact comparisons.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Each coordinate summed, then the squared norms, over contour element
+/// `id`'s members in element order.
+fn fresh_sums(idx: &CrackingIndex, id: NodeId) -> Vec<f64> {
+    let dim = idx.dim();
+    let mut sums = vec![0.0; dim + 1];
+    for &pid in idx.element_point_ids(id) {
+        for (s, c) in sums.iter_mut().zip(idx.points().point(pid)) {
+            *s += c;
+        }
+        sums[dim] += idx.points().norm_sq(pid);
+    }
+    sums
+}
+
+/// The centroid and spread² of `ids`, summed in the order given.
+fn summary_of(points: &PointSet, ids: &[u32]) -> (Vec<f64>, f64) {
+    let (dim, n) = (points.dim(), ids.len() as f64);
+    let (mut sums, mut norm_sq) = (vec![0.0; dim], 0.0);
+    for &pid in ids {
+        for (s, c) in sums.iter_mut().zip(points.point(pid)) {
+            *s += c;
+        }
+        norm_sq += points.norm_sq(pid);
+    }
+    let centroid: Vec<f64> = sums.iter().map(|s| s / n).collect();
+    let centroid_norm_sq: f64 = centroid.iter().map(|c| c * c).sum();
+    (centroid, (norm_sq / n - centroid_norm_sq).max(0.0))
+}
+
+/// One `insert_point` (0), `update_point` (1) or `remove_point` (2).
+fn apply_edit(idx: &mut CrackingIndex, on_grid: bool, (op, to, pick): (usize, Xyz, u32)) {
+    let id = pick % idx.points().len() as u32;
+    match op {
+        0 => drop(idx.insert_point(&snap(on_grid, to))),
+        // Updating a tombstoned id is refused; nothing to undo.
+        1 => drop(idx.update_point(id, &snap(on_grid, to))),
+        _ => drop(idx.remove_point(id)),
+    }
 }
 
 proptest! {
@@ -393,6 +433,142 @@ proptest! {
             }
             prop_assert!(!idx.wants_crack(&q));
         }
+    }
+
+    /// The bucket sort is the stable comparison sort: for keys with ties,
+    /// ±0.0, one value throughout, one bucket holding nearly everything,
+    /// integer power-law keys (an attribute like `popularity`), plain
+    /// reals and non-finite keys, at lengths on both sides of the
+    /// direct-sort threshold and in both directions, it puts the entries
+    /// in the order `sort_by(total_cmp)` does — entry by entry, the
+    /// payload being each entry's input position.
+    #[test]
+    fn bucket_sort_is_the_stable_comparison_sort(
+        shape in 0usize..7,
+        draws in prop::collection::vec(any::<u64>(), 0..2_000),
+        descending in any::<bool>(),
+    ) {
+        let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+        let keys = draws.iter().map(|&x| match shape {
+            0 => (x % 7) as f64,
+            1 => [-0.0, 0.0, 1.0, -1.0][(x % 4) as usize],
+            2 => 3.5,
+            // One bucket: all but a few keys within 1e-9 of each other.
+            3 if x % 50 == 0 => 1e3 * unit(x),
+            3 => 1e-9 * unit(x),
+            4 => (1.0 / (unit(x) + 1e-3)).floor(),
+            5 => 100.0 * unit(x) - 50.0,
+            _ => [f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0, 1.0][(x % 5) as usize],
+        });
+        let items: Vec<(f64, usize)> = keys.zip(0..).collect();
+        let key = |e: &(f64, usize)| if descending { -e.0 } else { e.0 };
+        let mut want = items.clone();
+        want.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        let mut got = items;
+        aggregate::sort_by_key_stable(&mut got, key);
+        let order = |v: &[(f64, usize)]| v.iter().map(|e| e.1).collect::<Vec<_>>();
+        prop_assert_eq!(order(&got), order(&want));
+    }
+
+    /// Every contour element's stored sums are absent (an insert or a
+    /// removal edited it since it was installed) or, bit for bit, the
+    /// sums a fresh pass over its members in element order adds up —
+    /// on root-only, cracked, bulk-loaded and edited trees, through more
+    /// cracks and more edits. An element nothing edited stores them.
+    #[test]
+    fn element_sums_match_a_fresh_pass(
+        ps in arb_points(120, 3),
+        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
+        rounds in prop::collection::vec(
+            ((arb_xyz(60.0), 0.5f64..40.0), (0usize..3, arb_xyz(50.0), any::<u32>())),
+            1..6,
+        ),
+    ) {
+        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        let mut edited = shape == 3 && !edits.is_empty();
+        for (round, ((center, r), edit)) in rounds.into_iter().enumerate() {
+            for id in idx.contour() {
+                match &idx.node(id).sums {
+                    Some(sums) => prop_assert_eq!(bits(sums), bits(&fresh_sums(&idx, id))),
+                    None => prop_assert!(edited, "element {} lost its sums unedited", id),
+                }
+            }
+            if round % 2 == 0 {
+                idx.crack(&Mbr::of_ball(&snap(on_grid, center), r));
+            } else {
+                apply_edit(&mut idx, on_grid, edit);
+                edited = true;
+            }
+            idx.check_invariants();
+        }
+    }
+
+    /// Region reads over trees that edits have moved points in, where
+    /// boxes contain whole elements: `search_region` visits each live
+    /// point of the box once, `search_region_elements` hands over the
+    /// same ids, each element with the summary a fresh pass over its
+    /// ids gives, bit for bit, and `elements_to_split` is the list a
+    /// version that counts every element's in-box points gives. Some
+    /// element of every case lies wholly inside a box.
+    #[test]
+    fn region_reads_after_updates_match_brute_force(
+        ps in arb_points(120, 3),
+        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(60.0), 0.5f64..30.0), 1..5),
+        edits in prop::collection::vec((0usize..3, arb_xyz(50.0), any::<u32>()), 0..24),
+        rounds in prop::collection::vec(
+            ((arb_xyz(60.0), 0.5f64..80.0), (0usize..3, arb_xyz(50.0), any::<u32>())),
+            1..6,
+        ),
+    ) {
+        let mut idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        let mut contained = 0usize;
+        let everything = Mbr::of_ball(&[0.0; 3], 1e6);
+        for ((center, r), edit) in rounds {
+            apply_edit(&mut idx, on_grid, edit);
+            let q = Mbr::of_ball(&snap(on_grid, center), r);
+            for q in [q, everything] {
+                let live: Vec<u32> = (0..idx.points().len() as u32)
+                    .filter(|&id| !idx.is_removed(id) && idx.points().in_region(id, &q))
+                    .collect();
+                let mut got = Vec::new();
+                idx.search_region(&q, |id| got.push(id));
+                got.sort_unstable();
+                prop_assert_eq!(&got, &live);
+
+                let mut got = Vec::new();
+                let mut summaries_ok = true;
+                idx.search_region_elements(&q, |ids, summary| {
+                    contained += usize::from(q.contains_mbr(summary.mbr));
+                    let (centroid, spread_sq) = summary_of(idx.points(), ids);
+                    summaries_ok &= bits(&centroid) == bits(summary.centroid)
+                        && spread_sq.to_bits() == summary.spread_sq.to_bits();
+                    got.extend_from_slice(ids);
+                });
+                got.sort_unstable();
+                prop_assert_eq!(&got, &live);
+                prop_assert!(summaries_ok);
+
+                let counted: Vec<NodeId> = idx
+                    .contour()
+                    .into_iter()
+                    .filter(|&id| {
+                        let node = idx.node(id);
+                        let ids = idx.element_point_ids(id);
+                        let in_q = ids.iter().filter(|&&p| idx.points().in_region(p, &q)).count();
+                        matches!(node.kind, NodeKind::Unsplit(_))
+                            && node.mbr.intersects(&q)
+                            && !stop_condition(in_q, ids.len(), idx.leaf_capacity())
+                    })
+                    .collect();
+                prop_assert_eq!(idx.elements_to_split(&q), counted);
+            }
+            idx.crack(&q);
+            idx.check_invariants();
+        }
+        prop_assert!(contained > 0 || idx.live_points() == 0);
     }
 
     /// MBR union covers both inputs; intersection volume is bounded by
