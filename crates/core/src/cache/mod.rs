@@ -13,7 +13,8 @@
 //! attributes, and the index's point set — is byte-identical to fill
 //! time, and an answer is a function of that snapshot and the query
 //! alone, which makes a hit identical to recomputation. Stale entries
-//! are invalidated lazily on touch; no writer ever scans the cache.
+//! are invalidated lazily, on touch or by the first insert that finds
+//! the cache full; no writer ever scans the cache.
 //!
 //! A hit is a clone of the stored value and nothing else:
 //!
@@ -360,16 +361,25 @@ impl ResultCache {
         entries.tick += 1;
         let tick = entries.tick;
         if entries.map.len() >= self.capacity && !entries.map.contains_key(&key) {
-            // Evict the least-recently-used entry. Linear in the cache —
-            // fine at the capacities the facade configures, and only on
-            // insert at a full cache.
-            if let Some(victim) = entries
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(key, _)| key.clone())
-            {
-                entries.map.remove(&victim);
+            // One pass over a full cache: drop every entry filled at other
+            // epochs — the caller holds the index lock, so these are the
+            // current ones, and a lookup would only remove such an entry
+            // on touch — and note the least-recently-used of the rest,
+            // which is evicted only if nothing was stale. After a write
+            // the whole cache goes at once, so the inserts that refill it
+            // scan nothing until it is full again.
+            let mut victim: Option<(u64, CacheKey)> = None;
+            entries.map.retain(|key, e| {
+                let current = e.epoch == epoch && e.index_epoch == index_epoch;
+                if current && victim.as_ref().is_none_or(|&(stamp, _)| e.stamp < stamp) {
+                    victim = Some((e.stamp, key.clone()));
+                }
+                current
+            });
+            if entries.map.len() >= self.capacity {
+                if let Some((_, victim)) = victim {
+                    entries.map.remove(&victim);
+                }
             }
         }
         entries.map.insert(
@@ -539,6 +549,43 @@ mod tests {
             );
             assert_eq!(held, e >= 55, "entity {e}");
         }
+    }
+
+    /// An insert into a full cache drops every entry filled at other
+    /// epochs before it would evict anything: the stale entries go all at
+    /// once, every current-epoch entry survives, and the inserts after it
+    /// find room.
+    #[test]
+    fn full_cache_drops_stale_entries_before_evicting() {
+        let cache = ResultCache::new(8);
+        let key = |e| CacheKey::top_k(e, 0, Direction::Tails, None);
+        for e in 0..6 {
+            cache.insert_top_k(key(e), 3, 0, 0, &top_k_result(3));
+        }
+        // A write published (epoch 1); two entries are filled at it.
+        for e in 6..8 {
+            cache.insert_top_k(key(e), 3, 1, 0, &top_k_result(3));
+        }
+        assert_eq!(cache.len(), 8);
+        for e in 8..11 {
+            cache.insert_top_k(key(e), 3, 1, 0, &top_k_result(3));
+        }
+        assert_eq!(cache.len(), 5);
+        for e in 6..11 {
+            assert!(
+                matches!(
+                    cache.lookup_top_k(&key(e), 3, 1, 0, 3.0, 3),
+                    TopKLookup::Hit(_)
+                ),
+                "entity {e}"
+            );
+        }
+        // A stale index epoch counts as stale too.
+        for e in 11..14 {
+            cache.insert_top_k(key(e), 3, 1, 0, &top_k_result(3));
+        }
+        cache.insert_top_k(key(14), 3, 1, 1, &top_k_result(3));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

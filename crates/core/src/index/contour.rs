@@ -8,34 +8,28 @@
 //! statistics they keep are relaxed atomics, bumped once per traversal.
 
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BinaryHeap;
 
 use crate::geometry::{kernels, Mbr, PointSet};
 
 use super::arena::add_member;
-use super::{CrackingIndex, NodeKind};
+use super::{CrackingIndex, NodeId, NodeKind};
 
 /// Most points [`CrackingIndex::nearest_first`] hands its visitor in one
 /// run.
-pub const BATCH: usize = 8;
+pub const BATCH: usize = 32;
 
-/// Queue entry of [`CrackingIndex::nearest_first`] — a tree node keyed by
-/// its region's lower bound, or a point keyed by its own distance — as
-/// one integer: `d²`'s bits, then 0 for a node and 1 for a point, then
-/// the id. `d²` is a sum of squares or +∞ (an empty MBR), never negative
-/// and never NaN (refused at import), and non-negative floats order like
-/// their bits, so integer order is `(d², node before point, id)`: at
-/// equal keys a node pops before a point (it may hold an equally near
-/// point with a smaller id) and points pop in id order.
-fn queue_entry(d_sq: f64, point: bool, id: u32) -> Reverse<u128> {
-    debug_assert!(d_sq.is_sign_positive(), "queue key {d_sq}");
-    Reverse(u128::from(d_sq.to_bits()) << 64 | u128::from(point) << 32 | u128::from(id))
+/// The integer form of a squared distance: `d²` is a sum of squares or
+/// +∞ (an empty MBR), never negative and never NaN (refused at import),
+/// and non-negative floats order like their bits.
+fn key_bits(d_sq: f64) -> u64 {
+    debug_assert!(d_sq.is_sign_positive(), "key {d_sq}");
+    d_sq.to_bits()
 }
 
-/// `(d², is a point, id)` of a [`queue_entry`].
-fn decode(Reverse(entry): Reverse<u128>) -> (f64, bool, u32) {
-    let d_sq = f64::from_bits((entry >> 64) as u64);
-    (d_sq, entry >> 32 & 1 == 1, entry as u32)
+/// Sort key of an opened point: its `(d², id)` as integers.
+fn point_order(&(d_sq, id): &(f64, u32)) -> (u64, u32) {
+    (key_bits(d_sq), id)
 }
 
 /// Summary statistics of one contour element's in-region members, handed
@@ -98,18 +92,27 @@ impl CrackingIndex {
     ///
     /// `visit` gets the points in runs of `(d², id)`: up to [`BATCH`]
     /// consecutive points of that order, all within the radius the run
-    /// was collected under, cut short where a tree node is next. It
-    /// returns the squared radius to continue with; a visitor that meets
-    /// a key beyond its shrinking radius drops the rest of the run, and
-    /// the traversal ends at the first queue key beyond the returned
-    /// radius. Nodes are only expanded between runs, so each sees the
-    /// radius left by every point before it, as if visited one by one.
+    /// was collected under. It returns the squared radius to continue
+    /// with, which never grows; a visitor that meets a key beyond its
+    /// shrinking radius drops the rest of the run, and the traversal ends
+    /// at the first key beyond the returned radius.
     ///
-    /// One best-first descent: tree nodes are keyed by
-    /// [`Mbr::min_distance_sq`], points by the per-point distance
-    /// [`kernels::scalar_distances_sq`] gives a whole batch, evaluated
-    /// one contour element at a time. Children and points beyond the
-    /// current radius are never queued. Like
+    /// Tree nodes are expanded best-first from a heap keyed by
+    /// [`Mbr::min_distance_sq`]; an opened contour element's points
+    /// within the radius (their distances from
+    /// [`kernels::scalar_distances_sq`], one element at a time) wait in
+    /// one buffer, never in the heap. A bound `hi`, doubling in `d²` from
+    /// the nearest key not yet handed out and capped inclusively at the
+    /// radius, cuts that buffer into *shells*: once every node keyed
+    /// `≤ hi` is expanded, every live point with `d² ≤ hi` has been
+    /// opened, so the waiting points with `d² ≤ hi`, sorted once by
+    /// `(d², id)`, are exactly the next stretch of the emission order.
+    /// Nodes open in key order, and a round that would more than double
+    /// the waiting points stops at a node keyed `m` instead: every point
+    /// below `m` has then been opened, and the shell is the waiting
+    /// points with `d² < m`. Children and points beyond the current
+    /// radius are never kept. A node expanded for a shell the radius then
+    /// shrinks away from is still counted: like
     /// [`CrackingIndex::search_region`] this is a pure read that counts
     /// each expanded element in the access statistics.
     pub fn nearest_first(
@@ -119,53 +122,104 @@ impl CrackingIndex {
         mut visit: impl FnMut(&PointSet, &[(f64, u32)]) -> f64,
     ) -> u64 {
         let root = self.nodes[self.root as usize].mbr.min_distance_sq(q);
-        let mut queue = BinaryHeap::from([queue_entry(root, false, self.root)]);
-        let mut run: Vec<(f64, u32)> = Vec::with_capacity(BATCH);
+        let mut nodes: BinaryHeap<Reverse<(u64, NodeId)>> =
+            BinaryHeap::from([Reverse((key_bits(root), self.root))]);
+        // Opened points not yet handed out.
+        let mut pending: Vec<(f64, u32)> = Vec::new();
+        let mut waiting_min = f64::INFINITY;
         let mut dists: Vec<f64> = Vec::new();
         let (mut elements, mut computed) = (0u64, 0u64);
-        while let Some(entry) = queue.pop() {
-            let (key, point, id) = decode(entry);
-            if key > r_sq {
+        let mut hi = 0.0f64;
+        'shells: loop {
+            // The nearest key not handed out yet.
+            let next = match nodes.peek() {
+                Some(&Reverse((bits, _))) => f64::from_bits(bits).min(waiting_min),
+                None if !pending.is_empty() => waiting_min,
+                None => break,
+            };
+            if next > r_sq {
                 break;
             }
-            if point {
-                run.clear();
-                run.push((key, id));
-                while run.len() < BATCH {
-                    let Some(next) = queue.peek_mut() else { break };
-                    let (key, point, id) = decode(*next);
-                    if !point || key > r_sq {
-                        break;
-                    }
-                    run.push((key, id));
-                    PeekMut::pop(next);
+            hi = (2.0 * hi).max(next).min(r_sq);
+
+            // Open everything that may hold a point of the shell — unless
+            // that more than doubles the waiting points: the shell then
+            // ends below the first node left, and the next grows from it.
+            let limit = 2 * pending.len() + 8 * BATCH;
+            let mut below = f64::INFINITY;
+            while let Some(&Reverse((bits, id))) = nodes.peek() {
+                let key = f64::from_bits(bits);
+                if key > hi {
+                    break;
                 }
-                r_sq = visit(&self.points, &run);
-                continue;
+                if pending.len() > limit {
+                    (below, hi) = (key, key);
+                    break;
+                }
+                nodes.pop();
+                let ids: &[u32] = match &self.nodes[id as usize].kind {
+                    NodeKind::Internal(children) => {
+                        nodes.extend(children.iter().filter_map(|&id| {
+                            let key = self.nodes[id as usize].mbr.min_distance_sq(q);
+                            (key <= r_sq).then(|| Reverse((key_bits(key), id)))
+                        }));
+                        continue;
+                    }
+                    NodeKind::Leaf(ids) => ids,
+                    NodeKind::Unsplit(orders) => orders.ids(0),
+                };
+                elements += 1;
+                computed += ids.len() as u64;
+                dists.resize(ids.len(), 0.0);
+                kernels::scalar_distances_sq(&self.points, ids, q, &mut dists);
+                pending.extend(
+                    ids.iter()
+                        .zip(&dists)
+                        .filter(|&(_, &d_sq)| d_sq <= r_sq)
+                        .map(|(&id, &d_sq)| (d_sq, id)),
+                );
             }
-            let ids: &[u32] = match &self.nodes[id as usize].kind {
-                NodeKind::Internal(children) => {
-                    queue.extend(children.iter().filter_map(|&id| {
-                        let key = self.nodes[id as usize].mbr.min_distance_sq(q);
-                        (key <= r_sq).then(|| queue_entry(key, false, id))
-                    }));
+
+            // One pass over the waiting points, in place: the shell
+            // (`d² ≤ hi`, and `< below`) to the front, the rest after it,
+            // whatever the radius no longer admits dropped.
+            let (mut shell, mut kept) = (0, 0);
+            waiting_min = f64::INFINITY;
+            for i in 0..pending.len() {
+                let point = pending[i];
+                if point.0 > r_sq {
                     continue;
                 }
-                NodeKind::Leaf(ids) => ids,
-                NodeKind::Unsplit(orders) => orders.ids(0),
-            };
-            elements += 1;
-            computed += ids.len() as u64;
-            dists.resize(ids.len(), 0.0);
-            kernels::scalar_distances_sq(&self.points, ids, q, &mut dists);
-            // One `extend` per element: a large batch (an unsplit root)
-            // is heapified in O(n), not pushed point by point.
-            queue.extend(
-                ids.iter()
-                    .zip(&dists)
-                    .filter(|&(_, &key)| key <= r_sq)
-                    .map(|(&id, &key)| queue_entry(key, true, id)),
-            );
+                if point.0 <= hi && point.0 < below {
+                    pending[kept] = pending[shell];
+                    pending[shell] = point;
+                    shell += 1;
+                } else {
+                    pending[kept] = point;
+                    waiting_min = waiting_min.min(point.0);
+                }
+                kept += 1;
+            }
+            pending.truncate(kept);
+
+            let sorted = &mut pending[..shell];
+            sorted.sort_unstable_by_key(point_order);
+            let mut at = 0;
+            while at < shell {
+                let window = &sorted[at..shell.min(at + BATCH)];
+                let run = &window[..window.partition_point(|p| p.0 <= r_sq)];
+                if run.is_empty() {
+                    break 'shells;
+                }
+                r_sq = visit(&self.points, run);
+                at += run.len();
+            }
+            // Drop the shell before the next round opens more, so the
+            // buffer never holds two shells' points at once; its slots are
+            // refilled from the end, as the rest has no order to keep.
+            let moved = (kept - shell).min(shell);
+            pending.copy_within(kept - moved..kept, 0);
+            pending.truncate(kept - shell);
         }
         self.count_access(elements, computed);
         computed
@@ -257,11 +311,10 @@ impl CrackingIndex {
 mod tests {
     use super::*;
 
-    /// The integer entry orders like `(d² by total_cmp, node before
-    /// point, id)` and decodes to what it encodes: zero, subnormals,
-    /// equal keys, +∞, and nodes and points sharing an id.
+    /// The integer sort key of a point orders like `(d² by total_cmp,
+    /// id)`: zero, subnormals, equal keys and +∞.
     #[test]
-    fn queue_entries_order_like_distance_then_node_then_id() {
+    fn point_order_is_distance_then_id() {
         let keys = [
             0.0,
             f64::from_bits(1),
@@ -273,24 +326,20 @@ mod tests {
             f64::MAX,
             f64::INFINITY,
         ];
-        let mut entries = Vec::new();
+        let mut points = Vec::new();
         for d_sq in keys {
-            for point in [false, true] {
-                for id in [0, 1, 7, u32::MAX] {
-                    entries.push((d_sq, point, id));
-                }
+            for id in [0, 1, 7, u32::MAX] {
+                points.push((d_sq, id));
             }
         }
-        for &(d_sq, point, id) in &entries {
-            let (back, p, i) = decode(queue_entry(d_sq, point, id));
-            assert_eq!((back.to_bits(), p, i), (d_sq.to_bits(), point, id));
-        }
-        for a in &entries {
-            for b in &entries {
-                let want = a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2));
-                let (Reverse(x), Reverse(y)) =
-                    (queue_entry(a.0, a.1, a.2), queue_entry(b.0, b.1, b.2));
-                assert_eq!(x.cmp(&y), want, "{a:?} against {b:?}");
+        for a in &points {
+            for b in &points {
+                let want = a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+                assert_eq!(
+                    point_order(a).cmp(&point_order(b)),
+                    want,
+                    "{a:?} against {b:?}"
+                );
             }
         }
     }

@@ -52,8 +52,9 @@ pub struct TopKResult {
     /// Number of candidate points whose S₁ distance was evaluated.
     pub s1_evals: u64,
     /// Number of points whose S₂ distance was computed (the cheap
-    /// filter): the members of every contour element the shrinking ball
-    /// reached.
+    /// filter): the members of every contour element the traversal
+    /// opened — each one the ball reached when its shell was cut, so a
+    /// few the ball then shrank away from are counted too.
     pub candidates_examined: u64,
 }
 

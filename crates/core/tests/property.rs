@@ -212,6 +212,87 @@ fn summary_of(points: &PointSet, ids: &[u32]) -> (Vec<f64>, f64) {
     (centroid, (norm_sq / n - centroid_norm_sq).max(0.0))
 }
 
+/// `min_n` to `max_n` points in 3-D with coordinates in `range`.
+fn arb_points_3d(
+    range: std::ops::Range<f64>,
+    min_n: usize,
+    max_n: usize,
+) -> impl Strategy<Value = PointSet> {
+    prop::collection::vec(range, min_n * 3..=max_n * 3).prop_map(|mut coords| {
+        coords.truncate(coords.len() / 3 * 3);
+        PointSet::from_rows(3, coords)
+    })
+}
+
+/// Points on the lattice of multiples of ten in [-30, 30]³ (once
+/// [`snap`]ped): 343 sites for up to 400 points, so equal distances,
+/// duplicate points and node keys equal to a point's distance are the
+/// rule. Every squared distance and every node key from a lattice query
+/// is then a multiple of 100, and so is every shell bound, which doubles
+/// from one of them or stops at one.
+fn arb_lattice_points() -> impl Strategy<Value = PointSet> {
+    arb_points_3d(-35.0..35.0, 1, 400)
+}
+
+/// The ids of the runs [`CrackingIndex::nearest_first`] handed out,
+/// after checking that every run is a non-empty stretch of `sorted`, keys
+/// included, of at most [`BATCH`] points, each following the last.
+fn ids_of_runs(sorted: &[(f64, u32)], runs: &[Vec<(f64, u32)>]) -> Vec<u32> {
+    let bits = |e: &(f64, u32)| (e.0.to_bits(), e.1);
+    let mut at = 0;
+    for run in runs {
+        assert!(
+            !run.is_empty() && run.len() <= BATCH,
+            "run of {}",
+            run.len()
+        );
+        let want: Vec<_> = sorted[at..at + run.len()].iter().map(bits).collect();
+        assert_eq!(
+            run.iter().map(bits).collect::<Vec<_>>(),
+            want,
+            "run at {at}"
+        );
+        at += run.len();
+    }
+    sorted[..at].iter().map(|e| e.1).collect()
+}
+
+/// The ids a one-by-one walk over `sorted` keeps from radius² `r_sq`: the
+/// first point beyond the radius ends it, and after the `n`-th kept point
+/// at `d²` the radius becomes `shrink(n, radius, d²)`.
+fn walk(sorted: &[(f64, u32)], r_sq: f64, shrink: impl Fn(usize, f64, f64) -> f64) -> Vec<u32> {
+    let (mut kept, mut bound) = (Vec::new(), r_sq);
+    for &(d_sq, id) in sorted {
+        if d_sq > bound {
+            break;
+        }
+        kept.push(id);
+        bound = shrink(kept.len(), bound, d_sq);
+    }
+    kept
+}
+
+/// [`walk`] through the runs of [`CrackingIndex::nearest_first`].
+fn walk_index(
+    idx: &CrackingIndex,
+    q: &[f64],
+    r_sq: f64,
+    shrink: impl Fn(usize, f64, f64) -> f64,
+) -> Vec<u32> {
+    let (mut kept, mut bound) = (Vec::new(), r_sq);
+    idx.nearest_first(q, r_sq, |_, run| {
+        for &(d_sq, id) in run {
+            if d_sq > bound {
+                break;
+            }
+            kept.push(id);
+            bound = shrink(kept.len(), bound, d_sq);
+        }
+        bound
+    });
+    kept
+}
+
 /// One `insert_point` (0), `update_point` (1) or `remove_point` (2).
 fn apply_edit(idx: &mut CrackingIndex, on_grid: bool, (op, to, pick): (usize, Xyz, u32)) {
     let id = pick % idx.points().len() as u32;
@@ -287,6 +368,79 @@ proptest! {
         });
         // `want` is a prefix of `ball` by construction.
         prop_assert_eq!(got, want);
+    }
+
+    /// Shell boundaries where everything ties: on lattice points and a
+    /// lattice query, points' `d²`, node keys and the shell bounds that
+    /// double from them are all multiples of 100 and keep coinciding.
+    /// On every tree shape and at every lattice radius the traversal
+    /// still hands out the sorted ball in stretches — points at exactly
+    /// the radius included, equal distances in id order — and a walk
+    /// whose radius shrinks onto each point it keeps (ties at that
+    /// distance still come) keeps what a sort of the live points keeps.
+    #[test]
+    fn shells_on_a_lattice_are_the_sorted_ball(
+        ps in arb_lattice_points(),
+        shape in 0usize..4,
+        cracks in prop::collection::vec((arb_xyz(40.0), 5.0f64..30.0), 1..6),
+        edits in prop::collection::vec((0usize..3, arb_xyz(35.0), any::<u32>()), 0..24),
+        q in arb_xyz(45.0),
+        (r, after) in (0usize..150, 1usize..40),
+    ) {
+        let idx = shaped_index(ps, true, shape, &cracks, &edits);
+        let q = snap(true, q);
+        let sorted = live_by_distance(&idx, &q);
+        let r_sq = 100.0 * r as f64;
+        let ball = sorted.partition_point(|e| e.0 <= r_sq);
+        for r_sq in [r_sq, f64::INFINITY] {
+            let mut runs: Vec<Vec<(f64, u32)>> = Vec::new();
+            idx.nearest_first(&q, r_sq, |_, run| {
+                runs.push(run.to_vec());
+                r_sq
+            });
+            let want = if r_sq.is_finite() { ball } else { sorted.len() };
+            prop_assert_eq!(ids_of_runs(&sorted, &runs).len(), want);
+        }
+        let onto_point = |n: usize, bound: f64, d_sq: f64| if n >= after { d_sq } else { bound };
+        prop_assert_eq!(
+            walk_index(&idx, &q, f64::INFINITY, onto_point),
+            walk(&sorted, f64::INFINITY, onto_point)
+        );
+    }
+
+    /// A visitor whose radius shrinks to exactly a shell bound: once
+    /// `after` points are kept, the radius becomes the first kept `d²`
+    /// doubled as often as it takes to reach the current point — the
+    /// bounds the shells are cut at while each next key lies within one
+    /// doubling — so the points lying on it are the last ones the radius
+    /// admits, on lattice and on real coordinates, on every tree shape.
+    #[test]
+    fn radius_shrinking_onto_a_shell_bound(
+        ps in prop_oneof![arb_lattice_points(), arb_points(400, 3)],
+        (on_grid, shape) in (any::<bool>(), 0usize..4),
+        cracks in prop::collection::vec((arb_xyz(40.0), 5.0f64..30.0), 1..6),
+        edits in prop::collection::vec((0usize..3, arb_xyz(35.0), any::<u32>()), 0..24),
+        q in arb_xyz(45.0),
+        after in 1usize..60,
+    ) {
+        let idx = shaped_index(ps, on_grid, shape, &cracks, &edits);
+        let q = snap(on_grid, q);
+        let sorted = live_by_distance(&idx, &q);
+        let first = sorted.first().map_or(0.0, |e| e.0);
+        let onto_bound = |n: usize, bound: f64, d_sq: f64| {
+            if n < after || first == 0.0 {
+                return bound;
+            }
+            let mut shell = first;
+            while shell < d_sq {
+                shell *= 2.0;
+            }
+            bound.min(shell)
+        };
+        prop_assert_eq!(
+            walk_index(&idx, &q, f64::INFINITY, onto_bound),
+            walk(&sorted, f64::INFINITY, onto_bound)
+        );
     }
 
     /// One oracle, every tree: for the same points and the same query a
@@ -754,6 +908,59 @@ proptest! {
                 let delta = b.delta_for_confidence(conf);
                 prop_assert!(b.tail_probability(delta) <= 1.0 - conf + 1e-6);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A root-only tree of 2 000 points or more: at r = ∞ the first
+    /// element the traversal opens is the whole set, so every point
+    /// waits in one buffer that the shells cut up. The same points
+    /// bulk-loaded into leaves of four: a doubled bound reaches hundreds
+    /// of leaves at once, and the round stops at a node and ends its
+    /// shell below it. Both still hand out every point in stretches of
+    /// the sorted set, keep what a one-by-one walk keeps while the radius
+    /// shrinks, and answer top-k as the oracle does.
+    #[test]
+    fn root_only_tree_is_cut_into_shells(
+        ps in arb_points_3d(-50.0..50.0, 2_000, 2_400),
+        on_grid in any::<bool>(),
+        q in arb_xyz(60.0),
+        (k, after, eps) in (1usize..40, 1usize..200, 0.1f64..2.0),
+    ) {
+        let root_only = shaped_index(ps.clone(), on_grid, 0, &[], &[]);
+        prop_assert_eq!(root_only.node_count(), 1);
+        let q = snap(on_grid, q);
+        for idx in [root_only, shaped_index(ps, on_grid, 2, &[], &[])] {
+            let sorted = live_by_distance(&idx, &q);
+            let mut runs: Vec<Vec<(f64, u32)>> = Vec::new();
+            let computed = idx.nearest_first(&q, f64::INFINITY, |_, run| {
+                runs.push(run.to_vec());
+                f64::INFINITY
+            });
+            prop_assert_eq!(computed, sorted.len() as u64);
+            prop_assert_eq!(ids_of_runs(&sorted, &runs).len(), sorted.len());
+            let shrinking = |n: usize, bound: f64, d_sq: f64| {
+                if n >= after { bound.min(2.0 * d_sq) * 0.75 } else { bound }
+            };
+            prop_assert_eq!(
+                walk_index(&idx, &q, f64::INFINITY, shrinking),
+                walk(&sorted, f64::INFINITY, shrinking)
+            );
+            let s1 = |points: &PointSet, id: u32| {
+                points.distance_sq(id, &q).sqrt() * (1.0 + f64::from(id % 2) * 0.25)
+            };
+            let skip = |id: u32| id % 3 == 0;
+            let want = oracle_top_k(&sorted, k, eps, |id| s1(idx.points(), id), skip);
+            let batch = |points: &PointSet, ids: &[u32], out: &mut [f64]| {
+                for (d, &id) in out.iter_mut().zip(ids) {
+                    *d = s1(points, id);
+                }
+            };
+            let (got, _) = find_top_k_read(&idx, &q, k, eps, 3, batch, skip).unwrap();
+            prop_assert_eq!(answer_of(&got), want);
         }
     }
 }
