@@ -48,49 +48,6 @@ pub fn generate(graph: &KnowledgeGraph, n: usize, seed: u64) -> Vec<Query> {
         .collect()
 }
 
-/// Generates `n` queries whose *triple* choice is Zipf-skewed with
-/// exponent `s`: triple at popularity rank `r` (0-based) is drawn with
-/// weight `1/(r+1)^s`, so a hot head of the workload repeats — the
-/// regime where a result cache earns its keep. `s = 0` degenerates to
-/// the uniform [`generate`] distribution (same weights, different rng
-/// stream). Direction still flips per query, like [`generate`].
-pub fn generate_zipf(graph: &KnowledgeGraph, n: usize, seed: u64, s: f64) -> Vec<Query> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let triples = graph.triples();
-    assert!(
-        !triples.is_empty(),
-        "cannot generate queries over an empty graph"
-    );
-    // Cumulative Zipf weights over ranks; rank order is the (stable)
-    // triple order, which is as arbitrary as any popularity assignment.
-    let mut cdf = Vec::with_capacity(triples.len());
-    let mut total = 0.0;
-    for r in 0..triples.len() {
-        total += 1.0 / ((r + 1) as f64).powf(s);
-        cdf.push(total);
-    }
-    (0..n)
-        .map(|_| {
-            let u = rng.gen_range(0.0..total);
-            let idx = cdf.partition_point(|&c| c <= u).min(triples.len() - 1);
-            let t = triples[idx];
-            if rng.gen_bool(0.5) {
-                Query {
-                    entity: t.head,
-                    relation: t.relation,
-                    direction: Direction::Tails,
-                }
-            } else {
-                Query {
-                    entity: t.tail,
-                    relation: t.relation,
-                    direction: Direction::Heads,
-                }
-            }
-        })
-        .collect()
-}
-
 /// Runs one query against any engine over the shared snapshot.
 pub fn run(engine: &mut dyn QueryEngine, snap: &VkgSnapshot, q: &Query, k: usize) -> TopKResult {
     match engine.top_k(snap, q.entity, q.relation, q.direction, k) {
@@ -152,32 +109,6 @@ mod tests {
         // Both directions occur.
         assert!(qs.iter().any(|q| q.direction == Direction::Tails));
         assert!(qs.iter().any(|q| q.direction == Direction::Heads));
-    }
-
-    #[test]
-    fn zipf_skews_toward_a_hot_head() {
-        let ds = movie_like(&MovieConfig::tiny());
-        let qs = generate_zipf(&ds.graph, 400, 3, 1.2);
-        assert_eq!(qs.len(), 400);
-        for q in &qs {
-            assert!(q.entity.index() < ds.graph.num_entities());
-            assert!(q.relation.index() < ds.graph.num_relations());
-        }
-        // The head of the rank order dominates: the single most frequent
-        // (entity, relation, direction) triple appears far more often
-        // than the uniform expectation.
-        let mut counts = std::collections::HashMap::new();
-        for q in &qs {
-            *counts
-                .entry((q.entity.0, q.relation.0, q.direction == Direction::Tails))
-                .or_insert(0u32) += 1;
-        }
-        let max = counts.values().copied().max().expect("nonempty");
-        let uniform = 400 / ds.graph.triples().len().max(1) as u32;
-        assert!(
-            max > 2 * uniform.max(1),
-            "zipf head repeats (max {max}, uniform {uniform})"
-        );
     }
 
     #[test]

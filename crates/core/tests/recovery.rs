@@ -218,8 +218,9 @@ proptest! {
 }
 
 /// The fault matrix. Each cell: attach a WAL behind a seeded fault
-/// plane, write until the injected fault "crashes" the process, then
-/// recover into a fresh engine and check the crash-recovery invariant —
+/// plane, write until the injected fault "crashes" the process, forget
+/// the live facade without running a destructor (a kill runs none),
+/// then recover into a fresh engine and check the crash-recovery invariant —
 /// every acked write present, none applied twice, and an independent
 /// replay of the log agrees with the recovered engine.
 #[test]
@@ -238,24 +239,27 @@ fn fault_matrix_cell(seed: u64, cache: usize) {
     // Phase 1: live process, faults armed. `acked` collects exactly the
     // writes whose Ok the "client" observed before the crash.
     let mut acked: Vec<(u64, EntityId, EntityId, bool)> = Vec::new();
-    {
-        let (vkg, likes) = tiny_vkg(cache);
-        let plan = write_plan(&vkg);
-        let fault = FaultPlane::seeded(seed, plan.len() as u64 + 1);
-        if vkg.attach_wal(&wal_file.0, fault).is_ok() {
-            for (i, &(h, t)) in plan.iter().enumerate() {
-                let token = 1000 + i as u64;
-                match vkg.add_fact_durable(token, h, likes, t, 2, 0.01) {
-                    Ok((added, _epoch)) => acked.push((token, h, t, added)),
-                    // The injected fault surfaced: the process "dies"
-                    // here, mid-write, ack never sent.
-                    Err(_) => break,
-                }
+    let (vkg, likes) = tiny_vkg(cache);
+    let plan = write_plan(&vkg);
+    let fault = FaultPlane::seeded(seed, plan.len() as u64 + 1);
+    if vkg.attach_wal(&wal_file.0, fault).is_ok() {
+        for (i, &(h, t)) in plan.iter().enumerate() {
+            let token = 1000 + i as u64;
+            match vkg.add_fact_durable(token, h, likes, t, 2, 0.01) {
+                Ok((added, _epoch)) => acked.push((token, h, t, added)),
+                // The injected fault surfaced: the process "dies"
+                // here, mid-write, ack never sent.
+                Err(_) => break,
             }
         }
-        // else: the fault fired while writing the magic header — the
-        // crash happened before any write was acked.
     }
+    // else: the fault fired while writing the magic header — the
+    // crash happened before any write was acked.
+    //
+    // The process dies the way a SIGKILL kills it: no destructor runs,
+    // so only what an ack put on disk before returning is there to
+    // recover — a log that flushes on drop would pass a scope exit.
+    std::mem::forget(vkg);
 
     // Phase 2: restart. Recovery over the torn file must never fail or
     // panic, and must reconstruct at least the acked prefix.

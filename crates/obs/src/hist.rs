@@ -1,15 +1,9 @@
-//! Geometric-bucket latency/duration histogram.
-//!
-//! Promoted from the serving-layer load generator (`vkg-bench`'s
-//! `latency.rs`, which now re-exports this type) so the whole workspace
-//! shares exactly one bucketing implementation: server-side histograms
-//! and the load generator's client-side histograms are comparable
-//! bucket-for-bucket.
+//! Geometric-bucket latency/duration histogram, the one bucketing
+//! implementation the server and the facade registry share.
 //!
 //! Geometric buckets (≈9% relative width) over microseconds give
 //! HDR-style bounded relative error for quantiles without storing raw
-//! samples; the maximum is tracked exactly. Per-connection histograms
-//! [`Histogram::merge`] into one report.
+//! samples; the maximum is tracked exactly.
 
 use std::time::Duration;
 
@@ -114,15 +108,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
     /// The non-empty buckets as `(bucket index, count)` pairs, in index
     /// order — the sparse form snapshots and the wire format carry.
     pub fn sparse_buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
@@ -147,19 +132,6 @@ impl Histogram {
         }
         h.max_us = max_us;
         h
-    }
-
-    /// One-line `p50/p95/p99/max` summary in milliseconds.
-    pub fn summary(&self) -> String {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        format!(
-            "p50={:.2}ms p95={:.2}ms p99={:.2}ms max={:.2}ms (n={})",
-            ms(self.quantile(0.50)),
-            ms(self.quantile(0.95)),
-            ms(self.quantile(0.99)),
-            ms(self.max()),
-            self.total,
-        )
     }
 }
 
@@ -196,28 +168,6 @@ mod tests {
         h.record(Duration::from_micros(777));
         assert_eq!(h.quantile(0.99), Duration::from_micros(777));
         assert_eq!(h.quantile(1.0), Duration::from_micros(777));
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for i in 0..1000u64 {
-            let d = Duration::from_micros(i * 17 % 4096);
-            if i % 2 == 0 {
-                a.record(d);
-            } else {
-                b.record(d);
-            }
-            whole.record(d);
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), whole.len());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.5, 0.9, 0.95, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
     }
 
     #[test]

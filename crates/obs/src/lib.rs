@@ -22,14 +22,12 @@
 //!   a `Clock` (clippy's `disallowed-methods` enforces it), so tests
 //!   can substitute [`Clock::mock`] and advance time deterministically.
 //! * [`MetricsSnapshot`] — a point-in-time, wire-encodable dump of the
-//!   registry plus the last-N spans; [`expo::render`] writes it as a
-//!   text exposition format.
+//!   registry plus the last-N spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod expo;
 pub mod hist;
 pub mod registry;
 pub mod ring;

@@ -1,10 +1,9 @@
 //! Point-in-time, transport-agnostic metric snapshots.
 //!
-//! A [`MetricsSnapshot`] is what every export surface carries: the wire
-//! `Metrics` opcode encodes it, the [`crate::expo`] text format renders
-//! and parses it, and `serve_load` cross-checks it against client-side
-//! measurements. It is plain data — no atomics, no locks — so it can be
-//! compared, serialized, and shipped freely.
+//! A [`MetricsSnapshot`] is what the wire `Metrics` opcode carries, and
+//! what the server tests and the ledger reconcile against what their
+//! clients observed. It is plain data — no atomics, no locks — so it can
+//! be compared, serialized, and shipped freely.
 
 use crate::hist::Histogram;
 use crate::span::Span;

@@ -27,8 +27,8 @@
 //!   and reads pin one snapshot epoch end-to-end via the facade's
 //!   epoch-swap publication.
 //! * [`client`] — a synchronous [`client::Client`] speaking the same
-//!   protocol, used by the test suite and `vkg-bench`'s `serve_load`
-//!   load generator. With a [`client::RetryPolicy`] installed it
+//!   protocol, used by the test suite and the `ledger` benchmark. With
+//!   a [`client::RetryPolicy`] installed it
 //!   self-heals: bounded exponential backoff with deterministic jitter
 //!   on `Overloaded`/`Draining`, transparent reconnect on connection
 //!   loss, and idempotent write tokens

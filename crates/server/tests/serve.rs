@@ -8,11 +8,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vkg_core::query::aggregate::AggregateKind;
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{Direction, VkgConfig};
+use vkg_core::{AggregateResult, AggregateSpec, Direction, VkgConfig, VkgError};
 use vkg_embed::{TransE, TransEConfig};
 use vkg_kg::datasets::{movie_like, MovieConfig};
 use vkg_kg::{EntityId, RelationId};
@@ -239,6 +239,13 @@ fn undersized_queue_sheds_with_typed_overloaded() {
     assert!(ok >= 1, "the admitted requests completed");
     assert!(shed >= 1, "the undersized queue shed load");
 
+    // Every client has its answer, so the queue is drained: the
+    // exported gauges already agree with what the clients counted.
+    let m = handle.metrics(0);
+    let gauge = |name| m.snapshot.gauge(name).expect("exported gauge");
+    assert_eq!(gauge("server.shed"), u64::from(shed), "exported shed");
+    assert_eq!(gauge("server.admitted"), gauge("server.answered"));
+
     let counters = handle.shutdown();
     assert_eq!(counters.admitted, counters.answered);
     assert_eq!(counters.shed as u32, shed);
@@ -384,9 +391,10 @@ fn requests_expiring_behind_a_slow_worker_are_refused_not_executed() {
 
 /// The result cache on a live server whose four workers read side by
 /// side: concurrent repeat-heavy readers with a dynamic writer, then
-/// quiescent answers verified bit-for-bit against the in-process
-/// engine. The cache must actually hit — while every admitted request
-/// is still answered.
+/// quiescent top-k and full-accuracy COUNT answers, cached ones
+/// included, verified bit-for-bit against a cache-free recompute. The
+/// cache must actually hit — while every admitted request is still
+/// answered.
 #[test]
 fn cached_serving_stays_correct_under_writes() {
     let ds = movie_like(&MovieConfig::tiny());
@@ -454,27 +462,83 @@ fn cached_serving_stays_correct_under_writes() {
         r.join().expect("reader thread");
     }
 
-    // Quiescent: remote answers equal the in-process engine's exactly.
+    // Quiescent: each key is asked twice over the wire, so the second
+    // answer is a cache hit, and both must equal a cache-free recompute
+    // (the read halves alone, under the shared guard) at the same
+    // published state — bit for bit, guarantee and aggregate bound
+    // included. `vkg.top_k` would be served from the same cache.
     let mut client = Client::connect(addr).expect("verification client");
-    for entity in 0..4u32 {
-        let remote = client
-            .top_k(EntityId(entity), RelationId(0), Direction::Tails, 5)
-            .expect("top-k answered");
-        let local = vkg
-            .top_k(EntityId(entity), RelationId(0), Direction::Tails, 5)
-            .expect("in-process answer");
-        assert_eq!(remote.predictions.len(), local.predictions.len());
-        for (rp, lp) in remote.predictions.iter().zip(&local.predictions) {
-            assert_eq!(rp.id, lp.id);
-            assert_eq!(rp.distance, lp.distance);
-            assert_eq!(rp.probability, lp.probability);
+    let hits = |client: &mut Client| {
+        let m = client.metrics(0).expect("metrics answered");
+        m.snapshot.counter("core.cache.hit").expect("hit counter")
+    };
+    let hits_before = hits(&mut client);
+    let spec = AggregateSpec::count(0.05);
+    let mut keys = 0u64;
+    for entity in (0..4u32).map(EntityId) {
+        for relation in (0..2u32).map(RelationId) {
+            let (local, _) = vkg
+                .with_published_index(|_pin, snap, state| {
+                    state.top_k_read(snap, entity, relation, Direction::Tails, 5, &|_| true)
+                })
+                .expect("cache-free top-k");
+            let local_agg = vkg
+                .with_published_index(|_pin, snap, state| -> Result<_, VkgError> {
+                    let (nearest, _) =
+                        state.aggregate_anchor(snap, entity, relation, Direction::Tails, &spec)?;
+                    let Some(nearest) = nearest else {
+                        return Ok(AggregateResult::empty());
+                    };
+                    state
+                        .aggregate_ball(snap, entity, relation, Direction::Tails, &spec, &nearest)
+                        .map(|(answer, _)| answer)
+                })
+                .expect("cache-free aggregate");
+            for _ in 0..2 {
+                let remote = client
+                    .top_k(entity, relation, Direction::Tails, 5)
+                    .expect("top-k answered");
+                assert_eq!(remote.predictions.len(), local.predictions.len());
+                for (rp, lp) in remote.predictions.iter().zip(&local.predictions) {
+                    assert_eq!(rp.id, lp.id);
+                    assert_eq!(rp.distance.to_bits(), lp.distance.to_bits());
+                    assert_eq!(rp.probability.to_bits(), lp.probability.to_bits());
+                }
+                assert_eq!(
+                    remote.success_probability.to_bits(),
+                    local.guarantee.success_probability.to_bits()
+                );
+                assert_eq!(
+                    remote.expected_misses.to_bits(),
+                    local.guarantee.expected_misses.to_bits()
+                );
+
+                let remote_agg = client
+                    .aggregate(
+                        entity,
+                        relation,
+                        Direction::Tails,
+                        AggregateKind::Count,
+                        None,
+                        0.05,
+                        None,
+                    )
+                    .expect("aggregate answered");
+                assert_eq!(remote_agg.estimate.to_bits(), local_agg.estimate.to_bits());
+                assert_eq!(remote_agg.mu.to_bits(), local_agg.bound.mu.to_bits());
+                assert_eq!(
+                    remote_agg.increment_mass.to_bits(),
+                    local_agg.bound.increment_mass.to_bits()
+                );
+                assert_eq!(remote_agg.ball_size as usize, local_agg.ball_size);
+            }
+            keys += 1;
         }
     }
-
-    let m = client.metrics(0).expect("metrics answered");
+    // At least every second ask of a top-k and of an aggregate was a hit.
     assert!(
-        m.snapshot.counter("core.cache.hit").unwrap_or(0) > 0,
-        "the repeat-heavy workload hit the cache"
+        hits(&mut client) - hits_before >= 2 * keys,
+        "the repeated asks were served from the cache"
     );
 
     drop(client);
@@ -752,38 +816,50 @@ fn stats_reports_epoch_accuracy_and_ledger() {
 }
 
 /// The `Metrics` opcode exports telemetry that reconciles with what the
-/// client just did: per-query spans (with outcomes and refine steps),
-/// the mirrored admission counters, and the merged facade registry.
+/// client just did: per-query spans (with outcomes and refine steps,
+/// each inside its call's measured round trip), the mirrored admission
+/// counters, and the merged facade registry.
 #[test]
 fn metrics_opcode_exports_reconciling_telemetry() {
     let vkg = build_vkg();
     let handle = start(&vkg, ServerConfig::default());
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
-    let mut queries = 0u64;
+    // Each call is synchronous and timed around, so the i-th round trip
+    // brackets the i-th span.
+    let mut round_trips = Vec::new();
+    let mut timed = |call: &mut dyn FnMut()| {
+        let sent = Instant::now();
+        call();
+        round_trips.push(sent.elapsed());
+    };
     for i in 0..8u32 {
-        client
-            .top_k(EntityId(i), RelationId(0), Direction::Tails, 5)
-            .expect("top-k is answered");
-        queries += 1;
+        timed(&mut || {
+            client
+                .top_k(EntityId(i), RelationId(0), Direction::Tails, 5)
+                .expect("top-k is answered");
+        });
     }
-    client
-        .aggregate(
-            EntityId(0),
-            RelationId(0),
-            Direction::Tails,
-            AggregateKind::Count,
-            None,
-            0.05,
-            None,
-        )
-        .expect("aggregate is answered");
-    queries += 1;
+    timed(&mut || {
+        client
+            .aggregate(
+                EntityId(0),
+                RelationId(0),
+                Direction::Tails,
+                AggregateKind::Count,
+                None,
+                0.05,
+                None,
+            )
+            .expect("aggregate is answered");
+    });
     // A well-formed query for an unknown entity: answered with a typed
     // error, traced as an `Error`-outcome span.
-    let err = client.top_k(EntityId(9_999_999), RelationId(0), Direction::Tails, 5);
-    assert!(matches!(err, Err(ClientError::Server(_))));
-    queries += 1;
+    timed(&mut || {
+        let err = client.top_k(EntityId(9_999_999), RelationId(0), Direction::Tails, 5);
+        assert!(matches!(err, Err(ClientError::Server(_))));
+    });
+    let queries = round_trips.len() as u64;
 
     let m = client.metrics(64).expect("metrics is answered");
     let snap = &m.snapshot;
@@ -813,6 +889,16 @@ fn metrics_opcode_exports_reconciling_telemetry() {
     for w in snap.spans.windows(2) {
         assert!(w[0].id < w[1].id, "spans ordered by query id");
     }
+    // A span runs from admission to the end of the encode, a strict
+    // sub-interval of the client's send → receive of the same call.
+    for (span, rtt) in snap.spans.iter().zip(&round_trips) {
+        assert!(
+            u128::from(span.total_ns()) <= rtt.as_nanos(),
+            "span {span:?} outlasts its round trip {rtt:?}"
+        );
+    }
+    // The cache is off (the default), so nothing is served from it.
+    assert_eq!(snap.counter("core.cache.hit"), Some(0));
     let errors = snap
         .spans
         .iter()
