@@ -16,6 +16,13 @@
 //! are invalidated lazily, on touch or by the first insert that finds
 //! the cache full; no writer ever scans the cache.
 //!
+//! A fill need not arrive at the current epochs: an aggregate fills
+//! after its index guard is dropped, so a write may have published in
+//! between. Epochs only grow, so fills are ordered by their
+//! `(epoch, index epoch)` pair: an insert older than the newest fill
+//! the cache has taken is refused, and an insert into a full cache drops
+//! only the entries older than itself.
+//!
 //! A hit is a clone of the stored value and nothing else:
 //!
 //! * **Hits do not crack.** Queries reshape the index (Algorithm 3 line
@@ -33,10 +40,10 @@
 //!   warm-starting from an entry would make "cache on" a second answer.
 //!
 //! Locking: entries live in one map behind one mutex (lock class
-//! `vkg.cache`). It is only taken while the caller holds the index lock
-//! (either side), and nothing is acquired while it is held —
-//! `vkg.cache` sits after `vkg.index` in the lock order and is never
-//! held across another acquisition.
+//! `vkg.cache`). It is taken under the index lock (either side) or with
+//! no lock held, and nothing is acquired while it is held — `vkg.cache`
+//! sits after `vkg.index` in the lock order and is never held across
+//! another acquisition.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -222,6 +229,8 @@ struct Entries {
     map: HashMap<CacheKey, Entry, FnvBuild>,
     /// Monotone counter behind the lock — no atomics needed.
     tick: u64,
+    /// The newest `(epoch, index epoch)` any insert has filled at.
+    newest: (u64, u64),
 }
 
 /// The result cache. See the module docs for the validity and locking
@@ -247,6 +256,7 @@ impl ResultCache {
                     // miss path.
                     map: HashMap::with_capacity_and_hasher(capacity.min(4096), FnvBuild::default()),
                     tick: 0,
+                    newest: (0, 0),
                 },
                 "vkg.cache",
             ),
@@ -358,19 +368,27 @@ impl ResultCache {
 
     fn insert(&self, key: CacheKey, k: usize, epoch: u64, index_epoch: u64, value: CachedValue) {
         let mut entries = self.entries.lock();
+        // A fill computed at epochs a newer fill has superseded answers
+        // nothing a later probe pins: refused, so that it can neither
+        // replace a newer entry nor evict one.
+        if (epoch, index_epoch) < entries.newest {
+            return;
+        }
+        entries.newest = (epoch, index_epoch);
         entries.tick += 1;
         let tick = entries.tick;
         if entries.map.len() >= self.capacity && !entries.map.contains_key(&key) {
-            // One pass over a full cache: drop every entry filled at other
-            // epochs — the caller holds the index lock, so these are the
-            // current ones, and a lookup would only remove such an entry
-            // on touch — and note the least-recently-used of the rest,
-            // which is evicted only if nothing was stale. After a write
-            // the whole cache goes at once, so the inserts that refill it
-            // scan nothing until it is full again.
+            // One pass over a full cache: drop every entry older than this
+            // fill — a later probe pins epochs at least as new, so a
+            // lookup would only remove such an entry on touch — and note
+            // the least-recently-used of the rest (all filled at this
+            // fill's epochs: none is newer), which is evicted only if
+            // nothing was stale. After a write the whole cache goes at
+            // once, so the inserts that refill it scan nothing until it
+            // is full again.
             let mut victim: Option<(u64, CacheKey)> = None;
             entries.map.retain(|key, e| {
-                let current = e.epoch == epoch && e.index_epoch == index_epoch;
+                let current = (e.epoch, e.index_epoch) >= (epoch, index_epoch);
                 if current && victim.as_ref().is_none_or(|&(stamp, _)| e.stamp < stamp) {
                     victim = Some((e.stamp, key.clone()));
                 }
@@ -586,6 +604,41 @@ mod tests {
         }
         cache.insert_top_k(key(14), 3, 1, 1, &top_k_result(3));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A fill that arrives after a newer epoch has filled (an aggregate
+    /// finishing after a write published) neither evicts the newer
+    /// entries nor lands itself.
+    #[test]
+    fn late_fill_of_an_older_epoch_is_refused_and_evicts_nothing() {
+        let cache = ResultCache::new(8);
+        let key = |e| CacheKey::top_k(e, 0, Direction::Tails, None);
+        for e in 0..8 {
+            cache.insert_top_k(key(e), 3, 6, 2, &top_k_result(3));
+        }
+        assert_eq!(cache.len(), 8);
+        // Epoch 5 on both counters and epoch 6 on the global one alone
+        // are older than (6, 2).
+        cache.insert_top_k(key(8), 3, 5, 2, &top_k_result(3));
+        cache.insert_top_k(key(9), 3, 6, 1, &top_k_result(3));
+        // Nor does a late refill of a held key replace it.
+        cache.insert_top_k(key(0), 3, 5, 2, &top_k_result(3));
+        assert_eq!(cache.len(), 8);
+        for e in 0..8 {
+            assert!(
+                matches!(
+                    cache.lookup_top_k(&key(e), 3, 6, 2, 3.0, 3),
+                    TopKLookup::Hit(_)
+                ),
+                "entity {e}"
+            );
+        }
+        for e in [8, 9] {
+            assert!(matches!(
+                cache.lookup_top_k(&key(e), 3, 6, 2, 3.0, 3),
+                TopKLookup::Miss
+            ));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 pub mod state;
 
-pub use state::IndexState;
+pub use state::{BallRead, IndexState};
 
 use vkg_kg::{EntityId, RelationId};
 

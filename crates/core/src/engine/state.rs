@@ -17,7 +17,7 @@ use vkg_sync::pool::Pool;
 
 use crate::error::{VkgError, VkgResult};
 use crate::geometry::{Mbr, PointSet};
-use crate::index::{CrackingIndex, ElementSummary};
+use crate::index::{CrackingIndex, ElementSummary, S1Counter};
 use crate::query::aggregate::{self, AggregateKind, AggregateResult, AggregateSpec};
 use crate::query::probability::{inverse_distance_probabilities, radius_for_threshold};
 use crate::query::topk::{find_top_k_read, Prediction, TopKResult};
@@ -99,6 +99,7 @@ impl IndexState {
 
 /// One contour element's candidates in the flat member vector of a
 /// sampled aggregate.
+#[derive(Debug)]
 struct ElementRun {
     /// The element's proxy for the S₁ distance of any of its members.
     proxy: f64,
@@ -212,7 +213,10 @@ impl IndexState {
     /// the probability ball around the query center, anchored at the
     /// `nearest` entity [`IndexState::aggregate_anchor`] found against
     /// the same snapshot, and estimates over it. Returns the answer and
-    /// the ball's box, which the query cracks for.
+    /// the ball's box, which the query cracks for. The read and the
+    /// estimate are [`IndexState::aggregate_ball_read`] and
+    /// [`BallRead::estimate`], which the facade runs on either side of
+    /// dropping its index guard.
     pub fn aggregate_ball(
         &self,
         snap: &VkgSnapshot,
@@ -222,99 +226,54 @@ impl IndexState {
         spec: &AggregateSpec,
         nearest: &Prediction,
     ) -> VkgResult<(AggregateResult, Mbr)> {
+        let (ball, region) =
+            self.aggregate_ball_read(snap, entity, relation, direction, spec, nearest)?;
+        Ok((ball.estimate(snap, spec)?, region))
+    }
+
+    /// Step 2 of the ball round, the part that reads the tree: the ball's
+    /// box through the index. A *candidate* is a point of the box that is
+    /// not the query entity itself or an already-known neighbor (E′
+    /// semantics) and — for attribute aggregates — has the attribute.
+    /// Attribute presence is catalog metadata, not a record access.
+    /// Returns what the read gathered and the box, which the query
+    /// cracks for.
+    pub fn aggregate_ball_read(
+        &self,
+        snap: &VkgSnapshot,
+        entity: EntityId,
+        relation: RelationId,
+        direction: Direction,
+        spec: &AggregateSpec,
+        nearest: &Prediction,
+    ) -> VkgResult<(BallRead, Mbr)> {
         // The column is resolved here, once, not by name per candidate.
         let column = attribute_column(snap, spec)?;
         let d_min = nearest.distance;
         let r_tau = radius_for_threshold(d_min, spec.p_tau);
-
-        // Step 2: read the ball's box through the index. A *candidate*
-        // is a point of the box that is not the query entity itself or
-        // an already-known neighbor (E′ semantics) and — for attribute
-        // aggregates — has the attribute; `value_of` gives what it would
-        // contribute. Attribute presence is catalog metadata, not a
-        // record access.
         let q_s1 = snap.query_point_s1(entity, relation, direction)?;
         let q_s2 = snap.project(&q_s1);
         let cfg = snap.config();
         let region = Mbr::of_ball(&q_s2, r_tau * (1.0 + cfg.epsilon));
         let known = snap.known_neighbors(entity, relation, direction);
-        let value_of = |id: u32| -> Option<f64> {
-            if id == entity.0 || known.binary_search(&id).is_ok() {
-                return None;
-            }
-            match column {
-                None => Some(1.0),
-                Some(column) => column.get(EntityId(id).index()).copied().flatten(),
-            }
+        let candidates = Candidates {
+            entity: entity.0,
+            known: &known,
+            column,
         };
-        // One exact record access: the (distance, value) of a candidate
-        // inside the S₁ ball; `None` for a point that is no candidate or
-        // that the box over-covered.
-        let embeddings = snap.embeddings();
-        let mut s1_evals = 0u64;
-        let mut access = |id: u32| -> Option<(f64, f64)> {
-            let value = value_of(id)?;
-            s1_evals += 1;
-            let d = embeddings.distance_to_entity(&q_s1, EntityId(id));
-            (d <= r_tau).then_some((d, value))
-        };
-
-        // Step 3: access the `a` most-promising candidates exactly;
-        // estimate the rest from their element geometry.
-        let mut accessed: Vec<(f64, f64)> = Vec::new(); // (distance, value)
-        let mut unaccessed_dists: Vec<f64> = Vec::new();
-        match spec.sample_size {
-            // Full access: every candidate is accessed and `accessed` is
-            // re-sorted by S₁ distance below, so neither an access order
-            // nor an element summary is needed. The region read sets a bit
-            // per point id in the box; read back lowest bit first, the ids
-            // come ascending without a sort, so the embedding rows (four
-            // at a time) and the attribute column are read front to back.
-            // The candidates go through the kernel in buffers of one
-            // block: nothing the size of the ball is allocated but
-            // `accessed`.
+        let gathered = match spec.sample_size {
+            // Full access: the region read sets a bit per point id in the
+            // box; read back lowest bit first, the ids come ascending
+            // without a sort. Which of them are candidates is left to the
+            // access.
             None => {
-                const BLOCK: usize = 64;
                 let mut in_box = vec![0u64; self.index.points().len().div_ceil(64)];
                 self.index.search_region(&region, |id| {
                     if let Some(word) = in_box.get_mut(id as usize / 64) {
                         *word |= 1 << (id % 64);
                     }
                 });
-                let mut candidates = (0u32..)
-                    .zip(in_box)
-                    .flat_map(|(w, mut word)| {
-                        std::iter::from_fn(move || {
-                            let bit = (word != 0).then(|| word.trailing_zeros())?;
-                            word &= word - 1;
-                            Some(w * 64 + bit)
-                        })
-                    })
-                    .filter_map(|id| Some((id, value_of(id)?)));
-                let mut block: Vec<u32> = Vec::with_capacity(BLOCK);
-                let mut values: Vec<f64> = Vec::with_capacity(BLOCK);
-                let mut dists: Vec<f64> = Vec::with_capacity(BLOCK);
-                loop {
-                    block.clear();
-                    values.clear();
-                    for (id, value) in candidates.by_ref().take(BLOCK) {
-                        block.push(id);
-                        values.push(value);
-                    }
-                    if block.is_empty() {
-                        break;
-                    }
-                    dists.resize(block.len(), 0.0);
-                    embeddings.distances_to_entities(&q_s1, &block, &mut dists);
-                    s1_evals += block.len() as u64;
-                    accessed.extend(
-                        dists
-                            .iter()
-                            .zip(&values)
-                            .map(|(&d, &v)| (d, v))
-                            .filter(|&(d, _)| d <= r_tau),
-                    );
-                }
+                Gathered::Full(in_box)
             }
             // Sampled access. The proxy for an unaccessed point's S₁
             // distance is a property of its contour element (§V-B: the
@@ -335,7 +294,7 @@ impl IndexState {
                     let start = members.len();
                     let mut first = u32::MAX;
                     for &id in ids {
-                        if value_of(id).is_none() {
+                        if candidates.value(id).is_none() {
                             continue;
                         }
                         // The anchoring nearest entity is accessed first,
@@ -357,6 +316,162 @@ impl IndexState {
                         });
                     }
                 });
+                Gathered::Sampled {
+                    budget,
+                    members,
+                    runs,
+                    anchored,
+                }
+            }
+        };
+        let ball = BallRead {
+            entity: entity.0,
+            nearest: nearest.id,
+            d_min,
+            r_tau,
+            q_s1,
+            known,
+            gathered,
+            s1: self.index.s1_counter(),
+        };
+        Ok((ball, region))
+    }
+}
+
+/// Who counts in a ball, and with what value: every point but the query
+/// entity and its known neighbors, and — for an attribute aggregate —
+/// only those holding the attribute.
+struct Candidates<'a> {
+    entity: u32,
+    known: &'a [u32],
+    column: Option<&'a [Option<f64>]>,
+}
+
+impl Candidates<'_> {
+    /// What `id` contributes, or `None` for a point that is no candidate.
+    fn value(&self, id: u32) -> Option<f64> {
+        if id == self.entity || self.known.binary_search(&id).is_ok() {
+            return None;
+        }
+        match self.column {
+            None => Some(1.0),
+            Some(column) => column.get(EntityId(id).index()).copied().flatten(),
+        }
+    }
+}
+
+/// What a ball's box yielded through the tree.
+#[derive(Debug)]
+enum Gathered {
+    /// Full access: one bit per point id in the box.
+    Full(Vec<u64>),
+    /// Sampled access: the candidates, one run per contour element, and
+    /// whether the anchoring entity was among them.
+    Sampled {
+        budget: usize,
+        members: Vec<u32>,
+        runs: Vec<ElementRun>,
+        anchored: bool,
+    },
+}
+
+/// An aggregate's ball as [`IndexState::aggregate_ball_read`] read it
+/// through the tree. It owns everything it holds — no borrow of the
+/// index — so the rest of the aggregate ([`BallRead::estimate`]) runs
+/// without the index lock: the S₁ access, the sort and the estimate are
+/// a function of the snapshot the read was taken against and of the ids
+/// it gathered.
+#[derive(Debug)]
+pub struct BallRead {
+    entity: u32,
+    /// The anchoring nearest entity.
+    nearest: u32,
+    d_min: f64,
+    r_tau: f64,
+    q_s1: Vec<f64>,
+    /// The query entity's known neighbors, sorted.
+    known: Vec<u32>,
+    gathered: Gathered,
+    /// Where the S₁ evaluations of the access are counted.
+    s1: S1Counter,
+}
+
+impl BallRead {
+    /// Steps 3–4 of the ball round: accesses the `a` most-promising
+    /// candidates exactly, estimates the rest from their element
+    /// geometry, and returns the estimate with its Theorem 4 bound.
+    /// `snap` and `spec` must be the ones the read was taken with.
+    pub fn estimate(self, snap: &VkgSnapshot, spec: &AggregateSpec) -> VkgResult<AggregateResult> {
+        let candidates = Candidates {
+            entity: self.entity,
+            known: &self.known,
+            column: attribute_column(snap, spec)?,
+        };
+        let (q_s1, r_tau) = (&self.q_s1, self.r_tau);
+        let embeddings = snap.embeddings();
+        let mut s1_evals = 0u64;
+        let mut accessed: Vec<(f64, f64)> = Vec::new(); // (distance, value)
+        let mut unaccessed_dists: Vec<f64> = Vec::new();
+        match self.gathered {
+            // Full access: every candidate is accessed and `accessed` is
+            // re-sorted by S₁ distance below, so neither an access order
+            // nor an element summary is needed. The ids come ascending,
+            // so the embedding rows (four at a time) and the attribute
+            // column are read front to back. The candidates go through
+            // the kernel in buffers of one block: nothing the size of the
+            // ball is allocated but `accessed`.
+            Gathered::Full(in_box) => {
+                const BLOCK: usize = 64;
+                let mut ids = (0u32..)
+                    .zip(in_box)
+                    .flat_map(|(w, mut word)| {
+                        std::iter::from_fn(move || {
+                            let bit = (word != 0).then(|| word.trailing_zeros())?;
+                            word &= word - 1;
+                            Some(w * 64 + bit)
+                        })
+                    })
+                    .filter_map(|id| Some((id, candidates.value(id)?)));
+                let mut block: Vec<u32> = Vec::with_capacity(BLOCK);
+                let mut values: Vec<f64> = Vec::with_capacity(BLOCK);
+                let mut dists: Vec<f64> = Vec::with_capacity(BLOCK);
+                loop {
+                    block.clear();
+                    values.clear();
+                    for (id, value) in ids.by_ref().take(BLOCK) {
+                        block.push(id);
+                        values.push(value);
+                    }
+                    if block.is_empty() {
+                        break;
+                    }
+                    dists.resize(block.len(), 0.0);
+                    embeddings.distances_to_entities(q_s1, &block, &mut dists);
+                    s1_evals += block.len() as u64;
+                    accessed.extend(
+                        dists
+                            .iter()
+                            .zip(&values)
+                            .map(|(&d, &v)| (d, v))
+                            .filter(|&(d, _)| d <= r_tau),
+                    );
+                }
+            }
+            Gathered::Sampled {
+                budget,
+                mut members,
+                mut runs,
+                anchored,
+            } => {
+                // One exact record access: the (distance, value) of a
+                // candidate inside the S₁ ball; `None` for a point that
+                // is no candidate or that the box over-covered.
+                let mut access = |id: u32| -> Option<(f64, f64)> {
+                    let value = candidates.value(id)?;
+                    s1_evals += 1;
+                    let d = embeddings.distance_to_entity(q_s1, EntityId(id));
+                    (d <= r_tau).then_some((d, value))
+                };
                 // Elements by proxy, ids ascending inside one: the order
                 // a sort of all candidates by (proxy, id) would give
                 // (short of two elements with bit-equal proxies, whose
@@ -364,7 +479,7 @@ impl IndexState {
                 runs.sort_by(|a, b| a.proxy.total_cmp(&b.proxy).then(a.first.cmp(&b.first)));
                 if anchored {
                     if budget > 0 {
-                        accessed.extend(access(nearest.id));
+                        accessed.extend(access(self.nearest));
                     } else {
                         unaccessed_dists.push(0.0);
                     }
@@ -395,7 +510,7 @@ impl IndexState {
                 }
             }
         }
-        self.index.count_s1_evals(s1_evals);
+        self.s1.add(s1_evals);
         aggregate::sort_by_key_stable(&mut accessed, |m| m.0);
 
         let distances: Vec<f64> = accessed.iter().map(|m| m.0).collect();
@@ -403,7 +518,7 @@ impl IndexState {
         // Probabilities are relative to the closest member of the result
         // population (for attribute aggregates the closest *attribute
         // holder*, which may differ from the global anchor).
-        let ref_d = distances.first().copied().unwrap_or(d_min).max(1e-12);
+        let ref_d = distances.first().copied().unwrap_or(self.d_min).max(1e-12);
         let mut probs = inverse_distance_probabilities(&distances);
         probs.extend(
             unaccessed_dists
@@ -446,13 +561,12 @@ impl IndexState {
             aggregate::deviation_bound(estimate, &values, &probs[a..], v_max)
         };
 
-        let result = AggregateResult {
+        Ok(AggregateResult {
             estimate,
             accessed: a,
             ball_size: b,
             bound,
-        };
-        Ok((result, region))
+        })
     }
 }
 

@@ -34,7 +34,7 @@ pub use arena::{Node, NodeId, NodeKind};
 pub use contour::{ElementSummary, BATCH};
 
 use vkg_sync::pool::Pool;
-use vkg_sync::{AtomicU64, Ordering};
+use vkg_sync::{Arc, AtomicU64, Ordering};
 
 use crate::config::SplitStrategy;
 use crate::geometry::PointSet;
@@ -43,6 +43,19 @@ use crate::stats::IndexStats;
 
 use build::{build_element, BuildParams, RunCost};
 use chooser::GreedyChooser;
+
+/// The index's S₁ evaluation counter, held apart from the index
+/// ([`CrackingIndex::s1_counter`]).
+#[derive(Debug, Clone)]
+pub struct S1Counter(Arc<AtomicU64>);
+
+impl S1Counter {
+    /// Adds `evals` S₁ distance evaluations.
+    pub fn add(&self, evals: u64) {
+        // relaxed: a statistic; no reader infers other state from it.
+        self.0.fetch_add(evals, Ordering::Relaxed);
+    }
+}
 
 /// The online cracking R-tree over a set of S₂ points.
 #[derive(Debug)]
@@ -57,10 +70,11 @@ pub struct CrackingIndex {
     nodes_created: u64,
     /// Access counters: reads take `&self` and run concurrently under
     /// the facade's shared guard, so these are atomics, bumped once per
-    /// traversal.
+    /// traversal. The S₁ counter is shared with [`S1Counter`] handles:
+    /// an aggregate counts its evaluations after the guard is gone.
     elements_accessed: AtomicU64,
     points_examined: AtomicU64,
-    s1_distance_evals: AtomicU64,
+    s1_distance_evals: Arc<AtomicU64>,
     /// Tombstoned point ids (dynamic removals; ids are never reused).
     removed: std::collections::HashSet<u32>,
 }
@@ -128,7 +142,7 @@ impl CrackingIndex {
             nodes_created: 1,
             elements_accessed: AtomicU64::new(0),
             points_examined: AtomicU64::new(0),
-            s1_distance_evals: AtomicU64::new(0),
+            s1_distance_evals: Arc::new(AtomicU64::new(0)),
             removed: std::collections::HashSet::new(),
         }
     }
@@ -240,12 +254,21 @@ impl CrackingIndex {
         self.s1_distance_evals.fetch_add(evals, Ordering::Relaxed);
     }
 
+    /// A handle on the S₁ evaluation counter that stays valid after the
+    /// borrow it was taken from — and the lock guarding that borrow —
+    /// is gone.
+    pub fn s1_counter(&self) -> S1Counter {
+        S1Counter(Arc::clone(&self.s1_distance_evals))
+    }
+
     /// Resets the per-query access counters (splits and nodes are
     /// cumulative structure counters and are preserved).
     pub fn reset_access_counters(&mut self) {
         self.elements_accessed = AtomicU64::new(0);
         self.points_examined = AtomicU64::new(0);
-        self.s1_distance_evals = AtomicU64::new(0);
+        // relaxed: `&mut self` excludes every other access through the
+        // index; a handle still held elsewhere adds to the fresh count.
+        self.s1_distance_evals.store(0, Ordering::Relaxed);
     }
 
     /// Leaf capacity `N`.

@@ -186,12 +186,7 @@ pub fn estimate_max(values: &[f64], probs: &[f64]) -> f64 {
     let mut pairs: Vec<(f64, f64)> = values.iter().copied().zip(probs.iter().copied()).collect();
     sort_by_key_stable(&mut pairs, |x| -x.0);
 
-    let mut expected_sample_max = 0.0;
-    let mut none_before = 1.0;
-    for &(u, p) in &pairs {
-        expected_sample_max += u * none_before * p;
-        none_before *= 1.0 - p;
-    }
+    let (expected_sample_max, _) = expected_sample_max(&pairs);
     let min_v = values.iter().copied().fold(f64::INFINITY, f64::min);
     let sum_p: f64 = probs.iter().sum();
     if sum_p <= 0.0 {
@@ -206,6 +201,62 @@ pub fn estimate_max(values: &[f64], probs: &[f64]) -> f64 {
     let effective_n = sum_p.max(1.0);
     let corrected = (expected_sample_max - min_v) * (1.0 + 1.0 / effective_n) + min_v;
     corrected.max(expected_sample_max)
+}
+
+/// `E[M_S] = Σ uᵢ·pᵢ·∏_{j<i}(1−pⱼ)` over `pairs` sorted by value
+/// descending, bit for bit the plain left-to-right loop, and how many
+/// terms it added.
+///
+/// The loop stops once no later term can move the sum. With every
+/// probability in [0, 1] the running product `∏(1−pⱼ)` never grows (a
+/// rounded `1 − p` is at most 1, and rounding is monotone), so a later
+/// term is at most `|u|·∏` in magnitude with `|u|` at most the larger of
+/// the remaining values' first and last; a term below a quarter of the
+/// sum's ulp rounds back to the sum, in either direction, even where the
+/// sum is a power of two (whose lower neighbour is half an ulp away).
+/// The sum then stands still, so every later term is as small. Without
+/// the stop a long tail of such terms runs through subnormal products —
+/// the negated values of a MIN put the largest last — at many times the
+/// cost of a normal multiply.
+fn expected_sample_max(pairs: &[(f64, f64)]) -> (f64, usize) {
+    // A probability outside [0, 1] (or NaN) voids the bound: no stop.
+    let bounded = pairs.iter().all(|&(_, p)| (0.0..=1.0).contains(&p));
+    let last = pairs.last().map_or(0.0, |&(u, _)| u.abs());
+    let mut sum = 0.0;
+    let mut none_before = 1.0;
+    for (i, &(u, p)) in pairs.iter().enumerate() {
+        sum += u * none_before * p;
+        none_before *= 1.0 - p;
+        let Some(&(next, _)) = pairs.get(i + 1) else {
+            return (sum, pairs.len());
+        };
+        // NaN or ±∞ anywhere here fails the comparison: no stop.
+        let margin = 1.0 + 4.0 * f64::EPSILON;
+        let quarter = quarter_ulp(sum);
+        if bounded
+            && next.abs() * none_before * margin < quarter
+            && last * none_before * margin < quarter
+        {
+            return (sum, i + 1);
+        }
+    }
+    (sum, pairs.len())
+}
+
+/// A quarter of the spacing of the floats at `x`'s binade (its ulp), or
+/// 0 where that is not a normal float — a subnormal or zero sum, whose
+/// terms the stop in [`expected_sample_max`] then never skips — and NaN
+/// for a non-finite `x`.
+fn quarter_ulp(x: f64) -> f64 {
+    // The biased exponent; an ulp is 2^(exponent − 1075), a quarter of
+    // it 2^(exponent − 1077), whose own biased exponent is
+    // exponent − 54.
+    let exponent = (x.to_bits() >> 52) & 0x7ff;
+    match exponent {
+        0x7ff => f64::NAN,
+        e if e > 54 => f64::from_bits((e - 54) << 52),
+        _ => 0.0,
+    }
 }
 
 /// MIN via negation: `MIN(v) = −MAX(−v)`.
@@ -382,6 +433,110 @@ mod tests {
         let max_of_neg = estimate_max(&neg, &probs);
         assert!((min + max_of_neg).abs() < 1e-12);
         assert!(min < 3.0, "min estimate {min} should be pulled low");
+    }
+
+    /// The sample-max loop as Eq. (4) writes it, term by term to the end.
+    fn naive_expected_sample_max(pairs: &[(f64, f64)]) -> f64 {
+        let mut sum = 0.0;
+        let mut none_before = 1.0;
+        for &(u, p) in pairs {
+            sum += u * none_before * p;
+            none_before *= 1.0 - p;
+        }
+        sum
+    }
+
+    /// The early stop changes no bit of `E[M_S]`, on inputs built to
+    /// break it: ties, p = 1 (the product drops to zero at once), mixed
+    /// signs, huge and tiny values, a sum at a power of two, subnormal
+    /// products, non-finite values and probabilities outside [0, 1] —
+    /// and on the inputs a served MIN gives it, it stops long before the
+    /// end.
+    #[test]
+    fn early_stop_of_the_sample_max_loop_is_bit_exact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let sorted = |mut pairs: Vec<(f64, f64)>| {
+            sort_by_key_stable(&mut pairs, |x| -x.0);
+            pairs
+        };
+        let mut cases: Vec<Vec<(f64, f64)>> = vec![
+            vec![],
+            vec![(3.0, 1.0), (2.0, 1.0), (1.0, 0.5)],
+            vec![(5.0, 0.5); 200],
+            vec![(1e300, 0.9), (-1e300, 0.9), (1e-300, 0.5), (-1e-300, 1.0)],
+            vec![(1.0, 0.75), (1e-17, 1.0), (-1e-17, 0.5), (-5e-17, 0.5)],
+            vec![(0.5, 1.0), (-1e-16, 0.5), (-1e-16, 0.5), (-1e-16, 0.5)],
+            vec![(f64::INFINITY, 0.5), (1.0, 0.5), (f64::NEG_INFINITY, 0.5)],
+            vec![(2.0, 0.999), (1.0, 0.999), (f64::NAN, 0.5)],
+            vec![(2.0, 0.9), (1.0, 1.5), (0.5, -0.5), (0.25, 0.9)],
+            vec![(2.0, 0.9), (1.0, f64::NAN), (0.5, 0.9)],
+            vec![(0.0, 0.5), (-0.0, 0.5), (0.0, 1.0)],
+            vec![(1e-310, 0.5), (1e-315, 0.9), (-1e-320, 0.5)],
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for round in 0..400 {
+            let n = rng.gen_range(1..300);
+            let scale = [1.0, 1e-300, 1e300, 1e-5][round % 4];
+            cases.push(
+                (0..n)
+                    .map(|_| {
+                        let u = match rng.gen_range(0..4) {
+                            0 => rng.gen_range(-1.0..1.0) * scale,
+                            1 => rng.gen_range(0..4) as f64,
+                            2 => -rng.gen_range(0.0f64..10.0),
+                            _ => rng.gen_range(2000.0..2020.0),
+                        };
+                        let p = match rng.gen_range(0..4) {
+                            0 => 1.0,
+                            1 => rng.gen_range(0.0..1e-3),
+                            _ => rng.gen_range(0.0..=1.0),
+                        };
+                        (u, p)
+                    })
+                    .collect(),
+            );
+        }
+        for pairs in cases.into_iter().map(sorted) {
+            let (fast, _) = expected_sample_max(&pairs);
+            let naive = naive_expected_sample_max(&pairs);
+            assert_eq!(fast.to_bits(), naive.to_bits(), "{pairs:?}");
+        }
+
+        // A served MIN: negated attribute values in ascending order of
+        // the value, with inverse-distance probabilities, so the product
+        // runs down through the subnormals unless the loop stops.
+        let mut rng = StdRng::seed_from_u64(5);
+        let pairs = sorted(
+            (0..20_000)
+                .map(|_| {
+                    let d: f64 = rng.gen_range(1.0..20.0);
+                    (-rng.gen_range(1900.0f64..2020.0), 1.0 / d)
+                })
+                .collect(),
+        );
+        let (fast, terms) = expected_sample_max(&pairs);
+        assert_eq!(fast.to_bits(), naive_expected_sample_max(&pairs).to_bits());
+        assert!(terms < pairs.len() / 10, "stopped after {terms} terms");
+    }
+
+    #[test]
+    fn quarter_ulp_is_a_quarter_of_the_spacing() {
+        for x in [1.0, 1.5, -3.0, 1e300, 1e-290, f64::MAX] {
+            let up = f64::from_bits(x.abs().to_bits() + 1);
+            let ulp = if up.is_finite() {
+                up - x.abs()
+            } else {
+                2f64.powi(971)
+            };
+            assert_eq!(quarter_ulp(x), ulp / 4.0, "{x}");
+        }
+        // Where a quarter ulp would be subnormal, 0: no term is skipped.
+        for x in [0.0, -0.0, 1e-300, 1e-310] {
+            assert_eq!(quarter_ulp(x), 0.0, "{x}");
+        }
+        assert!(quarter_ulp(f64::INFINITY).is_nan());
+        assert!(quarter_ulp(f64::NAN).is_nan());
     }
 
     #[test]

@@ -11,29 +11,34 @@
 //! without ever touching a lock.
 //!
 //! A query traverses under the lock's **shared** side, beside any
-//! number of other queries; the crack it wants (Algorithm 3 line 9) is
-//! applied *late* — after the shared guard is dropped (never upgraded),
-//! in a short exclusive section, and only when a read-only pre-check
-//! ([`CrackingIndex::wants_crack`]) says the region still has something
-//! to split, so a warm index rarely sees the exclusive side asked for.
+//! number of other queries, and holds it only while it reads the tree:
+//! what follows — an aggregate's S₁ access and estimate, say — runs on
+//! the pinned snapshot after the guard is dropped. The crack a query
+//! wants (Algorithm 3 line 9) is applied *late* — after the shared
+//! guard is dropped (never upgraded), in a short exclusive section, and
+//! only when a read-only pre-check ([`CrackingIndex::wants_crack`])
+//! says the region still has something to split, so a warm index rarely
+//! sees the exclusive side asked for.
 //!
 //! Dynamic updates are **epoch-swapped**: every write takes `&self`,
-//! acquires the index lock exclusively (single-writer), builds a fresh
-//! snapshot, and *publishes* it by swapping the shared `Arc` and
-//! bumping the epoch counters — the global epoch on every publication,
-//! the index epoch when the publication mutated the index. Readers
-//! holding an older `Arc` clone keep a consistent pre-update view; new
-//! readers pick up the new epoch with a single pointer load. Because
-//! publication happens only under the exclusive side, a reader holding
-//! the shared guard sees both epochs pinned. This is the concurrency
-//! contract the serving layer (`vkg-server`) extends across the process
-//! boundary. Snapshots share their stores chunk by chunk
-//! ([`vkg_kg::ChunkVec`], [`vkg_kg::CHUNK_LEN`] rows to a chunk), so a
-//! fact write copies the few chunks its two entities live in — not the
-//! graph, not the embedding matrix.
+//! acquires the writer mutex (one writer at a time), builds a fresh
+//! snapshot and logs it off every reader's way, and only then takes the
+//! index lock exclusively to move its points and *publish* — swapping
+//! the shared `Arc` and bumping the epoch counters: the global epoch on
+//! every publication, the index epoch when the publication mutated the
+//! index. Readers holding an older `Arc` clone keep a consistent
+//! pre-update view; new readers pick up the new epoch with a single
+//! pointer load. Because publication happens only under the exclusive
+//! side, a reader holding the shared guard sees both epochs pinned.
+//! This is the concurrency contract the serving layer (`vkg-server`)
+//! extends across the process boundary. Snapshots share their stores
+//! chunk by chunk ([`vkg_kg::ChunkVec`], [`vkg_kg::CHUNK_LEN`] rows to a
+//! chunk), so a fact write copies the few chunks its two entities live
+//! in — not the graph, not the embedding matrix.
 //!
-//! Lock order: `vkg.index < { vkg.published, vkg.cache, vkg.wal }`, the
-//! latter three leaves (DESIGN.md §3.5).
+//! Lock order: `vkg.writer < vkg.index < { vkg.published, vkg.cache }`,
+//! with `vkg.wal` under `vkg.writer` alone; `vkg.published`, `vkg.cache`
+//! and `vkg.wal` are leaves (DESIGN.md §3.5).
 //!
 //! Queries follow the paper's default E′-only semantics: results never
 //! include edges already in `E`, nor the query entity itself.
@@ -45,7 +50,7 @@ use std::sync::Arc;
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_obs::{Clock, MetricsSnapshot, Registry};
-use vkg_sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use vkg_sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::cache::{AggregateLookup, CacheKey, ResultCache, TopKLookup};
 use crate::config::VkgConfig;
@@ -86,21 +91,25 @@ impl Deref for IndexGuard<'_> {
     }
 }
 
-/// Exclusive access to the facade's index, holding the index lock for
-/// the guard's lifetime. Queries and dynamic updates block behind it.
-pub struct IndexGuardMut<'a>(RwLockWriteGuard<'a, IndexState>);
+/// Exclusive access to the facade's index, holding the writer mutex and
+/// the index lock for the guard's lifetime. Queries and dynamic updates
+/// block behind it.
+pub struct IndexGuardMut<'a> {
+    index: RwLockWriteGuard<'a, IndexState>,
+    _writer: MutexGuard<'a, ()>,
+}
 
 impl Deref for IndexGuardMut<'_> {
     type Target = CrackingIndex;
 
     fn deref(&self) -> &CrackingIndex {
-        self.0.index()
+        self.index.index()
     }
 }
 
 impl DerefMut for IndexGuardMut<'_> {
     fn deref_mut(&mut self) -> &mut CrackingIndex {
-        self.0.index_mut()
+        self.index.index_mut()
     }
 }
 
@@ -132,7 +141,8 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for SnapRef<T> {
 }
 
 /// The published read side: the current snapshot plus the two epoch
-/// counters. Written only while the index lock is held exclusively.
+/// counters. Written only while the writer mutex and the index lock's
+/// exclusive side are held.
 #[derive(Debug)]
 struct Published {
     /// Advances on every publication.
@@ -165,11 +175,12 @@ pub struct WalRecoveryReport {
     pub epoch: u64,
 }
 
-/// The durability state guarded by the `vkg.wal` lock: the append
-/// handle (absent until [`VirtualKnowledgeGraph::attach_wal`]) and the
-/// idempotency map. The map works with the WAL detached too, so a
-/// duplicated `AddFactDynamic` frame never double-applies even on a
-/// purely in-memory facade.
+/// The durability state guarded by the `vkg.wal` lock, which is taken
+/// only under the writer mutex: the append handle (absent until
+/// [`VirtualKnowledgeGraph::attach_wal`]) and the idempotency map. The
+/// map works with the WAL detached too, so a duplicated
+/// `AddFactDynamic` frame never double-applies even on a purely
+/// in-memory facade.
 #[derive(Debug)]
 struct Durability {
     writer: Option<wal::Writer>,
@@ -185,27 +196,37 @@ const TOKEN_CAPACITY: usize = 4096;
 /// for predictive top-k and aggregate queries.
 ///
 /// All query **and update** methods take `&self`: reads go through the
-/// currently-published snapshot lock-free, queries traverse the index
-/// under the index lock's shared side and crack it late, and dynamic
-/// updates act as a single writer (the same lock, exclusive) that
-/// publishes a fresh snapshot epoch. The facade is `Send + Sync` and is
-/// shared behind an `Arc` by the serving layer with no outer lock.
+/// currently-published snapshot lock-free, queries read the tree under
+/// the index lock's shared side and crack it late, and dynamic updates
+/// act as a single writer (the writer mutex) that publishes a fresh
+/// snapshot epoch under the index lock's exclusive side. The facade is
+/// `Send + Sync` and is shared behind an `Arc` by the serving layer with
+/// no outer lock.
 #[derive(Debug)]
 pub struct VirtualKnowledgeGraph {
     published: RwLock<Published>,
-    /// The one cracking index, lock class `vkg.index`: first in the
-    /// lock order, every other facade lock is a leaf taken under it.
-    /// Shared for queries; exclusive for writes and late cracks.
+    /// Lock class `vkg.writer`, first in the lock order: orders every
+    /// publisher (the three dynamic writes and WAL replay) and every
+    /// [`VirtualKnowledgeGraph::index_mut`] holder. A writer prepares,
+    /// validates and logs under it alone, so between its validation and
+    /// its publication no point can move or be tombstoned.
+    writer: Mutex<()>,
+    /// The one cracking index, lock class `vkg.index`, after the writer
+    /// mutex. Shared while a query reads the tree; exclusive for a late
+    /// crack and for a writer's point moves and publication.
     index: RwLock<IndexState>,
     metrics: VkgMetrics,
     /// The epoch-keyed result cache ([`crate::cache`]), present when
-    /// [`VkgConfig::cache_capacity`] > 0. Consulted only under the
-    /// index lock — either side pins the epochs — so every hit is
-    /// provably identical to recomputation.
+    /// [`VkgConfig::cache_capacity`] > 0. Probed only under the index
+    /// lock — either side pins the epochs — so every hit is provably
+    /// identical to recomputation; filled under it by a top-k and after
+    /// it by an aggregate, always at the epochs pinned for the answer,
+    /// which an entry keeps (DESIGN.md §3.8).
     cache: Option<ResultCache>,
-    /// WAL writer + idempotency map (DESIGN.md §3.9). Ordered strictly
-    /// after the index lock: the write path appends under it, *before*
-    /// the publication the record guards.
+    /// WAL writer + idempotency map (DESIGN.md §3.9), lock class
+    /// `vkg.wal`: taken only under the writer mutex, never under the
+    /// index lock. The write path appends under it, *before* the
+    /// publication the record guards.
     durability: Mutex<Durability>,
 }
 
@@ -273,6 +294,7 @@ impl VirtualKnowledgeGraph {
                 },
                 "vkg.published",
             ),
+            writer: Mutex::with_name((), "vkg.writer"),
             index: RwLock::with_name(index, "vkg.index"),
             metrics: VkgMetrics::new(Registry::active(), Clock::real()),
             cache,
@@ -409,11 +431,13 @@ impl VirtualKnowledgeGraph {
     }
 
     /// Waits for every guard on the index lock held at the call —
-    /// traversals, late cracks, writes — to be released: acquires and
-    /// releases the exclusive side. A query between its traversal and
-    /// its late crack holds no guard and is not waited for; a caller
-    /// that needs every *query* finished joins the threads running them
-    /// first, as the server's drain does (workers, then this barrier).
+    /// traversals, late cracks, writes' publications — to be released:
+    /// acquires and releases the exclusive side. A query past its tree
+    /// read (estimating on its pinned snapshot, or before its late
+    /// crack) holds no guard and is not waited for, nor is a writer
+    /// still preparing or logging; a caller that needs every *request*
+    /// finished joins the threads running them first, as the server's
+    /// drain does (workers, then this barrier).
     pub fn quiesce(&self) {
         drop(self.index.write());
     }
@@ -475,26 +499,31 @@ impl VirtualKnowledgeGraph {
 
     /// One round of the read protocol every query goes through: take the
     /// shared guard (`on_guard` fires once it is held, so a caller can
-    /// time the wait), pin the epochs, run `half` — a cache probe, a
-    /// read half, a cache fill — and pre-check whether the region `half`
-    /// wants cracked still has something to split: `half` gives `None`
-    /// when it traversed nothing (a cache hit), and `Some(None)` when it
-    /// traversed but has no region (an empty k-set), which counts as a
-    /// skipped crack. Only then, and only after the shared guard is
-    /// dropped, is the crack applied in a short exclusive section; it
-    /// needs no re-validation, since a crack refines whatever tree it
-    /// finds and answers do not depend on it.
-    fn read_round<T>(
+    /// time the wait), pin the epochs, run `half` — whatever reads the
+    /// tree: a cache probe, a read half, a top-k's cache fill — and
+    /// pre-check whether the region `half` wants cracked still has
+    /// something to split: `half` gives `None` when it traversed nothing
+    /// (a cache hit), and `Some(None)` when it traversed but has no
+    /// region (an empty k-set), which counts as a skipped crack. Then the
+    /// shared guard is dropped and `stage` finishes the answer from what
+    /// `half` read, on the snapshot pinned with it — the epochs in the
+    /// pin stay the answer's, whatever publishes meanwhile. Last, and
+    /// only if the pre-check said so, the crack is applied in a short
+    /// exclusive section; it needs no re-validation, since a crack
+    /// refines whatever tree it finds and answers do not depend on it.
+    fn read_round<T, U>(
         &self,
         on_guard: &mut dyn FnMut(),
         half: impl FnOnce(IndexPin, &VkgSnapshot, &IndexState) -> VkgResult<(T, Option<Option<Mbr>>)>,
-    ) -> VkgResult<(IndexPin, T)> {
-        let (pin, value, crack) = self.with_published_index(|pin, snap, state| {
-            on_guard();
-            let (value, region) = half(pin, snap, state)?;
-            let crack = region.map(|region| region.filter(|r| state.index().wants_crack(r)));
-            VkgResult::Ok((pin, value, crack))
-        })?;
+        stage: impl FnOnce(IndexPin, &VkgSnapshot, T) -> U,
+    ) -> VkgResult<(IndexPin, U)> {
+        let state = self.index.read();
+        on_guard();
+        let (pin, snap) = self.pinned();
+        let (value, region) = half(pin, &snap, &state)?;
+        let crack = region.map(|region| region.filter(|r| state.index().wants_crack(r)));
+        drop(state);
+        let value = stage(pin, &snap, value);
         // `None`: nothing traversed (a cache hit). `Some(None)`: nothing
         // left to split.
         if let Some(crack) = crack {
@@ -542,9 +571,11 @@ impl VirtualKnowledgeGraph {
     ) -> VkgResult<TopKResult> {
         let start = self.metrics.clock().now();
         let q = (entity, relation, direction, k);
-        let round = self.read_round(&mut || {}, |pin, snap, state| {
-            self.top_k_half(pin, snap, state, q, None, &filter)
-        });
+        let round = self.read_round(
+            &mut || {},
+            |pin, snap, state| self.top_k_half(pin, snap, state, q, None, &filter),
+            |_, _, r| r,
+        );
         let r = round.map(|(_, r)| r);
         self.metrics
             .record_query(start, r.as_ref().map_or(0, |t| t.s1_evals), r.is_ok());
@@ -575,10 +606,14 @@ impl VirtualKnowledgeGraph {
         let q = (entity, relation, direction, k);
         let fingerprint = filter.map(|(bytes, _)| bytes.to_vec());
         let key = CacheKey::top_k(entity.0, relation.0, direction, fingerprint);
-        self.read_round(on_guard, |pin, snap, state| {
-            let accept = |id| filter.is_none_or(|(_, accept)| accept(snap, id));
-            self.top_k_half(pin, snap, state, q, Some(key), &accept)
-        })
+        self.read_round(
+            on_guard,
+            |pin, snap, state| {
+                let accept = |id| filter.is_none_or(|(_, accept)| accept(snap, id));
+                self.top_k_half(pin, snap, state, q, Some(key), &accept)
+            },
+            |_, _, r| r,
+        )
     }
 
     /// Held for the benchmark (DESIGN.md §3.5): the cache-aware top-k
@@ -753,7 +788,10 @@ impl VirtualKnowledgeGraph {
     /// The second round re-reads the pin; if a write published in
     /// between, the anchor belongs to a superseded epoch and the query
     /// starts over, so an answer is always computed at one epoch — the
-    /// one returned. `on_guard` fires each time a shared guard is held.
+    /// one returned. Of the ball round only the region read and the
+    /// crack pre-check hold the shared guard; the S₁ access, the
+    /// estimate and the cache fill run after it, on the snapshot pinned
+    /// with the read. `on_guard` fires each time a shared guard is held.
     /// Records no query metrics — callers own that.
     pub fn aggregate_served(
         &self,
@@ -772,33 +810,42 @@ impl VirtualKnowledgeGraph {
         loop {
             // `Err` ends the query in round one: a cache hit, or the
             // empty answer when nothing is predictable around the center.
-            let (pin, anchor) = self.read_round(on_guard, |pin, snap, state| {
-                if let Some(hit) = self.probe_aggregate(slot.as_ref(), pin) {
-                    return Ok((Err(hit), None));
-                }
-                let (nearest, region) =
-                    state.aggregate_anchor(snap, entity, relation, direction, spec)?;
-                let anchor = nearest.ok_or_else(AggregateResult::empty);
-                if let Err(empty) = &anchor {
-                    fill(pin, empty);
-                }
-                Ok((anchor, Some(region)))
-            })?;
+            let (pin, anchor) = self.read_round(
+                on_guard,
+                |pin, snap, state| {
+                    if let Some(hit) = self.probe_aggregate(slot.as_ref(), pin) {
+                        return Ok((Err(hit), None));
+                    }
+                    let (nearest, region) =
+                        state.aggregate_anchor(snap, entity, relation, direction, spec)?;
+                    let anchor = nearest.ok_or_else(AggregateResult::empty);
+                    if let Err(empty) = &anchor {
+                        fill(pin, empty);
+                    }
+                    Ok((anchor, Some(region)))
+                },
+                |_, _, anchor| anchor,
+            )?;
             let nearest = match anchor {
                 Ok(nearest) => nearest,
                 Err(answer) => return Ok((pin, answer)),
             };
-            let (_, ball) = self.read_round(on_guard, |now, snap, state| {
-                if now != pin {
-                    return Ok((None, None));
-                }
-                let (r, region) =
-                    state.aggregate_ball(snap, entity, relation, direction, spec, &nearest)?;
-                fill(pin, &r);
-                Ok((Some(r), Some(Some(region))))
-            })?;
+            let (_, ball) = self.read_round(
+                on_guard,
+                |now, snap, state| {
+                    if now != pin {
+                        return Ok((None, None));
+                    }
+                    let (ball, region) = state
+                        .aggregate_ball_read(snap, entity, relation, direction, spec, &nearest)?;
+                    Ok((Some(ball), Some(Some(region))))
+                },
+                |pin, snap, ball| {
+                    ball.map(|ball| ball.estimate(snap, spec).inspect(|r| fill(pin, r)))
+                },
+            )?;
             if let Some(r) = ball {
-                return Ok((pin, r));
+                return Ok((pin, r?));
             }
         }
     }
@@ -829,22 +876,24 @@ impl VirtualKnowledgeGraph {
     // to do incremental updates on our partial index.")
     //
     // Updates take `&self` and act as a single writer: they serialize on
-    // the index lock, build the next snapshot off to the side and
-    // publish it with an epoch bump. Building it costs what the write
-    // touches: the clone copies chunk spines (one pointer per
-    // `vkg_kg::CHUNK_LEN` = 2^`CHUNK_BITS` rows), and a fact then copies
-    // at most two embedding-row chunks, one chunk of each adjacency
-    // direction and the triple log's tail chunk; every other chunk stays
-    // shared with the epochs readers still pin. Index-mutating writes
-    // also bump the index epoch. Concurrent readers holding an older
-    // snapshot clone keep a consistent (pre-update) view.
+    // the writer mutex, build the next snapshot off to the side (and, for
+    // a fact, log it) with no index guard held, then take the index lock
+    // exclusively only to move their points and publish with an epoch
+    // bump. Building it costs what the write touches: the clone copies
+    // chunk spines (one pointer per `vkg_kg::CHUNK_LEN` = 2^`CHUNK_BITS`
+    // rows), and a fact then copies at most two embedding-row chunks, one
+    // chunk of each adjacency direction and the triple log's tail chunk;
+    // every other chunk stays shared with the epochs readers still pin.
+    // Index-mutating writes also bump the index epoch. Concurrent readers
+    // holding an older snapshot clone keep a consistent (pre-update)
+    // view.
     // ------------------------------------------------------------------
 
     /// Publishes `next` as the new snapshot epoch; `index_changed` says
     /// whether the write also moved a point in the index. Callers must
-    /// hold the index lock exclusively so the index and the published
-    /// snapshot advance together (and so a reader holding the lock has
-    /// both epochs pinned).
+    /// hold the writer mutex and the index lock exclusively, so the index
+    /// and the published snapshot advance together (and so a reader
+    /// holding the lock has both epochs pinned).
     fn publish(&self, next: VkgSnapshot, index_changed: bool) -> u64 {
         let mut p = self.published.write();
         p.epoch += 1;
@@ -864,8 +913,8 @@ impl VirtualKnowledgeGraph {
     /// space is exhausted; the failed write publishes nothing.
     pub fn add_entity_dynamic(&self, name: &str, s1_embedding: &[f64]) -> VkgResult<EntityId> {
         // The dimensionality is fixed at assembly, so any snapshot
-        // answers; checked before the index lock, under which a
-        // mismatched row would panic in the store.
+        // answers; checked before any lock, since a mismatched row would
+        // panic in the store.
         let dim = self.snapshot().embeddings().dim();
         if s1_embedding.len() != dim {
             return Err(VkgError::Mismatch {
@@ -875,19 +924,24 @@ impl VirtualKnowledgeGraph {
             });
         }
         check_finite("entity embedding", s1_embedding)?;
-        let mut state = self.index.write();
+        let _writer = self.writer.lock();
         let mut next = (*self.snapshot()).clone();
         let id = next.graph_mut().add_entity(name);
         let s2 = next.transform().apply(s1_embedding);
-        if id.index() < next.embeddings().num_entities() {
-            // The name was already interned — treat as an embedding update.
+        // An interned name is an embedding update of that entity.
+        let known = id.index() < next.embeddings().num_entities();
+        if known {
             next.embeddings_mut()
                 .entity_mut(id)
                 .copy_from_slice(s1_embedding);
-            state.index_mut().update_point(id.0, &s2)?;
         } else {
             let store_id = next.embeddings_mut().push_entity(s1_embedding);
             debug_assert_eq!(store_id, id, "graph and store ids must stay aligned");
+        }
+        let mut state = self.index.write();
+        if known {
+            state.index_mut().update_point(id.0, &s2)?;
+        } else {
             let point_id = state.index_mut().insert_point(&s2)?;
             debug_assert_eq!(point_id, id.0, "index point ids must stay aligned");
         }
@@ -909,7 +963,7 @@ impl VirtualKnowledgeGraph {
     ///
     /// Returns `(added, epoch)`: whether the edge was new, and the exact
     /// epoch this write published (for a duplicate, the epoch current
-    /// while the write held the index lock — no publication happens).
+    /// while the write held the writer mutex — no publication happens).
     pub fn add_fact_dynamic(
         &self,
         h: EntityId,
@@ -925,7 +979,7 @@ impl VirtualKnowledgeGraph {
     /// idempotency token (0 = untokened). Parameters outside
     /// [`check_refine_params`] are refused first — the wire, in-process
     /// callers and WAL replay all enter here. Then the durability
-    /// contract, in order, all under the index lock:
+    /// contract, in order, all under the writer mutex:
     ///
     /// 1. a tokened retry of a remembered write is answered from the
     ///    idempotency map without touching the graph; a duplicate fact
@@ -934,9 +988,13 @@ impl VirtualKnowledgeGraph {
     /// 2. with a WAL attached, the record is appended **and flushed**
     ///    before any reader-visible mutation — a failure here returns
     ///    [`VkgError::Durability`] with the published state untouched;
-    /// 3. only then does the index update and the new snapshot publish.
-    ///    A crash between 2 and 3 replays an unacked write on recovery,
-    ///    which the token map then dedups against retries.
+    /// 3. only then, under the index lock's exclusive side, do the two
+    ///    points move and the new snapshot publish. A crash between 2
+    ///    and 3 replays an unacked write on recovery, which the token map
+    ///    then dedups against retries.
+    ///
+    /// Readers are held up by step 3 alone: the clone, the refine steps,
+    /// the projections and the log append hold no index guard.
     pub fn add_fact_durable(
         &self,
         token: u64,
@@ -946,8 +1004,24 @@ impl VirtualKnowledgeGraph {
         refine_steps: usize,
         learning_rate: f64,
     ) -> VkgResult<(bool, u64)> {
+        let writer = self.writer.lock();
+        self.add_fact_ordered(&writer, token, (h, r, t), refine_steps, learning_rate)
+    }
+
+    /// [`VirtualKnowledgeGraph::add_fact_durable`] for a caller that
+    /// already holds the writer mutex (`_writer` is its guard): every
+    /// write and WAL replay. Holding it makes the published snapshot,
+    /// the epoch and the index's point set this write's to change until
+    /// it returns.
+    fn add_fact_ordered(
+        &self,
+        _writer: &MutexGuard<'_, ()>,
+        token: u64,
+        (h, r, t): (EntityId, RelationId, EntityId),
+        refine_steps: usize,
+        learning_rate: f64,
+    ) -> VkgResult<(bool, u64)> {
         check_refine_params(refine_steps, learning_rate).map_err(VkgError::InvalidParameter)?;
-        let mut state = self.index.write();
         if token != 0 {
             let d = self.durability.lock();
             if let Some(outcome) = d.dedup.get(token) {
@@ -960,9 +1034,9 @@ impl VirtualKnowledgeGraph {
         cur.check_ids(h, r)?;
         cur.check_ids(t, r)?;
         if cur.graph().has_edge(h, r, t) {
-            // A duplicate copies, logs and publishes nothing. The index
-            // lock is still held, so no concurrent writer can publish
-            // between the duplicate check and this epoch read.
+            // A duplicate copies, logs and publishes nothing. The writer
+            // mutex is still held, so no other writer can publish between
+            // the duplicate check and this epoch read.
             let epoch = self.epoch();
             if token != 0 {
                 self.durability.lock().dedup.insert(token, (false, epoch));
@@ -1003,15 +1077,20 @@ impl VirtualKnowledgeGraph {
         // Validate, then log, then mutate: whatever `update_point` could
         // refuse (a tombstoned id, a shape mismatch, a point the steps
         // drove out of the finite range) is refused here, before the
-        // record exists and before any point moves.
-        state.index().check_update(h.0, &h_s2)?;
-        state.index().check_update(t.0, &t_s2)?;
+        // record exists and before any point moves. Only a holder of the
+        // writer mutex moves or tombstones a point, so the answer stands
+        // until the exclusive section below.
+        {
+            let state = self.index.read();
+            state.index().check_update(h.0, &h_s2)?;
+            state.index().check_update(t.0, &t_s2)?;
+        }
         // Log + flush BEFORE any reader-visible mutation. Everything
         // above only touched `next` (a private clone), so a WAL failure
         // aborts the write with the published state untouched.
         {
-            // The epoch this write will publish, read before taking the
-            // wal lock (vkg.wal orders after the index lock only).
+            // The epoch this write will publish: exact, since only a
+            // holder of the writer mutex publishes.
             let record = WalRecord {
                 epoch: self.epoch() + 1,
                 token,
@@ -1029,9 +1108,12 @@ impl VirtualKnowledgeGraph {
                 self.metrics.record_wal_append();
             }
         }
-        state.index_mut().update_point(h.0, &h_s2)?;
-        state.index_mut().update_point(t.0, &t_s2)?;
-        let epoch = self.publish(next, true);
+        let epoch = {
+            let mut state = self.index.write();
+            state.index_mut().update_point(h.0, &h_s2)?;
+            state.index_mut().update_point(t.0, &t_s2)?;
+            self.publish(next, true)
+        };
         if token != 0 {
             self.durability.lock().dedup.insert(token, (true, epoch));
         }
@@ -1044,7 +1126,9 @@ impl VirtualKnowledgeGraph {
     /// dynamic fact write is appended + flushed before it publishes.
     /// Replayed records re-seed the idempotency map, so a client
     /// retrying a write that was logged but never acked before a crash
-    /// gets the original outcome instead of a duplicate apply.
+    /// gets the original outcome instead of a duplicate apply. The whole
+    /// recovery holds the writer mutex: no other write can land between
+    /// the replayed ones or before the log is armed.
     ///
     /// All I/O routes through `fault` — [`FaultPlane::none`] in
     /// production, a seeded injector under test.
@@ -1059,12 +1143,14 @@ impl VirtualKnowledgeGraph {
         path: &std::path::Path,
         fault: FaultPlane,
     ) -> VkgResult<WalRecoveryReport> {
+        let writer = self.writer.lock();
         let recovered = wal::recover(path, fault).map_err(VkgError::from)?;
         for record in &recovered.records {
-            let (added, epoch) = self.add_fact_dynamic(
-                EntityId(record.h),
-                RelationId(record.r),
-                EntityId(record.t),
+            let fact = (EntityId(record.h), RelationId(record.r), EntityId(record.t));
+            let (added, epoch) = self.add_fact_ordered(
+                &writer,
+                0,
+                fact,
                 record.refine_steps as usize,
                 record.learning_rate,
             )?;
@@ -1077,9 +1163,7 @@ impl VirtualKnowledgeGraph {
         }
         self.metrics
             .record_wal_recovery(recovered.stats.replayed, recovered.stats.truncated_bytes);
-        let mut d = self.durability.lock();
-        d.writer = Some(recovered.writer);
-        drop(d);
+        self.durability.lock().writer = Some(recovered.writer);
         Ok(WalRecoveryReport {
             replayed: recovered.stats.replayed,
             truncated_bytes: recovered.stats.truncated_bytes,
@@ -1098,14 +1182,17 @@ impl VirtualKnowledgeGraph {
     /// write publishes nothing.
     pub fn set_attribute_dynamic(&self, attr: &str, entity: EntityId, value: f64) -> VkgResult<()> {
         // Entities are never removed, so an id known to any snapshot
-        // stays known: checked before the index lock.
+        // stays known: checked before any lock.
         if entity.index() >= self.snapshot().graph().num_entities() {
             return Err(VkgError::UnknownEntity(entity.0));
         }
         check_finite("attribute value", &[value])?;
-        let _state = self.index.write();
+        let _writer = self.writer.lock();
         let mut next = (*self.snapshot()).clone();
         next.attributes_mut().set(attr, entity, value);
+        // The index does not change, but the epochs a reader holding
+        // the shared guard has pinned must not move under it.
+        let _state = self.index.write();
         self.publish(next, false);
         Ok(())
     }
@@ -1116,19 +1203,25 @@ impl VirtualKnowledgeGraph {
         IndexGuard(self.index.read())
     }
 
-    /// Exclusive access to the index. Holds the index lock's exclusive
-    /// side while the guard lives — readers of
+    /// Exclusive access to the index. Holds the writer mutex and the
+    /// index lock's exclusive side while the guard lives — readers of
     /// [`VirtualKnowledgeGraph::graph`] /
     /// [`VirtualKnowledgeGraph::embeddings`] are *not* blocked; queries
-    /// and dynamic updates are.
+    /// and dynamic updates are. The writer mutex is held because through
+    /// this guard points can move or be tombstoned, which must not
+    /// happen between a writer's validation and its publication.
     pub fn index_mut(&self) -> IndexGuardMut<'_> {
-        IndexGuardMut(self.index.write())
+        let writer = self.writer.lock();
+        IndexGuardMut {
+            index: self.index.write(),
+            _writer: writer,
+        }
     }
 }
 
 /// Cap on the `refine_steps` of a dynamic fact write: the refinement
-/// loop runs under the index lock, so an unbounded count would stall
-/// every reader (and, replayed from a log, every restart).
+/// loop runs under the writer mutex, so an unbounded count would stall
+/// every other writer (and, replayed from a log, every restart).
 pub const MAX_REFINE_STEPS: u32 = 1024;
 
 /// The one rule for a fact write's refinement parameters, shared by the

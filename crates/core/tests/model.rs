@@ -467,6 +467,64 @@ fn aggregate_straddling_a_publication_answers_at_one_epoch() {
         })
         .unwrap_or_else(|v| panic!("straddling-aggregate model failed: {v}"));
     }
+
+    // The write lands inside the ball round: the writer starts while the
+    // full-access ball read holds the shared guard, so it publishes once
+    // the guard is dropped — before the S₁ access and the estimate, or
+    // while they run on the snapshot the round pinned. Either way the
+    // answer is epoch 0's, whole, and its fill cannot pass for epoch 1's.
+    // About one schedule in nine publishes before the estimate reads
+    // the snapshot, hence the longer sweep.
+    let landed_inside = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    for cache_capacity in [0, 64] {
+        let expected = expected.clone();
+        let count = count.clone();
+        let landed_inside = Arc::clone(&landed_inside);
+        model::sweep(4 * SEEDS, move || {
+            let (vkg, likes) = tiny_vkg_cached(cache_capacity);
+            let vkg = Arc::new(vkg);
+            let mut guards = 0;
+            let mut writer = None;
+            let (pin, r) = vkg
+                .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {
+                    guards += 1;
+                    // The second guard is the ball round's.
+                    if guards == 2 {
+                        let vkg = Arc::clone(&vkg);
+                        writer = Some(thread::spawn(move || {
+                            vkg.add_fact_dynamic(u0, likes, m1, 8, 0.05)
+                                .expect("valid ids");
+                        }));
+                    }
+                })
+                .expect("valid query");
+            let published_before_return = vkg.epoch() == 1;
+            writer
+                .expect("the ball round held a guard")
+                .join()
+                .expect("writer");
+            assert_eq!(pin.epoch, 0, "the ball read ran before the write");
+            assert_eq!(
+                aggregate_bits(&r),
+                expected[0],
+                "the answer of epoch 0, whole"
+            );
+            if published_before_return {
+                landed_inside.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            // The next ask is epoch 1's answer, never a late epoch-0 fill.
+            let (pin, r) = vkg
+                .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {})
+                .expect("valid query");
+            assert_eq!(pin.epoch, 1);
+            assert_eq!(aggregate_bits(&r), expected[1], "the answer of epoch 1");
+        })
+        .unwrap_or_else(|v| panic!("write-inside-the-ball-round model failed: {v}"));
+    }
+    assert!(
+        landed_inside.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "no schedule published before the ball round returned"
+    );
 }
 
 /// The result cache's epoch validation raced against a writer: when no
@@ -549,23 +607,36 @@ fn cached_reads_race_writer_without_stale_answers() {
 }
 
 /// The lock-order check (DESIGN.md §3.7): every lock nesting the facade
-/// has — `vkg.index < { vkg.published, vkg.cache, vkg.wal }` — executed
-/// once per schedule: the cache on (stripe under the index lock), a WAL
-/// attached (durability under it too), every read entry point — the
-/// shared acquisition and, ε being tight, the late exclusive one after
-/// it — the held exclusive entries, every shared-side inspector, every
-/// kind of writer.
+/// has — `vkg.writer < vkg.index < { vkg.published, vkg.cache }`, with
+/// `vkg.wal` under `vkg.writer` — executed once per schedule: the cache
+/// on (filled under the shared guard and after it), every read entry
+/// point — the shared acquisition and, ε being tight, the late exclusive
+/// one after it — the held exclusive entries, every shared-side
+/// inspector, and `vkg.writer` with every kind of writer: WAL replay of
+/// a logged record, a tokened fact, an entity, an attribute and an
+/// `index_mut` holder.
 /// The checker's acquired-while-holding graph is per run, so executing a
 /// nesting once is enough for it to report two locks taken in both
 /// orders; a nesting that can block forever shows up as a deadlock.
 #[test]
 fn every_lock_nesting_on_the_facade_is_walked() {
-    let log = std::env::temp_dir().join(format!("vkg_model_{}.wal", std::process::id()));
+    let dir = std::env::temp_dir();
+    let log = dir.join(format!("vkg_model_{}.wal", std::process::id()));
+    // A log holding one record, for the writer thread to replay.
+    let logged = dir.join(format!("vkg_model_logged_{}.wal", std::process::id()));
+    {
+        let _ = std::fs::remove_file(&logged);
+        let (vkg, likes) = tiny_vkg_tuned(64, CRACKING_EPSILON);
+        vkg.attach_wal(&logged, FaultPlane::none())
+            .expect("fresh log");
+        let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
+        vkg.add_fact_durable(5, id("u0"), likes, id("m2"), 2, 0.01)
+            .expect("logged write");
+    }
     model::sweep(SEEDS, || {
         let (vkg, likes) = tiny_vkg_tuned(64, CRACKING_EPSILON);
         let also = vkg.graph().relation_id("also").expect("also");
-        let _ = std::fs::remove_file(&log);
-        vkg.attach_wal(&log, FaultPlane::none()).expect("fresh log");
+        std::fs::copy(&logged, &log).expect("copy the logged record");
         let vkg = Arc::new(vkg);
         let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
         let (u0, u1, m1, m4) = (id("u0"), id("u1"), id("m1"), id("m4"));
@@ -613,7 +684,10 @@ fn every_lock_nesting_on_the_facade_is_walked() {
         };
         let writer = {
             let vkg = Arc::clone(&vkg);
+            let log = log.clone();
             thread::spawn(move || {
+                let report = vkg.attach_wal(&log, FaultPlane::none()).expect("replay");
+                assert_eq!(report.replayed, 1);
                 let (added, _) = vkg
                     .add_fact_durable(7, u1, likes, m4, 2, 0.01)
                     .expect("logged write");
@@ -622,15 +696,113 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                     .expect("well-shaped embedding");
                 vkg.set_attribute_dynamic("year", m1, 1999.0)
                     .expect("known entity");
+                vkg.index_mut().check_invariants();
                 vkg.quiesce();
             })
         };
         reader.join().expect("reader");
         writer.join().expect("writer");
-        assert_eq!(vkg.epoch(), 3, "one publication per write");
+        assert_eq!(vkg.epoch(), 4, "one publication per write");
         assert!(cracks_applied(&vkg) > 0, "a read went exclusive, late");
         vkg.index().check_invariants();
     })
     .unwrap_or_else(|v| panic!("lock-nesting model failed: {v}"));
     let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_file(&logged);
+}
+
+/// Writers of every kind at once — WAL replay, a logged fact, an entity,
+/// an attribute — beside a reader: they are ordered by `vkg.writer`, so
+/// each builds on the snapshot the one before it published and no
+/// update is lost, and each logged record carries the epoch its write
+/// published.
+#[test]
+fn concurrent_writers_of_every_kind_lose_no_update() {
+    let dir = std::env::temp_dir();
+    let log = dir.join(format!("vkg_model_writers_{}.wal", std::process::id()));
+    let logged = dir.join(format!(
+        "vkg_model_writers_logged_{}.wal",
+        std::process::id()
+    ));
+    {
+        let _ = std::fs::remove_file(&logged);
+        let (vkg, likes) = tiny_vkg();
+        vkg.attach_wal(&logged, FaultPlane::none())
+            .expect("fresh log");
+        let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
+        vkg.add_fact_durable(5, id("u0"), likes, id("m2"), 2, 0.01)
+            .expect("logged write");
+    }
+    model::sweep(SEEDS, || {
+        let (vkg, likes) = tiny_vkg();
+        std::fs::copy(&logged, &log).expect("copy the logged record");
+        let vkg = Arc::new(vkg);
+        let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
+        let (u0, u2, m2, m4, m5) = (id("u0"), id("u2"), id("m2"), id("m4"), id("m5"));
+        let dim = vkg.embeddings().dim();
+
+        let replay = {
+            let vkg = Arc::clone(&vkg);
+            let log = log.clone();
+            thread::spawn(move || {
+                vkg.attach_wal(&log, FaultPlane::none()).expect("replay");
+            })
+        };
+        let fact = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                vkg.add_fact_durable(9, u2, likes, m4, 2, 0.01)
+                    .expect("valid ids")
+            })
+        };
+        let entity = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
+                    .expect("well-shaped embedding");
+            })
+        };
+        let attribute = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                vkg.set_attribute_dynamic("year", m5, 2024.0)
+                    .expect("known entity");
+            })
+        };
+        let reader = {
+            let vkg = Arc::clone(&vkg);
+            thread::spawn(move || {
+                let count = AggregateSpec::count(0.05);
+                vkg.aggregate(u0, likes, Direction::Tails, &count)
+                    .expect("aggregate");
+            })
+        };
+        replay.join().expect("replay");
+        let (added, epoch) = fact.join().expect("fact writer");
+        entity.join().expect("entity writer");
+        attribute.join().expect("attribute writer");
+        reader.join().expect("reader");
+
+        assert!(added, "fresh edge");
+        assert_eq!(vkg.epoch(), 4, "one publication per write");
+        let snap = vkg.snapshot();
+        assert!(snap.graph().has_edge(u0, likes, m2), "the replayed fact");
+        assert!(snap.graph().has_edge(u2, likes, m4), "the logged fact");
+        assert!(snap.graph().entity_id("m_fresh").is_some(), "the entity");
+        assert_eq!(
+            snap.attributes().get("year", m5).expect("year column"),
+            Some(2024.0),
+            "the attribute"
+        );
+        vkg.index().check_invariants();
+        // The fact's record: logged with the epoch it published, unless
+        // it ran before replay armed the log.
+        let (records, _) = vkg_core::wal::replay(&log).expect("log readable");
+        if let Some(record) = records.iter().find(|r| r.token == 9) {
+            assert_eq!(record.epoch, epoch, "the record names its epoch");
+        }
+    })
+    .unwrap_or_else(|v| panic!("concurrent-writers model failed: {v}"));
+    let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_file(&logged);
 }

@@ -397,11 +397,15 @@ fn logged_but_unacked_write_replays_once() {
     let m2 = vkg.graph().entity_id("m2").expect("m2");
     vkg.add_fact_durable(7, u1, likes, m1, 2, 0.01)
         .expect("first write acked");
-    // Second write: logged, flush fails, NOT acked, engine unchanged.
+    // Second write: logged, flush fails, NOT acked, engine unchanged —
+    // the index included: the points move only after the append.
     let before = vkg.epoch();
+    let head = || vkg.index().points().point(u1.0).to_vec();
+    let head_before = head();
     let err = vkg.add_fact_durable(8, u1, likes, m2, 2, 0.01);
     assert!(err.is_err(), "flush failure must surface");
     assert_eq!(vkg.epoch(), before, "failed write must not publish");
+    assert_eq!(head(), head_before, "failed write must not move the head");
     assert!(
         !vkg.graph().tails(u1, likes).any(|e| e == m2),
         "failed write must not mutate the graph"
@@ -466,7 +470,7 @@ fn refused_write_leaves_log_and_index_untouched() {
 /// fails recovery with the typed error — it does not replay a NaN rate
 /// into an embedding row (the next query over it would panic on a NaN
 /// ball radius, after every restart) or spin `refine_steps` iterations
-/// under the index lock.
+/// under the writer mutex.
 #[test]
 fn replayed_record_with_refused_parameters_is_a_typed_error() {
     let cases = [(2, f64::NAN), (2, 1.5), (u32::MAX, 0.01)];

@@ -34,8 +34,9 @@
 //! wants is applied afterwards in a short exclusive section, only when
 //! something still splits. The epoch-keyed result cache serves repeats
 //! without recomputation. Dynamic writes go through the facade's
-//! `&self` single-writer path (the same lock, exclusive) and publish a
-//! fresh snapshot with a bumped epoch; every response carries the epoch
+//! `&self` single-writer path (its writer mutex, then the same lock,
+//! exclusive, for the publication alone) and publish a fresh snapshot
+//! with a bumped epoch; every response carries the epoch
 //! it was computed at so clients can reason about read-your-writes. A
 //! graceful drain joins the workers and then **quiesces** the index
 //! (acquiring and releasing its lock) so no guard a detached reader

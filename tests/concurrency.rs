@@ -278,6 +278,144 @@ fn snapshot_readers_vs_one_writer_model() {
     }
 }
 
+/// The small world of the aggregate-beside-writers scenario: the tiny
+/// movie graph with least-squares embeddings (no training), so that a
+/// model sweep can assemble a fresh facade per schedule.
+fn small_world() -> &'static (Dataset, EmbeddingStore) {
+    static WORLD: OnceLock<(Dataset, EmbeddingStore)> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let ds = movie_like(&MovieConfig::tiny());
+        let embeddings = vkg::embed::least_squares_embedding(
+            &ds.graph,
+            &vkg::embed::LsConfig {
+                dim: 16,
+                ..Default::default()
+            },
+        );
+        (ds, embeddings)
+    })
+}
+
+fn small_engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
+    let (ds, embeddings) = small_world();
+    VirtualKnowledgeGraph::assemble(
+        ds.graph.clone(),
+        ds.attributes.clone(),
+        embeddings.clone(),
+        VkgConfig {
+            cache_capacity,
+            ..VkgConfig::default()
+        },
+    )
+}
+
+/// The writes of the scenario, one of each kind, in publication order:
+/// the `i`-th publishes epoch `i + 1`.
+fn apply_write(vkg: &VirtualKnowledgeGraph, i: usize) {
+    let (ds, _) = small_world();
+    let id = |name: &str| ds.graph.entity_id(name).expect("fixture entity");
+    let likes = ds.graph.relation_id("likes").expect("likes");
+    match i {
+        0 => {
+            let (user, movie) = (id("user_0"), id("movie_7"));
+            assert!(!ds.graph.has_edge(user, likes, movie), "a fresh fact");
+            vkg.add_fact_durable(3, user, likes, movie, 8, 0.5)
+                .expect("valid ids");
+        }
+        1 => vkg
+            .set_attribute_dynamic("year", id("movie_3"), 2500.0)
+            .expect("known entity"),
+        _ => {
+            vkg.add_entity_dynamic("movie_fresh", &[0.0; 16])
+                .expect("well-shaped embedding");
+        }
+    }
+}
+
+/// Full-access aggregates beside writers of every kind, defined once
+/// for the direct test and the model sweep: a reader asks COUNT, SUM and
+/// MIN around two users while a writer publishes a fact, an attribute
+/// and an entity. Each answer must equal, bit for bit, what a facade at
+/// rest answers at the epoch the answer reports — though the writer may
+/// publish between a ball's region read and its estimate, which run on
+/// either side of dropping the index guard.
+fn aggregates_beside_writers_scenario(cache_capacity: usize) {
+    const WRITES: usize = 3;
+    let (ds, _) = small_world();
+    let likes = ds.graph.relation_id("likes").expect("likes");
+    let users = [0, 1].map(|u| ds.graph.entity_id(&format!("user_{u}")).expect("user"));
+    let specs = [
+        AggregateSpec::count(0.3),
+        AggregateSpec::of(AggregateKind::Sum, "year", 0.3),
+        AggregateSpec::of(AggregateKind::Min, "year", 0.3),
+    ];
+    let vkg = Arc::new(small_engine(cache_capacity));
+    let reader = {
+        let vkg = Arc::clone(&vkg);
+        let specs = specs.clone();
+        sync_thread::spawn(move || {
+            let mut answers = Vec::new();
+            for spec in &specs {
+                for &user in &users {
+                    let (pin, r) = vkg
+                        .aggregate_served(user, likes, Direction::Tails, spec, &mut || {})
+                        .expect("valid query");
+                    answers.push((pin.epoch, aggregate_bits(&r)));
+                }
+            }
+            answers
+        })
+    };
+    let writer = {
+        let vkg = Arc::clone(&vkg);
+        sync_thread::spawn(move || (0..WRITES).for_each(|i| apply_write(&vkg, i)))
+    };
+    let answers = reader.join().expect("reader");
+    writer.join().expect("writer");
+    assert_eq!(vkg.epoch(), WRITES as u64);
+
+    // Every answer of every epoch, from a facade at rest.
+    let twin = small_engine(0);
+    let mut at_rest: Vec<Vec<Bits>> = Vec::new();
+    for epoch in 0..=WRITES {
+        let row = specs.iter().flat_map(|spec| {
+            users.iter().map(|&user| {
+                let r = twin.aggregate(user, likes, Direction::Tails, spec);
+                aggregate_bits(&r.expect("valid query"))
+            })
+        });
+        at_rest.push(row.collect());
+        if epoch < WRITES {
+            apply_write(&twin, epoch);
+        }
+    }
+    assert!(
+        at_rest.windows(2).filter(|w| w[0] != w[1]).count() >= 2,
+        "the writes must move the answers"
+    );
+    for (i, (at, bits)) in answers.iter().enumerate() {
+        assert_eq!(bits, &at_rest[*at as usize][i], "answer {i} at epoch {at}");
+    }
+}
+
+#[test]
+fn aggregates_beside_writers_of_every_kind() {
+    for cache_capacity in [0, 64] {
+        aggregates_beside_writers_scenario(cache_capacity);
+    }
+}
+
+/// The same scenario through the model scheduler, sixteen explored
+/// interleavings per cache setting.
+#[cfg(feature = "model")]
+#[test]
+fn aggregates_beside_writers_of_every_kind_model() {
+    for cache_capacity in [0, 64] {
+        vkg_sync::model::sweep(16, || aggregates_beside_writers_scenario(cache_capacity))
+            .unwrap_or_else(|v| panic!("model run failed: {v}"));
+    }
+}
+
 #[test]
 fn index_stats_are_coherent_after_concurrent_load() {
     let (ds, vkg) = build();
