@@ -296,7 +296,8 @@ fn partition(
     let chosen = &candidates[pick];
     cost.co += chosen.cost.co;
     cost.splits += 1;
-    let (low, high) = orders.split_by_prefix_pooled(chosen.axis, chosen.count, ctx.pool);
+    let (low, high) =
+        orders.split_by_prefix_pooled(ctx.points, chosen.axis, chosen.count, ctx.pool);
     partition(ctx, stop_query, low, m, chooser, cost, out, false);
     partition(ctx, stop_query, high, m, chooser, cost, out, false);
 }

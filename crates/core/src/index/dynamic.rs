@@ -13,6 +13,7 @@
 //! sum the members again until a crack reinstalls it.
 
 use crate::error::{check_finite, VkgError, VkgResult};
+use crate::geometry::PointSet;
 use crate::rtree::{height_for, SortOrders};
 
 use super::{CrackingIndex, Node, NodeId, NodeKind};
@@ -171,6 +172,10 @@ impl CrackingIndex {
 
     /// Removes `id` from the contour element holding it. Returns whether
     /// it was found. Element MBRs are left as (valid) over-approximations.
+    ///
+    /// Runs while the point still has the coordinates it was attached
+    /// with: the elements are searched by them, and an unsplit element's
+    /// orders are binary-searched by them.
     fn detach_point(&mut self, id: u32) -> bool {
         let point: Vec<f64> = self.points.point(id).to_vec();
         // Search all elements whose region covers the point's coordinates.
@@ -182,28 +187,28 @@ impl CrackingIndex {
             }
             if let NodeKind::Internal(children) = &node.kind {
                 stack.extend(children.iter().copied());
-            } else if take_member(node, id) {
+            } else if take_member(&self.points, node, id) {
                 return true;
             }
         }
-        // Stale coordinates (e.g. the point moved since): fall back to a
-        // full contour sweep.
+        // Every region covers its members, so the descent finds every
+        // live point; a full contour sweep backs it up all the same.
         self.contour()
             .into_iter()
-            .any(|cur| take_member(&mut self.nodes[cur as usize], id))
+            .any(|cur| take_member(&self.points, &mut self.nodes[cur as usize], id))
     }
 }
 
 /// Removes `id` from contour element `node`, if it is there; an edited
 /// element's sums are stale and are dropped.
-fn take_member(node: &mut Node, id: u32) -> bool {
+fn take_member(points: &PointSet, node: &mut Node, id: u32) -> bool {
     let found = match &mut node.kind {
         NodeKind::Leaf(ids) => ids
             .iter()
             .position(|&x| x == id)
             .map(|pos| ids.swap_remove(pos))
             .is_some(),
-        NodeKind::Unsplit(orders) => orders.remove(id),
+        NodeKind::Unsplit(orders) => orders.remove(points, id),
         NodeKind::Internal(_) => false,
     };
     if found {

@@ -5,8 +5,12 @@
 //! collapse to α). A binary split picks a prefix of one order; all other
 //! orders are then stable-partitioned by membership so every order stays
 //! sorted (the paper's SPLITONKEY, lines 6–7 of BESTBINARYSPLIT).
-
-use std::collections::HashSet;
+//!
+//! Every order on axis `a` is sorted by one integer key per id,
+//! `(coord_key(coord(id, a)), id)`: sorting, splitting, inserting and
+//! removing all compare that key and nothing else. Membership in a
+//! split's low side is a key comparison against the prefix's last id,
+//! so no set of the low side is ever built.
 
 use vkg_sync::pool::Pool;
 use vkg_sync::Mutex;
@@ -17,21 +21,47 @@ use crate::geometry::{Mbr, PointSet};
 /// outright — fan-out bookkeeping would dominate the saved work.
 const POOLED_MIN: usize = 4096;
 
-/// Sorts one axis order with the canonical comparator (coordinate, then
-/// id). Shared by the serial and pooled builders so both produce the
+/// Maps a finite coordinate to a `u64` that orders exactly as the
+/// coordinate does: `a < b` iff `coord_key(a) < coord_key(b)`. −0.0 is
+/// folded onto +0.0 first, so the two zeros, which compare equal as
+/// floats, get one key and tie on id.
+#[inline]
+fn coord_key(c: f64) -> u64 {
+    let c = if c == 0.0 { 0.0 } else { c };
+    let bits = c.to_bits();
+    // Non-negative floats order as their bits with the sign bit set;
+    // negative ones order as their bits inverted.
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
+/// The order key of point `id` on `axis`.
+#[inline]
+fn order_key(points: &PointSet, axis: usize, id: u32) -> (u64, u32) {
+    (coord_key(points.coord(id, axis)), id)
+}
+
+/// Sorts `ids` into axis `axis`'s order: one key extraction per id into
+/// the reusable `keyed` buffer, one integer sort, one write back.
+/// Shared by the serial and pooled builders so both produce the
 /// identical permutation.
-fn sort_axis(points: &PointSet, axis: usize, order: &mut [u32]) {
-    #[expect(
-        clippy::expect_used,
-        reason = "a NaN coordinate has no order to sort by; embedding import, try_assemble and every dynamic update refuse non-finite values, so only a hand-built PointSet can fire this, and the message names the cause"
-    )]
-    order.sort_unstable_by(|&a, &b| {
-        points
-            .coord(a, axis)
-            .partial_cmp(&points.coord(b, axis))
-            .expect("NaN coordinate in point set")
-            .then(a.cmp(&b))
-    });
+fn sort_axis(points: &PointSet, axis: usize, ids: &mut [u32], keyed: &mut Vec<(u64, u32)>) {
+    keyed.clear();
+    keyed.extend(ids.iter().map(|&id| order_key(points, axis, id)));
+    keyed.sort_unstable();
+    for (slot, &(_, id)) in ids.iter_mut().zip(keyed.iter()) {
+        *slot = id;
+    }
+}
+
+/// Where `id` sits in `order`, the ids of one axis sorted by key: the
+/// number of ids whose key is below `id`'s.
+fn position(points: &PointSet, axis: usize, order: &[u32], id: u32) -> usize {
+    let key = order_key(points, axis, id);
+    order.partition_point(|&other| order_key(points, axis, other) < key)
 }
 
 /// A partition of point ids maintained in one sorted list per axis.
@@ -43,9 +73,17 @@ pub struct SortOrders {
 impl SortOrders {
     /// Builds the `S = α` sort orders of `ids` over `points`.
     ///
-    /// Ties broken by id, so construction is deterministic.
+    /// Each order is sorted by coordinate with ties broken by id, so
+    /// construction is deterministic; −0.0 and +0.0 tie. Every
+    /// coordinate must be finite: a NaN has no place in an order (its
+    /// position would be arbitrary). Every entry that creates a
+    /// coordinate refuses a non-finite one before anything sorts —
+    /// [`crate::VirtualKnowledgeGraph::try_assemble`],
+    /// [`crate::index::CrackingIndex::insert_point`] and
+    /// [`crate::index::CrackingIndex::update_point`].
     pub fn build(points: &PointSet, mut ids: Vec<u32>) -> Self {
         let dim = points.dim();
+        let mut keyed = Vec::with_capacity(ids.len());
         let mut orders = Vec::with_capacity(dim);
         for axis in 0..dim {
             let mut order = if axis + 1 == dim {
@@ -53,16 +91,16 @@ impl SortOrders {
             } else {
                 ids.clone()
             };
-            sort_axis(points, axis, &mut order);
+            sort_axis(points, axis, &mut order, &mut keyed);
             orders.push(order);
         }
         Self { orders }
     }
 
     /// [`SortOrders::build`] with the per-axis sorts fanned out over a
-    /// pool. Every axis runs the identical comparator, so the result
-    /// equals the serial build at any width; a serial pool or a small
-    /// input takes the serial code path outright.
+    /// pool. Every axis sorts by the identical key, so the result equals
+    /// the serial build at any width; a serial pool or a small input
+    /// takes the serial code path outright.
     pub fn build_pooled(points: &PointSet, mut ids: Vec<u32>, pool: &Pool) -> Self {
         let dim = points.dim();
         if pool.is_serial() || ids.len() < POOLED_MIN || dim < 2 {
@@ -79,7 +117,8 @@ impl SortOrders {
             .collect();
         pool.run(dim, |axis| {
             let mut order = slots[axis].lock();
-            sort_axis(points, axis, &mut order);
+            let mut keyed = Vec::with_capacity(order.len());
+            sort_axis(points, axis, &mut order, &mut keyed);
         });
         Self {
             orders: slots.into_iter().map(Mutex::into_inner).collect(),
@@ -117,18 +156,13 @@ impl SortOrders {
     /// sorted ends.
     pub fn mbr(&self, points: &PointSet) -> Mbr {
         let mut mbr = Mbr::empty(self.num_orders());
-        if self.is_empty() {
-            return mbr;
-        }
         // The first/last entries of each order give that axis's extremes;
         // include both endpoint *points* so every axis of the MBR is set.
-        #[expect(
-            clippy::expect_used,
-            reason = "every order holds the same len() points, and the empty case returned above"
-        )]
         for order in &self.orders {
-            mbr.include_point(points.point(order[0]));
-            mbr.include_point(points.point(*order.last().expect("non-empty order")));
+            if let (Some(&first), Some(&last)) = (order.first(), order.last()) {
+                mbr.include_point(points.point(first));
+                mbr.include_point(points.point(last));
+            }
         }
         mbr
     }
@@ -141,29 +175,64 @@ impl SortOrders {
             .count()
     }
 
-    /// Splits off the first `count` ids of order `axis` (the paper's
-    /// SPLITONKEY): returns `(low, high)` partitions with **all** orders
-    /// maintained sorted via stable partition by membership.
+    /// The key of the last of the first `count` ids of order `axis`:
+    /// every id of that prefix has a key at most this, every other id a
+    /// key above it.
     ///
     /// # Panics
     /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
-    pub fn split_by_prefix(&self, axis: usize, count: usize) -> (SortOrders, SortOrders) {
+    fn pivot(&self, points: &PointSet, axis: usize, count: usize) -> (u64, u32) {
         let len = self.len();
         assert!(count > 0 && count < len, "improper split {count}/{len}");
-        let low_set: HashSet<u32> = self.orders[axis][..count].iter().copied().collect();
+        order_key(points, axis, self.orders[axis][count - 1])
+    }
 
+    /// Order `o`'s ids split into the `count` whose key on `axis` is at
+    /// most `pivot` and the rest, each side in order: a slice of the
+    /// split axis's own order, a stable partition of any other.
+    fn split_order(
+        &self,
+        points: &PointSet,
+        axis: usize,
+        count: usize,
+        pivot: (u64, u32),
+        o: usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let order = &self.orders[o];
+        if o == axis {
+            return (order[..count].to_vec(), order[count..].to_vec());
+        }
+        let mut low = Vec::with_capacity(count);
+        let mut high = Vec::with_capacity(order.len() - count);
+        for &id in order {
+            if order_key(points, axis, id) <= pivot {
+                low.push(id);
+            } else {
+                high.push(id);
+            }
+        }
+        (low, high)
+    }
+
+    /// Splits off the first `count` ids of order `axis` (the paper's
+    /// SPLITONKEY): returns `(low, high)` partitions with **all** orders
+    /// maintained sorted. Order `axis` is sliced; every other order is
+    /// stable-partitioned by comparing each id's key on `axis` with the
+    /// prefix's last.
+    ///
+    /// # Panics
+    /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
+    pub fn split_by_prefix(
+        &self,
+        points: &PointSet,
+        axis: usize,
+        count: usize,
+    ) -> (SortOrders, SortOrders) {
+        let pivot = self.pivot(points, axis, count);
         let mut low = Vec::with_capacity(self.num_orders());
         let mut high = Vec::with_capacity(self.num_orders());
-        for order in &self.orders {
-            let mut l = Vec::with_capacity(count);
-            let mut h = Vec::with_capacity(len - count);
-            for &id in order {
-                if low_set.contains(&id) {
-                    l.push(id);
-                } else {
-                    h.push(id);
-                }
-            }
+        for o in 0..self.num_orders() {
+            let (l, h) = self.split_order(points, axis, count, pivot, o);
             low.push(l);
             high.push(h);
         }
@@ -171,40 +240,29 @@ impl SortOrders {
     }
 
     /// [`SortOrders::split_by_prefix`] with the per-order stable
-    /// partitions fanned out over a pool. Membership comes from the
-    /// same prefix set, so `(low, high)` equal the serial split at any
-    /// width.
+    /// partitions fanned out over a pool. Membership is the same key
+    /// comparison, so `(low, high)` equal the serial split at any width.
     ///
     /// # Panics
     /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
     pub fn split_by_prefix_pooled(
         &self,
+        points: &PointSet,
         axis: usize,
         count: usize,
         pool: &Pool,
     ) -> (SortOrders, SortOrders) {
-        let len = self.len();
-        if pool.is_serial() || len < POOLED_MIN || self.num_orders() < 2 {
-            return self.split_by_prefix(axis, count);
+        if pool.is_serial() || self.len() < POOLED_MIN || self.num_orders() < 2 {
+            return self.split_by_prefix(points, axis, count);
         }
-        assert!(count > 0 && count < len, "improper split {count}/{len}");
-        let low_set: HashSet<u32> = self.orders[axis][..count].iter().copied().collect();
+        let pivot = self.pivot(points, axis, count);
         let slots: Vec<Mutex<(Vec<u32>, Vec<u32>)>> = self
             .orders
             .iter()
             .map(|_| Mutex::new((Vec::new(), Vec::new())))
             .collect();
         pool.run(self.num_orders(), |o| {
-            let mut l = Vec::with_capacity(count);
-            let mut h = Vec::with_capacity(len - count);
-            for &id in &self.orders[o] {
-                if low_set.contains(&id) {
-                    l.push(id);
-                } else {
-                    h.push(id);
-                }
-            }
-            *slots[o].lock() = (l, h);
+            *slots[o].lock() = self.split_order(points, axis, count, pivot, o);
         });
         let mut low = Vec::with_capacity(self.num_orders());
         let mut high = Vec::with_capacity(self.num_orders());
@@ -225,24 +283,24 @@ impl SortOrders {
     }
 
     /// Inserts a point id into every order at its sorted position
-    /// (dynamic updates, paper §VIII). O(S·n) worst case per insert.
+    /// (dynamic updates, paper §VIII): a binary search per order, then
+    /// an O(n) shift.
     pub fn insert(&mut self, points: &PointSet, id: u32) {
         for (axis, order) in self.orders.iter_mut().enumerate() {
-            let key = points.coord(id, axis);
-            let pos = order.partition_point(|&other| {
-                let oc = points.coord(other, axis);
-                oc < key || (oc == key && other < id)
-            });
+            let pos = position(points, axis, order, id);
             order.insert(pos, id);
         }
     }
 
     /// Removes a point id from every order; returns whether it was
-    /// present.
-    pub fn remove(&mut self, id: u32) -> bool {
+    /// present. Each order is binary-searched for the id's key, so the
+    /// point's coordinates must still be the ones it was inserted or
+    /// built with: a move detaches the point before it changes them.
+    pub fn remove(&mut self, points: &PointSet, id: u32) -> bool {
         let mut found = false;
-        for order in &mut self.orders {
-            if let Some(pos) = order.iter().position(|&x| x == id) {
+        for (axis, order) in self.orders.iter_mut().enumerate() {
+            let pos = position(points, axis, order, id);
+            if order.get(pos) == Some(&id) {
                 order.remove(pos);
                 found = true;
             }
@@ -302,8 +360,8 @@ mod tests {
 
     #[test]
     fn split_preserves_sortedness_and_partitioning() {
-        let (_ps, so) = fixture();
-        let (low, high) = so.split_by_prefix(0, 2);
+        let (ps, so) = fixture();
+        let (low, high) = so.split_by_prefix(&ps, 0, 2);
         assert_eq!(low.ids(0), &[0, 1]);
         assert_eq!(high.ids(0), &[2, 3, 4, 5]);
         // Axis-1 orders stay sorted (descending-x points ascend in y).
@@ -314,8 +372,8 @@ mod tests {
 
     #[test]
     fn split_on_second_axis() {
-        let (_ps, so) = fixture();
-        let (low, high) = so.split_by_prefix(1, 3);
+        let (ps, so) = fixture();
+        let (low, high) = so.split_by_prefix(&ps, 1, 3);
         // Lowest three y values are points 5, 4, 3.
         assert_eq!(low.ids(1), &[5, 4, 3]);
         assert_eq!(low.ids(0), &[3, 4, 5]);
@@ -342,8 +400,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "improper split")]
     fn degenerate_split_rejected() {
-        let (_ps, so) = fixture();
-        let _ = so.split_by_prefix(0, 6);
+        let (ps, so) = fixture();
+        let _ = so.split_by_prefix(&ps, 0, 6);
     }
 
     #[test]
@@ -379,9 +437,193 @@ mod tests {
         let ps = large_fixture();
         let so = SortOrders::build(&ps, ps.all_ids());
         let cut = so.len() / 3;
-        let (sl, sh) = so.split_by_prefix(1, cut);
-        let (pl, ph) = so.split_by_prefix_pooled(1, cut, &Pool::new(4));
+        let (sl, sh) = so.split_by_prefix(&ps, 1, cut);
+        let (pl, ph) = so.split_by_prefix_pooled(&ps, 1, cut, &Pool::new(4));
         assert_eq!(pl, sl);
         assert_eq!(ph, sh);
+    }
+
+    /// The comparator sort the order key replaces: coordinate by
+    /// `partial_cmp`, then id. The oracle every keyed operation is held
+    /// to.
+    fn oracle_orders(points: &PointSet, ids: &[u32]) -> Vec<Vec<u32>> {
+        (0..points.dim())
+            .map(|axis| {
+                let mut order = ids.to_vec();
+                order.sort_by(|&a, &b| {
+                    points
+                        .coord(a, axis)
+                        .partial_cmp(&points.coord(b, axis))
+                        .unwrap()
+                        .then(a.cmp(&b))
+                });
+                order
+            })
+            .collect()
+    }
+
+    /// The membership partition the key comparison replaces: a
+    /// `HashSet` of the prefix, every order filtered through it.
+    fn oracle_split(so: &SortOrders, axis: usize, count: usize) -> (SortOrders, SortOrders) {
+        let low_set: std::collections::HashSet<u32> =
+            so.ids(axis)[..count].iter().copied().collect();
+        let (low, high) = so
+            .orders
+            .iter()
+            .map(|order| order.iter().partition(|id| low_set.contains(id)))
+            .unzip();
+        (SortOrders { orders: low }, SortOrders { orders: high })
+    }
+
+    /// Coordinates that stress the key: both zeros, subnormals, values
+    /// near the ends of the range, and heavy duplication, mixed with
+    /// ordinary values from a xorshift stream.
+    fn awkward_points(n: usize, dim: usize, seed: u64) -> PointSet {
+        const PALETTE: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            1.5,
+        ];
+        let mut state = seed | 1;
+        let coords = (0..n * dim)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match state % 4 {
+                    0 | 1 => PALETTE[(state >> 8) as usize % PALETTE.len()],
+                    2 => ((state >> 8) % 7) as f64 - 3.0,
+                    _ => ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3,
+                }
+            })
+            .collect();
+        PointSet::from_rows(dim, coords)
+    }
+
+    #[test]
+    fn coord_key_orders_like_partial_cmp() {
+        let values = [
+            f64::MIN,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 4.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1e300,
+            f64::MAX,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    coord_key(a).cmp(&coord_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+        assert_eq!(coord_key(-0.0), coord_key(0.0));
+    }
+
+    #[test]
+    fn zeros_tie_on_id_in_either_input_order() {
+        for (a, b) in [(-0.0, 0.0), (0.0, -0.0)] {
+            let ps = PointSet::from_rows(1, vec![a, b, -1.0]);
+            for ids in [vec![0, 1, 2], vec![2, 1, 0]] {
+                let so = SortOrders::build(&ps, ids);
+                assert_eq!(so.ids(0), &[2, 0, 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_build_matches_comparator_sort() {
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
+        for (n, dim) in [(0, 2), (1, 1), (2, 3), (3, 2), (5, 3), (64, 2), (999, 3)]
+            .into_iter()
+            .chain([(POOLED_MIN - 1, 2), (POOLED_MIN, 3), (5_000, 3)])
+        {
+            let ps = awkward_points(n, dim, n as u64 + 7);
+            let mut ids = ps.all_ids();
+            // A scrambled input order: the key, not the input, decides.
+            ids.reverse();
+            ids.rotate_left(n / 3);
+            let oracle = oracle_orders(&ps, &ids);
+            let serial = SortOrders::build(&ps, ids.clone());
+            assert_eq!(serial.orders, oracle, "n {n}");
+            for pool in &pools {
+                let pooled = SortOrders::build_pooled(&ps, ids.clone(), pool);
+                assert_eq!(pooled.orders, oracle, "n {n} width {}", pool.width());
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_split_matches_hashset_oracle() {
+        let wide = Pool::new(2);
+        for (n, dim) in [(2, 2), (7, 3), (200, 3), (POOLED_MIN + 300, 3)] {
+            let ps = awkward_points(n, dim, 31 + n as u64);
+            let so = SortOrders::build(&ps, ps.all_ids());
+            for axis in 0..dim {
+                let mut straddled = false;
+                for count in [1, n / 3, n / 2, n - 1].into_iter().filter(|&c| c > 0) {
+                    let order = so.ids(axis);
+                    straddled |= ps.coord(order[count - 1], axis) == ps.coord(order[count], axis);
+                    let oracle = oracle_split(&so, axis, count);
+                    assert_eq!(so.split_by_prefix(&ps, axis, count), oracle);
+                    assert_eq!(so.split_by_prefix_pooled(&ps, axis, count, &wide), oracle);
+                }
+                if n >= 200 {
+                    assert!(straddled, "no cut between equal coordinates on axis {axis}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn insert_and_remove_round_trip_among_equal_keys() {
+        let n = 600;
+        let ps = awkward_points(n, 3, 99);
+        let all = ps.all_ids();
+        // Some points repeat another's coordinates exactly.
+        assert!(all
+            .iter()
+            .any(|&a| all.iter().any(|&b| a != b && ps.point(a) == ps.point(b))));
+        let (start, rest) = all.split_at(n / 2);
+        let mut so = SortOrders::build(&ps, start.to_vec());
+        let mut members = start.to_vec();
+        // Insert the rest in a scrambled order.
+        for &id in rest.iter().rev().step_by(2).chain(rest.iter().step_by(2)) {
+            so.insert(&ps, id);
+            members.push(id);
+            if members.len() % 50 == 0 {
+                assert_eq!(so.orders, oracle_orders(&ps, &members));
+            }
+        }
+        assert_eq!(so.orders, oracle_orders(&ps, &all));
+        // Remove every third id; a removed id is not found again, even
+        // where another id with its coordinates is still there.
+        for &id in all.iter().step_by(3) {
+            assert!(so.remove(&ps, id), "id {id}");
+            assert!(!so.remove(&ps, id), "id {id} twice");
+            members.retain(|&m| m != id);
+        }
+        assert_eq!(so.orders, oracle_orders(&ps, &members));
+        for &id in &members {
+            assert!(so.remove(&ps, id));
+        }
+        assert!(so.is_empty());
     }
 }

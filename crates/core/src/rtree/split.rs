@@ -148,44 +148,26 @@ fn axis_candidates(
             let mut in_q = 0usize;
             let mut next = positions.len();
             for (i, &id) in ids.iter().enumerate().rev() {
-                // Before absorbing position i, record the suffix starting
-                // at i if it is a split boundary.
-                if next > 0 && i == positions[next - 1] {
-                    next -= 1;
-                    suffix_mbrs[next] = mbr;
-                    suffix_in_q[next] = in_q;
-                }
                 mbr.include_point(ctx.points.point(id));
                 if let Some(q) = ctx.query {
                     if ctx.points.in_region(id, q) {
                         in_q += 1;
                     }
                 }
-            }
-        }
-        // The backward sweep records the suffix *excluding* position i, but
-        // boundaries are "first `p` vs rest", so redo the boundary logic:
-        // suffix at boundary p covers ids[p..]; in the loop above we stored
-        // the MBR of ids[i+1..] when visiting i = p — that misses ids[p].
-        // Fix by absorbing after the check instead: simplest correct form
-        // is recomputed below when the stored MBR is empty for small
-        // suffixes; instead of patching, recompute directly when needed.
-        for (pi, &p) in positions.iter().enumerate() {
-            // Guard against the off-by-one noted above: suffix must cover
-            // exactly len − p points; if the sweep missed one (stored MBR
-            // excluded ids[p]), extend it.
-            let mut smbr = suffix_mbrs[pi];
-            let mut s_in_q = suffix_in_q[pi];
-            smbr.include_point(ctx.points.point(ids[p]));
-            if let Some(q) = ctx.query {
-                if ctx.points.in_region(ids[p], q) {
-                    s_in_q += 1;
+                // ids[i..] is now absorbed: record it if `i` is a split
+                // boundary (the high side of "first `i` vs rest").
+                if next > 0 && i == positions[next - 1] {
+                    next -= 1;
+                    suffix_mbrs[next] = mbr;
+                    suffix_in_q[next] = in_q;
                 }
             }
+        }
+        for (pi, &p) in positions.iter().enumerate() {
             let low_mbr = prefix_mbrs[pi];
-            let high_mbr = smbr;
+            let high_mbr = suffix_mbrs[pi];
             let low_in_q = prefix_in_q[pi];
-            let high_in_q = s_in_q;
+            let high_in_q = suffix_in_q[pi];
 
             let cq = if ctx.query.is_some() {
                 div_ceil(low_in_q, ctx.leaf_capacity) + div_ceil(high_in_q, ctx.leaf_capacity)
