@@ -164,8 +164,18 @@ pub fn build_element(
         beta_pow_h: params.beta.powi(height as i32),
         pool,
     };
-    let mut pieces: Vec<(SortOrders, bool)> = Vec::with_capacity(params.fanout);
-    partition(&ctx, query, orders, m, chooser, cost, &mut pieces, true);
+    let mut pieces: Vec<(SortOrders, Option<usize>)> = Vec::with_capacity(params.fanout);
+    partition(
+        &ctx,
+        query,
+        orders,
+        None,
+        m,
+        chooser,
+        cost,
+        &mut pieces,
+        true,
+    );
 
     let mut children = Vec::with_capacity(pieces.len());
     // Offline bulk load with a single-choice (stateless) chooser: the
@@ -217,13 +227,11 @@ pub fn build_element(
     }
 
     for (piece, stopped) in pieces {
-        if stopped {
+        if let Some(in_q) = stopped {
             // Stays a contour element (or terminal leaf when small).
             let piece_mbr = piece.mbr(points);
             let piece_len = piece.len();
-            if let Some(q) = query {
-                cost.cq += div_ceil(piece.count_in_region(points, q), params.leaf_capacity);
-            }
+            cost.cq += div_ceil(in_q, params.leaf_capacity);
             let child = if piece_len <= params.leaf_capacity {
                 BuiltNode {
                     mbr: piece_mbr,
@@ -258,10 +266,16 @@ pub fn build_element(
 ///
 /// `stop_query` drives the §IV-C stop conditions (always the real query
 /// region); the *ranking* query inside `ctx` may be disabled by the
-/// cost-model ablation. `force` is true for the root call: the
-/// element-level stop conditions were already evaluated by the caller, so
-/// the first split is mandatory (otherwise a stopped element would
-/// recurse forever).
+/// cost-model ablation. `in_q` is the partition's count of points in
+/// `stop_query` when the caller knows it: a split ranked with the query
+/// hands each half the count its candidate carries, so only an
+/// ablation's halves are counted afresh. `force` is true for the root
+/// call: the element-level stop conditions were already evaluated by the
+/// caller, so the first split is mandatory (otherwise a stopped element
+/// would recurse forever).
+///
+/// Each piece lands in `out` with the in-Q count the stop conditions
+/// left it unsplit at, or `None` when it reached size `m`.
 #[allow(
     clippy::too_many_arguments,
     reason = "recursion state threaded explicitly: context, chooser, cost and output accumulators"
@@ -270,22 +284,27 @@ fn partition(
     ctx: &SplitContext<'_>,
     stop_query: Option<&Mbr>,
     orders: SortOrders,
+    in_q: Option<usize>,
     m: usize,
     chooser: &mut dyn SplitChooser,
     cost: &mut RunCost,
-    out: &mut Vec<(SortOrders, bool)>,
+    out: &mut Vec<(SortOrders, Option<usize>)>,
     force: bool,
 ) {
     let len = orders.len();
     if len <= m {
-        out.push((orders, false));
+        out.push((orders, None));
         return;
     }
     if !force {
         if let Some(q) = stop_query {
-            let in_q = orders.count_in_region(ctx.points, q);
+            debug_assert!(
+                in_q.is_none_or(|c| c == orders.count_in_region(ctx.points, q)),
+                "carried in-Q count is stale"
+            );
+            let in_q = in_q.unwrap_or_else(|| orders.count_in_region(ctx.points, q));
             if stop_condition(in_q, len, ctx.leaf_capacity) {
-                out.push((orders, true));
+                out.push((orders, Some(in_q)));
                 return;
             }
         }
@@ -296,10 +315,17 @@ fn partition(
     let chosen = &candidates[pick];
     cost.co += chosen.cost.co;
     cost.splits += 1;
-    let (low, high) =
-        orders.split_by_prefix_pooled(ctx.points, chosen.axis, chosen.count, ctx.pool);
-    partition(ctx, stop_query, low, m, chooser, cost, out, false);
-    partition(ctx, stop_query, high, m, chooser, cost, out, false);
+    // A query in the context is the stop query (the ablation clears
+    // it), so the candidate's in-Q counts are the halves' counts.
+    let (low_in_q, high_in_q) = match ctx.query {
+        Some(_) => (Some(chosen.low_in_q), Some(chosen.high_in_q)),
+        None => (None, None),
+    };
+    let (low, high) = orders.split_by_prefix_pooled(chosen.axis, chosen.count, ctx.pool);
+    partition(ctx, stop_query, low, low_in_q, m, chooser, cost, out, false);
+    partition(
+        ctx, stop_query, high, high_in_q, m, chooser, cost, out, false,
+    );
 }
 
 #[cfg(test)]
@@ -567,5 +593,54 @@ mod tests {
             assert_eq!(c1.splits, c2.splits, "width {width}");
             assert_eq!(c1.cq, c2.cq, "width {width}");
         }
+    }
+
+    /// Each half of a query-ranked split inherits its in-Q count from
+    /// the chosen candidate instead of counting again: every stopped
+    /// piece's carried count equals a fresh count, with the query in the
+    /// ranking (carried) and without it (counted afresh).
+    #[test]
+    fn carried_in_q_counts_equal_a_fresh_count() {
+        let ps = random_points(3_000, 3, 8);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut stopped = 0;
+        for query_aware in [true, false] {
+            for _ in 0..20 {
+                let centre: Vec<f64> = (0..3).map(|_| rng.gen_range(-8.0..8.0)).collect();
+                let q = Mbr::of_ball(&centre, rng.gen_range(0.5..6.0));
+                let ctx = SplitContext {
+                    points: &ps,
+                    query: query_aware.then_some(&q),
+                    leaf_capacity: 8,
+                    beta_pow_h: 2.0,
+                    pool: &SERIAL,
+                };
+                let mut pieces = Vec::new();
+                let orders = SortOrders::build(&ps, ps.all_ids());
+                let in_q = orders.count_in_region(&ps, &q);
+                partition(
+                    &ctx,
+                    Some(&q),
+                    orders,
+                    Some(in_q),
+                    40,
+                    &mut GreedyChooser,
+                    &mut RunCost::default(),
+                    &mut pieces,
+                    true,
+                );
+                for (piece, carried) in &pieces {
+                    if let Some(c) = carried {
+                        assert_eq!(*c, piece.count_in_region(&ps, &q));
+                        stopped += 1;
+                    } else {
+                        assert!(piece.len() <= 40);
+                    }
+                }
+                let covered: usize = pieces.iter().map(|(p, _)| p.len()).sum();
+                assert_eq!(covered, 3_000);
+            }
+        }
+        assert!(stopped >= 40, "only {stopped} pieces stopped");
     }
 }

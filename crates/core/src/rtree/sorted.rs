@@ -7,10 +7,12 @@
 //! sorted (the paper's SPLITONKEY, lines 6–7 of BESTBINARYSPLIT).
 //!
 //! Every order on axis `a` is sorted by one integer key per id,
-//! `(coord_key(coord(id, a)), id)`: sorting, splitting, inserting and
-//! removing all compare that key and nothing else. Membership in a
-//! split's low side is a key comparison against the prefix's last id,
-//! so no set of the low side is ever built.
+//! `(coord_key(coord(id, a)), id)`: sorting, inserting and removing all
+//! compare that key and nothing else. A split reads no coordinate at
+//! all: the split axis's prefix marks its ids in a per-thread id bitmap,
+//! and every other order is partitioned by one bit test per id.
+
+use std::cell::{RefCell, RefMut};
 
 use vkg_sync::pool::Pool;
 use vkg_sync::Mutex;
@@ -62,6 +64,58 @@ fn sort_axis(points: &PointSet, axis: usize, ids: &mut [u32], keyed: &mut Vec<(u
 fn position(points: &PointSet, axis: usize, order: &[u32], id: u32) -> usize {
     let key = order_key(points, axis, id);
     order.partition_point(|&other| order_key(points, axis, other) < key)
+}
+
+thread_local! {
+    /// One bit per point id, clear between splits. It grows to the
+    /// largest id a split on this thread has marked and is then reused,
+    /// so a split allocates nothing in proportion to the id space.
+    static LOW_SIDE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// This thread's bitmap with the ids of `low` set; dropping it clears
+/// them again, on unwind too, so no later split reads a stale bit.
+struct Marked<'a> {
+    bits: RefMut<'a, Vec<u64>>,
+    low: &'a [u32],
+}
+
+impl Drop for Marked<'_> {
+    fn drop(&mut self) {
+        // Every set bit belongs to `low`, so zeroing their words whole
+        // leaves the bitmap clear.
+        for &id in self.low {
+            if let Some(word) = self.bits.get_mut(id as usize / 64) {
+                *word = 0;
+            }
+        }
+    }
+}
+
+/// Runs `f` on this thread's id bitmap with exactly the ids of `low`
+/// set, then clears them again.
+fn with_low_side<R>(low: &[u32], f: impl FnOnce(&[u64]) -> R) -> R {
+    LOW_SIDE.with(|cell| {
+        let mut marked = Marked {
+            bits: cell.borrow_mut(),
+            low,
+        };
+        for &id in low {
+            let word = id as usize / 64;
+            if word >= marked.bits.len() {
+                marked.bits.resize(word + 1, 0);
+            }
+            marked.bits[word] |= 1 << (id % 64);
+        }
+        f(&marked.bits)
+    })
+}
+
+/// Whether `id`'s bit is set in `bits`.
+#[inline]
+fn is_set(bits: &[u64], id: u32) -> bool {
+    bits.get(id as usize / 64)
+        .is_some_and(|word| word >> (id % 64) & 1 == 1)
 }
 
 /// A partition of point ids maintained in one sorted list per axis.
@@ -175,94 +229,94 @@ impl SortOrders {
             .count()
     }
 
-    /// The key of the last of the first `count` ids of order `axis`:
-    /// every id of that prefix has a key at most this, every other id a
-    /// key above it.
-    ///
-    /// # Panics
-    /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
-    fn pivot(&self, points: &PointSet, axis: usize, count: usize) -> (u64, u32) {
+    /// Panics unless splitting off `count` ids is proper: 0 < `count` <
+    /// `len`.
+    fn check_proper(&self, count: usize) {
         let len = self.len();
         assert!(count > 0 && count < len, "improper split {count}/{len}");
-        order_key(points, axis, self.orders[axis][count - 1])
     }
 
-    /// Order `o`'s ids split into the `count` whose key on `axis` is at
-    /// most `pivot` and the rest, each side in order: a slice of the
-    /// split axis's own order, a stable partition of any other.
+    /// Order `o`'s ids split into the `count` whose bit is set in
+    /// `low_side` and the rest, each side in order: a slice of the split
+    /// axis's own order, a stable partition of any other.
     fn split_order(
         &self,
-        points: &PointSet,
+        low_side: &[u64],
         axis: usize,
         count: usize,
-        pivot: (u64, u32),
         o: usize,
     ) -> (Vec<u32>, Vec<u32>) {
         let order = &self.orders[o];
         if o == axis {
             return (order[..count].to_vec(), order[count..].to_vec());
         }
-        let mut low = Vec::with_capacity(count);
-        let mut high = Vec::with_capacity(order.len() - count);
+        // Which side an id goes to is as good as random, so a branch on
+        // it mispredicts often: every id is written to both sides and
+        // only the side it belongs to moves on. Each side has one slot
+        // of slack for the write that does not stay.
+        let mut low = vec![0u32; count + 1];
+        let mut high = vec![0u32; order.len() - count + 1];
+        let (mut l, mut h) = (0, 0);
         for &id in order {
-            if order_key(points, axis, id) <= pivot {
-                low.push(id);
-            } else {
-                high.push(id);
-            }
+            let is_low = usize::from(is_set(low_side, id));
+            low[l] = id;
+            high[h] = id;
+            l += is_low;
+            h += 1 - is_low;
         }
+        low.truncate(count);
+        high.truncate(order.len() - count);
         (low, high)
     }
 
     /// Splits off the first `count` ids of order `axis` (the paper's
     /// SPLITONKEY): returns `(low, high)` partitions with **all** orders
     /// maintained sorted. Order `axis` is sliced; every other order is
-    /// stable-partitioned by comparing each id's key on `axis` with the
-    /// prefix's last.
+    /// stable-partitioned by membership in the prefix, read from the
+    /// thread's id bitmap.
     ///
     /// # Panics
     /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
-    pub fn split_by_prefix(
-        &self,
-        points: &PointSet,
-        axis: usize,
-        count: usize,
-    ) -> (SortOrders, SortOrders) {
-        let pivot = self.pivot(points, axis, count);
-        let mut low = Vec::with_capacity(self.num_orders());
-        let mut high = Vec::with_capacity(self.num_orders());
-        for o in 0..self.num_orders() {
-            let (l, h) = self.split_order(points, axis, count, pivot, o);
-            low.push(l);
-            high.push(h);
-        }
-        (SortOrders { orders: low }, SortOrders { orders: high })
+    pub fn split_by_prefix(&self, axis: usize, count: usize) -> (SortOrders, SortOrders) {
+        self.check_proper(count);
+        with_low_side(&self.orders[axis][..count], |low_side| {
+            let mut low = Vec::with_capacity(self.num_orders());
+            let mut high = Vec::with_capacity(self.num_orders());
+            for o in 0..self.num_orders() {
+                let (l, h) = self.split_order(low_side, axis, count, o);
+                low.push(l);
+                high.push(h);
+            }
+            (SortOrders { orders: low }, SortOrders { orders: high })
+        })
     }
 
     /// [`SortOrders::split_by_prefix`] with the per-order stable
-    /// partitions fanned out over a pool. Membership is the same key
-    /// comparison, so `(low, high)` equal the serial split at any width.
+    /// partitions fanned out over a pool. The workers share the calling
+    /// thread's bitmap, so `(low, high)` equal the serial split at any
+    /// width.
     ///
     /// # Panics
     /// Panics if `count` is 0 or ≥ `len` (a split must be proper).
     pub fn split_by_prefix_pooled(
         &self,
-        points: &PointSet,
         axis: usize,
         count: usize,
         pool: &Pool,
     ) -> (SortOrders, SortOrders) {
         if pool.is_serial() || self.len() < POOLED_MIN || self.num_orders() < 2 {
-            return self.split_by_prefix(points, axis, count);
+            return self.split_by_prefix(axis, count);
         }
-        let pivot = self.pivot(points, axis, count);
+        self.check_proper(count);
         let slots: Vec<Mutex<(Vec<u32>, Vec<u32>)>> = self
             .orders
             .iter()
             .map(|_| Mutex::new((Vec::new(), Vec::new())))
             .collect();
-        pool.run(self.num_orders(), |o| {
-            *slots[o].lock() = self.split_order(points, axis, count, pivot, o);
+        with_low_side(&self.orders[axis][..count], |low_side| {
+            pool.run(self.num_orders(), |o| {
+                *slots[o].lock() = self.split_order(low_side, axis, count, o);
+            });
         });
         let mut low = Vec::with_capacity(self.num_orders());
         let mut high = Vec::with_capacity(self.num_orders());
@@ -360,8 +414,8 @@ mod tests {
 
     #[test]
     fn split_preserves_sortedness_and_partitioning() {
-        let (ps, so) = fixture();
-        let (low, high) = so.split_by_prefix(&ps, 0, 2);
+        let (_ps, so) = fixture();
+        let (low, high) = so.split_by_prefix(0, 2);
         assert_eq!(low.ids(0), &[0, 1]);
         assert_eq!(high.ids(0), &[2, 3, 4, 5]);
         // Axis-1 orders stay sorted (descending-x points ascend in y).
@@ -372,8 +426,8 @@ mod tests {
 
     #[test]
     fn split_on_second_axis() {
-        let (ps, so) = fixture();
-        let (low, high) = so.split_by_prefix(&ps, 1, 3);
+        let (_ps, so) = fixture();
+        let (low, high) = so.split_by_prefix(1, 3);
         // Lowest three y values are points 5, 4, 3.
         assert_eq!(low.ids(1), &[5, 4, 3]);
         assert_eq!(low.ids(0), &[3, 4, 5]);
@@ -400,8 +454,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "improper split")]
     fn degenerate_split_rejected() {
-        let (ps, so) = fixture();
-        let _ = so.split_by_prefix(&ps, 0, 6);
+        let (_ps, so) = fixture();
+        let _ = so.split_by_prefix(0, 6);
     }
 
     #[test]
@@ -437,8 +491,8 @@ mod tests {
         let ps = large_fixture();
         let so = SortOrders::build(&ps, ps.all_ids());
         let cut = so.len() / 3;
-        let (sl, sh) = so.split_by_prefix(&ps, 1, cut);
-        let (pl, ph) = so.split_by_prefix_pooled(&ps, 1, cut, &Pool::new(4));
+        let (sl, sh) = so.split_by_prefix(1, cut);
+        let (pl, ph) = so.split_by_prefix_pooled(1, cut, &Pool::new(4));
         assert_eq!(pl, sl);
         assert_eq!(ph, sh);
     }
@@ -471,6 +525,28 @@ mod tests {
             .orders
             .iter()
             .map(|order| order.iter().partition(|id| low_set.contains(id)))
+            .unzip();
+        (SortOrders { orders: low }, SortOrders { orders: high })
+    }
+
+    /// The key-comparing SPLITONKEY the bitmap replaces: every other
+    /// order keeps an id low iff its key on `axis` is at most the key of
+    /// the prefix's last id.
+    fn key_split(
+        so: &SortOrders,
+        points: &PointSet,
+        axis: usize,
+        count: usize,
+    ) -> (SortOrders, SortOrders) {
+        let pivot = order_key(points, axis, so.ids(axis)[count - 1]);
+        let (low, high) = so
+            .orders
+            .iter()
+            .map(|order| {
+                order
+                    .iter()
+                    .partition(|&&id| order_key(points, axis, id) <= pivot)
+            })
             .unzip();
         (SortOrders { orders: low }, SortOrders { orders: high })
     }
@@ -582,14 +658,63 @@ mod tests {
                     let order = so.ids(axis);
                     straddled |= ps.coord(order[count - 1], axis) == ps.coord(order[count], axis);
                     let oracle = oracle_split(&so, axis, count);
-                    assert_eq!(so.split_by_prefix(&ps, axis, count), oracle);
-                    assert_eq!(so.split_by_prefix_pooled(&ps, axis, count, &wide), oracle);
+                    assert_eq!(so.split_by_prefix(axis, count), oracle);
+                    assert_eq!(so.split_by_prefix_pooled(axis, count, &wide), oracle);
                 }
                 if n >= 200 {
                     assert!(straddled, "no cut between equal coordinates on axis {axis}");
                 }
             }
         }
+    }
+
+    /// The bitmap partition equals the key-comparing one on awkward
+    /// coordinates, on partitions that hold a scattered subset of a large
+    /// id space (so the bitmap grows mid-split), and across many splits
+    /// in a row on one thread (so each must leave the bitmap clear).
+    #[test]
+    fn bitmap_split_matches_the_key_oracle() {
+        let wide = Pool::new(2);
+        for (n, dim, keep) in [(2, 2, 1), (9, 1, 1), (300, 3, 1), (70_000, 3, 11)] {
+            let ps = awkward_points(n, dim, 7 + n as u64);
+            // Every `keep`-th id, the largest first: ids far apart.
+            let ids: Vec<u32> = ps.all_ids().into_iter().rev().step_by(keep).collect();
+            let so = SortOrders::build(&ps, ids);
+            let len = so.len();
+            for axis in 0..dim {
+                for count in [1, 2, len / 3, len / 2, len - 1] {
+                    if count == 0 || count >= len {
+                        continue;
+                    }
+                    let oracle = key_split(&so, &ps, axis, count);
+                    assert_eq!(so.split_by_prefix(axis, count), oracle, "n {n} axis {axis}");
+                    assert_eq!(so.split_by_prefix_pooled(axis, count, &wide), oracle);
+                    // Split the low side again: a second split on the
+                    // same thread reads a bitmap the first one cleared.
+                    let (low, _) = oracle;
+                    if low.len() > 1 {
+                        let again = low.len() / 2 + 1;
+                        let inner = key_split(&low, &ps, axis, again.min(low.len() - 1));
+                        assert_eq!(low.split_by_prefix(axis, again.min(low.len() - 1)), inner);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A split that unwinds still clears the bits it set: the next split
+    /// on the thread must not read them.
+    #[test]
+    fn an_unwinding_split_leaves_the_bitmap_clear() {
+        let low = [3u32, 700, 64];
+        let unwound = std::panic::catch_unwind(|| {
+            with_low_side(&low, |bits| {
+                assert!(low.iter().all(|&id| is_set(bits, id)));
+                panic!("mid-split");
+            })
+        });
+        assert!(unwound.is_err());
+        LOW_SIDE.with(|cell| assert!(cell.borrow().iter().all(|&word| word == 0)));
     }
 
     #[test]

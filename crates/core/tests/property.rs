@@ -788,7 +788,7 @@ proptest! {
         }
         let so = SortOrders::build(&ps, ps.all_ids());
         let cut = cut.min(ps.len() - 1).max(1);
-        let (lo, hi) = so.split_by_prefix(&ps, axis, cut);
+        let (lo, hi) = so.split_by_prefix(axis, cut);
         prop_assert_eq!(lo.len(), cut);
         prop_assert_eq!(lo.len() + hi.len(), ps.len());
         // Partition: every id on exactly one side.
