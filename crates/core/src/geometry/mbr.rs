@@ -96,11 +96,16 @@ impl Mbr {
         }
     }
 
-    /// Whether `p` lies inside (inclusive).
+    /// Whether `p` lies inside (inclusive). Every axis is compared, with
+    /// no branch on the outcome, so a caller testing many points does not
+    /// wait on one verdict to start loading the next point.
     #[inline]
     pub fn contains_point(&self, p: &[f64]) -> bool {
         debug_assert_eq!(p.len(), self.dim());
-        (0..self.dim()).all(|i| self.min[i] <= p[i] && p[i] <= self.max[i])
+        let bounds = self.min.iter().zip(&self.max).take(self.dim());
+        bounds
+            .zip(p)
+            .fold(true, |inside, ((lo, hi), x)| inside & (lo <= x) & (x <= hi))
     }
 
     /// Whether the two regions overlap (inclusive).

@@ -24,7 +24,7 @@ pub struct PointSet {
 /// used (`p.iter().map(|c| c * c).sum()`), so stored norms are
 /// bit-identical to values computed on the fly.
 #[inline]
-fn row_norm_sq(p: &[f64]) -> f64 {
+pub(crate) fn row_norm_sq(p: &[f64]) -> f64 {
     p.iter().map(|c| c * c).sum()
 }
 

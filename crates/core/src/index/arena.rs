@@ -6,6 +6,7 @@
 //! appended). The arena also owns the size accounting the evaluation
 //! figures report (node counts for Fig. 9, byte sizes for Figs. 10–11).
 
+use crate::geometry::points::row_norm_sq;
 use crate::geometry::{Mbr, PointSet};
 use crate::rtree::SortOrders;
 
@@ -56,12 +57,16 @@ impl Node {
     }
 }
 
-/// Adds member `pid` to `dim + 1` sums laid out as [`Node::sums`].
+/// Adds member `pid` to `dim + 1` sums laid out as [`Node::sums`]. The
+/// norm² is summed from the coordinates just read — the stored norm's
+/// own expression, so its bits — rather than loaded from a second array
+/// at a second random place.
 pub(super) fn add_member(points: &PointSet, pid: u32, sums: &mut [f64]) {
-    for (s, &c) in sums.iter_mut().zip(points.point(pid)) {
+    let point = points.point(pid);
+    for (s, &c) in sums.iter_mut().zip(point) {
         *s += c;
     }
-    sums[points.dim()] += points.norm_sq(pid);
+    sums[points.dim()] += row_norm_sq(point);
 }
 
 /// The [`Node::sums`] of a node of `kind`, summed afresh.

@@ -13,6 +13,7 @@ use std::collections::BinaryHeap;
 use crate::geometry::{kernels, Mbr, PointSet};
 
 use super::arena::add_member;
+use super::build::stop_condition;
 use super::{CrackingIndex, NodeId, NodeKind};
 
 /// Most points [`CrackingIndex::nearest_first`] hands its visitor in one
@@ -55,9 +56,13 @@ impl CrackingIndex {
     /// [`Mbr::contains_mbr`] is [`PointSet::in_region`]'s comparisons.
     ///
     /// This is a pure read: it does **not** crack the index (Algorithm 3
-    /// cracks once per query, after the result region stabilizes).
-    pub fn search_region(&self, q: &Mbr, mut visit: impl FnMut(u32)) {
+    /// cracks once per query, after the result region stabilizes). It
+    /// returns [`CrackingIndex::wants_crack`]`(q)` for the tree it read,
+    /// from the in-region counts the walk takes anyway.
+    pub fn search_region(&self, q: &Mbr, mut visit: impl FnMut(u32)) -> bool {
         let (mut elements, mut examined) = (0u64, 0u64);
+        let mut splits = CrackVerdict::default();
+        let mut inside: Vec<u32> = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
@@ -74,14 +79,16 @@ impl CrackingIndex {
             };
             elements += 1;
             examined += ids.len() as u64;
-            let whole = q.contains_mbr(&node.mbr);
-            for &pid in ids {
-                if whole || self.points.in_region(pid, q) {
-                    visit(pid);
-                }
+            if q.contains_mbr(&node.mbr) {
+                ids.iter().for_each(|&pid| visit(pid));
+                continue;
             }
+            members_in_region(&self.points, q, ids, &mut inside);
+            inside.iter().for_each(|&pid| visit(pid));
+            splits.cut(self, &node.kind, inside.len());
         }
         self.count_access(elements, examined);
+        splits.0
     }
 
     /// Visits the points of the ball `B(q, √r_sq)` nearest first — in
@@ -246,14 +253,17 @@ impl CrackingIndex {
     /// Only an element that `q` cuts costs a pass over its members (the
     /// in-region test and the sums). One that `q` contains is handed over
     /// as its own id slice with the sums it stores — that pass's sums to
-    /// the bit — unless an edit since its install cleared them.
+    /// the bit — unless an edit since its install cleared them. Returns
+    /// [`CrackingIndex::wants_crack`]`(q)`, as
+    /// [`CrackingIndex::search_region`] does.
     pub fn search_region_elements(
         &self,
         q: &Mbr,
         mut visit: impl FnMut(&[u32], &ElementSummary<'_>),
-    ) {
+    ) -> bool {
         let dim = self.points.dim();
         let (mut elements, mut examined) = (0u64, 0u64);
+        let mut splits = CrackVerdict::default();
         let mut stack = vec![self.root];
         let mut pass_members: Vec<u32> = Vec::new();
         let mut pass_sums = vec![0.0f64; dim + 1];
@@ -277,13 +287,16 @@ impl CrackingIndex {
             let (members, sums): (&[u32], &[f64]) = match &node.sums {
                 Some(stored) if whole => (ids, stored),
                 _ => {
-                    pass_members.clear();
+                    if whole {
+                        pass_members.clear();
+                        pass_members.extend_from_slice(ids);
+                    } else {
+                        members_in_region(&self.points, q, ids, &mut pass_members);
+                        splits.cut(self, &node.kind, pass_members.len());
+                    }
                     pass_sums.fill(0.0);
-                    for &pid in ids {
-                        if whole || self.points.in_region(pid, q) {
-                            pass_members.push(pid);
-                            add_member(&self.points, pid, &mut pass_sums);
-                        }
+                    for &pid in &pass_members {
+                        add_member(&self.points, pid, &mut pass_sums);
                     }
                     (&pass_members, &pass_sums)
                 }
@@ -304,6 +317,39 @@ impl CrackingIndex {
             visit(members, &summary);
         }
         self.count_access(elements, examined);
+        splits.0
+    }
+}
+
+/// The members of `ids` inside `q`, in order, into `out`: each is
+/// written and kept by its verdict, with no branch on it, so the
+/// coordinate loads of consecutive members overlap.
+fn members_in_region(points: &PointSet, q: &Mbr, ids: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(ids.len(), 0);
+    let mut kept = 0;
+    for &pid in ids {
+        out[kept] = pid;
+        kept += usize::from(points.in_region(pid, q));
+    }
+    out.truncate(kept);
+}
+
+/// [`CrackingIndex::wants_crack`] folded into a region read: whether
+/// some unsplit element the region cuts fails the §IV-C stop condition.
+/// An element the region contains, or a leaf, never does, so only the
+/// cut elements' in-region counts — which the read takes anyway — enter
+/// it.
+#[derive(Debug, Default)]
+struct CrackVerdict(bool);
+
+impl CrackVerdict {
+    /// Notes an element of `kind` that the region cuts, `in_q` of its
+    /// members inside.
+    fn cut(&mut self, index: &CrackingIndex, kind: &NodeKind, in_q: usize) {
+        if let NodeKind::Unsplit(orders) = kind {
+            self.0 |= !stop_condition(in_q, orders.len(), index.params.leaf_capacity);
+        }
     }
 }
 

@@ -13,23 +13,27 @@ pub fn inverse_distance_probabilities(distances: &[f64]) -> Vec<f64> {
     let d_min = distances.iter().copied().fold(f64::INFINITY, f64::min);
     distances
         .iter()
-        .map(|&d| {
-            debug_assert!(d >= 0.0, "negative distance {d}");
-            if d <= 0.0 || d_min <= 0.0 {
-                // Exact hits (h + r lands on t) get probability 1; if the
-                // minimum itself is 0 every other finite distance gets an
-                // infinitesimal probability, clamped to a tiny positive
-                // value so downstream weights stay well-defined.
-                if d <= 0.0 {
-                    1.0
-                } else {
-                    f64::MIN_POSITIVE
-                }
-            } else {
-                (d_min / d).min(1.0)
-            }
-        })
+        .map(|&d| inverse_distance_probability(d, d_min))
         .collect()
+}
+
+/// One entry of [`inverse_distance_probabilities`]: the probability of
+/// a member at distance `d` when the closest is at `d_min`.
+pub fn inverse_distance_probability(d: f64, d_min: f64) -> f64 {
+    debug_assert!(d >= 0.0, "negative distance {d}");
+    if d <= 0.0 || d_min <= 0.0 {
+        // Exact hits (h + r lands on t) get probability 1; if the
+        // minimum itself is 0 every other finite distance gets an
+        // infinitesimal probability, clamped to a tiny positive value
+        // so downstream weights stay well-defined.
+        if d <= 0.0 {
+            1.0
+        } else {
+            f64::MIN_POSITIVE
+        }
+    } else {
+        (d_min / d).min(1.0)
+    }
 }
 
 /// The ball radius in S₁ corresponding to a probability threshold:

@@ -500,10 +500,11 @@ impl VirtualKnowledgeGraph {
     /// One round of the read protocol every query goes through: take the
     /// shared guard (`on_guard` fires once it is held, so a caller can
     /// time the wait), pin the epochs, run `half` — whatever reads the
-    /// tree: a cache probe, a read half, a top-k's cache fill — and
-    /// pre-check whether the region `half` wants cracked still has
-    /// something to split: `half` gives `None` when it traversed nothing
-    /// (a cache hit), and `Some(None)` when it traversed but has no
+    /// tree: a cache probe, a read half, a top-k's cache fill — which
+    /// returns the region to crack, pre-checked under the guard
+    /// ([`CrackingIndex::wants_crack`], or the verdict a region read
+    /// folds in): `None` when it traversed nothing (a cache hit), and
+    /// `Some(None)` when it traversed but has nothing to split, or no
     /// region (an empty k-set), which counts as a skipped crack. Then the
     /// shared guard is dropped and `stage` finishes the answer from what
     /// `half` read, on the snapshot pinned with it — the epochs in the
@@ -520,8 +521,7 @@ impl VirtualKnowledgeGraph {
         let state = self.index.read();
         on_guard();
         let (pin, snap) = self.pinned();
-        let (value, region) = half(pin, &snap, &state)?;
-        let crack = region.map(|region| region.filter(|r| state.index().wants_crack(r)));
+        let (value, crack) = half(pin, &snap, &state)?;
         drop(state);
         let value = stage(pin, &snap, value);
         // `None`: nothing traversed (a cache hit). `Some(None)`: nothing
@@ -573,7 +573,10 @@ impl VirtualKnowledgeGraph {
         let q = (entity, relation, direction, k);
         let round = self.read_round(
             &mut || {},
-            |pin, snap, state| self.top_k_half(pin, snap, state, q, None, &filter),
+            |pin, snap, state| {
+                let (r, region) = self.top_k_half(pin, snap, state, q, None, &filter)?;
+                Ok((r, pre_check(state, region)))
+            },
             |_, _, r| r,
         );
         let r = round.map(|(_, r)| r);
@@ -610,7 +613,8 @@ impl VirtualKnowledgeGraph {
             on_guard,
             |pin, snap, state| {
                 let accept = |id| filter.is_none_or(|(_, accept)| accept(snap, id));
-                self.top_k_half(pin, snap, state, q, Some(key), &accept)
+                let (r, region) = self.top_k_half(pin, snap, state, q, Some(key), &accept)?;
+                Ok((r, pre_check(state, region)))
             },
             |_, _, r| r,
         )
@@ -788,11 +792,12 @@ impl VirtualKnowledgeGraph {
     /// The second round re-reads the pin; if a write published in
     /// between, the anchor belongs to a superseded epoch and the query
     /// starts over, so an answer is always computed at one epoch — the
-    /// one returned. Of the ball round only the region read and the
-    /// crack pre-check hold the shared guard; the S₁ access, the
-    /// estimate and the cache fill run after it, on the snapshot pinned
-    /// with the read. `on_guard` fires each time a shared guard is held.
-    /// Records no query metrics — callers own that.
+    /// one returned. Of the ball round only the region read holds the
+    /// shared guard — it answers the crack pre-check from the in-box
+    /// counts it takes; the S₁ access, the estimate and the cache fill
+    /// run after it, on the snapshot pinned with the read. `on_guard`
+    /// fires each time a shared guard is held. Records no query metrics
+    /// — callers own that.
     pub fn aggregate_served(
         &self,
         entity: EntityId,
@@ -822,7 +827,7 @@ impl VirtualKnowledgeGraph {
                     if let Err(empty) = &anchor {
                         fill(pin, empty);
                     }
-                    Ok((anchor, Some(region)))
+                    Ok((anchor, pre_check(state, Some(region))))
                 },
                 |_, _, anchor| anchor,
             )?;
@@ -836,9 +841,9 @@ impl VirtualKnowledgeGraph {
                     if now != pin {
                         return Ok((None, None));
                     }
-                    let (ball, region) = state
+                    let (ball, crack) = state
                         .aggregate_ball_read(snap, entity, relation, direction, spec, &nearest)?;
-                    Ok((Some(ball), Some(Some(region))))
+                    Ok((Some(ball), Some(crack)))
                 },
                 |pin, snap, ball| {
                     ball.map(|ball| ball.estimate(snap, spec).inspect(|r| fill(pin, r)))
@@ -1217,6 +1222,13 @@ impl VirtualKnowledgeGraph {
             _writer: writer,
         }
     }
+}
+
+/// The crack pre-check of a round whose read did not fold it in: the
+/// region `half` read for, kept only while it still has something to
+/// split (see [`VirtualKnowledgeGraph::read_round`]).
+fn pre_check(state: &IndexState, region: Option<Option<Mbr>>) -> Option<Option<Mbr>> {
+    region.map(|region| region.filter(|r| state.index().wants_crack(r)))
 }
 
 /// Cap on the `refine_steps` of a dynamic fact write: the refinement

@@ -557,8 +557,9 @@ proptest! {
     }
 
     /// The pre-check is the crack's own decision, read-only. On every
-    /// tree shape and under both strategies `wants_crack(q)` says
-    /// whether `crack(q)` splits anything; a crack that splits nothing
+    /// tree shape and under both strategies `wants_crack(q)` — and the
+    /// verdict `search_region` and `search_region_elements` return for
+    /// `q` — says whether `crack(q)` splits anything; a crack that splits nothing
     /// leaves the tree as it was — node for node, MBRs included, so the
     /// shared read protocol (which skips it) and the `&mut` composition
     /// (which runs it) cannot drift apart, not even after updates left
@@ -580,6 +581,9 @@ proptest! {
         for (center, r) in regions {
             let q = Mbr::of_ball(&snap(on_grid, center), r);
             let wanted = idx.wants_crack(&q);
+            // The region reads fold the same verdict into their walk.
+            prop_assert_eq!(idx.search_region(&q, |_| {}), wanted);
+            prop_assert_eq!(idx.search_region_elements(&q, |_, _| {}), wanted);
             let (splits, tree) = (idx.stats().splits_performed, tree_of(&idx));
             idx.crack(&q);
             idx.check_invariants();
@@ -1433,6 +1437,78 @@ fn cracked_with_edits(n: usize, strategy: SplitStrategy) -> CrackingIndex {
 /// write after every fourth and a new entity after every tenth; returns
 /// its tree's node count and fingerprint.
 fn facade_after_stream(n: usize, strategy: SplitStrategy, threads: usize) -> (usize, u64) {
+    let (vkg, relations, mut next) = clustered_facade(n, strategy, threads, AttributeStore::new());
+    let d = vkg.embeddings().dim();
+    let pick = |x: u64| EntityId((x % n as u64) as u32);
+    for i in 0..80u32 {
+        let (e, r) = (pick(next()), relations[(next() % 3) as usize]);
+        let direction = [Direction::Tails, Direction::Heads][(next() % 2) as usize];
+        vkg.top_k(e, r, direction, 10).unwrap();
+        if i % 4 == 3 {
+            vkg.add_fact_dynamic(e, r, pick(next()), 2, 0.05).unwrap();
+        }
+        if i % 10 == 9 {
+            let row: Vec<f64> = (0..d).map(|_| grid_coord(next())).collect();
+            vkg.add_entity_dynamic(&format!("fresh{i}"), &row).unwrap();
+        }
+    }
+    let index = vkg.index();
+    index.check_invariants();
+    (index.node_count(), fingerprint(&index))
+}
+
+/// [`facade_after_stream`]'s facade, `a` on two entities in three,
+/// after 60 aggregates served through the shared read protocol — the
+/// five kinds at full access and at budgets 1 and 20, both directions,
+/// COUNT at two thresholds — with a fact write after every sixth and a
+/// new entity after every fifteenth: the ball rounds crack on the
+/// verdict their region reads fold in.
+fn facade_after_aggregates(n: usize, strategy: SplitStrategy, threads: usize) -> (usize, u64) {
+    let mut attributes = AttributeStore::new();
+    for id in (0..n as u32).filter(|id| id % 3 != 0) {
+        attributes.set("a", EntityId(id), f64::from(id % 97) - 40.0);
+    }
+    let (vkg, relations, mut next) = clustered_facade(n, strategy, threads, attributes);
+    let d = vkg.embeddings().dim();
+    let pick = |x: u64| EntityId((x % n as u64) as u32);
+    let kinds = [
+        AggregateKind::Count,
+        AggregateKind::Sum,
+        AggregateKind::Avg,
+        AggregateKind::Max,
+        AggregateKind::Min,
+    ];
+    for i in 0..60usize {
+        let (e, r) = (pick(next()), relations[(next() % 3) as usize]);
+        let direction = [Direction::Tails, Direction::Heads][(next() % 2) as usize];
+        let mut spec = match kinds[i % 5] {
+            AggregateKind::Count => AggregateSpec::count([0.05, 0.3][i / 5 % 2]),
+            kind => AggregateSpec::of(kind, "a", 0.3),
+        };
+        spec.sample_size = [None, Some(1), Some(20)][i / 5 % 3];
+        vkg.aggregate(e, r, direction, &spec).unwrap();
+        if i % 6 == 5 {
+            vkg.add_fact_dynamic(e, r, pick(next()), 2, 0.05).unwrap();
+        }
+        if i % 15 == 14 {
+            let row: Vec<f64> = (0..d).map(|_| grid_coord(next())).collect();
+            vkg.add_entity_dynamic(&format!("fresh{i}"), &row).unwrap();
+        }
+    }
+    let index = vkg.index();
+    index.check_invariants();
+    (index.node_count(), fingerprint(&index))
+}
+
+/// The facade of the fingerprint streams: `n` entities in 64 tight
+/// clusters (every tenth an exact twin of an earlier one), three
+/// relations, `2n` random facts, and the stream's generator.
+fn clustered_facade(
+    n: usize,
+    strategy: SplitStrategy,
+    threads: usize,
+    attributes: AttributeStore,
+) -> (VirtualKnowledgeGraph, Vec<RelationId>, impl FnMut() -> u64) {
     let d = 8;
     let mut next = xorshift(0x2545_f491_4f6c_dd1d);
     let mut graph = KnowledgeGraph::new();
@@ -1459,7 +1535,7 @@ fn facade_after_stream(n: usize, strategy: SplitStrategy, threads: usize) -> (us
     let relation_rows: Vec<f64> = (0..3 * d).map(|_| grid_coord(next())).collect();
     let vkg = VirtualKnowledgeGraph::assemble(
         graph,
-        AttributeStore::new(),
+        attributes,
         EmbeddingStore::from_raw(d, rows, relation_rows),
         VkgConfig {
             alpha: 3,
@@ -1470,21 +1546,7 @@ fn facade_after_stream(n: usize, strategy: SplitStrategy, threads: usize) -> (us
             ..VkgConfig::default()
         },
     );
-    for i in 0..80u32 {
-        let (e, r) = (pick(next()), relations[(next() % 3) as usize]);
-        let direction = [Direction::Tails, Direction::Heads][(next() % 2) as usize];
-        vkg.top_k(e, r, direction, 10).unwrap();
-        if i % 4 == 3 {
-            vkg.add_fact_dynamic(e, r, pick(next()), 2, 0.05).unwrap();
-        }
-        if i % 10 == 9 {
-            let row: Vec<f64> = (0..d).map(|_| grid_coord(next())).collect();
-            vkg.add_entity_dynamic(&format!("fresh{i}"), &row).unwrap();
-        }
-    }
-    let index = vkg.index();
-    index.check_invariants();
-    (index.node_count(), fingerprint(&index))
+    (vkg, relations, next)
 }
 
 /// `name nodes fingerprint`, the golden file's row format.
@@ -1555,6 +1617,25 @@ fn trees_match_the_comparator_build_at_100k() {
         ),
         bulk_row("bulk_w1_100k", 100_000, 1),
         bulk_row("bulk_w2_100k", 100_000, 2),
+    ]);
+}
+
+/// The ball rounds crack on the verdict their region reads fold in, and
+/// that cracks what the separate pre-check cracked: after mixed
+/// aggregate streams under both strategies, with writes between them,
+/// the trees are node for node the ones recorded with a separate
+/// `wants_crack` walk after every region read.
+#[test]
+fn aggregate_streams_crack_as_the_separate_pre_check_did() {
+    assert_golden_trees(&[
+        fingerprint_row(
+            "facade_agg_greedy_w2",
+            facade_after_aggregates(5_000, SplitStrategy::Greedy, 2),
+        ),
+        fingerprint_row(
+            "facade_agg_top2_w1",
+            facade_after_aggregates(3_000, SplitStrategy::TopK { choices: 2 }, 1),
+        ),
     ]);
 }
 

@@ -16,14 +16,21 @@ use crate::ids::EntityId;
 #[derive(Debug, Clone, Default)]
 struct Column {
     values: Vec<Option<f64>>,
+    /// Bit `i % 64` of word `i / 64` is set iff `values[i]` is `Some`;
+    /// `values.len().div_ceil(64)` words. [`Column::set`], the only
+    /// mutator, keeps it.
+    present: Vec<u64>,
 }
 
 impl Column {
     fn set(&mut self, e: EntityId, v: f64) {
-        if self.values.len() <= e.index() {
-            self.values.resize(e.index() + 1, None);
+        let i = e.index();
+        if self.values.len() <= i {
+            self.values.resize(i + 1, None);
+            self.present.resize(self.values.len().div_ceil(64), 0);
         }
-        self.values[e.index()] = Some(v);
+        self.values[i] = Some(v);
+        self.present[i / 64] |= 1 << (i % 64);
     }
 
     fn get(&self, e: EntityId) -> Option<f64> {
@@ -71,6 +78,15 @@ impl AttributeStore {
         self.columns.get(attr).map(|c| c.values.as_slice())
     }
 
+    /// Which entities hold `attr`, one bit per entity id: bit `i % 64` of
+    /// word `i / 64` is set iff [`AttributeStore::column`]`[i]` is
+    /// `Some`. `None` if no such column exists; entities past its end
+    /// lack the attribute. A query that asks "who holds it" of many
+    /// entities tests a bit instead of reading a value.
+    pub fn presence(&self, attr: &str) -> Option<&[u64]> {
+        self.columns.get(attr).map(|c| c.present.as_slice())
+    }
+
     /// Whether a column named `attr` exists.
     pub fn has_attribute(&self, attr: &str) -> bool {
         self.columns.contains_key(attr)
@@ -85,7 +101,7 @@ impl AttributeStore {
     pub fn count_present(&self, attr: &str) -> usize {
         self.columns
             .get(attr)
-            .map(|c| c.values.iter().filter(|v| v.is_some()).count())
+            .map(|c| c.present.iter().map(|w| w.count_ones() as usize).sum())
             .unwrap_or(0)
     }
 }
@@ -134,5 +150,58 @@ mod tests {
         assert!(a.column("age").is_none());
         let names: Vec<_> = a.attribute_names().collect();
         assert_eq!(names, vec!["quality"]);
+    }
+
+    /// The bitmap [`AttributeStore::presence`] reads, rebuilt from the
+    /// values.
+    fn presence_of(values: &[Option<f64>]) -> Vec<u64> {
+        let mut words = vec![0u64; values.len().div_ceil(64)];
+        for (i, v) in values.iter().enumerate() {
+            if v.is_some() {
+                words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        words
+    }
+
+    fn assert_presence_matches(a: &AttributeStore, attr: &str) {
+        let values = a.column(attr).unwrap();
+        assert_eq!(a.presence(attr).unwrap(), presence_of(values), "{attr}");
+        assert_eq!(
+            a.count_present(attr),
+            values.iter().filter(|v| v.is_some()).count()
+        );
+    }
+
+    /// The presence bitmap is `values[i].is_some()` after every kind of
+    /// `set`: the first write, growth past the end (across word
+    /// boundaries and within one), overwrite, and a write to a clone,
+    /// which leaves the original's bitmap as it was.
+    #[test]
+    fn presence_bitmap_tracks_the_values() {
+        let mut a = AttributeStore::new();
+        assert!(a.presence("x").is_none());
+        for (i, id) in [0u32, 5, 63, 64, 62, 200, 127, 128, 65]
+            .into_iter()
+            .enumerate()
+        {
+            a.set("x", EntityId(id), i as f64);
+            assert_presence_matches(&a, "x");
+        }
+        assert_eq!(a.presence("x").unwrap().len(), 201usize.div_ceil(64));
+        a.set("x", EntityId(63), -1.0);
+        a.set("x", EntityId(0), f64::MAX);
+        assert_presence_matches(&a, "x");
+
+        let before = a.presence("x").unwrap().to_vec();
+        let mut b = a.clone();
+        b.set("x", EntityId(1), 2.0);
+        b.set("x", EntityId(1000), 3.0);
+        b.set("y", EntityId(7), 4.0);
+        assert_presence_matches(&b, "x");
+        assert_presence_matches(&b, "y");
+        assert_eq!(a.presence("x").unwrap(), &before[..]);
+        assert_presence_matches(&a, "x");
+        assert!(a.presence("y").is_none());
     }
 }
