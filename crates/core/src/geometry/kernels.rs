@@ -1,20 +1,44 @@
-//! Batched distance kernels over contiguous [`PointSet`] rows.
+//! Batched squared-distance kernels in S₂.
 //!
 //! The hot loops of the paper — candidate evaluation inside top-k
 //! refinement (§V, Algorithm 3) and contour sweeps — reduce to "squared
-//! Euclidean distance from many stored points to one query point". One
-//! kernel does it: [`scalar_distances_sq`] evaluates the textbook
-//! `Σ (aᵢ − bᵢ)²` per point, serially — a served query gets its
+//! Euclidean distance from many stored points to one query point", the
+//! textbook `Σ (aᵢ − bᵢ)²` per point, serially: a served query gets its
 //! parallelism from the requests running beside it, not from threads
-//! under it.
+//! under it. Two kernels compute it with the same bits:
 //!
-//! The kernel does not allocate (DESIGN.md §3.4):
-//! `tests/kernel_alloc.rs` counts allocations across it, callees
-//! included.
+//! - [`packed_distances_sq`] streams rows packed back to back — a
+//!   contour element's own copy of its members' coordinates
+//!   ([`crate::index::Node::coords`]). Every read of the index uses it.
+//! - [`scalar_distances_sq`] gathers each row from a [`PointSet`] by id,
+//!   one random load per point.
+//!
+//! Neither allocates (DESIGN.md §3.4): `tests/kernel_alloc.rs` counts
+//! allocations across both, callees included.
 
 use vkg_sync::pool::Pool;
 
 use super::points::PointSet;
+
+/// `out[i] = Σ (rows[i][c] − q[c])²` over the rows of `coords`, each
+/// `dim` wide and packed back to back, in the evaluation order of
+/// [`PointSet::distance_sq`] — so its bits.
+///
+/// # Panics
+/// Panics if `dim` is zero.
+pub fn packed_distances_sq(coords: &[f64], dim: usize, q: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(coords.len(), out.len() * dim);
+    for (o, row) in out.iter_mut().zip(coords.chunks_exact(dim)) {
+        *o = row
+            .iter()
+            .zip(q)
+            .map(|(a, b)| {
+                let d = a - b;
+                d * d
+            })
+            .sum();
+    }
+}
 
 /// `out[i] = Σ (points[ids[i]][c] − q[c])²`, in the evaluation order of
 /// [`PointSet::distance_sq`].
@@ -77,5 +101,22 @@ mod tests {
         let mut pooled = vec![0.0; n];
         distances_sq(&Pool::new(4), &ps, &ids, &q, &mut pooled);
         assert_eq!(pooled, serial);
+    }
+
+    #[test]
+    fn packed_rows_are_bit_identical_to_the_gather() {
+        let (ps, q) = sample(3, 300);
+        // Scattered and repeated ids, packed in their own order.
+        let ids: Vec<u32> = (0..300u32)
+            .map(|i| (i * 97) % 300)
+            .chain([5, 5, 0])
+            .collect();
+        let packed: Vec<f64> = ids.iter().flat_map(|&id| ps.point(id)).copied().collect();
+        let mut gathered = vec![0.0; ids.len()];
+        scalar_distances_sq(&ps, &ids, &q, &mut gathered);
+        let mut streamed = vec![0.0; ids.len()];
+        packed_distances_sq(&packed, 3, &q, &mut streamed);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&streamed), bits(&gathered));
     }
 }

@@ -9,22 +9,17 @@ use super::mbr::{Mbr, MAX_DIM};
 use crate::error::{check_finite, VkgError, VkgResult};
 
 /// An immutable set of `α`-dimensional points, indexed by dense `u32` ids.
-///
-/// Alongside the coordinates the set stores each point's squared norm
-/// `|p|²`, maintained on every mutation, so contour element summaries
-/// (centroid spread) need no per-sweep norm pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointSet {
     dim: usize,
     coords: Vec<f64>,
-    norms_sq: Vec<f64>,
 }
 
-/// `|p|²` with the exact summation order the contour sweeps always
-/// used (`p.iter().map(|c| c * c).sum()`), so stored norms are
-/// bit-identical to values computed on the fly.
+/// `|p|²` in one fixed summation order (`p.iter().map(|c| c * c).sum()`):
+/// the contour element sums add it member by member, and a check that
+/// recomputes them gets their bits.
 #[inline]
-pub(crate) fn row_norm_sq(p: &[f64]) -> f64 {
+pub fn row_norm_sq(p: &[f64]) -> f64 {
     p.iter().map(|c| c * c).sum()
 }
 
@@ -41,12 +36,7 @@ impl PointSet {
             "index space dimensionality {dim} exceeds MAX_DIM={MAX_DIM}"
         );
         assert_eq!(coords.len() % dim, 0, "coordinate matrix shape mismatch");
-        let norms_sq = coords.chunks_exact(dim).map(row_norm_sq).collect();
-        Self {
-            dim,
-            coords,
-            norms_sq,
-        }
+        Self { dim, coords }
     }
 
     /// Dimensionality `α`.
@@ -78,12 +68,6 @@ impl PointSet {
     pub fn coord(&self, id: u32, axis: usize) -> f64 {
         debug_assert!(axis < self.dim);
         self.coords[id as usize * self.dim + axis]
-    }
-
-    /// The precomputed squared norm `|p|²` of point `id`.
-    #[inline]
-    pub fn norm_sq(&self, id: u32) -> f64 {
-        self.norms_sq[id as usize]
     }
 
     /// Squared Euclidean distance from point `id` to `target`.
@@ -149,7 +133,6 @@ impl PointSet {
             )));
         };
         self.coords.extend_from_slice(coords);
-        self.norms_sq.push(row_norm_sq(coords));
         Ok(id)
     }
 
@@ -175,13 +158,12 @@ impl PointSet {
         }
         let i = id as usize * self.dim;
         self.coords[i..i + self.dim].copy_from_slice(coords);
-        self.norms_sq[id as usize] = row_norm_sq(coords);
         Ok(())
     }
 
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
-        (self.coords.len() + self.norms_sq.len()) * std::mem::size_of::<f64>()
+        self.coords.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -238,15 +220,17 @@ mod tests {
     }
 
     #[test]
-    fn norms_track_mutations() {
+    fn coordinates_track_mutations() {
         let mut ps = grid();
-        assert_eq!(ps.norm_sq(3), 2.0);
+        assert_eq!(row_norm_sq(ps.point(3)), 2.0);
         let id = ps.try_push(&[3.0, 4.0]).expect("well-shaped push");
         assert_eq!(id, 4);
-        assert_eq!(ps.norm_sq(4), 25.0);
+        assert_eq!(ps.point(4), &[3.0, 4.0]);
+        assert_eq!(row_norm_sq(ps.point(4)), 25.0);
         ps.try_set(0, &[2.0, 0.0]).expect("well-shaped set");
-        assert_eq!(ps.norm_sq(0), 4.0);
-        assert_eq!(ps.norms_sq.len(), ps.len());
+        assert_eq!(ps.point(0), &[2.0, 0.0]);
+        assert_eq!(ps.len(), 5);
+        assert_eq!(ps.bytes(), 10 * std::mem::size_of::<f64>());
     }
 
     #[test]

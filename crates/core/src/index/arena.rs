@@ -36,6 +36,12 @@ pub struct Node {
     pub height: u32,
     /// Children / payload.
     pub kind: NodeKind,
+    /// A contour element's members' S₂ coordinates, one row after
+    /// another in [`CrackingIndex::element_point_ids`] order: a copy of
+    /// their [`PointSet`] rows that the element's reads stream instead of
+    /// gathering them by id. Every edit of the ids edits it alike, so it
+    /// always equals a fresh gather; empty for an internal node.
+    pub coords: Vec<f64>,
     /// A contour element's member sums: each S₂ coordinate, then the
     /// squared norm, added member by member in
     /// [`CrackingIndex::element_point_ids`] order. Set wherever the
@@ -46,41 +52,69 @@ pub struct Node {
 }
 
 impl Node {
-    /// A node whose [`Node::sums`] are taken afresh from its ids.
+    /// A node whose [`Node::coords`] and [`Node::sums`] are taken afresh
+    /// from its ids.
     pub(super) fn new(points: &PointSet, mbr: Mbr, height: u32, kind: NodeKind) -> Self {
+        let (coords, sums) = pack(points, &kind);
         Node {
-            sums: fresh_sums(points, &kind),
             mbr,
             height,
             kind,
+            coords,
+            sums,
         }
     }
+
+    /// Inserts `row` as member `at` of [`Node::coords`], as
+    /// `Vec::insert` inserts an id.
+    pub(super) fn insert_row(&mut self, at: usize, row: &[f64]) {
+        let start = at * row.len();
+        self.coords.splice(start..start, row.iter().copied());
+    }
+
+    /// Removes member `at` of [`Node::coords`], `dim` wide, as
+    /// `Vec::remove` removes an id.
+    pub(super) fn remove_row(&mut self, at: usize, dim: usize) {
+        self.coords.drain(at * dim..(at + 1) * dim);
+    }
+
+    /// Moves the last row of [`Node::coords`], `dim` wide, over member
+    /// `at`, as `Vec::swap_remove` removes an id.
+    pub(super) fn swap_remove_row(&mut self, at: usize, dim: usize) {
+        let last = self.coords.len() - dim;
+        self.coords.copy_within(last.., at * dim);
+        self.coords.truncate(last);
+    }
 }
 
-/// Adds member `pid` to `dim + 1` sums laid out as [`Node::sums`]. The
-/// norm² is summed from the coordinates just read — the stored norm's
-/// own expression, so its bits — rather than loaded from a second array
-/// at a second random place.
-pub(super) fn add_member(points: &PointSet, pid: u32, sums: &mut [f64]) {
-    let point = points.point(pid);
-    for (s, &c) in sums.iter_mut().zip(point) {
+/// Adds a member whose coordinates are `row` to `row.len() + 1` sums
+/// laid out as [`Node::sums`]. The norm² is summed from the same row.
+pub(super) fn add_member(row: &[f64], sums: &mut [f64]) {
+    for (s, &c) in sums.iter_mut().zip(row) {
         *s += c;
     }
-    sums[points.dim()] += row_norm_sq(point);
+    sums[row.len()] += row_norm_sq(row);
 }
 
-/// The [`Node::sums`] of a node of `kind`, summed afresh.
-pub(super) fn fresh_sums(points: &PointSet, kind: &NodeKind) -> Option<Box<[f64]>> {
+/// The [`Node::coords`] and [`Node::sums`] of a node of `kind`: each
+/// member's row is gathered once, into a buffer sized up front, and the
+/// sums are then added up over that buffer, which streams.
+pub(super) fn pack(points: &PointSet, kind: &NodeKind) -> (Vec<f64>, Option<Box<[f64]>>) {
     let ids = match kind {
-        NodeKind::Internal(_) => return None,
+        NodeKind::Internal(_) => return (Vec::new(), None),
         NodeKind::Leaf(ids) => ids,
         NodeKind::Unsplit(orders) => orders.ids(0),
     };
-    let mut sums = vec![0.0; points.dim() + 1];
+    let dim = points.dim();
+    let mut coords = Vec::with_capacity(ids.len() * dim);
     for &pid in ids {
-        add_member(points, pid, &mut sums);
+        coords.extend_from_slice(points.point(pid));
     }
-    Some(sums.into_boxed_slice())
+    let mut sums = vec![0.0; dim + 1];
+    for row in coords.chunks_exact(dim) {
+        add_member(row, &mut sums);
+    }
+    (coords, Some(sums.into_boxed_slice()))
 }
 
 impl CrackingIndex {
@@ -91,7 +125,10 @@ impl CrackingIndex {
 
     /// Approximate index size in bytes (Figs. 10–11's metric): node
     /// envelopes plus leaf/partition payloads and element sums. The point
-    /// coordinates are excluded — every method stores those.
+    /// coordinates are excluded — every method stores those — and so is
+    /// each element's packed copy of them ([`Node::coords`]), so the
+    /// figures stay comparable with the other methods' sizes; the copy's
+    /// memory shows in the process's resident size instead.
     pub fn index_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for node in &self.nodes {

@@ -53,13 +53,15 @@ impl CrackingIndex {
     /// Visits every point id inside `q` once, updating access statistics.
     /// An element whose MBR `q` contains is visited without a per-member
     /// test: node MBRs cover their members after every edit, and
-    /// [`Mbr::contains_mbr`] is [`PointSet::in_region`]'s comparisons.
+    /// [`Mbr::contains_mbr`] is [`PointSet::in_region`]'s comparisons. An
+    /// element `q` cuts tests its packed rows ([`super::Node::coords`]).
     ///
     /// This is a pure read: it does **not** crack the index (Algorithm 3
     /// cracks once per query, after the result region stabilizes). It
     /// returns [`CrackingIndex::wants_crack`]`(q)` for the tree it read,
     /// from the in-region counts the walk takes anyway.
     pub fn search_region(&self, q: &Mbr, mut visit: impl FnMut(u32)) -> bool {
+        let dim = self.points.dim();
         let (mut elements, mut examined) = (0u64, 0u64);
         let mut splits = CrackVerdict::default();
         let mut inside: Vec<u32> = Vec::new();
@@ -83,8 +85,8 @@ impl CrackingIndex {
                 ids.iter().for_each(|&pid| visit(pid));
                 continue;
             }
-            members_in_region(&self.points, q, ids, &mut inside);
-            inside.iter().for_each(|&pid| visit(pid));
+            members_in_region(q, &node.coords, dim, &mut inside);
+            inside.iter().for_each(|&at| visit(ids[at as usize]));
             splits.cut(self, &node.kind, inside.len());
         }
         self.count_access(elements, examined);
@@ -107,8 +109,9 @@ impl CrackingIndex {
     /// Tree nodes are expanded best-first from a heap keyed by
     /// [`Mbr::min_distance_sq`]; an opened contour element's points
     /// within the radius (their distances from
-    /// [`kernels::scalar_distances_sq`], one element at a time) wait in
-    /// one buffer, never in the heap. A bound `hi`, doubling in `d²` from
+    /// [`kernels::packed_distances_sq`] over the element's packed rows,
+    /// [`super::Node::coords`], one element at a time) wait in one
+    /// buffer, never in the heap. A bound `hi`, doubling in `d²` from
     /// the nearest key not yet handed out and capped inclusively at the
     /// radius, cuts that buffer into *shells*: once every node keyed
     /// `≤ hi` is expanded, every live point with `d² ≤ hi` has been
@@ -128,6 +131,7 @@ impl CrackingIndex {
         mut r_sq: f64,
         mut visit: impl FnMut(&PointSet, &[(f64, u32)]) -> f64,
     ) -> u64 {
+        let dim = self.points.dim();
         let root = self.nodes[self.root as usize].mbr.min_distance_sq(q);
         let mut nodes: BinaryHeap<Reverse<(u64, NodeId)>> =
             BinaryHeap::from([Reverse((key_bits(root), self.root))]);
@@ -164,7 +168,8 @@ impl CrackingIndex {
                     break;
                 }
                 nodes.pop();
-                let ids: &[u32] = match &self.nodes[id as usize].kind {
+                let node = &self.nodes[id as usize];
+                let ids: &[u32] = match &node.kind {
                     NodeKind::Internal(children) => {
                         nodes.extend(children.iter().filter_map(|&id| {
                             let key = self.nodes[id as usize].mbr.min_distance_sq(q);
@@ -178,7 +183,7 @@ impl CrackingIndex {
                 elements += 1;
                 computed += ids.len() as u64;
                 dists.resize(ids.len(), 0.0);
-                kernels::scalar_distances_sq(&self.points, ids, q, &mut dists);
+                kernels::packed_distances_sq(&node.coords, dim, q, &mut dists);
                 pending.extend(
                     ids.iter()
                         .zip(&dists)
@@ -251,9 +256,10 @@ impl CrackingIndex {
     /// the rest by a population that still contains them.
     ///
     /// Only an element that `q` cuts costs a pass over its members (the
-    /// in-region test and the sums). One that `q` contains is handed over
-    /// as its own id slice with the sums it stores — that pass's sums to
-    /// the bit — unless an edit since its install cleared them. Returns
+    /// in-region test and the sums, both over its packed rows). One that
+    /// `q` contains is handed over as its own id slice with the sums it
+    /// stores — that pass's sums to the bit — unless an edit since its
+    /// install cleared them. Returns
     /// [`CrackingIndex::wants_crack`]`(q)`, as
     /// [`CrackingIndex::search_region`] does.
     pub fn search_region_elements(
@@ -266,6 +272,7 @@ impl CrackingIndex {
         let mut splits = CrackVerdict::default();
         let mut stack = vec![self.root];
         let mut pass_members: Vec<u32> = Vec::new();
+        let mut inside: Vec<u32> = Vec::new();
         let mut pass_sums = vec![0.0f64; dim + 1];
         let mut centroid = vec![0.0f64; dim];
         while let Some(id) = stack.pop() {
@@ -287,16 +294,21 @@ impl CrackingIndex {
             let (members, sums): (&[u32], &[f64]) = match &node.sums {
                 Some(stored) if whole => (ids, stored),
                 _ => {
-                    if whole {
-                        pass_members.clear();
-                        pass_members.extend_from_slice(ids);
-                    } else {
-                        members_in_region(&self.points, q, ids, &mut pass_members);
-                        splits.cut(self, &node.kind, pass_members.len());
-                    }
+                    pass_members.clear();
                     pass_sums.fill(0.0);
-                    for &pid in &pass_members {
-                        add_member(&self.points, pid, &mut pass_sums);
+                    if whole {
+                        pass_members.extend_from_slice(ids);
+                        for row in node.coords.chunks_exact(dim) {
+                            add_member(row, &mut pass_sums);
+                        }
+                    } else {
+                        members_in_region(q, &node.coords, dim, &mut inside);
+                        splits.cut(self, &node.kind, inside.len());
+                        for &at in &inside {
+                            let at = at as usize;
+                            pass_members.push(ids[at]);
+                            add_member(&node.coords[at * dim..(at + 1) * dim], &mut pass_sums);
+                        }
                     }
                     (&pass_members, &pass_sums)
                 }
@@ -321,16 +333,16 @@ impl CrackingIndex {
     }
 }
 
-/// The members of `ids` inside `q`, in order, into `out`: each is
-/// written and kept by its verdict, with no branch on it, so the
-/// coordinate loads of consecutive members overlap.
-fn members_in_region(points: &PointSet, q: &Mbr, ids: &[u32], out: &mut Vec<u32>) {
+/// The positions of the rows of `coords` (packed, `dim` wide) inside
+/// `q`, in order, into `out`: each is written and kept by its verdict,
+/// with no branch on it, so the tests of consecutive rows overlap.
+fn members_in_region(q: &Mbr, coords: &[f64], dim: usize, out: &mut Vec<u32>) {
     out.clear();
-    out.resize(ids.len(), 0);
+    out.resize(coords.len() / dim, 0);
     let mut kept = 0;
-    for &pid in ids {
-        out[kept] = pid;
-        kept += usize::from(points.in_region(pid, q));
+    for (at, row) in (0u32..).zip(coords.chunks_exact(dim)) {
+        out[kept] = at;
+        kept += usize::from(q.contains_point(row));
     }
     out.truncate(kept);
 }

@@ -49,7 +49,8 @@ impl CrackingIndex {
     /// hold for, in DFS order (the order Algorithm 2's lines 6–8 walk).
     /// The build core splits such an element at least once and any
     /// other not at all, whatever the chooser. An element inside `q` is
-    /// in it whole (node MBRs cover their members): it is not counted.
+    /// in it whole (node MBRs cover their members): it is not counted;
+    /// one that `q` cuts is counted over its packed rows.
     pub fn elements_to_split(&self, q: &Mbr) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
@@ -64,7 +65,8 @@ impl CrackingIndex {
                     let in_q = if q.contains_mbr(&node.mbr) {
                         orders.len()
                     } else {
-                        orders.count_in_region(&self.points, q)
+                        let rows = node.coords.chunks_exact(self.points.dim());
+                        rows.filter(|row| q.contains_point(row)).count()
                     };
                     if !stop_condition(in_q, orders.len(), self.params.leaf_capacity) {
                         out.push(id);

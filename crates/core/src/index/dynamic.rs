@@ -8,14 +8,17 @@
 //! re-cracks lazily when a query next needs it — no eager re-balancing.
 //! Removals detach the point from its element and tombstone the id;
 //! element MBRs stay conservative (they may over-cover after removals,
-//! which affects pruning quality, never correctness). Either edit drops
-//! the element's stored member sums ([`super::Node::sums`]): its readers
-//! sum the members again until a crack reinstalls it.
+//! which affects pruning quality, never correctness). Either edit makes
+//! the same edit to the element's packed coordinates
+//! ([`super::Node::coords`]) and drops its stored member sums
+//! ([`super::Node::sums`]): its readers sum the members again until a
+//! crack reinstalls it.
 
 use crate::error::{check_finite, VkgError, VkgResult};
 use crate::geometry::PointSet;
 use crate::rtree::{height_for, SortOrders};
 
+use super::arena::pack;
 use super::{CrackingIndex, Node, NodeId, NodeKind};
 
 impl CrackingIndex {
@@ -142,17 +145,20 @@ impl CrackingIndex {
         match &mut node.kind {
             NodeKind::Leaf(ids) => {
                 ids.push(id);
+                node.coords.extend_from_slice(&point);
                 if ids.len() > leaf_capacity {
                     // Overflow: revert to an unsplit partition; the next
                     // query that needs this region re-cracks it.
                     let orders = SortOrders::build(points, std::mem::take(ids));
                     node.height = height_for(orders.len(), leaf_capacity, fanout);
                     node.kind = NodeKind::Unsplit(orders);
+                    node.coords = pack(points, &node.kind).0;
                 }
             }
             NodeKind::Unsplit(orders) => {
-                orders.insert(points, id);
+                let at = orders.insert(points, id);
                 node.height = height_for(orders.len(), leaf_capacity, fanout);
+                node.insert_row(at, &point);
             }
             #[expect(
                 clippy::unreachable,
@@ -199,22 +205,28 @@ impl CrackingIndex {
     }
 }
 
-/// Removes `id` from contour element `node`, if it is there; an edited
-/// element's sums are stale and are dropped.
+/// Removes `id` from contour element `node`, if it is there, with its
+/// packed row; an edited element's sums are stale and are dropped.
 fn take_member(points: &PointSet, node: &mut Node, id: u32) -> bool {
-    let found = match &mut node.kind {
-        NodeKind::Leaf(ids) => ids
-            .iter()
-            .position(|&x| x == id)
-            .map(|pos| ids.swap_remove(pos))
-            .is_some(),
-        NodeKind::Unsplit(orders) => orders.remove(points, id),
-        NodeKind::Internal(_) => false,
-    };
-    if found {
-        node.sums = None;
+    let dim = points.dim();
+    match &mut node.kind {
+        NodeKind::Leaf(ids) => {
+            let Some(at) = ids.iter().position(|&x| x == id) else {
+                return false;
+            };
+            ids.swap_remove(at);
+            node.swap_remove_row(at, dim);
+        }
+        NodeKind::Unsplit(orders) => {
+            let Some(at) = orders.remove(points, id) else {
+                return false;
+            };
+            node.remove_row(at, dim);
+        }
+        NodeKind::Internal(_) => return false,
     }
-    found
+    node.sums = None;
+    true
 }
 
 #[cfg(test)]

@@ -278,7 +278,8 @@ impl CrackingIndex {
 
     /// Consistency checks used by the test-suite: Lemma 1 (the contour
     /// partitions the point ids), MBR containment along every path, and
-    /// every stored [`Node::sums`] equal, bit for bit, to a fresh pass.
+    /// every element's [`Node::coords`] and stored [`Node::sums`] equal,
+    /// bit for bit, to a fresh gather and pass.
     ///
     /// # Panics
     /// Panics on violation.
@@ -310,7 +311,12 @@ impl CrackingIndex {
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
             let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let fresh = arena::fresh_sums(&self.points, &node.kind).unwrap_or_default();
+            let (coords, sums) = arena::pack(&self.points, &node.kind);
+            assert!(
+                bits(&node.coords) == bits(&coords),
+                "node {id}: packed coordinates differ from a fresh gather"
+            );
+            let fresh = sums.unwrap_or_default();
             assert!(
                 node.sums.as_deref().is_none_or(|s| bits(s) == bits(&fresh)),
                 "node {id}: stored sums differ from a fresh pass"

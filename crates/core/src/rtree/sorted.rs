@@ -338,28 +338,36 @@ impl SortOrders {
 
     /// Inserts a point id into every order at its sorted position
     /// (dynamic updates, paper §VIII): a binary search per order, then
-    /// an O(n) shift.
-    pub fn insert(&mut self, points: &PointSet, id: u32) {
+    /// an O(n) shift. Returns where it went in the first order.
+    pub fn insert(&mut self, points: &PointSet, id: u32) -> usize {
+        let mut first = 0;
         for (axis, order) in self.orders.iter_mut().enumerate() {
             let pos = position(points, axis, order, id);
             order.insert(pos, id);
+            if axis == 0 {
+                first = pos;
+            }
         }
+        first
     }
 
-    /// Removes a point id from every order; returns whether it was
-    /// present. Each order is binary-searched for the id's key, so the
-    /// point's coordinates must still be the ones it was inserted or
-    /// built with: a move detaches the point before it changes them.
-    pub fn remove(&mut self, points: &PointSet, id: u32) -> bool {
-        let mut found = false;
+    /// Removes a point id from every order; returns where it was in the
+    /// first order, or `None` if it was not present. Each order is
+    /// binary-searched for the id's key, so the point's coordinates must
+    /// still be the ones it was inserted or built with: a move detaches
+    /// the point before it changes them.
+    pub fn remove(&mut self, points: &PointSet, id: u32) -> Option<usize> {
+        let mut first = None;
         for (axis, order) in self.orders.iter_mut().enumerate() {
             let pos = position(points, axis, order, id);
             if order.get(pos) == Some(&id) {
                 order.remove(pos);
-                found = true;
+                if axis == 0 {
+                    first = Some(pos);
+                }
             }
         }
-        found
+        first
     }
 }
 
@@ -731,7 +739,8 @@ mod tests {
         let mut members = start.to_vec();
         // Insert the rest in a scrambled order.
         for &id in rest.iter().rev().step_by(2).chain(rest.iter().step_by(2)) {
-            so.insert(&ps, id);
+            let at = so.insert(&ps, id);
+            assert_eq!(so.ids(0)[at], id);
             members.push(id);
             if members.len() % 50 == 0 {
                 assert_eq!(so.orders, oracle_orders(&ps, &members));
@@ -741,13 +750,14 @@ mod tests {
         // Remove every third id; a removed id is not found again, even
         // where another id with its coordinates is still there.
         for &id in all.iter().step_by(3) {
-            assert!(so.remove(&ps, id), "id {id}");
-            assert!(!so.remove(&ps, id), "id {id} twice");
+            let at = so.ids(0).iter().position(|&m| m == id);
+            assert_eq!(so.remove(&ps, id), at, "id {id}");
+            assert_eq!(so.remove(&ps, id), None, "id {id} twice");
             members.retain(|&m| m != id);
         }
         assert_eq!(so.orders, oracle_orders(&ps, &members));
         for &id in &members {
-            assert!(so.remove(&ps, id));
+            assert!(so.remove(&ps, id).is_some());
         }
         assert!(so.is_empty());
     }

@@ -224,6 +224,7 @@ impl VkgSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::points::row_norm_sq;
     use vkg_kg::CHUNK_LEN;
 
     fn tiny() -> (KnowledgeGraph, EmbeddingStore) {
@@ -329,7 +330,12 @@ mod tests {
         let want = PointSet::from_rows(2, snap.transform().apply_matrix(&flat));
         let bits = |p: &PointSet| -> Vec<u64> {
             (0..p.len() as u32)
-                .flat_map(|id| p.point(id).iter().copied().chain([p.norm_sq(id)]))
+                .flat_map(|id| {
+                    p.point(id)
+                        .iter()
+                        .copied()
+                        .chain([row_norm_sq(p.point(id))])
+                })
                 .map(f64::to_bits)
                 .collect()
         };

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vkg_core::geometry::kernels::{distances_sq, scalar_distances_sq};
+use vkg_core::geometry::kernels::{distances_sq, packed_distances_sq, scalar_distances_sq};
 use vkg_core::geometry::{Mbr, PointSet};
 use vkg_core::rtree::split::SplitContext;
 use vkg_core::rtree::{best_splits, SortOrders, SplitCandidate};
@@ -74,8 +74,16 @@ fn kernels_do_not_allocate_per_call() {
     assert_eq!(scalar, 0, "scalar_distances_sq allocated");
     let checked = allocations_during(|| distances_sq(&serial, &points, &ids, &q, &mut out));
     assert_eq!(checked, 0, "distances_sq allocated");
+    let packed: Vec<f64> = ids
+        .iter()
+        .flat_map(|&id| points.point(id))
+        .copied()
+        .collect();
+    let streamed = allocations_during(|| packed_distances_sq(&packed, dim, &q, &mut out));
+    assert_eq!(streamed, 0, "packed_distances_sq allocated");
 
-    // The S₁ kernel, over every tail length of its four-row unroll.
+    // The S₁ kernel, load-ahead pass included, over every tail length of
+    // its four-row unroll.
     let store = EmbeddingStore::from_raw(32, (0..32 * 64).map(f64::from).collect(), Vec::new());
     let (point, rows) = (vec![0.5; 32], [3u32, 60, 7, 7, 0, 63, 12]);
     for len in 0..=rows.len() {

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use vkg_core::config::SplitStrategy;
+use vkg_core::geometry::points::row_norm_sq;
 use vkg_core::geometry::{Mbr, PointSet};
 use vkg_core::index::build::stop_condition;
 use vkg_core::index::{CrackingIndex, NodeId, NodeKind, BATCH};
@@ -194,7 +195,7 @@ fn fresh_sums(idx: &CrackingIndex, id: NodeId) -> Vec<f64> {
         for (s, c) in sums.iter_mut().zip(idx.points().point(pid)) {
             *s += c;
         }
-        sums[dim] += idx.points().norm_sq(pid);
+        sums[dim] += row_norm_sq(idx.points().point(pid));
     }
     sums
 }
@@ -207,7 +208,7 @@ fn summary_of(points: &PointSet, ids: &[u32]) -> (Vec<f64>, f64) {
         for (s, c) in sums.iter_mut().zip(points.point(pid)) {
             *s += c;
         }
-        norm_sq += points.norm_sq(pid);
+        norm_sq += row_norm_sq(points.point(pid));
     }
     let centroid: Vec<f64> = sums.iter().map(|s| s / n).collect();
     let centroid_norm_sq: f64 = centroid.iter().map(|c| c * c).sum();
@@ -662,6 +663,61 @@ proptest! {
                 edited = true;
             }
             idx.check_invariants();
+        }
+    }
+
+    /// Every contour element's packed coordinates (`Node::coords`) are,
+    /// bit for bit, its members' `PointSet` rows in element order after
+    /// every step of a stream of inserts, moves and removals, bursts of
+    /// inserts at one spot (a leaf that overflows reverts to an unsplit
+    /// element), greedy or top-k cracks and bulk loads. `check_invariants`
+    /// holds the same after each step.
+    #[test]
+    fn packed_coordinates_follow_every_edit(
+        ps in arb_points(150, 3),
+        (on_grid, bulk, topk) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        steps in prop::collection::vec((0usize..5, arb_xyz(60.0), any::<u32>(), 0.5f64..30.0), 1..30),
+    ) {
+        let strategy = if topk {
+            SplitStrategy::TopK { choices: 3 }
+        } else {
+            SplitStrategy::Greedy
+        };
+        let mut idx = shaped_index_with(ps, on_grid, if bulk { 2 } else { 0 }, strategy, &[], &[]);
+        let packed_is_a_fresh_gather = |idx: &CrackingIndex| {
+            for id in idx.contour() {
+                let gathered: Vec<f64> = idx
+                    .element_point_ids(id)
+                    .iter()
+                    .flat_map(|&pid| idx.points().point(pid))
+                    .copied()
+                    .collect();
+                assert_eq!(bits(&idx.node(id).coords), bits(&gathered), "element {id}");
+            }
+            idx.check_invariants();
+        };
+        packed_is_a_fresh_gather(&idx);
+        for (op, at, pick, r) in steps {
+            match op {
+                0..=2 => apply_edit(&mut idx, on_grid, (op, at, pick)),
+                // Five points at one spot overflow any leaf of capacity
+                // four they land in; on a bulk-loaded tree they land in a
+                // leaf.
+                3 => {
+                    for _ in 0..5 {
+                        idx.insert_point(&snap(on_grid, at)).unwrap();
+                        packed_is_a_fresh_gather(&idx);
+                    }
+                    prop_assert!(
+                        !bulk || idx.contour().iter().any(|&id| {
+                            matches!(idx.node(id).kind, NodeKind::Unsplit(_))
+                        }),
+                        "no leaf reverted"
+                    );
+                }
+                _ => idx.crack(&Mbr::of_ball(&snap(on_grid, at), r)),
+            }
+            packed_is_a_fresh_gather(&idx);
         }
     }
 

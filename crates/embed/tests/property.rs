@@ -89,14 +89,16 @@ proptest! {
         prop_assert_eq!(back, store);
     }
 
-    /// The four-row kernel gives `distance_to_entity`'s bits for every
-    /// tail length of the unroll, with repeated ids, duplicate rows and
-    /// rows at distance zero from the point.
+    /// The load-ahead pass and the four-row kernel give
+    /// `distance_to_entity`'s bits for runs of up to 40 ids — past the
+    /// traversal's 32-point runs — at every tail length of the unroll,
+    /// with repeated ids, duplicate rows, rows at distance zero from the
+    /// point, and rows spanning several cache lines.
     #[test]
     fn batched_distances_are_bit_identical(
         dim in 1usize..=40,
         kinds in prop::collection::vec(0u8..3, 1..10),
-        picks in prop::collection::vec(any::<u32>(), 0..=13),
+        picks in prop::collection::vec(any::<u32>(), 0..=40),
         seed: u64,
     ) {
         use rand::{Rng, SeedableRng};
