@@ -112,6 +112,24 @@ impl CrackingIndex {
         strategy: SplitStrategy,
         pool: Pool,
     ) -> Self {
+        let mut index = Self::unpacked(points, leaf_capacity, fanout, beta, strategy, &pool);
+        index.pack_root();
+        index
+    }
+
+    /// An index whose one node is the root over every point, a leaf or
+    /// an unsplit partition, with its [`Node::coords`] and [`Node::sums`]
+    /// not yet taken: [`CrackingIndex::with_pool`] packs them for the
+    /// first query to read, and the bulk load takes an unsplit root apart
+    /// without them.
+    fn unpacked(
+        points: PointSet,
+        leaf_capacity: usize,
+        fanout: usize,
+        beta: f64,
+        strategy: SplitStrategy,
+        pool: &Pool,
+    ) -> Self {
         assert!(leaf_capacity >= 2, "leaf capacity N must be ≥ 2");
         assert!(fanout >= 2, "fanout M must be ≥ 2");
         assert!(beta >= 1.0, "β must be ≥ 1");
@@ -122,7 +140,7 @@ impl CrackingIndex {
             query_aware_cost: true,
         };
         let ids = points.all_ids();
-        let orders = SortOrders::build_pooled(&points, ids, &pool);
+        let orders = SortOrders::build_pooled(&points, ids, pool);
         let mbr = orders.mbr(&points);
         let len = orders.len();
         let kind = if len <= leaf_capacity {
@@ -131,7 +149,13 @@ impl CrackingIndex {
             NodeKind::Unsplit(orders)
         };
         let height = crate::rtree::height_for(len, leaf_capacity, fanout);
-        let root_node = Node::new(&points, mbr, height, kind);
+        let root_node = Node {
+            mbr,
+            height,
+            kind,
+            coords: Vec::new(),
+            sums: None,
+        };
         Self {
             points,
             nodes: vec![root_node],
@@ -145,6 +169,12 @@ impl CrackingIndex {
             s1_distance_evals: Arc::new(AtomicU64::new(0)),
             removed: std::collections::HashSet::new(),
         }
+    }
+
+    /// Takes the root's [`Node::coords`] and [`Node::sums`] from its ids.
+    fn pack_root(&mut self) {
+        let root = &mut self.nodes[self.root as usize];
+        (root.coords, root.sums) = arena::pack(&self.points, &root.kind);
     }
 
     /// Builds the complete balanced index offline (the BULKLOADCHUNK
@@ -167,18 +197,20 @@ impl CrackingIndex {
         beta: f64,
         pool: Pool,
     ) -> Self {
-        let mut index = Self::with_pool(
+        let mut index = Self::unpacked(
             points,
             leaf_capacity,
             fanout,
             beta,
             SplitStrategy::Greedy,
-            pool.clone(),
+            &pool,
         );
         let root = index.root;
-        // A root that already fits in one leaf needs no building; only an
-        // unsplit root is taken apart (swapping the kind out first would
-        // destroy a leaf root's payload).
+        // A root that already fits in one leaf needs no building: it stays
+        // the one contour element, so it is packed. Only an unsplit root is
+        // taken apart (swapping the kind out first would destroy a leaf
+        // root's payload), and unpacked, since the built tree replaces it
+        // before anything reads it.
         if matches!(index.nodes[root as usize].kind, NodeKind::Unsplit(_)) {
             #[expect(
                 clippy::unreachable,
@@ -202,6 +234,8 @@ impl CrackingIndex {
             );
             index.splits_performed += cost.splits;
             index.install(root, built);
+        } else {
+            index.pack_root();
         }
         index
     }

@@ -16,7 +16,7 @@
 //! is counted in [`RetryStats`] (`client.retry.*`), which the load
 //! harness reconciles against the server's `server.wal.*` counters.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -203,7 +203,6 @@ impl Client {
     /// after a malformed frame) surfaces as `Io` or `Wire`.
     pub fn call(&mut self, request: &Request) -> ClientResult<Response> {
         write_frame(&mut self.stream, &request.encode())?;
-        self.stream.flush()?;
         match read_frame(&mut self.stream, MAX_FRAME)? {
             Some(payload) => Ok(Response::decode(&payload)?),
             None => Err(ClientError::Wire(WireError::Truncated)),

@@ -11,7 +11,7 @@
 //! so a server can reply with a typed error and drop the connection.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol version carried in the first payload byte of every frame.
 /// v2 added the idempotency token to `AddFactDynamic` / `FactAdded`.
@@ -91,6 +91,13 @@ impl From<io::Error> for WireError {
 }
 
 /// Writes one frame (length prefix + payload) and flushes.
+///
+/// The prefix and the payload go to the writer together, in one
+/// `write_vectored` call: on a `TCP_NODELAY` socket a frame then leaves
+/// as one segment, with one send and one wake-up of the reader, where
+/// two writes would send two. A writer that takes less gets the rest in
+/// further vectored calls, so the bytes are exactly the prefix followed
+/// by the payload whatever the writer accepts per call.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     let len = u32::try_from(payload.len()).map_err(|_| WireError::FrameTooLarge {
         declared: u32::MAX,
@@ -102,9 +109,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
             max: MAX_FRAME,
         });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = len.to_le_bytes();
+    write_all_vectored(w, &mut [IoSlice::new(&prefix), IoSlice::new(payload)])?;
     w.flush()?;
+    Ok(())
+}
+
+/// `write_all` over several buffers: calls `write_vectored` until every
+/// byte is taken, retrying `Interrupted` and turning a writer that takes
+/// nothing into `WriteZero`.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -427,6 +449,161 @@ mod tests {
         assert_eq!(
             read_frame(&mut &framed[..], MAX_FRAME).unwrap_err(),
             WireError::Truncated
+        );
+    }
+
+    /// The bytes the two-write framing put on the wire: the prefix, then
+    /// the payload.
+    fn two_write_frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.write_all(&(payload.len() as u32).to_le_bytes())
+            .unwrap();
+        out.write_all(payload).unwrap();
+        out
+    }
+
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    const FRAME_SIZES: [usize; 3] = [5, 4096, MAX_FRAME];
+
+    /// Takes everything it is handed and records each call by kind.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<u8>,
+        calls: Vec<&'static str>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls.push("write");
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls.push("write_vectored");
+            let before = self.bytes.len();
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes one byte per call.
+    #[derive(Default)]
+    struct ByteAtATime(Vec<u8>);
+
+    impl Write for ByteAtATime {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            match bufs.iter().find_map(|b| b.first()) {
+                Some(&b) => {
+                    self.0.push(b);
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Fails its first call with `Interrupted`, then takes everything.
+    #[derive(Default)]
+    struct InterruptedOnce {
+        interrupted: bool,
+        inner: Recording,
+    }
+
+    impl Write for InterruptedOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.write_vectored(bufs)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes nothing, without an error: a closed sink.
+    struct TakesNothing;
+
+    impl Write for TakesNothing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        for len in FRAME_SIZES {
+            let body = payload(len);
+            let mut w = Recording::default();
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.calls, ["write_vectored"], "payload of {len} B");
+            assert_eq!(w.bytes, two_write_frame(&body), "payload of {len} B");
+        }
+    }
+
+    #[test]
+    fn a_byte_at_a_time_writer_gets_the_two_write_bytes() {
+        for len in FRAME_SIZES {
+            let body = payload(len);
+            let mut w = ByteAtATime::default();
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.0, two_write_frame(&body), "payload of {len} B");
+        }
+    }
+
+    #[test]
+    fn an_interrupted_write_is_retried() {
+        for len in FRAME_SIZES {
+            let body = payload(len);
+            let mut w = InterruptedOnce::default();
+            write_frame(&mut w, &body).unwrap();
+            assert!(w.interrupted);
+            assert_eq!(w.inner.calls, ["write_vectored"], "payload of {len} B");
+            assert_eq!(w.inner.bytes, two_write_frame(&body), "payload of {len} B");
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_write_zero() {
+        let body = payload(5);
+        let prefix = 5u32.to_le_bytes();
+        let err = write_all_vectored(
+            &mut TakesNothing,
+            &mut [IoSlice::new(&prefix), IoSlice::new(&body)],
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(
+            write_frame(&mut TakesNothing, &body).unwrap_err(),
+            WireError::from(io::Error::from(io::ErrorKind::WriteZero))
         );
     }
 

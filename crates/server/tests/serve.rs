@@ -688,6 +688,77 @@ fn malformed_frames_fail_closed_and_server_survives() {
     assert_eq!(counters.admitted, counters.answered);
 }
 
+/// The server reassembles frames from whatever segments arrive, so
+/// clients that frame differently from this crate's one vectored write
+/// keep working: one that writes a request's length prefix and payload
+/// as two writes with a pause between them, and one that sends two
+/// request frames in a single write. Each is answered, in order, with
+/// the in-process engine's answer.
+#[test]
+fn split_and_coalesced_request_frames_are_answered() {
+    let vkg = build_vkg();
+    let handle = start(&vkg, ServerConfig::default());
+    let addr = handle.addr();
+    let top_k = |entity: u32| Request {
+        deadline_ms: 0,
+        op: RequestOp::TopK {
+            entity,
+            relation: 0,
+            direction: Direction::Tails,
+            k: 5,
+        },
+    };
+    let expect_engine_answer = |raw: &mut TcpStream, entity: u32| {
+        let payload = read_frame(raw, MAX_FRAME)
+            .expect("response frame")
+            .expect("response before close");
+        let remote = match Response::decode(&payload).expect("well-formed response") {
+            Response::TopK(t) => t,
+            other => panic!("wanted a top-k answer, got {other:?}"),
+        };
+        let local = vkg
+            .top_k(EntityId(entity), RelationId(0), Direction::Tails, 5)
+            .expect("in-process answer");
+        assert_eq!(remote.epoch, vkg.epoch(), "entity {entity}");
+        assert_eq!(remote.predictions.len(), local.predictions.len());
+        for (rp, lp) in remote.predictions.iter().zip(&local.predictions) {
+            assert_eq!(rp.id, lp.id, "entity {entity}");
+            assert_eq!(rp.distance, lp.distance, "entity {entity}");
+            assert_eq!(rp.probability, lp.probability, "entity {entity}");
+        }
+    };
+
+    // Prefix and payload as two writes, the payload 20 ms behind.
+    {
+        let mut raw = TcpStream::connect(addr).expect("raw connect");
+        raw.set_nodelay(true).expect("nodelay");
+        let payload = top_k(3).encode();
+        raw.write_all(&(payload.len() as u32).to_le_bytes())
+            .expect("length prefix written");
+        thread::sleep(Duration::from_millis(20));
+        raw.write_all(&payload).expect("payload written");
+        expect_engine_answer(&mut raw, 3);
+    }
+
+    // Two request frames in one write.
+    {
+        let mut raw = TcpStream::connect(addr).expect("raw connect");
+        let mut both = Vec::new();
+        for entity in [7, 11] {
+            let payload = top_k(entity).encode();
+            both.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            both.extend_from_slice(&payload);
+        }
+        raw.write_all(&both).expect("two frames written");
+        expect_engine_answer(&mut raw, 7);
+        expect_engine_answer(&mut raw, 11);
+    }
+
+    let counters = handle.shutdown();
+    assert_eq!(counters.admitted, 3);
+    assert_eq!(counters.admitted, counters.answered);
+}
+
 /// Well-formed frames carrying resource-exhaustion parameters are
 /// sanitized at admission: an absurd `k` is clamped (no multi-GiB
 /// allocation, the answer still arrives), an unbounded refinement
