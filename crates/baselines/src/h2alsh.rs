@@ -1,4 +1,4 @@
-//! H2-ALSH (Huang et al., KDD 2018 — the paper's reference [12]):
+//! H2-ALSH (Huang et al., KDD 2018 — the paper's reference \[12\]):
 //! accurate and fast asymmetric LSH for maximum inner product search.
 //!
 //! The closest prior work to the paper's index. It answers *one*

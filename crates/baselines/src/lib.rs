@@ -6,12 +6,12 @@
 //! * [`linear_scan`] — the **no-index** baseline: exact top-k by scanning
 //!   every entity in the original embedding space S₁. Also the ground
 //!   truth oracle for the precision@K figures.
-//! * [`phtree`] — the **PH-tree** [22]: a space-efficient bit-interleaved
+//! * [`phtree`] — the **PH-tree** \[22\]: a space-efficient bit-interleaved
 //!   prefix-sharing hypercube tree indexing the raw high-dimensional
 //!   embeddings directly (no S₂ transform), with best-first kNN. At
 //!   d ≥ 50 its hypercube fan-out degenerates and search approaches a
 //!   linear scan — exactly the behaviour Figure 3 reports.
-//! * [`h2alsh`] — **H2-ALSH** [12]: homocentric-hypersphere norm
+//! * [`h2alsh`] — **H2-ALSH** \[12\]: homocentric-hypersphere norm
 //!   partitioning + QNF asymmetric transform + E2LSH hash tables for
 //!   maximum-inner-product search. Single relationship type only, as the
 //!   paper stresses.

@@ -1,5 +1,5 @@
 //! The PH-tree (Zäschke et al., SIGMOD 2014 — the paper's reference
-//! [22]): a space-efficient multi-dimensional index that interleaves the
+//! \[22\]): a space-efficient multi-dimensional index that interleaves the
 //! bits of quantized coordinates into a prefix-sharing hypercube trie.
 //!
 //! Used in the evaluation as the "index the raw embeddings directly"

@@ -50,8 +50,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use vkg_sync::Mutex;
 
-use crate::query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
+use crate::query::aggregate::{AggregateKind, AggregateResult};
 use crate::query::topk::TopKResult;
+use crate::query::{Filter, Query, QueryOp};
 use crate::snapshot::Direction;
 
 /// Semantic identity of a cacheable query.
@@ -71,12 +72,12 @@ pub enum CacheKey {
         entity: u32,
         /// Relation id.
         relation: u32,
-        /// Whether the query runs tail-ward (`h + r`).
-        tails: bool,
-        /// Deterministic fingerprint of the candidate filter (the wire
-        /// encoding of the filter expression); `None` for unfiltered
-        /// queries. Closure filters have no fingerprint and bypass the
-        /// cache entirely.
+        /// Tail-ward (`h + r`) or head-ward.
+        direction: Direction,
+        /// Deterministic fingerprint of the candidate filter
+        /// ([`Filter::fingerprint`], the filter's wire encoding); `None`
+        /// for unfiltered queries. Closure filters have no fingerprint
+        /// and bypass the cache entirely.
         filter: Option<Vec<u8>>,
     },
     /// A full-accuracy aggregate query (sampled aggregates bypass the
@@ -87,10 +88,10 @@ pub enum CacheKey {
         entity: u32,
         /// Relation id.
         relation: u32,
-        /// Whether the query runs tail-ward (`h + r`).
-        tails: bool,
-        /// The aggregate kind, as a stable discriminant.
-        kind: u8,
+        /// Tail-ward (`h + r`) or head-ward.
+        direction: Direction,
+        /// The aggregate kind.
+        kind: AggregateKind,
         /// Attribute name (`None` for COUNT).
         attribute: Option<String>,
         /// The probability threshold p_τ, as bits (total order ≡ value
@@ -100,7 +101,33 @@ pub enum CacheKey {
 }
 
 impl CacheKey {
-    /// Key for a top-k query; `filter` is the deterministic wire
+    /// The key of `query`, or `None` when its answer is not cacheable:
+    /// a sampled aggregate (`sample_size.is_some()`), whose access order
+    /// depends on the tree's shape, so its answers are not reproducible
+    /// across differently-cracked trees. A top-k is keyed with its
+    /// filter's [`Filter::fingerprint`].
+    pub fn of(query: &Query) -> Option<Self> {
+        let (entity, relation, direction) = (query.entity.0, query.relation.0, query.direction);
+        Some(match &query.op {
+            QueryOp::TopK { filter, .. } => Self::top_k(
+                entity,
+                relation,
+                direction,
+                filter.as_ref().map(Filter::fingerprint),
+            ),
+            QueryOp::Aggregate(spec) if spec.sample_size.is_none() => CacheKey::Aggregate {
+                entity,
+                relation,
+                direction,
+                kind: spec.kind,
+                attribute: spec.attribute.clone(),
+                p_tau_bits: spec.p_tau.to_bits(),
+            },
+            QueryOp::Aggregate(_) => return None,
+        })
+    }
+
+    /// Key for a top-k query; `filter` is the deterministic filter
     /// fingerprint, `None` when unfiltered.
     pub fn top_k(
         entity: u32,
@@ -111,37 +138,8 @@ impl CacheKey {
         CacheKey::TopK {
             entity,
             relation,
-            tails: matches!(direction, Direction::Tails),
+            direction,
             filter,
-        }
-    }
-
-    /// Key for an aggregate query. Callers must not build keys for
-    /// sampled specs (`sample_size.is_some()`) — those are uncacheable.
-    pub fn aggregate(
-        entity: u32,
-        relation: u32,
-        direction: Direction,
-        spec: &AggregateSpec,
-    ) -> Self {
-        debug_assert!(
-            spec.sample_size.is_none(),
-            "sampled aggregates are not cacheable"
-        );
-        let kind = match spec.kind {
-            AggregateKind::Count => 0u8,
-            AggregateKind::Sum => 1,
-            AggregateKind::Avg => 2,
-            AggregateKind::Max => 3,
-            AggregateKind::Min => 4,
-        };
-        CacheKey::Aggregate {
-            entity,
-            relation,
-            tails: matches!(direction, Direction::Tails),
-            kind,
-            attribute: spec.attribute.clone(),
-            p_tau_bits: spec.p_tau.to_bits(),
         }
     }
 }
@@ -416,9 +414,11 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::aggregate::{AggregateKind, AggregateSpec};
     use crate::query::guarantees::topk_guarantee;
     use crate::query::probability::inverse_distance_probabilities;
     use crate::query::topk::Prediction;
+    use vkg_kg::{EntityId, RelationId};
 
     fn top_k_result(n: usize) -> TopKResult {
         let distances: Vec<f64> = (1..=n).map(|i| i as f64).collect();
@@ -505,8 +505,9 @@ mod tests {
     fn aggregate_roundtrip_and_kind_separation() {
         use crate::query::aggregate::DeviationBound;
         let cache = ResultCache::new(16);
-        let spec = AggregateSpec::count(0.05);
-        let akey = CacheKey::aggregate(1, 2, Direction::Tails, &spec);
+        let count = |spec| Query::aggregate(EntityId(1), RelationId(2), Direction::Tails, spec);
+        let key = |p_tau| CacheKey::of(&count(AggregateSpec::count(p_tau))).expect("cacheable");
+        let akey = key(0.05);
         let a = AggregateResult {
             estimate: 4.25,
             accessed: 5,
@@ -528,9 +529,10 @@ mod tests {
             cache.lookup_aggregate(&akey, 2, 1),
             AggregateLookup::Stale
         ));
-        // A different p_τ is a different key.
-        let other = CacheKey::aggregate(1, 2, Direction::Tails, &AggregateSpec::count(0.1));
-        assert_ne!(akey, other);
+        // A different p_τ is a different key; a sampled spec has none.
+        assert_ne!(akey, key(0.1));
+        let sampled = AggregateSpec::of(AggregateKind::Sum, "year", 0.2).with_sample(4);
+        assert_eq!(CacheKey::of(&count(sampled)), None);
     }
 
     #[test]
@@ -644,8 +646,15 @@ mod tests {
     #[test]
     fn filter_fingerprint_separates_keys() {
         let cache = ResultCache::new(16);
-        let plain = CacheKey::top_k(1, 2, Direction::Tails, None);
-        let filtered = CacheKey::top_k(1, 2, Direction::Tails, Some(vec![0, 3, b'a', b'b', b'c']));
+        let query = |filter| Query::top_k(EntityId(1), RelationId(2), Direction::Tails, 5, filter);
+        let plain = CacheKey::of(&query(None)).expect("a top-k is cacheable");
+        let abc = Filter::NamePrefix("abc".into());
+        let filtered = CacheKey::of(&query(Some(abc.clone()))).expect("cacheable");
+        assert_eq!(plain, key());
+        assert_eq!(
+            filtered,
+            CacheKey::top_k(1, 2, Direction::Tails, Some(abc.fingerprint()))
+        );
         cache.insert_top_k(plain.clone(), 3, 0, 0, &top_k_result(3));
         assert!(matches!(
             cache.lookup_top_k(&filtered, 3, 0, 0, 3.0, 3),

@@ -15,7 +15,8 @@
 //!   path used as the evaluation baseline.
 //! * [`query`] — FINDTOP-KENTITIES (Algorithm 3, §V-A) and the
 //!   COUNT/SUM/AVG/MAX/MIN estimators with martingale deviation bounds
-//!   (§V-B, Theorem 4).
+//!   (§V-B, Theorem 4), plus the [`Query`] value — with its declarative
+//!   [`Filter`] — that the facade's one served read takes.
 //! * [`snapshot`] — the immutable read side: graph + attributes +
 //!   embeddings + JL transform frozen into an `Arc`-shareable
 //!   [`VkgSnapshot`] that any number of readers can query lock-free.
@@ -91,6 +92,7 @@ pub use index::CrackingIndex;
 pub use metrics::VkgMetrics;
 pub use query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
 pub use query::topk::TopKResult;
+pub use query::{Answer, Filter, Query, QueryOp};
 pub use snapshot::{Direction, VkgSnapshot};
 pub use stats::IndexStats;
 pub use vkg::{

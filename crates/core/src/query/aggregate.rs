@@ -15,7 +15,7 @@
 use super::probability::inverse_distance_probability;
 
 /// Which aggregate to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateKind {
     /// Expected number of relevant entities.
     Count,
@@ -30,7 +30,7 @@ pub enum AggregateKind {
 }
 
 /// Specification of one aggregate query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateSpec {
     /// The aggregate to compute.
     pub kind: AggregateKind,

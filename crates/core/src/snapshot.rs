@@ -32,7 +32,7 @@ use crate::error::{VkgError, VkgResult};
 use crate::geometry::PointSet;
 
 /// Which endpoint of the triple the query asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Given a head entity `h`, find tails `t` of likely `(h, r, t)` —
     /// query center `h + r`.

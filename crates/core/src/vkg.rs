@@ -61,6 +61,7 @@ use crate::index::CrackingIndex;
 use crate::metrics::VkgMetrics;
 use crate::query::aggregate::{AggregateResult, AggregateSpec};
 use crate::query::topk::TopKResult;
+use crate::query::{Answer, Query, QueryOp};
 use crate::snapshot::VkgSnapshot;
 use crate::stats::IndexStats;
 use crate::wal::{self, fault::FaultPlane, TokenMap, WalRecord};
@@ -535,6 +536,53 @@ impl VirtualKnowledgeGraph {
         Ok((pin, value))
     }
 
+    /// The served read: answers `query` — a top-k, filtered or not, or
+    /// an aggregate — through the read protocol (DESIGN.md §3.5), with
+    /// the result cache in the path when it is on and [`CacheKey::of`]
+    /// keys the query. `on_guard` fires each time a shared guard is held,
+    /// so a caller can time the wait. Returns the epochs the answer was
+    /// computed at; records no query metrics — callers own that.
+    ///
+    /// A top-k takes one round. An aggregate takes **two** — the inner
+    /// top-1 that anchors the ball, then the ball itself — so the reads
+    /// and the cracks keep the sequence of the exclusive composition (a
+    /// sampled aggregate's strata are the contour its own top-1 crack
+    /// left). The second round re-reads the pin; if a write published in
+    /// between, the anchor belongs to a superseded epoch and the query
+    /// starts over, so an answer is always computed at one epoch — the
+    /// one returned. Of the ball round only the region read holds the
+    /// shared guard — it answers the crack pre-check from the in-box
+    /// counts it takes; the S₁ access, the estimate and the cache fill
+    /// run after it, on the snapshot pinned with the read.
+    pub fn execute(
+        &self,
+        query: &Query,
+        on_guard: &mut dyn FnMut(),
+    ) -> VkgResult<(IndexPin, Answer)> {
+        // With the cache off, no key: a fingerprint is an allocation.
+        let key = self.cache.as_ref().and_then(|_| CacheKey::of(query));
+        let &Query {
+            entity,
+            relation,
+            direction,
+            ref op,
+        } = query;
+        match op {
+            QueryOp::TopK { k, filter } => {
+                let accept =
+                    |snap: &VkgSnapshot, id| filter.as_ref().is_none_or(|f| f.accepts(snap, id));
+                let q = (entity, relation, direction, *k);
+                let (pin, r) = self.top_k_round(q, key, accept, on_guard)?;
+                Ok((pin, Answer::TopK(r)))
+            }
+            QueryOp::Aggregate(spec) => {
+                let q = (entity, relation, direction);
+                let (pin, r) = self.aggregate_rounds(q, spec, key, on_guard)?;
+                Ok((pin, Answer::Aggregate(r)))
+            }
+        }
+    }
+
     /// Top-k predicted entities for `(entity, relation)` in `direction`
     /// (Q1-style queries; Algorithm 3).
     pub fn top_k(
@@ -545,8 +593,10 @@ impl VirtualKnowledgeGraph {
         k: usize,
     ) -> VkgResult<TopKResult> {
         let start = self.metrics.clock().now();
-        let served = self.top_k_served(entity, relation, direction, k, None, &mut || {});
-        let r = served.map(|(_, r)| r);
+        let key = CacheKey::top_k(entity.0, relation.0, direction, None);
+        let q = (entity, relation, direction, k);
+        let round = self.top_k_round(q, Some(key), |_, _| true, &mut || {});
+        let r = round.map(|(_, r)| r);
         self.metrics
             .record_query(start, r.as_ref().map_or(0, |t| t.s1_evals), r.is_ok());
         r
@@ -557,10 +607,9 @@ impl VirtualKnowledgeGraph {
     /// apply on top of the filter.
     ///
     /// Closure filters have no deterministic fingerprint, so this entry
-    /// point always bypasses the result cache; callers whose filter has
-    /// a canonical encoding (the wire protocol's filter expressions)
-    /// should use [`VirtualKnowledgeGraph::top_k_served`] with the
-    /// fingerprint instead.
+    /// point always bypasses the result cache; a declarative
+    /// [`Filter`](crate::query::Filter) is keyed by its fingerprint through
+    /// [`VirtualKnowledgeGraph::execute`].
     pub fn top_k_filtered(
         &self,
         entity: EntityId,
@@ -571,49 +620,29 @@ impl VirtualKnowledgeGraph {
     ) -> VkgResult<TopKResult> {
         let start = self.metrics.clock().now();
         let q = (entity, relation, direction, k);
-        let round = self.read_round(
-            &mut || {},
-            |pin, snap, state| {
-                let (r, region) = self.top_k_half(pin, snap, state, q, None, &filter)?;
-                Ok((r, pre_check(state, region)))
-            },
-            |_, _, r| r,
-        );
+        let round = self.top_k_round(q, None, |_, id| filter(id), &mut || {});
         let r = round.map(|(_, r)| r);
         self.metrics
             .record_query(start, r.as_ref().map_or(0, |t| t.s1_evals), r.is_ok());
         r
     }
 
-    /// [`VirtualKnowledgeGraph::top_k`] and
-    /// [`VirtualKnowledgeGraph::top_k_filtered`] as the serving layer
-    /// drives them. `filter` is a candidate predicate over the pinned
-    /// snapshot plus its deterministic byte fingerprint (equal bytes ⇒
-    /// equal predicate — the wire protocol's filter encoding
-    /// qualifies), which keys the result cache. `on_guard` fires when
-    /// the shared guard is held. Returns the epochs the answer was
-    /// computed at; records no query metrics — callers own that.
-    #[allow(
-        clippy::type_complexity,
-        reason = "one optional (fingerprint, predicate) pair; a named type would have a single user"
-    )]
-    pub fn top_k_served(
+    /// One round of a top-k: the cache-aware read half
+    /// ([`VirtualKnowledgeGraph::top_k_half`]) under the shared guard,
+    /// with `filter` run on the snapshot pinned with it, then the late
+    /// crack.
+    fn top_k_round(
         &self,
-        entity: EntityId,
-        relation: RelationId,
-        direction: Direction,
-        k: usize,
-        filter: Option<(&[u8], &dyn Fn(&VkgSnapshot, EntityId) -> bool)>,
+        q: (EntityId, RelationId, Direction, usize),
+        key: Option<CacheKey>,
+        filter: impl Fn(&VkgSnapshot, EntityId) -> bool,
         on_guard: &mut dyn FnMut(),
     ) -> VkgResult<(IndexPin, TopKResult)> {
-        let q = (entity, relation, direction, k);
-        let fingerprint = filter.map(|(bytes, _)| bytes.to_vec());
-        let key = CacheKey::top_k(entity.0, relation.0, direction, fingerprint);
         self.read_round(
             on_guard,
             |pin, snap, state| {
-                let accept = |id| filter.is_none_or(|(_, accept)| accept(snap, id));
-                let (r, region) = self.top_k_half(pin, snap, state, q, Some(key), &accept)?;
+                let accept = |id| filter(snap, id);
+                let (r, region) = self.top_k_half(pin, snap, state, q, key, &accept)?;
                 Ok((r, pre_check(state, region)))
             },
             |_, _, r| r,
@@ -650,7 +679,8 @@ impl VirtualKnowledgeGraph {
 
     /// [`VirtualKnowledgeGraph::top_k_pinned`] with a candidate filter
     /// (held like it). `fingerprint` is a deterministic byte encoding of
-    /// the filter (equal bytes ⇒ equal predicate); with `None` the call
+    /// the filter (equal bytes ⇒ equal predicate, as
+    /// [`crate::query::Filter::fingerprint`]); with `None` the call
     /// bypasses the cache, because a bare closure cannot be keyed.
     #[allow(
         clippy::too_many_arguments,
@@ -718,20 +748,6 @@ impl VirtualKnowledgeGraph {
         Ok((r, Some(region)))
     }
 
-    /// The result-cache slot of an aggregate: `None` with the cache off
-    /// and for sampled specs (`sample_size.is_some()`), which always
-    /// bypass it — their access order depends on tree shape, so their
-    /// answers are not reproducible across differently-cracked trees.
-    fn aggregate_slot(
-        &self,
-        (entity, relation, direction): (EntityId, RelationId, Direction),
-        spec: &AggregateSpec,
-    ) -> Option<(&ResultCache, CacheKey)> {
-        let cache = self.cache.as_ref().filter(|_| spec.sample_size.is_none())?;
-        let key = CacheKey::aggregate(entity.0, relation.0, direction, spec);
-        Some((cache, key))
-    }
-
     /// Probes an aggregate's slot at the pinned epochs, keeping the
     /// cache counters.
     fn probe_aggregate(
@@ -773,7 +789,8 @@ impl VirtualKnowledgeGraph {
         direction: Direction,
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
-        let slot = self.aggregate_slot((entity, relation, direction), spec);
+        let query = Query::aggregate(entity, relation, direction, spec.clone());
+        let slot = self.cache.as_ref().zip(CacheKey::of(&query));
         if let Some(hit) = self.probe_aggregate(slot.as_ref(), pin) {
             return Ok(hit);
         }
@@ -784,29 +801,17 @@ impl VirtualKnowledgeGraph {
         Ok(r)
     }
 
-    /// [`VirtualKnowledgeGraph::aggregate`] as the serving layer drives
-    /// it: **two** rounds of the read protocol — the inner top-1 that
-    /// anchors the ball, then the ball itself — so the reads and the
-    /// cracks keep the sequence of the exclusive composition (a sampled
-    /// aggregate's strata are the contour its own top-1 crack left).
-    /// The second round re-reads the pin; if a write published in
-    /// between, the anchor belongs to a superseded epoch and the query
-    /// starts over, so an answer is always computed at one epoch — the
-    /// one returned. Of the ball round only the region read holds the
-    /// shared guard — it answers the crack pre-check from the in-box
-    /// counts it takes; the S₁ access, the estimate and the cache fill
-    /// run after it, on the snapshot pinned with the read. `on_guard`
-    /// fires each time a shared guard is held. Records no query metrics
-    /// — callers own that.
-    pub fn aggregate_served(
+    /// An aggregate's two rounds of the read protocol (see
+    /// [`VirtualKnowledgeGraph::execute`]), cache-aware when `key` is
+    /// `Some`.
+    fn aggregate_rounds(
         &self,
-        entity: EntityId,
-        relation: RelationId,
-        direction: Direction,
+        (entity, relation, direction): (EntityId, RelationId, Direction),
         spec: &AggregateSpec,
+        key: Option<CacheKey>,
         on_guard: &mut dyn FnMut(),
     ) -> VkgResult<(IndexPin, AggregateResult)> {
-        let slot = self.aggregate_slot((entity, relation, direction), spec);
+        let slot = self.cache.as_ref().zip(key);
         let fill = |pin: IndexPin, r: &AggregateResult| {
             if let Some((cache, key)) = &slot {
                 cache.insert_aggregate(key.clone(), pin.epoch, pin.index_epoch, r);
@@ -865,8 +870,13 @@ impl VirtualKnowledgeGraph {
         spec: &AggregateSpec,
     ) -> VkgResult<AggregateResult> {
         let start = self.metrics.clock().now();
-        let served = self.aggregate_served(entity, relation, direction, spec, &mut || {});
-        let r = served.map(|(_, r)| r);
+        let key = self.cache.as_ref().and_then(|_| {
+            CacheKey::of(&Query::aggregate(entity, relation, direction, spec.clone()))
+        });
+        let q = (entity, relation, direction);
+        let r = self
+            .aggregate_rounds(q, spec, key, &mut || {})
+            .map(|(_, r)| r);
         // Aggregates refine by accessing exact S₁ distances; the access
         // count is the refine-step analogue top-k reports as s1_evals.
         let accessed = r.as_ref().map_or(0, |a| a.accessed as u64);

@@ -12,7 +12,10 @@ use std::sync::Arc;
 
 use vkg_core::metrics::names;
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{AggregateResult, AggregateSpec, Direction, FaultPlane, SplitStrategy, VkgConfig};
+use vkg_core::{
+    AggregateResult, AggregateSpec, Answer, Direction, FaultPlane, Filter, Query, SplitStrategy,
+    VkgConfig,
+};
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, KnowledgeGraph, RelationId};
 use vkg_sync::{model, thread};
@@ -406,6 +409,14 @@ fn aggregate_bits(r: &AggregateResult) -> (u64, usize, usize, u64, u64) {
     )
 }
 
+/// [`aggregate_bits`] of an answer from the served read.
+fn served_bits(answer: &Answer) -> (u64, usize, usize, u64, u64) {
+    match answer {
+        Answer::Aggregate(r) => aggregate_bits(r),
+        Answer::TopK(_) => panic!("an aggregate query answers an aggregate"),
+    }
+}
+
 /// An aggregate is two rounds of the read protocol — the inner top-1,
 /// then the ball — and a write may publish between them. The fact
 /// written here makes the query's anchor a known edge and moves both
@@ -448,12 +459,11 @@ fn aggregate_straddling_a_publication_answers_at_one_epoch() {
                 let vkg = Arc::clone(&vkg);
                 let (expected, count) = (expected.clone(), count.clone());
                 thread::spawn(move || {
+                    let ask = Query::aggregate(u0, likes, Direction::Tails, count);
                     for _ in 0..2 {
-                        let (pin, r) = vkg
-                            .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {})
-                            .expect("valid query");
+                        let (pin, r) = vkg.execute(&ask, &mut || {}).expect("valid query");
                         assert_eq!(
-                            aggregate_bits(&r),
+                            served_bits(&r),
                             expected[pin.epoch as usize],
                             "the answer of epoch {}, whole",
                             pin.epoch
@@ -485,8 +495,9 @@ fn aggregate_straddling_a_publication_answers_at_one_epoch() {
             let vkg = Arc::new(vkg);
             let mut guards = 0;
             let mut writer = None;
+            let ask = Query::aggregate(u0, likes, Direction::Tails, count.clone());
             let (pin, r) = vkg
-                .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {
+                .execute(&ask, &mut || {
                     guards += 1;
                     // The second guard is the ball round's.
                     if guards == 2 {
@@ -504,20 +515,14 @@ fn aggregate_straddling_a_publication_answers_at_one_epoch() {
                 .join()
                 .expect("writer");
             assert_eq!(pin.epoch, 0, "the ball read ran before the write");
-            assert_eq!(
-                aggregate_bits(&r),
-                expected[0],
-                "the answer of epoch 0, whole"
-            );
+            assert_eq!(served_bits(&r), expected[0], "the answer of epoch 0, whole");
             if published_before_return {
                 landed_inside.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
             // The next ask is epoch 1's answer, never a late epoch-0 fill.
-            let (pin, r) = vkg
-                .aggregate_served(u0, likes, Direction::Tails, &count, &mut || {})
-                .expect("valid query");
+            let (pin, r) = vkg.execute(&ask, &mut || {}).expect("valid query");
             assert_eq!(pin.epoch, 1);
-            assert_eq!(aggregate_bits(&r), expected[1], "the answer of epoch 1");
+            assert_eq!(served_bits(&r), expected[1], "the answer of epoch 1");
         })
         .unwrap_or_else(|v| panic!("write-inside-the-ball-round model failed: {v}"));
     }
@@ -651,11 +656,14 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                 vkg.top_k_filtered(u0, likes, tails, 2, |e| e != m1)
                     .expect("filtered top-k");
                 vkg.aggregate(u0, likes, tails, &count).expect("aggregate");
-                let keep = |_: &vkg_core::VkgSnapshot, e| e != m1;
-                vkg.top_k_served(u1, also, tails, 2, Some((b"not m1", &keep)), &mut || {})
+                let items = Filter::NamePrefix("m".into());
+                vkg.execute(&Query::top_k(u1, also, tails, 2, Some(items)), &mut || {})
                     .expect("served top-k");
-                vkg.aggregate_served(u1, also, tails, &count, &mut || {})
-                    .expect("served aggregate");
+                vkg.execute(
+                    &Query::aggregate(u1, also, tails, count.clone()),
+                    &mut || {},
+                )
+                .expect("served aggregate");
                 vkg.with_published_index(|pin, _snap, _state| {
                     assert!(pin.index_epoch <= pin.epoch);
                 });

@@ -17,7 +17,8 @@ use vkg_core::query::aggregate;
 use vkg_core::query::topk::{find_top_k, find_top_k_read, TopKResult};
 use vkg_core::rtree::SortOrders;
 use vkg_core::{
-    AggregateKind, AggregateSpec, Direction, VirtualKnowledgeGraph, VkgConfig, VkgError,
+    AggregateKind, AggregateSpec, Direction, Filter, Query, VirtualKnowledgeGraph, VkgConfig,
+    VkgError,
 };
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
@@ -1178,7 +1179,9 @@ fn empty_k_set_asks_for_no_crack() {
 /// One request of the twin stream below.
 enum TwinOp {
     TopK(EntityId, RelationId, Direction, usize),
-    Filtered(EntityId, RelationId, Direction, usize, u32, u32),
+    /// Keyed: asked through `execute` and cached by the filter's
+    /// fingerprint; otherwise a closure filter, never cached.
+    Filtered(EntityId, RelationId, Direction, usize, Filter, bool),
     Aggregate(EntityId, RelationId, Direction, AggregateSpec),
     Fact(EntityId, RelationId, EntityId),
     Entity(String, Vec<f64>),
@@ -1190,7 +1193,9 @@ enum TwinOp {
 /// tree of the exclusive composition (`with_published_shard` + the
 /// `*_pinned` entry points: probe, read, fill, crack in place). Two
 /// facades over one world take the same stream — 160 requests: top-k,
-/// filtered top-k, full and sampled aggregates, each asked twice in a
+/// top-k filtered by a closure (never cached) and by a declarative
+/// `Filter` (asked through `execute`, keyed by its fingerprint on both
+/// paths), full and sampled aggregates, each asked twice in a
 /// row (the repeat is a hit where the cache is on), with fact, entity
 /// and attribute writes moving points in between — one through each
 /// path, under both split strategies and with the cache on and off. Every answer must
@@ -1244,9 +1249,16 @@ fn shared_protocol_builds_the_tree_of_the_exclusive_composition() {
             let direction = [Direction::Tails, Direction::Heads][(next() % 2) as usize];
             match next() % 20 {
                 0..=7 => TwinOp::TopK(e, r, direction, [1, 5, 10][(next() % 3) as usize]),
-                8..=10 => {
+                x @ 8..=10 => {
                     let lo = (next() % n as u64) as u32;
-                    TwinOp::Filtered(e, r, direction, 5, lo, lo + n as u32 / 3)
+                    let filter = match x {
+                        10 => Filter::NamePrefix(format!("e{}", lo % 20)),
+                        _ => Filter::IdRange {
+                            lo,
+                            hi: lo + n as u32 / 3,
+                        },
+                    };
+                    TwinOp::Filtered(e, r, direction, 5, filter, x > 8)
                 }
                 11..=15 => {
                     let p_tau = 0.3 + (next() % 50) as f64 / 100.0;
@@ -1317,13 +1329,26 @@ fn shared_protocol_builds_the_tree_of_the_exclusive_composition() {
                             .unwrap();
                         assert_eq!(top_k_bits(&a), top_k_bits(&b), "{at}");
                     }
-                    &TwinOp::Filtered(e, r, direction, k, lo, hi) => {
-                        let keep = |id: EntityId| lo <= id.0 && id.0 < hi;
-                        let a = shared.top_k_filtered(e, r, direction, k, keep).unwrap();
+                    TwinOp::Filtered(e, r, direction, k, filter, keyed) => {
+                        let (e, r, direction, k) = (*e, *r, *direction, *k);
+                        let a = if *keyed {
+                            let query = Query::top_k(e, r, direction, k, Some(filter.clone()));
+                            match shared.execute(&query, &mut || {}).unwrap() {
+                                (_, vkg_core::Answer::TopK(a)) => a,
+                                (_, other) => panic!("a top-k answered {other:?}"),
+                            }
+                        } else {
+                            let snap = shared.snapshot();
+                            let keep = |id| filter.accepts(&snap, id);
+                            shared.top_k_filtered(e, r, direction, k, keep).unwrap()
+                        };
+                        let fingerprint = keyed.then(|| filter.fingerprint());
                         let b = exclusive
                             .with_published_shard(r, |pin, snap, state| {
+                                let keep = |id| filter.accepts(snap, id);
+                                let key = fingerprint.as_deref();
                                 exclusive.top_k_filtered_pinned(
-                                    pin, snap, state, e, r, direction, k, None, &keep,
+                                    pin, snap, state, e, r, direction, k, key, &keep,
                                 )
                             })
                             .unwrap();
@@ -1362,6 +1387,17 @@ fn shared_protocol_builds_the_tree_of_the_exclusive_composition() {
                 "the stream must crack"
             );
             assert_eq!(tree_of(&shared.index()), tree_of(&exclusive.index()));
+            let count = |vkg: &VirtualKnowledgeGraph, name| vkg.metrics_snapshot().counter(name);
+            for name in [names::CACHE_HIT, names::CACHE_MISS, names::CACHE_INVALIDATE] {
+                let at = format!("{name}, {strategy:?}, cache {cache_capacity}");
+                assert_eq!(count(&shared, name), count(&exclusive, name), "{at}");
+            }
+            if cache_capacity > 0 {
+                assert!(
+                    count(&shared, names::CACHE_HIT) > Some(0),
+                    "repeats must hit"
+                );
+            }
         }
     }
 }

@@ -89,11 +89,15 @@ pub fn write_tsv<W: Write>(store: &EmbeddingStore, writer: W) -> Result<(), IoEr
 /// Reads a TSV embedding dump produced by [`write_tsv`] (or by external
 /// TransE-style tooling using the same layout).
 ///
-/// Rows may arrive in any order but ids must be dense (0..n).
+/// Rows may arrive in any order but ids must be dense (0..n). An id is
+/// checked against the number of rows of its kind the file holds before
+/// anything is sized by it, so no id can grow memory beyond the file's
+/// own size: one past that count is an [`IoError::Parse`] at its line.
 pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
     let mut dim: Option<usize> = None;
-    let mut entities: Vec<Option<Vec<f64>>> = Vec::new();
-    let mut relations: Vec<Option<Vec<f64>>> = Vec::new();
+    // `(line, id, row)` in file order, per kind.
+    let mut entities: Vec<(usize, usize, Vec<f64>)> = Vec::new();
+    let mut relations: Vec<(usize, usize, Vec<f64>)> = Vec::new();
 
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
@@ -148,16 +152,27 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
                 })
             }
         };
-        if target.len() <= id {
-            target.resize(id + 1, None);
-        }
-        target[id] = Some(row);
+        target.push((lineno + 1, id, row));
     }
 
     let dim = dim.ok_or(IoError::Format("empty embedding file".into()))?;
-    let flatten = |rows: Vec<Option<Vec<f64>>>, what: &str| -> Result<Vec<f64>, IoError> {
-        let mut flat = Vec::with_capacity(rows.len() * dim);
-        for (i, row) in rows.into_iter().enumerate() {
+    let flatten = |rows: Vec<(usize, usize, Vec<f64>)>, what: &str| -> Result<Vec<f64>, IoError> {
+        // Dense ids are below the row count; a repeated id keeps its
+        // last row, so the table ends at the largest id.
+        let count = rows.len();
+        let mut table = vec![None; count];
+        let mut len = 0;
+        for (line, id, row) in rows {
+            let slot = table.get_mut(id).ok_or_else(|| IoError::Parse {
+                line,
+                message: format!("{what} id {id} is past the {count} {what} rows in the file"),
+            })?;
+            *slot = Some(row);
+            len = len.max(id + 1);
+        }
+        table.truncate(len);
+        let mut flat = Vec::with_capacity(len * dim);
+        for (i, row) in table.into_iter().enumerate() {
             let row = row.ok_or_else(|| IoError::Format(format!("missing {what} row {i}")))?;
             flat.extend(row);
         }
@@ -235,6 +250,37 @@ mod tests {
 
     fn sample_store() -> EmbeddingStore {
         EmbeddingStore::from_raw(3, vec![1.0, 2.0, 3.0, -1.5, 0.25, 9.0], vec![0.1, 0.2, 0.3])
+    }
+
+    /// An id is checked against the rows read before it sizes anything:
+    /// `usize::MAX` and an id past the row count are parse errors at
+    /// their line, not an overflow or a table as large as the id.
+    #[test]
+    fn tsv_ids_past_the_row_count_are_refused() {
+        let huge = format!(
+            "entity\t0\t1 2\nentity\t{}\t3 4\nrelation\t0\t5 6\n",
+            usize::MAX
+        );
+        match read_tsv(huge.as_bytes()) {
+            Err(IoError::Parse { line: 2, message }) => {
+                assert!(message.contains("past the 2 entity rows"), "{message}")
+            }
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
+        let gap = "relation\t0\t5 6\nentity\t0\t1 2\nentity\t2\t3 4\n";
+        match read_tsv(gap.as_bytes()) {
+            Err(IoError::Parse { line: 3, message }) => {
+                assert!(message.contains("entity id 2"), "{message}")
+            }
+            other => panic!("expected a parse error at line 3, got {other:?}"),
+        }
+        // Out of order, and a repeated id keeping its last row, still read.
+        let shuffled = "entity\t1\t3 4\nentity\t0\t9 9\nentity\t0\t1 2\nrelation\t0\t5 6\n";
+        let store = read_tsv(shuffled.as_bytes()).unwrap();
+        assert_eq!(
+            store,
+            EmbeddingStore::from_raw(2, vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0])
+        );
     }
 
     #[test]

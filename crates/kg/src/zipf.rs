@@ -1,7 +1,7 @@
 //! Power-law (Zipf) sampling for synthetic graph generation.
 //!
 //! Real knowledge graphs' node degrees follow a power law (paper §II,
-//! citing [13]). The synthetic dataset generators use this sampler to pick
+//! citing \[13\]). The synthetic dataset generators use this sampler to pick
 //! entities with Zipfian popularity so that degree distributions — and
 //! therefore the skew of the queried embedding space — match the real
 //! datasets in shape.

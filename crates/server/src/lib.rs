@@ -12,7 +12,12 @@
 //!   `Aggregate`, `AddFactDynamic`, `Stats`, `Shutdown` requests and
 //!   their typed responses, including the [`protocol::ErrorCode`]
 //!   vocabulary for admission-control refusals (`Overloaded`,
-//!   `DeadlineExceeded`, `Draining`).
+//!   `DeadlineExceeded`, `Draining`). A read request is data the core
+//!   already has a type for: [`Request::query`] maps it to the
+//!   [`vkg_core::Query`] it asks, and its filter is the core's
+//!   declarative [`vkg_core::Filter`], re-exported as [`WireFilter`] and
+//!   written as the bytes of its `fingerprint()` — the same bytes that
+//!   key the result cache.
 //! * [`queue`] — the bounded admission queue ([`queue::JobQueue`]) and
 //!   the monotonic [`queue::Counters`], built on `vkg-sync` primitives
 //!   so the model-checking tests explore their interleavings directly.
@@ -24,8 +29,9 @@
 //!   frame budget, write refinement parameters held to
 //!   [`vkg_core::check_refine_params`]: at most
 //!   [`server::MAX_REFINE_STEPS`] steps, a finite rate in [0, 1]);
-//!   and reads pin one snapshot epoch end-to-end via the facade's
-//!   epoch-swap publication.
+//!   and a worker answers a read with the facade's one served read,
+//!   [`vkg_core::vkg::VirtualKnowledgeGraph::execute`], which pins one
+//!   snapshot epoch end-to-end via the facade's epoch-swap publication.
 //! * [`client`] — a synchronous [`client::Client`] speaking the same
 //!   protocol, used by the test suite and the `ledger` benchmark. With
 //!   a [`client::RetryPolicy`] installed it

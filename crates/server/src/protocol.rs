@@ -10,7 +10,9 @@
 use vkg_core::engine::{Accuracy, EngineStats};
 use vkg_core::query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
 use vkg_core::query::topk::TopKResult;
+use vkg_core::query::{Query, QueryOp};
 use vkg_core::{Direction, VkgError};
+use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{HistSnapshot, MetricsSnapshot, Span, SpanOutcome};
 
 use crate::wire::{Dec, Enc, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
@@ -34,56 +36,21 @@ mod op {
     pub const R_ERROR: u8 = 0xE0;
 }
 
-/// A server-side filter a client can attach to a top-k query. Closures
-/// do not cross the wire, so the protocol offers the two declarative
-/// shapes the examples use: a name prefix and a dense-id range.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireFilter {
-    /// Keep entities whose interned name starts with the prefix.
-    NamePrefix(String),
-    /// Keep entities with `lo <= id < hi`.
-    IdRange {
-        /// Inclusive lower bound.
-        lo: u32,
-        /// Exclusive upper bound.
-        hi: u32,
-    },
-}
+/// A server-side filter a client can attach to a top-k query: the core's
+/// declarative [`vkg_core::query::Filter`]. Closures do not cross the
+/// wire; its two shapes do, as the bytes of [`WireFilter::fingerprint`],
+/// which are also the result cache's key for the filter.
+pub use vkg_core::query::Filter as WireFilter;
 
-impl WireFilter {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            WireFilter::NamePrefix(p) => {
-                e.u8(0);
-                e.str(p);
-            }
-            WireFilter::IdRange { lo, hi } => {
-                e.u8(1);
-                e.u32(*lo);
-                e.u32(*hi);
-            }
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        match d.u8()? {
-            0 => Ok(WireFilter::NamePrefix(d.str()?)),
-            1 => Ok(WireFilter::IdRange {
-                lo: d.u32()?,
-                hi: d.u32()?,
-            }),
-            _ => Err(WireError::Malformed("filter tag")),
-        }
-    }
-
-    /// A canonical byte encoding of the filter — the wire encoding
-    /// itself, which is deterministic and injective per variant. Equal
-    /// fingerprints therefore imply equal predicates, which is exactly
-    /// the contract the result cache's filtered-top-k key requires.
-    pub fn fingerprint(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode(&mut e);
-        e.finish()
+/// Decodes the bytes [`WireFilter::fingerprint`] writes.
+fn decode_filter(d: &mut Dec<'_>) -> Result<WireFilter, WireError> {
+    match d.u8()? {
+        0 => Ok(WireFilter::NamePrefix(d.str()?)),
+        1 => Ok(WireFilter::IdRange {
+            lo: d.u32()?,
+            hi: d.u32()?,
+        }),
+        _ => Err(WireError::Malformed("filter tag")),
     }
 }
 
@@ -255,7 +222,7 @@ impl Request {
                 e.u32(*relation);
                 e.u8(dir_byte(*direction));
                 e.u32(*k);
-                filter.encode(&mut e);
+                e.raw(&filter.fingerprint());
             }
             RequestOp::Aggregate {
                 entity,
@@ -333,7 +300,7 @@ impl Request {
                 relation: d.u32()?,
                 direction: dir_from(d.u8()?)?,
                 k: d.u32()?,
-                filter: WireFilter::decode(&mut d)?,
+                filter: decode_filter(&mut d)?,
             },
             op::AGGREGATE => RequestOp::Aggregate {
                 entity: d.u32()?,
@@ -371,6 +338,67 @@ impl Request {
         };
         d.finish()?;
         Ok(Request { deadline_ms, op })
+    }
+
+    /// The [`Query`] a read request asks: `TopK` and `TopKFiltered` a
+    /// top-k with their `k` and filter, `Aggregate` its
+    /// [`Request::aggregate_spec`]. Writes and control requests ask none.
+    pub fn query(&self) -> Option<Query> {
+        let (entity, relation, direction, op) = match &self.op {
+            RequestOp::TopK {
+                entity,
+                relation,
+                direction,
+                k,
+            } => (
+                entity,
+                relation,
+                direction,
+                QueryOp::TopK {
+                    k: *k as usize,
+                    filter: None,
+                },
+            ),
+            RequestOp::TopKFiltered {
+                entity,
+                relation,
+                direction,
+                k,
+                filter,
+            } => {
+                let filter = Some(filter.clone());
+                (
+                    entity,
+                    relation,
+                    direction,
+                    QueryOp::TopK {
+                        k: *k as usize,
+                        filter,
+                    },
+                )
+            }
+            RequestOp::Aggregate {
+                entity,
+                relation,
+                direction,
+                ..
+            } => (
+                entity,
+                relation,
+                direction,
+                QueryOp::Aggregate(self.aggregate_spec()?),
+            ),
+            RequestOp::AddFactDynamic { .. }
+            | RequestOp::Stats
+            | RequestOp::Metrics { .. }
+            | RequestOp::Shutdown => return None,
+        };
+        Some(Query {
+            entity: EntityId(*entity),
+            relation: RelationId(*relation),
+            direction: *direction,
+            op,
+        })
     }
 
     /// Builds the [`AggregateSpec`] an `Aggregate` request describes.
@@ -1024,43 +1052,49 @@ impl Response {
 mod tests {
     use super::*;
 
+    /// Every request round-trips, and each read maps to the query the
+    /// server executes — its k, filter and spec — while writes and
+    /// control requests ask none.
     #[test]
     fn request_roundtrip_smoke() {
-        let reqs = vec![
-            Request {
-                deadline_ms: 0,
-                op: RequestOp::TopK {
-                    entity: 3,
-                    relation: 1,
-                    direction: Direction::Tails,
-                    k: 5,
-                },
-            },
-            Request {
-                deadline_ms: 250,
-                op: RequestOp::TopKFiltered {
-                    entity: 9,
-                    relation: 0,
-                    direction: Direction::Heads,
-                    k: 2,
-                    filter: WireFilter::NamePrefix("movie_".into()),
-                },
-            },
-            Request {
-                deadline_ms: 1000,
-                op: RequestOp::Aggregate {
+        let (e, r) = (EntityId(7), RelationId(2));
+        let movies = WireFilter::NamePrefix("movie_".into());
+        let range = WireFilter::IdRange { lo: 2, hi: 40 };
+        let avg = AggregateSpec::of(AggregateKind::Avg, "year", 0.05);
+        let top_k = |k, filter| Some(Query::top_k(e, r, Direction::Heads, k, filter));
+        let aggregate = |spec| Some(Query::aggregate(e, r, Direction::Tails, spec));
+        let filtered = |filter: &WireFilter| RequestOp::TopKFiltered {
+            entity: 7,
+            relation: 2,
+            direction: Direction::Heads,
+            k: 2,
+            filter: filter.clone(),
+        };
+        let averaged = |sample_size| RequestOp::Aggregate {
+            entity: 7,
+            relation: 2,
+            direction: Direction::Tails,
+            kind: AggregateKind::Avg,
+            attribute: Some("year".into()),
+            p_tau: 0.05,
+            sample_size,
+        };
+        let cases = [
+            (
+                RequestOp::TopK {
                     entity: 7,
                     relation: 2,
-                    direction: Direction::Tails,
-                    kind: AggregateKind::Avg,
-                    attribute: Some("year".into()),
-                    p_tau: 0.05,
-                    sample_size: Some(40),
+                    direction: Direction::Heads,
+                    k: 5,
                 },
-            },
-            Request {
-                deadline_ms: 0,
-                op: RequestOp::AddFactDynamic {
+                top_k(5, None),
+            ),
+            (filtered(&movies), top_k(2, Some(movies.clone()))),
+            (filtered(&range), top_k(2, Some(range.clone()))),
+            (averaged(None), aggregate(avg.clone())),
+            (averaged(Some(40)), aggregate(avg.with_sample(40))),
+            (
+                RequestOp::AddFactDynamic {
                     h: 1,
                     r: 0,
                     t: 2,
@@ -1068,24 +1102,18 @@ mod tests {
                     learning_rate: 0.05,
                     token: 0xDEAD_BEEF,
                 },
-            },
-            Request {
-                deadline_ms: 0,
-                op: RequestOp::Stats,
-            },
-            Request {
-                deadline_ms: 0,
-                op: RequestOp::Metrics { last_spans: 32 },
-            },
-            Request {
-                deadline_ms: 0,
-                op: RequestOp::Shutdown,
-            },
+                None,
+            ),
+            (RequestOp::Stats, None),
+            (RequestOp::Metrics { last_spans: 32 }, None),
+            (RequestOp::Shutdown, None),
         ];
-        for req in reqs {
+        for (deadline_ms, (op, query)) in (0..).step_by(250).zip(cases) {
+            let req = Request { deadline_ms, op };
             let payload = req.encode();
             assert_eq!(payload[0], WIRE_VERSION);
             assert_eq!(Request::decode(&payload).unwrap(), req);
+            assert_eq!(req.query(), query, "{req:?}");
         }
     }
 

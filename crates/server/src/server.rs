@@ -26,9 +26,9 @@
 //!
 //! # Epoch-swapped reads
 //!
-//! Workers execute reads through the facade's served entry points
-//! ([`VirtualKnowledgeGraph::top_k_served`],
-//! [`VirtualKnowledgeGraph::aggregate_served`]): a read traverses under
+//! Workers answer a read request through the facade's one served read,
+//! [`VirtualKnowledgeGraph::execute`], given the [`vkg_core::Query`] the
+//! request asks ([`Request::query`]): a read traverses under
 //! the index lock's **shared** side with one `(epoch, snapshot)` pair
 //! pinned, so the workers' reads run side by side, and the crack it
 //! wants is applied afterwards in a short exclusive section, only when
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{QueryEngine, VkgSnapshot};
+use vkg_core::{Answer, QueryEngine};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, Registry, Span, SpanOutcome, SpanRing, Tick};
 use vkg_sync::thread::{self, JoinHandle};
@@ -71,7 +71,7 @@ use vkg_sync::{AtomicBool, AtomicU64, Ordering};
 
 use crate::protocol::{
     AggregateWire, ErrorCode, MetricsWire, Request, RequestOp, Response, ServerCounters,
-    ServerError, ShardStatsWire, StatsWire, TopKWire, WireFilter,
+    ServerError, ShardStatsWire, StatsWire, TopKWire,
 };
 use crate::queue::{Admission, Counters, JobQueue};
 use crate::wire::{write_frame, FrameBuffer, WireError};
@@ -86,15 +86,15 @@ pub mod names {
     pub const LATENCY_US: &str = "server.latency_us";
     /// Jobs sitting in the admission queue at export time.
     pub const QUEUE_DEPTH: &str = "server.queue_depth";
-    /// Mirror of [`ServerCounters::admitted`].
+    /// Mirror of [`ServerCounters::admitted`](crate::protocol::ServerCounters::admitted).
     pub const ADMITTED: &str = "server.admitted";
-    /// Mirror of [`ServerCounters::answered`].
+    /// Mirror of [`ServerCounters::answered`](crate::protocol::ServerCounters::answered).
     pub const ANSWERED: &str = "server.answered";
-    /// Mirror of [`ServerCounters::shed`].
+    /// Mirror of [`ServerCounters::shed`](crate::protocol::ServerCounters::shed).
     pub const SHED: &str = "server.shed";
-    /// Mirror of [`ServerCounters::deadline_expired`].
+    /// Mirror of [`ServerCounters::deadline_expired`](crate::protocol::ServerCounters::deadline_expired).
     pub const DEADLINE_EXPIRED: &str = "server.deadline_expired";
-    /// Mirror of [`ServerCounters::drained`].
+    /// Mirror of [`ServerCounters::drained`](crate::protocol::ServerCounters::drained).
     pub const DRAINED: &str = "server.drained";
     /// Requests a worker executed against the index: one per query and
     /// per dynamic write (a deadline refusal executes nothing).
@@ -769,7 +769,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
 /// answered.
 fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span) {
     shared.counters.record_answered();
-    // The served entry points record no query metrics (the worker times
+    // The served read (`execute`) records no query metrics (the worker times
     // the request on its own clock) — mirror the executed reads into
     // the facade registry so `core.queries` stays truthful however the
     // engine is driven. Deadline-refused jobs never reached the engine
@@ -807,10 +807,12 @@ fn refine_steps_of(response: &Response) -> u64 {
     }
 }
 
-/// Runs one request against the engine. Reads go through the facade's
-/// served entry points (shared guard, epochs pinned, late crack); the
-/// dynamic write goes through the facade's serialized `&self` writer
-/// path (the same lock, exclusive) and reports the post-publish epoch.
+/// Runs one request against the engine. A read is the [`Query`] its
+/// request asks ([`Request::query`]), answered by the facade's one served
+/// read ([`VirtualKnowledgeGraph::execute`]: shared guard, epochs
+/// pinned, late crack); the dynamic write goes through the facade's
+/// serialized `&self` writer path (the same lock, exclusive) and reports
+/// the post-publish epoch.
 ///
 /// Returns the response plus the tick at which the index lock's shared
 /// guard was first held, so the worker can split the span into its lock
@@ -823,78 +825,25 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
     let mut on_guard = || {
         locked_at.get_or_insert_with(|| clock.now());
     };
-    let response = match &request.op {
-        RequestOp::TopK {
-            entity,
-            relation,
-            direction,
-            k,
-        }
-        | RequestOp::TopKFiltered {
-            entity,
-            relation,
-            direction,
-            k,
-            ..
-        } => {
-            let wire = match &request.op {
-                RequestOp::TopKFiltered { filter, .. } => Some(filter),
-                _ => None,
-            };
-            // The wire encoding doubles as the cache key's filter
-            // fingerprint: equal bytes ⇒ equal predicate.
-            let fingerprint = wire.map(WireFilter::fingerprint);
-            let accept = |snap: &VkgSnapshot, id: EntityId| match wire {
-                Some(WireFilter::NamePrefix(prefix)) => {
-                    let name = snap.graph().entity_name(id);
-                    name.is_some_and(|n| n.starts_with(prefix))
-                }
-                Some(WireFilter::IdRange { lo, hi }) => *lo <= id.0 && id.0 < *hi,
-                None => true,
-            };
-            let filter = fingerprint.as_deref().map(|bytes| (bytes, &accept as _));
-            let (entity, relation) = (EntityId(*entity), RelationId(*relation));
-            match vkg.top_k_served(
-                entity,
-                relation,
-                *direction,
-                *k as usize,
-                filter,
-                &mut on_guard,
-            ) {
-                Ok((pin, r)) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
-                Err(e) => Response::Error(ServerError::query(&e)),
+    let response = match (request.query(), &request.op) {
+        (Some(query), _) => match vkg.execute(&query, &mut on_guard) {
+            Ok((pin, Answer::TopK(r))) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
+            Ok((pin, Answer::Aggregate(r))) => {
+                Response::Aggregate(AggregateWire::from_result(pin.epoch, &r))
             }
-        }
-        RequestOp::Aggregate {
-            entity,
-            relation,
-            direction,
-            ..
-        } => match request.aggregate_spec() {
-            // Decoding guarantees aggregate ops carry a spec, but a
-            // refusal here is cheaper to reason about than a panic in a
-            // worker thread if that invariant ever drifts.
-            None => refusal(ErrorCode::Internal, "aggregate request lost its spec"),
-            Some(spec) => match vkg.aggregate_served(
-                EntityId(*entity),
-                RelationId(*relation),
-                *direction,
-                &spec,
-                &mut on_guard,
-            ) {
-                Ok((pin, r)) => Response::Aggregate(AggregateWire::from_result(pin.epoch, &r)),
-                Err(e) => Response::Error(ServerError::query(&e)),
-            },
+            Err(e) => Response::Error(ServerError::query(&e)),
         },
-        RequestOp::AddFactDynamic {
-            h,
-            r,
-            t,
-            refine_steps,
-            learning_rate,
-            token,
-        } => {
+        (
+            None,
+            RequestOp::AddFactDynamic {
+                h,
+                r,
+                t,
+                refine_steps,
+                learning_rate,
+                token,
+            },
+        ) => {
             // The write path acquires the index lock inside the
             // facade; its span charges the whole call to `exec_ns`.
             // With a WAL attached the facade appends + flushes the
@@ -918,9 +867,7 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
                 Err(e) => Response::Error(ServerError::query(&e)),
             }
         }
-        RequestOp::Stats | RequestOp::Metrics { .. } | RequestOp::Shutdown => {
-            refusal(ErrorCode::Internal, "control requests are not queued")
-        }
+        (None, _) => refusal(ErrorCode::Internal, "control requests are not queued"),
     };
     (response, locked_at.unwrap_or(start))
 }

@@ -255,6 +255,11 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// Appends bytes already in wire form, as they are.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         #[expect(

@@ -412,3 +412,38 @@ fn one_row_stats_and_routed_span_keep_their_bytes() {
     assert_eq!(payload[payload.len() - 62..], golden_span[..]);
     assert_eq!(Response::decode(&payload).unwrap(), metrics);
 }
+
+/// A filtered top-k frame carries its filter as the bytes of
+/// [`WireFilter::fingerprint`] — the result cache's key for the filter —
+/// after the query fields: the frames are pinned as bytes laid out by
+/// the v2 encoder, and their tails are the fingerprints, so the wire and
+/// the cache share one encoding.
+#[test]
+fn filtered_top_k_frames_end_in_the_filter_fingerprint() {
+    // Version 2, opcode 2, deadline 250, entity 9, relation 0, heads,
+    // k = 2 — then the filter: tag 0, length 6, "movie_"; and tag 1,
+    // lo = 7, hi = 300.
+    let head = "0202fa00000009000000000000000102000000";
+    for (filter, tail) in [
+        (
+            WireFilter::NamePrefix("movie_".into()),
+            "00060000006d6f7669655f",
+        ),
+        (WireFilter::IdRange { lo: 7, hi: 300 }, "01070000002c010000"),
+    ] {
+        let golden = unhex(&format!("{head}{tail}"));
+        let request = Request {
+            deadline_ms: 250,
+            op: RequestOp::TopKFiltered {
+                entity: 9,
+                relation: 0,
+                direction: Direction::Heads,
+                k: 2,
+                filter: filter.clone(),
+            },
+        };
+        assert_eq!(request.encode(), golden);
+        assert_eq!(Request::decode(&golden).unwrap(), request);
+        assert_eq!(golden[19..], filter.fingerprint()[..]);
+    }
+}

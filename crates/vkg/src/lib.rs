@@ -74,8 +74,9 @@ pub mod prelude {
     pub use vkg_core::query::aggregate::{AggregateKind, AggregateResult, AggregateSpec};
     pub use vkg_core::query::topk::{Prediction, TopKResult};
     pub use vkg_core::{
-        Accuracy, CrackingIndex, Direction, EngineStats, IndexState, IndexStats, QueryEngine,
-        SplitStrategy, VirtualKnowledgeGraph, VkgConfig, VkgError, VkgResult, VkgSnapshot,
+        Accuracy, Answer, CrackingIndex, Direction, EngineStats, Filter, IndexState, IndexStats,
+        Query, QueryEngine, QueryOp, SplitStrategy, VirtualKnowledgeGraph, VkgConfig, VkgError,
+        VkgResult, VkgSnapshot,
     };
     pub use vkg_embed::{EmbeddingStore, TransA, TransAConfig, TransE, TransEConfig};
     pub use vkg_kg::datasets::{

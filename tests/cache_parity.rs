@@ -51,20 +51,11 @@ fn engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
 /// small so sampled workloads repeat queries — the cache's hot path.
 #[derive(Debug, Clone)]
 enum Op {
-    TopK {
-        entity: u32,
-        relation: u32,
-        direction: Direction,
-        k: usize,
-    },
-    Aggregate {
-        entity: u32,
-        relation: u32,
-        direction: Direction,
-    },
+    /// A read, asked through the facade's served read.
+    Read(Query),
     /// A dynamic write: bumps every epoch, so cached entries filled
     /// before it must be invalidated, not served.
-    AddFact { h: u32, r: u32, t: u32 },
+    AddFact(EntityId, RelationId, EntityId),
 }
 
 /// The semantic outcome of one op: everything a client can observe,
@@ -93,66 +84,42 @@ enum Outcome {
     Err(String),
 }
 
-fn apply(vkg: &VirtualKnowledgeGraph, op: &Op, relations: u32, entities: u32) -> Outcome {
-    match *op {
-        Op::TopK {
-            entity,
-            relation,
-            direction,
-            k,
-        } => match vkg.top_k(
-            EntityId(entity),
-            RelationId(relation % relations),
-            direction,
-            k,
-        ) {
-            Ok(r) => Outcome::TopK {
-                ids: r.predictions.iter().map(|p| p.id).collect(),
-                distance_bits: r.predictions.iter().map(|p| p.distance.to_bits()).collect(),
-                probability_bits: r
-                    .predictions
-                    .iter()
-                    .map(|p| p.probability.to_bits())
-                    .collect(),
-                success_bits: r.guarantee.success_probability.to_bits(),
-                misses_bits: r.guarantee.expected_misses.to_bits(),
-            },
-            Err(e) => Outcome::Err(e.to_string()),
-        },
-        Op::Aggregate {
-            entity,
-            relation,
-            direction,
-        } => {
-            let spec = AggregateSpec::count(0.05);
-            match vkg.aggregate(
-                EntityId(entity),
-                RelationId(relation % relations),
-                direction,
-                &spec,
-            ) {
-                Ok(r) => Outcome::Aggregate {
-                    estimate_bits: r.estimate.to_bits(),
-                    mu_bits: r.bound.mu.to_bits(),
-                    mass_bits: r.bound.increment_mass.to_bits(),
-                    ball_size: r.ball_size,
-                },
-                Err(e) => Outcome::Err(e.to_string()),
-            }
-        }
-        Op::AddFact { h, r, t } => {
-            match vkg.add_fact_dynamic(
-                EntityId(h % entities),
-                RelationId(r % relations),
-                EntityId(t % entities),
-                2,
-                0.05,
-            ) {
+fn apply(vkg: &VirtualKnowledgeGraph, op: &Op) -> Outcome {
+    let read = match op {
+        Op::Read(query) => vkg.execute(query, &mut || {}),
+        &Op::AddFact(h, r, t) => {
+            return match vkg.add_fact_dynamic(h, r, t, 2, 0.05) {
                 Ok((added, epoch)) => Outcome::Fact { added, epoch },
                 Err(e) => Outcome::Err(e.to_string()),
             }
         }
+    };
+    match read {
+        Ok((_, Answer::TopK(r))) => Outcome::TopK {
+            ids: r.predictions.iter().map(|p| p.id).collect(),
+            distance_bits: r.predictions.iter().map(|p| p.distance.to_bits()).collect(),
+            probability_bits: r
+                .predictions
+                .iter()
+                .map(|p| p.probability.to_bits())
+                .collect(),
+            success_bits: r.guarantee.success_probability.to_bits(),
+            misses_bits: r.guarantee.expected_misses.to_bits(),
+        },
+        Ok((_, Answer::Aggregate(r))) => Outcome::Aggregate {
+            estimate_bits: r.estimate.to_bits(),
+            mu_bits: r.bound.mu.to_bits(),
+            mass_bits: r.bound.increment_mass.to_bits(),
+            ball_size: r.ball_size,
+        },
+        Err(e) => Outcome::Err(e.to_string()),
     }
+}
+
+/// A top-k of `k` tail-ward from `entity` over `relation`, unfiltered.
+fn top_k(entity: u32, relation: u32, k: usize) -> Op {
+    let (e, r) = (EntityId(entity), RelationId(relation));
+    Op::Read(Query::top_k(e, r, Direction::Tails, k, None))
 }
 
 fn direction_strategy() -> impl Strategy<Value = Direction> {
@@ -161,18 +128,27 @@ fn direction_strategy() -> impl Strategy<Value = Direction> {
 
 /// Entities are drawn from a small window so workloads revisit queries;
 /// `k` spans 1..8 so repeats land on entries filled for the same k
-/// (hits) and for other k (misses that refill).
-fn op_strategy(entities: u32) -> impl Strategy<Value = Op> {
+/// (hits) and for other k (misses that refill). A filtered top-k keeps
+/// an id range, keyed by its fingerprint.
+fn op_strategy(entities: u32, relations: u32) -> impl Strategy<Value = Op> {
     let hot = entities.clamp(1, 6);
+    let key = move || {
+        (0..hot, 0..relations.min(4), direction_strategy())
+            .prop_map(|(e, r, direction)| (EntityId(e), RelationId(r), direction))
+    };
     prop_oneof![
-        6 => (0..hot, 0u32..4, direction_strategy(), 1usize..8).prop_map(
-            |(entity, relation, direction, k)| Op::TopK { entity, relation, direction, k }
+        6 => (key(), 1usize..8).prop_map(
+            |((e, r, direction), k)| Op::Read(Query::top_k(e, r, direction, k, None))
         ),
-        2 => (0..hot, 0u32..4, direction_strategy()).prop_map(
-            |(entity, relation, direction)| Op::Aggregate { entity, relation, direction }
+        2 => (key(), 1usize..8, 0..entities).prop_map(move |((e, r, direction), k, lo)| {
+            let filter = Filter::IdRange { lo, hi: lo + entities / 2 };
+            Op::Read(Query::top_k(e, r, direction, k, Some(filter)))
+        }),
+        2 => key().prop_map(
+            |(e, r, direction)| Op::Read(Query::aggregate(e, r, direction, AggregateSpec::count(0.05)))
         ),
-        1 => (0..entities, 0u32..8, 0..entities).prop_map(
-            |(h, r, t)| Op::AddFact { h, r, t }
+        1 => (0..entities, 0..relations, 0..entities).prop_map(
+            |(h, r, t)| Op::AddFact(EntityId(h), RelationId(r), EntityId(t))
         ),
     ]
 }
@@ -194,17 +170,18 @@ proptest! {
     #[test]
     fn cached_answers_are_bit_identical_under_writes(
         ops in prop::collection::vec(
-            op_strategy(trained().0.graph.num_entities() as u32),
+            op_strategy(
+                trained().0.graph.num_entities() as u32,
+                trained().0.graph.num_relations() as u32,
+            ),
             1..32,
         )
     ) {
-        let relations = trained().0.graph.num_relations() as u32;
-        let entities = trained().0.graph.num_entities() as u32;
         let plain = engine(0);
         let cached = engine(1024);
         for (i, op) in ops.iter().enumerate() {
-            let want = apply(&plain, op, relations, entities);
-            let got = apply(&cached, op, relations, entities);
+            let want = apply(&plain, op);
+            let got = apply(&cached, op);
             prop_assert_eq!(&got, &want, "op {} ({:?}) diverged with cache on", i, op);
         }
         cached.index().check_invariants();
@@ -217,16 +194,10 @@ proptest! {
 #[test]
 fn repeats_hit_and_match_first_answer() {
     let vkg = engine(1024);
-    let relations = trained().0.graph.num_relations() as u32;
-    let op = Op::TopK {
-        entity: 0,
-        relation: 1,
-        direction: Direction::Tails,
-        k: 5,
-    };
-    let first = apply(&vkg, &op, relations, 1);
+    let op = top_k(0, 1, 5);
+    let first = apply(&vkg, &op);
     for _ in 0..9 {
-        assert_eq!(apply(&vkg, &op, relations, 1), first);
+        assert_eq!(apply(&vkg, &op), first);
     }
     assert_eq!(counter(&vkg, "core.cache.hit"), 9);
     assert_eq!(counter(&vkg, "core.cache.miss"), 1);
@@ -238,20 +209,13 @@ fn repeats_hit_and_match_first_answer() {
 fn another_k_is_a_miss_and_a_write_invalidates() {
     let plain = engine(0);
     let cached = engine(1024);
-    let relations = trained().0.graph.num_relations() as u32;
-    let entities = trained().0.graph.num_entities() as u32;
-    let at = |k: usize| Op::TopK {
-        entity: 1,
-        relation: 0,
-        direction: Direction::Tails,
-        k,
-    };
+    let at = |k: usize| top_k(1, 0, k);
     // Fill at k=6, shrink to 3, grow to 8, repeat 8, write, re-query.
-    let write = Op::AddFact { h: 0, r: 0, t: 3 };
+    let write = Op::AddFact(EntityId(0), RelationId(0), EntityId(3));
     for op in [at(6), at(3), at(8), at(8), write, at(8)] {
         assert_eq!(
-            apply(&cached, &op, relations, entities),
-            apply(&plain, &op, relations, entities),
+            apply(&cached, &op),
+            apply(&plain, &op),
             "diverged on {op:?}"
         );
     }
@@ -301,13 +265,7 @@ fn cache_on_equals_cache_off_on_a_different_tree_at_scale() {
         .map(|t| (t.head.0, t.relation.0))
         .collect();
     let ask = |vkg: &VirtualKnowledgeGraph, &(entity, relation): &(u32, u32), k: usize| {
-        let op = Op::TopK {
-            entity,
-            relation,
-            direction: Direction::Tails,
-            k,
-        };
-        apply(vkg, &op, u32::MAX, u32::MAX)
+        apply(vkg, &top_k(entity, relation, k))
     };
     for key in keys.iter().rev() {
         ask(&plain, key, 10);

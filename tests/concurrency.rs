@@ -357,10 +357,9 @@ fn aggregates_beside_writers_scenario(cache_capacity: usize) {
             let mut answers = Vec::new();
             for spec in &specs {
                 for &user in &users {
-                    let (pin, r) = vkg
-                        .aggregate_served(user, likes, Direction::Tails, spec, &mut || {})
-                        .expect("valid query");
-                    answers.push((pin.epoch, aggregate_bits(&r)));
+                    let query = Query::aggregate(user, likes, Direction::Tails, spec.clone());
+                    let (epoch, bits, _) = ask(&vkg, &query);
+                    answers.push((epoch, bits));
                 }
             }
             answers
@@ -379,9 +378,13 @@ fn aggregates_beside_writers_scenario(cache_capacity: usize) {
     let mut at_rest: Vec<Vec<Bits>> = Vec::new();
     for epoch in 0..=WRITES {
         let row = specs.iter().flat_map(|spec| {
-            users.iter().map(|&user| {
-                let r = twin.aggregate(user, likes, Direction::Tails, spec);
-                aggregate_bits(&r.expect("valid query"))
+            let twin = &twin;
+            users.iter().map(move |&user| {
+                ask(
+                    twin,
+                    &Query::aggregate(user, likes, Direction::Tails, spec.clone()),
+                )
+                .1
             })
         });
         at_rest.push(row.collect());
@@ -471,24 +474,6 @@ fn big_engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
     )
 }
 
-/// One read of the fixed mixed stream.
-#[derive(Debug, Clone)]
-enum Read {
-    TopK(usize),
-    /// Keeps candidate ids in `lo..hi`.
-    Filtered(u32, u32),
-    /// Full access: the answer is a function of (snapshot, query).
-    Aggregate(AggregateSpec),
-}
-
-#[derive(Debug, Clone)]
-struct Query {
-    entity: EntityId,
-    relation: RelationId,
-    direction: Direction,
-    read: Read,
-}
-
 /// Everything of an answer that is a function of (snapshot, query), down
 /// to the float bits. `candidates_examined` depends on how far the tree
 /// is cracked and stays out.
@@ -498,21 +483,24 @@ enum Bits {
     Aggregate(u64, (u64, u64), usize, usize),
 }
 
-fn top_k_bits(r: &TopKResult) -> Bits {
-    let predictions = r
-        .predictions
-        .iter()
-        .map(|p| (p.id, p.distance.to_bits(), p.probability.to_bits()));
-    let guarantee = (
-        r.guarantee.success_probability.to_bits(),
-        r.guarantee.expected_misses.to_bits(),
-    );
-    Bits::TopK(predictions.collect(), guarantee, r.s1_evals)
-}
-
-fn aggregate_bits(r: &AggregateResult) -> Bits {
-    let bound = (r.bound.mu.to_bits(), r.bound.increment_mass.to_bits());
-    Bits::Aggregate(r.estimate.to_bits(), bound, r.accessed, r.ball_size)
+fn bits(answer: &Answer) -> Bits {
+    match answer {
+        Answer::TopK(r) => {
+            let predictions = r
+                .predictions
+                .iter()
+                .map(|p| (p.id, p.distance.to_bits(), p.probability.to_bits()));
+            let guarantee = (
+                r.guarantee.success_probability.to_bits(),
+                r.guarantee.expected_misses.to_bits(),
+            );
+            Bits::TopK(predictions.collect(), guarantee, r.s1_evals)
+        }
+        Answer::Aggregate(r) => {
+            let bound = (r.bound.mu.to_bits(), r.bound.increment_mass.to_bits());
+            Bits::Aggregate(r.estimate.to_bits(), bound, r.accessed, r.ball_size)
+        }
+    }
 }
 
 /// `lanes` fixed streams of `per_lane` reads each — half plain top-k, a
@@ -533,20 +521,17 @@ fn streams(lanes: usize, per_lane: usize) -> Vec<Vec<Query>> {
                         0 => (t.tail, Direction::Heads),
                         _ => (t.head, Direction::Tails),
                     };
-                    let read = match n % 8 {
+                    let top_k = |k, filter| Query::top_k(entity, t.relation, direction, k, filter);
+                    let aggregate = |spec| Query::aggregate(entity, t.relation, direction, spec);
+                    match n % 8 {
                         0 | 4 => {
                             let lo = (n as u32 * 7_919) % entities;
-                            Read::Filtered(lo, lo + entities / 4)
+                            let hi = lo + entities / 4;
+                            top_k(10, Some(Filter::IdRange { lo, hi }))
                         }
-                        2 => Read::Aggregate(AggregateSpec::count(0.5)),
-                        6 => Read::Aggregate(AggregateSpec::of(AggregateKind::Sum, "age", 0.6)),
-                        _ => Read::TopK([10, 5, 1][n % 3]),
-                    };
-                    Query {
-                        entity,
-                        relation: t.relation,
-                        direction,
-                        read,
+                        2 => aggregate(AggregateSpec::count(0.5)),
+                        6 => aggregate(AggregateSpec::of(AggregateKind::Sum, "age", 0.6)),
+                        _ => top_k([10, 5, 1][n % 3], None),
                     }
                 })
                 .collect()
@@ -554,53 +539,16 @@ fn streams(lanes: usize, per_lane: usize) -> Vec<Vec<Query>> {
         .collect()
 }
 
-/// Asks `q` through the served entry points (the result cache, when on,
-/// is in the path): the global epoch the answer was computed at, its
+/// Asks `q` through the facade's served read (the result cache, when
+/// on, is in the path): the global epoch the answer was computed at, its
 /// bits, and the `(candidates_examined, s1_evals)` a top-k reports.
-fn ask_served(vkg: &VirtualKnowledgeGraph, q: &Query) -> (u64, Bits, (u64, u64)) {
-    let (entity, relation, direction) = (q.entity, q.relation, q.direction);
-    let top_k = |served: VkgResult<(_, TopKResult)>| {
-        let (pin, r): (vkg::core::vkg::IndexPin, _) = served.expect("valid query");
-        (
-            pin.epoch,
-            top_k_bits(&r),
-            (r.candidates_examined, r.s1_evals),
-        )
+fn ask(vkg: &VirtualKnowledgeGraph, q: &Query) -> (u64, Bits, (u64, u64)) {
+    let (pin, answer) = vkg.execute(q, &mut || {}).expect("valid query");
+    let counts = match &answer {
+        Answer::TopK(r) => (r.candidates_examined, r.s1_evals),
+        Answer::Aggregate(_) => (0, 0),
     };
-    match &q.read {
-        &Read::TopK(k) => top_k(vkg.top_k_served(entity, relation, direction, k, None, &mut || {})),
-        &Read::Filtered(lo, hi) => {
-            let fingerprint = [lo.to_le_bytes(), hi.to_le_bytes()].concat();
-            let keep = |_: &VkgSnapshot, id: EntityId| lo <= id.0 && id.0 < hi;
-            let filter = Some((fingerprint.as_slice(), &keep as _));
-            top_k(vkg.top_k_served(entity, relation, direction, 10, filter, &mut || {}))
-        }
-        Read::Aggregate(spec) => {
-            let (pin, r) = vkg
-                .aggregate_served(entity, relation, direction, spec, &mut || {})
-                .expect("valid query");
-            (pin.epoch, aggregate_bits(&r), (0, 0))
-        }
-    }
-}
-
-/// The same question on the single-threaded twin, cache-free.
-fn ask_twin(twin: &VirtualKnowledgeGraph, q: &Query) -> Bits {
-    let (entity, relation, direction) = (q.entity, q.relation, q.direction);
-    match &q.read {
-        &Read::TopK(k) => top_k_bits(&twin.top_k(entity, relation, direction, k).unwrap()),
-        &Read::Filtered(lo, hi) => {
-            let keep = |id: EntityId| lo <= id.0 && id.0 < hi;
-            top_k_bits(
-                &twin
-                    .top_k_filtered(entity, relation, direction, 10, keep)
-                    .unwrap(),
-            )
-        }
-        Read::Aggregate(spec) => {
-            aggregate_bits(&twin.aggregate(entity, relation, direction, spec).unwrap())
-        }
-    }
+    (pin.epoch, bits(&answer), counts)
 }
 
 /// Fresh facts (no such edge yet), one publication each.
@@ -643,7 +591,7 @@ fn differential(cache_capacity: usize, writes: usize) {
                     start.wait();
                     lane.iter()
                         .map(|q| {
-                            let (epoch, bits, _) = ask_served(&vkg, q);
+                            let (epoch, bits, _) = ask(&vkg, q);
                             done.fetch_add(1, Ordering::SeqCst);
                             (epoch, bits)
                         })
@@ -679,11 +627,7 @@ fn differential(cache_capacity: usize, writes: usize) {
             for (i, (q, (at, bits))) in lane.iter().zip(answers).enumerate() {
                 if *at == epoch {
                     any = true;
-                    assert_eq!(
-                        *bits,
-                        ask_twin(&twin, q),
-                        "read {i} at epoch {epoch}: {q:?}"
-                    );
+                    assert_eq!(*bits, ask(&twin, q).1, "read {i} at epoch {epoch}: {q:?}");
                 }
             }
         }
@@ -728,7 +672,7 @@ fn access_counters_equal_the_sums_of_the_answers() {
         .into_iter()
         .map(|lane| {
             lane.into_iter()
-                .filter(|q| !matches!(q.read, Read::Aggregate(_)))
+                .filter(|q| !matches!(q.op, QueryOp::Aggregate(_)))
                 .collect()
         })
         .collect();
@@ -740,7 +684,7 @@ fn access_counters_equal_the_sums_of_the_answers() {
                 scope.spawn(|| {
                     start.wait();
                     lane.iter().fold((0, 0), |sum, q| {
-                        let (_, _, counts) = ask_served(&vkg, q);
+                        let (_, _, counts) = ask(&vkg, q);
                         (sum.0 + counts.0, sum.1 + counts.1)
                     })
                 })
