@@ -46,8 +46,9 @@
 //! another acquisition.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
+use vkg_kg::codec::Fnv1a;
 use vkg_sync::Mutex;
 
 use crate::query::aggregate::{AggregateKind, AggregateResult};
@@ -194,33 +195,10 @@ struct Entry {
     stamp: u64,
 }
 
-/// FNV-1a for the entry map. The keys are short (a handful of ids and
-/// flags), already admitted — SipHash's DoS resistance buys nothing
-/// here and costs a full-key hash per map operation, on lookup and
-/// insert. FNV is several times cheaper on these sizes.
-#[derive(Debug)]
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
+/// [`Fnv1a`] for the entry map: the keys are a few admitted ids and
+/// flags, where SipHash's DoS resistance buys nothing and costs several
+/// times FNV's per-key hash on every lookup and insert.
+type FnvBuild = BuildHasherDefault<Fnv1a>;
 
 #[derive(Debug)]
 struct Entries {

@@ -77,10 +77,15 @@ pub mod snapshot;
 pub mod stats;
 #[cfg_attr(not(test), deny(clippy::indexing_slicing))]
 pub mod vkg;
-// The durability path: a discarded IO result is an acked-but-lost write.
+// The durability path: a discarded IO result is an acked-but-lost write,
+// and replay reads untrusted bytes through the codec, indexing none.
 #[cfg_attr(
     not(test),
-    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        clippy::indexing_slicing
+    )
 )]
 pub mod wal;
 

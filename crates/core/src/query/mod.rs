@@ -9,6 +9,7 @@ pub mod guarantees;
 pub mod probability;
 pub mod topk;
 
+use vkg_kg::codec::{Dec, DecodeError, Enc};
 use vkg_kg::{EntityId, RelationId};
 
 use crate::snapshot::{Direction, VkgSnapshot};
@@ -43,20 +44,40 @@ impl Filter {
         }
     }
 
-    /// The filter's canonical bytes, which are also its wire encoding: a
-    /// tag byte, then the prefix as a `u32` LE length and its UTF-8
-    /// bytes, or `lo` and `hi` as `u32` LE. Deterministic and injective,
-    /// so equal fingerprints imply equal predicates — the contract the
-    /// result cache's filtered-top-k key requires.
+    /// The filter's canonical bytes, its [`Filter::encode`]: injective,
+    /// so equal fingerprints imply equal predicates, as the result
+    /// cache's filtered-top-k key requires.
     pub fn fingerprint(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.encode(&mut e);
+        e.finish()
+    }
+
+    /// Writes the filter: a tag byte, then the prefix as a string, or
+    /// `lo` and `hi` as `u32`s.
+    pub fn encode(&self, e: &mut Enc) {
         match self {
             Filter::NamePrefix(prefix) => {
-                // A prefix of 4 GiB or more keeps all its bytes, so the
-                // encoding stays injective where the length saturates.
-                let len = u32::try_from(prefix.len()).unwrap_or(u32::MAX);
-                [&[0][..], &len.to_le_bytes(), prefix.as_bytes()].concat()
+                e.u8(0);
+                e.str(prefix);
             }
-            Filter::IdRange { lo, hi } => [&[1][..], &lo.to_le_bytes(), &hi.to_le_bytes()].concat(),
+            Filter::IdRange { lo, hi } => {
+                e.u8(1);
+                e.u32(*lo);
+                e.u32(*hi);
+            }
+        }
+    }
+
+    /// Reads the bytes [`Filter::encode`] writes.
+    pub fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(Filter::NamePrefix(d.str()?)),
+            1 => Ok(Filter::IdRange {
+                lo: d.u32()?,
+                hi: d.u32()?,
+            }),
+            _ => Err(DecodeError::Malformed("filter tag")),
         }
     }
 }

@@ -31,6 +31,7 @@ use std::io::{Seek, SeekFrom};
 use std::path::Path;
 
 use fault::FaultPlane;
+use vkg_kg::codec::{Dec, DecodeError, Enc};
 
 /// File magic: identifies a WAL file and pins its framing version.
 pub const WAL_MAGIC: &[u8; 8] = b"VKGWAL01";
@@ -44,17 +45,7 @@ pub const BODY_BYTES: usize = 42;
 pub const RECORD_BYTES: usize = 12 + BODY_BYTES;
 /// Upper bound accepted for a record body; anything larger is treated
 /// as tail corruption rather than an allocation request.
-const MAX_BODY_BYTES: u32 = 4096;
-
-/// FNV-1a over `bytes` — the checksum guarding each record body.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+const MAX_BODY_BYTES: usize = 4096;
 
 /// A typed durability error. Io errors carry the operation name so a
 /// failure report says *which* touchpoint failed (`write`, `flush`,
@@ -104,9 +95,9 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// One logged dynamic write. `PartialEq` compares `learning_rate` by
-/// bit pattern so a decode of an encode is *bit*-identical, NaNs and
-/// signed zeros included.
+/// One logged dynamic write. Two records are equal when their encodings
+/// are, so a decode of an encode is *bit*-identical, NaNs and signed
+/// zeros included.
 #[derive(Debug, Clone, Copy)]
 pub struct WalRecord {
     /// Epoch the write published (stamped as current epoch + 1 at
@@ -128,81 +119,50 @@ pub struct WalRecord {
 
 impl PartialEq for WalRecord {
     fn eq(&self, other: &Self) -> bool {
-        self.epoch == other.epoch
-            && self.token == other.token
-            && self.h == other.h
-            && self.r == other.r
-            && self.t == other.t
-            && self.refine_steps == other.refine_steps
-            && self.learning_rate.to_bits() == other.learning_rate.to_bits()
+        self.encode() == other.encode()
     }
 }
 
 impl Eq for WalRecord {}
 
 impl WalRecord {
-    /// Serializes the fixed-width body (no framing). Built by zipping an
-    /// exact-length byte stream into the output array — panic-free by
-    /// construction, which the request-path audit demands of everything
-    /// `Writer::append` reaches.
-    pub fn encode_body(&self) -> [u8; BODY_BYTES] {
-        let stream = [WAL_VERSION, KIND_ADD_FACT]
-            .into_iter()
-            .chain(self.epoch.to_le_bytes())
-            .chain(self.token.to_le_bytes())
-            .chain(self.h.to_le_bytes())
-            .chain(self.r.to_le_bytes())
-            .chain(self.t.to_le_bytes())
-            .chain(self.refine_steps.to_le_bytes())
-            .chain(self.learning_rate.to_bits().to_le_bytes());
-        let mut body = [0u8; BODY_BYTES];
-        for (slot, byte) in body.iter_mut().zip(stream) {
-            *slot = byte;
-        }
-        body
-    }
-
     /// Serializes the full framed record: length, checksum, body.
-    pub fn encode(&self) -> [u8; RECORD_BYTES] {
-        let body = self.encode_body();
-        let stream = (BODY_BYTES as u32)
-            .to_le_bytes()
-            .into_iter()
-            .chain(fnv1a64(&body).to_le_bytes())
-            .chain(body);
-        let mut out = [0u8; RECORD_BYTES];
-        for (slot, byte) in out.iter_mut().zip(stream) {
-            *slot = byte;
-        }
-        out
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(RECORD_BYTES);
+        e.checksummed(|e| {
+            e.u8(WAL_VERSION);
+            e.u8(KIND_ADD_FACT);
+            e.u64(self.epoch);
+            e.u64(self.token);
+            e.u32(self.h);
+            e.u32(self.r);
+            e.u32(self.t);
+            e.u32(self.refine_steps);
+            e.f64(self.learning_rate);
+        });
+        e.finish()
     }
 
-    /// Decodes a checksum-verified body. Returns `None` for anything
-    /// this build cannot interpret — replay treats that as tail
+    /// Decodes one framed record. Anything this build cannot interpret
+    /// — a torn frame, a checksum mismatch, another version or kind, a
+    /// body of another width — is an error, which replay treats as tail
     /// corruption, never as a panic.
-    pub fn decode_body(body: &[u8]) -> Option<Self> {
-        if body.len() != BODY_BYTES || body[0] != WAL_VERSION || body[1] != KIND_ADD_FACT {
-            return None;
+    pub fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let mut body = d.checksummed(MAX_BODY_BYTES)?;
+        if (body.u8()?, body.u8()?) != (WAL_VERSION, KIND_ADD_FACT) {
+            return Err(DecodeError::Malformed("wal record version or kind"));
         }
-        let u64_at = |i: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&body[i..i + 8]);
-            u64::from_le_bytes(b)
+        let record = WalRecord {
+            epoch: body.u64()?,
+            token: body.u64()?,
+            h: body.u32()?,
+            r: body.u32()?,
+            t: body.u32()?,
+            refine_steps: body.u32()?,
+            learning_rate: body.f64()?,
         };
-        let u32_at = |i: usize| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&body[i..i + 4]);
-            u32::from_le_bytes(b)
-        };
-        Some(WalRecord {
-            epoch: u64_at(2),
-            token: u64_at(10),
-            h: u32_at(18),
-            r: u32_at(22),
-            t: u32_at(26),
-            refine_steps: u32_at(30),
-            learning_rate: f64::from_bits(u64_at(34)),
-        })
+        body.finish()?;
+        Ok(record)
     }
 }
 
@@ -222,56 +182,26 @@ pub struct ReplayStats {
 /// corrupt frame. Pure and panic-free on arbitrary bytes — the proptest
 /// truncation suite feeds it every prefix and mutation it can build.
 pub fn decode_log(bytes: &[u8]) -> Result<(Vec<WalRecord>, ReplayStats), WalError> {
-    if bytes.is_empty() {
-        return Ok((Vec::new(), ReplayStats::default()));
-    }
-    if bytes.len() < WAL_MAGIC.len() {
-        // A torn magic header: nothing valid, everything truncated.
-        return Ok((
-            Vec::new(),
-            ReplayStats {
-                replayed: 0,
-                truncated_bytes: bytes.len() as u64,
-                good_bytes: 0,
-            },
-        ));
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
+    let mut d = Dec::new(bytes);
     let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len();
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < 12 {
-            break;
+    let mut good = 0;
+    match d.magic(WAL_MAGIC) {
+        // An empty file or a torn magic header: nothing valid, everything
+        // truncated.
+        Err(DecodeError::Truncated) => {}
+        Err(_) => return Err(WalError::BadMagic),
+        Ok(()) => {
+            good = WAL_MAGIC.len();
+            while let Ok(record) = WalRecord::decode(&mut d) {
+                records.push(record);
+                good = bytes.len() - d.remaining();
+            }
         }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&rest[0..4]);
-        let len = u32::from_le_bytes(len4);
-        if len > MAX_BODY_BYTES {
-            break;
-        }
-        let len = len as usize;
-        if rest.len() < 12 + len {
-            break;
-        }
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&rest[4..12]);
-        let body = &rest[12..12 + len];
-        if fnv1a64(body) != u64::from_le_bytes(sum8) {
-            break;
-        }
-        let Some(record) = WalRecord::decode_body(body) else {
-            break;
-        };
-        records.push(record);
-        offset += 12 + len;
     }
     let stats = ReplayStats {
         replayed: records.len() as u64,
-        truncated_bytes: (bytes.len() - offset) as u64,
-        good_bytes: offset as u64,
+        truncated_bytes: (bytes.len() - good) as u64,
+        good_bytes: good as u64,
     };
     Ok((records, stats))
 }
@@ -474,8 +404,74 @@ mod tests {
             refine_steps: 8,
             learning_rate: -0.0,
         };
-        let body = r.encode_body();
-        assert_eq!(WalRecord::decode_body(&body), Some(r));
+        let bytes = r.encode();
+        assert_eq!(bytes.len(), RECORD_BYTES);
+        assert_eq!(WalRecord::decode(&mut Dec::new(&bytes)), Ok(r));
+    }
+
+    /// The log's bytes, pinned: the magic, then two framed records, each
+    /// `[len][fnv1a64(body)][body]` with every field little-endian in
+    /// the module docs' order. Round-trips alone would not see a
+    /// reordered field or a moved checksum.
+    #[test]
+    fn log_bytes_are_pinned() {
+        let records = [
+            WalRecord {
+                epoch: 7,
+                token: u64::MAX,
+                h: 1,
+                r: 2,
+                t: 3,
+                refine_steps: 8,
+                learning_rate: -0.0,
+            },
+            WalRecord {
+                epoch: 0x0102_0304_0506_0708,
+                token: 0,
+                h: 0xDEAD_BEEF,
+                r: 0,
+                t: 42,
+                refine_steps: u32::MAX,
+                learning_rate: f64::from_bits(0x7ff8_0000_0000_0001),
+            },
+        ];
+        let mut image = WAL_MAGIC.to_vec();
+        for record in &records {
+            image.extend_from_slice(&record.encode());
+        }
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "564b4757414c3031",
+                // record 1: len 42, checksum, version 1, kind 1, epoch 7,
+                // token u64::MAX, h r t, 8 steps, -0.0
+                "2a000000",
+                "20ac53be22537b44",
+                "0101",
+                "0700000000000000",
+                "ffffffffffffffff",
+                "01000000",
+                "02000000",
+                "03000000",
+                "08000000",
+                "0000000000000080",
+                // record 2: a NaN rate with a payload, kept bit for bit
+                "2a000000",
+                "0ffbe6db487a8da6",
+                "0101",
+                "0807060504030201",
+                "0000000000000000",
+                "efbeadde",
+                "00000000",
+                "2a000000",
+                "ffffffff",
+                "010000000000f87f",
+            )
+        );
+        let (back, stats) = decode_log(&image).unwrap();
+        assert_eq!(back, records);
+        assert_eq!(stats.good_bytes, image.len() as u64);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
+use vkg_kg::codec::{Dec, DecodeError, Enc};
+
 use crate::store::EmbeddingStore;
 
 /// Magic bytes of the binary format.
@@ -34,6 +36,8 @@ pub enum IoError {
     },
     /// Malformed binary input.
     Format(String),
+    /// Binary input off the layout (truncated, a foreign magic).
+    Decode(DecodeError),
 }
 
 impl std::fmt::Display for IoError {
@@ -42,6 +46,7 @@ impl std::fmt::Display for IoError {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             IoError::Format(m) => write!(f, "bad binary format: {m}"),
+            IoError::Decode(e) => write!(f, "bad binary format: {e}"),
         }
     }
 }
@@ -51,6 +56,12 @@ impl std::error::Error for IoError {}
 impl From<std::io::Error> for IoError {
     fn from(e: std::io::Error) -> Self {
         IoError::Io(e)
+    }
+}
+
+impl From<DecodeError> for IoError {
+    fn from(e: DecodeError) -> Self {
+        IoError::Decode(e)
     }
 }
 
@@ -89,10 +100,11 @@ pub fn write_tsv<W: Write>(store: &EmbeddingStore, writer: W) -> Result<(), IoEr
 /// Reads a TSV embedding dump produced by [`write_tsv`] (or by external
 /// TransE-style tooling using the same layout).
 ///
-/// Rows may arrive in any order but ids must be dense (0..n). An id is
-/// checked against the number of rows of its kind the file holds before
-/// anything is sized by it, so no id can grow memory beyond the file's
-/// own size: one past that count is an [`IoError::Parse`] at its line.
+/// Rows may arrive in any order but ids must be dense (0..n), each once.
+/// An id is checked against the number of rows of its kind the file
+/// holds before anything is sized by it, so no id can grow memory beyond
+/// the file's own size: one past that count is an [`IoError::Parse`] at
+/// its line, and so is a repeated id, naming the line it repeats.
 pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
     let mut dim: Option<usize> = None;
     // `(line, id, row)` in file order, per kind.
@@ -157,23 +169,25 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<EmbeddingStore, IoError> {
 
     let dim = dim.ok_or(IoError::Format("empty embedding file".into()))?;
     let flatten = |rows: Vec<(usize, usize, Vec<f64>)>, what: &str| -> Result<Vec<f64>, IoError> {
-        // Dense ids are below the row count; a repeated id keeps its
-        // last row, so the table ends at the largest id.
+        // Dense ids, each once, are exactly the ids below the row count.
         let count = rows.len();
-        let mut table = vec![None; count];
-        let mut len = 0;
+        let mut table: Vec<Option<(usize, Vec<f64>)>> = vec![None; count];
         for (line, id, row) in rows {
             let slot = table.get_mut(id).ok_or_else(|| IoError::Parse {
                 line,
                 message: format!("{what} id {id} is past the {count} {what} rows in the file"),
             })?;
-            *slot = Some(row);
-            len = len.max(id + 1);
+            if let Some((first, _)) = slot {
+                return Err(IoError::Parse {
+                    line,
+                    message: format!("{what} id {id} repeats line {first}"),
+                });
+            }
+            *slot = Some((line, row));
         }
-        table.truncate(len);
-        let mut flat = Vec::with_capacity(len * dim);
+        let mut flat = Vec::with_capacity(count * dim);
         for (i, row) in table.into_iter().enumerate() {
-            let row = row.ok_or_else(|| IoError::Format(format!("missing {what} row {i}")))?;
+            let (_, row) = row.ok_or_else(|| IoError::Format(format!("missing {what} row {i}")))?;
             flat.extend(row);
         }
         Ok(flat)
@@ -190,55 +204,38 @@ pub fn to_binary(store: &EmbeddingStore) -> Vec<u8> {
     let d = store.dim();
     let ents = store.entity_rows();
     let rels = store.relation_rows();
-    let mut buf = Vec::with_capacity(HEADER_LEN + (ents.len() + rels.len()) * d * 8);
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
+    let mut e = Enc::with_capacity(HEADER_LEN + (ents.len() + rels.len()) * d * 8);
+    e.magic(MAGIC);
+    e.u8(VERSION);
     for shape in [d, ents.len(), rels.len()] {
-        buf.extend_from_slice(&(shape as u32).to_le_bytes());
+        e.count(shape);
     }
-    for v in ents.iter().chain(rels) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    for &v in ents.iter().chain(rels) {
+        e.f64(v);
     }
-    buf
+    e.finish()
 }
 
 /// Deserializes a store from the binary format.
 pub fn from_binary(data: &[u8]) -> Result<EmbeddingStore, IoError> {
-    if data.len() < HEADER_LEN {
-        return Err(IoError::Format("truncated header".into()));
-    }
-    let (header, payload) = data.split_at(HEADER_LEN);
-    if &header[..4] != MAGIC {
-        return Err(IoError::Format(format!("bad magic {:?}", &header[..4])));
-    }
-    let version = header[4];
+    let mut d = Dec::new(data);
+    d.magic(MAGIC)?;
+    let version = d.u8()?;
     if version != VERSION {
         return Err(IoError::Format(format!("unsupported version {version}")));
     }
-    let shape = |i: usize| {
-        let at = 5 + 4 * i;
-        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]) as usize
-    };
-    let (dim, n, m) = (shape(0), shape(1), shape(2));
+    let (dim, n, m) = (d.u32()? as usize, d.u32()? as usize, d.u32()? as usize);
     if dim == 0 {
         return Err(IoError::Format("zero dimensionality".into()));
     }
     // The shapes come from the file: a product that overflows matches no
-    // payload, and nothing is allocated before the length agrees.
-    let need = n
+    // payload, and `items` allocates nothing before the payload holds it.
+    let values = n
         .checked_add(m)
         .and_then(|rows| rows.checked_mul(dim))
-        .and_then(|values| values.checked_mul(8));
-    if need != Some(payload.len()) {
-        return Err(IoError::Format(format!(
-            "payload size mismatch: {n}+{m} rows of {dim} declared, found {} bytes",
-            payload.len()
-        )));
-    }
-    let mut entities: Vec<f64> = payload
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-        .collect();
+        .ok_or(DecodeError::Malformed("shapes overflow"))?;
+    let mut entities = d.items(values, 8, Dec::f64)?;
+    d.finish()?;
     check_finite(&entities).map_err(IoError::Format)?;
     let relations = entities.split_off(n * dim);
     Ok(EmbeddingStore::from_raw(dim, entities, relations))
@@ -254,7 +251,8 @@ mod tests {
 
     /// An id is checked against the rows read before it sizes anything:
     /// `usize::MAX` and an id past the row count are parse errors at
-    /// their line, not an overflow or a table as large as the id.
+    /// their line, not an overflow or a table as large as the id; a
+    /// repeated id is a parse error at its second line.
     #[test]
     fn tsv_ids_past_the_row_count_are_refused() {
         let huge = format!(
@@ -274,11 +272,25 @@ mod tests {
             }
             other => panic!("expected a parse error at line 3, got {other:?}"),
         }
-        // Out of order, and a repeated id keeping its last row, still read.
+        // Out of order reads; a repeated id is refused at its second
+        // line, naming the first, where it would silently drop a row.
         let shuffled = "entity\t1\t3 4\nentity\t0\t9 9\nentity\t0\t1 2\nrelation\t0\t5 6\n";
-        let store = read_tsv(shuffled.as_bytes()).unwrap();
+        match read_tsv(shuffled.as_bytes()) {
+            Err(IoError::Parse { line: 3, message }) => {
+                assert!(message.contains("entity id 0 repeats line 2"), "{message}")
+            }
+            other => panic!("expected a parse error at line 3, got {other:?}"),
+        }
+        let dense_looking = "entity\t0\t1 2\nentity\t0\t3 4\nentity\t1\t5 6\nentity\t2\t7 8\n";
+        match read_tsv(dense_looking.as_bytes()) {
+            Err(IoError::Parse { line: 2, message }) => {
+                assert!(message.contains("entity id 0 repeats line 1"), "{message}")
+            }
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
+        let store = read_tsv("entity\t1\t3 4\nentity\t0\t1 2\nrelation\t0\t5 6\n".as_bytes());
         assert_eq!(
-            store,
+            store.unwrap(),
             EmbeddingStore::from_raw(2, vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0])
         );
     }

@@ -15,7 +15,10 @@
 //! * synthetic dataset generators ([`datasets`]) standing in for the paper's
 //!   Freebase, MovieLens and Amazon datasets, with power-law degree
 //!   distributions ([`zipf`]),
-//! * TSV import/export ([`io`]) so externally prepared graphs can be loaded.
+//! * TSV import/export ([`io`]) so externally prepared graphs can be loaded,
+//! * the little-endian codec ([`codec`]) the wire protocol, the write-ahead
+//!   log, the binary embedding format and the filter fingerprint are all
+//!   encoded and decoded through.
 //!
 //! The paper: Li, Ge, Chen. *Online Indices for Predictive Top-k Entity and
 //! Aggregate Queries on Knowledge Graphs*, ICDE 2020.
@@ -40,6 +43,14 @@
 
 pub mod attributes;
 pub mod chunked;
+// The codec every byte format is written in: decoding reads untrusted
+// bytes, so an index carries its bounds argument and a narrowing `as`
+// the bound that makes it lossless.
+#[cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::cast_possible_truncation)
+)]
+pub mod codec;
 pub mod datasets;
 pub mod error;
 pub mod graph;

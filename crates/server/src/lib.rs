@@ -3,33 +3,33 @@
 //!
 //! Layers, bottom-up:
 //!
-//! * [`wire`] — length-prefixed framing (`u32` LE length + payload),
-//!   incremental [`wire::FrameBuffer`] reassembly, and the `Enc`/`Dec`
-//!   primitives. Decoding fails closed: truncated prefixes, oversized
-//!   frames, and trailing bytes are typed [`wire::WireError`]s, never
-//!   panics.
+//! * [`wire`] — length-prefixed framing (`u32` LE length + payload) and
+//!   incremental [`wire::FrameBuffer`] reassembly. Decoding fails
+//!   closed: truncated prefixes, oversized frames, and trailing bytes
+//!   are typed [`wire::WireError`]s, never panics.
 //! * [`protocol`] — the versioned message set: `TopK`, `TopKFiltered`,
 //!   `Aggregate`, `AddFactDynamic`, `Stats`, `Shutdown` requests and
 //!   their typed responses, including the [`protocol::ErrorCode`]
 //!   vocabulary for admission-control refusals (`Overloaded`,
-//!   `DeadlineExceeded`, `Draining`). A read request is data the core
+//!   `DeadlineExceeded`, `Draining`), each written in
+//!   [`vkg_kg::codec`]'s `Enc`/`Dec`. A read request is data the core
 //!   already has a type for: [`Request::query`] maps it to the
 //!   [`vkg_core::Query`] it asks, and its filter is the core's
 //!   declarative [`vkg_core::Filter`], re-exported as [`WireFilter`] and
-//!   written as the bytes of its `fingerprint()` — the same bytes that
-//!   key the result cache.
+//!   written by its own `encode` — the bytes of its `fingerprint()`,
+//!   which key the result cache.
 //! * [`queue`] — the bounded admission queue ([`queue::JobQueue`]) and
 //!   the monotonic [`queue::Counters`], built on `vkg-sync` primitives
 //!   so the model-checking tests explore their interleavings directly.
 //! * [`server`] — accept loop + per-connection threads + a bounded
 //!   admission queue feeding a fixed worker pool. A full queue sheds
 //!   load explicitly; admitted work is always answered (the
-//!   `admitted == answered` invariant); well-formed requests are
-//!   sanitized before admission (`k` clamped to the entity count and
-//!   frame budget, write refinement parameters held to
-//!   [`vkg_core::check_refine_params`]: at most
-//!   [`server::MAX_REFINE_STEPS`] steps, a finite rate in [0, 1]);
-//!   and a worker answers a read with the facade's one served read,
+//!   `admitted == answered` invariant); a write's refinement parameters
+//!   are held to [`vkg_core::check_refine_params`] before admission (at
+//!   most [`server::MAX_REFINE_STEPS`] steps, a finite rate in [0, 1]);
+//!   and a worker answers a read — the [`Request::query`] it asks, `k`
+//!   clamped to the entity count and frame budget — with the facade's
+//!   one served read,
 //!   [`vkg_core::vkg::VirtualKnowledgeGraph::execute`], which pins one
 //!   snapshot epoch end-to-end via the facade's epoch-swap publication.
 //! * [`client`] — a synchronous [`client::Client`] speaking the same

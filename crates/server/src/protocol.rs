@@ -2,7 +2,7 @@
 //!
 //! Every message encodes to one frame payload: `[version][opcode][body]`.
 //! Request opcodes occupy `0x01..=0x7F`; responses set the high bit.
-//! Encoding is hand-rolled over [`crate::wire`]'s primitives and every
+//! Encoding is written in [`vkg_kg::codec`]'s `Enc`/`Dec` and every
 //! variant round-trips bit-exactly (`encode` → `decode` is the
 //! identity), which the property tests in `tests/wire_roundtrip.rs`
 //! enforce per variant.
@@ -15,7 +15,9 @@ use vkg_core::{Direction, VkgError};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{HistSnapshot, MetricsSnapshot, Span, SpanOutcome};
 
-use crate::wire::{Dec, Enc, WireError, MIN_WIRE_VERSION, WIRE_VERSION};
+use vkg_kg::codec::{Dec, DecodeError, Enc};
+
+use crate::wire::{WireError, MIN_PAYLOAD, MIN_WIRE_VERSION, WIRE_VERSION};
 
 /// Request opcodes (`0x01..=0x7F`).
 mod op {
@@ -42,16 +44,18 @@ mod op {
 /// which are also the result cache's key for the filter.
 pub use vkg_core::query::Filter as WireFilter;
 
-/// Decodes the bytes [`WireFilter::fingerprint`] writes.
-fn decode_filter(d: &mut Dec<'_>) -> Result<WireFilter, WireError> {
-    match d.u8()? {
-        0 => Ok(WireFilter::NamePrefix(d.str()?)),
-        1 => Ok(WireFilter::IdRange {
-            lo: d.u32()?,
-            hi: d.u32()?,
-        }),
-        _ => Err(WireError::Malformed("filter tag")),
+/// Reads the `[version][opcode]` header every payload opens with.
+fn header(payload: &[u8]) -> Result<(Dec<'_>, u8, u8), WireError> {
+    if payload.len() < MIN_PAYLOAD {
+        return Err(WireError::FrameTooShort(payload.len()));
     }
+    let mut d = Dec::new(payload);
+    let version = d.u8()?;
+    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+        return Err(WireError::BadVersion(version));
+    }
+    let opcode = d.u8()?;
+    Ok((d, version, opcode))
 }
 
 /// The operation a request asks for.
@@ -163,11 +167,11 @@ fn dir_byte(d: Direction) -> u8 {
     }
 }
 
-fn dir_from(b: u8) -> Result<Direction, WireError> {
+fn dir_from(b: u8) -> Result<Direction, DecodeError> {
     match b {
         0 => Ok(Direction::Tails),
         1 => Ok(Direction::Heads),
-        _ => Err(WireError::Malformed("direction byte")),
+        _ => Err(DecodeError::Malformed("direction byte")),
     }
 }
 
@@ -181,14 +185,14 @@ fn kind_byte(k: AggregateKind) -> u8 {
     }
 }
 
-fn kind_from(b: u8) -> Result<AggregateKind, WireError> {
+fn kind_from(b: u8) -> Result<AggregateKind, DecodeError> {
     Ok(match b {
         0 => AggregateKind::Count,
         1 => AggregateKind::Sum,
         2 => AggregateKind::Avg,
         3 => AggregateKind::Max,
         4 => AggregateKind::Min,
-        _ => return Err(WireError::Malformed("aggregate kind byte")),
+        _ => return Err(DecodeError::Malformed("aggregate kind byte")),
     })
 }
 
@@ -222,7 +226,7 @@ impl Request {
                 e.u32(*relation);
                 e.u8(dir_byte(*direction));
                 e.u32(*k);
-                e.raw(&filter.fingerprint());
+                filter.encode(&mut e);
             }
             RequestOp::Aggregate {
                 entity,
@@ -237,21 +241,9 @@ impl Request {
                 e.u32(*relation);
                 e.u8(dir_byte(*direction));
                 e.u8(kind_byte(*kind));
-                match attribute {
-                    None => e.u8(0),
-                    Some(a) => {
-                        e.u8(1);
-                        e.str(a);
-                    }
-                }
+                e.option(attribute.as_deref(), Enc::str);
                 e.f64(*p_tau);
-                match sample_size {
-                    None => e.u8(0),
-                    Some(a) => {
-                        e.u8(1);
-                        e.u32(*a);
-                    }
-                }
+                e.option(sample_size.as_ref(), |e, &a| e.u32(a));
             }
             RequestOp::AddFactDynamic {
                 h,
@@ -278,15 +270,7 @@ impl Request {
 
     /// Decodes one frame payload. Fails closed on any malformation.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        if payload.len() < crate::wire::MIN_PAYLOAD {
-            return Err(WireError::FrameTooShort(payload.len()));
-        }
-        let mut d = Dec::new(payload);
-        let version = d.u8()?;
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            return Err(WireError::BadVersion(version));
-        }
-        let opcode = d.u8()?;
+        let (mut d, version, opcode) = header(payload)?;
         let deadline_ms = d.u32()?;
         let op = match opcode {
             op::TOP_K => RequestOp::TopK {
@@ -300,24 +284,16 @@ impl Request {
                 relation: d.u32()?,
                 direction: dir_from(d.u8()?)?,
                 k: d.u32()?,
-                filter: decode_filter(&mut d)?,
+                filter: WireFilter::decode(&mut d)?,
             },
             op::AGGREGATE => RequestOp::Aggregate {
                 entity: d.u32()?,
                 relation: d.u32()?,
                 direction: dir_from(d.u8()?)?,
                 kind: kind_from(d.u8()?)?,
-                attribute: match d.u8()? {
-                    0 => None,
-                    1 => Some(d.str()?),
-                    _ => return Err(WireError::Malformed("attribute option tag")),
-                },
+                attribute: d.option("attribute option tag", Dec::str)?,
                 p_tau: d.f64()?,
-                sample_size: match d.u8()? {
-                    0 => None,
-                    1 => Some(d.u32()?),
-                    _ => return Err(WireError::Malformed("sample-size option tag")),
-                },
+                sample_size: d.option("sample-size option tag", Dec::u32)?,
             },
             op::ADD_FACT => RequestOp::AddFactDynamic {
                 h: d.u32()?,
@@ -509,30 +485,22 @@ pub struct AccuracyWire(pub Accuracy);
 
 impl AccuracyWire {
     fn encode(&self, e: &mut Enc) {
-        match self.0 {
-            Accuracy::Exact => {
-                e.u8(0);
-                e.f64(0.0);
-            }
-            Accuracy::Approximate { min_overlap } => {
-                e.u8(1);
-                e.f64(min_overlap);
-            }
-            Accuracy::SelfOracle { min_recall } => {
-                e.u8(2);
-                e.f64(min_recall);
-            }
-        }
+        let (tag, x) = match self.0 {
+            Accuracy::Exact => (0, 0.0),
+            Accuracy::Approximate { min_overlap } => (1, min_overlap),
+            Accuracy::SelfOracle { min_recall } => (2, min_recall),
+        };
+        e.u8(tag);
+        e.f64(x);
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let tag = d.u8()?;
-        let x = d.f64()?;
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let (tag, x) = (d.u8()?, d.f64()?);
         Ok(AccuracyWire(match tag {
             0 => Accuracy::Exact,
             1 => Accuracy::Approximate { min_overlap: x },
             2 => Accuracy::SelfOracle { min_recall: x },
-            _ => return Err(WireError::Malformed("accuracy tag")),
+            _ => return Err(DecodeError::Malformed("accuracy tag")),
         }))
     }
 }
@@ -648,61 +616,37 @@ const HIST_MIN_BYTES: usize = 24;
 const BUCKET_PAIR_BYTES: usize = 12;
 /// Wire footprint of one span record.
 const SPAN_WIRE_BYTES: usize = 62;
+/// Wire footprint of one prediction (`id`, distance, probability).
+pub(crate) const PREDICTION_WIRE_BYTES: usize = 20;
+/// Wire footprint of one stats `shards` row.
+const SHARD_ROW_BYTES: usize = 24;
 
-fn encode_named_u64s(e: &mut Enc, rows: &[(String, u64)]) {
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "encode side; registries hold tens of metrics, nowhere near 2^32"
-    )]
-    e.u32(rows.len() as u32);
-    for (name, value) in rows {
-        e.str(name);
-        e.u64(*value);
-    }
+fn encode_named(e: &mut Enc, (name, value): &(String, u64)) {
+    e.str(name);
+    e.u64(*value);
 }
 
-fn decode_named_u64s(d: &mut Dec<'_>) -> Result<Vec<(String, u64)>, WireError> {
-    let n = d.seq_len(NAMED_U64_MIN_BYTES)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = d.str()?;
-        rows.push((name, d.u64()?));
-    }
-    Ok(rows)
+fn decode_named(d: &mut Dec<'_>) -> Result<(String, u64), DecodeError> {
+    Ok((d.str()?, d.u64()?))
 }
 
 impl MetricsWire {
     fn encode(&self, e: &mut Enc) {
         e.u64(self.epoch);
-        encode_named_u64s(e, &self.snapshot.counters);
-        encode_named_u64s(e, &self.snapshot.gauges);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "encode side; registries hold tens of histograms, nowhere near 2^32"
-        )]
-        e.u32(self.snapshot.hists.len() as u32);
-        for (name, h) in &self.snapshot.hists {
+        e.seq(&self.snapshot.counters, encode_named);
+        e.seq(&self.snapshot.gauges, encode_named);
+        e.seq(&self.snapshot.hists, |e, (name, h)| {
             e.str(name);
             e.u64(h.total);
             e.u64(h.max_us);
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "encode side; bucket count is bounded by the histogram's fixed resolution"
-            )]
-            e.u32(h.buckets.len() as u32);
-            for &(bucket, count) in &h.buckets {
+            e.seq(&h.buckets, |e, &(bucket, count)| {
                 e.u32(bucket);
                 e.u64(count);
-            }
-        }
+            });
+        });
         e.u64(self.snapshot.spans_recorded);
         e.u64(self.snapshot.spans_dropped);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "encode side; span count is bounded by the ring capacity"
-        )]
-        e.u32(self.snapshot.spans.len() as u32);
-        for s in &self.snapshot.spans {
+        e.seq(&self.snapshot.spans, |e, s| {
             e.u64(s.id);
             e.u8(s.op);
             e.u32(s.shard);
@@ -713,40 +657,26 @@ impl MetricsWire {
             e.u64(s.encode_ns);
             e.u64(s.batch_ns);
             e.u64(s.refine_steps);
-        }
+        });
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<Self, WireError> {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let epoch = d.u64()?;
-        let counters = decode_named_u64s(d)?;
-        let gauges = decode_named_u64s(d)?;
-        let n_hists = d.seq_len(HIST_MIN_BYTES)?;
-        let mut hists = Vec::with_capacity(n_hists);
-        for _ in 0..n_hists {
+        let counters = d.seq(NAMED_U64_MIN_BYTES, decode_named)?;
+        let gauges = d.seq(NAMED_U64_MIN_BYTES, decode_named)?;
+        let hists = d.seq(HIST_MIN_BYTES, |d| {
             let name = d.str()?;
-            let total = d.u64()?;
-            let max_us = d.u64()?;
-            let n_buckets = d.seq_len(BUCKET_PAIR_BYTES)?;
-            let mut buckets = Vec::with_capacity(n_buckets);
-            for _ in 0..n_buckets {
-                let bucket = d.u32()?;
-                buckets.push((bucket, d.u64()?));
-            }
-            hists.push((
-                name,
-                HistSnapshot {
-                    total,
-                    max_us,
-                    buckets,
-                },
-            ));
-        }
+            let hist = HistSnapshot {
+                total: d.u64()?,
+                max_us: d.u64()?,
+                buckets: d.seq(BUCKET_PAIR_BYTES, |d| Ok((d.u32()?, d.u64()?)))?,
+            };
+            Ok((name, hist))
+        })?;
         let spans_recorded = d.u64()?;
         let spans_dropped = d.u64()?;
-        let n_spans = d.seq_len(SPAN_WIRE_BYTES)?;
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            spans.push(Span {
+        let spans = d.seq(SPAN_WIRE_BYTES, |d| {
+            Ok(Span {
                 id: d.u64()?,
                 op: d.u8()?,
                 shard: d.u32()?,
@@ -757,8 +687,8 @@ impl MetricsWire {
                 encode_ns: d.u64()?,
                 batch_ns: d.u64()?,
                 refine_steps: d.u64()?,
-            });
-        }
+            })
+        })?;
         Ok(MetricsWire {
             epoch,
             snapshot: MetricsSnapshot {
@@ -803,7 +733,7 @@ impl ErrorCode {
         }
     }
 
-    fn from_byte(b: u8) -> Result<Self, WireError> {
+    fn from_byte(b: u8) -> Result<Self, DecodeError> {
         Ok(match b {
             1 => ErrorCode::Overloaded,
             2 => ErrorCode::DeadlineExceeded,
@@ -811,7 +741,7 @@ impl ErrorCode {
             4 => ErrorCode::MalformedRequest,
             5 => ErrorCode::Query,
             6 => ErrorCode::Internal,
-            _ => return Err(WireError::Malformed("error code byte")),
+            _ => return Err(DecodeError::Malformed("error code byte")),
         })
     }
 }
@@ -879,16 +809,11 @@ impl Response {
             Response::TopK(t) => {
                 e.u8(op::R_TOP_K);
                 e.u64(t.epoch);
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "encode side; k is capped at MAX_K well below 2^32"
-                )]
-                e.u32(t.predictions.len() as u32);
-                for p in &t.predictions {
+                e.seq(&t.predictions, |e, p| {
                     e.u32(p.id);
                     e.f64(p.distance);
                     e.f64(p.probability);
-                }
+                });
                 e.f64(t.success_probability);
                 e.f64(t.expected_misses);
                 e.u64(t.s1_evals);
@@ -909,7 +834,7 @@ impl Response {
                 token,
             } => {
                 e.u8(op::R_FACT_ADDED);
-                e.u8(u8::from(*added));
+                e.bool(*added);
                 e.u64(*epoch);
                 e.u64(*token);
             }
@@ -929,16 +854,11 @@ impl Response {
                 e.u64(s.server.shed);
                 e.u64(s.server.deadline_expired);
                 e.u64(s.server.drained);
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "encode side; the server fills one row, nowhere near 2^32"
-                )]
-                e.u32(s.shards.len() as u32);
-                for sh in &s.shards {
+                e.seq(&s.shards, |e, sh| {
                     e.u64(sh.epoch);
                     e.u64(sh.admitted);
                     e.u64(sh.answered);
-                }
+                });
             }
             Response::Metrics(m) => {
                 e.u8(op::R_METRICS);
@@ -958,36 +878,22 @@ impl Response {
 
     /// Decodes one frame payload. Fails closed on any malformation.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        if payload.len() < crate::wire::MIN_PAYLOAD {
-            return Err(WireError::FrameTooShort(payload.len()));
-        }
-        let mut d = Dec::new(payload);
-        let version = d.u8()?;
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            return Err(WireError::BadVersion(version));
-        }
-        let opcode = d.u8()?;
+        let (mut d, version, opcode) = header(payload)?;
         let resp = match opcode {
-            op::R_TOP_K => {
-                let epoch = d.u64()?;
-                let n = d.seq_len(20)?;
-                let mut predictions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    predictions.push(PredictionWire {
+            op::R_TOP_K => Response::TopK(TopKWire {
+                epoch: d.u64()?,
+                predictions: d.seq(PREDICTION_WIRE_BYTES, |d| {
+                    Ok(PredictionWire {
                         id: d.u32()?,
                         distance: d.f64()?,
                         probability: d.f64()?,
-                    });
-                }
-                Response::TopK(TopKWire {
-                    epoch,
-                    predictions,
-                    success_probability: d.f64()?,
-                    expected_misses: d.f64()?,
-                    s1_evals: d.u64()?,
-                    candidates_examined: d.u64()?,
-                })
-            }
+                    })
+                })?,
+                success_probability: d.f64()?,
+                expected_misses: d.f64()?,
+                s1_evals: d.u64()?,
+                candidates_examined: d.u64()?,
+            }),
             op::R_AGGREGATE => Response::Aggregate(AggregateWire {
                 epoch: d.u64()?,
                 estimate: d.f64()?,
@@ -997,11 +903,7 @@ impl Response {
                 increment_mass: d.f64()?,
             }),
             op::R_FACT_ADDED => Response::FactAdded {
-                added: match d.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("bool byte")),
-                },
+                added: d.bool()?,
                 epoch: d.u64()?,
                 token: if version >= 2 { d.u64()? } else { 0 },
             },
@@ -1022,18 +924,13 @@ impl Response {
                     deadline_expired: d.u64()?,
                     drained: d.u64()?,
                 },
-                shards: {
-                    let n = d.seq_len(24)?;
-                    let mut shards = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        shards.push(ShardStatsWire {
-                            epoch: d.u64()?,
-                            admitted: d.u64()?,
-                            answered: d.u64()?,
-                        });
-                    }
-                    shards
-                },
+                shards: d.seq(SHARD_ROW_BYTES, |d| {
+                    Ok(ShardStatsWire {
+                        epoch: d.u64()?,
+                        admitted: d.u64()?,
+                        answered: d.u64()?,
+                    })
+                })?,
             }),
             op::R_METRICS => Response::Metrics(MetricsWire::decode(&mut d)?),
             op::R_SHUTTING_DOWN => Response::ShuttingDown,

@@ -12,17 +12,17 @@
 //! with [`ErrorCode::Overloaded`] instead of queueing unboundedly;
 //! clients are expected to back off and retry.
 //!
-//! Admission also **sanitizes parameters**: decoding being fail-closed
-//! is not enough, because a *well-formed* frame can still carry
-//! resource-exhaustion values. Before a request is queued, `k` is
-//! clamped to the entity count and to the largest answer that fits in a
-//! response frame, and a dynamic write whose gradient-step budget or
-//! learning rate [`vkg_core::check_refine_params`] refuses (more than
-//! [`MAX_REFINE_STEPS`] steps — the refinement loop runs under the index
-//! lock — or a non-finite or out-of-range rate) is refused with a typed
-//! [`ErrorCode::Query`] error before it is queued. The facade applies
-//! the same rule again on entry, so in-process callers and WAL replay
-//! cannot bypass it.
+//! Parameters are **sanitized**: decoding being fail-closed is not
+//! enough, because a *well-formed* frame can still carry
+//! resource-exhaustion values. A read's `k` is clamped to the entity
+//! count and to the largest answer that fits in a response frame when
+//! the worker runs its query, and a dynamic write whose gradient-step
+//! budget or learning rate [`vkg_core::check_refine_params`] refuses
+//! (more than [`MAX_REFINE_STEPS`] steps — the refinement loop runs under
+//! the index lock — or a non-finite or out-of-range rate) is refused
+//! with a typed [`ErrorCode::Query`] error before it is queued. The
+//! facade applies the same rule again on entry, so in-process callers
+//! and WAL replay cannot bypass it.
 //!
 //! # Epoch-swapped reads
 //!
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{Answer, QueryEngine};
+use vkg_core::{Answer, QueryEngine, QueryOp};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, Registry, Span, SpanOutcome, SpanRing, Tick};
 use vkg_sync::thread::{self, JoinHandle};
@@ -71,7 +71,7 @@ use vkg_sync::{AtomicBool, AtomicU64, Ordering};
 
 use crate::protocol::{
     AggregateWire, ErrorCode, MetricsWire, Request, RequestOp, Response, ServerCounters,
-    ServerError, ShardStatsWire, StatsWire, TopKWire,
+    ServerError, ShardStatsWire, StatsWire, TopKWire, PREDICTION_WIRE_BYTES,
 };
 use crate::queue::{Admission, Counters, JobQueue};
 use crate::wire::{write_frame, FrameBuffer, WireError};
@@ -355,9 +355,6 @@ const CONN_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
 pub use vkg_core::MAX_REFINE_STEPS;
 
-/// Wire cost of one `PredictionWire` (`u32` id + two `f64`s).
-const PREDICTION_WIRE_BYTES: usize = 20;
-
 /// Fixed bytes of a top-k response around its prediction list (version,
 /// opcode, epoch, list length, and the four trailing guarantee/counter
 /// fields), rounded up for safety.
@@ -365,43 +362,25 @@ const TOPK_FRAME_OVERHEAD: usize = 64;
 
 /// Largest `k` whose top-k response is guaranteed to fit in one
 /// [`crate::wire::MAX_FRAME`]-sized frame.
-const fn max_k_per_frame() -> u32 {
-    ((crate::wire::MAX_FRAME - TOPK_FRAME_OVERHEAD) / PREDICTION_WIRE_BYTES) as u32
-}
+const MAX_K_PER_FRAME: usize =
+    (crate::wire::MAX_FRAME - TOPK_FRAME_OVERHEAD) / PREDICTION_WIRE_BYTES;
 
-/// Validates and clamps a decoded request's parameters before it is
-/// admitted (see the module docs). Returns the typed refusal to send
-/// instead of queueing when a parameter is rejected outright.
+/// Refuses a decoded write whose refinement parameters the facade would
+/// refuse, before it is admitted (see the module docs), with the typed
+/// refusal to send instead of queueing.
 #[allow(
     clippy::result_large_err,
     reason = "the Err is the payload: a full refusal Response, built once per rejected request on the cold path, so boxing would only add an allocation"
 )]
-fn sanitize(shared: &Shared, request: &mut Request) -> Result<(), Response> {
-    match &mut request.op {
-        RequestOp::TopK { k, .. } | RequestOp::TopKFiltered { k, .. } => {
-            // Clamp rather than refuse: the engine allocates O(k) per
-            // query, and no answer can exceed the entity count anyway.
-            // `max(1)` keeps `k >= 1` requests out of the engine's
-            // `k == 0` rejection on an empty graph.
-            let entities = shared.vkg.snapshot().graph().num_entities();
-            let cap = u32::try_from(entities)
-                .unwrap_or(u32::MAX)
-                .max(1)
-                .min(max_k_per_frame());
-            *k = (*k).min(cap);
-        }
-        RequestOp::AddFactDynamic {
-            refine_steps,
-            learning_rate,
-            ..
-        } => {
-            vkg_core::check_refine_params(*refine_steps as usize, *learning_rate)
-                .map_err(|why| refusal(ErrorCode::Query, &why))?;
-        }
-        RequestOp::Aggregate { .. }
-        | RequestOp::Stats
-        | RequestOp::Metrics { .. }
-        | RequestOp::Shutdown => {}
+fn sanitize(request: &Request) -> Result<(), Response> {
+    if let RequestOp::AddFactDynamic {
+        refine_steps,
+        learning_rate,
+        ..
+    } = request.op
+    {
+        vkg_core::check_refine_params(refine_steps as usize, learning_rate)
+            .map_err(|why| refusal(ErrorCode::Query, &why))?;
     }
     Ok(())
 }
@@ -554,7 +533,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
 /// Handles one decoded frame. Returns `false` when the connection must
 /// close (shutdown acknowledged, malformed request, or I/O failure).
 fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
-    let mut request = match Request::decode(payload) {
+    let request = match Request::decode(payload) {
         Ok(r) => r,
         Err(e) => {
             fail_connection(stream, &e);
@@ -608,7 +587,7 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                 shared.counters.record_drained();
                 return send(stream, &refusal(ErrorCode::Draining, "server is draining")).is_ok();
             }
-            if let Err(rejection) = sanitize(shared, &mut request) {
+            if let Err(rejection) = sanitize(&request) {
                 return send(stream, &rejection).is_ok();
             }
             let deadline = if request.deadline_ms == 0 {
@@ -723,7 +702,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
     let clock = &shared.obs.clock;
     let unit_start = clock.now();
     let queue_ns = unit_start.since(job.admitted_at);
-    let (response, locked_at) = if Duration::from_nanos(queue_ns) >= job.deadline {
+    let (response, locked_at, read) = if Duration::from_nanos(queue_ns) >= job.deadline {
         shared.counters.record_deadline_expired();
         (
             refusal(
@@ -731,6 +710,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
                 "deadline expired while queued; not executed",
             ),
             unit_start,
+            false,
         )
     } else {
         if let Some(think) = shared.cfg.worker_think_time {
@@ -760,25 +740,21 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
         batch_ns: 0,
         refine_steps: refine_steps_of(&response),
     };
-    finish_job(shared, job, response, span);
+    finish_job(shared, job, response, span, read);
 }
 
 /// Accounts for one answered job and hands the response back to its
 /// connection thread. Every admitted job passes through here exactly
 /// once; a hung-up client (closed reply channel) still counts as
-/// answered.
-fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span) {
+/// answered. `read` says whether `execute` ran the request's query.
+fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span, read: bool) {
     shared.counters.record_answered();
     // The served read (`execute`) records no query metrics (the worker times
     // the request on its own clock) — mirror the executed reads into
     // the facade registry so `core.queries` stays truthful however the
     // engine is driven. Deadline-refused jobs never reached the engine
     // and are not mirrored.
-    let read = matches!(
-        job.request.op,
-        RequestOp::TopK { .. } | RequestOp::TopKFiltered { .. } | RequestOp::Aggregate { .. }
-    );
-    if read && span.outcome != SpanOutcome::DeadlineExpired {
+    if read {
         shared.vkg.metrics().record_query_timed(
             Duration::from_nanos(span.lock_ns.saturating_add(span.exec_ns)),
             span.refine_steps,
@@ -808,31 +784,48 @@ fn refine_steps_of(response: &Response) -> u64 {
 }
 
 /// Runs one request against the engine. A read is the [`Query`] its
-/// request asks ([`Request::query`]), answered by the facade's one served
-/// read ([`VirtualKnowledgeGraph::execute`]: shared guard, epochs
-/// pinned, late crack); the dynamic write goes through the facade's
-/// serialized `&self` writer path (the same lock, exclusive) and reports
-/// the post-publish epoch.
+/// request asks ([`Request::query`]), its `k` clamped (see the module
+/// docs), answered by the facade's one served read
+/// ([`VirtualKnowledgeGraph::execute`]: shared guard, epochs pinned,
+/// late crack); the dynamic write goes through the facade's serialized
+/// `&self` writer path (the same lock, exclusive) and reports the
+/// post-publish epoch.
 ///
-/// Returns the response plus the tick at which the index lock's shared
+/// Returns the response, the tick at which the index lock's shared
 /// guard was first held, so the worker can split the span into its lock
-/// and execute phases. Paths that take no shared guard report their own
-/// start tick, which makes `exec_ns` cover the whole call (the
-/// single-writer path) or nothing (refusals).
-fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Response, Tick) {
+/// and execute phases, and whether a query ran. Paths that take no
+/// shared guard report their own start tick, which makes `exec_ns`
+/// cover the whole call (the single-writer path) or nothing (refusals).
+fn execute(
+    vkg: &VirtualKnowledgeGraph,
+    request: &Request,
+    clock: &Clock,
+) -> (Response, Tick, bool) {
     let start = clock.now();
     let mut locked_at = None;
     let mut on_guard = || {
         locked_at.get_or_insert_with(|| clock.now());
     };
-    let response = match (request.query(), &request.op) {
-        (Some(query), _) => match vkg.execute(&query, &mut on_guard) {
-            Ok((pin, Answer::TopK(r))) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
-            Ok((pin, Answer::Aggregate(r))) => {
-                Response::Aggregate(AggregateWire::from_result(pin.epoch, &r))
+    let query = request.query();
+    let read = query.is_some();
+    let response = match (query, &request.op) {
+        (Some(mut query), _) => {
+            if let QueryOp::TopK { k, .. } = &mut query.op {
+                // Clamp rather than refuse: the engine allocates O(k)
+                // per query, and no answer can exceed the entity count
+                // anyway. `max(1)` keeps `k >= 1` requests out of the
+                // engine's `k == 0` rejection on an empty graph.
+                let entities = vkg.snapshot().graph().num_entities();
+                *k = (*k).min(entities.max(1)).min(MAX_K_PER_FRAME);
             }
-            Err(e) => Response::Error(ServerError::query(&e)),
-        },
+            match vkg.execute(&query, &mut on_guard) {
+                Ok((pin, Answer::TopK(r))) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
+                Ok((pin, Answer::Aggregate(r))) => {
+                    Response::Aggregate(AggregateWire::from_result(pin.epoch, &r))
+                }
+                Err(e) => Response::Error(ServerError::query(&e)),
+            }
+        }
         (
             None,
             RequestOp::AddFactDynamic {
@@ -869,5 +862,5 @@ fn execute(vkg: &VirtualKnowledgeGraph, request: &Request, clock: &Clock) -> (Re
         }
         (None, _) => refusal(ErrorCode::Internal, "control requests are not queued"),
     };
-    (response, locked_at.unwrap_or(start))
+    (response, locked_at.unwrap_or(start), read)
 }

@@ -1,9 +1,10 @@
-//! Length-prefixed binary framing and primitive encode/decode.
+//! Length-prefixed binary framing.
 //!
 //! A frame on the wire is a little-endian `u32` payload length followed
 //! by that many payload bytes. Every payload begins with a protocol
 //! version byte ([`WIRE_VERSION`]) and an opcode byte; the message
-//! bodies themselves are defined in [`crate::protocol`].
+//! bodies themselves are defined in [`crate::protocol`], written in
+//! [`vkg_kg::codec`].
 //!
 //! Decoding **fails closed**: a frame longer than the negotiated maximum,
 //! an unknown opcode, a foreign version byte, an ill-formed body, or
@@ -12,6 +13,8 @@
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+
+use vkg_kg::codec::DecodeError;
 
 /// Protocol version carried in the first payload byte of every frame.
 /// v2 added the idempotency token to `AddFactDynamic` / `FactAdded`.
@@ -29,7 +32,8 @@ pub const MAX_FRAME: usize = 1 << 20;
 pub const MIN_PAYLOAD: usize = 2;
 
 /// Typed decode/transport failure. Every malformed input maps to one of
-/// these variants; decoding never panics.
+/// these variants; decoding never panics. The codec's [`DecodeError`]
+/// maps onto the first three it shares, one to one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The input ended before the message did (truncated length prefix,
@@ -83,6 +87,16 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::Malformed(what) => WireError::Malformed(what),
+            DecodeError::Trailing(n) => WireError::Trailing(n),
+        }
+    }
+}
 
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
@@ -153,14 +167,7 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Wire
             Err(e) => return Err(e.into()),
         }
     }
-    let declared = u32::from_le_bytes(len_buf);
-    if declared as usize > max {
-        return Err(WireError::FrameTooLarge { declared, max });
-    }
-    if (declared as usize) < MIN_PAYLOAD {
-        return Err(WireError::FrameTooShort(declared as usize));
-    }
-    let mut payload = vec![0u8; declared as usize];
+    let mut payload = vec![0u8; declared_len(len_buf, max)?];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             WireError::Truncated
@@ -169,6 +176,17 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Wire
         }
     })?;
     Ok(Some(payload))
+}
+
+/// The payload length a frame's prefix declares, refused before any
+/// allocation when it passes `max` or cannot hold version + opcode.
+fn declared_len(prefix: [u8; 4], max: usize) -> Result<usize, WireError> {
+    let declared = u32::from_le_bytes(prefix);
+    match declared as usize {
+        len if len > max => Err(WireError::FrameTooLarge { declared, max }),
+        len if len < MIN_PAYLOAD => Err(WireError::FrameTooShort(len)),
+        len => Ok(len),
+    }
 }
 
 /// Incremental frame extraction over bytes that arrive in arbitrary
@@ -201,14 +219,7 @@ impl FrameBuffer {
         let Some(&[b0, b1, b2, b3]) = self.buf.get(..4) else {
             return Ok(None); // length prefix not complete yet
         };
-        let declared = u32::from_le_bytes([b0, b1, b2, b3]);
-        if declared as usize > max {
-            return Err(WireError::FrameTooLarge { declared, max });
-        }
-        if (declared as usize) < MIN_PAYLOAD {
-            return Err(WireError::FrameTooShort(declared as usize));
-        }
-        let total = 4 + declared as usize;
+        let total = 4 + declared_len([b0, b1, b2, b3], max)?;
         let Some(payload) = self.buf.get(4..total) else {
             return Ok(None); // payload not complete yet
         };
@@ -218,184 +229,9 @@ impl FrameBuffer {
     }
 }
 
-/// Primitive little-endian encoder backing the message bodies.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finishes encoding, yielding the payload bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern, little-endian.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends bytes already in wire form, as they are.
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "encode side; strings are bounded by MAX_FRAME = 1 MiB < 2^32"
-        )]
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Primitive decoder over a payload slice. Every accessor checks bounds
-/// and returns [`WireError::Truncated`] rather than panicking.
-#[derive(Debug)]
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    /// Decodes from `buf`, starting at its first byte.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails with [`WireError::Trailing`] unless every byte was consumed.
-    pub fn finish(self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::Trailing(n)),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        match *self.take(1)? {
-            [b] => Ok(b),
-            _ => Err(WireError::Truncated),
-        }
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b: [u8; 4] = self.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b: [u8; 8] = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads an IEEE-754 `f64`.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string. The declared length is
-    /// checked against the remaining bytes before any allocation.
-    pub fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if self.remaining() < len {
-            return Err(WireError::Truncated);
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string"))
-    }
-
-    /// Reads a collection length and verifies the remaining bytes can
-    /// hold at least `len * min_elem_size` — a hostile length cannot
-    /// trigger a huge allocation.
-    pub fn seq_len(&mut self, min_elem_size: usize) -> Result<usize, WireError> {
-        let len = self.u32()? as usize;
-        if len.saturating_mul(min_elem_size) > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn primitives_roundtrip() {
-        let mut e = Enc::new();
-        e.u8(7);
-        e.u32(0xDEAD_BEEF);
-        e.u64(u64::MAX - 3);
-        e.f64(-0.125);
-        e.str("héllo");
-        let payload = e.finish();
-        let mut d = Dec::new(&payload);
-        assert_eq!(d.u8().unwrap(), 7);
-        assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(d.f64().unwrap(), -0.125);
-        assert_eq!(d.str().unwrap(), "héllo");
-        d.finish().unwrap();
-    }
-
-    #[test]
-    fn decoder_fails_closed_on_truncation() {
-        let mut e = Enc::new();
-        e.str("abcdef");
-        let payload = e.finish();
-        for cut in 0..payload.len() {
-            let mut d = Dec::new(&payload[..cut]);
-            assert_eq!(d.str().unwrap_err(), WireError::Truncated, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_detected() {
-        let mut e = Enc::new();
-        e.u32(1);
-        let mut payload = e.finish();
-        payload.push(0xFF);
-        let mut d = Dec::new(&payload);
-        d.u32().unwrap();
-        assert_eq!(d.finish().unwrap_err(), WireError::Trailing(1));
-    }
 
     #[test]
     fn frame_buffer_reassembles_split_frames() {
@@ -610,14 +446,5 @@ mod tests {
             write_frame(&mut TakesNothing, &body).unwrap_err(),
             WireError::from(io::Error::from(io::ErrorKind::WriteZero))
         );
-    }
-
-    #[test]
-    fn seq_len_guards_against_hostile_lengths() {
-        let mut e = Enc::new();
-        e.u32(u32::MAX); // claims 4 billion elements
-        let payload = e.finish();
-        let mut d = Dec::new(&payload);
-        assert_eq!(d.seq_len(8).unwrap_err(), WireError::Truncated);
     }
 }

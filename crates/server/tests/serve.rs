@@ -887,9 +887,11 @@ fn stats_reports_epoch_accuracy_and_ledger() {
 }
 
 /// The `Metrics` opcode exports telemetry that reconciles with what the
-/// client just did: per-query spans (with outcomes and refine steps,
+/// client just did: per-request spans (with outcomes and refine steps,
 /// each inside its call's measured round trip), the mirrored admission
-/// counters, and the merged facade registry.
+/// counters, and the merged facade registry, whose `core.queries`
+/// counts exactly the three read kinds — not the write admitted beside
+/// them, nor the `Stats` answered inline.
 #[test]
 fn metrics_opcode_exports_reconciling_telemetry() {
     let vkg = build_vkg();
@@ -930,7 +932,25 @@ fn metrics_opcode_exports_reconciling_telemetry() {
         let err = client.top_k(EntityId(9_999_999), RelationId(0), Direction::Tails, 5);
         assert!(matches!(err, Err(ClientError::Server(_))));
     });
-    let queries = round_trips.len() as u64;
+    timed(&mut || {
+        let movies = vkg_server::WireFilter::IdRange {
+            lo: USERS,
+            hi: USERS + MOVIES,
+        };
+        client
+            .top_k_filtered(EntityId(1), RelationId(0), Direction::Tails, 5, movies)
+            .expect("filtered top-k is answered");
+    });
+    // A write is admitted and traced like a read, but asks no query.
+    timed(&mut || {
+        client
+            .add_fact(EntityId(0), RelationId(0), EntityId(USERS + 7), 2, 0.01)
+            .expect("write is answered");
+    });
+    let admitted = round_trips.len() as u64;
+    let queries = admitted - 1;
+    // Answered inline: no admission, no span, no query.
+    client.stats().expect("stats is answered");
 
     let m = client.metrics(64).expect("metrics is answered");
     let snap = &m.snapshot;
@@ -944,19 +964,25 @@ fn metrics_opcode_exports_reconciling_telemetry() {
 
     // Server-side mirrors: all admitted work was answered (each call
     // above is synchronous), nothing was shed, the queue is idle.
-    assert_eq!(snap.gauge("server.admitted"), Some(queries));
-    assert_eq!(snap.gauge("server.answered"), Some(queries));
+    assert_eq!(snap.gauge("server.admitted"), Some(admitted));
+    assert_eq!(snap.gauge("server.answered"), Some(admitted));
     assert_eq!(snap.gauge("server.shed"), Some(0));
     assert_eq!(snap.gauge("server.queue_depth"), Some(0));
     let server_latency = snap.hist("server.latency_us").expect("server latency");
-    assert_eq!(server_latency.total, queries);
+    assert_eq!(server_latency.total, admitted);
 
     // Spans: one per admitted request, none dropped (ring holds 256),
     // ordered by id, with outcomes and refine steps that match the
     // traffic above.
-    assert_eq!(snap.spans_recorded, queries);
+    assert_eq!(snap.spans_recorded, admitted);
     assert_eq!(snap.spans_dropped, 0);
-    assert_eq!(snap.spans.len(), queries as usize);
+    assert_eq!(snap.spans.len(), admitted as usize);
+    let ops: Vec<u8> = snap.spans.iter().map(|s| s.op).collect();
+    assert_eq!(
+        ops[8..],
+        [0x03, 0x01, 0x02, 0x04],
+        "aggregate, top-k, filtered, write"
+    );
     for w in snap.spans.windows(2) {
         assert!(w[0].id < w[1].id, "spans ordered by query id");
     }
