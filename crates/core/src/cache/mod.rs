@@ -53,7 +53,7 @@ use vkg_sync::Mutex;
 
 use crate::query::aggregate::{AggregateKind, AggregateResult};
 use crate::query::topk::TopKResult;
-use crate::query::{Filter, Query, QueryOp};
+use crate::query::{Answer, Filter, Query, QueryOp};
 use crate::snapshot::Direction;
 
 /// Semantic identity of a cacheable query.
@@ -145,41 +145,32 @@ impl CacheKey {
     }
 }
 
-/// Outcome of a top-k probe.
-#[allow(
-    clippy::large_enum_variant,
-    reason = "Hit dwarfs Miss/Stale by design; boxing it would put an allocation on the hit path this cache exists to make cheap"
-)]
+/// Outcome of a probe.
 #[derive(Debug)]
-pub enum TopKLookup {
+pub enum Lookup<T> {
     /// The answer stored for exactly this k at exactly these epochs.
-    Hit(TopKResult),
-    /// An entry existed but its epochs no longer match — it has been
-    /// removed (lazy invalidation).
+    Hit(T),
+    /// An entry existed but its epochs no longer match — removed (lazy
+    /// invalidation) unless the probe was a peek.
     Stale,
     /// No entry, or one filled for a different k.
     Miss,
 }
 
-/// Outcome of an aggregate probe.
-#[derive(Debug)]
-pub enum AggregateLookup {
-    /// The stored answer.
-    Hit(AggregateResult),
-    /// Removed a stale entry (lazy invalidation).
-    Stale,
-    /// No entry.
-    Miss,
-}
+/// Outcome of a top-k probe.
+pub type TopKLookup = Lookup<TopKResult>;
 
-#[allow(
-    clippy::large_enum_variant,
-    reason = "same tradeoff as TopKLookup: values are stored once, read hot"
-)]
-#[derive(Debug, Clone)]
-enum CachedValue {
-    TopK(TopKResult),
-    Aggregate(AggregateResult),
+/// Outcome of an aggregate probe.
+pub type AggregateLookup = Lookup<AggregateResult>;
+
+impl<T> Lookup<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> Option<U>) -> Lookup<U> {
+        match self {
+            Lookup::Hit(value) => f(value).map_or(Lookup::Miss, Lookup::Hit),
+            Lookup::Stale => Lookup::Stale,
+            Lookup::Miss => Lookup::Miss,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -190,7 +181,7 @@ struct Entry {
     index_epoch: u64,
     /// The k the value was computed for (0 for aggregates).
     k: usize,
-    value: CachedValue,
+    value: Answer,
     /// Monotone use stamp (LRU victim selection).
     stamp: u64,
 }
@@ -250,9 +241,41 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Probes for the top-k answer at the pinned epochs. `_epsilon` and
-    /// `_alpha` are held for the benchmark, which calls this positionally
-    /// (DESIGN.md §3.5); nothing reads them.
+    /// Probes `key` for the answer filled for `k` (0 for an aggregate)
+    /// at exactly these epochs, refreshing a hit's LRU stamp. A stale
+    /// entry is removed when `evict` is set, and left in place for a
+    /// later probe otherwise (a peek).
+    pub fn lookup(
+        &self,
+        key: &CacheKey,
+        k: usize,
+        epoch: u64,
+        index_epoch: u64,
+        evict: bool,
+    ) -> Lookup<Answer> {
+        let mut entries = self.entries.lock();
+        entries.tick += 1;
+        let tick = entries.tick;
+        let Some(entry) = entries.map.get_mut(key) else {
+            return Lookup::Miss;
+        };
+        if entry.epoch != epoch || entry.index_epoch != index_epoch {
+            if evict {
+                entries.map.remove(key);
+            }
+            return Lookup::Stale;
+        }
+        if entry.k != k {
+            // Another k refills the entry.
+            return Lookup::Miss;
+        }
+        entry.stamp = tick;
+        Lookup::Hit(entry.value.clone())
+    }
+
+    /// Probes for the top-k answer at the pinned epochs, evicting a stale
+    /// entry. `_epsilon` and `_alpha` are held for the benchmark, which
+    /// calls this positionally (DESIGN.md §3.5); nothing reads them.
     pub fn lookup_top_k(
         &self,
         key: &CacheKey,
@@ -262,24 +285,14 @@ impl ResultCache {
         _epsilon: f64,
         _alpha: usize,
     ) -> TopKLookup {
-        let mut entries = self.entries.lock();
-        entries.tick += 1;
-        let tick = entries.tick;
-        let Some(entry) = entries.map.get_mut(key) else {
-            return TopKLookup::Miss;
-        };
-        if entry.epoch != epoch || entry.index_epoch != index_epoch {
-            entries.map.remove(key);
-            return TopKLookup::Stale;
-        }
-        entry.stamp = tick;
-        match &entry.value {
-            CachedValue::TopK(cached) if entry.k == k => TopKLookup::Hit(cached.clone()),
-            // Another k refills the entry; key kinds and value kinds
-            // correspond one-to-one, so the aggregate arm is unreachable
-            // and answered as a miss rather than asserted on the hot path.
-            _ => TopKLookup::Miss,
-        }
+        // Key kinds and value kinds correspond one-to-one, so the
+        // aggregate arm is unreachable and answered as a miss rather than
+        // asserted on the hot path.
+        self.lookup(key, k, epoch, index_epoch, true)
+            .map(|answer| match answer {
+                Answer::TopK(r) => Some(r),
+                Answer::Aggregate(_) => None,
+            })
     }
 
     /// Records a freshly-computed top-k answer for `k` at the pinned
@@ -292,37 +305,22 @@ impl ResultCache {
         index_epoch: u64,
         result: &TopKResult,
     ) {
-        self.insert(
-            key,
-            k,
-            epoch,
-            index_epoch,
-            CachedValue::TopK(result.clone()),
-        );
+        self.insert(key, k, epoch, index_epoch, Answer::TopK(result.clone()));
     }
 
-    /// Probes for an aggregate answer at the pinned epochs.
+    /// Probes for an aggregate answer at the pinned epochs, evicting a
+    /// stale entry.
     pub fn lookup_aggregate(
         &self,
         key: &CacheKey,
         epoch: u64,
         index_epoch: u64,
     ) -> AggregateLookup {
-        let mut entries = self.entries.lock();
-        entries.tick += 1;
-        let tick = entries.tick;
-        let Some(entry) = entries.map.get_mut(key) else {
-            return AggregateLookup::Miss;
-        };
-        if entry.epoch != epoch || entry.index_epoch != index_epoch {
-            entries.map.remove(key);
-            return AggregateLookup::Stale;
-        }
-        entry.stamp = tick;
-        match &entry.value {
-            CachedValue::Aggregate(a) => AggregateLookup::Hit(a.clone()),
-            CachedValue::TopK(_) => AggregateLookup::Miss,
-        }
+        self.lookup(key, 0, epoch, index_epoch, true)
+            .map(|answer| match answer {
+                Answer::Aggregate(r) => Some(r),
+                Answer::TopK(_) => None,
+            })
     }
 
     /// Records a freshly-computed aggregate answer at the pinned epochs.
@@ -338,11 +336,11 @@ impl ResultCache {
             0,
             epoch,
             index_epoch,
-            CachedValue::Aggregate(result.clone()),
+            Answer::Aggregate(result.clone()),
         );
     }
 
-    fn insert(&self, key: CacheKey, k: usize, epoch: u64, index_epoch: u64, value: CachedValue) {
+    fn insert(&self, key: CacheKey, k: usize, epoch: u64, index_epoch: u64, value: Answer) {
         let mut entries = self.entries.lock();
         // A fill computed at epochs a newer fill has superseded answers
         // nothing a later probe pins: refused, so that it can neither
@@ -451,6 +449,29 @@ mod tests {
         cache.insert_top_k(key(), 3, 5, 2, &top_k_result(3));
         assert!(matches!(
             cache.lookup_top_k(&key(), 3, 5, 3, 3.0, 3),
+            TopKLookup::Stale
+        ));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_peek_leaves_a_stale_entry_for_the_evicting_probe() {
+        let cache = ResultCache::new(16);
+        cache.insert_top_k(key(), 3, 5, 2, &top_k_result(3));
+        for _ in 0..2 {
+            assert!(matches!(
+                cache.lookup(&key(), 3, 6, 2, false),
+                Lookup::Stale
+            ));
+        }
+        assert!(matches!(cache.lookup(&key(), 4, 5, 2, false), Lookup::Miss));
+        assert!(matches!(
+            cache.lookup(&key(), 3, 5, 2, false),
+            Lookup::Hit(Answer::TopK(_))
+        ));
+        assert_eq!(cache.len(), 1, "a peek removes nothing");
+        assert!(matches!(
+            cache.lookup_top_k(&key(), 3, 6, 2, 3.0, 3),
             TopKLookup::Stale
         ));
         assert!(cache.is_empty());

@@ -52,7 +52,7 @@ use vkg_kg::{AttributeStore, EntityId, KnowledgeGraph, RelationId};
 use vkg_obs::{Clock, MetricsSnapshot, Registry};
 use vkg_sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::cache::{AggregateLookup, CacheKey, ResultCache, TopKLookup};
+use crate::cache::{CacheKey, Lookup, ResultCache};
 use crate::config::VkgConfig;
 use crate::engine::{IndexState, QueryEngine};
 use crate::error::{check_finite, VkgError, VkgResult};
@@ -152,6 +152,15 @@ struct Published {
     /// entity write does, an attribute write does not).
     index_epoch: u64,
     snap: Arc<VkgSnapshot>,
+}
+
+impl Published {
+    fn pin(&self) -> IndexPin {
+        IndexPin {
+            epoch: self.epoch,
+            index_epoch: self.index_epoch,
+        }
+    }
 }
 
 /// The epochs pinned by [`VirtualKnowledgeGraph::with_published_index`]:
@@ -459,11 +468,7 @@ impl VirtualKnowledgeGraph {
     /// index lock, never before — `vkg.published` is a leaf under it.
     fn pinned(&self) -> (IndexPin, Arc<VkgSnapshot>) {
         let p = self.published.read();
-        let pin = IndexPin {
-            epoch: p.epoch,
-            index_epoch: p.index_epoch,
-        };
-        (pin, p.snap.clone())
+        (p.pin(), p.snap.clone())
     }
 
     /// Runs `f` under the index lock's **shared** side against the
@@ -581,6 +586,30 @@ impl VirtualKnowledgeGraph {
                 Ok((pin, Answer::Aggregate(r)))
             }
         }
+    }
+
+    /// Answers `query` from the result cache alone, or returns `None`
+    /// having changed nothing: with the cache off or an uncacheable query
+    /// (`CacheKey::of`) before taking any lock, and otherwise after
+    /// peeking at its entry under the index lock's shared side with the
+    /// epochs pinned (`on_guard` fires once the guard is held). It reads
+    /// the cache as [`VirtualKnowledgeGraph::execute`] does, so a hit
+    /// here is the answer `execute` would return at these epochs; a
+    /// hit is counted in `core.cache.hit`, and a miss or a stale entry
+    /// is left for `execute`'s probe to count and act on. Records no
+    /// query metrics — callers own that.
+    pub fn cached(&self, query: &Query, on_guard: &mut dyn FnMut()) -> Option<(IndexPin, Answer)> {
+        let cache = self.cache.as_ref()?;
+        let key = CacheKey::of(query)?;
+        let k = match query.op {
+            QueryOp::TopK { k, .. } => k,
+            QueryOp::Aggregate(_) => 0,
+        };
+        let _state = self.index.read();
+        on_guard();
+        let pin = self.published.read().pin();
+        let answer = self.probe(cache, &key, k, pin, true)?;
+        Some((pin, answer))
     }
 
     /// Top-k predicted entities for `(entity, relation)` in `direction`
@@ -726,17 +755,8 @@ impl VirtualKnowledgeGraph {
     ) -> VkgResult<(TopKResult, Option<Option<Mbr>>)> {
         let slot = self.cache.as_ref().zip(key);
         if let Some((cache, key)) = &slot {
-            let cfg = snap.config();
-            match cache.lookup_top_k(key, k, pin.epoch, pin.index_epoch, cfg.epsilon, cfg.alpha) {
-                TopKLookup::Hit(result) => {
-                    self.metrics.record_cache_hit();
-                    return Ok((result, None));
-                }
-                TopKLookup::Stale => {
-                    self.metrics.record_cache_invalidate();
-                    self.metrics.record_cache_miss();
-                }
-                TopKLookup::Miss => self.metrics.record_cache_miss(),
+            if let Some(Answer::TopK(result)) = self.probe(cache, key, k, pin, false) {
+                return Ok((result, None));
             }
         }
         // Only `Ok` answers are stored: `k = 0` is the engine's typed
@@ -748,26 +768,46 @@ impl VirtualKnowledgeGraph {
         Ok((r, Some(region)))
     }
 
-    /// Probes an aggregate's slot at the pinned epochs, keeping the
-    /// cache counters.
+    /// The one cache probe, for the answer filled for `k` (0 for an
+    /// aggregate) at the pinned epochs, keeping the cache counters. A
+    /// full probe counts a hit, a miss or a stale entry (which it
+    /// removes); a peek counts and serves a hit only, and leaves a miss or
+    /// a stale entry untouched for the full probe that the query then
+    /// runs — so each read is counted once, whoever serves it.
+    fn probe(
+        &self,
+        cache: &ResultCache,
+        key: &CacheKey,
+        k: usize,
+        pin: IndexPin,
+        peek: bool,
+    ) -> Option<Answer> {
+        match cache.lookup(key, k, pin.epoch, pin.index_epoch, !peek) {
+            Lookup::Hit(answer) => {
+                self.metrics.record_cache_hit();
+                return Some(answer);
+            }
+            _ if peek => {}
+            Lookup::Stale => {
+                self.metrics.record_cache_invalidate();
+                self.metrics.record_cache_miss();
+            }
+            Lookup::Miss => self.metrics.record_cache_miss(),
+        }
+        None
+    }
+
+    /// Probes an aggregate's slot at the pinned epochs (a full probe).
     fn probe_aggregate(
         &self,
         slot: Option<&(&ResultCache, CacheKey)>,
         pin: IndexPin,
     ) -> Option<AggregateResult> {
         let (cache, key) = slot?;
-        match cache.lookup_aggregate(key, pin.epoch, pin.index_epoch) {
-            AggregateLookup::Hit(result) => {
-                self.metrics.record_cache_hit();
-                return Some(result);
-            }
-            AggregateLookup::Stale => {
-                self.metrics.record_cache_invalidate();
-                self.metrics.record_cache_miss();
-            }
-            AggregateLookup::Miss => self.metrics.record_cache_miss(),
+        match self.probe(cache, key, 0, pin, false)? {
+            Answer::Aggregate(r) => Some(r),
+            Answer::TopK(_) => None,
         }
-        None
     }
 
     /// Held for the benchmark (DESIGN.md §3.5): the cache-aware

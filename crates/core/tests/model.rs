@@ -664,6 +664,12 @@ fn every_lock_nesting_on_the_facade_is_walked() {
                     &mut || {},
                 )
                 .expect("served aggregate");
+                // A hit or not, the peek takes the index lock's shared
+                // side, then `vkg.published`, then `vkg.cache`.
+                let _ = vkg.cached(
+                    &Query::aggregate(u1, also, tails, count.clone()),
+                    &mut || {},
+                );
                 vkg.with_published_index(|pin, _snap, _state| {
                     assert!(pin.index_epoch <= pin.epoch);
                 });

@@ -12,11 +12,20 @@
 //! with [`ErrorCode::Overloaded`] instead of queueing unboundedly;
 //! clients are expected to back off and retry.
 //!
+//! A read the result cache already answers never queues: the connection
+//! thread that decoded it peeks at the cache first
+//! ([`VirtualKnowledgeGraph::cached`], under the index lock's shared
+//! side) and, on a hit, encodes and sends the answer itself. The hit is
+//! admitted and answered at once, so the invariant holds for it too;
+//! anything else — a miss, a stale entry, a write — is queued unchanged,
+//! and the worker's own probe counts it.
+//!
 //! Parameters are **sanitized**: decoding being fail-closed is not
 //! enough, because a *well-formed* frame can still carry
 //! resource-exhaustion values. A read's `k` is clamped to the entity
-//! count and to the largest answer that fits in a response frame when
-//! the worker runs its query, and a dynamic write whose gradient-step
+//! count and to the largest answer that fits in a response frame
+//! wherever its query is made — the connection thread's cache peek and
+//! the worker make it alike — and a dynamic write whose gradient-step
 //! budget or learning rate [`vkg_core::check_refine_params`] refuses
 //! (more than [`MAX_REFINE_STEPS`] steps — the refinement loop runs under
 //! the index lock — or a non-finite or out-of-range rate) is refused
@@ -26,7 +35,7 @@
 //!
 //! # Epoch-swapped reads
 //!
-//! Workers answer a read request through the facade's one served read,
+//! Workers answer a queued read request through the facade's one served read,
 //! [`VirtualKnowledgeGraph::execute`], given the [`vkg_core::Query`] the
 //! request asks ([`Request::query`]): a read traverses under
 //! the index lock's **shared** side with one `(epoch, snapshot)` pair
@@ -45,8 +54,9 @@
 //! # Observability
 //!
 //! Every admitted request is traced into a [`vkg_obs::Span`] — queue
-//! wait → wait for the index lock's shared guard → execute (a late
-//! crack's exclusive wait and work included) → encode —
+//! wait (zero for a cache hit answered inline) → wait for the index
+//! lock's shared guard → execute (a late crack's exclusive wait and work
+//! included) → encode —
 //! and pushed into a fixed-size lock-free [`SpanRing`]; the admission
 //! counters and a server-side latency histogram live in a `server.*`
 //! [`Registry`] (see [`names`]). The wire `Metrics` opcode (and
@@ -57,13 +67,13 @@
 //! runs on the [`Clock`] in [`ServerConfig::clock`], which tests mock.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{Answer, QueryEngine, QueryOp};
+use vkg_core::vkg::{IndexPin, VirtualKnowledgeGraph};
+use vkg_core::{Answer, Query, QueryEngine, QueryOp};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, Counter, Gauge, HistogramCell, Registry, Span, SpanOutcome, SpanRing, Tick};
 use vkg_sync::thread::{self, JoinHandle};
@@ -96,8 +106,10 @@ pub mod names {
     pub const DEADLINE_EXPIRED: &str = "server.deadline_expired";
     /// Mirror of [`ServerCounters::drained`](crate::protocol::ServerCounters::drained).
     pub const DRAINED: &str = "server.drained";
-    /// Requests a worker executed against the index: one per query and
-    /// per dynamic write (a deadline refusal executes nothing).
+    /// Requests executed against the index: one per query and per
+    /// dynamic write, whether a worker ran it or the connection thread
+    /// answered it from the result cache (a deadline refusal executes
+    /// nothing).
     pub const LOCK_ROUNDS: &str = "server.lock_rounds";
     /// Mirror of the facade's `core.wal.appended` counter: WAL records
     /// flushed before their ack. The `--check` reconciliation compares
@@ -218,6 +230,9 @@ impl Obs {
 
 struct Shared {
     vkg: Arc<VirtualKnowledgeGraph>,
+    /// The listener's address, which a drain connects to once to wake
+    /// the accept thread out of `accept`.
+    addr: SocketAddr,
     cfg: ServerConfig,
     queue: JobQueue<Job>,
     counters: Counters,
@@ -247,11 +262,11 @@ impl Server {
                 .map_err(|e| io::Error::other(e.to_string()))?;
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let obs = Obs::new(&cfg);
         let shared = Arc::new(Shared {
             vkg,
+            addr,
             queue: JobQueue::new(cfg.queue_capacity),
             counters: Counters::default(),
             draining: AtomicBool::new(false),
@@ -328,10 +343,7 @@ impl ServerHandle {
     /// Triggers a graceful drain and blocks until every thread exits:
     /// stop accepting, answer all admitted work, join workers.
     pub fn shutdown(mut self) -> ServerCounters {
-        // seqcst: drain flag; the drained-counters invariant (admitted ==
-        // answered + shed + expired + drained after join) needs every
-        // thread to agree on which requests arrived before the drain.
-        self.shared.draining.store(true, Ordering::SeqCst);
+        begin_drain(&self.shared);
         self.join_inner();
         self.shared.counters.snapshot()
     }
@@ -350,7 +362,11 @@ impl ServerHandle {
     }
 }
 
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Pause after a failed `accept` (say, out of file descriptors) before
+/// the next one, so a persistent failure does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+/// How long a drain waits for its wake-up connection to be taken.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
 pub use vkg_core::MAX_REFINE_STEPS;
@@ -383,6 +399,28 @@ fn sanitize(request: &Request) -> Result<(), Response> {
             .map_err(|why| refusal(ErrorCode::Query, &why))?;
     }
     Ok(())
+}
+
+/// Starts a drain — `ServerHandle::shutdown` and the wire `Shutdown`
+/// alike: flips the draining flag, then wakes the accept thread, which
+/// blocks in `accept`, with one loopback connection to the listener. The
+/// accept thread reads the flag after every `accept` returns and closes
+/// that connection like any other that arrives during the drain. Should
+/// the connection fail, the listener's backlog is full, and the
+/// connections already in it wake the accept thread instead.
+fn begin_drain(shared: &Shared) {
+    // seqcst: drain flag; the drained-counters invariant (admitted ==
+    // answered + shed + expired + drained after join) needs every
+    // thread to agree on which requests arrived before the drain.
+    shared.draining.store(true, Ordering::SeqCst);
+    let mut wake = shared.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
 }
 
 /// Builds the merged observability export: the facade's `core.*`
@@ -437,9 +475,14 @@ fn metrics_export(shared: &Shared, last_spans: usize) -> MetricsWire {
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    // seqcst: drain flag; pairs with the SeqCst store in shutdown().
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // seqcst: drain flag; pairs with the SeqCst store in
+        // begin_drain(), which connects only after it.
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn_shared = Arc::clone(shared);
                 match thread::Builder::new()
@@ -458,11 +501,11 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHan
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
-    // Drain: the listener drops here (no new connections); connection
+    // Drain: the listener drops here, and with it the connection that
+    // woke this thread (and any other not yet served); connection
     // threads notice the flag at their next read-timeout tick and exit
     // after writing any in-flight response.
     drop(listener);
@@ -542,9 +585,7 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
     };
     match request.op {
         RequestOp::Shutdown => {
-            // seqcst: drain flag; a wire-triggered drain needs the same
-            // total order as shutdown() for the counters invariant.
-            shared.draining.store(true, Ordering::SeqCst);
+            begin_drain(shared);
             let _ = send(stream, &Response::ShuttingDown);
             false
         }
@@ -590,6 +631,9 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
             if let Err(rejection) = sanitize(&request) {
                 return send(stream, &rejection).is_ok();
             }
+            if let Some((response, span)) = serve_cached(shared, &request) {
+                return reply(stream, shared, &response, span);
+            }
             let deadline = if request.deadline_ms == 0 {
                 shared.cfg.default_deadline
             } else {
@@ -609,20 +653,7 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                 Admission::Admitted => {
                     shared.counters.record_admitted();
                     match reply_rx.recv() {
-                        Ok((response, mut span)) => {
-                            // Encode on the connection thread so the
-                            // worker is already free; the span is
-                            // published only once its last phase is in.
-                            let enc_start = shared.obs.clock.now();
-                            let payload = encode_bounded(&response);
-                            span.encode_ns = shared.obs.clock.now().since(enc_start);
-                            shared
-                                .obs
-                                .latency
-                                .record(Duration::from_nanos(span.total_ns()));
-                            shared.obs.ring.push(&span);
-                            send_payload(stream, &payload).is_ok()
-                        }
+                        Ok((response, span)) => reply(stream, shared, &response, span),
                         Err(_) => send(
                             stream,
                             &refusal(ErrorCode::Internal, "worker pool disappeared"),
@@ -645,6 +676,59 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
             }
         }
     }
+}
+
+/// Answers a cacheable read on the connection thread when the result
+/// cache holds its answer at the published epochs
+/// ([`VirtualKnowledgeGraph::cached`]), sparing it the queue, the worker
+/// hop and the reply channel; `None` otherwise, and nothing is counted.
+/// A hit is accounted for as a job that spent no time queued: admitted,
+/// one lock round, answered, mirrored into `core.queries`, and traced
+/// with its lock and execute phases.
+fn serve_cached(shared: &Shared, request: &Request) -> Option<(Response, Span)> {
+    let clock = &shared.obs.clock;
+    let start = clock.now();
+    let query = read_query(&shared.vkg, request)?;
+    let mut locked_at = None;
+    let (pin, answer) = shared.vkg.cached(&query, &mut || {
+        locked_at.get_or_insert_with(|| clock.now());
+    })?;
+    let response = response_of(pin, answer);
+    let finished = clock.now();
+    shared.counters.record_admitted();
+    shared.obs.lock_rounds.incr();
+    let locked_at = locked_at.unwrap_or(start);
+    let span = Span {
+        // relaxed: a ticket dispenser, as for a queued job.
+        id: shared.obs.next_query_id.fetch_add(1, Ordering::Relaxed),
+        op: request.op.opcode(),
+        shard: ROUTED,
+        outcome: SpanOutcome::Ok,
+        queue_ns: 0,
+        lock_ns: locked_at.since(start),
+        exec_ns: finished.since(locked_at),
+        encode_ns: 0,
+        batch_ns: 0,
+        refine_steps: refine_steps_of(&response),
+    };
+    record_answered(shared, &span, true);
+    Some((response, span))
+}
+
+/// Sends an answered request's response and publishes its span: the
+/// encode runs on the connection thread (a worker that answered is
+/// already free), and the span goes into the ring only once its last
+/// phase, the encode, is in.
+fn reply(stream: &mut TcpStream, shared: &Shared, response: &Response, mut span: Span) -> bool {
+    let enc_start = shared.obs.clock.now();
+    let payload = encode_bounded(response);
+    span.encode_ns = shared.obs.clock.now().since(enc_start);
+    shared
+        .obs
+        .latency
+        .record(Duration::from_nanos(span.total_ns()));
+    shared.obs.ring.push(&span);
+    send_payload(stream, &payload).is_ok()
 }
 
 fn refusal(code: ErrorCode, message: &str) -> Response {
@@ -748,12 +832,18 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
 /// once; a hung-up client (closed reply channel) still counts as
 /// answered. `read` says whether `execute` ran the request's query.
 fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span, read: bool) {
+    record_answered(shared, &span, read);
+    let _ = job.reply.send((response, span));
+}
+
+/// Counts one answered request, queued or answered inline. The served
+/// reads (`execute`, `cached`) record no query metrics (the server times
+/// the request on its own clock) — mirror the executed reads into the
+/// facade registry so `core.queries` stays truthful however the engine
+/// is driven. Deadline-refused jobs never reached the engine and are not
+/// mirrored.
+fn record_answered(shared: &Shared, span: &Span, read: bool) {
     shared.counters.record_answered();
-    // The served read (`execute`) records no query metrics (the worker times
-    // the request on its own clock) — mirror the executed reads into
-    // the facade registry so `core.queries` stays truthful however the
-    // engine is driven. Deadline-refused jobs never reached the engine
-    // and are not mirrored.
     if read {
         shared.vkg.metrics().record_query_timed(
             Duration::from_nanos(span.lock_ns.saturating_add(span.exec_ns)),
@@ -761,7 +851,6 @@ fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span, re
             span.outcome == SpanOutcome::Ok,
         );
     }
-    let _ = job.reply.send((response, span));
 }
 
 /// The span outcome a response maps to.
@@ -783,9 +872,34 @@ fn refine_steps_of(response: &Response) -> u64 {
     }
 }
 
-/// Runs one request against the engine. A read is the [`Query`] its
-/// request asks ([`Request::query`]), its `k` clamped (see the module
-/// docs), answered by the facade's one served read
+/// The [`Query`] a read request asks ([`Request::query`]), its `k`
+/// clamped (see the module docs); `None` for a write or a control
+/// request. The connection thread's cache peek and the worker both ask
+/// it, so a hit is probed with the `k` the worker would run.
+fn read_query(vkg: &VirtualKnowledgeGraph, request: &Request) -> Option<Query> {
+    let mut query = request.query()?;
+    if let QueryOp::TopK { k, .. } = &mut query.op {
+        // Clamp rather than refuse: the engine allocates O(k) per query,
+        // and no answer can exceed the entity count anyway. `max(1)`
+        // keeps `k >= 1` requests out of the engine's `k == 0` rejection
+        // on an empty graph.
+        let entities = vkg.snapshot().graph().num_entities();
+        *k = (*k).min(entities.max(1)).min(MAX_K_PER_FRAME);
+    }
+    Some(query)
+}
+
+/// The wire response carrying a served read's answer and the epoch it
+/// was computed at.
+fn response_of(pin: IndexPin, answer: Answer) -> Response {
+    match answer {
+        Answer::TopK(r) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
+        Answer::Aggregate(r) => Response::Aggregate(AggregateWire::from_result(pin.epoch, &r)),
+    }
+}
+
+/// Runs one request against the engine. A read is the query
+/// [`read_query`] makes of it, answered by the facade's one served read
 /// ([`VirtualKnowledgeGraph::execute`]: shared guard, epochs pinned,
 /// late crack); the dynamic write goes through the facade's serialized
 /// `&self` writer path (the same lock, exclusive) and reports the
@@ -806,26 +920,13 @@ fn execute(
     let mut on_guard = || {
         locked_at.get_or_insert_with(|| clock.now());
     };
-    let query = request.query();
+    let query = read_query(vkg, request);
     let read = query.is_some();
     let response = match (query, &request.op) {
-        (Some(mut query), _) => {
-            if let QueryOp::TopK { k, .. } = &mut query.op {
-                // Clamp rather than refuse: the engine allocates O(k)
-                // per query, and no answer can exceed the entity count
-                // anyway. `max(1)` keeps `k >= 1` requests out of the
-                // engine's `k == 0` rejection on an empty graph.
-                let entities = vkg.snapshot().graph().num_entities();
-                *k = (*k).min(entities.max(1)).min(MAX_K_PER_FRAME);
-            }
-            match vkg.execute(&query, &mut on_guard) {
-                Ok((pin, Answer::TopK(r))) => Response::TopK(TopKWire::from_result(pin.epoch, &r)),
-                Ok((pin, Answer::Aggregate(r))) => {
-                    Response::Aggregate(AggregateWire::from_result(pin.epoch, &r))
-                }
-                Err(e) => Response::Error(ServerError::query(&e)),
-            }
-        }
+        (Some(query), _) => match vkg.execute(&query, &mut on_guard) {
+            Ok((pin, answer)) => response_of(pin, answer),
+            Err(e) => Response::Error(ServerError::query(&e)),
+        },
         (
             None,
             RequestOp::AddFactDynamic {

@@ -12,14 +12,15 @@ use std::time::{Duration, Instant};
 
 use vkg_core::query::aggregate::AggregateKind;
 use vkg_core::vkg::VirtualKnowledgeGraph;
-use vkg_core::{AggregateResult, AggregateSpec, Direction, VkgConfig, VkgError};
+use vkg_core::{AggregateResult, AggregateSpec, Answer, Direction, Query, VkgConfig, VkgError};
 use vkg_embed::{TransE, TransEConfig};
 use vkg_kg::datasets::{movie_like, MovieConfig};
 use vkg_kg::{EntityId, RelationId};
 use vkg_obs::{Clock, SpanOutcome};
 use vkg_server::wire::{read_frame, write_frame, MAX_FRAME};
 use vkg_server::{
-    Client, ClientError, ErrorCode, Request, RequestOp, Response, Server, ServerConfig,
+    AggregateWire, Client, ClientError, ErrorCode, Request, RequestOp, Response, Server,
+    ServerConfig, TopKWire,
 };
 
 /// Users occupy ids `0..60` and movies `60..180` in the tiny movie
@@ -545,6 +546,175 @@ fn cached_serving_stays_correct_under_writes() {
     let counters = handle.shutdown();
     assert_eq!(counters.admitted, counters.answered);
     vkg.index().check_invariants();
+}
+
+/// Every bit of a top-k answer on the wire.
+fn top_k_bits(w: &TopKWire) -> Vec<u64> {
+    let mut bits = vec![
+        w.epoch,
+        w.success_probability.to_bits(),
+        w.expected_misses.to_bits(),
+        w.s1_evals,
+        w.candidates_examined,
+    ];
+    for p in &w.predictions {
+        bits.extend([
+            u64::from(p.id),
+            p.distance.to_bits(),
+            p.probability.to_bits(),
+        ]);
+    }
+    bits
+}
+
+/// Every bit of an aggregate answer on the wire.
+fn aggregate_bits(w: &AggregateWire) -> [u64; 6] {
+    [
+        w.epoch,
+        w.estimate.to_bits(),
+        w.accessed,
+        w.ball_size,
+        w.mu.to_bits(),
+        w.increment_mass.to_bits(),
+    ]
+}
+
+/// A cache hit is answered by the connection thread that read it: with
+/// every worker asleep for `think` per job, a repeated top-k (its `k`
+/// clamped to the entity count before the probe, as the worker clamps
+/// it) and a repeated COUNT come back long before `think` elapses,
+/// bit-identical to the first, computed answer and to a cache-free
+/// twin's. The inline answers keep the books: each is admitted and
+/// answered, takes one lock round, is a `core.queries` query and a span
+/// that spent no time queued; each cacheable read is counted once in
+/// `core.cache.hit + core.cache.miss`, and a stale entry is left for the
+/// worker, whose probe removes and counts it.
+#[test]
+fn cache_hits_are_answered_on_the_connection_thread() {
+    let think = Duration::from_millis(400);
+    let vkg = build_vkg_with(VkgConfig {
+        cache_capacity: 64,
+        ..VkgConfig::default()
+    });
+    let twin = build_vkg();
+    let handle = start(
+        &vkg,
+        ServerConfig {
+            workers: 1,
+            worker_think_time: Some(think),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let (entity, relation, tails) = (EntityId(3), RelationId(0), Direction::Tails);
+    let entities = twin.graph().num_entities();
+    let timed = |call: &mut dyn FnMut() -> Vec<u64>| {
+        let sent = Instant::now();
+        let bits = call();
+        (bits, sent.elapsed())
+    };
+    let top_k = |client: &mut Client| {
+        let answer = client
+            .top_k(entity, relation, tails, u32::MAX as usize)
+            .expect("top-k is answered");
+        top_k_bits(&answer)
+    };
+    let (computed, slow) = timed(&mut || top_k(&mut client));
+    let (cached, fast) = timed(&mut || top_k(&mut client));
+    assert!(slow >= think, "the first ask is computed by a worker");
+    assert!(fast < think, "the repeat never reached a worker: {fast:?}");
+    assert_eq!(cached, computed, "a hit is the computed answer");
+    let query = Query::top_k(entity, relation, tails, entities, None);
+    let Ok((pin, Answer::TopK(r))) = twin.execute(&query, &mut || {}) else {
+        panic!("the twin answers a top-k");
+    };
+    assert_eq!(cached, top_k_bits(&TopKWire::from_result(pin.epoch, &r)));
+
+    let spec = AggregateSpec::count(0.05);
+    let count = |client: &mut Client| {
+        let answer = client
+            .aggregate(
+                entity,
+                relation,
+                tails,
+                AggregateKind::Count,
+                None,
+                0.05,
+                None,
+            )
+            .expect("COUNT is answered");
+        aggregate_bits(&answer).to_vec()
+    };
+    let (computed, slow) = timed(&mut || count(&mut client));
+    let (cached, fast) = timed(&mut || count(&mut client));
+    assert!(slow >= think, "the first COUNT is computed by a worker");
+    assert!(
+        fast < think,
+        "the repeated COUNT never reached a worker: {fast:?}"
+    );
+    assert_eq!(cached, computed, "a hit is the computed answer");
+    let query = Query::aggregate(entity, relation, tails, spec);
+    let Ok((pin, Answer::Aggregate(r))) = twin.execute(&query, &mut || {}) else {
+        panic!("the twin answers a COUNT");
+    };
+    assert_eq!(
+        cached,
+        aggregate_bits(&AggregateWire::from_result(pin.epoch, &r))
+    );
+
+    // A write makes the top-k's entry stale: the peek leaves it, and the
+    // worker's probe removes it, counts it and recomputes.
+    client
+        .add_fact(EntityId(0), RelationId(0), EntityId(USERS + 7), 2, 0.01)
+        .expect("write is answered");
+    let (_, slow) = timed(&mut || top_k(&mut client));
+    assert!(slow >= think, "a stale entry is recomputed by a worker");
+
+    // Six admitted: two computed reads, two inline hits, the write, the
+    // recompute. Five of them cacheable reads: two hits, three misses.
+    let m = client.metrics(64).expect("metrics is answered");
+    let snap = &m.snapshot;
+    let (admitted, reads) = (6, 5);
+    assert_eq!(snap.gauge("server.admitted"), Some(admitted));
+    assert_eq!(snap.gauge("server.answered"), Some(admitted));
+    assert_eq!(snap.counter("server.lock_rounds"), Some(admitted));
+    assert_eq!(snap.counter("core.queries"), Some(reads));
+    assert_eq!(snap.counter("core.cache.hit"), Some(2));
+    assert_eq!(snap.counter("core.cache.miss"), Some(reads - 2));
+    assert_eq!(snap.counter("core.cache.invalidate"), Some(1));
+    assert_eq!(
+        snap.hist("server.latency_us").expect("latency").total,
+        admitted
+    );
+    assert_eq!(snap.spans.len(), admitted as usize);
+    let inline: Vec<bool> = snap
+        .spans
+        .iter()
+        .map(|s| s.total_ns() < think.as_nanos() as u64)
+        .collect();
+    assert_eq!(
+        inline,
+        [false, true, false, true, false, false],
+        "{:?}",
+        snap.spans
+    );
+    for span in &snap.spans {
+        assert_eq!(span.outcome, SpanOutcome::Ok);
+    }
+    for hit in [&snap.spans[1], &snap.spans[3]] {
+        assert_eq!(hit.queue_ns, 0, "a hit never queues: {hit:?}");
+        assert!(hit.encode_ns > 0, "a hit's encode is timed: {hit:?}");
+    }
+    assert_eq!(snap.spans[1].op, 0x01);
+    assert_eq!(snap.spans[3].op, 0x03);
+
+    drop(client);
+    let counters = handle.shutdown();
+    assert_eq!(
+        counters.admitted,
+        counters.answered + counters.shed + counters.deadline_expired + counters.drained,
+    );
+    assert_eq!(counters.answered, admitted);
 }
 
 /// A client-initiated `Shutdown` drains gracefully: the acknowledgement
