@@ -847,7 +847,8 @@ mod tests {
             ..VkgConfig::default()
         };
         if bulk {
-            VirtualKnowledgeGraph::assemble_bulk_loaded(graph, attributes, store, config)
+            VirtualKnowledgeGraph::try_assemble_bulk_loaded(graph, attributes, store, config)
+                .expect("a consistent world")
         } else {
             VirtualKnowledgeGraph::assemble(graph, attributes, store, config)
         }

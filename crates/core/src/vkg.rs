@@ -321,26 +321,8 @@ impl VirtualKnowledgeGraph {
     /// Assembles with a fully **bulk-loaded** offline index (the
     /// BULKLOADCHUNK baseline of §VI).
     ///
-    /// # Panics
-    /// Panics under the same conditions as
-    /// [`VirtualKnowledgeGraph::assemble`].
-    pub fn assemble_bulk_loaded(
-        graph: KnowledgeGraph,
-        attributes: AttributeStore,
-        embeddings: EmbeddingStore,
-        config: VkgConfig,
-    ) -> Self {
-        match Self::try_assemble_bulk_loaded(graph, attributes, embeddings, config) {
-            Ok(vkg) => vkg,
-            #[expect(
-                clippy::panic,
-                reason = "documented `# Panics` contract; try_assemble_bulk_loaded is the fallible form"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`VirtualKnowledgeGraph::assemble_bulk_loaded`].
+    /// # Errors
+    /// Under the same conditions as [`VirtualKnowledgeGraph::try_assemble`].
     pub fn try_assemble_bulk_loaded(
         graph: KnowledgeGraph,
         attributes: AttributeStore,
@@ -965,7 +947,9 @@ impl VirtualKnowledgeGraph {
     /// # Errors
     /// A typed [`VkgError`] if the embedding's dimensionality does not
     /// match the store, a coordinate is not finite, or the dense id
-    /// space is exhausted; the failed write publishes nothing.
+    /// space is exhausted, and [`VkgError::Durability`] while a WAL is
+    /// attached — the log has no entity record yet; the failed write
+    /// publishes nothing.
     pub fn add_entity_dynamic(&self, name: &str, s1_embedding: &[f64]) -> VkgResult<EntityId> {
         // The dimensionality is fixed at assembly, so any snapshot
         // answers; checked before any lock, since a mismatched row would
@@ -980,6 +964,7 @@ impl VirtualKnowledgeGraph {
         }
         check_finite("entity embedding", s1_embedding)?;
         let _writer = self.writer.lock();
+        self.refuse_unlogged()?;
         let mut next = (*self.snapshot()).clone();
         let id = next.graph_mut().add_entity(name);
         let s2 = next.transform().apply(s1_embedding);
@@ -1232,9 +1217,10 @@ impl VirtualKnowledgeGraph {
     ///
     /// # Errors
     /// [`VkgError::UnknownEntity`] for an id the graph does not hold
-    /// (the column would otherwise grow to it) and
-    /// [`VkgError::InvalidParameter`] for a non-finite value; the failed
-    /// write publishes nothing.
+    /// (the column would otherwise grow to it),
+    /// [`VkgError::InvalidParameter`] for a non-finite value, and
+    /// [`VkgError::Durability`] while a WAL is attached — the log has no
+    /// attribute record yet; the failed write publishes nothing.
     pub fn set_attribute_dynamic(&self, attr: &str, entity: EntityId, value: f64) -> VkgResult<()> {
         // Entities are never removed, so an id known to any snapshot
         // stays known: checked before any lock.
@@ -1243,12 +1229,27 @@ impl VirtualKnowledgeGraph {
         }
         check_finite("attribute value", &[value])?;
         let _writer = self.writer.lock();
+        self.refuse_unlogged()?;
         let mut next = (*self.snapshot()).clone();
         next.attributes_mut().set(attr, entity, value);
         // The index does not change, but the epochs a reader holding
         // the shared guard has pinned must not move under it.
         let _state = self.index.write();
         self.publish(next, false);
+        Ok(())
+    }
+
+    /// Refuses a write the log has no record for — an entity or an
+    /// attribute — while a WAL is attached: acked and unlogged, it would be
+    /// lost at a restart, and a logged fact naming a new entity would make
+    /// the log unreplayable. Called under the writer mutex, which arming
+    /// the log takes too.
+    fn refuse_unlogged(&self) -> VkgResult<()> {
+        if self.durability.lock().writer.is_some() {
+            return Err(VkgError::Durability(
+                "entity/attribute writes are not logged yet".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -1547,22 +1548,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn bulk_loaded_agrees_with_cracking() {
-        let (g, attrs, emb) = tiny_world(8);
-        let online =
-            VirtualKnowledgeGraph::assemble(g.clone(), attrs.clone(), emb.clone(), config());
-        let bulk = VirtualKnowledgeGraph::assemble_bulk_loaded(g, attrs, emb, config());
-        let u1 = online.graph().entity_id("u1").unwrap();
-        let likes = online.graph().relation_id("likes").unwrap();
-        let a = online.top_k(u1, likes, Direction::Tails, 3).unwrap();
-        let b = bulk.top_k(u1, likes, Direction::Tails, 3).unwrap();
-        assert_eq!(
-            a.predictions.iter().map(|p| p.id).collect::<Vec<_>>(),
-            b.predictions.iter().map(|p| p.id).collect::<Vec<_>>()
-        );
     }
 
     #[test]

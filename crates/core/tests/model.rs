@@ -14,7 +14,7 @@ use vkg_core::metrics::names;
 use vkg_core::vkg::VirtualKnowledgeGraph;
 use vkg_core::{
     AggregateResult, AggregateSpec, Answer, Direction, FaultPlane, Filter, Query, SplitStrategy,
-    VkgConfig,
+    VkgConfig, VkgError,
 };
 use vkg_embed::EmbeddingStore;
 use vkg_kg::{AttributeStore, KnowledgeGraph, RelationId};
@@ -617,9 +617,10 @@ fn cached_reads_race_writer_without_stale_answers() {
 /// on (filled under the shared guard and after it), every read entry
 /// point — the shared acquisition and, ε being tight, the late exclusive
 /// one after it — the held exclusive entries, every shared-side
-/// inspector, and `vkg.writer` with every kind of writer: WAL replay of
-/// a logged record, a tokened fact, an entity, an attribute and an
-/// `index_mut` holder.
+/// inspector, and `vkg.writer` with every kind of writer: an entity and
+/// an attribute (before the log is armed), WAL replay of a logged
+/// record, a tokened fact, an entity refused under `vkg.wal` once the
+/// log is armed, and an `index_mut` holder.
 /// The checker's acquired-while-holding graph is per run, so executing a
 /// nesting once is enough for it to report two locks taken in both
 /// orders; a nesting that can block forever shows up as a deadlock.
@@ -700,16 +701,18 @@ fn every_lock_nesting_on_the_facade_is_walked() {
             let vkg = Arc::clone(&vkg);
             let log = log.clone();
             thread::spawn(move || {
+                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
+                    .expect("well-shaped embedding");
+                vkg.set_attribute_dynamic("year", m1, 1999.0)
+                    .expect("known entity");
                 let report = vkg.attach_wal(&log, FaultPlane::none()).expect("replay");
                 assert_eq!(report.replayed, 1);
                 let (added, _) = vkg
                     .add_fact_durable(7, u1, likes, m4, 2, 0.01)
                     .expect("logged write");
                 assert!(added, "fresh edge");
-                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
-                    .expect("well-shaped embedding");
-                vkg.set_attribute_dynamic("year", m1, 1999.0)
-                    .expect("known entity");
+                let unlogged = vkg.add_entity_dynamic("m_late", &vec![30.0; dim]);
+                assert!(matches!(unlogged, Err(VkgError::Durability(_))));
                 vkg.index_mut().check_invariants();
                 vkg.quiesce();
             })
@@ -729,7 +732,8 @@ fn every_lock_nesting_on_the_facade_is_walked() {
 /// an attribute — beside a reader: they are ordered by `vkg.writer`, so
 /// each builds on the snapshot the one before it published and no
 /// update is lost, and each logged record carries the epoch its write
-/// published.
+/// published. An entity or attribute write ordered after the replay
+/// armed the log is refused, typed, and publishes nothing.
 #[test]
 fn concurrent_writers_of_every_kind_lose_no_update() {
     let dir = std::env::temp_dir();
@@ -769,19 +773,15 @@ fn concurrent_writers_of_every_kind_lose_no_update() {
                     .expect("valid ids")
             })
         };
+        // Applied, or refused (typed) because replay armed the log first.
+        let landed = |r: Result<(), VkgError>| !matches!(r, Err(VkgError::Durability(_)));
         let entity = {
-            let vkg = Arc::clone(&vkg);
-            thread::spawn(move || {
-                vkg.add_entity_dynamic("m_fresh", &vec![30.0; dim])
-                    .expect("well-shaped embedding");
-            })
+            let (vkg, row) = (Arc::clone(&vkg), vec![30.0; dim]);
+            thread::spawn(move || landed(vkg.add_entity_dynamic("m_fresh", &row).map(drop)))
         };
         let attribute = {
             let vkg = Arc::clone(&vkg);
-            thread::spawn(move || {
-                vkg.set_attribute_dynamic("year", m5, 2024.0)
-                    .expect("known entity");
-            })
+            thread::spawn(move || landed(vkg.set_attribute_dynamic("year", m5, 2024.0)))
         };
         let reader = {
             let vkg = Arc::clone(&vkg);
@@ -793,21 +793,20 @@ fn concurrent_writers_of_every_kind_lose_no_update() {
         };
         replay.join().expect("replay");
         let (added, epoch) = fact.join().expect("fact writer");
-        entity.join().expect("entity writer");
-        attribute.join().expect("attribute writer");
+        let entity = entity.join().expect("entity writer");
+        let attribute = attribute.join().expect("attribute writer");
         reader.join().expect("reader");
 
         assert!(added, "fresh edge");
-        assert_eq!(vkg.epoch(), 4, "one publication per write");
+        let published = 2 + u64::from(entity) + u64::from(attribute);
+        assert_eq!(vkg.epoch(), published, "one publication per applied write");
         let snap = vkg.snapshot();
         assert!(snap.graph().has_edge(u0, likes, m2), "the replayed fact");
         assert!(snap.graph().has_edge(u2, likes, m4), "the logged fact");
-        assert!(snap.graph().entity_id("m_fresh").is_some(), "the entity");
-        assert_eq!(
-            snap.attributes().get("year", m5).expect("year column"),
-            Some(2024.0),
-            "the attribute"
-        );
+        let fresh = snap.graph().entity_id("m_fresh").is_some();
+        assert_eq!(fresh, entity, "the entity");
+        let year = snap.attributes().get("year", m5).expect("year column");
+        assert_eq!(year == Some(2024.0), attribute, "the attribute");
         vkg.index().check_invariants();
         // The fact's record: logged with the epoch it published, unless
         // it ran before replay armed the log.

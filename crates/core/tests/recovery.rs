@@ -8,8 +8,8 @@
 //!   fresh engine recovers the log and must hold exactly the acked
 //!   prefix: no acked write lost, none applied twice, no panic on a
 //!   torn tail;
-//! * WAL-off equivalence — attaching a WAL changes nothing observable
-//!   about the write path's results;
+//! * unlogged write kinds — an entity or attribute write is refused
+//!   while a WAL is attached, so every acked write replays;
 //! * refusal before the log — a write the index would refuse leaves no
 //!   record and moves no point, and a logged record whose parameters
 //!   the write path refuses fails recovery with a typed error.
@@ -335,44 +335,41 @@ fn fault_matrix_cell(seed: u64, cache: usize) {
     }
 }
 
-/// Attaching a WAL must not change anything observable about the write
-/// path: same epochs, same outcomes, bit-identical predictions as the
-/// plain in-memory engine.
+/// The log holds fact records only, so while it is attached an entity
+/// or attribute write is refused, typed, and publishes nothing: acked
+/// and unlogged, an entity named by a later logged fact made the log
+/// unreplayable (`UnknownEntity` at every restart), and an attribute
+/// vanished at the restart. The acked fact beside them replays.
 #[test]
-fn wal_on_is_bit_identical_to_in_memory() {
-    let wal_file = TempWal::new("equivalence");
-    let (durable, likes_d) = tiny_vkg(16);
-    durable
-        .attach_wal(&wal_file.0, FaultPlane::none())
-        .expect("fresh WAL");
-    let (memory, likes_m) = tiny_vkg(16);
+fn unlogged_write_kinds_are_refused_while_a_wal_is_attached() {
+    let wal_file = TempWal::new("unlogged_kinds");
+    let (vkg, likes) = tiny_vkg(0);
+    vkg.attach_wal(&wal_file.0, FaultPlane::none())
+        .expect("fresh log");
+    let id = |name| vkg.graph().entity_id(name).expect("fixture entity");
+    let (u1, m3) = (id("u1"), id("m3"));
+    let dim = vkg.embeddings().dim();
+    let year = || vkg.attributes().get("year", m3).expect("year column");
+    let (epoch, year_before) = (vkg.epoch(), year());
 
-    let plan = write_plan(&durable);
-    for (i, &(h, t)) in plan.iter().enumerate() {
-        let a = durable
-            .add_fact_durable(1 + i as u64, h, likes_d, t, 2, 0.01)
-            .expect("durable write");
-        let b = memory
-            .add_fact_dynamic(h, likes_m, t, 2, 0.01)
-            .expect("in-memory write");
-        assert_eq!(a, b, "write {i} outcome diverged");
-    }
-    assert_eq!(durable.epoch(), memory.epoch());
-    for u in 0..4 {
-        let pd = durable.graph().entity_id(&format!("u{u}")).expect("user");
-        let a = durable
-            .top_k(pd, likes_d, Direction::Tails, 4)
-            .expect("durable query");
-        let b = memory
-            .top_k(pd, likes_m, Direction::Tails, 4)
-            .expect("in-memory query");
-        assert_eq!(a.predictions.len(), b.predictions.len());
-        for (x, y) in a.predictions.iter().zip(&b.predictions) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-            assert_eq!(x.probability.to_bits(), y.probability.to_bits());
-        }
-    }
+    let refused = |r: Result<(), VkgError>| matches!(r, Err(VkgError::Durability(_)));
+    assert!(refused(
+        vkg.add_entity_dynamic("u_new", &vec![1.5; dim]).map(drop)
+    ));
+    assert!(refused(vkg.set_attribute_dynamic("year", m3, 1999.0)));
+    assert_eq!(vkg.epoch(), epoch, "a refused write published");
+    assert!(vkg.graph().entity_id("u_new").is_none());
+    assert_eq!(year(), year_before);
+
+    vkg.add_fact_durable(7, u1, likes, m3, 2, 0.01)
+        .expect("logged write");
+    drop(vkg);
+    let (recovered, likes) = tiny_vkg(0);
+    let report = recovered
+        .attach_wal(&wal_file.0, FaultPlane::none())
+        .expect("the log replays");
+    assert_eq!((report.replayed, report.epoch), (1, 1));
+    assert!(recovered.graph().has_edge(u1, likes, m3));
 }
 
 /// A crash *between* append and ack (simulated by a flush failure, so

@@ -80,53 +80,6 @@ fn h2alsh_recall_on_single_relation() {
     assert!(recall >= 0.8, "H2-ALSH recall {recall}");
 }
 
-#[test]
-fn cracked_bulk_and_scan_agree_through_facade() {
-    let (ds, store) = trained_movie();
-    let scan_store = store.clone();
-    let scan = LinearScan::new(&scan_store);
-    let cracked = VirtualKnowledgeGraph::assemble(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store.clone(),
-        VkgConfig::default(),
-    );
-    let bulk = VirtualKnowledgeGraph::assemble_bulk_loaded(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store,
-        VkgConfig::default(),
-    );
-    let likes = ds.graph.relation_id("likes").unwrap();
-    for u in 0..8 {
-        let user = ds.graph.entity_id(&format!("user_{u}")).unwrap();
-        let a = cracked.top_k(user, likes, Direction::Tails, 5).unwrap();
-        let b = bulk.top_k(user, likes, Direction::Tails, 5).unwrap();
-        assert_eq!(
-            a.predictions.iter().map(|p| p.id).collect::<Vec<_>>(),
-            b.predictions.iter().map(|p| p.id).collect::<Vec<_>>(),
-            "cracked and bulk answers diverged for user_{u}"
-        );
-        // Both must rank by true S₁ distance: compare the top-1 against
-        // the exact scan under the same skip set.
-        let known: std::collections::HashSet<u32> =
-            ds.graph.tails(user, likes).map(|e| e.0).collect();
-        let truth = scan.top_k_near(&store_q(&cracked, user, likes), 1, |id| {
-            id == user.0 || known.contains(&id)
-        });
-        if let (Some(p), Some(t)) = (a.predictions.first(), truth.first()) {
-            assert!(
-                (p.distance - t.1).abs() < 1e-9 || p.id == t.0,
-                "top-1 mismatch beyond transform noise"
-            );
-        }
-    }
-}
-
-fn store_q(vkg: &VirtualKnowledgeGraph, e: EntityId, r: RelationId) -> Vec<f64> {
-    vkg.query_point_s1(e, r, Direction::Tails).unwrap()
-}
-
 /// Satellite of the engine layer: every [`QueryEngine`] — baselines and
 /// index states alike — goes through one `&mut dyn QueryEngine` loop and
 /// is checked against the contract its [`Accuracy`] advertises, with the

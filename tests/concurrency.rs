@@ -1,7 +1,7 @@
 //! Concurrency: the assembled engine is `Send`, read paths are shareable,
-//! and the facade serves a multi-threaded query workload — its readers
-//! side by side under the index lock's shared guard, cracking late —
-//! with results identical to a single-threaded twin's.
+//! snapshots stay frozen beside a writer, and full-access aggregates
+//! beside writers of every kind answer at one epoch. (Threaded reads
+//! against a single-threaded twin are cells of `tests/differential.rs`.)
 //!
 //! The snapshot-readers-vs-one-writer scenario is defined **once**
 //! ([`snapshot_readers_vs_writer_scenario`]) and exercised two ways: as
@@ -10,8 +10,7 @@
 //! same threads onto explored interleavings and checks for data races,
 //! lock-order inversions, and deadlocks along the way.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use vkg::prelude::*;
 use vkg_sync::{thread as sync_thread, RwLock};
@@ -62,59 +61,6 @@ fn concurrent_readers_on_graph_and_embeddings() {
     for h in handles {
         assert!(h.join().unwrap() > 0);
     }
-}
-
-#[test]
-fn parallel_queries_match_serial_results() {
-    let (ds, vkg) = build();
-    let likes = ds.graph.relation_id("likes").unwrap();
-    let users: Vec<EntityId> = (0..12)
-        .map(|u| ds.graph.entity_id(&format!("user_{u}")).unwrap())
-        .collect();
-
-    // Serial reference on an identical fresh engine.
-    let (_, serial) = {
-        let d = movie_like(&MovieConfig::tiny());
-        let v = vkg::build_from_dataset(
-            &d,
-            TransEConfig {
-                dim: 16,
-                epochs: 6,
-                ..TransEConfig::default()
-            },
-            VkgConfig::default(),
-        );
-        (d, v)
-    };
-    let mut serial_answers = Vec::new();
-    for &u in &users {
-        let r = serial.top_k(u, likes, Direction::Tails, 5).unwrap();
-        serial_answers.push(r.predictions.iter().map(|p| p.id).collect::<Vec<_>>());
-    }
-
-    // Parallel run: the facade needs no outer lock — the threads
-    // traverse side by side and each applies its own late crack.
-    let shared = Arc::new(vkg);
-    let mut handles = Vec::new();
-    for (qi, &u) in users.iter().enumerate() {
-        let shared = Arc::clone(&shared);
-        handles.push(std::thread::spawn(move || {
-            let r = shared.top_k(u, likes, Direction::Tails, 5).unwrap();
-            (qi, r.predictions.iter().map(|p| p.id).collect::<Vec<_>>())
-        }));
-    }
-    let mut parallel_answers = vec![Vec::new(); users.len()];
-    for h in handles {
-        let (qi, ids) = h.join().unwrap();
-        parallel_answers[qi] = ids;
-    }
-
-    // Cracking order differs between runs, but answers are order-
-    // independent (the index is lossless; only its shape differs).
-    for (qi, (s, p)) in serial_answers.iter().zip(&parallel_answers).enumerate() {
-        assert_eq!(s, p, "query {qi} diverged under concurrency");
-    }
-    shared.index().check_invariants();
 }
 
 /// Snapshot isolation: readers holding `Arc<VkgSnapshot>` clones make
@@ -358,8 +304,7 @@ fn aggregates_beside_writers_scenario(cache_capacity: usize) {
             for spec in &specs {
                 for &user in &users {
                     let query = Query::aggregate(user, likes, Direction::Tails, spec.clone());
-                    let (epoch, bits, _) = ask(&vkg, &query);
-                    answers.push((epoch, bits));
+                    answers.push(ask(&vkg, &query));
                 }
             }
             answers
@@ -375,7 +320,7 @@ fn aggregates_beside_writers_scenario(cache_capacity: usize) {
 
     // Every answer of every epoch, from a facade at rest.
     let twin = small_engine(0);
-    let mut at_rest: Vec<Vec<Bits>> = Vec::new();
+    let mut at_rest: Vec<Vec<[u64; 5]>> = Vec::new();
     for epoch in 0..=WRITES {
         let row = specs.iter().flat_map(|spec| {
             let twin = &twin;
@@ -399,6 +344,17 @@ fn aggregates_beside_writers_scenario(cache_capacity: usize) {
     for (i, (at, bits)) in answers.iter().enumerate() {
         assert_eq!(bits, &at_rest[*at as usize][i], "answer {i} at epoch {at}");
     }
+}
+
+/// Asks the aggregate `q`: the global epoch it was answered at, and its
+/// estimate, bound and counts, floats by their bits.
+fn ask(vkg: &VirtualKnowledgeGraph, q: &Query) -> (u64, [u64; 5]) {
+    let (pin, Answer::Aggregate(r)) = vkg.execute(q, &mut || {}).expect("valid query") else {
+        panic!("not an aggregate: {q:?}");
+    };
+    let [estimate, mu, mass] = [r.estimate, r.bound.mu, r.bound.increment_mass].map(f64::to_bits);
+    let counts = [r.accessed, r.ball_size].map(|n| n as u64);
+    (pin.epoch, [estimate, mu, mass, counts[0], counts[1]])
 }
 
 #[test]
@@ -439,322 +395,4 @@ fn index_stats_are_coherent_after_concurrent_load() {
     assert!(s.s1_distance_evals > 0);
     assert!(shared.index_node_count() >= 1);
     shared.index().check_invariants();
-}
-
-/// The world of the threaded differential tests: 20 000 entities, where
-/// a query's ball is a small part of the tree and cracks keep landing
-/// for the whole run.
-fn big_world() -> &'static (Dataset, EmbeddingStore) {
-    static WORLD: OnceLock<(Dataset, EmbeddingStore)> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let ds = freebase_like(&FreebaseConfig::default());
-        assert!(ds.graph.num_entities() >= 20_000);
-        let embeddings = vkg::embed::least_squares_embedding(
-            &ds.graph,
-            &vkg::embed::LsConfig {
-                dim: 32,
-                ..Default::default()
-            },
-        );
-        (ds, embeddings)
-    })
-}
-
-fn big_engine(cache_capacity: usize) -> VirtualKnowledgeGraph {
-    let (ds, embeddings) = big_world();
-    VirtualKnowledgeGraph::assemble(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        embeddings.clone(),
-        VkgConfig {
-            cache_capacity,
-            epsilon: 0.5,
-            ..VkgConfig::default()
-        },
-    )
-}
-
-/// Everything of an answer that is a function of (snapshot, query), down
-/// to the float bits. `candidates_examined` depends on how far the tree
-/// is cracked and stays out.
-#[derive(Debug, PartialEq)]
-enum Bits {
-    TopK(Vec<(u32, u64, u64)>, (u64, u64), u64),
-    Aggregate(u64, (u64, u64), usize, usize),
-}
-
-fn bits(answer: &Answer) -> Bits {
-    match answer {
-        Answer::TopK(r) => {
-            let predictions = r
-                .predictions
-                .iter()
-                .map(|p| (p.id, p.distance.to_bits(), p.probability.to_bits()));
-            let guarantee = (
-                r.guarantee.success_probability.to_bits(),
-                r.guarantee.expected_misses.to_bits(),
-            );
-            Bits::TopK(predictions.collect(), guarantee, r.s1_evals)
-        }
-        Answer::Aggregate(r) => {
-            let bound = (r.bound.mu.to_bits(), r.bound.increment_mass.to_bits());
-            Bits::Aggregate(r.estimate.to_bits(), bound, r.accessed, r.ball_size)
-        }
-    }
-}
-
-/// `lanes` fixed streams of `per_lane` reads each — half plain top-k, a
-/// quarter filtered, a quarter full-access aggregates — over query keys
-/// taken from the graph's own triples. Lanes overlap in keys, so with
-/// the cache on one lane's fill is another's hit.
-fn streams(lanes: usize, per_lane: usize) -> Vec<Vec<Query>> {
-    let (ds, _) = big_world();
-    let triples = ds.graph.triples();
-    let entities = ds.graph.num_entities() as u32;
-    (0..lanes)
-        .map(|lane| {
-            (0..per_lane)
-                .map(|i| {
-                    let n = lane * per_lane / 2 + i;
-                    let t = &triples[n * 97 % triples.len()];
-                    let (entity, direction) = match n % 3 {
-                        0 => (t.tail, Direction::Heads),
-                        _ => (t.head, Direction::Tails),
-                    };
-                    let top_k = |k, filter| Query::top_k(entity, t.relation, direction, k, filter);
-                    let aggregate = |spec| Query::aggregate(entity, t.relation, direction, spec);
-                    match n % 8 {
-                        0 | 4 => {
-                            let lo = (n as u32 * 7_919) % entities;
-                            let hi = lo + entities / 4;
-                            top_k(10, Some(Filter::IdRange { lo, hi }))
-                        }
-                        2 => aggregate(AggregateSpec::count(0.5)),
-                        6 => aggregate(AggregateSpec::of(AggregateKind::Sum, "age", 0.6)),
-                        _ => top_k([10, 5, 1][n % 3], None),
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Asks `q` through the facade's served read (the result cache, when
-/// on, is in the path): the global epoch the answer was computed at, its
-/// bits, and the `(candidates_examined, s1_evals)` a top-k reports.
-fn ask(vkg: &VirtualKnowledgeGraph, q: &Query) -> (u64, Bits, (u64, u64)) {
-    let (pin, answer) = vkg.execute(q, &mut || {}).expect("valid query");
-    let counts = match &answer {
-        Answer::TopK(r) => (r.candidates_examined, r.s1_evals),
-        Answer::Aggregate(_) => (0, 0),
-    };
-    (pin.epoch, bits(&answer), counts)
-}
-
-/// Fresh facts (no such edge yet), one publication each.
-fn fresh_facts(count: usize) -> Vec<(EntityId, RelationId, EntityId)> {
-    let (ds, _) = big_world();
-    let triples = ds.graph.triples();
-    (0..)
-        .map(|i| {
-            let (a, b) = (
-                &triples[i * 131 % triples.len()],
-                &triples[(i * 211 + 7) % triples.len()],
-            );
-            (a.head, a.relation, b.tail)
-        })
-        .filter(|&(h, r, t)| !ds.graph.has_edge(h, r, t))
-        .take(count)
-        .collect()
-}
-
-/// Four threads drive fixed mixed streams against **one** cracking
-/// facade — traversing side by side under the shared guard, each
-/// applying its own late cracks — while, in the `writes` variant, a
-/// fifth publishes fresh facts in step with their progress. Every
-/// answer must equal, bit for bit, what a single-threaded cache-off twin
-/// answers for the same query at the same epoch; the tree must be whole
-/// at the end.
-fn differential(cache_capacity: usize, writes: usize) {
-    const LANES: usize = 4;
-    const PER_LANE: usize = 48;
-    let vkg = big_engine(cache_capacity);
-    let lanes = streams(LANES, PER_LANE);
-    let facts = fresh_facts(writes);
-    let done = AtomicUsize::new(0);
-    let start = Barrier::new(LANES + 1);
-    let answered: Vec<Vec<(u64, Bits)>> = std::thread::scope(|scope| {
-        let readers: Vec<_> = lanes
-            .iter()
-            .map(|lane| {
-                scope.spawn(|| {
-                    start.wait();
-                    lane.iter()
-                        .map(|q| {
-                            let (epoch, bits, _) = ask(&vkg, q);
-                            done.fetch_add(1, Ordering::SeqCst);
-                            (epoch, bits)
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        // The writer is paced by the readers' progress, not by the
-        // clock: write `j` lands once `j/writes` of the reads are in, so
-        // every run spreads the publications over the whole stream.
-        start.wait();
-        for (j, &(h, r, t)) in facts.iter().enumerate() {
-            while done.load(Ordering::SeqCst) < j * LANES * PER_LANE / writes {
-                std::thread::yield_now();
-            }
-            let (added, epoch) = vkg.add_fact_dynamic(h, r, t, 2, 0.05).expect("valid ids");
-            assert_eq!((added, epoch), (true, j as u64 + 1));
-        }
-        readers
-            .into_iter()
-            .map(|reader| reader.join().expect("reader"))
-            .collect()
-    });
-    vkg.index().check_invariants();
-
-    // The twin walks the epochs once, answering at each the reads the
-    // threads were answered at it.
-    let twin = big_engine(0);
-    let mut epochs_read = 0;
-    for epoch in 0..=writes as u64 {
-        let mut any = false;
-        for (lane, answers) in lanes.iter().zip(&answered) {
-            for (i, (q, (at, bits))) in lane.iter().zip(answers).enumerate() {
-                if *at == epoch {
-                    any = true;
-                    assert_eq!(*bits, ask(&twin, q).1, "read {i} at epoch {epoch}: {q:?}");
-                }
-            }
-        }
-        epochs_read += usize::from(any);
-        if let Some(&(h, r, t)) = facts.get(epoch as usize) {
-            twin.add_fact_dynamic(h, r, t, 2, 0.05).expect("valid ids");
-        }
-    }
-    if writes > 0 {
-        assert!(epochs_read > 2, "reads landed at {epochs_read} epochs");
-    } else if cache_capacity == 0 {
-        // S₁ evaluations are a function of (snapshot, query) too — of a
-        // top-k and of a full-access aggregate alike — so with nothing
-        // cached the two facades counted the same number of them.
-        assert_eq!(
-            vkg.index_stats().s1_distance_evals,
-            twin.index_stats().s1_distance_evals
-        );
-    }
-}
-
-#[test]
-fn threaded_reads_equal_a_single_threaded_twin() {
-    differential(0, 0);
-    differential(1024, 0);
-}
-
-#[test]
-fn threaded_reads_beside_a_writer_equal_a_twin_at_the_same_epoch() {
-    differential(0, 12);
-    differential(1024, 12);
-}
-
-/// No update of the access counters is lost. Four threads of top-k reads
-/// (plain and filtered, cache off) bump the facade's counters
-/// concurrently; afterwards `points_examined` and `s1_distance_evals`
-/// must equal the sums of what the answers themselves report.
-#[test]
-fn access_counters_equal_the_sums_of_the_answers() {
-    let vkg = big_engine(0);
-    let lanes: Vec<Vec<Query>> = streams(4, 48)
-        .into_iter()
-        .map(|lane| {
-            lane.into_iter()
-                .filter(|q| !matches!(q.op, QueryOp::Aggregate(_)))
-                .collect()
-        })
-        .collect();
-    let start = Barrier::new(lanes.len());
-    let (examined, evals) = std::thread::scope(|scope| {
-        let readers: Vec<_> = lanes
-            .iter()
-            .map(|lane| {
-                scope.spawn(|| {
-                    start.wait();
-                    lane.iter().fold((0, 0), |sum, q| {
-                        let (_, _, counts) = ask(&vkg, q);
-                        (sum.0 + counts.0, sum.1 + counts.1)
-                    })
-                })
-            })
-            .collect();
-        readers.into_iter().fold((0, 0), |sum, reader| {
-            let lane = reader.join().expect("reader");
-            (sum.0 + lane.0, sum.1 + lane.1)
-        })
-    });
-    let stats = vkg.index_stats();
-    assert_eq!(stats.points_examined, examined);
-    assert_eq!(stats.s1_distance_evals, evals);
-    assert!(stats.elements_accessed > 0 && stats.elements_accessed <= examined);
-}
-
-/// The same for all three counters, where every call's share is known:
-/// the contour reads take `&self`, so four threads share one index by
-/// reference — nothing cracks, the tree stands still — and the totals
-/// must be exactly four times what one pass over the calls adds.
-#[test]
-fn contour_reads_share_an_index_without_losing_counts() {
-    let (ds, embeddings) = big_world();
-    let snap = VkgSnapshot::new(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        embeddings.clone(),
-        VkgConfig::default(),
-    )
-    .expect("consistent world");
-    let mut state = IndexState::cracking(&snap);
-    let centers: Vec<Vec<f64>> = (0..40u32)
-        .map(|i| state.index().points().point(i * 487).to_vec())
-        .collect();
-    for c in &centers[..20] {
-        state
-            .index_mut()
-            .crack(&vkg::core::geometry::Mbr::of_ball(c, 0.2));
-    }
-    let index = state.index();
-    let pass = || {
-        for c in &centers {
-            let ball = vkg::core::geometry::Mbr::of_ball(c, 0.3);
-            index.search_region(&ball, |_| {});
-            index.search_region_elements(&ball, |_, _| {});
-            let seen = index.nearest_first(c, 0.09, |_, _| 0.09);
-            index.count_s1_evals(seen);
-        }
-    };
-    let before = index.stats();
-    pass();
-    let once = index.stats();
-    let start = Barrier::new(4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(|| {
-                start.wait();
-                pass();
-            });
-        }
-    });
-    let after = index.stats();
-    for (name, count) in [
-        ("elements_accessed", |s: &IndexStats| s.elements_accessed),
-        ("points_examined", |s: &IndexStats| s.points_examined),
-        ("s1_distance_evals", |s: &IndexStats| s.s1_distance_evals),
-    ] as [(&str, fn(&IndexStats) -> u64); 3]
-    {
-        let share = count(&once) - count(&before);
-        assert!(share > 0, "{name} must move");
-        assert_eq!(count(&after) - count(&once), 4 * share, "{name}");
-    }
 }

@@ -185,34 +185,3 @@ fn varying_k_keeps_precision() {
         assert!(p >= 0.85, "precision@{k} = {p}");
     }
 }
-
-#[test]
-fn bulk_loaded_and_cracking_equally_accurate() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let store = embed(&ds.graph);
-    let scan_store = store.clone();
-    let scan = LinearScan::new(&scan_store);
-    let qs = queries_for(&ds.graph, 10);
-
-    let mut cracking = VirtualKnowledgeGraph::assemble(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store.clone(),
-        VkgConfig::default(),
-    );
-    let mut bulk = VirtualKnowledgeGraph::assemble_bulk_loaded(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store,
-        VkgConfig::default(),
-    );
-    let pc = precision_at_k(&mut cracking, &scan, &qs, 10);
-    let pb = precision_at_k(&mut bulk, &scan, &qs, 10);
-    // Same transform, same candidates — results must agree exactly.
-    assert!(
-        (pc - pb).abs() < 1e-9,
-        "cracking precision {pc} != bulk precision {pb}"
-    );
-    // And the cracking index must be the smaller structure.
-    assert!(cracking.index_node_count() < bulk.index_node_count());
-}
