@@ -14,7 +14,8 @@
 //! crash + WAL recovery), and the token is echoed in the ack — so the full
 //! reconnect-and-retry loop applies. Everything the healing layer does
 //! is counted in [`RetryStats`] (`client.retry.*`), which the load
-//! harness reconciles against the server's `server.wal.*` counters.
+//! harness reconciles against the facade's `core.wal.*` counters in the
+//! server's `Metrics` export.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -32,8 +33,8 @@ use crate::protocol::{
 };
 use crate::wire::{read_frame, write_frame, WireError, MAX_FRAME};
 
-/// Counter names of the client's healing layer, mirroring the server's
-/// `server.wal.*` namespace for the reconciliation check.
+/// Counter names of the client's healing layer, reconciled against the
+/// `core.wal.*` counters of the server's `Metrics` export.
 pub mod retry_names {
     /// Backoff sleeps taken (refusal or transport retry).
     pub const BACKOFFS: &str = "client.retry.backoffs";

@@ -3,10 +3,11 @@
 //!
 //! Layers, bottom-up:
 //!
-//! * [`wire`] — length-prefixed framing (`u32` LE length + payload) and
-//!   incremental [`wire::FrameBuffer`] reassembly. Decoding fails
-//!   closed: truncated prefixes, oversized frames, and trailing bytes
-//!   are typed [`wire::WireError`]s, never panics.
+//! * [`wire`] — length-prefixed framing (`u32` LE length + payload),
+//!   read by the one [`wire::read_frame`] on both ends of a connection;
+//!   a payload is allocated as its bytes arrive. Decoding fails closed:
+//!   truncated prefixes, oversized frames, and trailing bytes are typed
+//!   [`wire::WireError`]s, never panics.
 //! * [`protocol`] — the versioned message set: `TopK`, `TopKFiltered`,
 //!   `Aggregate`, `AddFactDynamic`, `Stats`, `Shutdown` requests and
 //!   their typed responses, including the [`protocol::ErrorCode`]

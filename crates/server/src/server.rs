@@ -66,10 +66,10 @@
 //! stays reachable precisely when the server is overloaded. All timing
 //! runs on the [`Clock`] in [`ServerConfig::clock`], which tests mock.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use vkg_core::vkg::{IndexPin, VirtualKnowledgeGraph};
@@ -84,7 +84,7 @@ use crate::protocol::{
     ServerError, ShardStatsWire, StatsWire, TopKWire, PREDICTION_WIRE_BYTES,
 };
 use crate::queue::{Admission, Counters, JobQueue};
-use crate::wire::{write_frame, FrameBuffer, WireError};
+use crate::wire::{read_frame, write_frame, WireError, MAX_FRAME};
 
 /// Metric names exported by the server (`server.*` namespace). The
 /// admission counters are mirrored into gauges at export time — the
@@ -111,15 +111,6 @@ pub mod names {
     /// answered it from the result cache (a deadline refusal executes
     /// nothing).
     pub const LOCK_ROUNDS: &str = "server.lock_rounds";
-    /// Mirror of the facade's `core.wal.appended` counter: WAL records
-    /// flushed before their ack. The `--check` reconciliation compares
-    /// this against the client's completed tokened writes.
-    pub const WAL_APPENDED: &str = "server.wal.appended";
-    /// Mirror of `core.wal.replayed`: records replayed at recovery.
-    pub const WAL_REPLAYED: &str = "server.wal.replayed";
-    /// Mirror of `core.wal.dedup_hits`: tokened retries answered from
-    /// the idempotency map instead of being applied twice.
-    pub const WAL_DEDUP_HITS: &str = "server.wal.dedup_hits";
 }
 
 /// Tuning knobs for a [`Server`].
@@ -132,8 +123,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deadline applied to requests that pass `deadline_ms = 0`.
     pub default_deadline: Duration,
-    /// Largest frame accepted from a client.
-    pub max_frame: usize,
     /// Artificial per-request execution delay — fault injection used by
     /// the overload and deadline tests to make queueing deterministic.
     pub worker_think_time: Option<Duration>,
@@ -158,7 +147,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 128,
             default_deadline: Duration::from_secs(5),
-            max_frame: crate::wire::MAX_FRAME,
             worker_think_time: None,
             span_ring: 256,
             clock: Clock::real(),
@@ -200,9 +188,6 @@ struct Obs {
     shed: Gauge,
     deadline_expired: Gauge,
     drained: Gauge,
-    wal_appended: Gauge,
-    wal_replayed: Gauge,
-    wal_dedup_hits: Gauge,
 }
 
 impl Obs {
@@ -220,9 +205,6 @@ impl Obs {
             shed: registry.gauge(names::SHED),
             deadline_expired: registry.gauge(names::DEADLINE_EXPIRED),
             drained: registry.gauge(names::DRAINED),
-            wal_appended: registry.gauge(names::WAL_APPENDED),
-            wal_replayed: registry.gauge(names::WAL_REPLAYED),
-            wal_dedup_hits: registry.gauge(names::WAL_DEDUP_HITS),
             registry,
         }
     }
@@ -289,26 +271,24 @@ impl Server {
                 }
             }
         }
-        let accept = {
-            let accept_shared = Arc::clone(&shared);
-            match thread::Builder::new()
-                .name("vkg-accept".into())
-                .spawn(move || accept_loop(listener, &accept_shared, workers))
-            {
-                Ok(handle) => handle,
-                Err(e) => {
-                    // The worker handles were owned by the failed spawn's
-                    // closure and are gone; closing the queue lets those
-                    // detached workers drain and exit.
-                    shared.queue.close();
-                    return Err(e);
-                }
+        let accept_shared = Arc::clone(&shared);
+        let accept = match thread::Builder::new()
+            .name("vkg-accept".into())
+            .spawn(move || accept_loop(listener, &accept_shared, workers))
+        {
+            Ok(handle) => handle,
+            Err(e) => {
+                // The worker handles were owned by the failed spawn's
+                // closure and are gone; closing the queue lets those
+                // detached workers drain and exit.
+                shared.queue.close();
+                return Err(e);
             }
         };
         Ok(ServerHandle {
             addr,
             shared,
-            accept: Some(accept),
+            accept,
         })
     }
 }
@@ -319,7 +299,7 @@ impl Server {
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -342,23 +322,16 @@ impl ServerHandle {
 
     /// Triggers a graceful drain and blocks until every thread exits:
     /// stop accepting, answer all admitted work, join workers.
-    pub fn shutdown(mut self) -> ServerCounters {
+    pub fn shutdown(self) -> ServerCounters {
         begin_drain(&self.shared);
-        self.join_inner();
-        self.shared.counters.snapshot()
+        self.join()
     }
 
     /// Blocks until the server drains (e.g. after a client sent
     /// `Shutdown`) and every thread exits.
-    pub fn join(mut self) -> ServerCounters {
-        self.join_inner();
+    pub fn join(self) -> ServerCounters {
+        let _ = self.accept.join();
         self.shared.counters.snapshot()
-    }
-
-    fn join_inner(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
     }
 }
 
@@ -367,7 +340,6 @@ impl ServerHandle {
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 /// How long a drain waits for its wake-up connection to be taken.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
 pub use vkg_core::MAX_REFINE_STEPS;
 
@@ -377,9 +349,8 @@ pub use vkg_core::MAX_REFINE_STEPS;
 const TOPK_FRAME_OVERHEAD: usize = 64;
 
 /// Largest `k` whose top-k response is guaranteed to fit in one
-/// [`crate::wire::MAX_FRAME`]-sized frame.
-const MAX_K_PER_FRAME: usize =
-    (crate::wire::MAX_FRAME - TOPK_FRAME_OVERHEAD) / PREDICTION_WIRE_BYTES;
+/// [`MAX_FRAME`]-sized frame.
+const MAX_K_PER_FRAME: usize = (MAX_FRAME - TOPK_FRAME_OVERHEAD) / PREDICTION_WIRE_BYTES;
 
 /// Refuses a decoded write whose refinement parameters the facade would
 /// refuse, before it is admitted (see the module docs), with the typed
@@ -405,8 +376,9 @@ fn sanitize(request: &Request) -> Result<(), Response> {
 /// alike: flips the draining flag, then wakes the accept thread, which
 /// blocks in `accept`, with one loopback connection to the listener. The
 /// accept thread reads the flag after every `accept` returns and closes
-/// that connection like any other that arrives during the drain. Should
-/// the connection fail, the listener's backlog is full, and the
+/// that connection like any other that arrives during the drain, then
+/// wakes the connection threads blocked in `read` (`accept_loop`).
+/// Should the connection fail, the listener's backlog is full, and the
 /// connections already in it wake the accept thread instead.
 fn begin_drain(shared: &Shared) {
     // seqcst: drain flag; the drained-counters invariant (admitted ==
@@ -439,22 +411,6 @@ fn metrics_export(shared: &Shared, last_spans: usize) -> MetricsWire {
         .set(u64::try_from(shared.queue.len()).unwrap_or(u64::MAX));
     let epoch = shared.vkg.epoch();
     let mut snap = shared.vkg.metrics_snapshot();
-    // Mirror the facade's durability counters into `server.wal.*` gauges
-    // (before the server registry snapshot below, so one export is
-    // internally consistent): the reconciliation harness compares these
-    // against the client's `client.retry.*` view of the same writes.
-    let core_counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    obs.wal_appended
-        .set(core_counter(vkg_core::metrics::names::WAL_APPENDED));
-    obs.wal_replayed
-        .set(core_counter(vkg_core::metrics::names::WAL_REPLAYED));
-    obs.wal_dedup_hits
-        .set(core_counter(vkg_core::metrics::names::WAL_DEDUP_HITS));
     let server = obs.registry.snapshot();
     snap.counters.extend(server.counters);
     snap.gauges.extend(server.gauges);
@@ -474,7 +430,10 @@ fn metrics_export(shared: &Shared, last_spans: usize) -> MetricsWire {
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    // Each connection's thread beside its stream. The thread owns the
+    // stream, so one that ends closes its socket at once; the drain
+    // upgrades the streams still open to wake their threads.
+    let mut conns: Vec<(JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
     loop {
         let accepted = listener.accept();
         // seqcst: drain flag; pairs with the SeqCst store in
@@ -484,14 +443,16 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHan
         }
         match accepted {
             Ok((stream, _)) => {
+                let stream = Arc::new(stream);
+                let weak = Arc::downgrade(&stream);
                 let conn_shared = Arc::clone(shared);
                 match thread::Builder::new()
                     .name("vkg-conn".into())
-                    .spawn(move || connection_loop(stream, &conn_shared))
+                    .spawn(move || connection_loop(&stream, &conn_shared))
                 {
                     Ok(handle) => {
-                        conns.push(handle);
-                        conns.retain(|h| !h.is_finished());
+                        conns.push((handle, weak));
+                        conns.retain(|(h, _)| !h.is_finished());
                     }
                     Err(_) => {
                         // Thread exhaustion: the stream was owned by the
@@ -505,11 +466,17 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHan
         }
     }
     // Drain: the listener drops here, and with it the connection that
-    // woke this thread (and any other not yet served); connection
-    // threads notice the flag at their next read-timeout tick and exit
-    // after writing any in-flight response.
+    // woke this thread (and any other not yet served). A connection
+    // thread blocks in `read`; shutting its stream's read side makes that
+    // read return end-of-file, and the thread exits after writing any
+    // in-flight response.
     drop(listener);
-    for conn in conns {
+    for (_, stream) in &conns {
+        if let Some(stream) = stream.upgrade() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+    for (conn, _) in conns {
         let _ = conn.join();
     }
     // No producer remains, so closing the queue lets workers finish the
@@ -526,56 +493,41 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, workers: Vec<JoinHan
     shared.vkg.quiesce();
 }
 
-/// One thread per connection: reassemble frames, decode, admit, and
-/// write back whatever the worker answers. Malformed input fails the
-/// connection closed after a best-effort typed error.
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
+/// One thread per connection: read frames, decode, admit, and write
+/// back whatever the worker answers. It blocks in `read` until a frame
+/// arrives, the client hangs up, or the drain shuts the stream's read
+/// side. Malformed input fails the connection closed after a
+/// best-effort typed error.
+fn connection_loop(stream: &TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let mut buf = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
+    let mut reader = BufReader::new(stream);
     loop {
-        // Serve frames already buffered before reading more.
-        loop {
-            match buf.next_frame(shared.cfg.max_frame) {
-                Ok(None) => break,
-                Ok(Some(payload)) => {
-                    if !serve_frame(&mut stream, shared, &payload) {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    fail_connection(&mut stream, &e);
-                    return;
-                }
-            }
-        }
-        // seqcst: drain flag; pairs with the SeqCst store in shutdown().
+        // Checked before each frame: Linux still hands over bytes
+        // received before the drain's `shutdown`, so a client that keeps
+        // sending would otherwise hold the drain open.
+        // seqcst: drain flag; pairs with the SeqCst store in begin_drain().
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Clean EOF mid-frame means the client truncated a
-                // request; either way the conversation is over.
+        let payload = match read_frame(&mut reader, MAX_FRAME) {
+            Ok(Some(payload)) => payload,
+            // A clean EOF, a frame cut short or a failed read: the
+            // conversation is over, and no answer is owed.
+            Ok(None) | Err(WireError::Truncated | WireError::Io(_)) => return,
+            Err(e) => {
+                fail_connection(stream, &e);
                 return;
             }
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "read() returns n <= chunk.len() by the io::Read contract"
-            )]
-            Ok(n) => buf.feed(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => return,
+        };
+        if !serve_frame(stream, shared, &payload) {
+            return;
         }
     }
 }
 
 /// Handles one decoded frame. Returns `false` when the connection must
 /// close (shutdown acknowledged, malformed request, or I/O failure).
-fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
+fn serve_frame(stream: &TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> bool {
     let request = match Request::decode(payload) {
         Ok(r) => r,
         Err(e) => {
@@ -612,24 +564,24 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                     vec![row],
                 )
             };
-            send(stream, &Response::Stats(stats)).is_ok()
+            send(stream, &Response::Stats(stats))
         }
         RequestOp::Metrics { last_spans } => {
             // Like `Stats`: side-effect free and answered inline,
             // bypassing admission control — observability must stay
             // reachable precisely when the queue is full.
             let export = metrics_export(shared, last_spans as usize);
-            send(stream, &Response::Metrics(export)).is_ok()
+            send(stream, &Response::Metrics(export))
         }
         _ => {
             // seqcst: drain flag; a request must observe the drain iff
             // it globally follows the store, so drained counts add up.
             if shared.draining.load(Ordering::SeqCst) {
                 shared.counters.record_drained();
-                return send(stream, &refusal(ErrorCode::Draining, "server is draining")).is_ok();
+                return send(stream, &refusal(ErrorCode::Draining, "server is draining"));
             }
             if let Err(rejection) = sanitize(&request) {
-                return send(stream, &rejection).is_ok();
+                return send(stream, &rejection);
             }
             if let Some((response, span)) = serve_cached(shared, &request) {
                 return reply(stream, shared, &response, span);
@@ -657,8 +609,7 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                         Err(_) => send(
                             stream,
                             &refusal(ErrorCode::Internal, "worker pool disappeared"),
-                        )
-                        .is_ok(),
+                        ),
                     }
                 }
                 Admission::QueueFull => {
@@ -667,11 +618,10 @@ fn serve_frame(stream: &mut TcpStream, shared: &Arc<Shared>, payload: &[u8]) -> 
                         stream,
                         &refusal(ErrorCode::Overloaded, "admission queue full; back off"),
                     )
-                    .is_ok()
                 }
                 Admission::Closed => {
                     shared.counters.record_drained();
-                    send(stream, &refusal(ErrorCode::Draining, "server is draining")).is_ok()
+                    send(stream, &refusal(ErrorCode::Draining, "server is draining"))
                 }
             }
         }
@@ -719,7 +669,7 @@ fn serve_cached(shared: &Shared, request: &Request) -> Option<(Response, Span)> 
 /// encode runs on the connection thread (a worker that answered is
 /// already free), and the span goes into the ring only once its last
 /// phase, the encode, is in.
-fn reply(stream: &mut TcpStream, shared: &Shared, response: &Response, mut span: Span) -> bool {
+fn reply(mut stream: &TcpStream, shared: &Shared, response: &Response, mut span: Span) -> bool {
     let enc_start = shared.obs.clock.now();
     let payload = encode_bounded(response);
     span.encode_ns = shared.obs.clock.now().since(enc_start);
@@ -728,7 +678,7 @@ fn reply(stream: &mut TcpStream, shared: &Shared, response: &Response, mut span:
         .latency
         .record(Duration::from_nanos(span.total_ns()));
     shared.obs.ring.push(&span);
-    send_payload(stream, &payload).is_ok()
+    write_frame(&mut stream, &payload).is_ok()
 }
 
 fn refusal(code: ErrorCode, message: &str) -> Response {
@@ -743,7 +693,7 @@ fn refusal(code: ErrorCode, message: &str) -> Response {
 /// so the caller never sees `write_frame` fail on size.
 fn encode_bounded(response: &Response) -> Vec<u8> {
     let payload = response.encode();
-    if payload.len() > crate::wire::MAX_FRAME {
+    if payload.len() > MAX_FRAME {
         refusal(
             ErrorCode::Query,
             "result exceeds the maximum response frame; request less data",
@@ -754,18 +704,13 @@ fn encode_bounded(response: &Response) -> Vec<u8> {
     }
 }
 
-fn send_payload(stream: &mut TcpStream, payload: &[u8]) -> Result<(), WireError> {
-    write_frame(stream, payload)?;
-    stream.flush()?;
-    Ok(())
-}
-
-fn send(stream: &mut TcpStream, response: &Response) -> Result<(), WireError> {
-    send_payload(stream, &encode_bounded(response))
+/// Sends one response; `false` when the connection failed.
+fn send(mut stream: &TcpStream, response: &Response) -> bool {
+    write_frame(&mut stream, &encode_bounded(response)).is_ok()
 }
 
 /// Best-effort typed error before failing the connection closed.
-fn fail_connection(stream: &mut TcpStream, e: &WireError) {
+fn fail_connection(stream: &TcpStream, e: &WireError) {
     let _ = send(
         stream,
         &refusal(ErrorCode::MalformedRequest, &e.to_string()),
@@ -824,14 +769,8 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
         batch_ns: 0,
         refine_steps: refine_steps_of(&response),
     };
-    finish_job(shared, job, response, span, read);
-}
-
-/// Accounts for one answered job and hands the response back to its
-/// connection thread. Every admitted job passes through here exactly
-/// once; a hung-up client (closed reply channel) still counts as
-/// answered. `read` says whether `execute` ran the request's query.
-fn finish_job(shared: &Arc<Shared>, job: Job, response: Response, span: Span, read: bool) {
+    // Every admitted job is answered here exactly once; a hung-up
+    // client (closed reply channel) still counts as answered.
     record_answered(shared, &span, read);
     let _ = job.reply.send((response, span));
 }

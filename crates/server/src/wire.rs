@@ -24,8 +24,8 @@ pub const WIRE_VERSION: u8 = 2;
 /// accepted with token fields defaulted to 0 (untokened).
 pub const MIN_WIRE_VERSION: u8 = 1;
 
-/// Default upper bound on a frame's payload length (1 MiB). Anything
-/// larger is rejected before allocation.
+/// Upper bound on a frame's payload length (1 MiB), requests and
+/// responses alike. A larger declared length is refused from its prefix.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Smallest well-formed payload: version byte + opcode byte.
@@ -146,6 +146,12 @@ fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::R
 
 /// Reads one frame from a blocking stream. Returns `Ok(None)` on a clean
 /// EOF at a frame boundary; an EOF mid-frame is [`WireError::Truncated`].
+///
+/// The payload grows as its bytes arrive, from at most 4 KiB reserved
+/// up front, so a prefix that declares more than the peer sends never
+/// allocates what it declares. Over a `BufReader`, a frame that arrived
+/// in one segment is one `read` of the stream: the prefix and the
+/// payload are both copied out of the buffer that read filled.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -167,16 +173,17 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, Wire
             Err(e) => return Err(e.into()),
         }
     }
-    let mut payload = vec![0u8; declared_len(len_buf, max)?];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::from(e)
-        }
-    })?;
+    let len = declared_len(len_buf, max)?;
+    let mut payload = Vec::with_capacity(len.min(READ_BLOCK));
+    Read::take(&mut *r, len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(WireError::Truncated);
+    }
     Ok(Some(payload))
 }
+
+/// The most [`read_frame`] reserves for a payload before its bytes arrive.
+const READ_BLOCK: usize = 4 * 1024;
 
 /// The payload length a frame's prefix declares, refused before any
 /// allocation when it passes `max` or cannot hold version + opcode.
@@ -189,85 +196,67 @@ fn declared_len(prefix: [u8; 4], max: usize) -> Result<usize, WireError> {
     }
 }
 
-/// Incremental frame extraction over bytes that arrive in arbitrary
-/// chunks (the server's per-connection reader feeds a non-blocking
-/// socket into this).
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-}
-
-impl FrameBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends freshly-read bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Extracts the next complete frame payload, if one is buffered.
-    /// A hostile length prefix fails here, before any allocation.
-    pub fn next_frame(&mut self, max: usize) -> Result<Option<Vec<u8>>, WireError> {
-        let Some(&[b0, b1, b2, b3]) = self.buf.get(..4) else {
-            return Ok(None); // length prefix not complete yet
-        };
-        let total = 4 + declared_len([b0, b1, b2, b3], max)?;
-        let Some(payload) = self.buf.get(4..total) else {
-            return Ok(None); // payload not complete yet
-        };
-        let payload = payload.to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn frame_buffer_reassembles_split_frames() {
-        let mut out = Vec::new();
-        write_frame(&mut out, &[1, 2, 3, 4, 5]).unwrap();
-        write_frame(&mut out, &[9, 9]).unwrap();
-        let mut fb = FrameBuffer::new();
-        // Feed a byte at a time: frames appear exactly when complete.
-        let mut frames = Vec::new();
-        for &b in &out {
-            fb.feed(&[b]);
-            while let Some(f) = fb.next_frame(MAX_FRAME).unwrap() {
-                frames.push(f);
-            }
+    /// Hands out one queued segment per `read` call, and counts the calls.
+    struct Segments(std::collections::VecDeque<Vec<u8>>, usize);
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.1 += 1;
+            let segment = self.0.pop_front().unwrap_or_default();
+            buf[..segment.len()].copy_from_slice(&segment);
+            Ok(segment.len())
         }
-        assert_eq!(frames, vec![vec![1, 2, 3, 4, 5], vec![9, 9]]);
-        assert_eq!(fb.pending(), 0);
+    }
+
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, body).unwrap();
+        out
     }
 
     #[test]
-    fn frame_buffer_rejects_oversized_declared_length_early() {
-        let mut fb = FrameBuffer::new();
-        fb.feed(&(u32::MAX).to_le_bytes());
+    fn read_frame_reassembles_split_frames() {
+        // A byte per read: each frame is read whole all the same.
+        let bytes = [frame(&[1, 2, 3, 4, 5]), frame(&[9, 9])].concat();
+        let mut r = Segments(bytes.iter().map(|&b| vec![b]).collect(), 0);
+        let mut frames = Vec::new();
+        while let Some(f) = read_frame(&mut r, MAX_FRAME).unwrap() {
+            frames.push(f);
+        }
+        assert_eq!(frames, vec![vec![1, 2, 3, 4, 5], vec![9, 9]]);
+    }
+
+    #[test]
+    fn a_buffered_frame_is_one_read() {
+        let bodies = [payload(5), payload(600), payload(3)];
+        // Two frames in one segment, then one in a segment of its own.
+        let first = [frame(&bodies[0]), frame(&bodies[1])].concat();
+        let mut r = io::BufReader::new(Segments([first, frame(&bodies[2])].into(), 0));
+        for body in bodies {
+            assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), Some(body));
+        }
+        assert_eq!(r.get_ref().1, 2, "one read per segment");
+        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), None);
+    }
+
+    #[test]
+    fn read_frame_rejects_oversized_declared_length_early() {
+        let prefix = u32::MAX.to_le_bytes();
         assert!(matches!(
-            fb.next_frame(MAX_FRAME),
+            read_frame(&mut &prefix[..], MAX_FRAME),
             Err(WireError::FrameTooLarge { .. })
         ));
     }
 
     #[test]
-    fn frame_buffer_rejects_undersized_frames() {
-        let mut fb = FrameBuffer::new();
-        fb.feed(&1u32.to_le_bytes());
-        fb.feed(&[0x01]);
+    fn read_frame_rejects_undersized_frames() {
+        let frame = [&1u32.to_le_bytes()[..], &[0x01]].concat();
         assert_eq!(
-            fb.next_frame(MAX_FRAME).unwrap_err(),
+            read_frame(&mut &frame[..], MAX_FRAME).unwrap_err(),
             WireError::FrameTooShort(1)
         );
     }
@@ -284,8 +273,7 @@ mod tests {
             WireError::Truncated
         );
         // Truncated body.
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &[1, 2, 3]).unwrap();
+        let mut framed = frame(&[1, 2, 3]);
         framed.pop();
         assert_eq!(
             read_frame(&mut &framed[..], MAX_FRAME).unwrap_err(),

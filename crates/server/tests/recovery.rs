@@ -2,7 +2,7 @@
 //! idempotent-write regression (a duplicated `AddFactDynamic` frame
 //! never double-applies), and the headline scenario — a retry-enabled
 //! client survives a forced server restart mid-load with zero duplicate
-//! applications, verified by epoch accounting and the `server.wal.*` /
+//! applications, verified by epoch accounting and the `core.wal.*` /
 //! `client.retry.*` counter reconciliation.
 
 use std::path::PathBuf;
@@ -221,15 +221,9 @@ fn self_healing_client_survives_forced_restart_mid_load() {
     // write exactly once, and every server-side dedup hit is explained
     // by a client retry.
     let counters = &metrics.snapshot.counters;
-    let gauges = &metrics.snapshot.gauges;
-    let replayed = metric(gauges, "server.wal.replayed");
-    let appended = metric(gauges, "server.wal.appended");
-    let dedup_hits = metric(gauges, "server.wal.dedup_hits");
-    assert_eq!(
-        metric(counters, "core.wal.replayed"),
-        replayed,
-        "server gauges mirror the facade counters"
-    );
+    let replayed = metric(counters, "core.wal.replayed");
+    let appended = metric(counters, "core.wal.appended");
+    let dedup_hits = metric(counters, "core.wal.dedup_hits");
     assert_eq!(replayed, applied[0], "acked prefix recovered");
     assert_eq!(
         replayed + appended,

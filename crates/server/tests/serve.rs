@@ -493,6 +493,45 @@ fn client_shutdown_drains_without_dropping_requests() {
     );
 }
 
+/// A drain wakes connections that sit idle: eight raw clients, each
+/// answered once so that its connection thread is back in `read`, hold
+/// their sockets open and send nothing. `shutdown` still returns within
+/// the watchdog, and every idle client reads end-of-file.
+#[test]
+fn drain_wakes_idle_connections() {
+    let vkg = build_vkg();
+    let handle = start(&vkg, ServerConfig::default());
+    let addr = handle.addr();
+    let stats = Request {
+        deadline_ms: 0,
+        op: RequestOp::Stats,
+    }
+    .encode();
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| {
+            let mut raw = TcpStream::connect(addr).expect("raw connect");
+            raw.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            write_frame(&mut raw, &stats).expect("frame written");
+            let answer = read_frame(&mut raw, MAX_FRAME).expect("stats frame");
+            assert!(answer.is_some(), "stats answered");
+            raw
+        })
+        .collect();
+
+    let (done, drained) = std::sync::mpsc::channel();
+    let drain = thread::spawn(move || done.send(handle.shutdown()));
+    let counters = drained
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the drain returns with idle connections open");
+    drain.join().expect("drain thread").expect("counters sent");
+    assert_eq!(counters.admitted, counters.answered);
+    for mut raw in idle {
+        let read = raw.read(&mut [0; 1]).expect("end-of-file, not a timeout");
+        assert_eq!(read, 0, "nothing follows the stats answer");
+    }
+}
+
 /// Raw-socket abuse: malformed frames get a typed `MalformedRequest`
 /// error and a closed connection — never a panic — and the server keeps
 /// serving well-behaved clients afterwards.

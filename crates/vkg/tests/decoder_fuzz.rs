@@ -1,7 +1,8 @@
 //! Byte fuzz for every reader of outside bytes: the wire's
-//! `Request::decode`, `Response::decode` and `FrameBuffer::next_frame`,
-//! the WAL's `decode_log`, the embedding readers `from_binary` (`VKGE`)
-//! and `read_tsv`, and the graph's `read_tsv`. Arbitrary bytes, and
+//! `Request::decode`, `Response::decode` and `read_frame` (the frame
+//! reader of the client and of every server connection thread), the
+//! WAL's `decode_log`, the embedding readers `from_binary` (`VKGE`) and
+//! `read_tsv`, and the graph's `read_tsv`. Arbitrary bytes, and
 //! single-byte mutations and truncations of valid inputs, each return
 //! `Ok` or a typed error — never a panic — and allocate nothing beyond
 //! what the input's length admits, so a hostile shape, count, length or
@@ -20,7 +21,7 @@ use vkg::core::{Direction, Filter};
 use vkg::embed::io::{from_binary, read_tsv, to_binary, write_tsv};
 use vkg::embed::EmbeddingStore;
 use vkg::kg::{EntityId, RelationId, CHUNK_LEN};
-use vkg::server::wire::{write_frame, FrameBuffer, MAX_FRAME};
+use vkg::server::wire::{read_frame, write_frame, MAX_FRAME};
 use vkg::server::{AggregateWire, PredictionWire, Request, RequestOp, Response, TopKWire};
 
 thread_local! {
@@ -64,12 +65,9 @@ fn admitted(input: &[u8]) -> usize {
     8 * 1024 + 16 * input.len()
 }
 
-/// Whether `FrameBuffer` takes `input` as a run of whole frames.
-fn frames(input: &[u8]) -> bool {
-    let mut buffer = FrameBuffer::new();
-    buffer.feed(input);
-    while let Ok(Some(_)) = buffer.next_frame(MAX_FRAME) {}
-    buffer.pending() == 0
+/// Whether `read_frame` takes `input` as a run of whole frames.
+fn frames(mut input: &[u8]) -> bool {
+    std::iter::from_fn(|| read_frame(&mut input, MAX_FRAME).transpose()).all(|f| f.is_ok())
 }
 
 /// The graph reader's one fixed cost past the bound: the first chunk of

@@ -65,6 +65,10 @@ enum Build {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     Memory,
+    /// In memory, the writer publishing back to back from the first read
+    /// on and the readers never waiting for it, so reads straddle
+    /// publications; the lanes read until the last write has landed.
+    Ungated,
     Wal,
     /// A WAL, and in mid-stream the lanes stop, the facade is dropped, a
     /// fresh one assembled from the same inputs recovers the log, and
@@ -248,18 +252,22 @@ fn counter(vkg: &VirtualKnowledgeGraph, name: &str) -> u64 {
 
 /// Runs a thread per slice of `reads`, each asking through its `lane()`,
 /// while `write` publishes `writes` (after `epoch`): reads take tickets as
-/// they start, and write `j` lands once ticket `due(j)` is taken, before
-/// that read starts — with more than one lane, earlier reads may be in
-/// flight.
+/// they start, and if `gated`, write `j` lands once ticket `due(j)` is
+/// taken, before that read starts — with more than one lane, earlier
+/// reads may be in flight. Ungated, the writes land one after another
+/// once the first read has started, no read waits for them, and the
+/// lanes stop reading once the last has landed.
 fn drive<A: FnMut(&Query) -> Bits>(
     reads: &[&[Query]],
     writes: &[Write],
     lane: &(impl Fn() -> A + Sync),
     write: &mut dyn FnMut(&Write) -> u64,
     epoch: u64,
+    gated: bool,
 ) -> Answers {
     let total: usize = reads.iter().map(|l| l.len()).sum();
-    let due = |j: usize| (j + 1) * total / (writes.len() + 1);
+    // Ungated, every write is due at the first ticket, and no read waits.
+    let due = |j: usize| (j + 1) * total / (writes.len() + 1) * usize::from(gated);
     let landed_by = |ticket: usize| (0..writes.len()).filter(|&j| due(j) <= ticket).count();
     let (tickets, landed) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
     let wait = &|until: &dyn Fn() -> bool| {
@@ -275,9 +283,11 @@ fn drive<A: FnMut(&Query) -> Bits>(
         for &reads in reads {
             readers.push(scope.spawn(move || {
                 let mut ask = lane();
-                let answers = reads.iter().map(|q| {
+                // Ungated, a lane stops once the last write has landed.
+                let open = |_: &&Query| gated || landed.load(Ordering::SeqCst) < writes.len();
+                let answers = reads.iter().take_while(open).map(|q| {
                     let ticket = tickets.fetch_add(1, Ordering::SeqCst);
-                    wait(&|| landed.load(Ordering::SeqCst) >= landed_by(ticket));
+                    wait(&|| !gated || landed.load(Ordering::SeqCst) >= landed_by(ticket));
                     ask(q)
                 });
                 answers.collect::<Vec<_>>()
@@ -311,7 +321,7 @@ fn serve(vkg: &Shared, workers: usize, reads: &[&[Query]], writes: &[Write]) -> 
         Write::Fact((h, r, t)) => writer.add_fact(h, r, t, 2, 0.05).expect("a fact").1,
         _ => panic!("only facts travel the wire"),
     };
-    let answers = drive(reads, writes, &lane, &mut write, 0);
+    let answers = drive(reads, writes, &lane, &mut write, 0, true);
     drop(writer);
     let c = handle.shutdown();
     assert_eq!([c.shed, c.deadline_expired, c.drained], [0; 3]);
@@ -327,6 +337,7 @@ fn serve(vkg: &Shared, workers: usize, reads: &[&[Query]], writes: &[Write]) -> 
 /// Returns the node counts of the cell's index and the reference's.
 fn run(world: &World, stream: &Stream, cell: Cell, precrack: bool) -> [usize; 2] {
     let (cache, build, mode) = cell;
+    let gated = mode != Mode::Ungated;
     let what = format!("{cell:?} × {} readers", stream.lanes.len());
     let name = what.replace(|c: char| !c.is_ascii_alphanumeric(), "_");
     let log = std::env::temp_dir().join(format!("vkg_diff_{}_{name}.wal", std::process::id()));
@@ -359,7 +370,7 @@ fn run(world: &World, stream: &Stream, cell: Cell, precrack: bool) -> [usize; 2]
         let (lane, mut write) = (|| |q: &Query| ask(&vkg, q), |w: &Write| apply(&vkg, w));
         let got = match mode {
             Mode::Served(workers) => serve(&vkg, workers, &lanes, writes),
-            _ => drive(&lanes, writes, &lane, &mut write, epoch),
+            _ => drive(&lanes, writes, &lane, &mut write, epoch, gated),
         };
         answers.iter_mut().zip(got).for_each(|(a, g)| a.extend(g));
     }
@@ -457,6 +468,30 @@ fn big_world_four_readers() {
     }
 }
 
+/// Four readers ask one top-k beside an ungated writer at 20 000
+/// entities, which adds entities at that query's point, each entering
+/// its answer: publications land inside reads, and an answer that
+/// reported an epoch other than the one it pinned would be held to the
+/// reference at the wrong epoch.
+#[test]
+fn big_world_reads_straddle_writes() {
+    let world = big();
+    let (entity, relation, direction, _) = world.key(1);
+    let e = &world.embeddings;
+    let near = |j: usize| {
+        let row = e.entity(entity).iter().zip(e.relation(relation));
+        let mut row: Vec<f64> = row.map(|(e, r)| e + r).collect();
+        row[0] += j as f64 * 1e-3;
+        Write::Entity(format!("near_{j}"), row)
+    };
+    let read = Query::top_k(entity, relation, direction, 10, None);
+    let stream = Stream {
+        lanes: vec![vec![read; 2_000]; 4],
+        writes: (0..48).map(near).collect(),
+    };
+    run(world, &stream, (0, Build::Cracking, Mode::Ungated), false);
+}
+
 /// Cache on against a reference whose tree the stream cracked first, in
 /// reverse; a bulk-loaded index beside a writer — the larger structure —
 /// and the served path.
@@ -529,7 +564,7 @@ fn access_counters_equal_the_sums_of_the_answers() {
         other => panic!("{other:?}"),
     };
     let lanes: Vec<&[Query]> = stream.lanes.iter().map(Vec::as_slice).collect();
-    let answers = drive(&lanes, &[], &|| counts, &mut |_| 0, 0);
+    let answers = drive(&lanes, &[], &|| counts, &mut |_| 0, 0, true);
     let sum = |i: usize| answers.iter().flatten().map(|a| a.1[i]).sum::<u64>();
     let stats = vkg.index_stats();
     let counted = [stats.points_examined, stats.s1_distance_evals];
