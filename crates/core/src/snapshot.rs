@@ -10,16 +10,19 @@
 //! [`crate::engine::IndexState`], behind its own lock).
 //!
 //! Components are **structurally shared** between epochs. The graph's
-//! adjacency and triple log and the embedding rows live in
-//! [`vkg_kg::ChunkVec`]s — spines of `Arc`'d chunks of
-//! [`vkg_kg::CHUNK_LEN`] = 2^[`vkg_kg::CHUNK_BITS`] rows — and the interners' tables, the
-//! attribute store and the transform each sit behind an `Arc`. Cloning a
-//! snapshot copies the spines (one pointer per chunk) and nothing else; a
-//! fact append to the clone then copies the chunks its rows live in: at
-//! most two embedding-row chunks (head and tail), one chunk of outgoing
-//! and one of incoming adjacency, and the log's tail chunk. Every other
-//! chunk, and the whole attribute store, is the same memory in both
-//! epochs. An attribute write copies the attribute store and nothing else.
+//! triple log and the embedding rows live in [`vkg_kg::ChunkVec`]s —
+//! spines of `Arc`'d chunks of [`vkg_kg::CHUNK_LEN`] =
+//! 2^[`vkg_kg::CHUNK_BITS`] rows — and each adjacency direction in a
+//! [`vkg_kg::ChunkLists`], a spine of `Arc`'d flat blocks, one per
+//! `CHUNK_LEN` entities; the interners' tables, the attribute store and
+//! the transform each sit behind an `Arc`. Cloning a snapshot copies the
+//! spines (one pointer per chunk or block) and nothing else; a fact
+//! append to the clone then copies what its rows live in: at most two
+//! embedding-row chunks (head and tail), the head's block of outgoing and
+//! the tail's block of incoming adjacency, and the log's tail chunk.
+//! Every other chunk and block, and the whole attribute store, is the
+//! same memory in both epochs. An attribute write copies the attribute
+//! store and nothing else.
 
 use std::sync::Arc;
 

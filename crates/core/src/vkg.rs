@@ -32,9 +32,10 @@
 //! side, a reader holding the shared guard sees both epochs pinned.
 //! This is the concurrency contract the serving layer (`vkg-server`)
 //! extends across the process boundary. Snapshots share their stores
-//! chunk by chunk ([`vkg_kg::ChunkVec`], [`vkg_kg::CHUNK_LEN`] rows to a
-//! chunk), so a fact write copies the few chunks its two entities live
-//! in — not the graph, not the embedding matrix.
+//! chunk by chunk ([`vkg_kg::ChunkVec`] and [`vkg_kg::ChunkLists`],
+//! [`vkg_kg::CHUNK_LEN`] rows to a chunk), so a fact write copies the few
+//! chunks its two entities live in — not the graph, not the embedding
+//! matrix.
 //!
 //! Lock order: `vkg.writer < vkg.index < { vkg.published, vkg.cache }`,
 //! with `vkg.wal` under `vkg.writer` alone; `vkg.published`, `vkg.cache`
@@ -919,8 +920,9 @@ impl VirtualKnowledgeGraph {
     // bump. Building it costs what the write touches: the clone copies
     // chunk spines (one pointer per `vkg_kg::CHUNK_LEN` = 2^`CHUNK_BITS`
     // rows), and a fact then copies at most two embedding-row chunks, one
-    // chunk of each adjacency direction and the triple log's tail chunk;
-    // every other chunk stays shared with the epochs readers still pin.
+    // flat block of each adjacency direction (two allocations each) and
+    // the triple log's tail chunk; every other chunk stays shared with the
+    // epochs readers still pin.
     // Index-mutating writes also bump the index epoch. Concurrent readers
     // holding an older snapshot clone keep a consistent (pre-update)
     // view.

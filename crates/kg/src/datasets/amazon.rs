@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use super::{to_star_rating, Dataset};
 use crate::attributes::AttributeStore;
-use crate::graph::KnowledgeGraph;
+use crate::graph::{KnowledgeGraph, Triple};
 use crate::zipf::Zipf;
 
 /// Configuration for [`amazon_like`].
@@ -90,6 +90,8 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut graph = KnowledgeGraph::new();
     let mut attrs = AttributeStore::new();
+    // Facts in generation order; the graph takes them in one bulk load.
+    let mut triples = Vec::new();
 
     let likes = graph.add_relation("likes");
     let dislikes = graph.add_relation("dislikes");
@@ -130,21 +132,17 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
             rating_sum[pi] += stars;
             rating_cnt[pi] += 1;
             if stars >= 4.0 {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(u, likes, products[pi])
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: u,
+                    relation: likes,
+                    tail: products[pi],
+                });
             } else if stars <= 2.0 {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(u, dislikes, products[pi])
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: u,
+                    relation: dislikes,
+                    tail: products[pi],
+                });
             }
         }
     }
@@ -182,17 +180,22 @@ pub fn amazon_like(cfg: &AmazonConfig) -> Dataset {
                 } else {
                     also_bought
                 };
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(p, rel, products[qi])
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: p,
+                    relation: rel,
+                    tail: products[qi],
+                });
             }
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every endpoint was added to this graph by the generator"
+    )]
+    graph
+        .extend_triples(&triples)
+        .expect("generated ids are valid");
     Dataset {
         name: "amazon-like".to_owned(),
         graph,

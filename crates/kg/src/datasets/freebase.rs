@@ -9,12 +9,14 @@
 //! Zipf-sampled within their clusters. Relation frequencies themselves are
 //! Zipfian (a few relations like `/type/object/type` dominate).
 
+use std::collections::HashSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::Dataset;
 use crate::attributes::AttributeStore;
-use crate::graph::KnowledgeGraph;
+use crate::graph::{KnowledgeGraph, Triple};
 use crate::zipf::Zipf;
 
 /// Configuration for [`freebase_like`].
@@ -115,14 +117,12 @@ pub fn freebase_like(cfg: &FreebaseConfig) -> Dataset {
         .map(|m| Zipf::new(m.len().max(1), cfg.entity_zipf))
         .collect();
 
-    let mut added = 0usize;
+    // Distinct facts in draw order; the graph takes them in one bulk load.
+    let mut seen = HashSet::with_capacity(cfg.edges);
+    let mut triples = Vec::with_capacity(cfg.edges);
     let mut attempts = 0usize;
     let max_attempts = cfg.edges * 4;
-    #[expect(
-        clippy::expect_used,
-        reason = "both endpoints were just added to this graph by the generator"
-    )]
-    while added < cfg.edges && attempts < max_attempts {
+    while triples.len() < cfg.edges && attempts < max_attempts {
         attempts += 1;
         let ri = rel_zipf.sample(&mut rng);
         let (hc, tc) = signatures[ri];
@@ -131,13 +131,24 @@ pub fn freebase_like(cfg: &FreebaseConfig) -> Dataset {
         if h == t {
             continue;
         }
-        if graph
-            .add_triple(entities[h], relations[ri], entities[t])
-            .expect("generated ids are valid")
-        {
-            added += 1;
+        let fact = Triple {
+            head: entities[h],
+            relation: relations[ri],
+            tail: entities[t],
+        };
+        if seen.insert(fact) {
+            triples.push(fact);
         }
     }
+    drop(seen);
+    #[expect(
+        clippy::expect_used,
+        reason = "both endpoints were just added to this graph by the generator"
+    )]
+    graph
+        .extend_triples(&triples)
+        .expect("generated ids are valid");
+    drop(triples);
 
     // Popularity = degree; filled in after all edges exist.
     let mut ds = Dataset {

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use super::{to_star_rating, Dataset};
 use crate::attributes::AttributeStore;
-use crate::graph::KnowledgeGraph;
+use crate::graph::{KnowledgeGraph, Triple};
 use crate::zipf::Zipf;
 
 /// Configuration for [`movie_like`].
@@ -95,6 +95,8 @@ pub fn movie_like(cfg: &MovieConfig) -> Dataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut graph = KnowledgeGraph::new();
     let mut attrs = AttributeStore::new();
+    // Facts in generation order; the graph takes them in one bulk load.
+    let mut triples = Vec::new();
 
     let likes = graph.add_relation("likes");
     let dislikes = graph.add_relation("dislikes");
@@ -154,24 +156,20 @@ pub fn movie_like(cfg: &MovieConfig) -> Dataset {
             })
             .map(|(gi, _)| gi)
             .unwrap_or(0);
-        #[expect(
-            clippy::expect_used,
-            reason = "both endpoints were just added to this graph by the generator"
-        )]
-        graph
-            .add_triple(m, has_genre, genres[best])
-            .expect("generated ids are valid");
+        triples.push(Triple {
+            head: m,
+            relation: has_genre,
+            tail: genres[best],
+        });
         if !tags.is_empty() {
             let ntags = rng.gen_range(0..3);
             for _ in 0..ntags {
                 let t = tags[tag_zipf.sample(&mut rng)];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(m, has_tag, t)
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: m,
+                    relation: has_tag,
+                    tail: t,
+                });
             }
         }
     }
@@ -185,25 +183,28 @@ pub fn movie_like(cfg: &MovieConfig) -> Dataset {
             let score = dot(&user_latent[ui], &movie_latent[mi]) + rng.gen_range(-0.25..0.25);
             let stars = to_star_rating(score);
             if stars >= 4.0 {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(u, likes, movies[mi])
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: u,
+                    relation: likes,
+                    tail: movies[mi],
+                });
             } else if stars <= 2.0 {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "both endpoints were just added to this graph by the generator"
-                )]
-                graph
-                    .add_triple(u, dislikes, movies[mi])
-                    .expect("generated ids are valid");
+                triples.push(Triple {
+                    head: u,
+                    relation: dislikes,
+                    tail: movies[mi],
+                });
             }
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "every endpoint was added to this graph by the generator"
+    )]
+    graph
+        .extend_triples(&triples)
+        .expect("generated ids are valid");
     Dataset {
         name: "movie-like".to_owned(),
         graph,

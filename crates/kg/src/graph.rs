@@ -8,12 +8,22 @@
 //!
 //! The store maintains per-entity adjacency lists (needed to *skip* known
 //! edges when answering queries over `E'`, per the paper's default
-//! semantics), which also answer `has_edge`. Adjacency and the triple log
-//! are [`ChunkVec`]s and the interners share their tables, so a clone
-//! shares everything and adding a fact to a clone copies one chunk of
-//! each adjacency direction and the log's tail chunk.
+//! semantics), which also answer `has_edge`. Each direction is a
+//! [`ChunkLists`]: one flat block per [`CHUNK_LEN`](crate::CHUNK_LEN)
+//! entities holding their lists back to back, each list in insertion
+//! order. The triple log is a [`ChunkVec`] and the interners share their
+//! tables, so a clone shares everything and adding a fact to a clone
+//! copies one block of each adjacency direction and the log's tail chunk.
+//!
+//! Facts go in one at a time ([`KnowledgeGraph::add_triple`], which a
+//! served write and log replay use) or in bulk
+//! ([`KnowledgeGraph::extend_triples`], which the generators and the TSV
+//! reader use): the bulk path appends to the log and then rebuilds both
+//! directions from it in one counting pass, exact-size.
 
-use crate::chunked::ChunkVec;
+use std::collections::HashSet;
+
+use crate::chunked::{ChunkLists, ChunkVec};
 use crate::error::{KgError, Result};
 use crate::ids::{EntityId, Interner, RelationId};
 use crate::stats::GraphStats;
@@ -37,8 +47,8 @@ pub struct KnowledgeGraph {
     entities: Interner,
     relations: Interner,
     triples: ChunkVec<Triple>,
-    out: ChunkVec<Vec<(RelationId, EntityId)>>,
-    inc: ChunkVec<Vec<(RelationId, EntityId)>>,
+    out: ChunkLists<(RelationId, EntityId)>,
+    inc: ChunkLists<(RelationId, EntityId)>,
 }
 
 impl KnowledgeGraph {
@@ -51,8 +61,8 @@ impl KnowledgeGraph {
     pub fn add_entity(&mut self, name: &str) -> EntityId {
         let id = self.entities.intern(name);
         while self.out.len() <= id as usize {
-            self.out.push(Vec::new());
-            self.inc.push(Vec::new());
+            self.out.push_list();
+            self.inc.push_list();
         }
         EntityId(id)
     }
@@ -72,16 +82,50 @@ impl KnowledgeGraph {
         if self.has_edge(h, r, t) {
             return Ok(false);
         }
-        let out = self.out.get_mut(h.index());
-        out.ok_or(KgError::UnknownEntity(h.0))?.push((r, t));
-        let inc = self.inc.get_mut(t.index());
-        inc.ok_or(KgError::UnknownEntity(t.0))?.push((r, h));
+        if !self.out.push_to(h.index(), (r, t)) {
+            return Err(KgError::UnknownEntity(h.0));
+        }
+        if !self.inc.push_to(t.index(), (r, h)) {
+            return Err(KgError::UnknownEntity(t.0));
+        }
         self.triples.push(Triple {
             head: h,
             relation: r,
             tail: t,
         });
         Ok(true)
+    }
+
+    /// Adds the facts of `triples` in order, skipping duplicates as
+    /// [`KnowledgeGraph::add_triple`] does, and returns how many were new.
+    /// The graph ends up exactly as adding them one at a time would leave
+    /// it, but both adjacency directions are rebuilt from the log in one
+    /// pass with no spare capacity, so this costs `O(|E|)` however few
+    /// facts are added: a loader's path, not a single write's.
+    ///
+    /// Nothing is added if any fact names an unknown id.
+    pub fn extend_triples(&mut self, triples: &[Triple]) -> Result<usize> {
+        for t in triples {
+            self.check_entity(t.head)?;
+            self.check_entity(t.tail)?;
+            self.check_relation(t.relation)?;
+        }
+        let before = self.triples.len();
+        let mut batch = HashSet::with_capacity(triples.len());
+        for &t in triples {
+            if !self.has_edge(t.head, t.relation, t.tail) && batch.insert(t) {
+                self.triples.push(t);
+            }
+        }
+        drop(batch);
+        let (log, rows) = (self.triples.iter(), self.entities.len());
+        self.out = ChunkLists::from_entries(
+            rows,
+            log.clone().map(|t| (t.head.index(), (t.relation, t.tail))),
+        );
+        self.inc =
+            ChunkLists::from_entries(rows, log.map(|t| (t.tail.index(), (t.relation, t.head))));
+        Ok(self.triples.len() - before)
     }
 
     /// Convenience: intern the three names and add the triple.
@@ -121,43 +165,35 @@ impl KnowledgeGraph {
             kept.push(*tr);
         }
         self.triples = kept;
-        if let Some(out) = self.out.get_mut(h.index()) {
-            out.retain(|&e| e != (r, t));
-        }
-        if let Some(inc) = self.inc.get_mut(t.index()) {
-            inc.retain(|&e| e != (r, h));
-        }
+        self.out.remove(h.index(), &(r, t));
+        self.inc.remove(t.index(), &(r, h));
         true
     }
 
     /// Tails `t` such that `(h, r, t) ∈ E`.
     pub fn tails(&self, h: EntityId, r: RelationId) -> impl Iterator<Item = EntityId> + '_ {
-        self.out
-            .get(h.index())
-            .into_iter()
-            .flatten()
+        self.out_edges(h)
+            .iter()
             .filter(move |(rr, _)| *rr == r)
             .map(|&(_, t)| t)
     }
 
     /// Heads `h` such that `(h, r, t) ∈ E`.
     pub fn heads(&self, t: EntityId, r: RelationId) -> impl Iterator<Item = EntityId> + '_ {
-        self.inc
-            .get(t.index())
-            .into_iter()
-            .flatten()
+        self.in_edges(t)
+            .iter()
             .filter(move |(rr, _)| *rr == r)
             .map(|&(_, h)| h)
     }
 
     /// All outgoing `(relation, tail)` pairs of `h`.
     pub fn out_edges(&self, h: EntityId) -> &[(RelationId, EntityId)] {
-        self.out.get(h.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.out.get(h.index()).unwrap_or(&[])
     }
 
     /// All incoming `(relation, head)` pairs of `t`.
     pub fn in_edges(&self, t: EntityId) -> &[(RelationId, EntityId)] {
-        self.inc.get(t.index()).map(Vec::as_slice).unwrap_or(&[])
+        self.inc.get(t.index()).unwrap_or(&[])
     }
 
     /// Total degree (in + out) of an entity — the paper's `popularity`
@@ -171,8 +207,9 @@ impl KnowledgeGraph {
         &self.triples
     }
 
-    /// How many chunks of the outgoing adjacency, the incoming adjacency
-    /// and the triple log this graph does not share with `other`.
+    /// How many blocks of the outgoing adjacency and of the incoming
+    /// adjacency, and chunks of the triple log, this graph does not share
+    /// with `other`.
     pub fn unshared_chunks(&self, other: &Self) -> [usize; 3] {
         [
             self.out.unshared_chunks(&other.out),

@@ -9,14 +9,17 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::error::{KgError, Result};
-use crate::graph::KnowledgeGraph;
+use crate::graph::{KnowledgeGraph, Triple};
 
 /// Reads a graph from TSV triples.
 ///
 /// Blank lines and lines starting with `#` are skipped. Each remaining
-/// line must have exactly three tab-separated fields.
+/// line must have exactly three tab-separated fields. Names are interned
+/// line by line; the facts go into the graph in one bulk load
+/// ([`KnowledgeGraph::extend_triples`]) once the input is read.
 pub fn read_tsv<R: Read>(reader: R) -> Result<KnowledgeGraph> {
     let mut graph = KnowledgeGraph::new();
+    let mut triples = Vec::new();
     let buf = BufReader::new(reader);
     for (lineno, line) in buf.lines().enumerate() {
         let line = line?;
@@ -34,8 +37,13 @@ pub fn read_tsv<R: Read>(reader: R) -> Result<KnowledgeGraph> {
                 })
             }
         };
-        graph.add_fact(h, r, t)?;
+        triples.push(Triple {
+            head: graph.add_entity(h),
+            relation: graph.add_relation(r),
+            tail: graph.add_entity(t),
+        });
     }
+    graph.extend_triples(&triples)?;
     Ok(graph)
 }
 

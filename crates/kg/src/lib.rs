@@ -6,9 +6,11 @@
 //! * interned entities and relationship types ([`ids`]),
 //! * a triple store with adjacency lists ([`graph::KnowledgeGraph`]) used to
 //!   implement the paper's "skip edges already in `E`" query semantics,
-//! * the chunk-shared vector ([`chunked::ChunkVec`]) the triple store and
-//!   the embedding store keep their rows in, so that a clone shares every
-//!   chunk and a write copies one,
+//! * the chunk-shared vector ([`chunked::ChunkVec`]) the triple log and
+//!   the embedding store keep their rows in, and the chunk-shared lists
+//!   ([`chunked::ChunkLists`]) the adjacency keeps one flat block per
+//!   chunk of entities in, so that a clone shares every chunk and a write
+//!   copies one,
 //! * per-entity numeric attributes ([`attributes::AttributeStore`]) that the
 //!   aggregate queries (SUM/AVG/MAX/MIN over `age`, `year`, `quality`,
 //!   `popularity`, ...) read,
@@ -60,7 +62,7 @@ pub mod stats;
 pub mod zipf;
 
 pub use attributes::AttributeStore;
-pub use chunked::{ChunkVec, CHUNK_BITS, CHUNK_LEN};
+pub use chunked::{ChunkLists, ChunkVec, CHUNK_BITS, CHUNK_LEN};
 pub use error::{KgError, Result};
 pub use graph::KnowledgeGraph;
 pub use ids::{EntityId, Interner, RelationId};

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use vkg_core::vkg::VirtualKnowledgeGraph;
@@ -14,7 +15,9 @@ use vkg_core::VkgConfig;
 use vkg_embed::{TransE, TransEConfig};
 use vkg_kg::datasets::{movie_like, MovieConfig};
 use vkg_kg::{EntityId, RelationId};
-use vkg_server::{Client, Request, RequestOp, Response, RetryPolicy, Server, ServerConfig};
+use vkg_server::{
+    Client, Request, RequestOp, Response, RetryPolicy, Server, ServerConfig, ServerCounters,
+};
 
 /// Users occupy ids `0..60` and movies `60..180` in the tiny movie
 /// dataset; relation 0 is valid for every query direction.
@@ -35,6 +38,20 @@ fn build_vkg() -> Arc<VirtualKnowledgeGraph> {
         embeddings,
         VkgConfig::default(),
     ))
+}
+
+/// Waits for a drain under a watchdog: `finish` (the handle's
+/// `shutdown` or `join`) runs on a thread of its own, and a drain that
+/// cannot wake a connection thread whose client is still connected fails
+/// the test in 5 s instead of hanging the suite.
+fn watched(finish: impl FnOnce() -> ServerCounters + Send + 'static) -> ServerCounters {
+    let (done, drained) = std::sync::mpsc::channel();
+    let drain = thread::spawn(move || done.send(finish()));
+    let counters = drained
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the drain returns within 5 s");
+    drain.join().expect("drain thread").expect("counters sent");
+    counters
 }
 
 /// A WAL path in the temp dir, removed again on drop.
@@ -135,7 +152,7 @@ fn duplicated_add_fact_frame_does_not_double_apply() {
     };
     assert!(!a3, "graph-level duplicate");
 
-    handle.shutdown();
+    watched(move || handle.shutdown());
 }
 
 /// The headline self-healing scenario: a retry-enabled client writes
@@ -179,7 +196,8 @@ fn self_healing_client_survives_forced_restart_mid_load() {
             // Forced restart: tear the first server down (dropping every
             // connection) and bring a fresh engine up on the SAME
             // address, recovering the same WAL.
-            let counters = first_handle.take().expect("first server live").shutdown();
+            let first = first_handle.take().expect("first server live");
+            let counters = watched(move || first.shutdown());
             assert_eq!(
                 counters.admitted, counters.answered,
                 "first server answered everything it admitted"
@@ -249,7 +267,7 @@ fn self_healing_client_survives_forced_restart_mid_load() {
     let stats_probe = client.stats().expect("stats after restart");
     assert_eq!(stats_probe.epoch, applied_total);
 
-    let counters = second.shutdown();
+    let counters = watched(move || second.shutdown());
     assert_eq!(
         counters.admitted, counters.answered,
         "second server answered everything it admitted"

@@ -21,7 +21,7 @@ use vkg_obs::{Clock, SpanOutcome};
 use vkg_server::wire::{read_frame, write_frame, MAX_FRAME};
 use vkg_server::{
     AggregateWire, Client, ClientError, ErrorCode, Request, RequestOp, Response, Server,
-    ServerConfig, TopKWire,
+    ServerConfig, ServerCounters, ServerHandle, TopKWire,
 };
 
 /// Users occupy ids `0..60` and movies `60..180` in the tiny movie
@@ -49,8 +49,22 @@ fn build_vkg_with(config: VkgConfig) -> Arc<VirtualKnowledgeGraph> {
     ))
 }
 
-fn start(vkg: &Arc<VirtualKnowledgeGraph>, cfg: ServerConfig) -> vkg_server::ServerHandle {
+fn start(vkg: &Arc<VirtualKnowledgeGraph>, cfg: ServerConfig) -> ServerHandle {
     Server::start(Arc::clone(vkg), "127.0.0.1:0", cfg).expect("bind loopback")
+}
+
+/// Waits for a drain under a watchdog: `finish` (the handle's
+/// `shutdown` or `join`) runs on a thread of its own, and a drain that
+/// cannot wake a connection thread whose client is still connected fails
+/// the test in 5 s instead of hanging the suite.
+fn watched(finish: impl FnOnce() -> ServerCounters + Send + 'static) -> ServerCounters {
+    let (done, drained) = std::sync::mpsc::channel();
+    let drain = thread::spawn(move || done.send(finish()));
+    let counters = drained
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the drain returns within 5 s");
+    drain.join().expect("drain thread").expect("counters sent");
+    counters
 }
 
 /// With a deliberately undersized queue and a slow worker, concurrent
@@ -112,7 +126,7 @@ fn undersized_queue_sheds_with_typed_overloaded() {
     assert_eq!(gauge("server.shed"), u64::from(shed), "exported shed");
     assert_eq!(gauge("server.admitted"), gauge("server.answered"));
 
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
     assert_eq!(counters.shed as u32, shed);
 }
@@ -164,7 +178,7 @@ fn queued_requests_past_deadline_are_refused() {
         expired >= 1,
         "queued-behind-a-slow-worker requests expired their 10ms deadline"
     );
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
     assert_eq!(counters.deadline_expired as u32, expired);
 }
@@ -250,7 +264,7 @@ fn requests_expiring_behind_a_slow_worker_are_refused_not_executed() {
     );
 
     drop(probe);
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered, "no request dropped");
     assert_eq!(counters.deadline_expired as u32, expired);
 }
@@ -416,7 +430,7 @@ fn cache_hits_are_answered_on_the_connection_thread() {
     assert_eq!(snap.spans[3].op, 0x03);
 
     drop(client);
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(
         counters.admitted,
         counters.answered + counters.shed + counters.deadline_expired + counters.drained,
@@ -482,7 +496,7 @@ fn client_shutdown_drains_without_dropping_requests() {
         assert!(outcomes.iter().any(|&ok| ok), "clients made progress");
     }
 
-    let counters = handle.join();
+    let counters = watched(move || handle.join());
     assert_eq!(
         counters.admitted, counters.answered,
         "graceful drain answers every admitted request"
@@ -519,12 +533,7 @@ fn drain_wakes_idle_connections() {
         })
         .collect();
 
-    let (done, drained) = std::sync::mpsc::channel();
-    let drain = thread::spawn(move || done.send(handle.shutdown()));
-    let counters = drained
-        .recv_timeout(Duration::from_secs(5))
-        .expect("the drain returns with idle connections open");
-    drain.join().expect("drain thread").expect("counters sent");
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
     for mut raw in idle {
         let read = raw.read(&mut [0; 1]).expect("end-of-file, not a timeout");
@@ -600,7 +609,7 @@ fn malformed_frames_fail_closed_and_server_survives() {
         .top_k(EntityId(0), RelationId(0), Direction::Tails, 3)
         .expect("server survived the abuse");
     assert!(top.predictions.len() <= 3);
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
 }
 
@@ -670,7 +679,7 @@ fn split_and_coalesced_request_frames_are_answered() {
         expect_engine_answer(&mut raw, 11);
     }
 
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, 3);
     assert_eq!(counters.admitted, counters.answered);
 }
@@ -741,7 +750,7 @@ fn extreme_parameters_are_sanitized_not_fatal() {
     );
     assert!(remote.predictions.iter().all(|p| p.distance.is_finite()));
 
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
 }
 
@@ -798,7 +807,7 @@ fn stats_reports_epoch_accuracy_and_ledger() {
         assert!(name.starts_with("movie_"), "filter applied server-side");
     }
 
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered);
 }
 
@@ -937,7 +946,7 @@ fn metrics_opcode_exports_reconciling_telemetry() {
     assert_eq!(client.metrics(0).expect("second scrape").epoch, m.epoch);
 
     drop(client);
-    let counters = handle.shutdown();
+    let counters = watched(move || handle.shutdown());
     assert_eq!(counters.admitted, counters.answered, "drain invariant");
 }
 
@@ -971,5 +980,5 @@ fn mock_clock_makes_span_timing_deterministic() {
     assert_eq!(latency.total, 3);
     assert_eq!(latency.max_us, 0);
     drop(client);
-    handle.shutdown();
+    watched(move || handle.shutdown());
 }
