@@ -335,6 +335,8 @@ mod tests {
         write_tsv(&store, &mut written).unwrap();
         assert_eq!(written, tsv.as_bytes());
         assert_eq!(read_tsv(written.as_slice()).unwrap(), store);
+        // Full-precision values print longer than their eight bytes.
+        assert!(bytes.len() < written.len(), "binary undercuts TSV");
     }
 
     #[test]

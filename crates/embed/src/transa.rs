@@ -17,12 +17,12 @@
 //! DESIGN.md.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use vkg_kg::{EntityId, KnowledgeGraph, RelationId};
 
 use crate::store::EmbeddingStore;
-use crate::transe::TrainStats;
+use crate::transe::{corrupt, init_uniform, shuffle, TrainStats};
 use crate::vector::normalize;
 
 /// Hyper-parameters for [`TransA::train`].
@@ -121,19 +121,7 @@ impl TransA {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
 
         let mut store = EmbeddingStore::zeros(n, m, d);
-        let bound = 6.0 / (d as f64).sqrt();
-        for e in 0..n {
-            for v in store.entity_mut(EntityId(e as u32)).iter_mut() {
-                *v = rng.gen_range(-bound..bound);
-            }
-        }
-        for r in 0..m {
-            let row = store.relation_mut(RelationId(r as u32));
-            for v in row.iter_mut() {
-                *v = rng.gen_range(-bound..bound);
-            }
-            normalize(row);
-        }
+        init_uniform(&mut store, &mut rng);
         // Adaptive weights start at the identity metric.
         let mut weights = vec![1.0f64; m * d];
 
@@ -145,10 +133,7 @@ impl TransA {
             for e in 0..n {
                 normalize(store.entity_mut(EntityId(e as u32)));
             }
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
+            shuffle(&mut order, &mut rng);
             let mut total = 0.0;
             for &ti in &order {
                 let tr = triples[ti];
@@ -243,28 +228,6 @@ impl TransA {
         }
         loss
     }
-}
-
-fn corrupt<R: Rng>(
-    graph: &KnowledgeGraph,
-    h: EntityId,
-    r: RelationId,
-    t: EntityId,
-    rng: &mut R,
-) -> (EntityId, EntityId) {
-    let n = graph.num_entities() as u32;
-    for _ in 0..16 {
-        let candidate = EntityId(rng.gen_range(0..n));
-        let (nh, nt) = if rng.gen_bool(0.5) {
-            (candidate, t)
-        } else {
-            (h, candidate)
-        };
-        if !graph.has_edge(nh, r, nt) {
-            return (nh, nt);
-        }
-    }
-    (h, t)
 }
 
 #[cfg(test)]

@@ -182,7 +182,7 @@ fn triple_score(store: &EmbeddingStore, h: EntityId, r: RelationId, t: EntityId)
 
 /// Uniform initialization in `[-6/√d, 6/√d]` with relation vectors
 /// normalized once, as in the original TransE paper.
-fn init_uniform<R: Rng>(store: &mut EmbeddingStore, rng: &mut R) {
+pub(crate) fn init_uniform<R: Rng>(store: &mut EmbeddingStore, rng: &mut R) {
     let d = store.dim();
     let bound = 6.0 / (d as f64).sqrt();
     for e in 0..store.num_entities() {
@@ -201,7 +201,7 @@ fn init_uniform<R: Rng>(store: &mut EmbeddingStore, rng: &mut R) {
 
 /// Fisher–Yates shuffle (avoids pulling in `rand`'s slice extension trait
 /// just for this).
-fn shuffle<R: Rng>(order: &mut [usize], rng: &mut R) {
+pub(crate) fn shuffle<R: Rng>(order: &mut [usize], rng: &mut R) {
     for i in (1..order.len()).rev() {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
@@ -211,7 +211,7 @@ fn shuffle<R: Rng>(order: &mut [usize], rng: &mut R) {
 /// Corrupts a triple by replacing its head or tail with a uniformly random
 /// entity, redrawing if the corrupted triple happens to exist in `E`
 /// (the "filtered" negative sampling of the TransE paper).
-fn corrupt<R: Rng>(
+pub(crate) fn corrupt<R: Rng>(
     graph: &KnowledgeGraph,
     h: EntityId,
     r: RelationId,

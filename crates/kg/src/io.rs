@@ -88,6 +88,17 @@ mod tests {
         let likes = g2.relation_id("likes").unwrap();
         let m1 = g2.entity_id("m1").unwrap();
         assert!(g2.has_edge(amy, likes, m1));
+
+        // A masked fact stays masked through the round trip.
+        let t = g.triples()[1];
+        assert!(g.remove_triple(t.head, t.relation, t.tail));
+        let mut bytes = Vec::new();
+        write_tsv(&g, &mut bytes).unwrap();
+        let masked = read_tsv(bytes.as_slice()).unwrap();
+        assert_eq!(masked.num_edges(), 2);
+        for t in masked.triples() {
+            assert_ne!(masked.relation_name(t.relation), Some("dislikes"));
+        }
     }
 
     #[test]

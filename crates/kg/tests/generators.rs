@@ -128,4 +128,12 @@ fn tsv_round_trip_is_pinned() {
         [0x8208_77e1_ce0f_9876, 0x0730_6257_9679_ee16],
         "{digests:#018x?}"
     );
+    // A graph read from TSV is canonical: a second round trip keeps every
+    // name on its id, so embedding rows trained on it still line up.
+    let mut again = Vec::new();
+    write_tsv(&read, &mut again).unwrap();
+    assert_eq!(
+        graph_digest(&read_tsv(again.as_slice()).unwrap()),
+        digests[1]
+    );
 }

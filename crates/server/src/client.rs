@@ -17,7 +17,7 @@
 //! harness reconciles against the facade's `core.wal.*` counters in the
 //! server's `Metrics` export.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -134,7 +134,10 @@ pub struct RetryStats {
 /// A connected client. Cheap to construct; not thread-safe (use one
 /// client per thread, as the load generator does).
 pub struct Client {
-    stream: TcpStream,
+    /// The connection. Responses are read through the buffer, so a
+    /// frame's length prefix and payload usually arrive in one `recv`;
+    /// requests are written straight to the inner stream.
+    conn: BufReader<TcpStream>,
     /// The peer address, kept for transparent reconnects.
     addr: SocketAddr,
     /// Deadline stamped on requests issued through the typed helpers;
@@ -157,7 +160,7 @@ impl Client {
         stream.set_nodelay(true)?;
         let addr = stream.peer_addr()?;
         Ok(Client {
-            stream,
+            conn: BufReader::new(stream),
             addr,
             deadline_ms: 0,
             policy: None,
@@ -203,8 +206,8 @@ impl Client {
     /// failing mid-call (including server-side connection teardown
     /// after a malformed frame) surfaces as `Io` or `Wire`.
     pub fn call(&mut self, request: &Request) -> ClientResult<Response> {
-        write_frame(&mut self.stream, &request.encode())?;
-        match read_frame(&mut self.stream, MAX_FRAME)? {
+        write_frame(self.conn.get_mut(), &request.encode())?;
+        match read_frame(&mut self.conn, MAX_FRAME)? {
             Some(payload) => Ok(Response::decode(&payload)?),
             None => Err(ClientError::Wire(WireError::Truncated)),
         }
@@ -269,12 +272,13 @@ impl Client {
         self.stats.backoffs += 1;
     }
 
-    /// Attempts to replace the stream with a fresh connection to the
-    /// original address.
+    /// Attempts to replace the connection with a fresh one to the
+    /// original address. The buffer goes with the old stream, so no byte
+    /// read from the dead connection survives.
     fn reconnect(&mut self) {
         if let Ok(stream) = TcpStream::connect(self.addr) {
             let _ = stream.set_nodelay(true);
-            self.stream = stream;
+            self.conn = BufReader::new(stream);
             self.stats.reconnects += 1;
         }
     }

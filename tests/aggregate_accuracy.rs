@@ -4,7 +4,10 @@
 //! accuracy must rise (and the Theorem 4 interval tighten) as the sample
 //! size grows.
 
+mod worlds;
+
 use vkg::prelude::*;
+use worlds::{trained, Data, Train};
 
 struct World {
     vkg: VirtualKnowledgeGraph,
@@ -13,22 +16,12 @@ struct World {
 }
 
 fn movie_world() -> World {
-    let ds = movie_like(&MovieConfig::tiny());
-    let (store, _) = TransE::new(TransEConfig {
-        dim: 24,
-        epochs: 10,
-        ..TransEConfig::default()
-    })
-    .train(&ds.graph);
-    let vkg = VirtualKnowledgeGraph::assemble(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store,
-        VkgConfig::default(),
-    );
-    let user = ds.graph.entity_id("user_2").unwrap();
-    let likes = ds.graph.relation_id("likes").unwrap();
-    World { vkg, user, likes }
+    let world = trained(Data::Movie, Train::Full);
+    World {
+        vkg: world.assemble(VkgConfig::default()),
+        user: world.user(2),
+        likes: world.likes(),
+    }
 }
 
 fn accuracy(returned: f64, truth: f64) -> f64 {
@@ -210,19 +203,9 @@ fn theorem4_bound_actually_holds_empirically() {
     // Over many users, the realized deviation between the sampled and
     // full-access SUM must exceed the 95%-confidence δ at most ~5% of the
     // time (plus slack for the small query count).
-    let ds = movie_like(&MovieConfig::tiny());
-    let (store, _) = TransE::new(TransEConfig {
-        dim: 24,
-        epochs: 10,
-        ..TransEConfig::default()
-    })
-    .train(&ds.graph);
-    let vkg = VirtualKnowledgeGraph::assemble(
-        ds.graph.clone(),
-        ds.attributes.clone(),
-        store,
-        VkgConfig::default(),
-    );
+    let world = trained(Data::Movie, Train::Full);
+    let ds = &world.ds;
+    let vkg = world.assemble(VkgConfig::default());
     let likes = ds.graph.relation_id("likes").unwrap();
     let spec = AggregateSpec::of(AggregateKind::Sum, "year", 0.01);
     let mut violations = 0usize;

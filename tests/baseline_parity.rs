@@ -2,24 +2,21 @@
 //! method must agree on the ground truth it is exact for, and approximate
 //! methods must hit their advertised recall.
 
-use vkg::prelude::*;
+mod worlds;
 
-fn trained_movie() -> (Dataset, EmbeddingStore) {
-    let ds = movie_like(&MovieConfig::tiny());
-    let (store, _) = TransE::new(TransEConfig {
-        dim: 24,
-        epochs: 10,
-        ..TransEConfig::default()
-    })
-    .train(&ds.graph);
-    (ds, store)
+use vkg::prelude::*;
+use worlds::{trained, Data, Train, Trained};
+
+/// The dim 24 × 10 epochs movie world, trained once per binary.
+fn trained_movie() -> &'static Trained {
+    trained(Data::Movie, Train::Full)
 }
 
 #[test]
 fn phtree_matches_linear_scan_on_embeddings() {
-    let (ds, store) = trained_movie();
+    let Trained { ds, store } = trained_movie();
     let tree = PhTree::build(store.entity_rows().to_vec(), store.dim());
-    let scan = LinearScan::new(&store);
+    let scan = LinearScan::new(store);
     let mut agree = 0usize;
     let mut total = 0usize;
     for (i, t) in ds.graph.triples().iter().step_by(97).take(10).enumerate() {
@@ -43,7 +40,7 @@ fn phtree_matches_linear_scan_on_embeddings() {
 #[test]
 fn h2alsh_recall_on_single_relation() {
     // H2-ALSH's setting: ONE relation type, MIPS over user/item vectors.
-    let (ds, store) = trained_movie();
+    let Trained { ds, store } = trained_movie();
     let movies: Vec<EntityId> = (0..ds.graph.num_entities() as u32)
         .map(EntityId)
         .filter(|&e| {
@@ -86,11 +83,11 @@ fn h2alsh_recall_on_single_relation() {
 /// exact linear scan as the shared ground truth.
 #[test]
 fn engines_satisfy_their_accuracy_contracts() {
-    let (ds, store) = trained_movie();
+    let Trained { ds, store } = trained_movie();
     let snap = match VkgSnapshot::new(
         ds.graph.clone(),
         ds.attributes.clone(),
-        store,
+        store.clone(),
         VkgConfig::default(),
     ) {
         Ok(s) => s,
@@ -178,7 +175,7 @@ fn engines_satisfy_their_accuracy_contracts() {
 
 #[test]
 fn phtree_and_h2alsh_handle_skip_consistently() {
-    let (ds, store) = trained_movie();
+    let Trained { ds, store } = trained_movie();
     let tree = PhTree::build(store.entity_rows().to_vec(), store.dim());
     let t = ds.graph.triples()[0];
     let q = store.tail_query_point(t.head, t.relation);

@@ -1,46 +1,26 @@
 //! End-to-end pipeline tests: dataset generation → TransE training →
-//! virtual-KG assembly → top-k and aggregate queries → index invariants.
+//! virtual-KG assembly → top-k and aggregate queries → index invariants,
+//! on the dim 16 × 8 epochs worlds. Every top-k answer is held to the
+//! E′ and guarantee semantics by `checked_top_k`.
+
+mod worlds;
 
 use vkg::prelude::*;
-
-fn fast_embed() -> TransEConfig {
-    TransEConfig {
-        dim: 16,
-        epochs: 8,
-        ..TransEConfig::default()
-    }
-}
+use worlds::{checked_top_k, trained, Data, Train};
 
 #[test]
 fn movie_pipeline_end_to_end() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), VkgConfig::default());
-
-    let likes = vkg.graph().relation_id("likes").unwrap();
-    let user = vkg.graph().entity_id("user_3").unwrap();
-
-    let r = vkg.top_k(user, likes, Direction::Tails, 5).unwrap();
-    assert!(!r.predictions.is_empty());
-    // E′ semantics: no known edge may appear.
-    for p in &r.predictions {
-        assert!(!vkg.graph().has_edge(user, likes, EntityId(p.id)));
-        assert_ne!(p.id, user.0);
-    }
-    // Ascending distances, probability 1 at the head of the list.
-    for w in r.predictions.windows(2) {
-        assert!(w[0].distance <= w[1].distance);
-    }
-    assert_eq!(r.predictions[0].probability, 1.0);
+    let world = trained(Data::Movie, Train::Fast);
+    let vkg = world.assemble(VkgConfig::default());
+    checked_top_k(&vkg, (world.user(3), world.likes(), Direction::Tails), 5);
     vkg.index().check_invariants();
 }
 
 #[test]
 fn amazon_pipeline_with_aggregates() {
-    let ds = amazon_like(&AmazonConfig::tiny());
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), VkgConfig::default());
-
-    let likes = vkg.graph().relation_id("likes").unwrap();
-    let user = vkg.graph().entity_id("user_1").unwrap();
+    let world = trained(Data::Amazon, Train::Fast);
+    let vkg = world.assemble(VkgConfig::default());
+    let (user, likes) = (world.user(1), world.likes());
 
     let count = vkg
         .aggregate(user, likes, Direction::Tails, &AggregateSpec::count(0.05))
@@ -66,22 +46,19 @@ fn amazon_pipeline_with_aggregates() {
 
 #[test]
 fn freebase_pipeline_multi_relation() {
-    let ds = freebase_like(&FreebaseConfig::tiny());
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), VkgConfig::default());
+    let world = trained(Data::Freebase, Train::Fast);
+    let vkg = world.assemble(VkgConfig::default());
 
     // Query across several distinct relation types with one index.
     let mut used = std::collections::HashSet::new();
-    let triples: Vec<_> = ds.graph.triples().to_vec();
     let mut asked = 0;
-    for t in triples {
+    for t in world.ds.graph.triples() {
         if asked >= 5 || !used.insert(t.relation) {
             continue;
         }
         asked += 1;
-        let r = vkg.top_k(t.head, t.relation, Direction::Tails, 3).unwrap();
-        assert!(r.predictions.len() <= 3);
-        let h = vkg.top_k(t.tail, t.relation, Direction::Heads, 3).unwrap();
-        assert!(h.predictions.len() <= 3);
+        checked_top_k(&vkg, (t.head, t.relation, Direction::Tails), 3);
+        checked_top_k(&vkg, (t.tail, t.relation, Direction::Heads), 3);
     }
     assert_eq!(asked, 5, "expected five distinct relation types queried");
     vkg.index().check_invariants();
@@ -89,14 +66,15 @@ fn freebase_pipeline_multi_relation() {
 
 #[test]
 fn index_converges_over_query_sequence() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), VkgConfig::default());
-    let likes = vkg.graph().relation_id("likes").unwrap();
-
+    let world = trained(Data::Movie, Train::Fast);
+    let vkg = world.assemble(VkgConfig::default());
     let mut node_counts = Vec::new();
     for u in 0..20 {
-        let user = vkg.graph().entity_id(&format!("user_{}", u % 10)).unwrap();
-        let _ = vkg.top_k(user, likes, Direction::Tails, 5).unwrap();
+        checked_top_k(
+            &vkg,
+            (world.user(u % 10), world.likes(), Direction::Tails),
+            5,
+        );
         node_counts.push(vkg.index_node_count());
     }
     // Convergence (Figs. 9–11): late growth must be no larger than early.
@@ -111,30 +89,20 @@ fn index_converges_over_query_sequence() {
 
 #[test]
 fn topk_split_strategy_end_to_end() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let cfg = VkgConfig {
+    let world = trained(Data::Movie, Train::Fast);
+    let vkg = world.assemble(VkgConfig {
         split_strategy: SplitStrategy::TopK { choices: 3 },
         ..VkgConfig::default()
-    };
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), cfg);
-    let likes = vkg.graph().relation_id("likes").unwrap();
+    });
     for u in 0..6 {
-        let user = vkg.graph().entity_id(&format!("user_{u}")).unwrap();
-        let r = vkg.top_k(user, likes, Direction::Tails, 5).unwrap();
-        assert!(r.predictions.len() <= 5);
+        checked_top_k(&vkg, (world.user(u), world.likes(), Direction::Tails), 5);
     }
     vkg.index().check_invariants();
 }
 
 #[test]
 fn guarantees_reported_and_sane() {
-    let ds = movie_like(&MovieConfig::tiny());
-    let vkg = vkg::build_from_dataset(&ds, fast_embed(), VkgConfig::default());
-    let likes = vkg.graph().relation_id("likes").unwrap();
-    let user = vkg.graph().entity_id("user_0").unwrap();
-    let r = vkg.top_k(user, likes, Direction::Tails, 5).unwrap();
-    let g = &r.guarantee;
-    assert!(g.success_probability > 0.0 && g.success_probability <= 1.0);
-    assert!(g.expected_misses >= 0.0 && g.expected_misses <= 5.0);
-    assert_eq!(g.ratios.len(), r.predictions.len());
+    let world = trained(Data::Movie, Train::Fast);
+    let vkg = world.assemble(VkgConfig::default());
+    checked_top_k(&vkg, (world.user(0), world.likes(), Direction::Tails), 5);
 }

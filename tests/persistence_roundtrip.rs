@@ -2,19 +2,16 @@
 //! a full export → import cycle and the re-assembled engine answers
 //! identically — the paper's "import precomputed embeddings" path.
 
+mod worlds;
+
 use vkg::embed::io as embed_io;
 use vkg::kg::io as kg_io;
 use vkg::prelude::*;
+use worlds::{trained, Data, Train, Trained};
 
-fn world() -> (Dataset, EmbeddingStore) {
-    let ds = movie_like(&MovieConfig::tiny());
-    let (store, _) = TransE::new(TransEConfig {
-        dim: 16,
-        epochs: 6,
-        ..TransEConfig::default()
-    })
-    .train(&ds.graph);
-    (ds, store)
+/// The dim 16 × 6 epochs movie world, trained once per binary.
+fn world() -> &'static Trained {
+    trained(Data::Movie, Train::Small)
 }
 
 #[test]
@@ -23,7 +20,7 @@ fn graph_tsv_roundtrip_preserves_queries() {
     // carries entities that appear in at least one triple, so first
     // canonicalize the generated graph through one roundtrip; the
     // canonical form must then roundtrip losslessly and id-stably.
-    let (ds, _) = world();
+    let ds = &world().ds;
     let mut buf = Vec::new();
     kg_io::write_tsv(&ds.graph, &mut buf).unwrap();
     let canonical = kg_io::read_tsv(buf.as_slice()).unwrap();
@@ -82,17 +79,17 @@ fn graph_tsv_roundtrip_preserves_queries() {
 
 #[test]
 fn embedding_tsv_roundtrip_preserves_answers() {
-    let (ds, store) = world();
+    let Trained { ds, store } = world();
 
     let mut buf = Vec::new();
-    embed_io::write_tsv(&store, &mut buf).unwrap();
+    embed_io::write_tsv(store, &mut buf).unwrap();
     let store2 = embed_io::read_tsv(buf.as_slice()).unwrap();
     assert_eq!(store2.dim(), store.dim());
 
     let a = VirtualKnowledgeGraph::assemble(
         ds.graph.clone(),
         ds.attributes.clone(),
-        store,
+        store.clone(),
         VkgConfig::default(),
     );
     let b = VirtualKnowledgeGraph::assemble(
@@ -113,21 +110,21 @@ fn embedding_tsv_roundtrip_preserves_answers() {
 
 #[test]
 fn embedding_binary_roundtrip_is_bit_exact() {
-    let (_ds, store) = world();
-    let bytes = embed_io::to_binary(&store);
+    let store = &world().store;
+    let bytes = embed_io::to_binary(store);
     let store2 = embed_io::from_binary(&bytes).unwrap();
-    assert_eq!(store, store2, "binary format must be lossless");
+    assert_eq!(*store, store2, "binary format must be lossless");
 }
 
 #[test]
 fn binary_format_is_compact() {
-    let (_ds, store) = world();
-    let bytes = embed_io::to_binary(&store);
+    let store = &world().store;
+    let bytes = embed_io::to_binary(store);
     let expected = 17 + 8 * store.dim() * (store.num_entities() + store.num_relations());
     assert_eq!(bytes.len(), expected, "17-byte header + raw f64 payload");
 
     let mut tsv = Vec::new();
-    embed_io::write_tsv(&store, &mut tsv).unwrap();
+    embed_io::write_tsv(store, &mut tsv).unwrap();
     assert!(
         bytes.len() < tsv.len(),
         "binary ({}) should undercut TSV ({})",
@@ -140,23 +137,23 @@ fn binary_format_is_compact() {
 fn masked_graph_roundtrip() {
     // Mask-edges workflow survives persistence: remove edges, export,
     // import, and confirm the masked facts are absent while queries work.
-    let (mut ds, _) = world();
-    let t = ds.graph.triples()[0];
-    assert!(ds.graph.remove_triple(t.head, t.relation, t.tail));
+    let mut graph = world().ds.graph.clone();
+    let t = graph.triples()[0];
+    assert!(graph.remove_triple(t.head, t.relation, t.tail));
 
     let mut buf = Vec::new();
-    kg_io::write_tsv(&ds.graph, &mut buf).unwrap();
+    kg_io::write_tsv(&graph, &mut buf).unwrap();
     let graph2 = kg_io::read_tsv(buf.as_slice()).unwrap();
     // Entity interning order may differ after removal, so compare by name.
     let h = graph2
-        .entity_id(ds.graph.entity_name(t.head).unwrap())
+        .entity_id(graph.entity_name(t.head).unwrap())
         .unwrap();
     let r = graph2
-        .relation_id(ds.graph.relation_name(t.relation).unwrap())
+        .relation_id(graph.relation_name(t.relation).unwrap())
         .unwrap();
     let tl = graph2
-        .entity_id(ds.graph.entity_name(t.tail).unwrap())
+        .entity_id(graph.entity_name(t.tail).unwrap())
         .unwrap();
     assert!(!graph2.has_edge(h, r, tl));
-    assert_eq!(graph2.num_edges(), ds.graph.num_edges());
+    assert_eq!(graph2.num_edges(), graph.num_edges());
 }
